@@ -2,7 +2,6 @@
 pulse-coupled networks: closed-form return map, contraction/expansion
 diagnostics, certified limit-cycle detection and synchronization tests."""
 
-from ._kernels import NUMBA_ENABLED
 from .config import RunConfig, load_config
 from .contraction import (
     absorption_check,
@@ -62,3 +61,7 @@ from .params import (
 )
 
 __version__ = "0.1.0"
+
+# Deprecated: the kernels are plain Python and there is no numba backend.
+# Kept, always False, for callers that still record it.
+NUMBA_ENABLED = False

@@ -1,10 +1,7 @@
 """Hot numeric kernels for the return map and its Monte-Carlo drivers.
 
-Every kernel is written as plain nested-loop NumPy code and compiled with
-numba's @njit by default.  Setting the environment variable IFNET_NUMBA=0
-(before import) selects the pure-NumPy interpretation of the very same
-functions, so both backends execute identical operation sequences; see
-benchmarks/bench_kernels.py for a speed comparison.
+Every kernel is a plain nested loop over NumPy arrays, run by the Python
+interpreter.
 
 One return-map application, given a section state v (every coordinate in
 [alpha, theta], at least one coordinate 0):
@@ -25,28 +22,10 @@ One return-map application, given a section state v (every coordinate in
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_flag = os.environ.get("IFNET_NUMBA", "1").strip().lower()
-NUMBA_ENABLED = _flag not in ("0", "false", "off", "no")
 
-if NUMBA_ENABLED:
-    try:
-        from numba import njit as _numba_njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    def njit(func):
-        return _numba_njit(cache=True, nogil=True)(func)
-else:
-    def njit(func):
-        return func
-
-
-@njit
 def step(v, H, beta, theta, alpha, gamma, tie_tol, out_v, fired, j0, scratch):
     """One return-map application; fills out_v/fired/j0, returns (t_bar, rounds)."""
     n = v.shape[0]
@@ -100,7 +79,6 @@ def step(v, H, beta, theta, alpha, gamma, tie_tol, out_v, fired, j0, scratch):
     return t_bar, rounds
 
 
-@njit
 def run_orbit(v0, H, beta, theta, alpha, gamma, tie_tol, n_steps):
     """Iterate the return map n_steps times; returns (states, fired, t_bars, rounds)."""
     n = v0.shape[0]
@@ -119,7 +97,6 @@ def run_orbit(v0, H, beta, theta, alpha, gamma, tie_tol, n_steps):
     return states, fired, t_bars, rounds
 
 
-@njit
 def pair_ratios(V, W, H, beta, theta, alpha, gamma, tie_tol):
     """Per-pair sup-norm contraction ratio, flagged valid only on same firing sets.
 
@@ -161,7 +138,6 @@ def pair_ratios(V, W, H, beta, theta, alpha, gamma, tie_tol):
     return valid, ratio
 
 
-@njit
 def absorb_run(v0, H, beta, theta, alpha, gamma, tie_tol, c_enter, post_bound, max_steps, horizon):
     """Returns (enter_step, stayed) for the absorption check of one start.
 
@@ -201,7 +177,6 @@ def absorb_run(v0, H, beta, theta, alpha, gamma, tie_tol, c_enter, post_bound, m
     return enter, stayed
 
 
-@njit
 def sync_run(v0, H, beta, theta, alpha, gamma, tie_tol, max_steps):
     """Iterate until the exact zero vector; returns (returns_taken, time). -1 if not reached."""
     n = v0.shape[0]
@@ -224,7 +199,6 @@ def sync_run(v0, H, beta, theta, alpha, gamma, tie_tol, max_steps):
     return -1, total
 
 
-@njit
 def track_pair(v0, w0, H, beta, theta, alpha, gamma, tie_tol, k_max):
     """Sup-norm distances ||rho^k v - rho^k w|| while the two orbits share firing sets.
 

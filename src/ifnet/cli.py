@@ -7,7 +7,10 @@ blake2b(seed, cell-index) and results merge in cell order, so output bytes do
 not depend on thread count (cap threads with IFNET_THREADS).
 
 Exit codes: 0 ok, 2 config error, 3 hypothesis violated, 4 numerical stall,
-1 any other operation error.
+1 any other operation error.  Exit 2 also covers option values no command can
+use: --samples or --max-iter below 1, a --tol, --eta, --dt or --t-total that
+is not a finite positive number, and an IFNET_THREADS that is not a positive
+integer.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -33,16 +37,35 @@ from .errors import (
     PreconditionFailed,
     RejectConfig,
 )
-from .params import check_hypotheses, classify_neurons, derived_constants, validate
+from .params import check_hypotheses, classify_neurons, derived_constants
 
 DEFAULTS = dict(seed=0, samples=1000, eta=1e-6, tol=1e-12, max_iter=2000)
 
 
 def _threads() -> int:
     env = os.environ.get("IFNET_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise RejectConfig(f"IFNET_THREADS must be a positive integer, got {env!r}")
+    return threads
+
+
+def _check_options(opts) -> None:
+    """Reject option values no command can use."""
+    for flag in ("samples", "max_iter"):
+        value = getattr(opts, flag)
+        if value < 1:
+            raise RejectConfig(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
+    for flag in ("tol", "eta", "dt", "t_total"):
+        value = getattr(opts, flag)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise RejectConfig(f"--{flag.replace('_', '-')} must be a finite positive number, got {value}")
+    _threads()
 
 
 def _jsonable(obj):
@@ -240,7 +263,7 @@ def cmd_contract(cfg: RunConfig, opts) -> dict:
         })
     absorb = contr.absorption_check(params, opts.samples, opts.seed)
     est = contr.estimate_lipschitz_c(params, max(100, opts.samples // 10), opts.seed + 1)
-    metric = _metric_check(params, est, max(100, opts.samples // 10), opts.seed + 2)
+    metric = contr.adapted_metric_check(params, est, max(100, opts.samples // 10), opts.seed + 2)
     return {
         "zones": zones,
         "absorption": {
@@ -251,43 +274,10 @@ def cmd_contract(cfg: RunConfig, opts) -> dict:
         },
         "adapted_metric": {
             "c_hat": est.c_hat, "n0": est.n0, "mu_tilde": est.mu_tilde,
-            "lambda": est.lam, **metric,
+            "lambda": est.lam, "pairs_checked": metric.pairs_checked,
+            "max_d_ratio": metric.max_d_ratio, "ok": metric.ok,
         },
     }
-
-
-def _metric_check(params, est, count, seed):
-    """Spot-check d(rho V, rho W) <= mu_tilde d(V, W) on same-itinerary pairs."""
-    from . import _kernels
-    from ._sampling import rng_stream
-
-    rng = rng_stream(seed, 0)
-    used = 0
-    worst = 0.0
-    attempts = 0
-    while used < count and attempts < 50 * count:
-        V, W = contr._perturbed_pairs(rng, params, min(count, 2048))
-        for v, w in zip(V, W):
-            attempts += 1
-            if np.array_equal(v, w):
-                continue
-            _, n_common = _kernels.track_pair(
-                v, w, params.H, params.beta, params.theta, params.alpha,
-                params.gamma, params.tie_tol(), est.n0 + 1,
-            )
-            if n_common < est.n0 + 1:
-                continue
-            d0 = contr.adapted_distance(params, v, w, est.n0, est.mu_tilde)
-            rv = dyn.return_map(params, v).state
-            rw = dyn.return_map(params, w).state
-            d1 = contr.adapted_distance(params, rv, rw, est.n0, est.mu_tilde)
-            if d0 > 0:
-                worst = max(worst, d1 / d0)
-            used += 1
-            if used >= count:
-                break
-    return {"pairs_checked": used, "max_d_ratio": worst,
-            "ok": bool(worst <= est.mu_tilde + 1e-9)}
 
 
 _CELL_COMMANDS = {
@@ -413,6 +403,7 @@ def run_command(cmd: str, cfg: RunConfig, opts) -> dict:
 def main(argv=None) -> int:
     opts = build_parser().parse_args(argv)
     try:
+        _check_options(opts)
         cfg = load_config(opts.config)
         if opts.out is not None:
             Path(opts.out).mkdir(parents=True, exist_ok=True)

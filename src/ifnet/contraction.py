@@ -44,14 +44,14 @@ from .errors import (
     NoFixedPoint,
     PreconditionFailed,
 )
-from .params import NetworkParams, NeuronKind, classify_neurons, derived_constants
+from .params import NetworkParams
 
 __all__ = [
     "lambda_for_zone", "in_zone", "verify_contraction", "expansion_witness",
     "check_O_conditions", "repeller", "absorption_check", "jvac_check",
-    "adapted_distance", "estimate_lipschitz_c",
+    "adapted_distance", "estimate_lipschitz_c", "adapted_metric_check",
     "ContractionReport", "ExpansionWitness", "RepellerReport",
-    "AbsorptionReport", "MetricEstimate",
+    "AbsorptionReport", "MetricEstimate", "MetricCheck",
 ]
 
 
@@ -75,7 +75,7 @@ def in_zone(params: NetworkParams, v, c: float) -> bool:
 
 def _zone_after_return(params: NetworkParams) -> float:
     """Level of the sharpest zone containing the image of C_{c_bar}."""
-    dc = derived_constants(params)
+    dc = params.constants
     if dc.min_abs_H is None:
         return dc.c_bar
     return max(0.0, params.theta - dc.min_abs_H)
@@ -97,7 +97,7 @@ def verify_contraction(params: NetworkParams, c: float, sample_count: int, seed:
     members produce the same firing set (membership in a common atom); rejected
     pairs are resampled up to a fixed budget.
     """
-    dc = derived_constants(params)
+    dc = params.constants
     if not (0.0 <= c < dc.c_bar):
         raise PreconditionFailed(f"need 0 <= c < c_bar = {dc.c_bar}, got {c}")
     lam = lambda_for_zone(params, c)
@@ -133,7 +133,7 @@ def verify_contraction(params: NetworkParams, c: float, sample_count: int, seed:
 
 
 def _gamma_coordinate(params: NetworkParams, v: np.ndarray, i: int) -> float:
-    dc = derived_constants(params)
+    dc = params.constants
     arr = as_state(params, v)
     for k in range(params.n):
         if k != i and arr[k] != 0.0:
@@ -197,10 +197,9 @@ def check_O_conditions(params: NetworkParams, i: int, j: int) -> tuple[bool, boo
     """
     if i == j:
         raise PreconditionFailed("repeller pair needs two distinct neurons")
-    dc = derived_constants(params)
     H = params.H
     n = params.n
-    gap = params.theta - dc.c_star
+    gap = params.theta - params.constants.c_star
     o1 = True
     o3 = True
     for s in (i, j):
@@ -253,7 +252,7 @@ def repeller(params: NetworkParams, i: int, j: int) -> RepellerReport:
     conds = check_O_conditions(params, i, j)
     if not all(conds):
         raise PreconditionFailed(f"conditions (O1)-(O3) not satisfied for pair {(i, j)}: {conds}")
-    dc = derived_constants(params)
+    dc = params.constants
     g_j, gp_j, ginv_j = _transfer(params, j)
     g_i, gp_i, _ = _transfer(params, i)
     a = max(dc.c_star, ginv_j(params.theta))
@@ -292,13 +291,10 @@ def repeller(params: NetworkParams, i: int, j: int) -> RepellerReport:
 
 
 def _require_h3_h4_inhibitory(params: NetworkParams) -> None:
-    from .params import check_hypotheses
-
-    rep = check_hypotheses(params)
-    kinds = classify_neurons(params)
+    rep = params.hypotheses
     if not (rep.h3 and rep.h4):
         raise HypothesisViolated(f"operation requires H3 and H4 (h3={rep.h3}, h4={rep.h4})")
-    if not any(k is NeuronKind.INHIBITORY for k in kinds):
+    if not params.inhibitory:
         raise HypothesisViolated("network has no inhibitory neuron")
 
 
@@ -315,7 +311,7 @@ def absorption_check(params: NetworkParams, sample_count: int, seed: int, horizo
     and that each later image keeps all coordinates below
     max(0, theta - min|H|) < c_bar."""
     _require_h3_h4_inhibitory(params)
-    dc = derived_constants(params)
+    dc = params.constants
     post_bound = _zone_after_return(params)
     p0 = dc.p0
     assert p0 is not None  # H3 guarantees a nonzero interaction
@@ -342,33 +338,44 @@ def jvac_check(params: NetworkParams, v) -> bool:
     """Inside C_{c_bar}: a spontaneous excitatory firer forces the whole
     network to fire together (the implication is vacuous otherwise)."""
     _require_h3_h4_inhibitory(params)
-    dc = derived_constants(params)
-    if not in_zone(params, v, dc.c_bar):
+    if not in_zone(params, v, params.constants.c_bar):
         raise PreconditionFailed("state is outside C_{c_bar}")
     step = return_map(params, v)
-    kinds = classify_neurons(params)
-    spont_excit = any(kinds[int(s)] is NeuronKind.EXCITATORY for s in step.spontaneous)
+    spont_excit = any(int(s) in params.excitatory for s in step.spontaneous)
     if not spont_excit:
         return True
     return step.fired.size == params.n
 
 
-def adapted_distance(params: NetworkParams, v, w, n0: int, mu_tilde: float) -> float:
-    """d(v, w) = sum_{i<n0} ||rho^i v - rho^i w|| / mu_tilde^i (sup norms)."""
+def _check_metric(n0: int, mu_tilde: float) -> None:
     if n0 < 1:
         raise PreconditionFailed("n0 must be at least 1")
     if not (0.0 < mu_tilde < 1.0):
         raise PreconditionFailed("mu_tilde must lie in (0, 1)")
-    a = as_state(params, v)
-    b = as_state(params, w)
+
+
+def _weighted_sum(dists, mu_tilde: float) -> float:
+    """sum_i dists[i] / mu_tilde^i, accumulated in index order with a running
+    weight; every adapted distance goes through here so they agree bit for bit."""
     total = 0.0
     weight = 1.0
-    for _ in range(n0):
-        total += float(np.max(np.abs(a - b))) * weight
+    for d in dists:
+        total += d * weight
         weight /= mu_tilde
+    return total
+
+
+def adapted_distance(params: NetworkParams, v, w, n0: int, mu_tilde: float) -> float:
+    """d(v, w) = sum_{i<n0} ||rho^i v - rho^i w|| / mu_tilde^i (sup norms)."""
+    _check_metric(n0, mu_tilde)
+    a = as_state(params, v)
+    b = as_state(params, w)
+    dists = []
+    for _ in range(n0):
+        dists.append(float(np.max(np.abs(a - b))))
         a = return_map(params, a).state
         b = return_map(params, b).state
-    return total
+    return _weighted_sum(dists, mu_tilde)
 
 
 def _perturbed_pairs(rng, params: NetworkParams, count: int):
@@ -400,7 +407,7 @@ def estimate_lipschitz_c(params: NetworkParams, sample_count: int, seed: int) ->
     safety margin, picks mu_tilde as the midpoint of (lambda, 1) and the
     smallest n0 with c_hat (lambda/mu_tilde)^{n0} < 1.
     """
-    dc = derived_constants(params)
+    dc = params.constants
     _require_h3_h4_inhibitory(params)
     lam = lambda_for_zone(params, _zone_after_return(params))
     if lam >= 1.0:
@@ -438,3 +445,50 @@ def estimate_lipschitz_c(params: NetworkParams, sample_count: int, seed: int) ->
     else:
         n0 = max(1, math.floor(math.log(c_hat) / math.log(mu_tilde / lam)) + 1)
     return MetricEstimate(c_hat=c_hat, n0=n0, mu_tilde=mu_tilde, lam=lam, pairs=used)
+
+
+@dataclass(frozen=True)
+class MetricCheck:
+    pairs_checked: int
+    max_d_ratio: float   # largest d(rho V, rho W) / d(V, W) seen
+    ok: bool             # max_d_ratio <= mu_tilde (up to 1e-9)
+
+
+def adapted_metric_check(params: NetworkParams, est: MetricEstimate, sample_count: int,
+                         seed: int) -> MetricCheck:
+    """Spot-check d(rho V, rho W) <= mu_tilde d(V, W) on same-itinerary pairs.
+
+    One track_pair pass over n0 + 1 returns serves both distances: a pair is
+    kept when its two orbits share firing sets for all n0 + 1 returns, and
+    then d(V, W) weighs the sup distances at returns 0..n0-1 while
+    d(rho V, rho W) weighs those at returns 1..n0.
+    """
+    n0, mu_tilde = est.n0, est.mu_tilde
+    _check_metric(n0, mu_tilde)
+    if sample_count < 1:
+        raise PreconditionFailed("the adapted-metric check needs at least one pair")
+    rng = rng_stream(seed, 0)
+    used = 0
+    worst = 0.0
+    attempts = 0
+    while used < sample_count and attempts < 50 * sample_count:
+        V, W = _perturbed_pairs(rng, params, min(sample_count, 2048))
+        for v, w in zip(V, W):
+            attempts += 1
+            if np.array_equal(v, w):
+                continue
+            dists, n_common = _kernels.track_pair(
+                v, w, params.H, params.beta, params.theta, params.alpha,
+                params.gamma, params.tie_tol(), n0 + 1,
+            )
+            if n_common < n0 + 1:
+                continue
+            dists = dists.tolist()
+            d0 = _weighted_sum(dists[:n0], mu_tilde)
+            d1 = _weighted_sum(dists[1:n0 + 1], mu_tilde)
+            if d0 > 0:
+                worst = max(worst, d1 / d0)
+            used += 1
+            if used >= sample_count:
+                break
+    return MetricCheck(pairs_checked=used, max_d_ratio=worst, ok=worst <= mu_tilde + 1e-9)

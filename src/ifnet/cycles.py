@@ -38,15 +38,9 @@ import numpy as np
 from . import _kernels
 from ._sampling import rng_stream, sample_on_section
 from .contraction import _zone_after_return, lambda_for_zone
-from .dynamics import as_state, orbit, return_map
+from .dynamics import _run_orbit, _step_raw, as_state, orbit, return_map
 from .errors import HypothesisViolated, NumericalStall, PreconditionFailed
-from .params import (
-    NetworkParams,
-    NeuronKind,
-    check_hypotheses,
-    classify_neurons,
-    derived_constants,
-)
+from .params import NetworkParams, NeuronKind
 
 __all__ = [
     "PieceId", "CycleCertificate", "LimitCycle", "FateReport",
@@ -70,15 +64,11 @@ class PieceId:
         return self.kind
 
 
-def _piece_setup(params: NetworkParams):
-    kinds = classify_neurons(params)
-    if NeuronKind.MIXED in kinds:
+def _require_pieces(params: NetworkParams) -> None:
+    if NeuronKind.MIXED in params.kinds:
         raise PreconditionFailed("piece classification requires Dale networks (no mixed neuron)")
-    inhib = [i for i, k in enumerate(kinds) if k is NeuronKind.INHIBITORY]
-    excit = [i for i, k in enumerate(kinds) if k is NeuronKind.EXCITATORY]
-    if not inhib:
+    if not params.inhibitory:
         raise PreconditionFailed("piece classification requires at least one inhibitory neuron")
-    return excit, inhib
 
 
 def _classify_raw(excit, inhib, arr: np.ndarray, tol: float):
@@ -98,9 +88,12 @@ def _classify_raw(excit, inhib, arr: np.ndarray, tol: float):
     return PieceId("boundary"), 0.0
 
 
-def _require_zone(params: NetworkParams, arr: np.ndarray, c_bar: float) -> None:
-    if not (np.all(arr <= c_bar) and np.any(arr == 0.0)):
+def _piece(params: NetworkParams, arr: np.ndarray, tol: float):
+    """(PieceId, gap) of a section state of a network with pieces, which must
+    lie in C_{c_bar}."""
+    if not (np.all(arr <= params.constants.c_bar) and np.any(arr == 0.0)):
         raise PreconditionFailed("state is outside C_{c_bar}")
+    return _classify_raw(params.excitatory, params.inhibitory, arr, tol)
 
 
 def classify_piece(params: NetworkParams, v, tol: Optional[float] = None) -> PieceId:
@@ -110,12 +103,9 @@ def classify_piece(params: NetworkParams, v, tol: Optional[float] = None) -> Pie
     tol; Inhib(i) when inhibitory neuron i strictly dominates everyone by more
     than tol; Boundary otherwise.  tol defaults to the dynamics tie tolerance.
     """
-    excit, inhib = _piece_setup(params)
+    _require_pieces(params)
     arr = as_state(params, v)
-    _require_zone(params, arr, derived_constants(params).c_bar)
-    if tol is None:
-        tol = params.tie_tol()
-    piece, _ = _classify_raw(excit, inhib, arr, tol)
+    piece, _ = _piece(params, arr, params.tie_tol() if tol is None else tol)
     return piece
 
 
@@ -124,13 +114,10 @@ def margin(params: NetworkParams, v) -> float:
     exact winner/runner-up gap (0 on the boundary itself).  Perturbing every
     coordinate by less than the margin cannot change the strict ordering that
     determines the piece."""
-    excit, inhib = _piece_setup(params)
+    _require_pieces(params)
     arr = as_state(params, v)
-    _require_zone(params, arr, derived_constants(params).c_bar)
-    piece, gap = _classify_raw(excit, inhib, arr, params.tie_tol())
-    if piece.kind == "boundary":
-        return 0.0
-    return 0.5 * gap
+    _, gap = _piece(params, arr, params.tie_tol())
+    return 0.5 * gap  # the gap of a boundary state is 0
 
 
 @dataclass(frozen=True)
@@ -166,42 +153,32 @@ def _sup(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def _refine_cycle(params, v_start, p, tol, eta, dc):
+def _refine_cycle(params, v_start, p, tol, eta):
     """Banach refinement of a period-p candidate; returns LimitCycle or a
     grazing FateReport when the refined cycle hugs the boundary below eta."""
     eff = min(tol, 1e-11)
-    w = v_start.copy()
-    converged = False
+    w = v_start
     for _ in range(500):
-        w2 = w
-        for _ in range(p):
-            w2 = return_map(params, w2).state
+        w2 = _run_orbit(params, w, p)[0][-1]
         d = _sup(w2, w)
         w = w2
         if d < eff:
-            converged = True
             break
-    if not converged:
+    else:
         raise NumericalStall(f"period-{p} refinement failed to contract below {eff}")
     # one pass of 2p steps gives the points, the itinerary and the residual
     # measured at every cycle point
-    seq = [w]
-    t_bars = []
-    cur = w
-    for _ in range(2 * p):
-        st = return_map(params, cur)
-        cur = st.state
-        seq.append(cur)
-        t_bars.append(st.t_bar)
+    states, _, t_bars, _ = _run_orbit(params, w, 2 * p)
+    seq = [w, *states]
     residual = max(_sup(seq[p + j], seq[j]) for j in range(p + 1))
     pts = seq[:p]
-    itinerary = tuple(classify_piece(params, q) for q in pts)
-    margins = [margin(params, q) for q in pts]
-    min_marg = min(margins)
+    pieces = [_piece(params, q, params.tie_tol()) for q in pts]
+    itinerary = tuple(piece for piece, _ in pieces)
+    min_marg = min(0.5 * gap for _, gap in pieces)
     if min_marg < eta:
         return FateReport("grazing", transient_steps=0, step=0, margin=min_marg)
     c_enc = max(0.0, max(float(q.max()) for q in pts))
-    head = dc.c_bar * (1.0 - 1e-9) - c_enc
+    head = params.constants.c_bar * (1.0 - 1e-9) - c_enc
     if head <= 0:
         raise NumericalStall("cycle points leave the certifiable zone")
     ball = 0.5 * min(min_marg, head)
@@ -211,31 +188,26 @@ def _refine_cycle(params, v_start, p, tol, eta, dc):
     return LimitCycle(
         period=p, points=np.array(pts), itinerary=itinerary, min_margin=min_marg,
         certificate=CycleCertificate(lam=lam, ball_radius=ball, residual=residual),
-        certified=True, time_period=float(sum(t_bars[:p])),
+        certified=True, time_period=float(sum(t_bars[:p].tolist())),
     )
 
 
 def _detect(params: NetworkParams, v0, max_iter: int, eta: float, tol: float,
             max_period: int = 256):
-    dc = derived_constants(params)
-    kinds = classify_neurons(params)
-    rep = check_hypotheses(params)
-    has_inhib = any(k is NeuronKind.INHIBITORY for k in kinds)
-    certified_mode = rep.h3 and rep.h4 and has_inhib
+    rep = params.hypotheses
+    certified_mode = rep.h3 and rep.h4 and bool(params.inhibitory)
     lam_det = lambda_for_zone(params, _zone_after_return(params)) if certified_mode else None
     if certified_mode and lam_det >= 1.0:
         certified_mode = False
-    excit, inhib = (None, None)
-    if certified_mode:
-        excit = [i for i, k in enumerate(kinds) if k is NeuronKind.EXCITATORY]
-        inhib = [i for i, k in enumerate(kinds) if k is NeuronKind.INHIBITORY]
+    c_bar = params.constants.c_bar
+    excit, inhib = params.excitatory, params.inhibitory
 
     v = as_state(params, v0)
     states = [v]
     tbars: list[float] = []
     codes: list[PieceId] = []
     margins: list[Optional[float]] = []
-    fired_hist: list[np.ndarray] = []
+    fired_hist: list[np.ndarray] = []  # firing-set masks
     seen: dict[PieceId, list[int]] = {}
     tie = params.tie_tol()
 
@@ -243,18 +215,19 @@ def _detect(params: NetworkParams, v0, max_iter: int, eta: float, tol: float,
         v = states[k]
         if not np.any(v):
             return FateReport("synchronized", transient_steps=k, step=k), fired_hist
-        step = return_map(params, v)
-        fired_hist.append(step.fired)
-        tbars.append(step.t_bar)
-        if certified_mode and np.all(v <= dc.c_bar) and np.any(v == 0.0):
+        # v came from as_state or from the map itself: step it unchecked
+        image, fired, _, t_bar, _ = _step_raw(params, v)
+        fired_hist.append(fired)
+        tbars.append(t_bar)
+        if certified_mode and np.all(v <= c_bar) and np.any(v == 0.0):
             piece, gap = _classify_raw(excit, inhib, v, tie)
-            m = 0.0 if piece.kind == "boundary" else 0.5 * gap
+            m = 0.5 * gap  # 0 on the boundary
             if m < eta:
                 return FateReport("grazing", transient_steps=k, step=k, margin=m), fired_hist
             codes.append(piece)
             margins.append(m)
         else:
-            codes.append(PieceId("fires", fired=tuple(int(i) for i in step.fired)))
+            codes.append(PieceId("fires", fired=tuple(int(i) for i in np.flatnonzero(fired))))
             margins.append(None)
 
         history = seen.setdefault(codes[k], [])
@@ -270,7 +243,7 @@ def _detect(params: NetworkParams, v0, max_iter: int, eta: float, tol: float,
                 denom = 1.0 - lam_det ** p
                 if denom <= 0.0 or dist / denom > min(window):
                     continue
-                result = _refine_cycle(params, states[k], p, tol, eta, dc)
+                result = _refine_cycle(params, states[k], p, tol, eta)
                 if isinstance(result, FateReport):
                     result.transient_steps = k
                     result.step = k
@@ -286,7 +259,7 @@ def _detect(params: NetworkParams, v0, max_iter: int, eta: float, tol: float,
                     )
                     return FateReport("cycle", transient_steps=k, cycle=cyc), fired_hist
         history.append(k)
-        states.append(step.state)
+        states.append(image)
     return FateReport("unresolved", transient_steps=max_iter), fired_hist
 
 
@@ -371,10 +344,11 @@ def cycle_census(params: NetworkParams, sample_count: int, seed: int,
     Each sample owns the Philox stream (seed, 1 + index), so the census is
     deterministic regardless of execution order or thread count.
     """
-    dc = derived_constants(params)
-    hi = min(dc.c_bar, params.theta)
+    hi = min(params.constants.c_bar, params.theta)
     if hi <= 0:
         raise HypothesisViolated("C_{c_bar} is empty (beta >= beta_plus)")
+    # fill the invariant caches here rather than concurrently in the workers
+    _ = params.hypotheses, params.excitatory, params.inhibitory
 
     def one(idx: int) -> FateReport:
         rng = rng_stream(seed, 1 + idx)
@@ -426,11 +400,10 @@ def classify_fate(params: NetworkParams, v0, max_iter: int = 2000,
     firing sets contain no excitatory neuron.
     """
     fate, fired_hist = _detect(params, v0, max_iter, eta, tol)
-    kinds = classify_neurons(params)
-    excit = {i for i, k in enumerate(kinds) if k is NeuronKind.EXCITATORY}
+    excit = set(params.excitatory)
     last_exc = None
     for step_idx, fired in enumerate(fired_hist):
-        if excit.intersection(int(i) for i in fired):
+        if any(fired[i] for i in excit):
             last_exc = step_idx
     fate.last_excitatory_spike = last_exc
     if fate.outcome == "synchronized":

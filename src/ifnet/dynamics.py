@@ -86,6 +86,8 @@ def state_at_threshold(params: NetworkParams, v, i: int) -> np.ndarray:
     return out
 
 
+# The two private drivers below skip as_state: callers pass a state they have
+# checked or one the map itself produced.
 def _step_raw(params: NetworkParams, arr: np.ndarray):
     n = params.n
     out = np.empty(n, np.float64)
@@ -97,6 +99,13 @@ def _step_raw(params: NetworkParams, arr: np.ndarray):
         params.tie_tol(), out, fired, j0, scratch,
     )
     return out, fired, j0, t_bar, rounds
+
+
+def _run_orbit(params: NetworkParams, arr: np.ndarray, n_steps: int):
+    return _kernels.run_orbit(
+        arr, params.H, params.beta, params.theta, params.alpha, params.gamma,
+        params.tie_tol(), int(n_steps),
+    )
 
 
 def avalanche(params: NetworkParams, v) -> tuple[np.ndarray, int]:
@@ -140,11 +149,7 @@ class OrbitStep:
 
 def orbit(params: NetworkParams, v0, n_steps: int) -> list[OrbitStep]:
     """n_steps successive return-map applications with running spike times."""
-    arr = as_state(params, v0)
-    states, fired, t_bars, _ = _kernels.run_orbit(
-        arr, params.H, params.beta, params.theta, params.alpha, params.gamma,
-        params.tie_tol(), int(n_steps),
-    )
+    states, fired, t_bars, _ = _run_orbit(params, as_state(params, v0), n_steps)
     cum = np.cumsum(t_bars)
     return [
         OrbitStep(state=states[k], fired=np.flatnonzero(fired[k]), t_bar=float(t_bars[k]), cum_time=float(cum[k]))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -44,9 +45,14 @@ class NeuronKind(Enum):
     MIXED = "mixed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkParams:
-    """Static network description; treat as immutable once validated."""
+    """Static network description, immutable.
+
+    The per-network invariants below are computed on first use and cached on
+    the instance; frozen fields (and the read-only H of a validated instance)
+    keep the caches from going stale.
+    """
 
     n: int
     gamma: float
@@ -57,6 +63,29 @@ class NetworkParams:
 
     def tie_tol(self) -> float:
         return tie_tolerance(self.theta)
+
+    @cached_property
+    def constants(self) -> DerivedConstants:
+        """Every closed-form constant of the module docstring."""
+        return _derived_constants(self)
+
+    @cached_property
+    def kinds(self) -> tuple[NeuronKind, ...]:
+        """Per-neuron Dale classes (see classify_neurons)."""
+        return tuple(_classify(self, j) for j in range(self.n))
+
+    @cached_property
+    def excitatory(self) -> tuple[int, ...]:
+        return tuple(i for i, k in enumerate(self.kinds) if k is NeuronKind.EXCITATORY)
+
+    @cached_property
+    def inhibitory(self) -> tuple[int, ...]:
+        return tuple(i for i, k in enumerate(self.kinds) if k is NeuronKind.INHIBITORY)
+
+    @cached_property
+    def hypotheses(self) -> HypothesisReport:
+        """The standing hypotheses (see check_hypotheses)."""
+        return _check_hypotheses(self)
 
 
 def validate(params: NetworkParams) -> NetworkParams:
@@ -104,20 +133,21 @@ def classify_neurons(params: NetworkParams) -> list[NeuronKind]:
 
     A neuron with an all-zero row is classified inhibitory: zero rows satisfy
     both non-strict sign conditions and this choice keeps Dale's principle
-    satisfiable for unconnected networks.
+    satisfiable for unconnected networks.  Returns a fresh list of the
+    classes cached on params.
     """
-    kinds = []
-    for j in range(params.n):
-        row = np.delete(params.H[j], j)
-        has_pos = bool(np.any(row > 0))
-        has_neg = bool(np.any(row < 0))
-        if has_pos and has_neg:
-            kinds.append(NeuronKind.MIXED)
-        elif has_pos:
-            kinds.append(NeuronKind.EXCITATORY)
-        else:
-            kinds.append(NeuronKind.INHIBITORY)
-    return kinds
+    return list(params.kinds)
+
+
+def _classify(params: NetworkParams, j: int) -> NeuronKind:
+    row = np.delete(params.H[j], j)
+    has_pos = bool(np.any(row > 0))
+    has_neg = bool(np.any(row < 0))
+    if has_pos and has_neg:
+        return NeuronKind.MIXED
+    if has_pos:
+        return NeuronKind.EXCITATORY
+    return NeuronKind.INHIBITORY
 
 
 def _off_diagonal(H: np.ndarray) -> np.ndarray:
@@ -141,6 +171,11 @@ class DerivedConstants:
 
 
 def derived_constants(params: NetworkParams) -> DerivedConstants:
+    """Every closed-form constant of the module docstring, cached on params."""
+    return params.constants
+
+
+def _derived_constants(params: NetworkParams) -> DerivedConstants:
     """Evaluate every closed-form constant of the module docstring.
 
     epsilon uses the rationalized form 2*(beta-theta)*(beta-alpha)/(sqrt(D) +
@@ -181,7 +216,8 @@ class HypothesisReport:
 
 
 def check_hypotheses(params: NetworkParams) -> HypothesisReport:
-    """Evaluate the standing hypotheses and the synchronization size bound.
+    """The standing hypotheses and the synchronization size bound, cached on
+    params.
 
     h3: beta < beta_plus(alpha) and every nonzero interaction exceeds epsilon
         in magnitude.
@@ -191,10 +227,13 @@ def check_hypotheses(params: NetworkParams) -> HypothesisReport:
     o_pairs: unordered pairs (i, j) satisfying the repeller conditions
         (O1)-(O3); see contraction.check_O_conditions.
     """
-    dc = derived_constants(params)
-    kinds = classify_neurons(params)
+    return params.hypotheses
+
+
+def _check_hypotheses(params: NetworkParams) -> HypothesisReport:
+    dc = params.constants
     h3 = params.beta < dc.beta_plus and dc.min_abs_H is not None and dc.min_abs_H > dc.epsilon
-    h4 = NeuronKind.MIXED not in kinds
+    h4 = NeuronKind.MIXED not in params.kinds
     off = _off_diagonal(params.H)
     all_pos = off.size > 0 and bool(np.all(off > 0))
     sync_size = False

@@ -239,3 +239,34 @@ def test_cli_sweep_thread_count_invariance(tmp_path):
     eight = run_cli(args, threads=8)
     assert one.returncode == 0, one.stderr
     assert one.stdout == eight.stdout
+
+
+@pytest.mark.parametrize("args,threads", [
+    (["cycles", "--samples", "0"], None),
+    (["cycles", "--samples", "-3"], None),
+    (["contract", "--samples", "0"], None),
+    (["simulate", "--max-iter", "-1"], None),
+    (["simulate", "--max-iter", "0"], None),
+    (["cycles", "--tol", "nan"], None),
+    (["cycles", "--tol", "0"], None),
+    (["cycles", "--tol=-1e-12"], None),
+    (["cycles", "--eta", "inf"], None),
+    (["cycles", "--eta=-1e-4"], None),
+    (["simulate", "--dt", "nan", "--t-total", "1.0"], None),
+    (["simulate", "--dt", "0", "--t-total", "1.0"], None),
+    (["simulate", "--dt", "0.1", "--t-total", "inf"], None),
+    (["simulate", "--dt", "0.1", "--t-total=-1"], None),
+    (["analyze"], "abc"),
+    (["cycles", "--samples", "5"], "0"),
+])
+def test_cli_rejects_unusable_options(tmp_path, monkeypatch, capsys, args, threads):
+    from ifnet.cli import main
+
+    if threads is None:
+        monkeypatch.delenv("IFNET_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("IFNET_THREADS", threads)
+    cfg = write_config(tmp_path, NET_C_DOC)
+    assert main([args[0], "--config", str(cfg), *args[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1

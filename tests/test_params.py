@@ -165,3 +165,17 @@ def test_check_hypotheses_mixed_neuron_fails_h4():
 def test_o_pairs_listed_for_net_b(net_b, net_a):
     assert check_hypotheses(net_b).o_pairs == [(0, 1)]
     assert check_hypotheses(net_a).o_pairs == []  # 0.5 > theta - c_star
+
+
+def test_validated_params_are_frozen_and_cache_invariants(net_c):
+    import dataclasses
+
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net_c.beta = 1.1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net_c.H = np.zeros((3, 3))
+    assert not net_c.H.flags.writeable
+    assert derived_constants(net_c) is derived_constants(net_c)
+    assert check_hypotheses(net_c) is check_hypotheses(net_c)
+    assert classify_neurons(net_c) == list(net_c.kinds)
+    assert net_c.excitatory == (0,) and net_c.inhibitory == (1, 2)
