@@ -1,8 +1,5 @@
 """Hot numeric kernels for the return map and its Monte-Carlo drivers.
 
-Every kernel is a plain nested loop over NumPy arrays, run by the Python
-interpreter.
-
 One return-map application, given a section state v (every coordinate in
 [alpha, theta], at least one coordinate 0):
 
@@ -17,6 +14,17 @@ One return-map application, given a section state v (every coordinate in
      fired neurons reaches theta;
   4. fired coordinates reset to 0, the rest receive the sum of all jumps
      (both signs) from the fired set, floored once at alpha.
+
+The step exists twice.  `step` is a scalar loop over one state and serves
+sequential orbits (`run_orbit`, and through it simulation, cycle detection
+and refinement), where each state depends on the previous one.
+`step_batch` applies the same step to a (..., n) batch of independent
+states with NumPy operations and serves the multi-start drivers
+(`pair_ratios`, `absorb_run`, `sync_run`, `track_pair`).  On one state the
+batched step costs several times the scalar one, on thousands it is far
+cheaper per state.  Both add the jumps in presynaptic order j = 0..n-1 and
+take the logarithm with `math.log`, so they agree bit for bit; the
+differential test in tests/test_kernels.py holds them to that.
 """
 
 from __future__ import annotations
@@ -97,149 +105,128 @@ def run_orbit(v0, H, beta, theta, alpha, gamma, tie_tol, n_steps):
     return states, fired, t_bars, rounds
 
 
+def step_batch(V, H, beta, theta, alpha, gamma, tie_tol):
+    """One return-map application to every state of a (..., n) batch.
+
+    Returns (out, fired, t_bar) with shapes (..., n), (..., n) and (...);
+    each row equals what `step` gives for that state, bit for bit.
+    """
+    n = V.shape[-1]
+    vmax = V.max(axis=-1, keepdims=True)
+    fired = V >= vmax - tie_tol
+    pre = beta - (beta - V) * ((beta - theta) / (beta - vmax))
+    pre[fired] = theta
+    excites = H > 0.0
+    while True:
+        s = pre.copy()
+        for j in range(n):
+            np.add(s, H[j], out=s, where=fired[..., j, None] & excites[j])
+        recruited = ~fired & (s >= theta)
+        if not recruited.any():
+            break
+        fired |= recruited
+    out = pre
+    for j in range(n):
+        np.add(out, H[j], out=out, where=fired[..., j, None])
+    np.maximum(out, alpha, out=out)
+    out[fired] = 0.0
+    # math.log per row: np.log need not match libm, and `step` uses math.log
+    ratio = (beta - vmax[..., 0]) / (beta - theta)
+    logs = np.fromiter(map(math.log, ratio.ravel().tolist()), np.float64, ratio.size)
+    t_bar = np.maximum(logs.reshape(ratio.shape) / gamma, 0.0)
+    return out, fired, t_bar
+
+
 def pair_ratios(V, W, H, beta, theta, alpha, gamma, tie_tol):
     """Per-pair sup-norm contraction ratio, flagged valid only on same firing sets.
 
-    V and W are (m, n) batches.  ratio[p] = ||rho(V_p)-rho(W_p)|| / ||V_p-W_p||;
-    pairs with differing firing sets or zero separation are marked invalid.
+    V and W are (..., n) batches.  ratio[p] = ||rho(V_p)-rho(W_p)|| / ||V_p-W_p||;
+    pairs with differing firing sets or zero separation are marked invalid
+    and get ratio 0.
     """
-    m, n = V.shape
-    ratio = np.zeros(m, np.float64)
-    valid = np.zeros(m, np.bool_)
-    rv = np.empty(n, np.float64)
-    rw = np.empty(n, np.float64)
-    fv = np.zeros(n, np.bool_)
-    fw = np.zeros(n, np.bool_)
-    j0 = np.zeros(n, np.bool_)
-    scratch = np.zeros(n, np.bool_)
-    for p in range(m):
-        step(V[p], H, beta, theta, alpha, gamma, tie_tol, rv, fv, j0, scratch)
-        step(W[p], H, beta, theta, alpha, gamma, tie_tol, rw, fw, j0, scratch)
-        same = True
-        for i in range(n):
-            if fv[i] != fw[i]:
-                same = False
-                break
-        if not same:
-            continue
-        din = 0.0
-        dout = 0.0
-        for i in range(n):
-            a = abs(V[p, i] - W[p, i])
-            if a > din:
-                din = a
-            b = abs(rv[i] - rw[i])
-            if b > dout:
-                dout = b
-        if din == 0.0:
-            continue
-        ratio[p] = dout / din
-        valid[p] = True
+    out, fired, _ = step_batch(np.stack((V, W)), H, beta, theta, alpha, gamma, tie_tol)
+    din = np.abs(V - W).max(axis=-1)
+    dout = np.abs(out[0] - out[1]).max(axis=-1)
+    valid = (fired[0] == fired[1]).all(axis=-1) & (din != 0.0)
+    ratio = np.divide(dout, din, out=np.zeros_like(din), where=valid)
     return valid, ratio
 
 
 def absorb_run(v0, H, beta, theta, alpha, gamma, tie_tol, c_enter, post_bound, max_steps, horizon):
-    """Returns (enter_step, stayed) for the absorption check of one start.
+    """Returns (enter_step, stayed) for the absorption check of each start.
 
-    enter_step is the first return count k with rho^k(v0) inside the zone
-    {all coordinates <= c_enter} (-1 if never within max_steps); stayed is
-    False if any of the `horizon` images after entry has a coordinate above
-    post_bound.
+    v0 is a (..., n) batch.  enter_step is the first return count k with
+    rho^k(v0) inside the zone {all coordinates <= c_enter} (-1 if never within
+    max_steps); stayed is False if any of the `horizon` images after entry has
+    a coordinate above post_bound, and False for a start that never entered.
     """
-    n = v0.shape[0]
-    v = v0.copy()
-    out = np.empty(n, np.float64)
-    fired = np.zeros(n, np.bool_)
-    j0 = np.zeros(n, np.bool_)
-    scratch = np.zeros(n, np.bool_)
-    enter = -1
+    shape, n = v0.shape[:-1], v0.shape[-1]
+    v = v0.reshape(-1, n)
+    enter = np.full(v.shape[0], -1, np.int64)
+    entry = np.empty_like(v)
+    live = np.arange(v.shape[0])
     for k in range(max_steps + 1):
-        inside = True
-        for i in range(n):
-            if v[i] > c_enter or v[i] < alpha:
-                inside = False
-                break
-        if inside:
-            enter = k
+        inside = ((v <= c_enter) & (v >= alpha)).all(axis=-1)
+        enter[live[inside]] = k
+        entry[live[inside]] = v[inside]
+        live, v = live[~inside], v[~inside]
+        if k == max_steps or not live.size:
             break
-        step(v, H, beta, theta, alpha, gamma, tie_tol, out, fired, j0, scratch)
-        for i in range(n):
-            v[i] = out[i]
-    if enter < 0:
-        return -1, False
-    stayed = True
+        v = step_batch(v, H, beta, theta, alpha, gamma, tie_tol)[0]
+    entered = enter >= 0
+    v = entry[entered]
+    kept = np.ones(v.shape[0], np.bool_)
     for _ in range(horizon):
-        step(v, H, beta, theta, alpha, gamma, tie_tol, out, fired, j0, scratch)
-        for i in range(n):
-            v[i] = out[i]
-            if out[i] > post_bound:
-                stayed = False
-    return enter, stayed
+        v = step_batch(v, H, beta, theta, alpha, gamma, tie_tol)[0]
+        kept &= ~(v > post_bound).any(axis=-1)
+    stayed = np.zeros(enter.shape, np.bool_)
+    stayed[entered] = kept
+    return enter.reshape(shape), stayed.reshape(shape)
 
 
 def sync_run(v0, H, beta, theta, alpha, gamma, tie_tol, max_steps):
-    """Iterate until the exact zero vector; returns (returns_taken, time). -1 if not reached."""
-    n = v0.shape[0]
-    v = v0.copy()
-    out = np.empty(n, np.float64)
-    fired = np.zeros(n, np.bool_)
-    j0 = np.zeros(n, np.bool_)
-    scratch = np.zeros(n, np.bool_)
-    total = 0.0
+    """Iterate each start of a (..., n) batch until the exact zero vector.
+
+    Returns (returns_taken, time): returns_taken is -1 for a start that did
+    not reach it within max_steps, and its time sums all max_steps waits.
+    """
+    shape, n = v0.shape[:-1], v0.shape[-1]
+    v = v0.reshape(-1, n)
+    steps = np.full(v.shape[0], -1, np.int64)
+    total = np.zeros(v.shape[0], np.float64)
+    live = np.arange(v.shape[0])
     for k in range(1, max_steps + 1):
-        t, _ = step(v, H, beta, theta, alpha, gamma, tie_tol, out, fired, j0, scratch)
-        total += t
-        allzero = True
-        for i in range(n):
-            v[i] = out[i]
-            if out[i] != 0.0:
-                allzero = False
-        if allzero:
-            return k, total
-    return -1, total
+        v, _, t = step_batch(v, H, beta, theta, alpha, gamma, tie_tol)
+        total[live] += t
+        zero = ~v.any(axis=-1)
+        steps[live[zero]] = k
+        live, v = live[~zero], v[~zero]
+        if not live.size:
+            break
+    return steps.reshape(shape), total.reshape(shape)
 
 
 def track_pair(v0, w0, H, beta, theta, alpha, gamma, tie_tol, k_max):
     """Sup-norm distances ||rho^k v - rho^k w|| while the two orbits share firing sets.
 
-    Returns (dists, n_common): dists[k] is valid for k = 0..n_common, where
-    n_common is the number of steps over which the itineraries agreed (so
-    positions 0..n_common share atoms J_0..J_{n_common-1}).
+    v0 and w0 are (..., n) batches of paired starts.  Returns (dists,
+    n_common) with shapes (..., k_max + 1) and (...): dists[..., k] is valid
+    for k = 0..n_common and 0 beyond, where n_common is the number of steps
+    over which the itineraries agreed (so positions 0..n_common share atoms
+    J_0..J_{n_common-1}).
     """
-    n = v0.shape[0]
-    dists = np.zeros(k_max + 1, np.float64)
-    v = v0.copy()
-    w = w0.copy()
-    ov = np.empty(n, np.float64)
-    ow = np.empty(n, np.float64)
-    fv = np.zeros(n, np.bool_)
-    fw = np.zeros(n, np.bool_)
-    j0 = np.zeros(n, np.bool_)
-    scratch = np.zeros(n, np.bool_)
-    d0 = 0.0
-    for i in range(n):
-        a = abs(v[i] - w[i])
-        if a > d0:
-            d0 = a
-    dists[0] = d0
-    n_common = 0
+    shape, n = v0.shape[:-1], v0.shape[-1]
+    x = np.stack((v0, w0)).reshape(2, -1, n)
+    dists = np.zeros((x.shape[1], k_max + 1), np.float64)
+    dists[:, 0] = np.abs(x[0] - x[1]).max(axis=-1)
+    n_common = np.zeros(x.shape[1], np.int64)
+    live = np.arange(x.shape[1])
     for k in range(1, k_max + 1):
-        step(v, H, beta, theta, alpha, gamma, tie_tol, ov, fv, j0, scratch)
-        step(w, H, beta, theta, alpha, gamma, tie_tol, ow, fw, j0, scratch)
-        same = True
-        for i in range(n):
-            if fv[i] != fw[i]:
-                same = False
-                break
-        if not same:
+        x, fired, _ = step_batch(x, H, beta, theta, alpha, gamma, tie_tol)
+        same = (fired[0] == fired[1]).all(axis=-1)
+        live, x = live[same], x[:, same]
+        if not live.size:
             break
-        d = 0.0
-        for i in range(n):
-            v[i] = ov[i]
-            w[i] = ow[i]
-            a = abs(ov[i] - ow[i])
-            if a > d:
-                d = a
-        dists[k] = d
-        n_common = k
-    return dists, n_common
+        dists[live, k] = np.abs(x[0] - x[1]).max(axis=-1)
+        n_common[live] = k
+    return dists.reshape(shape + (k_max + 1,)), n_common.reshape(shape)

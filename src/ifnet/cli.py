@@ -4,7 +4,9 @@ Subcommands: simulate, analyze, cycles, synchro, expansion, contract, sweep.
 Every run is deterministic in (config, seed): randomness flows through
 counter-based Philox streams, sweep cells derive their seeds as
 blake2b(seed, cell-index) and results merge in cell order, so output bytes do
-not depend on thread count (cap threads with IFNET_THREADS).
+not depend on thread count (cap threads with IFNET_THREADS).  The cap
+applies at one level only: `cycles` runs its census on that many threads,
+while `sweep` runs its cells on them and each cell's census serially.
 
 Exit codes: 0 ok, 2 config error, 3 hypothesis violated, 4 numerical stall,
 1 any other operation error.  Exit 2 also covers option values no command can
@@ -65,7 +67,6 @@ def _check_options(opts) -> None:
         value = getattr(opts, flag)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise RejectConfig(f"--{flag.replace('_', '-')} must be a finite positive number, got {value}")
-    _threads()
 
 
 def _jsonable(obj):
@@ -177,7 +178,7 @@ def cmd_simulate(cfg: RunConfig, opts) -> dict:
 def cmd_cycles(cfg: RunConfig, opts) -> dict:
     report = cyc.cycle_census(
         cfg.params, sample_count=opts.samples, seed=opts.seed,
-        max_iter=opts.max_iter, eta=opts.eta, tol=opts.tol, threads=_threads(),
+        max_iter=opts.max_iter, eta=opts.eta, tol=opts.tol, threads=opts.threads,
     )
     doc = {
         "samples": report.samples,
@@ -354,6 +355,7 @@ def cmd_sweep(cfg: RunConfig, opts) -> dict:
             cell_opts = argparse.Namespace(**vars(opts))
             cell_opts.seed = _cell_seed(opts.seed, index)
             cell_opts.out = None  # cells report through the sweep document only
+            cell_opts.threads = 1  # the sweep pool is the one level of parallelism
             entry["status"] = "ok"
             entry["result"] = fn(sub, cell_opts)
         except IfnetError as exc:
@@ -361,11 +363,10 @@ def cmd_sweep(cfg: RunConfig, opts) -> dict:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         return entry
 
-    threads = _threads()
-    if threads > 1:
+    if opts.threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
             results = list(pool.map(run_cell, range(len(cells))))
     else:
         results = [run_cell(i) for i in range(len(cells))]
@@ -404,6 +405,7 @@ def main(argv=None) -> int:
     opts = build_parser().parse_args(argv)
     try:
         _check_options(opts)
+        opts.threads = _threads()
         cfg = load_config(opts.config)
         if opts.out is not None:
             Path(opts.out).mkdir(parents=True, exist_ok=True)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -317,18 +316,13 @@ def absorption_check(params: NetworkParams, sample_count: int, seed: int, horizo
     assert p0 is not None  # H3 guarantees a nonzero interaction
     rng = rng_stream(seed, 0)
     starts = sample_on_section(rng, params.n, params.alpha, params.theta, sample_count)
-    worst = 0
-    ok = True
-    for row in starts:
-        enter, stayed = _kernels.absorb_run(
-            row, params.H, params.beta, params.theta, params.alpha, params.gamma,
-            params.tie_tol(), dc.c_bar, post_bound + 1e-12, p0 + 1, horizon,
-        )
-        if enter < 0 or not stayed:
-            ok = False
-            worst = max(worst, p0 + 2)
-        else:
-            worst = max(worst, int(enter))
+    enter, stayed = _kernels.absorb_run(
+        starts, params.H, params.beta, params.theta, params.alpha, params.gamma,
+        params.tie_tol(), dc.c_bar, post_bound + 1e-12, p0 + 1, horizon,
+    )
+    ok = bool(np.all(stayed))  # a start that never entered has stayed False
+    # entry takes at most p0 + 1 returns, so a failing start dominates at p0 + 2
+    worst = int(enter.max(initial=0)) if ok else p0 + 2
     return AbsorptionReport(
         max_steps_outside=worst, bound_p0_plus_1=p0 + 1, post_entry_bound=post_bound, ok=ok,
     )
@@ -354,9 +348,10 @@ def _check_metric(n0: int, mu_tilde: float) -> None:
         raise PreconditionFailed("mu_tilde must lie in (0, 1)")
 
 
-def _weighted_sum(dists, mu_tilde: float) -> float:
+def _weighted_sum(dists, mu_tilde: float):
     """sum_i dists[i] / mu_tilde^i, accumulated in index order with a running
-    weight; every adapted distance goes through here so they agree bit for bit."""
+    weight; every adapted distance goes through here so they agree bit for bit.
+    A (k, m) array gives the m column sums, each in the same order."""
     total = 0.0
     weight = 1.0
     for d in dists:
@@ -390,6 +385,15 @@ def _perturbed_pairs(rng, params: NetworkParams, count: int):
     return V, W
 
 
+def _first_pairs(qualifies: np.ndarray, need: int):
+    """Indices of the first `need` qualifying pairs in draw order, and the
+    number of draws up to and including the last one taken (all of them when
+    fewer than `need` qualify)."""
+    idx = np.flatnonzero(qualifies)[:need]
+    consumed = int(idx[-1]) + 1 if idx.size == need else qualifies.size
+    return idx, consumed
+
+
 @dataclass(frozen=True)
 class MetricEstimate:
     c_hat: float
@@ -418,24 +422,20 @@ def estimate_lipschitz_c(params: NetworkParams, sample_count: int, seed: int) ->
     c_raw = 1.0
     attempts = 0
     budget = 20 * sample_count
+    lam_pow = np.array([lam ** k for k in range(p0 + 1)])
     while used < sample_count and attempts < budget:
         V, W = _perturbed_pairs(rng, params, min(sample_count, 4096))
-        for v, w in zip(V, W):
-            attempts += 1
-            d0 = float(np.max(np.abs(v - w)))
-            if d0 == 0.0:
-                continue
-            dists, n_common = _kernels.track_pair(
-                v, w, params.H, params.beta, params.theta, params.alpha,
-                params.gamma, params.tie_tol(), p0,
-            )
-            if n_common < 1:
-                continue
-            used += 1
-            for k in range(1, n_common + 1):
-                c_raw = max(c_raw, dists[k] / (lam ** k * d0))
-            if used >= sample_count:
-                break
+        dists, n_common = _kernels.track_pair(
+            V, W, params.H, params.beta, params.theta, params.alpha,
+            params.gamma, params.tie_tol(), p0,
+        )
+        d0 = dists[:, 0]
+        idx, consumed = _first_pairs((d0 != 0.0) & (n_common >= 1), sample_count - used)
+        attempts += consumed
+        used += idx.size
+        # dists past n_common are 0, below the starting c_raw of 1
+        stretch = dists[idx, 1:] / (lam_pow[1:] * d0[idx, None])
+        c_raw = max(c_raw, float(stretch.max(initial=0.0)))
     if used < max(1, sample_count // 10):
         raise InsufficientSamples(f"only {used} same-itinerary pairs out of {attempts} draws")
     c_hat = 2.0 * c_raw
@@ -473,22 +473,17 @@ def adapted_metric_check(params: NetworkParams, est: MetricEstimate, sample_coun
     attempts = 0
     while used < sample_count and attempts < 50 * sample_count:
         V, W = _perturbed_pairs(rng, params, min(sample_count, 2048))
-        for v, w in zip(V, W):
-            attempts += 1
-            if np.array_equal(v, w):
-                continue
-            dists, n_common = _kernels.track_pair(
-                v, w, params.H, params.beta, params.theta, params.alpha,
-                params.gamma, params.tie_tol(), n0 + 1,
-            )
-            if n_common < n0 + 1:
-                continue
-            dists = dists.tolist()
-            d0 = _weighted_sum(dists[:n0], mu_tilde)
-            d1 = _weighted_sum(dists[1:n0 + 1], mu_tilde)
-            if d0 > 0:
-                worst = max(worst, d1 / d0)
-            used += 1
-            if used >= sample_count:
-                break
+        dists, n_common = _kernels.track_pair(
+            V, W, params.H, params.beta, params.theta, params.alpha,
+            params.gamma, params.tie_tol(), n0 + 1,
+        )
+        idx, consumed = _first_pairs((dists[:, 0] != 0.0) & (n_common >= n0 + 1),
+                                     sample_count - used)
+        attempts += consumed
+        used += idx.size
+        kept = dists[idx].T
+        d0 = _weighted_sum(kept[:n0], mu_tilde)
+        d1 = _weighted_sum(kept[1:n0 + 1], mu_tilde)
+        pos = d0 > 0
+        worst = max(worst, float((d1[pos] / d0[pos]).max(initial=0.0)))
     return MetricCheck(pairs_checked=used, max_d_ratio=worst, ok=worst <= mu_tilde + 1e-9)

@@ -30,7 +30,7 @@ periodic orbits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -449,17 +449,13 @@ def sync_test(params: NetworkParams, sample_count: int, seed: int) -> SyncReport
     bound_t = (math.log((beta - alpha) / (beta - theta)) + p * math.log(beta / (beta - theta))) / gamma
     rng = rng_stream(seed, 0)
     starts = sample_on_section(rng, n, 0.0, theta, sample_count)
-    ok = True
-    max_returns = 0
-    max_time = 0.0
-    for row in starts:
-        steps, total = _kernels.sync_run(
-            row, params.H, beta, theta, alpha, gamma, params.tie_tol(), p,
-        )
-        if steps < 0 or total > bound_t:
-            ok = False
-        else:
-            max_returns = max(max_returns, int(steps))
-            max_time = max(max_time, float(total))
+    steps, total = _kernels.sync_run(
+        starts, params.H, beta, theta, alpha, gamma, params.tie_tol(), p,
+    )
+    passed = (steps >= 0) & ~(total > bound_t)
+    ok = bool(passed.all())
+    # the maxima run over the passing starts only
+    max_returns = int(steps[passed].max(initial=0))
+    max_time = float(total[passed].max(initial=0.0))
     return SyncReport(ok=ok, max_returns=max_returns, bound_p=p,
                       max_time=max_time, bound_t_trans=bound_t, samples=sample_count)

@@ -162,11 +162,10 @@ def test_criterion_08_adapted_metric(net_c):
         W = V + rng.uniform(-1.0, 1.0, V.shape) * scale[:, None]
         W = np.clip(W, net_c.alpha, net_c.theta)
         W[np.arange(4096), np.argmax(V == 0.0, axis=1)] = 0.0
-        for v, w in zip(V, W):
+        D, N = track_pair(V, W, net_c.H, 1.2, 1.0, -1.0, 1.0, net_c.tie_tol(), est.n0 + 1)
+        for dists, n_common in zip(D, N):
             if used >= 10_000:
                 break
-            dists, n_common = track_pair(
-                v, w, net_c.H, 1.2, 1.0, -1.0, 1.0, net_c.tie_tol(), est.n0 + 1)
             if n_common < est.n0 + 1 or dists[0] == 0.0:
                 continue
             d0 = float(np.dot(dists[: est.n0], weights))

@@ -1,0 +1,193 @@
+"""Differential tests: the batched step and drivers against the scalar step.
+
+`_kernels.step` is the reference.  `step_batch` must give the same post-firing
+state, firing set and waiting time for every row, bit for bit, and each
+batched driver must give, row by row, what a plain loop over the scalar step
+gives.  The networks cover n = 2, 3, 8, 9 and 12 with mixed-sign couplings,
+an all-excitatory and an all-inhibitory network; the states include the zero
+vector, exact ties of the maximum and near-ties inside the tie tolerance.
+"""
+
+import numpy as np
+import pytest
+
+from ifnet import _kernels, network
+from ifnet._sampling import sample_on_section
+
+
+def _random_mixed(n, seed):
+    H = np.random.default_rng(seed).uniform(-0.9, 0.9, (n, n))
+    np.fill_diagonal(H, 0.0)
+    return H
+
+
+def _uniform(n, w):
+    H = np.full((n, n), w)
+    np.fill_diagonal(H, 0.0)
+    return H
+
+
+NETWORKS = {
+    "n2_mixed": (2, [[0.0, 0.5], [-0.6, 0.0]]),
+    "n3_net_c": (3, [[0.0, 0.6, 0.6], [-0.6, 0.0, -0.6], [-0.6, -0.6, 0.0]]),
+    "n8_mixed": (8, _random_mixed(8, 1)),
+    "n9_mixed": (9, _random_mixed(9, 2)),
+    "n9_excitatory": (9, _uniform(9, 0.4)),
+    "n12_inhibitory": (12, _uniform(12, -0.7)),
+    "n12_mixed": (12, _random_mixed(12, 3)),
+}
+
+
+@pytest.fixture(params=sorted(NETWORKS), scope="module")
+def net(request):
+    n, H = NETWORKS[request.param]
+    return network(n, 1.0, 1.2, 1.0, -1.0, H)
+
+
+def _args(p):
+    return p.H, p.beta, p.theta, p.alpha, p.gamma, p.tie_tol()
+
+
+def _states(p, seed, count=200):
+    """Section states plus the zero vector, exact ties and near-ties of the maximum."""
+    rng = np.random.default_rng(seed)
+    V = sample_on_section(rng, p.n, p.alpha, p.theta, count)
+    V[0] = 0.0
+    V[1:70, -1] = 0.0                                      # keep these rows on the section
+    V[1:40, 0] = V[1:40, 1:].max(axis=1)                   # exact duplicate maxima
+    V[40:60, 0] = V[40:60, 1:].max(axis=1) - 0.5 * p.tie_tol()  # ties inside the tolerance
+    V[60:70, :-1] = 0.42                                   # every nonzero coordinate tied
+    return V
+
+
+def _pairs(p, seed, count=200):
+    """Perturbed pairs on a common face, with some identical pairs."""
+    rng = np.random.default_rng(seed + 100)
+    V = _states(p, seed, count)
+    scale = np.exp(rng.uniform(np.log(1e-9), np.log(0.3), size=count))
+    W = np.clip(V + rng.uniform(-1.0, 1.0, V.shape) * scale[:, None], p.alpha, p.theta)
+    W[V == 0.0] = 0.0
+    W[:10] = V[:10]
+    return V, W
+
+
+def _bits(x):
+    return np.asarray(x, np.float64).tobytes()
+
+
+def scalar_step(p, v):
+    n = p.n
+    out = np.empty(n)
+    fired = np.zeros(n, np.bool_)
+    t_bar, _ = _kernels.step(v, *_args(p), out, fired, np.zeros(n, np.bool_), np.zeros(n, np.bool_))
+    return out, fired, t_bar
+
+
+def test_step_batch_matches_scalar_step(net):
+    V = _states(net, 7)
+    out, fired, t_bar = _kernels.step_batch(V, *_args(net))
+    assert out.shape == V.shape and fired.shape == V.shape and t_bar.shape == V.shape[:1]
+    for row in range(V.shape[0]):
+        o, f, t = scalar_step(net, V[row])
+        assert _bits(out[row]) == _bits(o), row
+        assert np.array_equal(fired[row], f), row
+        assert _bits(t_bar[row]) == _bits(t), row
+
+
+def test_step_batch_takes_one_state(net):
+    V = _states(net, 8, count=80)
+    out, fired, t_bar = _kernels.step_batch(V, *_args(net))
+    for row in (0, 1, 45, 65, 79):
+        o, f, t = _kernels.step_batch(V[row], *_args(net))
+        assert o.shape == (net.n,) and np.shape(t) == ()
+        assert _bits(o) == _bits(out[row]) and np.array_equal(f, fired[row])
+        assert _bits(t) == _bits(t_bar[row])
+
+
+def test_pair_ratios_matches_scalar_loop(net):
+    V, W = _pairs(net, 9)
+    valid, ratio = _kernels.pair_ratios(V, W, *_args(net))
+    for row in range(V.shape[0]):
+        ov, fv, _ = scalar_step(net, V[row])
+        ow, fw, _ = scalar_step(net, W[row])
+        din = float(np.max(np.abs(V[row] - W[row])))
+        ok = np.array_equal(fv, fw) and din != 0.0
+        assert valid[row] == ok, row
+        want = float(np.max(np.abs(ov - ow))) / din if ok else 0.0
+        assert _bits(ratio[row]) == _bits(want), row
+
+
+def test_absorb_run_matches_scalar_loop(net):
+    V = _states(net, 10)
+    c_enter, post_bound, max_steps, horizon = 0.3, 0.35, 3, 4
+    enter, stayed = _kernels.absorb_run(V, *_args(net), c_enter, post_bound, max_steps, horizon)
+    for row in range(V.shape[0]):
+        v = V[row]
+        want_enter = -1
+        for k in range(max_steps + 1):
+            if np.all((v <= c_enter) & (v >= net.alpha)):
+                want_enter = k
+                break
+            v = scalar_step(net, v)[0]
+        want_stayed = want_enter >= 0
+        if want_enter >= 0:
+            for _ in range(horizon):
+                v = scalar_step(net, v)[0]
+                want_stayed = want_stayed and not np.any(v > post_bound)
+        assert (enter[row], stayed[row]) == (want_enter, want_stayed), row
+
+
+def test_sync_run_matches_scalar_loop(net):
+    V = _states(net, 11)
+    max_steps = 4
+    steps, total = _kernels.sync_run(V, *_args(net), max_steps)
+    for row in range(V.shape[0]):
+        v = V[row]
+        want_steps, want_total = -1, 0.0
+        for k in range(1, max_steps + 1):
+            v, _, t = scalar_step(net, v)
+            want_total += t
+            if not np.any(v != 0.0):
+                want_steps = k
+                break
+        assert steps[row] == want_steps, row
+        assert _bits(total[row]) == _bits(want_total), row
+
+
+def test_track_pair_matches_scalar_loop(net):
+    V, W = _pairs(net, 12)
+    k_max = 6
+    dists, n_common = _kernels.track_pair(V, W, *_args(net), k_max)
+    assert dists.shape == (V.shape[0], k_max + 1)
+    for row in range(V.shape[0]):
+        v, w = V[row], W[row]
+        want = np.zeros(k_max + 1)
+        want[0] = np.max(np.abs(v - w))
+        common = 0
+        for k in range(1, k_max + 1):
+            v, fv, _ = scalar_step(net, v)
+            w, fw, _ = scalar_step(net, w)
+            if not np.array_equal(fv, fw):
+                break
+            want[k] = np.max(np.abs(v - w))
+            common = k
+        assert n_common[row] == common, row
+        assert _bits(dists[row]) == _bits(want), row
+
+
+def test_drivers_take_one_state(net):
+    V, W = _pairs(net, 13, count=20)
+    args = _args(net)
+    valid, ratio = _kernels.pair_ratios(V, W, *args)
+    enter, stayed = _kernels.absorb_run(V, *args, 0.3, 0.35, 3, 4)
+    steps, total = _kernels.sync_run(V, *args, 4)
+    dists, n_common = _kernels.track_pair(V, W, *args, 5)
+    for row in range(V.shape[0]):
+        v, w = V[row], W[row]
+        one = _kernels.pair_ratios(v, w, *args)
+        assert (one[0], _bits(one[1])) == (valid[row], _bits(ratio[row]))
+        assert _kernels.absorb_run(v, *args, 0.3, 0.35, 3, 4) == (enter[row], stayed[row])
+        s, t = _kernels.sync_run(v, *args, 4)
+        assert (s, _bits(t)) == (steps[row], _bits(total[row]))
+        d, c = _kernels.track_pair(v, w, *args, 5)
+        assert d.shape == (6,) and c == n_common[row] and _bits(d) == _bits(dists[row])
