@@ -16,15 +16,18 @@ One return-map application, given a section state v (every coordinate in
      (both signs) from the fired set, floored once at alpha.
 
 The step exists twice.  `step` is a scalar loop over one state and serves
-sequential orbits (`run_orbit`, and through it simulation, cycle detection
-and refinement), where each state depends on the previous one.
-`step_batch` applies the same step to a (..., n) batch of independent
-states with NumPy operations and serves the multi-start drivers
-(`pair_ratios`, `absorb_run`, `sync_run`, `track_pair`).  On one state the
-batched step costs several times the scalar one, on thousands it is far
-cheaper per state.  Both add the jumps in presynaptic order j = 0..n-1 and
-take the logarithm with `math.log`, so they agree bit for bit; the
-differential test in tests/test_kernels.py holds them to that.
+sequential orbits (`run_orbit`, and through it simulation), where each
+state depends on the previous one.  `step_batch` applies the same step to a
+(..., n) batch of independent states with NumPy operations and serves the
+multi-start drivers (`pair_ratios`, `absorb_run`, `sync_run`, `track_pair`)
+and the cycle census, whose detection and refinement step every live sample
+in lockstep.  On one state the batched step costs several times the scalar
+one, on thousands it is far cheaper per state.  `step_batch` returns each
+row's maximum rather than its waiting time, because most callers never read
+the time; `wait_times` turns the maxima into times where they are needed.
+Both steps add the jumps in presynaptic order j = 0..n-1 and take the
+logarithm with `math.log`, so they agree bit for bit; the differential test
+in tests/test_kernels.py holds them to that.
 """
 
 from __future__ import annotations
@@ -108,8 +111,9 @@ def run_orbit(v0, H, beta, theta, alpha, gamma, tie_tol, n_steps):
 def step_batch(V, H, beta, theta, alpha, gamma, tie_tol):
     """One return-map application to every state of a (..., n) batch.
 
-    Returns (out, fired, t_bar) with shapes (..., n), (..., n) and (...);
-    each row equals what `step` gives for that state, bit for bit.
+    Returns (out, fired, vmax) with shapes (..., n), (..., n) and (...);
+    out and fired equal what `step` gives for that state, bit for bit, and
+    `wait_times(vmax, ...)` equals its t_bar.
     """
     n = V.shape[-1]
     vmax = V.max(axis=-1, keepdims=True)
@@ -130,11 +134,15 @@ def step_batch(V, H, beta, theta, alpha, gamma, tie_tol):
         np.add(out, H[j], out=out, where=fired[..., j, None])
     np.maximum(out, alpha, out=out)
     out[fired] = 0.0
+    return out, fired, vmax[..., 0]
+
+
+def wait_times(vmax, beta, theta, gamma):
+    """Waiting time before the firing of each state with maximum vmax, as `step` gives it."""
+    ratio = (beta - np.asarray(vmax, np.float64)) / (beta - theta)
     # math.log per row: np.log need not match libm, and `step` uses math.log
-    ratio = (beta - vmax[..., 0]) / (beta - theta)
     logs = np.fromiter(map(math.log, ratio.ravel().tolist()), np.float64, ratio.size)
-    t_bar = np.maximum(logs.reshape(ratio.shape) / gamma, 0.0)
-    return out, fired, t_bar
+    return np.maximum(logs.reshape(ratio.shape) / gamma, 0.0)
 
 
 def pair_ratios(V, W, H, beta, theta, alpha, gamma, tie_tol):
@@ -196,8 +204,8 @@ def sync_run(v0, H, beta, theta, alpha, gamma, tie_tol, max_steps):
     total = np.zeros(v.shape[0], np.float64)
     live = np.arange(v.shape[0])
     for k in range(1, max_steps + 1):
-        v, _, t = step_batch(v, H, beta, theta, alpha, gamma, tie_tol)
-        total[live] += t
+        v, _, vmax = step_batch(v, H, beta, theta, alpha, gamma, tie_tol)
+        total[live] += wait_times(vmax, beta, theta, gamma)
         zero = ~v.any(axis=-1)
         steps[live[zero]] = k
         live, v = live[~zero], v[~zero]

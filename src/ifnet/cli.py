@@ -4,9 +4,9 @@ Subcommands: simulate, analyze, cycles, synchro, expansion, contract, sweep.
 Every run is deterministic in (config, seed): randomness flows through
 counter-based Philox streams, sweep cells derive their seeds as
 blake2b(seed, cell-index) and results merge in cell order, so output bytes do
-not depend on thread count (cap threads with IFNET_THREADS).  The cap
-applies at one level only: `cycles` runs its census on that many threads,
-while `sweep` runs its cells on them and each cell's census serially.
+not depend on thread count (cap threads with IFNET_THREADS).  Only `sweep`
+uses threads: it runs its cells on that many.  The `cycles` census steps all
+its samples as one lockstep batch on the calling thread.
 
 Exit codes: 0 ok, 2 config error, 3 hypothesis violated, 4 numerical stall,
 1 any other operation error.  Exit 2 also covers option values no command can
@@ -178,7 +178,7 @@ def cmd_simulate(cfg: RunConfig, opts) -> dict:
 def cmd_cycles(cfg: RunConfig, opts) -> dict:
     report = cyc.cycle_census(
         cfg.params, sample_count=opts.samples, seed=opts.seed,
-        max_iter=opts.max_iter, eta=opts.eta, tol=opts.tol, threads=opts.threads,
+        max_iter=opts.max_iter, eta=opts.eta, tol=opts.tol,
     )
     doc = {
         "samples": report.samples,
@@ -355,7 +355,6 @@ def cmd_sweep(cfg: RunConfig, opts) -> dict:
             cell_opts = argparse.Namespace(**vars(opts))
             cell_opts.seed = _cell_seed(opts.seed, index)
             cell_opts.out = None  # cells report through the sweep document only
-            cell_opts.threads = 1  # the sweep pool is the one level of parallelism
             entry["status"] = "ok"
             entry["result"] = fn(sub, cell_opts)
         except IfnetError as exc:

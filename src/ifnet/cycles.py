@@ -38,7 +38,7 @@ import numpy as np
 from . import _kernels
 from ._sampling import rng_stream, sample_on_section
 from .contraction import _zone_after_return, lambda_for_zone
-from .dynamics import _run_orbit, _step_raw, as_state, orbit, return_map
+from .dynamics import as_state, orbit
 from .errors import HypothesisViolated, NumericalStall, PreconditionFailed
 from .params import NetworkParams, NeuronKind
 
@@ -71,29 +71,53 @@ def _require_pieces(params: NetworkParams) -> None:
         raise PreconditionFailed("piece classification requires at least one inhibitory neuron")
 
 
-def _classify_raw(excit, inhib, arr: np.ndarray, tol: float):
-    """Returns (PieceId, gap) with gap the exact winner/runner-up difference."""
-    m_minus = max(arr[i] for i in inhib)
-    m_plus = max((arr[i] for i in excit), default=-math.inf)
-    if m_plus >= m_minus:
-        gap = m_plus - m_minus
-        if gap > tol:
-            return PieceId("sync"), gap
-        return PieceId("boundary"), 0.0
-    winner = max(inhib, key=lambda i: arr[i])
-    runner = max(arr[i] for i in range(arr.shape[0]) if i != winner)
-    gap = arr[winner] - runner
-    if gap > tol:
-        return PieceId("inhib", index=winner), gap
-    return PieceId("boundary"), 0.0
+# piece codes beside the inhibitory indices 0..n-1
+_SYNC, _BOUNDARY = -1, -2
+
+
+def _classify(params: NetworkParams, V: np.ndarray, tol: float):
+    """Piece codes and gaps of the rows of an (m, n) batch of section states.
+
+    A code is the winning inhibitory index, _SYNC or _BOUNDARY, and a gap the
+    exact winner/runner-up difference (0 on the boundary).  The first maximal
+    inhibitory index wins a tie.
+    """
+    inhib = np.array(params.inhibitory)
+    inh = V[:, inhib]
+    m_minus = inh.max(axis=1)
+    m_plus = V[:, list(params.excitatory)].max(axis=1, initial=-math.inf)
+    winner = inhib[inh.argmax(axis=1)]
+    others = V.copy()
+    others[np.arange(V.shape[0]), winner] = -math.inf
+    sync = m_plus >= m_minus
+    gap = np.where(sync, m_plus - m_minus, m_minus - others.max(axis=1))
+    code = np.where(sync, _SYNC, winner)
+    edge = ~(gap > tol)
+    code[edge] = _BOUNDARY
+    gap[edge] = 0.0
+    return code, gap
+
+
+def _piece_id(code: int) -> PieceId:
+    if code == _SYNC:
+        return PieceId("sync")
+    if code == _BOUNDARY:
+        return PieceId("boundary")
+    return PieceId("inhib", index=code)
+
+
+def _in_zone(params: NetworkParams, V: np.ndarray) -> np.ndarray:
+    """Per row of a (m, n) batch: inside C_{c_bar} and on the section."""
+    return (V <= params.constants.c_bar).all(axis=1) & (V == 0.0).any(axis=1)
 
 
 def _piece(params: NetworkParams, arr: np.ndarray, tol: float):
     """(PieceId, gap) of a section state of a network with pieces, which must
     lie in C_{c_bar}."""
-    if not (np.all(arr <= params.constants.c_bar) and np.any(arr == 0.0)):
+    if not _in_zone(params, arr[None])[0]:
         raise PreconditionFailed("state is outside C_{c_bar}")
-    return _classify_raw(params.excitatory, params.inhibitory, arr, tol)
+    code, gap = _classify(params, arr[None], tol)
+    return _piece_id(int(code[0])), float(gap[0])
 
 
 def classify_piece(params: NetworkParams, v, tol: Optional[float] = None) -> PieceId:
@@ -153,31 +177,25 @@ def _sup(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def _refine_cycle(params, v_start, p, tol, eta):
-    """Banach refinement of a period-p candidate; returns LimitCycle or a
-    grazing FateReport when the refined cycle hugs the boundary below eta."""
-    eff = min(tol, 1e-11)
-    w = v_start
-    for _ in range(500):
-        w2 = _run_orbit(params, w, p)[0][-1]
-        d = _sup(w2, w)
-        w = w2
-        if d < eff:
-            break
-    else:
-        raise NumericalStall(f"period-{p} refinement failed to contract below {eff}")
-    # one pass of 2p steps gives the points, the itinerary and the residual
-    # measured at every cycle point
-    states, _, t_bars, _ = _run_orbit(params, w, 2 * p)
-    seq = [w, *states]
-    residual = max(_sup(seq[p + j], seq[j]) for j in range(p + 1))
+def _period_time(params: NetworkParams, points: np.ndarray) -> float:
+    """Sum of the waiting times of the points of one period, in orbit order."""
+    t = _kernels.wait_times(points.max(axis=1), params.beta, params.theta, params.gamma)
+    return float(sum(t.tolist()))
+
+
+def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float):
+    """LimitCycle with its Banach certificate from 2p + 1 refined iterates,
+    or a grazing FateReport when the cycle hugs the boundary below eta."""
+    # the residual is measured at every cycle point
+    residual = float(np.abs(seq[p:] - seq[:p + 1]).max())
     pts = seq[:p]
-    pieces = [_piece(params, q, params.tie_tol()) for q in pts]
-    itinerary = tuple(piece for piece, _ in pieces)
-    min_marg = min(0.5 * gap for _, gap in pieces)
+    if not _in_zone(params, pts).all():
+        raise PreconditionFailed("state is outside C_{c_bar}")
+    code, gap = _classify(params, pts, params.tie_tol())
+    min_marg = min((0.5 * gap).tolist())
     if min_marg < eta:
         return FateReport("grazing", transient_steps=0, step=0, margin=min_marg)
-    c_enc = max(0.0, max(float(q.max()) for q in pts))
+    c_enc = max(0.0, float(pts.max()))
     head = params.constants.c_bar * (1.0 - 1e-9) - c_enc
     if head <= 0:
         raise NumericalStall("cycle points leave the certifiable zone")
@@ -186,81 +204,175 @@ def _refine_cycle(params, v_start, p, tol, eta):
     if lam >= 1.0 or lam * ball + residual > ball or residual > 1e-10:
         raise NumericalStall("Banach ball inequality failed after refinement")
     return LimitCycle(
-        period=p, points=np.array(pts), itinerary=itinerary, min_margin=min_marg,
+        period=p, points=pts, itinerary=tuple(map(_piece_id, code.tolist())),
+        min_margin=min_marg,
         certificate=CycleCertificate(lam=lam, ball_radius=ball, residual=residual),
-        certified=True, time_period=float(sum(t_bars[:p].tolist())),
+        certified=True, time_period=_period_time(params, pts),
     )
 
 
-def _detect(params: NetworkParams, v0, max_iter: int, eta: float, tol: float,
-            max_period: int = 256):
+def _refine(params: NetworkParams, W: np.ndarray, periods, tol: float, eta: float) -> list:
+    """Banach refinement of period-p candidates, one per row of W, in lockstep.
+
+    Each row iterates its own p-step map until an iterate moves less than
+    eff; one pass of 2p more steps then gives its points, itinerary and
+    residual.  Returns per row a LimitCycle, a grazing FateReport, or the
+    error that stopped the row.
+    """
+    eff = min(tol, 1e-11)
+    args = (params.H, params.beta, params.theta, params.alpha, params.gamma, params.tie_tol())
+    P = np.array(periods, dtype=np.int64)
+    results = [None] * P.size
+    start = W.copy()  # each row's iterate at the start of its current p steps
+    live, cur = np.arange(P.size), W
+    t = 0
+    while live.size:
+        t += 1
+        cur = _kernels.step_batch(cur, *args)[0]
+        ends = np.flatnonzero(t % P[live] == 0)
+        if not ends.size:
+            continue
+        rows = live[ends]
+        moved = np.abs(cur[ends] - start[rows]).max(axis=1)
+        start[rows] = cur[ends]
+        done = moved < eff
+        stalled = ~done & (t // P[rows] == 500)
+        for r in rows[stalled].tolist():
+            results[r] = NumericalStall(f"period-{P[r]} refinement failed to contract below {eff}")
+        keep = np.ones(live.size, np.bool_)
+        keep[ends[done | stalled]] = False
+        live, cur = live[keep], cur[keep]
+
+    live = np.array([r for r, res in enumerate(results) if res is None], dtype=np.intp)
+    seqs = {r: [start[r]] for r in live.tolist()}
+    cur = start[live]
+    t = 0
+    while live.size:
+        t += 1
+        cur = _kernels.step_batch(cur, *args)[0]
+        for i, r in enumerate(live.tolist()):
+            seqs[r].append(cur[i])
+        keep = t < 2 * P[live]
+        live, cur = live[keep], cur[keep]
+    for r, seq in seqs.items():
+        try:
+            results[r] = _certified_cycle(params, np.array(seq), int(P[r]), eta)
+        except (NumericalStall, PreconditionFailed) as exc:
+            results[r] = exc
+    return results
+
+
+class _Track:
+    """Detection's record of one sample's orbit: per return its state, piece
+    (a firing set outside the zone) and margin (None outside the zone), and
+    the returns at which each piece occurred."""
+
+    __slots__ = ("states", "pieces", "margins", "seen")
+
+    def __init__(self):
+        self.states, self.pieces, self.margins = [], [], []
+        self.seen = {}
+
+
+def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol: float,
+           max_period: int = 256):
+    """Fates of the rows of an (m, n) batch of starts, stepped in lockstep.
+
+    Each return steps every live row with one `step_batch` call; only the
+    recurrence bookkeeping runs per row, and a row leaves the batch once its
+    fate is known.  Returns (fates, last_exc): fates[r] is row r's FateReport
+    or the error its refinement raised, last_exc[r] the last return at which
+    an excitatory neuron fired (-1 for none).
+    """
     rep = params.hypotheses
     certified_mode = rep.h3 and rep.h4 and bool(params.inhibitory)
     lam_det = lambda_for_zone(params, _zone_after_return(params)) if certified_mode else None
     if certified_mode and lam_det >= 1.0:
         certified_mode = False
-    c_bar = params.constants.c_bar
-    excit, inhib = params.excitatory, params.inhibitory
-
-    v = as_state(params, v0)
-    states = [v]
-    tbars: list[float] = []
-    codes: list[PieceId] = []
-    margins: list[Optional[float]] = []
-    fired_hist: list[np.ndarray] = []  # firing-set masks
-    seen: dict[PieceId, list[int]] = {}
     tie = params.tie_tol()
+    excit = list(params.excitatory)
+    args = (params.H, params.beta, params.theta, params.alpha, params.gamma, tie)
 
+    m = V0.shape[0]
+    fates = [None] * m
+    last_exc = np.full(m, -1, np.int64)
+    tracks = [_Track() for _ in range(m)]
+    candidates = []  # (row, state, period, return)
+    live, V = np.arange(m), V0
     for k in range(max_iter + 1):
-        v = states[k]
-        if not np.any(v):
-            return FateReport("synchronized", transient_steps=k, step=k), fired_hist
-        # v came from as_state or from the map itself: step it unchecked
-        image, fired, _, t_bar, _ = _step_raw(params, v)
-        fired_hist.append(fired)
-        tbars.append(t_bar)
-        if certified_mode and np.all(v <= c_bar) and np.any(v == 0.0):
-            piece, gap = _classify_raw(excit, inhib, v, tie)
-            m = 0.5 * gap  # 0 on the boundary
-            if m < eta:
-                return FateReport("grazing", transient_steps=k, step=k, margin=m), fired_hist
-            codes.append(piece)
-            margins.append(m)
-        else:
-            codes.append(PieceId("fires", fired=tuple(int(i) for i in np.flatnonzero(fired))))
-            margins.append(None)
-
-        history = seen.setdefault(codes[k], [])
-        for prev in reversed(history[-8:]):
-            p = k - prev
-            if p > max_period:
-                break
-            dist = _sup(states[k], states[prev])
-            if certified_mode:
-                window = margins[prev: k + 1]
-                if any(m is None for m in window):
+        zero = ~V.any(axis=1)
+        for r in live[zero].tolist():
+            fates[r] = FateReport("synchronized", transient_steps=k, step=k)
+        live, V = live[~zero], V[~zero]
+        if not live.size:
+            break
+        image, fired, _ = _kernels.step_batch(V, *args)
+        last_exc[live[fired[:, excit].any(axis=1)]] = k
+        if certified_mode:
+            zone = _in_zone(params, V).tolist()
+            code, gap = _classify(params, V, tie)
+            code, marg = code.tolist(), (0.5 * gap).tolist()  # margin 0 on the boundary
+        leave = np.zeros(live.size, np.bool_)
+        for i, r in enumerate(live.tolist()):
+            if certified_mode and zone[i]:
+                if marg[i] < eta:
+                    fates[r] = FateReport("grazing", transient_steps=k, step=k, margin=marg[i])
+                    leave[i] = True
                     continue
-                denom = 1.0 - lam_det ** p
-                if denom <= 0.0 or dist / denom > min(window):
-                    continue
-                result = _refine_cycle(params, states[k], p, tol, eta)
-                if isinstance(result, FateReport):
-                    result.transient_steps = k
-                    result.step = k
-                    return result, fired_hist
-                return FateReport("cycle", transient_steps=k, cycle=result), fired_hist
+                piece, m_k = _piece_id(code[i]), marg[i]
             else:
-                if dist <= tol:
-                    pts = np.array(states[prev: k])
-                    cyc = LimitCycle(
-                        period=p, points=pts, itinerary=tuple(codes[prev: k]),
+                piece, m_k = PieceId("fires", fired=tuple(np.flatnonzero(fired[i]).tolist())), None
+            track, state = tracks[r], V[i]
+            track.states.append(state)
+            track.pieces.append(piece)
+            track.margins.append(m_k)
+            history = track.seen.setdefault(piece, [])
+            for prev in reversed(history[-8:]):
+                p = k - prev
+                if p > max_period:
+                    break
+                dist = _sup(state, track.states[prev])
+                if certified_mode:
+                    window = track.margins[prev:]
+                    if any(w is None for w in window):
+                        continue
+                    denom = 1.0 - lam_det ** p
+                    if denom <= 0.0 or dist / denom > min(window):
+                        continue
+                    candidates.append((r, state, p, k))
+                elif dist <= tol:
+                    pts = np.array(track.states[prev:k])
+                    fates[r] = FateReport("cycle", transient_steps=k, cycle=LimitCycle(
+                        period=p, points=pts, itinerary=tuple(track.pieces[prev:k]),
                         min_margin=None, certificate=None, certified=False,
-                        time_period=float(sum(tbars[prev: k])),
-                    )
-                    return FateReport("cycle", transient_steps=k, cycle=cyc), fired_hist
-        history.append(k)
-        states.append(image)
-    return FateReport("unresolved", transient_steps=max_iter), fired_hist
+                        time_period=_period_time(params, pts),
+                    ))
+                else:
+                    continue
+                leave[i] = True
+                break
+            if not leave[i]:
+                history.append(k)
+        live, V = live[~leave], image[~leave]
+    for r in live.tolist():
+        fates[r] = FateReport("unresolved", transient_steps=max_iter)
+
+    if candidates:
+        rows, W, periods, steps = zip(*candidates)
+        for r, k, result in zip(rows, steps, _refine(params, np.array(W), periods, tol, eta)):
+            if isinstance(result, LimitCycle):
+                result = FateReport("cycle", transient_steps=k, cycle=result)
+            elif isinstance(result, FateReport):
+                result.transient_steps = result.step = k
+            fates[r] = result
+    return fates, last_exc
+
+
+def _checked(fate):
+    """A fate from _fates, raising it when it is an error."""
+    if isinstance(fate, Exception):
+        raise fate
+    return fate
 
 
 def detect_cycle(params: NetworkParams, v0, max_iter: int = 2000,
@@ -273,8 +385,8 @@ def detect_cycle(params: NetworkParams, v0, max_iter: int = 2000,
     certification hypotheses, an exact state recurrence was found and is
     reported uncertified), or unresolved after max_iter returns.
     """
-    fate, _ = _detect(params, v0, max_iter, eta, tol)
-    return fate
+    fates, _ = _fates(params, as_state(params, v0)[None], max_iter, eta, tol)
+    return _checked(fates[0])
 
 
 def certify_cycle(params: NetworkParams, candidate: LimitCycle) -> bool:
@@ -305,17 +417,13 @@ def certify_cycle(params: NetworkParams, candidate: LimitCycle) -> bool:
 def _cycles_match(a: LimitCycle, b: LimitCycle, thr: float) -> bool:
     if a.period == b.period:
         p = a.period
-        for shift in range(p):
-            d = max(_sup(a.points[i], b.points[(i + shift) % p]) for i in range(p))
-            if d <= thr:
-                return True
-        return False
+        twice = np.concatenate((b.points, b.points))  # twice[s:s + p] is b shifted by s
+        return any(np.abs(a.points - twice[s:s + p]).max() <= thr for s in range(p))
     if max(a.period, b.period) % min(a.period, b.period) != 0:
         return False
     # one period divides the other: compare as point sets (Hausdorff)
-    d_ab = max(min(_sup(x, y) for y in b.points) for x in a.points)
-    d_ba = max(min(_sup(x, y) for y in a.points) for x in b.points)
-    return max(d_ab, d_ba) <= thr
+    d = np.abs(a.points[:, None, :] - b.points[None, :, :]).max(axis=2)
+    return bool(max(d.min(axis=1).max(), d.min(axis=0).max()) <= thr)
 
 
 @dataclass
@@ -334,34 +442,31 @@ class CensusReport:
     samples: int
 
 
+def _census_starts(params: NetworkParams, sample_count: int, seed: int) -> np.ndarray:
+    """(sample_count, n) uniform section starts inside C_{c_bar}; sample idx
+    draws from the Philox stream (seed, 1 + idx)."""
+    hi = min(params.constants.c_bar, params.theta)
+    if hi <= 0:
+        raise HypothesisViolated("C_{c_bar} is empty (beta >= beta_plus)")
+    starts = [sample_on_section(rng_stream(seed, 1 + idx), params.n, params.alpha, hi, 1)[0]
+              for idx in range(sample_count)]
+    return np.array(starts).reshape(sample_count, params.n)
+
+
 def cycle_census(params: NetworkParams, sample_count: int, seed: int,
-                 max_iter: int = 2000, eta: float = 1e-6, tol: float = 1e-12,
-                 threads: int = 1) -> CensusReport:
+                 max_iter: int = 2000, eta: float = 1e-6, tol: float = 1e-12) -> CensusReport:
     """Detect fates from uniform starts on the section inside C_{c_bar},
     deduplicate the found cycles (minimal sup-norm distance over cyclic
     alignments, threshold 10*tol) and report basin fractions.
 
-    Each sample owns the Philox stream (seed, 1 + index), so the census is
-    deterministic regardless of execution order or thread count.
+    Each sample owns the Philox stream (seed, 1 + index).  All samples step
+    together as one lockstep batch, and each one's fate is what detect_cycle
+    gives for its start alone, so the census is deterministic.  When
+    refinement fails for some samples, the error of the lowest-index one is
+    raised.
     """
-    hi = min(params.constants.c_bar, params.theta)
-    if hi <= 0:
-        raise HypothesisViolated("C_{c_bar} is empty (beta >= beta_plus)")
-    # fill the invariant caches here rather than concurrently in the workers
-    _ = params.hypotheses, params.excitatory, params.inhibitory
-
-    def one(idx: int) -> FateReport:
-        rng = rng_stream(seed, 1 + idx)
-        v0 = sample_on_section(rng, params.n, params.alpha, hi, 1)[0]
-        return detect_cycle(params, v0, max_iter=max_iter, eta=eta, tol=tol)
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fates = list(pool.map(one, range(sample_count)))
-    else:
-        fates = [one(i) for i in range(sample_count)]
+    V0 = _census_starts(params, sample_count, seed)
+    fates = [_checked(f) for f in _fates(params, V0, max_iter, eta, tol)[0]]
 
     entries: list[CensusEntry] = []
     n_sync = n_graze = n_unres = 0
@@ -399,22 +504,19 @@ def classify_fate(params: NetworkParams, v0, max_iter: int = 2000,
     is reached whose itinerary contains no synchronization piece and whose
     firing sets contain no excitatory neuron.
     """
-    fate, fired_hist = _detect(params, v0, max_iter, eta, tol)
-    excit = set(params.excitatory)
-    last_exc = None
-    for step_idx, fired in enumerate(fired_hist):
-        if any(fired[i] for i in excit):
-            last_exc = step_idx
-    fate.last_excitatory_spike = last_exc
+    fates, last_exc = _fates(params, as_state(params, v0)[None], max_iter, eta, tol)
+    fate = _checked(fates[0])
+    fate.last_excitatory_spike = int(last_exc[0]) if last_exc[0] >= 0 else None
     if fate.outcome == "synchronized":
         fate.excitatory_death = False
     elif fate.outcome == "cycle":
         cyc = fate.cycle
         no_sync_piece = all(p.kind != "sync" for p in cyc.itinerary)
-        cycle_fired: set[int] = set()
-        for pt in cyc.points:
-            cycle_fired.update(int(i) for i in return_map(params, pt).fired)
-        fate.excitatory_death = no_sync_piece and not (cycle_fired & excit)
+        fired = _kernels.step_batch(
+            cyc.points, params.H, params.beta, params.theta, params.alpha, params.gamma,
+            params.tie_tol(),
+        )[1]
+        fate.excitatory_death = no_sync_piece and not fired[:, list(params.excitatory)].any()
     return fate
 
 

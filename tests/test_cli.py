@@ -241,32 +241,6 @@ def test_cli_sweep_thread_count_invariance(tmp_path):
     assert one.stdout == eight.stdout
 
 
-def test_cli_sweep_cells_run_census_serially(tmp_path, monkeypatch, capsys):
-    # IFNET_THREADS caps one level of parallelism: the sweep pool, not a
-    # second census pool inside each cell
-    from ifnet import cycles
-    from ifnet.cli import main
-
-    census = cycles.cycle_census
-    seen = []
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs["threads"])
-        return census(*args, **kwargs)
-
-    monkeypatch.setattr(cycles, "cycle_census", spy)
-    cfg = write_config(tmp_path, NET_D_DOC)
-    argv = ["sweep", "--config", str(cfg), "--grid", "H:-0.8:-0.6:3",
-            "--cell", "cycles", "--samples", "20", "--seed", "42"]
-    out = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("IFNET_THREADS", threads)
-        assert main(argv) == 0
-        out[threads] = capsys.readouterr().out
-    assert seen == [1] * 6
-    assert out["2"] == out["1"]
-
-
 @pytest.mark.parametrize("args,threads", [
     (["cycles", "--samples", "0"], None),
     (["cycles", "--samples", "-3"], None),

@@ -1,19 +1,23 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ifnet import (
     HypothesisViolated,
+    NumericalStall,
     PreconditionFailed,
     certify_cycle,
     classify_fate,
     classify_piece,
     cycle_census,
+    cycles,
     derived_constants,
     detect_cycle,
     lambda_for_zone,
+    load_config,
     margin,
     network,
     orbit,
@@ -24,6 +28,12 @@ from ifnet._kernels import track_pair
 from ifnet._sampling import rng_stream, sample_on_section
 
 NET_D_XSTAR = 0.32554373534619713401  # anti-phase coordinate for H = -0.6
+MIXED8 = Path(__file__).resolve().parent / "golden" / "mixed8.json"
+
+
+def mixed8():
+    """n=8 Dale network, one excitatory neuron, the rest inhibitory."""
+    return load_config(str(MIXED8)).params
 
 
 @pytest.fixture(scope="session")
@@ -176,14 +186,68 @@ def test_census_seed_stable(net_d):
     assert d <= 1e-9
 
 
-def test_census_threads_deterministic(net_d):
-    serial = cycle_census(net_d, 200, seed=5, eta=1e-4, threads=1)
-    threaded = cycle_census(net_d, 200, seed=5, eta=1e-4, threads=8)
-    assert serial.synchronized_fraction == threaded.synchronized_fraction
-    assert serial.grazing_fraction == threaded.grazing_fraction
-    assert [e.count for e in serial.entries] == [e.count for e in threaded.entries]
-    for ea, eb in zip(serial.entries, threaded.entries):
-        assert np.array_equal(ea.cycle.points, eb.cycle.points)
+def _same_fate(a, b):
+    """Field-by-field equality of two FateReports, floats and points bit for bit."""
+    assert (a.outcome, a.transient_steps, a.step) == (b.outcome, b.transient_steps, b.step)
+    assert repr(a.margin) == repr(b.margin)
+    assert (a.excitatory_death, a.last_excitatory_spike) == (b.excitatory_death, b.last_excitatory_spike)
+    assert (a.cycle is None) == (b.cycle is None)
+    if a.cycle is not None:
+        ca, cb = a.cycle, b.cycle
+        assert ca.period == cb.period and ca.points.tobytes() == cb.points.tobytes()
+        assert ca.itinerary == cb.itinerary and ca.certified == cb.certified
+        assert repr(ca.min_margin) == repr(cb.min_margin)
+        assert repr(ca.certificate) == repr(cb.certificate)
+        assert repr(ca.time_period) == repr(cb.time_period)
+
+
+# network, max_iter, eta, extra starts, outcomes the batch must contain; the
+# small max_iter leaves some rows unresolved and the large eta makes some graze
+BATCH_CASES = {
+    "mixed8": (9, 1e-2, [], {"synchronized", "cycle", "grazing", "unresolved"}),
+    "net_c": (2, 1e-2, [], {"synchronized", "grazing", "unresolved"}),
+    "net_d": (4, 3e-2, [], {"cycle", "grazing", "unresolved"}),
+    # all-excitatory: whole-section mode; the anti-phase starts close an
+    # exact uncertified period-2 cycle, the nudged one drifts off it slowly
+    "net_a": (9, 1e-2, [[0.9, 0.0], [0.0, 0.9], [0.9 - 1e-9, 0.0]],
+              {"synchronized", "cycle", "unresolved"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_census_fate_equals_single_start(name, request):
+    # every row of the lockstep batch gets the fate its start gets alone
+    params = mixed8() if name == "mixed8" else request.getfixturevalue(name)
+    max_iter, eta, extra, outcomes = BATCH_CASES[name]
+    V0 = cycles._census_starts(params, 40, seed=5)
+    if extra:
+        V0 = np.concatenate([V0, extra])
+    fates, _ = cycles._fates(params, V0, max_iter, eta, 1e-12)
+    alone = [detect_cycle(params, v0, max_iter=max_iter, eta=eta) for v0 in V0]
+    for batched, single in zip(fates, alone):
+        _same_fate(batched, single)
+    assert {f.outcome for f in alone} == outcomes
+    if name == "net_a":
+        assert any(f.outcome == "cycle" and not f.cycle.certified for f in alone)
+    # and the census counts exactly these fates
+    rep = cycle_census(params, 40, seed=5, max_iter=max_iter, eta=eta)
+    for outcome in ("synchronized", "grazing", "unresolved"):
+        count = sum(f.outcome == outcome for f in alone[:40])
+        assert getattr(rep, f"{outcome}_fraction") == count / 40
+    assert sum(e.count for e in rep.entries) == sum(f.outcome == "cycle" for f in alone[:40])
+
+
+def test_census_raises_error_of_lowest_failing_sample(net_d, monkeypatch):
+    def fail(params, seq, p, eta):
+        raise NumericalStall(seq[0].tobytes().hex())
+
+    first = next(f for f in (detect_cycle(net_d, v0, max_iter=4, eta=3e-2)
+                             for v0 in cycles._census_starts(net_d, 40, seed=5))
+                 if f.outcome == "cycle")
+    monkeypatch.setattr(cycles, "_certified_cycle", fail)
+    with pytest.raises(NumericalStall) as err:
+        cycle_census(net_d, 40, seed=5, max_iter=4, eta=3e-2)
+    assert str(err.value) == first.cycle.points[0].tobytes().hex()
 
 
 def test_census_eta_trend(net_d):
@@ -229,6 +293,32 @@ def test_classify_fate_sync_branch(net_death):
     fate = classify_fate(net_death, [0.4, 0.0, 0.2])
     assert fate.outcome == "synchronized"
     assert fate.excitatory_death is False
+
+
+def test_classify_fate_excitatory_record(net_death):
+    # last_excitatory_spike and excitatory_death against a plain return_map loop
+    excit = set(net_death.excitatory)
+    starts = [[-0.8, 0.4, 0.2], [0.4, 0.0, 0.2], *cycles._census_starts(net_death, 30, seed=2)]
+    outcomes = set()
+    for v0 in starts:
+        fate = classify_fate(net_death, v0)
+        outcomes.add(fate.outcome)
+        # every outcome but synchronization also steps the state it stops at
+        steps = fate.transient_steps + (fate.outcome != "synchronized")
+        v, last = np.asarray(v0, np.float64), None
+        for k in range(steps):
+            st = return_map(net_death, v)
+            if excit & set(st.fired.tolist()):
+                last = k
+            v = st.state
+        assert fate.last_excitatory_spike == last
+        if fate.outcome == "cycle":
+            fired = set()
+            for pt in fate.cycle.points:
+                fired.update(return_map(net_death, pt).fired.tolist())
+            no_sync = all(p.kind != "sync" for p in fate.cycle.itinerary)
+            assert fate.excitatory_death == (no_sync and not fired & excit)
+    assert outcomes == {"synchronized", "cycle"}
 
 
 def test_fate_dichotomy_over_samples(net_death):

@@ -1,9 +1,9 @@
 """Differential tests: the batched step and drivers against the scalar step.
 
 `_kernels.step` is the reference.  `step_batch` must give the same post-firing
-state, firing set and waiting time for every row, bit for bit, and each
-batched driver must give, row by row, what a plain loop over the scalar step
-gives.  The networks cover n = 2, 3, 8, 9 and 12 with mixed-sign couplings,
+state and firing set for every row, and `wait_times` of its row maxima the
+same waiting time, bit for bit; each batched driver must give, row by row,
+what a plain loop over the scalar step gives.  The networks cover n = 2, 3, 8, 9 and 12 with mixed-sign couplings,
 an all-excitatory and an all-inhibitory network; the states include the zero
 vector, exact ties of the maximum and near-ties inside the tie tolerance.
 """
@@ -83,10 +83,16 @@ def scalar_step(p, v):
     return out, fired, t_bar
 
 
+def _wait(p, vmax):
+    return _kernels.wait_times(vmax, p.beta, p.theta, p.gamma)
+
+
 def test_step_batch_matches_scalar_step(net):
     V = _states(net, 7)
-    out, fired, t_bar = _kernels.step_batch(V, *_args(net))
-    assert out.shape == V.shape and fired.shape == V.shape and t_bar.shape == V.shape[:1]
+    out, fired, vmax = _kernels.step_batch(V, *_args(net))
+    assert out.shape == V.shape and fired.shape == V.shape and vmax.shape == V.shape[:1]
+    assert _bits(vmax) == _bits(V.max(axis=1))
+    t_bar = _wait(net, vmax)
     for row in range(V.shape[0]):
         o, f, t = scalar_step(net, V[row])
         assert _bits(out[row]) == _bits(o), row
@@ -96,9 +102,11 @@ def test_step_batch_matches_scalar_step(net):
 
 def test_step_batch_takes_one_state(net):
     V = _states(net, 8, count=80)
-    out, fired, t_bar = _kernels.step_batch(V, *_args(net))
+    out, fired, vmax = _kernels.step_batch(V, *_args(net))
+    t_bar = _wait(net, vmax)
     for row in (0, 1, 45, 65, 79):
-        o, f, t = _kernels.step_batch(V[row], *_args(net))
+        o, f, m = _kernels.step_batch(V[row], *_args(net))
+        t = _wait(net, m)
         assert o.shape == (net.n,) and np.shape(t) == ()
         assert _bits(o) == _bits(out[row]) and np.array_equal(f, fired[row])
         assert _bits(t) == _bits(t_bar[row])
