@@ -19,12 +19,13 @@ The step exists twice.  `step` is a scalar loop over one state and serves
 sequential orbits (`run_orbit`, and through it simulation), where each
 state depends on the previous one.  `step_batch` applies the same step to a
 (..., n) batch of independent states with NumPy operations and serves the
-multi-start drivers (`pair_ratios`, `absorb_run`, `sync_run`, `track_pair`)
-and the cycle census, whose detection and refinement step every live sample
-in lockstep.  On one state the batched step costs several times the scalar
-one, on thousands it is far cheaper per state.  `step_batch` returns each
-row's maximum rather than its waiting time, because most callers never read
-the time; `wait_times` turns the maxima into times where they are needed.
+multi-start drivers (`absorb_run`, `sync_run`, `track_pair`; one return of
+`track_pair` gives the zone contraction ratios) and the cycle census, whose
+detection and refinement step every live sample in lockstep.  On one state
+the batched step costs several times the scalar one, on thousands it is far
+cheaper per state.  `step_batch` returns each row's maximum rather than its
+waiting time, because most callers never read the time; `wait_times` turns
+the maxima into times where they are needed.
 Both steps add the jumps in presynaptic order j = 0..n-1 and take the
 logarithm with `math.log`, so they agree bit for bit; the differential test
 in tests/test_kernels.py holds them to that.
@@ -143,21 +144,6 @@ def wait_times(vmax, beta, theta, gamma):
     # math.log per row: np.log need not match libm, and `step` uses math.log
     logs = np.fromiter(map(math.log, ratio.ravel().tolist()), np.float64, ratio.size)
     return np.maximum(logs.reshape(ratio.shape) / gamma, 0.0)
-
-
-def pair_ratios(V, W, H, beta, theta, alpha, gamma, tie_tol):
-    """Per-pair sup-norm contraction ratio, flagged valid only on same firing sets.
-
-    V and W are (..., n) batches.  ratio[p] = ||rho(V_p)-rho(W_p)|| / ||V_p-W_p||;
-    pairs with differing firing sets or zero separation are marked invalid
-    and get ratio 0.
-    """
-    out, fired, _ = step_batch(np.stack((V, W)), H, beta, theta, alpha, gamma, tie_tol)
-    din = np.abs(V - W).max(axis=-1)
-    dout = np.abs(out[0] - out[1]).max(axis=-1)
-    valid = (fired[0] == fired[1]).all(axis=-1) & (din != 0.0)
-    ratio = np.divide(dout, din, out=np.zeros_like(din), where=valid)
-    return valid, ratio
 
 
 def absorb_run(v0, H, beta, theta, alpha, gamma, tie_tol, c_enter, post_bound, max_steps, horizon):

@@ -2,17 +2,14 @@
 
 Subcommands: simulate, analyze, cycles, synchro, expansion, contract, sweep.
 Every run is deterministic in (config, seed): randomness flows through
-counter-based Philox streams, sweep cells derive their seeds as
-blake2b(seed, cell-index) and results merge in cell order, so output bytes do
-not depend on thread count (cap threads with IFNET_THREADS).  Only `sweep`
-uses threads: it runs its cells on that many.  The `cycles` census steps all
-its samples as one lockstep batch on the calling thread.
+counter-based Philox streams, and sweep cells derive their seeds as
+blake2b(seed, cell-index) and run one after another in cell order.  The
+`cycles` census steps all its samples as one lockstep batch.
 
 Exit codes: 0 ok, 2 config error, 3 hypothesis violated, 4 numerical stall,
 1 any other operation error.  Exit 2 also covers option values no command can
-use: --samples or --max-iter below 1, a --tol, --eta, --dt or --t-total that
-is not a finite positive number, and an IFNET_THREADS that is not a positive
-integer.
+use: --samples or --max-iter below 1, and a --tol, --eta, --dt or --t-total
+that is not a finite positive number.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ import argparse
 import csv
 import hashlib
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -44,19 +40,6 @@ from .params import check_hypotheses, classify_neurons, derived_constants
 DEFAULTS = dict(seed=0, samples=1000, eta=1e-6, tol=1e-12, max_iter=2000)
 
 
-def _threads() -> int:
-    env = os.environ.get("IFNET_THREADS", "").strip()
-    if not env:
-        return min(8, os.cpu_count() or 1)
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise RejectConfig(f"IFNET_THREADS must be a positive integer, got {env!r}")
-    return threads
-
-
 def _check_options(opts) -> None:
     """Reject option values no command can use."""
     for flag in ("samples", "max_iter"):
@@ -67,22 +50,6 @@ def _check_options(opts) -> None:
         value = getattr(opts, flag)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise RejectConfig(f"--{flag.replace('_', '-')} must be a finite positive number, got {value}")
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 def _cycle_doc(entry: cyc.CensusEntry) -> dict:
@@ -362,13 +329,7 @@ def cmd_sweep(cfg: RunConfig, opts) -> dict:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         return entry
 
-    if opts.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            results = list(pool.map(run_cell, range(len(cells))))
-    else:
-        results = [run_cell(i) for i in range(len(cells))]
+    results = [run_cell(i) for i in range(len(cells))]
     return {"cell_command": opts.cell, "grid": [g for g in opts.grid], "cells": results}
 
 
@@ -404,12 +365,11 @@ def main(argv=None) -> int:
     opts = build_parser().parse_args(argv)
     try:
         _check_options(opts)
-        opts.threads = _threads()
         cfg = load_config(opts.config)
         if opts.out is not None:
             Path(opts.out).mkdir(parents=True, exist_ok=True)
         doc = run_command(opts.command, cfg, opts)
-        text = dump_json(_jsonable(doc))
+        text = dump_json(doc)
         if opts.out is not None:
             (Path(opts.out) / f"{opts.command}.json").write_text(text, encoding="utf-8")
         sys.stdout.write(text)

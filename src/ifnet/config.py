@@ -102,9 +102,25 @@ def params_to_doc(params: NetworkParams) -> dict:
     }
 
 
+def _plain(obj):
+    """The Python value json writes for a NumPy array or scalar."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dump_json(obj) -> str:
-    """Canonical JSON text: sorted keys, repr floats, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text: sorted keys, repr floats, trailing newline.
+
+    NumPy arrays and scalars are written as the matching lists and Python
+    numbers and booleans."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_plain) + "\n"
 
 
 def fmt(x: float) -> str:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from ._sampling import rng_stream, sample_on_section
-from .dynamics import as_state, return_map
+from .dynamics import _run_orbit, _step_raw, as_state, return_map
 from .errors import (
     HypothesisViolated,
     InsufficientSamples,
@@ -110,19 +110,19 @@ def verify_contraction(params: NetworkParams, c: float, sample_count: int, seed:
     while kept < sample_count and attempts < budget:
         V = sample_on_section(rng, params.n, params.alpha, c, batch)
         W = sample_on_section(rng, params.n, params.alpha, c, batch)
-        valid, ratio = _kernels.pair_ratios(
+        dists, n_common = _kernels.track_pair(
             V, W, params.H, params.beta, params.theta, params.alpha,
-            params.gamma, params.tie_tol(),
+            params.gamma, params.tie_tol(), 1,
         )
         attempts += batch
-        take = min(int(valid.sum()), sample_count - kept)
-        idx = np.flatnonzero(valid)[:take]
+        valid = (n_common == 1) & (dists[:, 0] != 0.0)
+        idx = np.flatnonzero(valid)[:sample_count - kept]
         if idx.size:
-            r = ratio[idx]
+            r = dists[idx, 1] / dists[idx, 0]
             max_ratio = max(max_ratio, float(r.max()))
-            bad = idx[r > lam + 1e-9]
-            for b in bad:
-                violations.append((V[b].copy(), W[b].copy(), float(ratio[b])))
+            bad = r > lam + 1e-9
+            for b, ratio in zip(idx[bad], r[bad]):
+                violations.append((V[b].copy(), W[b].copy(), float(ratio)))
             kept += idx.size
     if kept < sample_count:
         raise InsufficientSamples(
@@ -332,13 +332,13 @@ def jvac_check(params: NetworkParams, v) -> bool:
     """Inside C_{c_bar}: a spontaneous excitatory firer forces the whole
     network to fire together (the implication is vacuous otherwise)."""
     _require_h3_h4_inhibitory(params)
-    if not in_zone(params, v, params.constants.c_bar):
+    arr = as_state(params, v)
+    if not in_zone(params, arr, params.constants.c_bar):
         raise PreconditionFailed("state is outside C_{c_bar}")
-    step = return_map(params, v)
-    spont_excit = any(int(s) in params.excitatory for s in step.spontaneous)
-    if not spont_excit:
+    _, fired, spontaneous, _, _ = _step_raw(params, arr)
+    if not spontaneous[list(params.excitatory)].any():
         return True
-    return step.fired.size == params.n
+    return bool(fired.all())
 
 
 def _check_metric(n0: int, mu_tilde: float) -> None:
@@ -363,14 +363,10 @@ def _weighted_sum(dists, mu_tilde: float):
 def adapted_distance(params: NetworkParams, v, w, n0: int, mu_tilde: float) -> float:
     """d(v, w) = sum_{i<n0} ||rho^i v - rho^i w|| / mu_tilde^i (sup norms)."""
     _check_metric(n0, mu_tilde)
-    a = as_state(params, v)
-    b = as_state(params, w)
-    dists = []
-    for _ in range(n0):
-        dists.append(float(np.max(np.abs(a - b))))
-        a = return_map(params, a).state
-        b = return_map(params, b).state
-    return _weighted_sum(dists, mu_tilde)
+    a, b = (as_state(params, x) for x in (v, w))
+    A = np.vstack((a, _run_orbit(params, a, n0 - 1)[0]))
+    B = np.vstack((b, _run_orbit(params, b, n0 - 1)[0]))
+    return float(_weighted_sum(np.abs(A - B).max(axis=1), mu_tilde))
 
 
 def _perturbed_pairs(rng, params: NetworkParams, count: int):

@@ -262,6 +262,10 @@ def _refine(params: NetworkParams, W: np.ndarray, periods, tol: float, eta: floa
     return results
 
 
+# longest period detection looks for
+_MAX_PERIOD = 256
+
+
 class _Track:
     """Detection's record of one sample's orbit: per return its state, piece
     (a firing set outside the zone) and margin (None outside the zone), and
@@ -274,8 +278,7 @@ class _Track:
         self.seen = {}
 
 
-def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol: float,
-           max_period: int = 256):
+def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol: float):
     """Fates of the rows of an (m, n) batch of starts, stepped in lockstep.
 
     Each return steps every live row with one `step_batch` call; only the
@@ -329,7 +332,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol
             history = track.seen.setdefault(piece, [])
             for prev in reversed(history[-8:]):
                 p = k - prev
-                if p > max_period:
+                if p > _MAX_PERIOD:
                     break
                 dist = _sup(state, track.states[prev])
                 if certified_mode:

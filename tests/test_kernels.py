@@ -112,19 +112,6 @@ def test_step_batch_takes_one_state(net):
         assert _bits(t) == _bits(t_bar[row])
 
 
-def test_pair_ratios_matches_scalar_loop(net):
-    V, W = _pairs(net, 9)
-    valid, ratio = _kernels.pair_ratios(V, W, *_args(net))
-    for row in range(V.shape[0]):
-        ov, fv, _ = scalar_step(net, V[row])
-        ow, fw, _ = scalar_step(net, W[row])
-        din = float(np.max(np.abs(V[row] - W[row])))
-        ok = np.array_equal(fv, fw) and din != 0.0
-        assert valid[row] == ok, row
-        want = float(np.max(np.abs(ov - ow))) / din if ok else 0.0
-        assert _bits(ratio[row]) == _bits(want), row
-
-
 def test_absorb_run_matches_scalar_loop(net):
     V = _states(net, 10)
     c_enter, post_bound, max_steps, horizon = 0.3, 0.35, 3, 4
@@ -186,14 +173,11 @@ def test_track_pair_matches_scalar_loop(net):
 def test_drivers_take_one_state(net):
     V, W = _pairs(net, 13, count=20)
     args = _args(net)
-    valid, ratio = _kernels.pair_ratios(V, W, *args)
     enter, stayed = _kernels.absorb_run(V, *args, 0.3, 0.35, 3, 4)
     steps, total = _kernels.sync_run(V, *args, 4)
     dists, n_common = _kernels.track_pair(V, W, *args, 5)
     for row in range(V.shape[0]):
         v, w = V[row], W[row]
-        one = _kernels.pair_ratios(v, w, *args)
-        assert (one[0], _bits(one[1])) == (valid[row], _bits(ratio[row]))
         assert _kernels.absorb_run(v, *args, 0.3, 0.35, 3, 4) == (enter[row], stayed[row])
         s, t = _kernels.sync_run(v, *args, 4)
         assert (s, _bits(t)) == (steps[row], _bits(total[row]))
