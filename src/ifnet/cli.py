@@ -26,7 +26,7 @@ import numpy as np
 from . import contraction as contr
 from . import cycles as cyc
 from . import dynamics as dyn
-from .config import RunConfig, dump_json, fmt, load_config, params_to_doc
+from .config import Records, RunConfig, dump_json, fmt, load_config, params_to_doc
 from .errors import (
     HypothesisViolated,
     IfnetError,
@@ -100,33 +100,35 @@ def cmd_analyze(cfg: RunConfig, opts) -> dict:
     return doc
 
 
-def _spike_rows(params, v0, steps):
-    rows = []
-    for k, st in enumerate(dyn.orbit(params, v0, steps)):
-        rows.append({
-            "step": k,
-            "t_bar": st.t_bar,
-            "cum_time": st.cum_time,
-            "firing_set": ";".join(str(int(i) + 1) for i in st.fired),
-            "V_after": ";".join(fmt(x) for x in st.state),
-        })
-    return rows
+def _firing_labels(fired: np.ndarray) -> list:
+    """The "i;j;..." label (1-based) of each row of a boolean firing matrix.
+
+    Each distinct row is labelled once."""
+    n = fired.shape[1]
+    raw = fired.tobytes()
+    keys = [raw[k:k + n] for k in range(0, len(raw), n)]
+    labels = {key: ";".join(str(i + 1) for i, hit in enumerate(key) if hit) for key in set(keys)}
+    return [labels[key] for key in keys]
 
 
 def cmd_simulate(cfg: RunConfig, opts) -> dict:
     params = cfg.params
     v0 = cfg.v0 if cfg.v0 is not None else np.zeros(params.n)
     steps = opts.max_iter
-    rows = _spike_rows(params, v0, steps)
-    doc = {"steps": steps, "v0": [float(x) for x in np.asarray(v0)], "spikes": rows}
+    states, fired, t_bars, _ = dyn._run_orbit(params, dyn.as_state(params, v0), steps)
+    # One column per field, shared by the JSON rows and spikes.csv; the label
+    # and state strings are built once, and both writers print a float as its repr.
+    columns = (range(steps), t_bars.tolist(), np.cumsum(t_bars).tolist(),
+               _firing_labels(fired), [";".join(map(repr, r)) for r in states.tolist()])
+    rows = [{"step": k, "t_bar": t, "cum_time": c, "firing_set": f, "V_after": v}
+            for k, t, c, f, v in zip(*columns)]
+    doc = {"steps": steps, "v0": [float(x) for x in np.asarray(v0)], "spikes": Records(rows)}
     if opts.out is not None:
         path = Path(opts.out) / "spikes.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["step", "t_bar", "cum_time", "firing_set", "V_after"])
-            for r in rows:
-                w.writerow([r["step"], fmt(r["t_bar"]), fmt(r["cum_time"]),
-                            r["firing_set"], r["V_after"]])
+            w.writerows(zip(*columns))
         doc["spikes_csv"] = path.name
     if opts.dt is not None and opts.t_total is not None:
         times, values, post = dyn.sample_trajectory(params, v0, opts.dt, opts.t_total)
@@ -136,8 +138,8 @@ def cmd_simulate(cfg: RunConfig, opts) -> dict:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 w = csv.writer(fh, lineterminator="\n")
                 w.writerow(["t"] + [f"V{i + 1}" for i in range(params.n)] + ["post_spike"])
-                for t, row, flag in zip(times, values, post):
-                    w.writerow([fmt(t)] + [fmt(x) for x in row] + [int(flag)])
+                w.writerows([t, *row, flag] for t, row, flag
+                            in zip(times.tolist(), values.tolist(), post.tolist()))
             doc["trajectory_csv"] = path.name
     return doc
 

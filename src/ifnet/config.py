@@ -11,12 +11,27 @@ Either "beta" or "K" must be present; with "K", beta = K/gamma.  Outputs are
 reproducible byte for byte: floats serialize through repr (shortest
 round-trip, at most 17 significant digits), JSON keys are sorted, CSV rows use
 LF terminators.
+
+`dump_json` writes `json.dumps(obj, sort_keys=True, indent=2)` text.  CPython
+encodes with `indent` only in its pure-Python encoder, which costs a few
+function calls per value, so a long list of flat records (a `Records`, such
+as simulate's spike rows) takes a faster path to the same bytes: the C
+encoder writes the whole list in one call, its item separator a comma, a
+newline and the field indentation, and the row boundaries are then rewritten
+to the indented layout.  The result is the same text because an encoded JSON
+string never holds a raw newline, so inside the list a separator followed by
+"{" can only start the next row (a field separator is followed by the quote
+of a key).  Both encoders write numbers with the repr of int and float and
+escape strings with the same function.  Only non-empty lists of non-empty
+dicts with str keys and scalar values take this path; any other `Records` is
+written as a plain list.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -102,8 +117,22 @@ def params_to_doc(params: NetworkParams) -> dict:
     }
 
 
+class Records:
+    """A list of flat JSON objects that `dump_json` writes in one encoder call.
+
+    `rows` holds dicts with str keys and str, number, bool or None values
+    (NumPy scalars included); the text equals that of the plain list."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list):
+        self.rows = rows
+
+
 def _plain(obj):
-    """The Python value json writes for a NumPy array or scalar."""
+    """The Python value json writes for a NumPy array or scalar, or a `Records`."""
+    if isinstance(obj, Records):
+        return obj.rows
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.integer):
@@ -115,12 +144,58 @@ def _plain(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+# Values whose encoding the compact C encoder and the indenting encoder agree
+# on and which hold no nested container (NumPy scalars go through _plain).
+_SCALAR_TYPES = (str, int, float, type(None), np.bool_, np.integer, np.floating)
+_MARK = "\x00records:"
+
+
+def _flat(rows: list) -> bool:
+    """Whether a record list can take the one-call path (module docstring)."""
+    if not rows or set(map(type, rows)) != {dict} or not all(rows):
+        return False
+    if set(map(type, chain.from_iterable(rows))) != {str}:
+        return False
+    value_types = set(map(type, chain.from_iterable(map(dict.values, rows))))
+    return all(issubclass(t, _SCALAR_TYPES) for t in value_types)
+
+
+def _encode_records(rows: list, indent: int) -> str:
+    """The indent=2 text of a flat record list whose "]" sits at column `indent`."""
+    pad, field_pad = " " * (indent + 2), " " * (indent + 4)
+    text = json.dumps(rows, sort_keys=True, allow_nan=False, default=_plain,
+                      separators=(",\n" + field_pad, ": "))
+    body = text[2:-2].replace("},\n" + field_pad + "{",
+                              "\n" + pad + "},\n" + pad + "{\n" + field_pad)
+    return "[\n" + pad + "{\n" + field_pad + body + "\n" + pad + "}\n" + " " * indent + "]"
+
+
 def dump_json(obj) -> str:
     """Canonical JSON text: sorted keys, repr floats, trailing newline.
 
     NumPy arrays and scalars are written as the matching lists and Python
-    numbers and booleans."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_plain) + "\n"
+    numbers and booleans, a `Records` as the list of its rows."""
+    fast = []
+
+    def default(o):
+        if isinstance(o, Records) and _flat(o.rows):
+            fast.append(o.rows)
+            return f"{_MARK}{len(fast) - 1}"
+        return _plain(o)
+
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=default)
+    tokens = [json.dumps(f"{_MARK}{i}") for i in range(len(fast))]
+    if any(text.count(token) != 1 for token in tokens):
+        # a string in the document spells a marker: write every record list plainly
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_plain) + "\n"
+    parts, end = [], 0
+    for rows, token in zip(fast, tokens):  # markers appear in encoding order
+        at = text.index(token, end)
+        head = text[text.rfind("\n", 0, at) + 1:at]
+        parts += [text[end:at], _encode_records(rows, len(head) - len(head.lstrip(" ")))]
+        end = at + len(token)
+    parts.append(text[end:])
+    return "".join(parts) + "\n"
 
 
 def fmt(x: float) -> str:

@@ -3,9 +3,8 @@
 Each case runs `ifnet.cli.main` in-process on a config kept in tests/golden/
 and compares every file the run writes to its --out directory with the
 recorded copy in tests/golden/<case>/.  The recorded bytes fix the JSON and
-CSV output for a fixed (config, seed, thread count), so a refactor that
-moves any of them shows up here.  A change that means to move them records
-them again with
+CSV output for a fixed (config, seed), so a refactor that moves any of them
+shows up here.  A change that means to move them records them again with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -23,22 +22,28 @@ from ifnet.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# case -> (argv with config names relative to GOLDEN, IFNET_THREADS values)
+# case -> argv, with config names relative to GOLDEN
 CASES = {
-    "analyze_net_c": (["analyze", "--config", "net_c.json"], ("1",)),
-    "cycles_mixed8": (["cycles", "--config", "mixed8.json", "--samples", "30",
-                       "--eta", "1e-4"], ("2",)),
-    "contract_net_c": (["contract", "--config", "net_c.json", "--samples", "300"], ("1",)),
-    "simulate_mixed8": (["simulate", "--config", "mixed8_v0.json", "--max-iter", "300",
-                         "--dt", "0.01", "--t-total", "20"], ("1",)),
-    "sweep_synchro_net_sync9": (["sweep", "--config", "net_sync9.json", "--cell", "synchro",
-                                 "--grid", "H:0.34:0.9:4", "--samples", "100"], ("1", "2")),
+    "analyze_net_c": ["analyze", "--config", "net_c.json"],
+    "cycles_mixed8": ["cycles", "--config", "mixed8.json", "--samples", "30", "--eta", "1e-4"],
+    "contract_net_c": ["contract", "--config", "net_c.json", "--samples", "300"],
+    "simulate_mixed8": ["simulate", "--config", "mixed8_v0.json", "--max-iter", "300",
+                        "--dt", "0.01", "--t-total", "20"],
+    "simulate_net_c": ["simulate", "--config", "net_c_v0.json", "--max-iter", "2000",
+                       "--dt", "0.01", "--t-total", "20"],
+    "sweep_synchro_net_sync9": ["sweep", "--config", "net_sync9.json", "--cell", "synchro",
+                                "--grid", "H:0.34:0.9:4", "--samples", "100"],
 }
+
+# Test ids.  The first cases keep the "-<n>" suffix of the thread count they
+# were once run under, so their reported names stay unchanged.
+IDS = {name: f"{name}-{suffix}" for name, suffix in (
+    ("analyze_net_c", 1), ("cycles_mixed8", 2), ("contract_net_c", 1),
+    ("simulate_mixed8", 1), ("sweep_synchro_net_sync9", 1))}
 
 
 def run_case(name: str, out: Path) -> int:
-    argv, _ = CASES[name]
-    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in CASES[name]]
     with contextlib.redirect_stdout(io.StringIO()):
         return main(argv + ["--out", str(out)])
 
@@ -47,11 +52,8 @@ def outputs(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
-@pytest.mark.parametrize("name,threads", [
-    (name, t) for name, (_, threads) in CASES.items() for t in threads
-])
-def test_golden_output(name, threads, tmp_path, monkeypatch):
-    monkeypatch.setenv("IFNET_THREADS", threads)
+@pytest.mark.parametrize("name", CASES, ids=[IDS.get(name, name) for name in CASES])
+def test_golden_output(name, tmp_path):
     assert run_case(name, tmp_path / "out") == 0
     got = outputs(tmp_path / "out")
     want = outputs(GOLDEN / name)
@@ -62,11 +64,9 @@ def test_golden_output(name, threads, tmp_path, monkeypatch):
 
 def record() -> None:
     """Rewrite every case's recorded outputs from the current code."""
-    import os
     import shutil
 
-    for name, (_, threads) in CASES.items():
-        os.environ["IFNET_THREADS"] = threads[0]
+    for name in CASES:
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
         if run_case(name, GOLDEN / name) != 0:
             sys.exit(f"case {name} failed")
