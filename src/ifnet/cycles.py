@@ -179,7 +179,7 @@ def _sup(a: np.ndarray, b: np.ndarray) -> float:
 
 def _period_time(params: NetworkParams, points: np.ndarray) -> float:
     """Sum of the waiting times of the points of one period, in orbit order."""
-    t = _kernels.wait_times(points.max(axis=1), params.beta, params.theta, params.gamma)
+    t = _kernels.wait_times(params, points.max(axis=1))
     return float(sum(t.tolist()))
 
 
@@ -220,7 +220,6 @@ def _refine(params: NetworkParams, W: np.ndarray, periods, tol: float, eta: floa
     error that stopped the row.
     """
     eff = min(tol, 1e-11)
-    args = (params.H, params.beta, params.theta, params.alpha, params.gamma, params.tie_tol())
     P = np.array(periods, dtype=np.int64)
     results = [None] * P.size
     start = W.copy()  # each row's iterate at the start of its current p steps
@@ -228,7 +227,7 @@ def _refine(params: NetworkParams, W: np.ndarray, periods, tol: float, eta: floa
     t = 0
     while live.size:
         t += 1
-        cur = _kernels.step_batch(cur, *args)[0]
+        cur = _kernels.step_batch(params, cur)[0]
         ends = np.flatnonzero(t % P[live] == 0)
         if not ends.size:
             continue
@@ -249,7 +248,7 @@ def _refine(params: NetworkParams, W: np.ndarray, periods, tol: float, eta: floa
     t = 0
     while live.size:
         t += 1
-        cur = _kernels.step_batch(cur, *args)[0]
+        cur = _kernels.step_batch(params, cur)[0]
         for i, r in enumerate(live.tolist()):
             seqs[r].append(cur[i])
         keep = t < 2 * P[live]
@@ -294,7 +293,6 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol
         certified_mode = False
     tie = params.tie_tol()
     excit = list(params.excitatory)
-    args = (params.H, params.beta, params.theta, params.alpha, params.gamma, tie)
 
     m = V0.shape[0]
     fates = [None] * m
@@ -309,7 +307,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol
         live, V = live[~zero], V[~zero]
         if not live.size:
             break
-        image, fired, _ = _kernels.step_batch(V, *args)
+        image, fired, _ = _kernels.step_batch(params, V)
         last_exc[live[fired[:, excit].any(axis=1)]] = k
         if certified_mode:
             zone = _in_zone(params, V).tolist()
@@ -515,10 +513,7 @@ def classify_fate(params: NetworkParams, v0, max_iter: int = 2000,
     elif fate.outcome == "cycle":
         cyc = fate.cycle
         no_sync_piece = all(p.kind != "sync" for p in cyc.itinerary)
-        fired = _kernels.step_batch(
-            cyc.points, params.H, params.beta, params.theta, params.alpha, params.gamma,
-            params.tie_tol(),
-        )[1]
+        fired = _kernels.step_batch(params, cyc.points)[1]
         fate.excitatory_death = no_sync_piece and not fired[:, list(params.excitatory)].any()
     return fate
 
@@ -554,9 +549,7 @@ def sync_test(params: NetworkParams, sample_count: int, seed: int) -> SyncReport
     bound_t = (math.log((beta - alpha) / (beta - theta)) + p * math.log(beta / (beta - theta))) / gamma
     rng = rng_stream(seed, 0)
     starts = sample_on_section(rng, n, 0.0, theta, sample_count)
-    steps, total = _kernels.sync_run(
-        starts, params.H, beta, theta, alpha, gamma, params.tie_tol(), p,
-    )
+    steps, total = _kernels.sync_run(params, starts, p)
     passed = (steps >= 0) & ~(total > bound_t)
     ok = bool(passed.all())
     # the maxima run over the passing starts only

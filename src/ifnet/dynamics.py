@@ -86,37 +86,14 @@ def state_at_threshold(params: NetworkParams, v, i: int) -> np.ndarray:
     return out
 
 
-# The two private drivers below skip as_state: callers pass a state they have
-# checked or one the map itself produced.
-def _step_raw(params: NetworkParams, arr: np.ndarray):
-    n = params.n
-    out = np.empty(n, np.float64)
-    fired = np.zeros(n, np.bool_)
-    j0 = np.zeros(n, np.bool_)
-    scratch = np.zeros(n, np.bool_)
-    t_bar, rounds = _kernels.step(
-        arr, params.H, params.beta, params.theta, params.alpha, params.gamma,
-        params.tie_tol(), out, fired, j0, scratch,
-    )
-    return out, fired, j0, t_bar, rounds
-
-
-def _run_orbit(params: NetworkParams, arr: np.ndarray, n_steps: int):
-    return _kernels.run_orbit(
-        arr, params.H, params.beta, params.theta, params.alpha, params.gamma,
-        params.tie_tol(), int(n_steps),
-    )
-
-
 def avalanche(params: NetworkParams, v) -> tuple[np.ndarray, int]:
     """Full firing set J(v) and the number of recruitment rounds.
 
     Only positive interactions count toward the firing decision; rounds is 0
     when nobody beyond the spontaneous set fires.
     """
-    arr = as_state(params, v)
-    _, fired, _, _, rounds = _step_raw(params, arr)
-    return np.flatnonzero(fired), int(rounds)
+    step = return_map(params, v)
+    return step.fired, step.rounds
 
 
 @dataclass
@@ -132,10 +109,12 @@ class ReturnStep:
 
 def return_map(params: NetworkParams, v) -> ReturnStep:
     arr = as_state(params, v)
-    out, fired, j0, t_bar, rounds = _step_raw(params, arr)
+    out = np.empty(params.n, np.float64)
+    fired = np.empty(params.n, np.bool_)
+    t_bar, rounds = _kernels.step(params, arr, out, fired)
     return ReturnStep(
         state=out, fired=np.flatnonzero(fired), t_bar=t_bar,
-        spontaneous=np.flatnonzero(j0), rounds=int(rounds),
+        spontaneous=np.flatnonzero(arr >= arr.max() - params.tie_tol()), rounds=rounds,
     )
 
 
@@ -149,7 +128,7 @@ class OrbitStep:
 
 def orbit(params: NetworkParams, v0, n_steps: int) -> list[OrbitStep]:
     """n_steps successive return-map applications with running spike times."""
-    states, fired, t_bars, _ = _run_orbit(params, as_state(params, v0), n_steps)
+    states, fired, t_bars = _kernels.run_orbit(params, as_state(params, v0), int(n_steps))
     cum = np.cumsum(t_bars)
     return [
         OrbitStep(state=states[k], fired=np.flatnonzero(fired[k]), t_bar=float(t_bars[k]), cum_time=float(cum[k]))

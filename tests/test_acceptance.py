@@ -161,7 +161,7 @@ def test_criterion_08_adapted_metric(net_c):
         W = V + rng.uniform(-1.0, 1.0, V.shape) * scale[:, None]
         W = np.clip(W, net_c.alpha, net_c.theta)
         W[np.arange(4096), np.argmax(V == 0.0, axis=1)] = 0.0
-        D, N = track_pair(V, W, net_c.H, 1.2, 1.0, -1.0, 1.0, net_c.tie_tol(), est.n0 + 1)
+        D, N = track_pair(net_c, V, W, est.n0 + 1)
         for dists, n_common in zip(D, N):
             if used >= 10_000:
                 break
@@ -176,7 +176,7 @@ def test_criterion_08_adapted_metric(net_c):
     # spot-check that the kernel route agrees with the public adapted_distance
     v = np.array([0.0, 0.4, 0.2])
     w = np.array([0.0, 0.39, 0.21])
-    dists, _ = track_pair(v, w, net_c.H, 1.2, 1.0, -1.0, 1.0, net_c.tie_tol(), est.n0)
+    dists, _ = track_pair(net_c, v, w, est.n0)
     api = adapted_distance(net_c, v, w, est.n0, est.mu_tilde)
     agree = abs(api - float(np.dot(dists[: est.n0], weights))) <= 1e-12 * max(1.0, api)
     report(8, ok and agree,

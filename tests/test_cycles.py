@@ -356,8 +356,7 @@ def test_sync_test_rejects_inhibitory(net_c):
 def test_sync_zero_vector_one_return(net_sync9):
     from ifnet._kernels import sync_run
 
-    steps, _ = sync_run(np.zeros(9), net_sync9.H, 1.2, 1.0, -1.0, 1.0,
-                        net_sync9.tie_tol(), 3)
+    steps, _ = sync_run(net_sync9, np.zeros(9), 3)
     assert steps == 1
 
 
@@ -385,8 +384,7 @@ def test_atom_diameter_law(net_c):
         V = sample_on_section(rng, 3, net_c.alpha, 0.4, 2)
         v, w = V[0], V[1].copy()
         w[np.argmax(v == 0.0)] = 0.0
-        dists, n_common = track_pair(
-            v, w, net_c.H, 1.2, 1.0, -1.0, 1.0, net_c.tie_tol(), 8)
+        dists, n_common = track_pair(net_c, v, w, 8)
         for k in range(1, n_common + 1):
             assert dists[k] <= lam ** (k - 1) * diam + 1e-9
 

@@ -44,10 +44,6 @@ def net(request):
     return network(n, 1.0, 1.2, 1.0, -1.0, H)
 
 
-def _args(p):
-    return p.H, p.beta, p.theta, p.alpha, p.gamma, p.tie_tol()
-
-
 def _states(p, seed, count=200):
     """Section states plus the zero vector, exact ties and near-ties of the maximum."""
     rng = np.random.default_rng(seed)
@@ -76,23 +72,18 @@ def _bits(x):
 
 
 def scalar_step(p, v):
-    n = p.n
-    out = np.empty(n)
-    fired = np.zeros(n, np.bool_)
-    t_bar, _ = _kernels.step(v, *_args(p), out, fired, np.zeros(n, np.bool_), np.zeros(n, np.bool_))
+    out = np.empty(p.n)
+    fired = np.zeros(p.n, np.bool_)
+    t_bar, _ = _kernels.step(p, v, out, fired)
     return out, fired, t_bar
-
-
-def _wait(p, vmax):
-    return _kernels.wait_times(vmax, p.beta, p.theta, p.gamma)
 
 
 def test_step_batch_matches_scalar_step(net):
     V = _states(net, 7)
-    out, fired, vmax = _kernels.step_batch(V, *_args(net))
+    out, fired, vmax = _kernels.step_batch(net, V)
     assert out.shape == V.shape and fired.shape == V.shape and vmax.shape == V.shape[:1]
     assert _bits(vmax) == _bits(V.max(axis=1))
-    t_bar = _wait(net, vmax)
+    t_bar = _kernels.wait_times(net, vmax)
     for row in range(V.shape[0]):
         o, f, t = scalar_step(net, V[row])
         assert _bits(out[row]) == _bits(o), row
@@ -102,11 +93,11 @@ def test_step_batch_matches_scalar_step(net):
 
 def test_step_batch_takes_one_state(net):
     V = _states(net, 8, count=80)
-    out, fired, vmax = _kernels.step_batch(V, *_args(net))
-    t_bar = _wait(net, vmax)
+    out, fired, vmax = _kernels.step_batch(net, V)
+    t_bar = _kernels.wait_times(net, vmax)
     for row in (0, 1, 45, 65, 79):
-        o, f, m = _kernels.step_batch(V[row], *_args(net))
-        t = _wait(net, m)
+        o, f, m = _kernels.step_batch(net, V[row])
+        t = _kernels.wait_times(net, m)
         assert o.shape == (net.n,) and np.shape(t) == ()
         assert _bits(o) == _bits(out[row]) and np.array_equal(f, fired[row])
         assert _bits(t) == _bits(t_bar[row])
@@ -115,7 +106,7 @@ def test_step_batch_takes_one_state(net):
 def test_absorb_run_matches_scalar_loop(net):
     V = _states(net, 10)
     c_enter, post_bound, max_steps, horizon = 0.3, 0.35, 3, 4
-    enter, stayed = _kernels.absorb_run(V, *_args(net), c_enter, post_bound, max_steps, horizon)
+    enter, stayed = _kernels.absorb_run(net, V, c_enter, post_bound, max_steps, horizon)
     for row in range(V.shape[0]):
         v = V[row]
         want_enter = -1
@@ -135,7 +126,7 @@ def test_absorb_run_matches_scalar_loop(net):
 def test_sync_run_matches_scalar_loop(net):
     V = _states(net, 11)
     max_steps = 4
-    steps, total = _kernels.sync_run(V, *_args(net), max_steps)
+    steps, total = _kernels.sync_run(net, V, max_steps)
     for row in range(V.shape[0]):
         v = V[row]
         want_steps, want_total = -1, 0.0
@@ -152,7 +143,7 @@ def test_sync_run_matches_scalar_loop(net):
 def test_track_pair_matches_scalar_loop(net):
     V, W = _pairs(net, 12)
     k_max = 6
-    dists, n_common = _kernels.track_pair(V, W, *_args(net), k_max)
+    dists, n_common = _kernels.track_pair(net, V, W, k_max)
     assert dists.shape == (V.shape[0], k_max + 1)
     for row in range(V.shape[0]):
         v, w = V[row], W[row]
@@ -172,14 +163,13 @@ def test_track_pair_matches_scalar_loop(net):
 
 def test_drivers_take_one_state(net):
     V, W = _pairs(net, 13, count=20)
-    args = _args(net)
-    enter, stayed = _kernels.absorb_run(V, *args, 0.3, 0.35, 3, 4)
-    steps, total = _kernels.sync_run(V, *args, 4)
-    dists, n_common = _kernels.track_pair(V, W, *args, 5)
+    enter, stayed = _kernels.absorb_run(net, V, 0.3, 0.35, 3, 4)
+    steps, total = _kernels.sync_run(net, V, 4)
+    dists, n_common = _kernels.track_pair(net, V, W, 5)
     for row in range(V.shape[0]):
         v, w = V[row], W[row]
-        assert _kernels.absorb_run(v, *args, 0.3, 0.35, 3, 4) == (enter[row], stayed[row])
-        s, t = _kernels.sync_run(v, *args, 4)
+        assert _kernels.absorb_run(net, v, 0.3, 0.35, 3, 4) == (enter[row], stayed[row])
+        s, t = _kernels.sync_run(net, v, 4)
         assert (s, _bits(t)) == (steps[row], _bits(total[row]))
-        d, c = _kernels.track_pair(v, w, *args, 5)
+        d, c = _kernels.track_pair(net, v, w, 5)
         assert d.shape == (6,) and c == n_common[row] and _bits(d) == _bits(dists[row])
