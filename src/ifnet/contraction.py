@@ -89,6 +89,29 @@ class ContractionReport:
     violations: list
 
 
+def _same_itinerary_pairs(params: NetworkParams, draw, k_max: int, common: int, need: int, budget: int):
+    """The first `need` distinct pairs, in draw order, whose two orbits share
+    firing sets for `common` returns.
+
+    `draw()` gives a batch (V, W) of paired starts.  Batches are drawn until
+    `need` pairs qualify or `budget` draws are consumed, a batch counting up
+    to the last pair taken from it.  Returns (V, W, dists, attempts): the
+    kept pairs (fewer than `need` when the budget ran out), their
+    track_pair distances over k_max returns and the draws consumed.
+    """
+    kept = [(np.empty((0, params.n)), np.empty((0, params.n)), np.empty((0, k_max + 1)))]
+    used = attempts = 0
+    while used < need and attempts < budget:
+        V, W = draw()
+        dists, n_common = _kernels.track_pair(params, V, W, k_max)
+        idx = np.flatnonzero((dists[:, 0] != 0.0) & (n_common >= common))[:need - used]
+        used += idx.size
+        attempts += int(idx[-1]) + 1 if used == need else V.shape[0]
+        kept.append((V[idx], W[idx], dists[idx]))
+    V, W, dists = (np.concatenate(x) for x in zip(*kept))
+    return V, W, dists, attempts
+
+
 def verify_contraction(params: NetworkParams, c: float, sample_count: int, seed: int) -> ContractionReport:
     """Monte-Carlo check of the zone inequality ||rho V - rho W|| <= lambda_c ||V - W||.
 
@@ -101,31 +124,22 @@ def verify_contraction(params: NetworkParams, c: float, sample_count: int, seed:
         raise PreconditionFailed(f"need 0 <= c < c_bar = {dc.c_bar}, got {c}")
     lam = lambda_for_zone(params, c)
     rng = rng_stream(seed, 0)
-    kept = 0
-    attempts = 0
-    max_ratio = 0.0
-    violations: list = []
-    budget = max(10 * sample_count, 1000)
     batch = max(1024, min(sample_count, 1 << 16))
-    while kept < sample_count and attempts < budget:
-        V = sample_on_section(rng, params.n, params.alpha, c, batch)
-        W = sample_on_section(rng, params.n, params.alpha, c, batch)
-        dists, n_common = _kernels.track_pair(params, V, W, 1)
-        attempts += batch
-        valid = (n_common == 1) & (dists[:, 0] != 0.0)
-        idx = np.flatnonzero(valid)[:sample_count - kept]
-        if idx.size:
-            r = dists[idx, 1] / dists[idx, 0]
-            max_ratio = max(max_ratio, float(r.max()))
-            bad = r > lam + 1e-9
-            for b, ratio in zip(idx[bad], r[bad]):
-                violations.append((V[b].copy(), W[b].copy(), float(ratio)))
-            kept += idx.size
-    if kept < sample_count:
+
+    def draw():
+        return (sample_on_section(rng, params.n, params.alpha, c, batch),
+                sample_on_section(rng, params.n, params.alpha, c, batch))
+
+    V, W, dists, attempts = _same_itinerary_pairs(
+        params, draw, 1, 1, sample_count, max(10 * sample_count, 1000))
+    if len(dists) < sample_count:
         raise InsufficientSamples(
-            f"only {kept}/{sample_count} pairs landed in a common atom after {attempts} draws"
+            f"only {len(dists)}/{sample_count} pairs landed in a common atom after {attempts} draws"
         )
-    return ContractionReport(c=c, lambda_c=lam, max_ratio=max_ratio, pairs=kept, violations=violations)
+    r = dists[:, 1] / dists[:, 0]
+    bad = r > lam + 1e-9
+    return ContractionReport(c=c, lambda_c=lam, max_ratio=float(r.max(initial=0.0)), pairs=len(dists),
+                             violations=list(zip(V[bad], W[bad], r[bad].tolist())))
 
 
 def _gamma_coordinate(params: NetworkParams, v: np.ndarray, i: int) -> float:
@@ -375,15 +389,6 @@ def _perturbed_pairs(rng, params: NetworkParams, count: int):
     return V, W
 
 
-def _first_pairs(qualifies: np.ndarray, need: int):
-    """Indices of the first `need` qualifying pairs in draw order, and the
-    number of draws up to and including the last one taken (all of them when
-    fewer than `need` qualify)."""
-    idx = np.flatnonzero(qualifies)[:need]
-    consumed = int(idx[-1]) + 1 if idx.size == need else qualifies.size
-    return idx, consumed
-
-
 @dataclass(frozen=True)
 class MetricEstimate:
     c_hat: float
@@ -408,24 +413,16 @@ def estimate_lipschitz_c(params: NetworkParams, sample_count: int, seed: int) ->
         raise PreconditionFailed("contraction factor of the absorbed zone is not below 1")
     p0 = dc.p0 or 1
     rng = rng_stream(seed, 0)
-    used = 0
-    c_raw = 1.0
-    attempts = 0
-    budget = 20 * sample_count
-    lam_pow = np.array([lam ** k for k in range(p0 + 1)])
-    while used < sample_count and attempts < budget:
-        V, W = _perturbed_pairs(rng, params, min(sample_count, 4096))
-        dists, n_common = _kernels.track_pair(params, V, W, p0)
-        d0 = dists[:, 0]
-        idx, consumed = _first_pairs((d0 != 0.0) & (n_common >= 1), sample_count - used)
-        attempts += consumed
-        used += idx.size
-        # dists past n_common are 0, below the starting c_raw of 1
-        stretch = dists[idx, 1:] / (lam_pow[1:] * d0[idx, None])
-        c_raw = max(c_raw, float(stretch.max(initial=0.0)))
+    _, _, dists, attempts = _same_itinerary_pairs(
+        params, lambda: _perturbed_pairs(rng, params, min(sample_count, 4096)),
+        p0, 1, sample_count, 20 * sample_count)
+    used = len(dists)
     if used < max(1, sample_count // 10):
         raise InsufficientSamples(f"only {used} same-itinerary pairs out of {attempts} draws")
-    c_hat = 2.0 * c_raw
+    lam_pow = np.array([lam ** k for k in range(1, p0 + 1)])
+    # dists past n_common are 0, so they never lift the stretch above its floor of 1
+    stretch = dists[:, 1:] / (lam_pow * dists[:, :1])
+    c_hat = 2.0 * max(1.0, float(stretch.max(initial=0.0)))
     mu_tilde = 0.5 * (lam + 1.0)
     if c_hat <= 1.0:
         n0 = 1
@@ -455,19 +452,12 @@ def adapted_metric_check(params: NetworkParams, est: MetricEstimate, sample_coun
     if sample_count < 1:
         raise PreconditionFailed("the adapted-metric check needs at least one pair")
     rng = rng_stream(seed, 0)
-    used = 0
-    worst = 0.0
-    attempts = 0
-    while used < sample_count and attempts < 50 * sample_count:
-        V, W = _perturbed_pairs(rng, params, min(sample_count, 2048))
-        dists, n_common = _kernels.track_pair(params, V, W, n0 + 1)
-        idx, consumed = _first_pairs((dists[:, 0] != 0.0) & (n_common >= n0 + 1),
-                                     sample_count - used)
-        attempts += consumed
-        used += idx.size
-        kept = dists[idx].T
-        d0 = _weighted_sum(kept[:n0], mu_tilde)
-        d1 = _weighted_sum(kept[1:n0 + 1], mu_tilde)
-        pos = d0 > 0
-        worst = max(worst, float((d1[pos] / d0[pos]).max(initial=0.0)))
-    return MetricCheck(pairs_checked=used, max_d_ratio=worst, ok=worst <= mu_tilde + 1e-9)
+    _, _, dists, _ = _same_itinerary_pairs(
+        params, lambda: _perturbed_pairs(rng, params, min(sample_count, 2048)),
+        n0 + 1, n0 + 1, sample_count, 50 * sample_count)
+    kept = dists.T
+    d0 = _weighted_sum(kept[:n0], mu_tilde)
+    d1 = _weighted_sum(kept[1:n0 + 1], mu_tilde)
+    pos = d0 > 0
+    worst = float((d1[pos] / d0[pos]).max(initial=0.0))
+    return MetricCheck(pairs_checked=len(dists), max_d_ratio=worst, ok=worst <= mu_tilde + 1e-9)
