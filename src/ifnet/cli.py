@@ -8,8 +8,8 @@ blake2b(seed, cell-index) and run one after another in cell order.  The
 
 Exit codes: 0 ok, 2 config error, 3 hypothesis violated, 4 numerical stall,
 1 any other operation error.  Exit 2 also covers option values no command can
-use: --samples or --max-iter below 1, and a --tol, --eta, --dt or --t-total
-that is not a finite positive number.
+use: --samples or --max-iter below 1, a --tol, --eta, --dt or --t-total
+that is not a finite positive number, and --dt or --t-total without the other.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ def _check_options(opts) -> None:
         value = getattr(opts, flag)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise RejectConfig(f"--{flag.replace('_', '-')} must be a finite positive number, got {value}")
+    if (opts.dt is None) != (opts.t_total is None):
+        raise RejectConfig("--dt and --t-total must be given together")
 
 
 def _cycle_doc(entry: cyc.CensusEntry) -> dict:
@@ -131,7 +133,7 @@ def cmd_simulate(cfg: RunConfig, opts) -> dict:
             w.writerow(["step", "t_bar", "cum_time", "firing_set", "V_after"])
             w.writerows(zip(*columns))
         doc["spikes_csv"] = path.name
-    if opts.dt is not None and opts.t_total is not None:
+    if opts.dt is not None:
         times, values, post = dyn.sample_trajectory(params, v0, opts.dt, opts.t_total)
         doc["trajectory_rows"] = len(times)
         if opts.out is not None:

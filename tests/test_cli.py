@@ -265,6 +265,8 @@ UNUSABLE_OPTIONS = [
     ["simulate", "--dt", "0", "--t-total", "1.0"],
     ["simulate", "--dt", "0.1", "--t-total", "inf"],
     ["simulate", "--dt", "0.1", "--t-total=-1"],
+    ["simulate", "--dt", "0.01"],
+    ["simulate", "--t-total", "20"],
 ]
 
 

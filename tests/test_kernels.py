@@ -11,7 +11,7 @@ vector, exact ties of the maximum and near-ties inside the tie tolerance.
 import numpy as np
 import pytest
 
-from ifnet import _kernels, network
+from ifnet import _kernels, avalanche, network, return_map, spontaneous_time
 from ifnet._sampling import sample_on_section
 
 
@@ -101,6 +101,18 @@ def test_step_batch_takes_one_state(net):
         assert o.shape == (net.n,) and np.shape(t) == ()
         assert _bits(o) == _bits(out[row]) and np.array_equal(f, fired[row])
         assert _bits(t) == _bits(t_bar[row])
+
+
+def test_return_map_spontaneous_set_and_avalanche(net):
+    V = _states(net, 9, count=70)
+    for row in range(70):
+        v = V[row]
+        step = return_map(net, v)
+        assert np.array_equal(step.spontaneous, spontaneous_time(net, v)[1]), row
+        if 1 <= row < 60:  # an exact tie or a tie inside the tolerance
+            assert step.spontaneous.size >= 2, row
+        fired, rounds = avalanche(net, v)
+        assert np.array_equal(fired, step.fired) and rounds == step.rounds, row
 
 
 def test_absorb_run_matches_scalar_loop(net):
