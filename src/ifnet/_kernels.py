@@ -28,11 +28,12 @@ states with NumPy operations and serves the multi-start drivers
 (`absorb_run`, `sync_run`, `track_pair`; one return of `track_pair` gives
 the zone contraction ratios) and the cycle census, whose detection and
 refinement step every live sample in lockstep.  On one net_c state the
-scalar step takes about 6 us and the batched one about 24 us (timeit, 2-vCPU
-VM), which is why sequential orbits keep the scalar step; on thousands of
-states the batched step is far cheaper per state.  `step_batch` returns each row's maximum rather than its
-waiting time, because most callers never read the time; `wait_times` turns
-the maxima into times where they are needed.
+scalar step takes about 6 us and the batched one about 27 us (timeit, 2-vCPU
+Xeon VM), which is why sequential orbits keep the scalar step; on thousands
+of states the batched step is far cheaper per state.  `step_batch` returns
+each row's maximum rather than its waiting time, because most callers never
+read the time; `wait_times` turns the maxima into times where they are
+needed.
 Both steps add the jumps in presynaptic order j = 0..n-1 and take the
 logarithm with `math.log`, so they agree bit for bit; the differential test
 in tests/test_kernels.py holds them to that.
