@@ -139,44 +139,44 @@ def orbit(params: NetworkParams, v0, n_steps: int) -> list[OrbitStep]:
 def sample_trajectory(params: NetworkParams, v0, dt: float, t_total: float):
     """Piecewise reconstruction of the continuous trajectory on a dt grid.
 
-    Returns (times, values, post_spike).  Within each inter-spike interval the
-    rows follow the flow from the last post-firing state; each firing instant
-    contributes two rows, the left limit (post_spike=0, firing coordinates at
-    theta) followed by the right limit (post_spike=1, the reset state), so the
-    discontinuity is explicit in the output.
+    Returns (times, values, post_spike).  Grid row k sits at exactly k*dt,
+    for k = 0 .. floor(t_total/dt + 1e-9) (the slack keeps a last grid
+    point that k*dt overshoots by rounding, such as 3*0.1 for t_total 0.3).
+    Within each inter-spike interval the rows follow the flow from the last
+    post-firing state; each firing instant contributes two rows, the left
+    limit (post_spike=0, firing coordinates at theta) followed by the right
+    limit (post_spike=1, the reset state), so the discontinuity is explicit
+    in the output, and replaces any grid row within 1e-15 of it.
     """
     if dt <= 0:
         raise PreconditionFailed("dt must be positive")
     cur = as_state(params, v0)
-    times, rows, post = [0.0], [cur.copy()], [0]
+    grid = np.arange(math.floor(t_total / dt + 1e-9) + 1) * dt
+    times, rows, post = [grid[:1]], [cur[None]], [[0]]
     t_event = 0.0
-    next_grid = dt
+    k = 1  # next grid row
     while t_event < t_total:
         step = return_map(params, cur)
         t_fire = t_event + step.t_bar
-        while next_grid < t_fire - 1e-15 and next_grid <= t_total + 1e-15:
-            times.append(next_grid)
-            rows.append(flow(params, cur, next_grid - t_event))
-            post.append(0)
-            next_grid += dt
+        end = max(k, int(np.searchsorted(grid, t_fire - 1e-15)))
+        # the same operations as `flow`, one interval at a time
+        e = np.array([math.exp(-params.gamma * (t - t_event)) for t in grid[k:end].tolist()])
+        times.append(grid[k:end])
+        rows.append((cur - params.beta) * e[:, None] + params.beta)
+        post.append([0] * (end - k))
         if t_fire > t_total:
             break
         # left limit: spontaneous firers sit exactly at theta, recruited
         # neurons are still at their flowed value just before the jumps
         left = state_at_threshold(params, cur, int(step.spontaneous[0]))
-        for i in step.spontaneous:
-            left[i] = params.theta
-        times.append(t_fire)
-        rows.append(left)
-        post.append(0)
-        times.append(t_fire)
-        rows.append(step.state.copy())
-        post.append(1)
-        while next_grid <= t_fire + 1e-15:
-            next_grid += dt  # grid points consumed by the event rows
+        left[step.spontaneous] = params.theta
+        times.append([t_fire, t_fire])
+        rows.append([left, step.state])
+        post.append([0, 1])
+        k = max(end, int(np.searchsorted(grid, t_fire + 1e-15, side="right")))
         cur = step.state
         t_event = t_fire
-    return np.array(times), np.array(rows), np.array(post, dtype=np.int8)
+    return np.concatenate(times), np.concatenate(rows), np.concatenate(post).astype(np.int8)
 
 
 def antiphase_state(params: NetworkParams) -> tuple[np.ndarray, float]:

@@ -288,6 +288,22 @@ def test_trajectory_first_discontinuity_time(net_a):
     assert first == pytest.approx(math.log(1.5), rel=1e-12)
 
 
+def _grid_times(times, post):
+    """Times of the grid rows: post_spike 0 rows that are not a left limit."""
+    events = set(times[post == 1].tolist())
+    return [t for t in times[post == 0].tolist() if t not in events]
+
+
+@pytest.mark.parametrize("dt, t_total, last_k", [(0.01, 20.0, 2000), (0.1, 0.3, 3)])
+def test_trajectory_grid_is_k_dt(net_c, dt, t_total, last_k):
+    times, _, post = sample_trajectory(net_c, [0.0, 0.85, 0.03], dt, t_total)
+    grid = _grid_times(times, post)
+    ks = [round(t / dt) for t in grid]
+    assert grid == [k * dt for k in ks]
+    assert ks == sorted(set(ks)) and ks[0] == 0 and ks[-1] == last_k
+    assert times[-1] == last_k * dt
+
+
 # ---------------------------------------------------------------- anti-phase family
 
 
