@@ -33,6 +33,9 @@ CASES = {
                        "--dt", "0.01", "--t-total", "20"],
     "sweep_synchro_net_sync9": ["sweep", "--config", "net_sync9.json", "--cell", "synchro",
                                 "--grid", "H:0.34:0.9:4", "--samples", "100"],
+    "sweep_analyze_net_c": ["sweep", "--config", "net_c.json", "--cell", "analyze",
+                            "--grid", "H:0.2:0.6:2", "--grid", "beta:1.1:1.3:2"],
+    "expansion_net_b": ["expansion", "--config", "net_b.json", "--samples", "8"],
 }
 
 # Test ids.  The first cases keep the "-<n>" suffix of the thread count they
