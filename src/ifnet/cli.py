@@ -7,9 +7,11 @@ blake2b(seed, cell-index) and run one after another in cell order.  The
 `cycles` census steps all its samples as one lockstep batch.
 
 Exit codes: 0 ok, 2 config error, 3 hypothesis violated, 4 numerical stall,
-1 any other operation error.  Exit 2 also covers option values no command can
-use: --samples or --max-iter below 1, a --tol, --eta, --dt or --t-total
-that is not a finite positive number, and --dt or --t-total without the other.
+1 any other operation error, an allocation that fails included.  Exit 2 also
+covers option values no command can use: --samples or --max-iter below 1, a
+--tol, --eta, --dt or --t-total that is not a finite positive number, --dt or
+--t-total without the other, and a --t-total/--dt pair whose trajectory grid
+has more than 10**6 rows.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -27,7 +30,7 @@ from . import _kernels
 from . import contraction as contr
 from . import cycles as cyc
 from . import dynamics as dyn
-from .config import Records, RunConfig, dump_json, fmt, load_config, params_to_doc
+from .config import Records, RunConfig, dump_json, load_config, params_to_doc, parse_config
 from .errors import (
     HypothesisViolated,
     IfnetError,
@@ -39,6 +42,7 @@ from .errors import (
 from .params import check_hypotheses, classify_neurons, derived_constants
 
 DEFAULTS = dict(seed=0, samples=1000, eta=1e-6, tol=1e-12, max_iter=2000)
+MAX_GRID_ROWS = 10**6  # trajectory grid rows one simulate may ask for
 
 
 def _check_options(opts) -> None:
@@ -53,6 +57,18 @@ def _check_options(opts) -> None:
             raise RejectConfig(f"--{flag.replace('_', '-')} must be a finite positive number, got {value}")
     if (opts.dt is None) != (opts.t_total is None):
         raise RejectConfig("--dt and --t-total must be given together")
+    # floor(t_total/dt + 1e-9) + 1 rows, as in dyn.sample_trajectory
+    if opts.dt is not None and opts.t_total / opts.dt + 1e-9 >= MAX_GRID_ROWS:
+        raise RejectConfig(f"--t-total/--dt asks for more than {MAX_GRID_ROWS} trajectory rows")
+
+
+def _write_csv(opts, name: str, header: list, rows) -> str:
+    """Write a header and rows as `name` in the --out directory; returns the name."""
+    with open(Path(opts.out) / name, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    return name
 
 
 def _cycle_doc(entry: cyc.CensusEntry) -> dict:
@@ -64,7 +80,7 @@ def _cycle_doc(entry: cyc.CensusEntry) -> dict:
     return {
         "period": c.period,
         "time_period": c.time_period,
-        "points": [[float(x) for x in pt] for pt in c.points],
+        "points": c.points,
         "itinerary": [str(p) for p in c.itinerary],
         "min_margin": c.min_margin,
         "certificate": cert,
@@ -95,7 +111,7 @@ def cmd_analyze(cfg: RunConfig, opts) -> dict:
         v0, x = dyn.antiphase_state(params)
         two = dyn.return_map(params, dyn.return_map(params, v0).state).state
         doc["antiphase"] = {
-            "x": x, "point": [float(t) for t in v0],
+            "x": x, "point": v0,
             "residual": float(np.max(np.abs(two - v0))),
         }
     except PreconditionFailed:
@@ -125,25 +141,17 @@ def cmd_simulate(cfg: RunConfig, opts) -> dict:
                _firing_labels(fired), [";".join(map(repr, r)) for r in states.tolist()])
     rows = [{"step": k, "t_bar": t, "cum_time": c, "firing_set": f, "V_after": v}
             for k, t, c, f, v in zip(*columns)]
-    doc = {"steps": steps, "v0": [float(x) for x in np.asarray(v0)], "spikes": Records(rows)}
+    doc = {"steps": steps, "v0": v0, "spikes": Records(rows)}
     if opts.out is not None:
-        path = Path(opts.out) / "spikes.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["step", "t_bar", "cum_time", "firing_set", "V_after"])
-            w.writerows(zip(*columns))
-        doc["spikes_csv"] = path.name
+        header = ["step", "t_bar", "cum_time", "firing_set", "V_after"]
+        doc["spikes_csv"] = _write_csv(opts, "spikes.csv", header, zip(*columns))
     if opts.dt is not None:
         times, values, post = dyn.sample_trajectory(params, v0, opts.dt, opts.t_total)
         doc["trajectory_rows"] = len(times)
         if opts.out is not None:
-            path = Path(opts.out) / "trajectory.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(["t"] + [f"V{i + 1}" for i in range(params.n)] + ["post_spike"])
-                w.writerows([t, *row, flag] for t, row, flag
-                            in zip(times.tolist(), values.tolist(), post.tolist()))
-            doc["trajectory_csv"] = path.name
+            header = ["t"] + [f"V{i + 1}" for i in range(params.n)] + ["post_spike"]
+            grid_rows = ([t, *row, flag] for t, row, flag in zip(times.tolist(), values.tolist(), post.tolist()))
+            doc["trajectory_csv"] = _write_csv(opts, "trajectory.csv", header, grid_rows)
     return doc
 
 
@@ -160,13 +168,10 @@ def cmd_cycles(cfg: RunConfig, opts) -> dict:
         "cycles": [_cycle_doc(e) for e in report.entries],
     }
     if opts.out is not None:
+        header = ["index"] + [f"V{i + 1}" for i in range(cfg.params.n)]
         for idx, entry in enumerate(report.entries):
-            path = Path(opts.out) / f"cycle_{idx:02d}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(["index"] + [f"V{i + 1}" for i in range(cfg.params.n)])
-                for j, pt in enumerate(entry.cycle.points):
-                    w.writerow([j] + [fmt(x) for x in pt])
+            _write_csv(opts, f"cycle_{idx:02d}.csv", header,
+                       ([j, *pt] for j, pt in enumerate(entry.cycle.points.tolist())))
     return doc
 
 
@@ -199,26 +204,26 @@ def cmd_expansion(cfg: RunConfig, opts) -> dict:
                 except (NoFixedPoint, PreconditionFailed) as exc:
                     entry["repeller_error"] = str(exc)
                 if witness_doc is None:
-                    witness_doc = _witness_sweep(params, dc, i, max(8, opts.samples))
+                    witness_doc = _witness_sweep(params, i, max(8, opts.samples))
                     witness_doc["pair"] = [i + 1, j + 1]
             pairs.append(entry)
     return {"c_star": dc.c_star, "pairs": pairs, "witnesses": witness_doc}
 
 
-def _witness_sweep(params, dc, i, grid_points):
-    xs = np.linspace(dc.c_star, params.theta, grid_points + 2)[1:-1]
+def _witness_sweep(params, i, grid_points):
+    xs = np.linspace(params.constants.c_star, params.theta, grid_points + 2)[1:-1].tolist()
     rows = []
-    for a, b in zip(xs[:-1], xs[1:]):
+    for a, b in zip(xs, xs[1:]):
         v = np.zeros(params.n)
         w = np.zeros(params.n)
         v[i], w[i] = a, b
         try:
             wit = contr.expansion_witness(params, i, v, w)
         except PreconditionFailed as exc:
-            rows.append({"v_i": float(a), "w_i": float(b), "error": str(exc)})
+            rows.append({"v_i": a, "w_i": b, "error": str(exc)})
             continue
         rows.append({
-            "v_i": float(a), "w_i": float(b), "ratio": wit.ratio,
+            "v_i": a, "w_i": b, "ratio": wit.ratio,
             "lower_bound": wit.lower_bound, "expanded": wit.expanded,
         })
     return {"gamma_index": i + 1, "rows": rows}
@@ -253,34 +258,12 @@ def cmd_contract(cfg: RunConfig, opts) -> dict:
     }
 
 
-_CELL_COMMANDS = {
-    "analyze": cmd_analyze,
-    "simulate": cmd_simulate,
-    "cycles": cmd_cycles,
-    "synchro": cmd_synchro,
-    "expansion": cmd_expansion,
-    "contract": cmd_contract,
-}
-
 _GRID_PARAMS = ("beta", "gamma", "theta", "alpha", "H")
 
 
 def _cell_seed(seed: int, index: int) -> int:
     digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def _apply_override(base_doc: dict, name: str, value: float) -> RunConfig:
-    from .config import parse_config
-
-    doc = dict(base_doc)
-    if name == "H":
-        n = doc["n"]
-        doc["H"] = [[0.0 if r == c else value for c in range(n)] for r in range(n)]
-    else:
-        doc.pop("K", None)
-        doc[name] = value
-    return parse_config(doc)
 
 
 def _parse_grid(axis: str):
@@ -294,54 +277,57 @@ def _parse_grid(axis: str):
         raise RejectConfig(f"unknown grid parameter {name!r}, choose from {_GRID_PARAMS}")
     if steps < 1:
         raise RejectConfig("grid needs at least one step")
-    return name, np.linspace(lo, hi, steps)
+    return name, np.linspace(lo, hi, steps).tolist()
 
 
 def cmd_sweep(cfg: RunConfig, opts) -> dict:
+    """Run --cell once per grid cell: the resolved network (beta = K/gamma for a
+    "K" config) with all the cell's axis values set, validated once."""
     if not opts.grid:
         raise RejectConfig("sweep requires at least one --grid")
     if len(opts.grid) > 2:
         raise RejectConfig("sweep supports at most two --grid axes")
-    if opts.cell not in _CELL_COMMANDS:
+    if opts.cell not in COMMANDS or opts.cell == "sweep":
         raise RejectConfig(f"unknown cell command {opts.cell!r}")
-    axes = [_parse_grid(g) for g in opts.grid]
+    names, values = zip(*(_parse_grid(g) for g in opts.grid))
+    if len(set(names)) < len(names):
+        raise RejectConfig("two --grid axes must name different parameters")
+    base = params_to_doc(cfg.params)
+    n = base["n"]
     cells = []
-    if len(axes) == 1:
-        name, values = axes[0]
-        cells = [{name: float(v)} for v in values]
-    else:
-        (na, va), (nb, vb) = axes
-        if na == nb:
-            raise RejectConfig("two --grid axes must name different parameters")
-        cells = [{na: float(a), nb: float(b)} for a in va for b in vb]
-    fn = _CELL_COMMANDS[opts.cell]
-
-    def run_cell(index: int) -> dict:
-        overrides = cells[index]
+    for index, cell in enumerate(itertools.product(*values)):
+        overrides = dict(zip(names, cell))
         entry = {"index": index, "overrides": overrides}
+        doc = {**base, **overrides}
+        if "H" in overrides:
+            doc["H"] = [[0.0 if r == c else overrides["H"] for c in range(n)] for r in range(n)]
+        # cells report through the sweep document only
+        cell_opts = argparse.Namespace(**{**vars(opts), "seed": _cell_seed(opts.seed, index), "out": None})
         try:
-            sub = cfg
-            for name, value in overrides.items():
-                sub = _apply_override(dict(sub.raw or params_to_doc(cfg.params)), name, value)
-                sub = RunConfig(params=sub.params, v0=cfg.v0, raw=sub.raw)
-            cell_opts = argparse.Namespace(**vars(opts))
-            cell_opts.seed = _cell_seed(opts.seed, index)
-            cell_opts.out = None  # cells report through the sweep document only
+            entry["result"] = COMMANDS[opts.cell](RunConfig(parse_config(doc).params, cfg.v0), cell_opts)
             entry["status"] = "ok"
-            entry["result"] = fn(sub, cell_opts)
         except IfnetError as exc:
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"
-        return entry
+        cells.append(entry)
+    return {"cell_command": opts.cell, "grid": opts.grid, "cells": cells}
 
-    results = [run_cell(i) for i in range(len(cells))]
-    return {"cell_command": opts.cell, "grid": [g for g in opts.grid], "cells": results}
+
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "analyze": cmd_analyze,
+    "cycles": cmd_cycles,
+    "synchro": cmd_synchro,
+    "expansion": cmd_expansion,
+    "contract": cmd_contract,
+    "sweep": cmd_sweep,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ifnet", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "analyze", "cycles", "synchro", "expansion", "contract", "sweep"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
@@ -360,12 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def run_command(cmd: str, cfg: RunConfig, opts) -> dict:
-    commands = dict(_CELL_COMMANDS)
-    commands["sweep"] = cmd_sweep
-    return commands[cmd](cfg, opts)
-
-
 def main(argv=None) -> int:
     opts = build_parser().parse_args(argv)
     try:
@@ -373,7 +353,7 @@ def main(argv=None) -> int:
         cfg = load_config(opts.config)
         if opts.out is not None:
             Path(opts.out).mkdir(parents=True, exist_ok=True)
-        doc = run_command(opts.command, cfg, opts)
+        doc = COMMANDS[opts.command](cfg, opts)
         text = dump_json(doc)
         if opts.out is not None:
             (Path(opts.out) / f"{opts.command}.json").write_text(text, encoding="utf-8")
@@ -393,8 +373,8 @@ def main(argv=None) -> int:
     except NumericalStall as exc:
         print(f"numerical stall: {exc}", file=sys.stderr)
         return 4
-    except IfnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (IfnetError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -30,7 +30,7 @@ written as a plain list.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
@@ -46,7 +46,6 @@ _SCALARS = {"gamma": float, "theta": float, "alpha": float}
 class RunConfig:
     params: NetworkParams
     v0: Optional[np.ndarray] = None
-    raw: dict = field(default_factory=dict)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -93,7 +92,7 @@ def parse_config(doc: dict) -> RunConfig:
         if not isinstance(doc["V0"], list) or len(doc["V0"]) != n:
             raise ParseError(f"field 'V0' must be a list of {n} numbers")
         v0 = np.array(doc["V0"], dtype=np.float64)
-    return RunConfig(params=params, v0=v0, raw=doc)
+    return RunConfig(params=params, v0=v0)
 
 
 def load_config(path: str) -> RunConfig:
@@ -113,7 +112,7 @@ def params_to_doc(params: NetworkParams) -> dict:
     return {
         "n": params.n, "gamma": params.gamma, "beta": params.beta,
         "theta": params.theta, "alpha": params.alpha,
-        "H": [[float(x) for x in row] for row in params.H],
+        "H": params.H.tolist(),
     }
 
 
@@ -196,8 +195,3 @@ def dump_json(obj) -> str:
         end = at + len(token)
     parts.append(text[end:])
     return "".join(parts) + "\n"
-
-
-def fmt(x: float) -> str:
-    """Shortest round-trip decimal form of a float."""
-    return repr(float(x))

@@ -240,6 +240,35 @@ def test_cli_two_axis_sweep(tmp_path):
         assert cell["result"]["config"]["beta"] == cell["overrides"]["beta"]
 
 
+def test_cli_sweep_cells_do_not_depend_on_axis_order(tmp_path, capsys):
+    from ifnet.cli import main
+
+    cfg = write_config(tmp_path, NET_C_DOC)
+    results = []
+    for axes in (["beta:0.9:0.9:1", "theta:0.5:0.5:1"], ["theta:0.5:0.5:1", "beta:0.9:0.9:1"]):
+        grid = [arg for axis in axes for arg in ("--grid", axis)]
+        assert main(["sweep", "--config", str(cfg), *grid]) == 0
+        (cell,) = json.loads(capsys.readouterr().out)["cells"]
+        assert cell["status"] == "ok"
+        results.append(cell["result"])
+    assert results[0] == results[1]
+    assert results[0]["config"]["beta"] == 0.9 and results[0]["config"]["theta"] == 0.5
+
+
+def test_cli_sweep_K_config_holds_beta_fixed(tmp_path, capsys):
+    from ifnet.cli import main
+
+    doc = dict(NET_C_DOC, K=2.4, gamma=2.0)
+    del doc["beta"]
+    cfg = write_config(tmp_path, doc)
+    assert main(["sweep", "--config", str(cfg), "--grid", "gamma:0.5:1.5:3"]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert [c["status"] for c in cells] == ["ok"] * 3
+    for cell in cells:
+        assert cell["result"]["config"]["gamma"] == cell["overrides"]["gamma"]
+        assert cell["result"]["config"]["beta"] == 2.4 / 2.0
+
+
 def test_cli_sweep_repeat_determinism(tmp_path):
     cfg = write_config(tmp_path, NET_D_DOC)
     args = ["sweep", "--config", str(cfg), "--grid", "H:-0.8:-0.6:3",
@@ -267,6 +296,7 @@ UNUSABLE_OPTIONS = [
     ["simulate", "--dt", "0.1", "--t-total=-1"],
     ["simulate", "--dt", "0.01"],
     ["simulate", "--t-total", "20"],
+    ["simulate", "--dt", "1e-9", "--t-total", "1e9"],
 ]
 
 
@@ -281,3 +311,14 @@ def test_cli_rejects_unusable_options(tmp_path, capsys, args):
     assert main([args[0], "--config", str(cfg), *args[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_cli_ends_a_failed_allocation_in_one_line(tmp_path, capsys):
+    from ifnet.cli import main
+
+    # the state array alone would take 21.3 PiB, beyond any user address
+    # space, so the allocation fails at once and nothing is allocated
+    cfg = write_config(tmp_path, NET_C_DOC)
+    assert main(["simulate", "--config", str(cfg), "--max-iter", "1000000000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
