@@ -36,6 +36,10 @@ CASES = {
     "sweep_analyze_net_c": ["sweep", "--config", "net_c.json", "--cell", "analyze",
                             "--grid", "H:0.2:0.6:2", "--grid", "beta:1.1:1.3:2"],
     "expansion_net_b": ["expansion", "--config", "net_b.json", "--samples", "8"],
+    "simulate_mixed8_transient": ["simulate", "--config", "mixed8_v0.json", "--max-iter", "20",
+                                  "--dt", "0.01", "--t-total", "5"],
+    "simulate_net_c_edges": ["simulate", "--config", "net_c_edges.json", "--max-iter", "7",
+                             "--dt", "0.05", "--t-total", "3"],
 }
 
 # Test ids.  The first cases keep the "-<n>" suffix of the thread count they
