@@ -37,6 +37,16 @@ needed.
 Both steps add the jumps in presynaptic order j = 0..n-1 and take the
 logarithm with `math.log`, so they agree bit for bit; the differential test
 in tests/test_kernels.py holds them to that.
+
+Recurrence tail.  Where the map contracts, orbits land on limit cycles byte
+for byte: every bench `simulate` start on net_c (seeds 1-29) reaches 0;0;0 by
+the fourth return, the mixed8 golden start enters its period-6 cycle at step
+28, and 300 random net_b starts settle by step 8.  `run_orbit` compares each
+state's bytes with one mark, `lag` steps back and moved on whenever `lag`
+reaches a doubling power (Brent's cycle detection, BIT 20, 1980); on a match
+after step s it copies rows s+1.. from rows s+1-lag..s.  That is exact, as
+`step` is a pure function of the network and its input state's bytes.  The
+check costs 0.13 us a step against 8.3 us for a net_c step (timeit, 2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -100,14 +110,24 @@ def step(params: NetworkParams, v, out_v, fired):
 
 
 def run_orbit(params: NetworkParams, v0, n_steps):
-    """Iterate the return map n_steps times; returns (states, fired, t_bars)."""
+    """Iterate the return map n_steps times; returns (states, fired, t_bars).
+
+    Rows after a byte-exact repeat are copied (module docstring, "Recurrence tail")."""
     states = np.empty((n_steps, params.n), np.float64)
     fired = np.zeros((n_steps, params.n), np.bool_)
     t_bars = np.empty(n_steps, np.float64)
     v = v0
+    mark, power, lag = None, 1, 1  # Brent: mark is the state `lag` steps back
     for s in range(n_steps):
         t_bars[s] = step(params, v, states[s], fired[s])[0]
         v = states[s]
+        if (key := v.tobytes()) == mark:
+            idx = s + 1 - lag + np.arange(n_steps - s - 1) % lag
+            states[s + 1:], fired[s + 1:], t_bars[s + 1:] = states[idx], fired[idx], t_bars[idx]
+            break
+        if lag == power:
+            mark, power, lag = key, 2 * power, 0
+        lag += 1
     return states, fired, t_bars
 
 

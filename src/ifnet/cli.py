@@ -17,7 +17,6 @@ has more than 10**6 rows.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import itertools
 import math
@@ -30,7 +29,8 @@ from . import _kernels
 from . import contraction as contr
 from . import cycles as cyc
 from . import dynamics as dyn
-from .config import Records, RunConfig, dump_json, load_config, params_to_doc, parse_config
+from .config import (Records, RunConfig, dump_json, json_strings, load_config, params_to_doc,
+                     parse_config, row_texts)
 from .errors import (
     HypothesisViolated,
     IfnetError,
@@ -63,11 +63,9 @@ def _check_options(opts) -> None:
 
 
 def _write_csv(opts, name: str, header: list, rows) -> str:
-    """Write a header and rows as `name` in the --out directory; returns the name."""
+    """Write a header and text rows, fields joined by "," (none needs quoting), as `name` in --out."""
     with open(Path(opts.out) / name, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write("\n".join(map(",".join, itertools.chain([header], rows))) + "\n")
     return name
 
 
@@ -119,38 +117,30 @@ def cmd_analyze(cfg: RunConfig, opts) -> dict:
     return doc
 
 
-def _firing_labels(fired: np.ndarray) -> list:
-    """The "i;j;..." label (1-based) of each row of a boolean firing matrix.
-
-    Each distinct row is labelled once."""
-    n = fired.shape[1]
-    raw = fired.tobytes()
-    keys = [raw[k:k + n] for k in range(0, len(raw), n)]
-    labels = {key: ";".join(str(i + 1) for i, hit in enumerate(key) if hit) for key in set(keys)}
-    return [labels[key] for key in keys]
-
-
 def cmd_simulate(cfg: RunConfig, opts) -> dict:
     params = cfg.params
     v0 = cfg.v0 if cfg.v0 is not None else np.zeros(params.n)
     steps = opts.max_iter
     states, fired, t_bars = _kernels.run_orbit(params, dyn.as_state(params, v0), steps)
-    # One column per field, shared by the JSON rows and spikes.csv; the label
-    # and state strings are built once, and both writers print a float as its repr.
-    columns = (range(steps), t_bars.tolist(), np.cumsum(t_bars).tolist(),
-               _firing_labels(fired), [";".join(map(repr, r)) for r in states.tolist()])
-    rows = [{"step": k, "t_bar": t, "cum_time": c, "firing_set": f, "V_after": v}
-            for k, t, c, f, v in zip(*columns)]
-    doc = {"steps": steps, "v0": v0, "spikes": Records(rows)}
+    # One text column per field, shared by spikes.csv and the JSON rows (with
+    # the strings quoted); each distinct t_bar, firing set and state is formatted once.
+    names = [str(i + 1) for i in range(params.n)]
+    columns = {"step": list(map(str, range(steps))), "t_bar": row_texts(t_bars),
+               "cum_time": list(map(repr, np.cumsum(t_bars).tolist())),
+               "firing_set": row_texts(fired, lambda row: ";".join(itertools.compress(names, row))),
+               "V_after": row_texts(states, lambda row: ";".join(map(repr, row)))}
+    doc = {"steps": steps, "v0": v0, "spikes": Records({
+        **columns, "firing_set": json_strings(columns["firing_set"]),
+        "V_after": json_strings(columns["V_after"])})}
     if opts.out is not None:
-        header = ["step", "t_bar", "cum_time", "firing_set", "V_after"]
-        doc["spikes_csv"] = _write_csv(opts, "spikes.csv", header, zip(*columns))
+        doc["spikes_csv"] = _write_csv(opts, "spikes.csv", list(columns), zip(*columns.values()))
     if opts.dt is not None:
         times, values, post = dyn.sample_trajectory(params, v0, opts.dt, opts.t_total)
         doc["trajectory_rows"] = len(times)
         if opts.out is not None:
             header = ["t"] + [f"V{i + 1}" for i in range(params.n)] + ["post_spike"]
-            grid_rows = ([t, *row, flag] for t, row, flag in zip(times.tolist(), values.tolist(), post.tolist()))
+            grid_rows = zip(map(repr, times.tolist()), (",".join(map(repr, r)) for r in values.tolist()),
+                            map(str, post.tolist()))
             doc["trajectory_csv"] = _write_csv(opts, "trajectory.csv", header, grid_rows)
     return doc
 
@@ -171,7 +161,7 @@ def cmd_cycles(cfg: RunConfig, opts) -> dict:
         header = ["index"] + [f"V{i + 1}" for i in range(cfg.params.n)]
         for idx, entry in enumerate(report.entries):
             _write_csv(opts, f"cycle_{idx:02d}.csv", header,
-                       ([j, *pt] for j, pt in enumerate(entry.cycle.points.tolist())))
+                       ([str(j), *map(repr, pt)] for j, pt in enumerate(entry.cycle.points.tolist())))
     return doc
 
 

@@ -12,26 +12,24 @@ reproducible byte for byte: floats serialize through repr (shortest
 round-trip, at most 17 significant digits), JSON keys are sorted, CSV rows use
 LF terminators.
 
-`dump_json` writes `json.dumps(obj, sort_keys=True, indent=2)` text.  CPython
-encodes with `indent` only in its pure-Python encoder, which costs a few
-function calls per value, so a long list of flat records (a `Records`, such
-as simulate's spike rows) takes a faster path to the same bytes: the C
-encoder writes the whole list in one call, its item separator a comma, a
-newline and the field indentation, and the row boundaries are then rewritten
-to the indented layout.  The result is the same text because an encoded JSON
-string never holds a raw newline, so inside the list a separator followed by
-"{" can only start the next row (a field separator is followed by the quote
-of a key).  Both encoders write numbers with the repr of int and float and
-escape strings with the same function.  Only non-empty lists of non-empty
-dicts with str keys and scalar values take this path; any other `Records` is
-written as a plain list.
+`dump_json` writes `json.dumps(obj, sort_keys=True, indent=2)` text.  The
+indenting encoder is pure Python and slow per value, so simulate hands its
+spike rows over as a `Records`: columns that already hold each row's JSON
+text (`row_texts` formats each distinct array row once, `json_strings`
+quotes each distinct string once).  The encoder writes a placeholder for the
+table, replaced afterwards by one `%` row template per row; the text equals
+json.dumps of the rows, as both write numbers as repr and escape strings
+with json.dumps.  A cell spelling a non-finite float raises ValueError; a
+document string spelling a placeholder makes the encoder run again with
+another one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import count
 from typing import Optional
 
 import numpy as np
@@ -116,57 +114,56 @@ def params_to_doc(params: NetworkParams) -> dict:
     }
 
 
+def row_texts(arr, fmt=repr) -> list:
+    """fmt(row.tolist()) for each row of a 1-D or 2-D array, called once per distinct
+    row, keyed by the row's bytes (0.0 == -0.0, but they print differently)."""
+    arr = np.ascontiguousarray(arr)
+    width = math.prod(arr.shape[1:])
+    keys = arr.reshape(len(arr), width).view(np.dtype((np.void, arr.itemsize * width)))
+    _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+    return np.array([fmt(row) for row in arr[first].tolist()], object)[inverse].tolist()
+
+
+def json_strings(texts: list) -> list:
+    """The JSON text of each str, encoded once per distinct value."""
+    quoted = {t: json.dumps(t) for t in set(texts)}
+    return list(map(quoted.__getitem__, texts))
+
+
+@dataclass
 class Records:
-    """A list of flat JSON objects that `dump_json` writes in one encoder call.
+    """A table `dump_json` writes as a list of objects: `columns` maps each key
+    to one JSON text per row (a float's repr, a `json_strings` entry, ...)."""
 
-    `rows` holds dicts with str keys and str, number, bool or None values
-    (NumPy scalars included); the text equals that of the plain list."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: list):
-        self.rows = rows
+    columns: dict
 
 
 def _plain(obj):
-    """The Python value json writes for a NumPy array or scalar, or a `Records`."""
-    if isinstance(obj, Records):
-        return obj.rows
-    if isinstance(obj, np.ndarray):
+    """The Python value json writes for a NumPy array or scalar."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-# Values whose encoding the compact C encoder and the indenting encoder agree
-# on and which hold no nested container (NumPy scalars go through _plain).
-_SCALAR_TYPES = (str, int, float, type(None), np.bool_, np.integer, np.floating)
-_MARK = "\x00records:"
+# a non-finite float as repr and as json.dumps(allow_nan=True) spell it
+_NON_FINITE = frozenset(("nan", "inf", "-inf", "NaN", "Infinity", "-Infinity"))
 
 
-def _flat(rows: list) -> bool:
-    """Whether a record list can take the one-call path (module docstring)."""
-    if not rows or set(map(type, rows)) != {dict} or not all(rows):
-        return False
-    if set(map(type, chain.from_iterable(rows))) != {str}:
-        return False
-    value_types = set(map(type, chain.from_iterable(map(dict.values, rows))))
-    return all(issubclass(t, _SCALAR_TYPES) for t in value_types)
-
-
-def _encode_records(rows: list, indent: int) -> str:
-    """The indent=2 text of a flat record list whose "]" sits at column `indent`."""
+def _encode_records(columns: dict, indent: int) -> str:
+    """The indent=2 text of a `Records` whose "]" sits at column `indent`."""
+    keys = sorted(columns)
+    if any(not _NON_FINITE.isdisjoint(columns[k]) for k in keys):
+        raise ValueError("Out of range float values are not JSON compliant")
+    if not keys or not len(columns[keys[0]]):
+        return "[]"
     pad, field_pad = " " * (indent + 2), " " * (indent + 4)
-    text = json.dumps(rows, sort_keys=True, allow_nan=False, default=_plain,
-                      separators=(",\n" + field_pad, ": "))
-    body = text[2:-2].replace("},\n" + field_pad + "{",
-                              "\n" + pad + "},\n" + pad + "{\n" + field_pad)
-    return "[\n" + pad + "{\n" + field_pad + body + "\n" + pad + "}\n" + " " * indent + "]"
+    fields = ",\n".join(f"{field_pad}{json.dumps(k).replace('%', '%%')}: %s" for k in keys)
+    row = f"{pad}{{\n{fields}\n{pad}}}"
+    body = ",\n".join(map(row.__mod__, zip(*(columns[k] for k in keys))))
+    return "[\n" + body + "\n" + " " * indent + "]"
+
+
+_MARK = "\x00records"
 
 
 def dump_json(obj) -> str:
@@ -174,24 +171,27 @@ def dump_json(obj) -> str:
 
     NumPy arrays and scalars are written as the matching lists and Python
     numbers and booleans, a `Records` as the list of its rows."""
-    fast = []
+    tables = []
 
     def default(o):
-        if isinstance(o, Records) and _flat(o.rows):
-            fast.append(o.rows)
-            return f"{_MARK}{len(fast) - 1}"
+        if isinstance(o, Records):
+            tables.append(o.columns)
+            return f"{mark}{len(tables) - 1}"
         return _plain(o)
 
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=default)
-    tokens = [json.dumps(f"{_MARK}{i}") for i in range(len(fast))]
-    if any(text.count(token) != 1 for token in tokens):
-        # a string in the document spells a marker: write every record list plainly
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_plain) + "\n"
+    for salt in count():
+        mark = f"{_MARK}{salt}:"
+        tables.clear()
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=default)
+        tokens = [json.dumps(f"{mark}{i}") for i in range(len(tables))]
+        if all(text.count(token) == 1 for token in tokens):
+            break
+        # a string in the document spells a marker: encode again with another one
     parts, end = [], 0
-    for rows, token in zip(fast, tokens):  # markers appear in encoding order
+    for columns, token in zip(tables, tokens):  # markers appear in encoding order
         at = text.index(token, end)
         head = text[text.rfind("\n", 0, at) + 1:at]
-        parts += [text[end:at], _encode_records(rows, len(head) - len(head.lstrip(" ")))]
+        parts += [text[end:at], _encode_records(columns, len(head) - len(head.lstrip(" ")))]
         end = at + len(token)
     parts.append(text[end:])
     return "".join(parts) + "\n"

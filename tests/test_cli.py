@@ -1,13 +1,20 @@
+import contextlib
+import csv
+import io
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ifnet import ParseError, RejectConfig
+from ifnet import ParseError, RejectConfig, _kernels
+from ifnet.cli import main
 from ifnet.config import dump_json, load_config, params_to_doc, parse_config
+from ifnet.cycles import cycle_census
+from ifnet.dynamics import sample_trajectory
 
 NET_A_DOC = {
     "n": 2, "gamma": 1.0, "beta": 1.2, "theta": 1.0, "alpha": -1.0,
@@ -153,6 +160,47 @@ def test_cli_cycles_net_d(tmp_path):
     fractions = (doc["synchronized_fraction"] + doc["grazing_fraction"]
                  + doc["unresolved_fraction"] + sum(c["basin_fraction"] for c in doc["cycles"]))
     assert fractions == pytest.approx(1.0, abs=1e-12)
+
+
+def _csv_writer_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def test_cli_csv_text_equals_csv_writer(tmp_path):
+    """spikes.csv, trajectory.csv and cycle_NN.csv hold what csv.writer writes for typed rows."""
+    golden = Path(__file__).resolve().parent / "golden"
+    cfg = load_config(str(golden / "net_c_edges.json"))
+    out = tmp_path / "sim"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(golden / "net_c_edges.json"), "--out", str(out),
+                     "--max-iter", "40", "--dt", "0.05", "--t-total", "3"]) == 0
+    states, fired, t_bars = _kernels.run_orbit(cfg.params, cfg.v0, 40)
+    spikes = [[k, t, c, ";".join(str(i + 1) for i in np.flatnonzero(f)), ";".join(map(repr, v))]
+              for k, (t, c, f, v) in enumerate(zip(t_bars.tolist(), np.cumsum(t_bars).tolist(),
+                                                   fired, states.tolist()))]
+    assert (out / "spikes.csv").read_text() == _csv_writer_text(
+        ["step", "t_bar", "cum_time", "firing_set", "V_after"], spikes)
+    times, values, post = sample_trajectory(cfg.params, cfg.v0, 0.05, 3.0)
+    assert "-0.0" in (out / "trajectory.csv").read_text()
+    assert (out / "trajectory.csv").read_text() == _csv_writer_text(
+        ["t", "V1", "V2", "V3", "post_spike"],
+        ([t, *row, flag] for t, row, flag in zip(times.tolist(), values.tolist(), post.tolist())))
+
+    mixed8 = load_config(str(golden / "mixed8.json")).params
+    out = tmp_path / "cyc"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["cycles", "--config", str(golden / "mixed8.json"), "--out", str(out),
+                     "--samples", "30", "--eta", "1e-4"]) == 0
+    report = cycle_census(mixed8, sample_count=30, seed=0, eta=1e-4)
+    assert report.entries
+    for idx, entry in enumerate(report.entries):
+        assert (out / f"cycle_{idx:02d}.csv").read_text() == _csv_writer_text(
+            ["index"] + [f"V{i + 1}" for i in range(8)],
+            ([j, *pt] for j, pt in enumerate(entry.cycle.points.tolist())))
 
 
 def test_cli_synchro_exit_codes(tmp_path):

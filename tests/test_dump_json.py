@@ -1,9 +1,12 @@
-"""dump_json writes a `Records` list exactly as json.dumps(indent=2) writes the plain list.
+"""dump_json writes a `Records` table exactly as json.dumps(indent=2) writes its rows.
 
-The record-list path encodes the rows with the C encoder and rewrites the row
-boundaries; these tests compare its text with the indenting encoder's text
-for the same document, for record lists at several depths and for rows whose
-strings spell the boundaries, escapes and the splice marker.
+A `Records` holds one JSON text per row and key; `dump_json` splices each
+table into the document's text with one row template.  These tests build
+tables from plain rows (strings through `json_strings`, floats as their
+repr) and compare the text with the indenting encoder's text for the same
+rows: at several depths, with strings that hold escapes, non-ASCII text,
+template percent signs and the splice marker, and for empty tables.  They
+also check `row_texts` against formatting every row.
 """
 
 import json
@@ -13,34 +16,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifnet.config import _MARK, Records, _plain, dump_json
+from ifnet.config import _MARK, Records, _plain, dump_json, json_strings, row_texts
 
-TRICKY = ["},", "},\n", "}, {", "\n", '"', "\\", "\x00", "é", "日本", " ", "\U0001f600",
-          _MARK, _MARK + "0", _MARK + "1", json.dumps(_MARK + "0"), "[\n  {", "\n    }\n  ]"]
+MARKERS = [_MARK + "0:0", _MARK + "0:1", _MARK + "1:0", _MARK + "0:"]
+TRICKY = ["},", "},\n", "}, {", "\n", '"', "\\", "\x00", "é", "日本", " ", "\U0001f600",
+          "%s", "%", "%%(x)s", "[\n  {", "\n    }\n  ]", json.dumps(MARKERS[0])] + MARKERS
 
 texts = st.one_of(st.text(max_size=8), st.sampled_from(TRICKY),
                   st.lists(st.sampled_from(TRICKY), max_size=4).map("".join))
 finite = st.floats(allow_nan=False, allow_infinity=False)
-scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(), finite, texts,
-    finite.map(np.float64),
-    st.integers(-2**63, 2**63 - 1).map(np.int64),
-    st.booleans().map(np.bool_),
-)
-flat_rows = st.lists(st.dictionaries(texts, scalars, min_size=1, max_size=5), max_size=6)
-# rows the fast path must turn down: empty dicts, nested values, int keys
-odd_rows = st.lists(st.one_of(
-    st.dictionaries(texts, st.one_of(scalars, st.lists(scalars, max_size=2),
-                                     st.dictionaries(texts, scalars, max_size=2)), max_size=3),
-    st.dictionaries(st.integers(), scalars, min_size=1, max_size=3),
-), max_size=4)
-records = st.one_of(flat_rows, odd_rows).map(Records)
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), finite, texts)
+
+
+class Table(Records):
+    """A `Records` that keeps its rows, for the reference encoder."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list):
+        keys = rows[0] if rows else {}
+        super().__init__({k: cell_texts([r[k] for r in rows]) for k in keys})
+        self.rows = rows
+
+
+def cell_texts(values: list) -> list:
+    """JSON text of each cell: json_strings for a str column, repr for a float."""
+    if all(isinstance(v, str) for v in values):
+        return json_strings(values)
+    return [repr(v) if type(v) is float else json.dumps(v) for v in values]
+
+
+tables = st.lists(texts, min_size=1, max_size=5, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries({k: scalars for k in keys}), max_size=6)).map(Table)
 
 
 def plain(obj):
-    """The document with every Records replaced by its list of rows."""
-    if isinstance(obj, Records):
-        return plain(obj.rows)
+    """The document with every table replaced by its list of rows."""
+    if isinstance(obj, Table):
+        return obj.rows
+    if isinstance(obj, Records):  # a bare table: its cells read back
+        return [dict(zip(obj.columns, map(json.loads, cells))) for cells in zip(*obj.columns.values())]
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -59,11 +74,11 @@ def sweep_like(cells):
 
 
 documents = st.one_of(
-    records,
-    st.fixed_dictionaries({"spikes": records, "steps": st.integers(), "v0": st.lists(finite, max_size=3),
-                           "note": texts}),
-    st.lists(st.one_of(records, scalars), max_size=4),
-    st.lists(records, max_size=4).map(sweep_like),
+    tables,
+    st.fixed_dictionaries({"spikes": tables, "steps": st.integers(),
+                           "v0": st.lists(finite, max_size=3).map(np.array), "note": texts}),
+    st.lists(st.one_of(tables, scalars), max_size=4),
+    st.lists(tables, max_size=4).map(sweep_like),
 )
 
 
@@ -74,25 +89,48 @@ def test_dump_json_equals_indented_encoder(doc):
 
 
 @pytest.mark.parametrize("doc", [
-    Records([]),
-    {"spikes": Records([]), "steps": 0},
-    {"a": Records([{"x": 1}]), "b": [Records([{"y": "\n"}, {"y": "},"}]), Records([])]},
-    sweep_like([Records([{"step": 0, "t_bar": 0.5}]), Records([]), Records([{"step": 0}] * 3)]),
+    Table([]),
+    {"spikes": Table([]), "steps": 0},
+    {"a": Table([{"x": 1}]), "b": [Table([{"y": "\n"}, {"y": "},"}]), Records({"z": []})]},
+    sweep_like([Table([{"step": 0, "t_bar": 0.5}]), Table([]), Table([{"step": 0}] * 3)]),
 ])
 def test_dump_json_record_placements(doc):
     assert dump_json(doc) == reference(doc)
 
 
 def test_dump_json_document_spelling_the_marker():
-    for note in (_MARK + "0", 'x"' + _MARK + "0", [_MARK + "0"]):
-        doc = {"note": note, "spikes": Records([{"a": 1.5, "b": "c"}, {"a": 2.0, "b": "d"}])}
+    for note in (*MARKERS, 'x"' + MARKERS[0], [MARKERS[0]], {MARKERS[0]: MARKERS[1]}):
+        doc = {"note": note, "spikes": Table([{"a": 1.5, "b": "c"}, {"a": 2.0, "b": "d"}]),
+               "more": [Table([{"a": 0.0, "b": MARKERS[0]}])]}
         assert dump_json(doc) == reference(doc)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), np.float64("nan"), float("inf"), np.float32("-inf")])
 def test_dump_json_rejects_non_finite_rows(bad):
-    doc = {"spikes": Records([{"t": 1.0}, {"t": bad}])}
+    doc = {"spikes": Table([{"t": 1.0}, {"t": float(bad)}])}
     with pytest.raises(ValueError):
         reference(doc)
     with pytest.raises(ValueError):
         dump_json(doc)
+    with pytest.raises(ValueError):  # the spelling of json.dumps(allow_nan=True)
+        dump_json({"spikes": Records({"t": ["1.0", json.dumps(float(bad))]})})
+    with pytest.raises(ValueError):
+        dump_json({"t": bad})
+
+
+def test_row_texts_formats_every_row_by_its_bytes():
+    v = np.array([0.0, -0.0, 0.0, 1.5, -0.0, 1.5])
+    assert row_texts(v) == ["0.0", "-0.0", "0.0", "1.5", "-0.0", "1.5"]
+    states = np.array([[0.0, 0.6], [-0.0, 0.6], [0.0, 0.6], [0.25, -0.0]])
+    calls = []
+
+    def fmt(row):
+        calls.append(row)
+        return ";".join(map(repr, row))
+
+    assert row_texts(states, fmt) == [";".join(map(repr, r)) for r in states.tolist()]
+    assert len(calls) == 3  # one call per distinct row
+    fired = np.array([[True, False, True], [False, True, False], [True, False, True]])
+    assert row_texts(fired, str) == list(map(str, fired.tolist()))
+    assert row_texts(states[:, ::-1]) == list(map(repr, states[:, ::-1].tolist()))
+    assert row_texts(np.empty((0, 3))) == []

@@ -3,15 +3,22 @@
 `_kernels.step` is the reference.  `step_batch` must give the same post-firing
 state and firing set for every row, and `wait_times` of its row maxima the
 same waiting time, bit for bit; each batched driver must give, row by row,
-what a plain loop over the scalar step gives.  The networks cover n = 2, 3, 8, 9 and 12 with mixed-sign couplings,
-an all-excitatory and an all-inhibitory network; the states include the zero
-vector, exact ties of the maximum and near-ties inside the tie tolerance.
+what a plain loop over the scalar step gives.  The networks cover n = 2, 3,
+8, 9 and 12 with mixed-sign couplings, an all-excitatory and an
+all-inhibitory network; the states include the zero vector, exact ties of
+the maximum and near-ties inside the tie tolerance.  `run_orbit`, which
+copies a recurring orbit's tail instead of stepping it, must give what a
+loop that steps every return gives, on net_b, net_c and mixed8.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from ifnet import _kernels, avalanche, network, return_map, spontaneous_time
+from ifnet import _kernels, avalanche, load_config, network, return_map, spontaneous_time
 from ifnet._sampling import sample_on_section
 
 
@@ -185,3 +192,52 @@ def test_drivers_take_one_state(net):
         assert (s, _bits(t)) == (steps[row], _bits(total[row]))
         d, c = _kernels.track_pair(net, v, w, 5)
         assert d.shape == (6,) and c == n_common[row] and _bits(d) == _bits(dists[row])
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ORBIT_NETWORKS = {
+    "net_b": network(2, 1.0, 1.2, 1.0, -1.0, [[0.0, 0.2], [0.2, 0.0]]),
+    "net_c": network(3, 1.0, 1.2, 1.0, -1.0, NETWORKS["n3_net_c"][1]),
+    "mixed8": load_config(str(GOLDEN / "mixed8.json")).params,
+}
+
+
+def plain_orbit(p, v0, n_steps):
+    """n_steps applications of the scalar step, every one of them stepped."""
+    states = np.empty((n_steps, p.n))
+    fired = np.zeros((n_steps, p.n), np.bool_)
+    t_bars = np.empty(n_steps)
+    v = v0
+    for s in range(n_steps):
+        t_bars[s] = _kernels.step(p, v, states[s], fired[s])[0]
+        v = states[s]
+    return states, fired, t_bars
+
+
+@st.composite
+def orbit_starts(draw):
+    """(network name, section start, n_steps); starts may hold -0.0 and exact ties."""
+    name = draw(st.sampled_from(sorted(ORBIT_NETWORKS)))
+    p = ORBIT_NETWORKS[name]
+    coords = st.one_of(st.floats(p.alpha, p.theta), st.sampled_from([0.0, -0.0, p.theta, 0.5]))
+    v0 = np.array(draw(st.lists(coords, min_size=p.n, max_size=p.n)))
+    v0[draw(st.integers(0, p.n - 1))] = draw(st.sampled_from([0.0, -0.0]))
+    return name, v0, draw(st.integers(1, 300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=orbit_starts())
+# the golden simulate starts: inside mixed8's 28-step transient, across its
+# period-6 tail, and net_c reaching 0;0;0 from a start with -0.0
+@example(case=("mixed8", load_config(str(GOLDEN / "mixed8_v0.json")).v0, 20))
+@example(case=("mixed8", load_config(str(GOLDEN / "mixed8_v0.json")).v0, 300))
+@example(case=("net_c", load_config(str(GOLDEN / "net_c_edges.json")).v0, 7))
+@example(case=("net_b", np.array([0.3, 0.0]), 1))
+def test_run_orbit_matches_plain_step_loop(case):
+    name, v0, n_steps = case
+    p = ORBIT_NETWORKS[name]
+    got, want = _kernels.run_orbit(p, v0, n_steps), plain_orbit(p, v0, n_steps)
+    repeats = len({row.tobytes() for row in want[0]}) < n_steps
+    event(f"{name}: {'repeats' if repeats else 'no repeat'} within n_steps")
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
