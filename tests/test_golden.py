@@ -40,6 +40,7 @@ CASES = {
                                   "--dt", "0.01", "--t-total", "5"],
     "simulate_net_c_edges": ["simulate", "--config", "net_c_edges.json", "--max-iter", "7",
                              "--dt", "0.05", "--t-total", "3"],
+    "cycles_dale4": ["cycles", "--config", "dale4.json", "--samples", "30"],
 }
 
 # Test ids.  The first cases keep the "-<n>" suffix of the thread count they
