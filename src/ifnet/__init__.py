@@ -31,12 +31,10 @@ from .dynamics import (
     OrbitStep,
     ReturnStep,
     antiphase_state,
-    avalanche,
     flow,
     orbit,
     return_map,
     sample_trajectory,
-    spontaneous_time,
     state_at_threshold,
 )
 from .errors import (
@@ -53,11 +51,7 @@ from .params import (
     DerivedConstants,
     NetworkParams,
     NeuronKind,
-    check_hypotheses,
-    classify_neurons,
-    derived_constants,
     network,
-    validate,
 )
 
 __version__ = "0.1.0"

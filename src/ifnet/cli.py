@@ -7,16 +7,17 @@ blake2b(seed, cell-index) and run one after another in cell order.  The
 `cycles` census steps all its samples as one lockstep batch.
 
 Exit codes: 0 ok, 2 config error, 3 hypothesis violated, 4 numerical stall,
-1 any other operation error, an allocation that fails included.  Exit 2 also
-covers option values no command can use: --samples or --max-iter below 1, a
---tol, --eta, --dt or --t-total that is not a finite positive number, --dt or
---t-total without the other, and a --t-total/--dt pair whose trajectory grid
-has more than 10**6 rows.
+1 any other operation error, a failed allocation or a failed write under
+--out included.  Exit 2 also covers option values no command can use:
+--samples or --max-iter below 1, a --tol, --eta, --dt or --t-total that is
+not a finite positive number, --dt or --t-total without the other, and a
+--t-total/--dt pair whose trajectory grid has more than 10**6 rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -39,7 +40,6 @@ from .errors import (
     PreconditionFailed,
     RejectConfig,
 )
-from .params import check_hypotheses, classify_neurons, derived_constants
 
 DEFAULTS = dict(seed=0, samples=1000, eta=1e-6, tol=1e-12, max_iter=2000)
 MAX_GRID_ROWS = 10**6  # trajectory grid rows one simulate may ask for
@@ -57,9 +57,13 @@ def _check_options(opts) -> None:
             raise RejectConfig(f"--{flag.replace('_', '-')} must be a finite positive number, got {value}")
     if (opts.dt is None) != (opts.t_total is None):
         raise RejectConfig("--dt and --t-total must be given together")
-    # floor(t_total/dt + 1e-9) + 1 rows, as in dyn.sample_trajectory
-    if opts.dt is not None and opts.t_total / opts.dt + 1e-9 >= MAX_GRID_ROWS:
-        raise RejectConfig(f"--t-total/--dt asks for more than {MAX_GRID_ROWS} trajectory rows")
+    if opts.dt is not None:
+        try:
+            too_many = dyn.grid_rows(opts.dt, opts.t_total) > MAX_GRID_ROWS
+        except OverflowError:  # t_total/dt is inf
+            too_many = True
+        if too_many:
+            raise RejectConfig(f"--t-total/--dt asks for more than {MAX_GRID_ROWS} trajectory rows")
 
 
 def _write_csv(opts, name: str, header: list, rows) -> str:
@@ -89,21 +93,15 @@ def _cycle_doc(entry: cyc.CensusEntry) -> dict:
 
 def cmd_analyze(cfg: RunConfig, opts) -> dict:
     params = cfg.params
-    dc = derived_constants(params)
-    rep = check_hypotheses(params)
+    rep = params.hypotheses
     doc = {
         "config": params_to_doc(params),
-        "constants": {
-            "c_star": dc.c_star, "beta_plus": dc.beta_plus, "c_bar": dc.c_bar,
-            "epsilon": dc.epsilon, "lambda_0": dc.lambda_0, "mu_jump": dc.mu_jump,
-            "T_max": dc.T_max, "m_min_pos": dc.m_min_pos, "min_abs_H": dc.min_abs_H,
-            "p0": dc.p0,
-        },
+        "constants": dataclasses.asdict(params.constants),
         "hypotheses": {
             "H3": rep.h3, "H4": rep.h4, "sync_size": rep.sync_size,
             "O_pairs": [[i + 1, j + 1] for i, j in rep.o_pairs],
         },
-        "neuron_classes": [k.value for k in classify_neurons(params)],
+        "neuron_classes": [k.value for k in params.kinds],
     }
     try:
         v0, x = dyn.antiphase_state(params)
@@ -176,7 +174,6 @@ def cmd_synchro(cfg: RunConfig, opts) -> dict:
 
 def cmd_expansion(cfg: RunConfig, opts) -> dict:
     params = cfg.params
-    dc = derived_constants(params)
     pairs = []
     witness_doc = None
     for i in range(params.n):
@@ -197,7 +194,7 @@ def cmd_expansion(cfg: RunConfig, opts) -> dict:
                     witness_doc = _witness_sweep(params, i, max(8, opts.samples))
                     witness_doc["pair"] = [i + 1, j + 1]
             pairs.append(entry)
-    return {"c_star": dc.c_star, "pairs": pairs, "witnesses": witness_doc}
+    return {"c_star": params.constants.c_star, "pairs": pairs, "witnesses": witness_doc}
 
 
 def _witness_sweep(params, i, grid_points):
@@ -221,9 +218,9 @@ def _witness_sweep(params, i, grid_points):
 
 def cmd_contract(cfg: RunConfig, opts) -> dict:
     params = cfg.params
-    dc = derived_constants(params)
+    c_bar = params.constants.c_bar
     zones = []
-    for c in (0.0, dc.c_bar / 4, dc.c_bar / 2, 3 * dc.c_bar / 4):
+    for c in (0.0, c_bar / 4, c_bar / 2, 3 * c_bar / 4):
         rep = contr.verify_contraction(params, c, opts.samples, opts.seed)
         zones.append({
             "c": rep.c, "lambda_c": rep.lambda_c, "max_ratio": rep.max_ratio,
@@ -363,7 +360,7 @@ def main(argv=None) -> int:
     except NumericalStall as exc:
         print(f"numerical stall: {exc}", file=sys.stderr)
         return 4
-    except (IfnetError, MemoryError) as exc:
+    except (IfnetError, MemoryError, OSError) as exc:  # OSError: --out cannot be written
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
 

@@ -68,8 +68,13 @@ def in_zone(params: NetworkParams, v, c: float) -> bool:
     """True iff every coordinate lies in [alpha, c] and v is on the section."""
     if c < 0 or c > params.theta:
         raise PreconditionFailed(f"zone level must lie in [0, theta], got {c}")
-    arr = as_state(params, v)
-    return bool(np.all(arr <= c)) and bool(np.any(arr == 0.0))
+    return bool(_in_zone_rows(as_state(params, v)[None], c)[0])
+
+
+def _in_zone_rows(V: np.ndarray, c: float) -> np.ndarray:
+    """Per row of a (m, n) batch of section-box states: inside C_c, that is
+    every coordinate at most c and one at 0 (on the section)."""
+    return (V <= c).all(axis=1) & (V == 0.0).any(axis=1)
 
 
 def _zone_after_return(params: NetworkParams) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from ._sampling import rng_stream, sample_on_section
-from .contraction import _zone_after_return, lambda_for_zone
+from .contraction import _in_zone_rows, _zone_after_return, lambda_for_zone
 from .dynamics import as_state, orbit
 from .errors import HypothesisViolated, NumericalStall, PreconditionFailed
 from .params import NetworkParams, NeuronKind
@@ -106,15 +106,10 @@ def _piece_id(code: int) -> PieceId:
     return PieceId("inhib", index=code)
 
 
-def _in_zone(params: NetworkParams, V: np.ndarray) -> np.ndarray:
-    """Per row of a (m, n) batch: inside C_{c_bar} and on the section."""
-    return (V <= params.constants.c_bar).all(axis=1) & (V == 0.0).any(axis=1)
-
-
 def _piece(params: NetworkParams, arr: np.ndarray, tol: float):
     """(PieceId, gap) of a section state of a network with pieces, which must
     lie in C_{c_bar}."""
-    if not _in_zone(params, arr[None])[0]:
+    if not _in_zone_rows(arr[None], params.constants.c_bar)[0]:
         raise PreconditionFailed("state is outside C_{c_bar}")
     code, gap = _classify(params, arr[None], tol)
     return _piece_id(int(code[0])), float(gap[0])
@@ -189,7 +184,7 @@ def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float)
     # the residual is measured at every cycle point
     residual = float(np.abs(seq[p:] - seq[:p + 1]).max())
     pts = seq[:p]
-    if not _in_zone(params, pts).all():
+    if not _in_zone_rows(pts, params.constants.c_bar).all():
         raise PreconditionFailed("state is outside C_{c_bar}")
     code, gap = _classify(params, pts, params.tie_tol())
     min_marg = min((0.5 * gap).tolist())
@@ -310,7 +305,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol
         image, fired, _ = _kernels.step_batch(params, V)
         last_exc[live[fired[:, excit].any(axis=1)]] = k
         if certified_mode:
-            zone = _in_zone(params, V).tolist()
+            zone = _in_zone_rows(V, params.constants.c_bar).tolist()
             code, gap = _classify(params, V, tie)
             code, marg = code.tolist(), (0.5 * gap).tolist()  # margin 0 on the boundary
         leave = np.zeros(live.size, np.bool_)

@@ -29,9 +29,8 @@ from .errors import PreconditionFailed
 from .params import NetworkParams
 
 __all__ = [
-    "flow", "spontaneous_time", "state_at_threshold", "avalanche",
-    "return_map", "orbit", "sample_trajectory", "antiphase_state",
-    "ReturnStep", "OrbitStep", "as_state",
+    "flow", "state_at_threshold", "return_map", "orbit", "grid_rows",
+    "sample_trajectory", "antiphase_state", "ReturnStep", "OrbitStep", "as_state",
 ]
 
 
@@ -57,20 +56,6 @@ def flow(params: NetworkParams, v, t: float) -> np.ndarray:
     return (arr - params.beta) * math.exp(-params.gamma * t) + params.beta
 
 
-def spontaneous_time(params: NetworkParams, v) -> tuple[float, np.ndarray]:
-    """Waiting time before the first spontaneous firing and the set that fires.
-
-    Returns (t_bar, j0) with j0 the sorted indices whose potential ties the
-    maximum within the tie tolerance (t_i is monotone in v_i, so time-ties and
-    potential-ties coincide).
-    """
-    arr = as_state(params, v)
-    vmax = float(arr.max())
-    j0 = np.flatnonzero(arr >= vmax - params.tie_tol())
-    t_bar = math.log((params.beta - vmax) / (params.beta - params.theta)) / params.gamma
-    return max(t_bar, 0.0), j0
-
-
 def state_at_threshold(params: NetworkParams, v, i: int) -> np.ndarray:
     """Network state at the instant neuron i reaches theta, in ratio form.
 
@@ -86,16 +71,6 @@ def state_at_threshold(params: NetworkParams, v, i: int) -> np.ndarray:
     return out
 
 
-def avalanche(params: NetworkParams, v) -> tuple[np.ndarray, int]:
-    """Full firing set J(v) and the number of recruitment rounds.
-
-    Only positive interactions count toward the firing decision; rounds is 0
-    when nobody beyond the spontaneous set fires.
-    """
-    step = return_map(params, v)
-    return step.fired, step.rounds
-
-
 @dataclass
 class ReturnStep:
     """One application of the return map."""
@@ -108,6 +83,15 @@ class ReturnStep:
 
 
 def return_map(params: NetworkParams, v) -> ReturnStep:
+    """Apply the return map to the section state v.
+
+    t_bar is the waiting time before the first spontaneous firing.  J0 holds
+    the indices whose potential ties the maximum within the tie tolerance
+    (t_i is monotone in v_i, so time-ties and potential-ties coincide).  The
+    full firing set J adds the neurons the avalanche recruits; only positive
+    interactions count toward the firing decision, and rounds is 0 when
+    nobody beyond J0 fires.
+    """
     arr = as_state(params, v)
     out = np.empty(params.n, np.float64)
     fired = np.empty(params.n, np.bool_)
@@ -136,22 +120,30 @@ def orbit(params: NetworkParams, v0, n_steps: int) -> list[OrbitStep]:
     ]
 
 
+def grid_rows(dt: float, t_total: float) -> int:
+    """Rows of the dt grid on [0, t_total]: floor(t_total/dt + 1e-9) + 1.
+
+    The slack keeps a last grid point that k*dt overshoots by rounding, such
+    as 3*0.1 for t_total 0.3.  Raises OverflowError when t_total/dt overflows.
+    """
+    return math.floor(t_total / dt + 1e-9) + 1
+
+
 def sample_trajectory(params: NetworkParams, v0, dt: float, t_total: float):
     """Piecewise reconstruction of the continuous trajectory on a dt grid.
 
     Returns (times, values, post_spike).  Grid row k sits at exactly k*dt,
-    for k = 0 .. floor(t_total/dt + 1e-9) (the slack keeps a last grid
-    point that k*dt overshoots by rounding, such as 3*0.1 for t_total 0.3).
-    Within each inter-spike interval the rows follow the flow from the last
-    post-firing state; each firing instant contributes two rows, the left
-    limit (post_spike=0, firing coordinates at theta) followed by the right
-    limit (post_spike=1, the reset state), so the discontinuity is explicit
-    in the output, and replaces any grid row within 1e-15 of it.
+    for k below grid_rows(dt, t_total).  Within each inter-spike interval the
+    rows follow the flow from the last post-firing state; each firing instant
+    contributes two rows, the left limit (post_spike=0, firing coordinates at
+    theta) followed by the right limit (post_spike=1, the reset state), so
+    the discontinuity is explicit in the output, and replaces any grid row
+    within 1e-15 of it.
     """
     if dt <= 0:
         raise PreconditionFailed("dt must be positive")
     cur = as_state(params, v0)
-    grid = np.arange(math.floor(t_total / dt + 1e-9) + 1) * dt
+    grid = np.arange(grid_rows(dt, t_total)) * dt
     times, rows, post = [grid[:1]], [cur[None]], [[0]]
     t_event = 0.0
     k = 1  # next grid row

@@ -35,10 +35,6 @@ from .errors import RejectConfig
 TIE_REL = 1e-12
 
 
-def tie_tolerance(theta: float) -> float:
-    return TIE_REL * max(1.0, theta)
-
-
 class NeuronKind(Enum):
     EXCITATORY = "excitatory"
     INHIBITORY = "inhibitory"
@@ -47,7 +43,7 @@ class NeuronKind(Enum):
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Static network description, immutable.
+    """Static network description, immutable; build a validated one with `network`.
 
     The per-network invariants below are computed on first use and cached on
     the instance; frozen fields (and the read-only H of a validated instance)
@@ -62,16 +58,49 @@ class NetworkParams:
     H: np.ndarray  # shape (n, n); H[j, i] = jump from presynaptic j to i
 
     def tie_tol(self) -> float:
-        return tie_tolerance(self.theta)
+        """Absolute tolerance within which two potentials tie."""
+        return TIE_REL * max(1.0, self.theta)
 
     @cached_property
     def constants(self) -> DerivedConstants:
-        """Every closed-form constant of the module docstring."""
-        return _derived_constants(self)
+        """Every closed-form constant of the module docstring.
+
+        epsilon uses the rationalized form 2*(beta-theta)*(beta-alpha)/(sqrt(D) +
+        (beta-theta)), which is algebraically identical to (sqrt(D)-(beta-theta))/2
+        and free of cancellation; c_bar is computed by its own formula so the two
+        can be cross-checked against theta - epsilon.
+        """
+        beta, theta, alpha, gamma = self.beta, self.theta, self.alpha, self.gamma
+        bt = beta - theta
+        ba = beta - alpha
+        disc = math.sqrt(bt * bt + 4.0 * bt * ba)
+        c_star = beta - math.sqrt(beta * bt)
+        beta_plus = 0.5 * (alpha + 2.0 * theta + math.hypot(alpha, 2.0 * theta))
+        c_bar = beta - 0.5 * (bt + disc)
+        epsilon = 2.0 * bt * ba / (disc + bt)
+        lambda_0 = bt / beta
+        off = _off_diagonal(self.H)
+        mu_jump = min(abs(alpha), float(np.min(np.abs(off + theta)))) if off.size else abs(alpha)
+        pos = off[off > 0]
+        m_min_pos = float(pos.min()) if pos.size else None
+        nz = off[off != 0]
+        min_abs_H = float(np.min(np.abs(nz))) if nz.size else None
+        p0 = math.ceil((theta - alpha) / min_abs_H) if min_abs_H is not None else None
+        T_max = math.log(beta / bt) / gamma
+        return DerivedConstants(
+            c_star=c_star, beta_plus=beta_plus, c_bar=c_bar, epsilon=epsilon,
+            lambda_0=lambda_0, mu_jump=mu_jump, T_max=T_max,
+            m_min_pos=m_min_pos, min_abs_H=min_abs_H, p0=p0,
+        )
 
     @cached_property
     def kinds(self) -> tuple[NeuronKind, ...]:
-        """Per-neuron Dale classes (see classify_neurons)."""
+        """Per-neuron Dale classification from the sign pattern of its outgoing row.
+
+        A neuron with an all-zero row is classified inhibitory: zero rows satisfy
+        both non-strict sign conditions and this choice keeps Dale's principle
+        satisfiable for unconnected networks.
+        """
         return tuple(_classify(self, j) for j in range(self.n))
 
     @cached_property
@@ -84,26 +113,43 @@ class NetworkParams:
 
     @cached_property
     def hypotheses(self) -> HypothesisReport:
-        """The standing hypotheses (see check_hypotheses)."""
-        return _check_hypotheses(self)
+        """The standing hypotheses and the synchronization size bound.
+
+        h3: beta < beta_plus(alpha) and every nonzero interaction exceeds epsilon
+            in magnitude.
+        h4: Dale's principle, no mixed neuron.
+        sync_size: every off-diagonal entry strictly positive and
+            n >= ceil(theta/m)^2 with m the minimum interaction.
+        o_pairs: unordered pairs (i, j) satisfying the repeller conditions
+            (O1)-(O3); see contraction.check_O_conditions.
+        """
+        dc = self.constants
+        h3 = self.beta < dc.beta_plus and dc.min_abs_H is not None and dc.min_abs_H > dc.epsilon
+        h4 = NeuronKind.MIXED not in self.kinds
+        off = _off_diagonal(self.H)
+        sync_size = False
+        if off.size > 0 and bool(np.all(off > 0)):
+            sync_size = self.n >= math.ceil(self.theta / float(off.min())) ** 2
+
+        from .contraction import check_O_conditions  # deferred: contraction imports params
+
+        o_pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
+                   if all(check_O_conditions(self, i, j))]
+        return HypothesisReport(h3=bool(h3), h4=h4, sync_size=bool(sync_size), o_pairs=o_pairs)
 
 
-def validate(params: NetworkParams) -> NetworkParams:
-    """Return a validated copy: diagonal of H zeroed, H frozen read-only.
+def network(n, gamma, beta, theta, alpha, H) -> NetworkParams:
+    """Build a validated NetworkParams: diagonal of H zeroed, H frozen read-only.
 
     Raises RejectConfig if any well-posedness inequality fails or any entry
     is non-finite.
     """
-    n = params.n
     if not isinstance(n, (int, np.integer)) or n < 1:
-        raise RejectConfig(f"n must be a positive integer, got {params.n!r}")
-    for name in ("gamma", "beta", "theta", "alpha"):
-        val = getattr(params, name)
+        raise RejectConfig(f"n must be a positive integer, got {n!r}")
+    for name, val in (("gamma", gamma), ("beta", beta), ("theta", theta), ("alpha", alpha)):
         if not isinstance(val, (int, float, np.floating)) or not math.isfinite(val):
             raise RejectConfig(f"{name} must be a finite number, got {val!r}")
-    gamma, beta, theta, alpha = (
-        float(params.gamma), float(params.beta), float(params.theta), float(params.alpha),
-    )
+    gamma, beta, theta, alpha = float(gamma), float(beta), float(theta), float(alpha)
     if gamma <= 0:
         raise RejectConfig(f"gamma must be > 0, got {gamma}")
     if theta <= 0:
@@ -112,31 +158,14 @@ def validate(params: NetworkParams) -> NetworkParams:
         raise RejectConfig(f"alpha must be < 0, got {alpha}")
     if beta <= theta:
         raise RejectConfig(f"beta must exceed theta (perpetual firing), got beta={beta} theta={theta}")
-    H = np.asarray(params.H, dtype=np.float64)
+    H = np.array(H, dtype=np.float64)
     if H.shape != (n, n):
         raise RejectConfig(f"H must be an {n}x{n} matrix, got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise RejectConfig("H contains non-finite entries")
-    H = H.copy()
     np.fill_diagonal(H, 0.0)  # a neuron does not self-interact
     H.setflags(write=False)
     return NetworkParams(n=int(n), gamma=gamma, beta=beta, theta=theta, alpha=alpha, H=H)
-
-
-def network(n, gamma, beta, theta, alpha, H) -> NetworkParams:
-    """Build and validate a NetworkParams in one call."""
-    return validate(NetworkParams(n=n, gamma=gamma, beta=beta, theta=theta, alpha=alpha, H=np.asarray(H, dtype=np.float64)))
-
-
-def classify_neurons(params: NetworkParams) -> list[NeuronKind]:
-    """Per-neuron Dale classification from the sign pattern of its outgoing row.
-
-    A neuron with an all-zero row is classified inhibitory: zero rows satisfy
-    both non-strict sign conditions and this choice keeps Dale's principle
-    satisfiable for unconnected networks.  Returns a fresh list of the
-    classes cached on params.
-    """
-    return list(params.kinds)
 
 
 def _classify(params: NetworkParams, j: int) -> NeuronKind:
@@ -170,82 +199,9 @@ class DerivedConstants:
     p0: Optional[int]
 
 
-def derived_constants(params: NetworkParams) -> DerivedConstants:
-    """Every closed-form constant of the module docstring, cached on params."""
-    return params.constants
-
-
-def _derived_constants(params: NetworkParams) -> DerivedConstants:
-    """Evaluate every closed-form constant of the module docstring.
-
-    epsilon uses the rationalized form 2*(beta-theta)*(beta-alpha)/(sqrt(D) +
-    (beta-theta)), which is algebraically identical to (sqrt(D)-(beta-theta))/2
-    and free of cancellation; c_bar is computed by its own formula so the two
-    can be cross-checked against theta - epsilon.
-    """
-    beta, theta, alpha, gamma = params.beta, params.theta, params.alpha, params.gamma
-    bt = beta - theta
-    ba = beta - alpha
-    disc = math.sqrt(bt * bt + 4.0 * bt * ba)
-    c_star = beta - math.sqrt(beta * bt)
-    beta_plus = 0.5 * (alpha + 2.0 * theta + math.hypot(alpha, 2.0 * theta))
-    c_bar = beta - 0.5 * (bt + disc)
-    epsilon = 2.0 * bt * ba / (disc + bt)
-    lambda_0 = bt / beta
-    off = _off_diagonal(params.H)
-    mu_jump = min(abs(alpha), float(np.min(np.abs(off + theta)))) if off.size else abs(alpha)
-    pos = off[off > 0]
-    m_min_pos = float(pos.min()) if pos.size else None
-    nz = off[off != 0]
-    min_abs_H = float(np.min(np.abs(nz))) if nz.size else None
-    p0 = math.ceil((theta - alpha) / min_abs_H) if min_abs_H is not None else None
-    T_max = math.log(beta / bt) / gamma
-    return DerivedConstants(
-        c_star=c_star, beta_plus=beta_plus, c_bar=c_bar, epsilon=epsilon,
-        lambda_0=lambda_0, mu_jump=mu_jump, T_max=T_max,
-        m_min_pos=m_min_pos, min_abs_H=min_abs_H, p0=p0,
-    )
-
-
 @dataclass(frozen=True)
 class HypothesisReport:
     h3: bool
     h4: bool
     sync_size: bool
     o_pairs: list = field(default_factory=list)
-
-
-def check_hypotheses(params: NetworkParams) -> HypothesisReport:
-    """The standing hypotheses and the synchronization size bound, cached on
-    params.
-
-    h3: beta < beta_plus(alpha) and every nonzero interaction exceeds epsilon
-        in magnitude.
-    h4: Dale's principle, no mixed neuron.
-    sync_size: every off-diagonal entry strictly positive and
-        n >= ceil(theta/m)^2 with m the minimum interaction.
-    o_pairs: unordered pairs (i, j) satisfying the repeller conditions
-        (O1)-(O3); see contraction.check_O_conditions.
-    """
-    return params.hypotheses
-
-
-def _check_hypotheses(params: NetworkParams) -> HypothesisReport:
-    dc = params.constants
-    h3 = params.beta < dc.beta_plus and dc.min_abs_H is not None and dc.min_abs_H > dc.epsilon
-    h4 = NeuronKind.MIXED not in params.kinds
-    off = _off_diagonal(params.H)
-    all_pos = off.size > 0 and bool(np.all(off > 0))
-    sync_size = False
-    if all_pos:
-        m = float(off.min())
-        sync_size = params.n >= math.ceil(params.theta / m) ** 2
-
-    from .contraction import check_O_conditions  # deferred: contraction imports params
-
-    o_pairs = []
-    for i in range(params.n):
-        for j in range(i + 1, params.n):
-            if all(check_O_conditions(params, i, j)):
-                o_pairs.append((i, j))
-    return HypothesisReport(h3=bool(h3), h4=h4, sync_size=bool(sync_size), o_pairs=o_pairs)

@@ -14,11 +14,9 @@ import pytest
 
 from ifnet import (
     adapted_distance,
-    avalanche,
     absorption_check,
     certify_cycle,
     cycle_census,
-    derived_constants,
     estimate_lipschitz_c,
     expansion_witness,
     network,
@@ -62,7 +60,7 @@ def test_criterion_02_global_synchronization(net_sync9):
 
 
 def test_criterion_03_contraction_inequality(net_c):
-    dc = derived_constants(net_c)
+    dc = net_c.constants
     lines = []
     ok = True
     for c in (0.0, dc.c_bar / 2, 3 * dc.c_bar / 4):
@@ -73,7 +71,7 @@ def test_criterion_03_contraction_inequality(net_c):
 
 
 def test_criterion_04_gamma_expansion(net_b):
-    dc = derived_constants(net_b)
+    dc = net_b.constants
     rng = rng_stream(11, 0)
     lo, hi = dc.c_star + 1e-9, net_b.theta - 1e-9
     n_pairs = 0
@@ -105,7 +103,7 @@ def test_criterion_05_avalanche_oracle_equivalence():
             p = network(n, 1.0, 1.2, 1.0, -1.0, H)
             v = rng.uniform(-1.0, 1.0, n)
             v[rng.integers(n)] = 0.0
-            fired, _ = avalanche(p, v)
+            fired = return_map(p, v).fired
             if frozenset(int(i) for i in fired) != brute_force_firing_set(p, v):
                 ok = False
             checked += 1

@@ -345,6 +345,7 @@ UNUSABLE_OPTIONS = [
     ["simulate", "--dt", "0.01"],
     ["simulate", "--t-total", "20"],
     ["simulate", "--dt", "1e-9", "--t-total", "1e9"],
+    ["simulate", "--dt", "1e-300", "--t-total", "1e300"],  # t_total/dt overflows to inf
 ]
 
 
@@ -370,3 +371,18 @@ def test_cli_ends_a_failed_allocation_in_one_line(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--max-iter", "1000000000000000"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_cli_ends_a_failed_output_write_in_one_line(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, NET_C_DOC)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    # --out a file, --out below a file, and an --out whose output names are directories
+    blocked = tmp_path / "blocked"
+    for name in ("analyze.json", "spikes.csv"):
+        (blocked / name).mkdir(parents=True)
+    for out in (taken, taken / "below", blocked):
+        assert main([command, "--config", str(cfg), "--out", str(out), "--max-iter", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -10,7 +10,6 @@ from ifnet import (
     absorption_check,
     adapted_distance,
     check_O_conditions,
-    derived_constants,
     estimate_lipschitz_c,
     expansion_witness,
     in_zone,
@@ -39,14 +38,14 @@ def gamma_state(n, i, x):
 
 
 def test_in_zone_basics(net_c):
-    dc = derived_constants(net_c)
+    dc = net_c.constants
     assert in_zone(net_c, np.zeros(3), 0.0)
     assert in_zone(net_c, [0.0, 0.4, 0.2], dc.c_bar)
     assert not in_zone(net_c, [0.0, 0.5, 0.2], dc.c_bar)
 
 
 def test_lambda_zone_values(net_c):
-    dc = derived_constants(net_c)
+    dc = net_c.constants
     assert lambda_for_zone(net_c, 0.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
     assert lambda_for_zone(net_c, dc.c_bar) == pytest.approx(1.0, rel=1e-12)
     assert lambda_for_zone(net_c, 0.4) == pytest.approx(0.9375, rel=1e-14)
@@ -66,13 +65,13 @@ def test_contraction_zone_inner_level(net_c):
 
 
 def test_contraction_rejects_level_at_or_above_c_bar(net_c):
-    dc = derived_constants(net_c)
+    dc = net_c.constants
     with pytest.raises(PreconditionFailed):
         verify_contraction(net_c, dc.c_bar, 100, seed=1)
 
 
 def test_contraction_quarter_level_bulk(net_c):
-    dc = derived_constants(net_c)
+    dc = net_c.constants
     rep = verify_contraction(net_c, dc.c_bar / 4, 100_000, seed=13)
     assert not rep.violations
     assert rep.max_ratio <= rep.lambda_c + 1e-9
@@ -106,7 +105,7 @@ def test_expansion_witness_fixture(net_b):
 
 def test_expansion_ratio_meets_lower_bound(net_b):
     rng = np.random.default_rng(5)
-    dc = derived_constants(net_b)
+    dc = net_b.constants
     for _ in range(200):
         a, b = rng.uniform(dc.c_star + 1e-9, net_b.theta - 1e-9, 2)
         if a == b:

@@ -14,7 +14,6 @@ from ifnet import (
     classify_piece,
     cycle_census,
     cycles,
-    derived_constants,
     detect_cycle,
     lambda_for_zone,
     load_config,
@@ -73,7 +72,7 @@ def test_margin_fixtures(net_c):
 
 
 def test_margin_perturbation_stability(net_c):
-    dc = derived_constants(net_c)
+    dc = net_c.constants
     rng = rng_stream(99, 0)
     checked = 0
     while checked < 200:
@@ -323,7 +322,7 @@ def test_classify_fate_excitatory_record(net_death):
 
 def test_fate_dichotomy_over_samples(net_death):
     rng = rng_stream(123, 0)
-    dc = derived_constants(net_death)
+    dc = net_death.constants
     for v0 in sample_on_section(rng, 3, net_death.alpha, dc.c_bar, 100):
         fate = classify_fate(net_death, v0)
         if fate.outcome == "synchronized":

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from ifnet import (
     PreconditionFailed,
     antiphase_state,
-    avalanche,
     flow,
     network,
     orbit,
     return_map,
     sample_trajectory,
-    spontaneous_time,
     state_at_threshold,
 )
 
@@ -100,26 +98,25 @@ def test_flow_semigroup(net_a, s, t, v):
 
 
 def test_spontaneous_time_closed_form(net_a):
-    t_bar, j0 = spontaneous_time(net_a, [0.9, 0.0])
-    assert t_bar == pytest.approx(math.log(1.5), rel=1e-14)
-    assert list(j0) == [0]
-    assert t_bar == pytest.approx(bisect_firing_time(net_a, 0.9), abs=1e-11)
+    step = return_map(net_a, [0.9, 0.0])
+    assert step.t_bar == pytest.approx(math.log(1.5), rel=1e-14)
+    assert list(step.spontaneous) == [0]
+    assert step.t_bar == pytest.approx(bisect_firing_time(net_a, 0.9), abs=1e-11)
 
 
 def test_spontaneous_time_at_threshold(net_a):
-    t_bar, j0 = spontaneous_time(net_a, [1.0, 0.2])
-    assert t_bar == 0.0
-    assert 0 in j0
+    step = return_map(net_a, [1.0, 0.2])
+    assert step.t_bar == 0.0
+    assert 0 in step.spontaneous
 
 
 def test_spontaneous_tie(net_c):
-    _, j0 = spontaneous_time(net_c, [0.5, 0.5, 0.2])
-    assert list(j0) == [0, 1]
+    assert list(return_map(net_c, [0.5, 0.5, 0.2]).spontaneous) == [0, 1]
 
 
 def test_rejects_above_threshold(net_a):
     with pytest.raises(PreconditionFailed):
-        spontaneous_time(net_a, [1.1, 0.0])
+        return_map(net_a, [1.1, 0.0])
     with pytest.raises(PreconditionFailed):
         return_map(net_a, [0.5, -1.2])
 
@@ -159,21 +156,21 @@ def test_state_at_threshold_matches_flow_oracle(net_c):
 
 
 def test_avalanche_net_c_full_cascade(net_c):
-    fired, rounds = avalanche(net_c, [0.4, 0.0, 0.2])
-    assert list(fired) == [0, 1, 2]
-    assert rounds == 1
+    step = return_map(net_c, [0.4, 0.0, 0.2])
+    assert list(step.fired) == [0, 1, 2]
+    assert step.rounds == 1
 
 
 def test_avalanche_inhibitory_only(net_d):
-    fired, rounds = avalanche(net_d, [0.4, 0.0])
-    assert list(fired) == [0]
-    assert rounds == 0
+    step = return_map(net_d, [0.4, 0.0])
+    assert list(step.fired) == [0]
+    assert step.rounds == 0
 
 
 def test_avalanche_net_a_no_recruitment(net_a):
-    fired, rounds = avalanche(net_a, [0.9, 0.0])
-    assert list(fired) == [0]  # 0.4 + 0.5 = 0.9 < theta
-    assert rounds == 0
+    step = return_map(net_a, [0.9, 0.0])
+    assert list(step.fired) == [0]  # 0.4 + 0.5 = 0.9 < theta
+    assert step.rounds == 0
 
 
 def test_avalanche_matches_brute_force_small():
@@ -184,9 +181,9 @@ def test_avalanche_matches_brute_force_small():
             p = network(n, 1.0, 1.2, 1.0, -1.0, H)
             v = rng.uniform(-1.0, 1.0, n)
             v[rng.integers(n)] = 0.0
-            fired, rounds = avalanche(p, v)
-            assert frozenset(int(i) for i in fired) == brute_force_firing_set(p, v)
-            assert rounds <= n
+            step = return_map(p, v)
+            assert frozenset(int(i) for i in step.fired) == brute_force_firing_set(p, v)
+            assert step.rounds <= n
 
 
 # ---------------------------------------------------------------- return map

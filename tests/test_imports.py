@@ -1,10 +1,12 @@
-"""Every name a package module imports is used by that module.
+"""Every name a package module imports is used by that module, and every
+name in a module's `__all__` is defined there.
 
 Names listed in `__all__`, the re-exports of `__init__.py` and `from
 __future__` imports count as used.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,13 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# modules that declare `__all__`; importing __main__ would run the CLI
+EXPORTING = [p for p in MODULES if "\n__all__ = " in p.read_text(encoding="utf-8")]
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=lambda p: p.name)
+def test_module_defines_its_all(path):
+    module = importlib.import_module(f"ifnet.{path.stem}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

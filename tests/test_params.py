@@ -6,9 +6,6 @@ import pytest
 from ifnet import (
     NeuronKind,
     RejectConfig,
-    check_hypotheses,
-    classify_neurons,
-    derived_constants,
     network,
 )
 
@@ -66,8 +63,7 @@ def test_classify_neurons():
          [-0.6, 0.0, -0.6],
          [0.5, -0.2, 0.0]]
     p = network(3, 1.0, 1.2, 1.0, -1.0, H)
-    kinds = classify_neurons(p)
-    assert kinds == [NeuronKind.EXCITATORY, NeuronKind.INHIBITORY, NeuronKind.MIXED]
+    assert p.kinds == (NeuronKind.EXCITATORY, NeuronKind.INHIBITORY, NeuronKind.MIXED)
 
 
 def test_isolated_neuron_counts_as_inhibitory():
@@ -75,11 +71,11 @@ def test_isolated_neuron_counts_as_inhibitory():
          [0.4, 0.0, 0.4],
          [0.4, 0.4, 0.0]]
     p = network(3, 1.0, 1.2, 1.0, -1.0, H)
-    assert classify_neurons(p)[0] is NeuronKind.INHIBITORY
+    assert p.kinds[0] is NeuronKind.INHIBITORY
 
 
 def test_derived_constants_against_oracle(net_c):
-    dc = derived_constants(net_c)
+    dc = net_c.constants
     assert dc.c_star == pytest.approx(C_STAR, abs=1e-15)
     assert dc.beta_plus == pytest.approx(BETA_PLUS, abs=1e-15)
     assert dc.epsilon == pytest.approx(EPSILON, abs=1e-15)
@@ -93,7 +89,7 @@ def test_derived_constants_against_oracle(net_c):
 
 
 def test_c_bar_equals_theta_minus_epsilon_within_4ulp(net_c):
-    dc = derived_constants(net_c)
+    dc = net_c.constants
     ref = net_c.theta - dc.epsilon
     assert abs(dc.c_bar - ref) <= 4 * math.ulp(max(abs(dc.c_bar), abs(ref)))
 
@@ -105,7 +101,7 @@ def test_c_star_bracket_property():
             if beta <= theta:
                 continue
             p = network(2, 1.0, float(beta), float(theta), -1.0, [[0.0, 0.1], [0.1, 0.0]])
-            dc = derived_constants(p)
+            dc = p.constants
             assert theta / 2 < dc.c_star < theta
 
 
@@ -113,7 +109,7 @@ def test_beta_plus_monotone_in_alpha():
     vals = []
     for alpha in np.linspace(-10.0, -0.01, 60):
         p = network(2, 1.0, 1.2, 1.0, float(alpha), [[0.0, 0.5], [0.5, 0.0]])
-        dc = derived_constants(p)
+        dc = p.constants
         assert 1.0 < dc.beta_plus < 2.0  # (theta, 2 theta) for alpha < 0
         vals.append(dc.beta_plus)
     assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -122,35 +118,35 @@ def test_beta_plus_monotone_in_alpha():
 def test_lambda_at_c_bar_is_one(net_c):
     from ifnet import lambda_for_zone
 
-    dc = derived_constants(net_c)
+    dc = net_c.constants
     assert lambda_for_zone(net_c, dc.c_bar) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_c_bar_positive_iff_beta_below_beta_plus():
     for beta in np.linspace(1.05, 1.9, 30):
         p = network(2, 1.0, float(beta), 1.0, -1.0, [[0.0, 0.5], [0.5, 0.0]])
-        dc = derived_constants(p)
+        dc = p.constants
         assert (dc.c_bar > 0) == (beta < dc.beta_plus)
 
 
 def test_optional_constants_absent_without_qualifying_entries(net_d):
-    dc = derived_constants(net_d)
+    dc = net_d.constants
     assert dc.m_min_pos is None  # no positive interaction
     assert dc.min_abs_H == 0.6
     p = network(2, 1.0, 1.2, 1.0, -1.0, [[0.0, 0.0], [0.0, 0.0]])
-    dc0 = derived_constants(p)
+    dc0 = p.constants
     assert dc0.min_abs_H is None and dc0.p0 is None
 
 
 def test_check_hypotheses_net_c(net_c):
-    rep = check_hypotheses(net_c)
+    rep = net_c.hypotheses
     assert rep.h3  # 0.6 > epsilon ~ 0.5708 and beta < beta_plus
     assert rep.h4
     assert not rep.sync_size
 
 
 def test_check_hypotheses_sync_size(net_sync9):
-    rep = check_hypotheses(net_sync9)
+    rep = net_sync9.hypotheses
     assert rep.sync_size  # ceil(1/0.4)^2 = 9
 
 
@@ -159,12 +155,12 @@ def test_check_hypotheses_mixed_neuron_fails_h4():
          [0.5, 0.0, 0.5],
          [0.5, 0.5, 0.0]]
     p = network(3, 1.0, 1.2, 1.0, -1.0, H)
-    assert not check_hypotheses(p).h4
+    assert not p.hypotheses.h4
 
 
 def test_o_pairs_listed_for_net_b(net_b, net_a):
-    assert check_hypotheses(net_b).o_pairs == [(0, 1)]
-    assert check_hypotheses(net_a).o_pairs == []  # 0.5 > theta - c_star
+    assert net_b.hypotheses.o_pairs == [(0, 1)]
+    assert net_a.hypotheses.o_pairs == []  # 0.5 > theta - c_star
 
 
 def test_validated_params_are_frozen_and_cache_invariants(net_c):
@@ -175,7 +171,7 @@ def test_validated_params_are_frozen_and_cache_invariants(net_c):
     with pytest.raises(dataclasses.FrozenInstanceError):
         net_c.H = np.zeros((3, 3))
     assert not net_c.H.flags.writeable
-    assert derived_constants(net_c) is derived_constants(net_c)
-    assert check_hypotheses(net_c) is check_hypotheses(net_c)
-    assert classify_neurons(net_c) == list(net_c.kinds)
+    assert net_c.constants is net_c.constants
+    assert net_c.hypotheses is net_c.hypotheses
+    assert net_c.kinds is net_c.kinds
     assert net_c.excitatory == (0,) and net_c.inhibitory == (1, 2)
