@@ -26,14 +26,13 @@ state depends on the previous one; it writes into caller-owned rows
 `step_batch` applies the same step to a (..., n) batch of independent
 states with NumPy operations and serves the multi-start drivers
 (`absorb_run`, `sync_run`, `track_pair`; one return of `track_pair` gives
-the zone contraction ratios) and the cycle census, whose detection and
-refinement step every live sample in lockstep.  On one net_c state the
-scalar step takes about 6 us and the batched one about 27 us (timeit, 2-vCPU
-Xeon VM), which is why sequential orbits keep the scalar step; on thousands
-of states the batched step is far cheaper per state.  `step_batch` returns
-each row's maximum rather than its waiting time, because most callers never
-read the time; `wait_times` turns the maxima into times where they are
-needed.
+the zone contraction ratios) and the cycle census, whose detection steps
+every live sample in lockstep.  On one net_c state the scalar step takes
+about 6 us and the batched one about 27 us (timeit, 2-vCPU Xeon VM), which is
+why sequential orbits keep the scalar step; on thousands of states the
+batched step is far cheaper per state.  `step_batch` returns each row's
+maximum rather than its waiting time, because most callers never read the
+time; `wait_times` turns the maxima into times where they are needed.
 Both steps add the jumps in presynaptic order j = 0..n-1 and take the
 logarithm with `math.log`, so they agree bit for bit; the differential test
 in tests/test_kernels.py holds them to that.
@@ -159,6 +158,23 @@ def step_batch(params: NetworkParams, V):
     np.maximum(out, params.alpha, out=out)
     out[fired] = 0.0
     return out, fired, vmax[..., 0]
+
+
+def piece_matrix(params: NetworkParams, V):
+    """Homogeneous matrix M of the map on the piece (winner m, firing set J, floored
+    set F, as `step_batch` finds them) that holds each state of a (..., n) batch:
+    M @ (v, 1) is proportional to (step(v), 1).  The last row is the denominator
+    (-e_m, beta); row k is zero on J, alpha times it on F (a coordinate left at
+    alpha counts as floored), else beta + S_k - (beta - v_k)(beta - theta)/(beta - v_m)."""
+    n, beta = params.n, params.beta
+    out, fired, _ = step_batch(params, V)
+    den = np.where(np.arange(n + 1) == V.argmax(axis=-1)[..., None, None], -1.0, 0.0)
+    den[..., n] = beta
+    rows = (beta + fired @ params.H)[..., None] * den  # (fired @ H)[k] = S_k = sum_J H[j, k]
+    rows += (beta - params.theta) * np.hstack((np.eye(n), np.full((n, 1), -beta)))
+    rows = np.where((out == params.alpha)[..., None], params.alpha * den, rows)
+    rows[fired] = 0.0
+    return np.concatenate((rows, den), axis=-2)
 
 
 def wait_times(params: NetworkParams, vmax):

@@ -18,8 +18,8 @@ period-p orbit has margin above r, the p-step image of the r-ball around a
 point stays inside it (lambda * r + residual <= r for the contraction factor
 lambda of a zone containing the balls), then a unique attracting periodic
 orbit lives in the ball.  Detection watches the orbit's piece itinerary for a
-recurrence whose contraction budget admits such an r, then refines by
-iterating the p-step map.
+recurrence whose contraction budget admits such an r, then solves the cycle of
+that piece word once, for every orbit that recurs on it.
 
 Networks that do not satisfy the certification hypotheses (e.g. purely
 excitatory ones) are still handled in a whole-section mode that codes the
@@ -30,7 +30,7 @@ periodic orbits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -179,7 +179,7 @@ def _period_time(params: NetworkParams, points: np.ndarray) -> float:
 
 
 def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float):
-    """LimitCycle with its Banach certificate from 2p + 1 refined iterates,
+    """LimitCycle with its Banach certificate from 2p + 1 settled iterates,
     or a grazing FateReport when the cycle hugs the boundary below eta."""
     # the residual is measured at every cycle point
     residual = float(np.abs(seq[p:] - seq[:p + 1]).max())
@@ -197,7 +197,7 @@ def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float)
     ball = 0.5 * min(min_marg, head)
     lam = lambda_for_zone(params, c_enc + ball)
     if lam >= 1.0 or lam * ball + residual > ball or residual > 1e-10:
-        raise NumericalStall("Banach ball inequality failed after refinement")
+        raise NumericalStall("Banach ball inequality failed at the solved cycle")
     return LimitCycle(
         period=p, points=pts, itinerary=tuple(map(_piece_id, code.tolist())),
         min_margin=min_marg,
@@ -206,54 +206,24 @@ def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float)
     )
 
 
-def _refine(params: NetworkParams, W: np.ndarray, periods, tol: float, eta: float) -> list:
-    """Banach refinement of period-p candidates, one per row of W, in lockstep.
-
-    Each row iterates its own p-step map until an iterate moves less than
-    eff; one pass of 2p more steps then gives its points, itinerary and
-    residual.  Returns per row a LimitCycle, a grazing FateReport, or the
-    error that stopped the row.
-    """
-    eff = min(tol, 1e-11)
-    P = np.array(periods, dtype=np.int64)
-    results = [None] * P.size
-    start = W.copy()  # each row's iterate at the start of its current p steps
-    live, cur = np.arange(P.size), W
-    t = 0
-    while live.size:
-        t += 1
-        cur = _kernels.step_batch(params, cur)[0]
-        ends = np.flatnonzero(t % P[live] == 0)
-        if not ends.size:
-            continue
-        rows = live[ends]
-        moved = np.abs(cur[ends] - start[rows]).max(axis=1)
-        start[rows] = cur[ends]
-        done = moved < eff
-        stalled = ~done & (t // P[rows] == 500)
-        for r in rows[stalled].tolist():
-            results[r] = NumericalStall(f"period-{P[r]} refinement failed to contract below {eff}")
-        keep = np.ones(live.size, np.bool_)
-        keep[ends[done | stalled]] = False
-        live, cur = live[keep], cur[keep]
-
-    live = np.array([r for r, res in enumerate(results) if res is None], dtype=np.intp)
-    seqs = {r: [start[r]] for r in live.tolist()}
-    cur = start[live]
-    t = 0
-    while live.size:
-        t += 1
-        cur = _kernels.step_batch(params, cur)[0]
-        for i, r in enumerate(live.tolist()):
-            seqs[r].append(cur[i])
-        keep = t < 2 * P[live]
-        live, cur = live[keep], cur[keep]
-    for r, seq in seqs.items():
-        try:
-            results[r] = _certified_cycle(params, np.array(seq), int(P[r]), eta)
-        except (NumericalStall, PreconditionFailed) as exc:
-            results[r] = exc
-    return results
+def _solve(params: NetworkParams, window: np.ndarray, eta: float):
+    """Cycle on the pieces of a window of p states: the dominant eigenvector of
+    the product of their piece matrices (the p-step map there is projective),
+    stepped 2p times to settle its last bits.  The next 2p + 1 states go to
+    `_certified_cycle`, whose residual gate rejects a solve off the pieces."""
+    p = window.shape[0]
+    prod = np.eye(params.n + 1)
+    for M in _kernels.piece_matrix(params, window):
+        prod = M @ prod
+    w, vecs = np.linalg.eig(prod)
+    lead, second = np.argsort(-np.abs(w))[:2]
+    x = vecs[:, lead]
+    if w[lead].imag != 0.0 or not abs(w[lead]) > abs(w[second]) or x[-1] == 0.0:
+        raise NumericalStall(f"period-{p} piece product has no strictly dominant real eigenvector")
+    seq = [(x[:-1] / x[-1]).real]
+    for _ in range(4 * p):
+        seq.append(_kernels.step_batch(params, seq[-1])[0])
+    return _certified_cycle(params, np.array(seq[2 * p:]), p, eta)
 
 
 # longest period detection looks for
@@ -277,9 +247,10 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol
 
     Each return steps every live row with one `step_batch` call; only the
     recurrence bookkeeping runs per row, and a row leaves the batch once its
-    fate is known.  Returns (fates, last_exc): fates[r] is row r's FateReport
-    or the error its refinement raised, last_exc[r] the last return at which
-    an excitatory neuron fired (-1 for none).
+    fate is known.  Candidates whose piece words share a least rotation share
+    one `_solve`.  Returns (fates, last_exc): fates[r] is row r's FateReport
+    or the error its solve raised, last_exc[r] the last return at which an
+    excitatory neuron fired (-1 for none).
     """
     rep = params.hypotheses
     certified_mode = rep.h3 and rep.h4 and bool(params.inhibitory)
@@ -293,7 +264,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol
     fates = [None] * m
     last_exc = np.full(m, -1, np.int64)
     tracks = [_Track() for _ in range(m)]
-    candidates = []  # (row, state, period, return)
+    candidates = []  # (row, first return of the recurring window, return)
     live, V = np.arange(m), V0
     for k in range(max_iter + 1):
         zero = ~V.any(axis=1)
@@ -335,7 +306,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol
                     denom = 1.0 - lam_det ** p
                     if denom <= 0.0 or dist / denom > min(window):
                         continue
-                    candidates.append((r, state, p, k))
+                    candidates.append((r, prev, k))
                 elif dist <= tol:
                     pts = np.array(track.states[prev:k])
                     fates[r] = FateReport("cycle", transient_steps=k, cycle=LimitCycle(
@@ -353,14 +324,22 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol
     for r in live.tolist():
         fates[r] = FateReport("unresolved", transient_steps=max_iter)
 
-    if candidates:
-        rows, W, periods, steps = zip(*candidates)
-        for r, k, result in zip(rows, steps, _refine(params, np.array(W), periods, tol, eta)):
-            if isinstance(result, LimitCycle):
-                result = FateReport("cycle", transient_steps=k, cycle=result)
-            elif isinstance(result, FateReport):
-                result.transient_steps = result.step = k
-            fates[r] = result
+    solved = {}  # least rotation of a piece word -> its solve
+    for r, prev, k in candidates:
+        word = [piece.index for piece in tracks[r].pieces[prev:k]]
+        s = min(range(k - prev), key=lambda i: word[i:] + word[:i])
+        key = tuple(word[s:] + word[:s])
+        if key not in solved:
+            try:
+                solved[key] = _solve(params, np.roll(tracks[r].states[prev:k], -s, axis=0), eta)
+            except (NumericalStall, PreconditionFailed) as exc:
+                solved[key] = exc
+        result = solved[key]
+        if isinstance(result, LimitCycle):
+            result = FateReport("cycle", transient_steps=k, cycle=result)
+        elif isinstance(result, FateReport):
+            result = replace(result, transient_steps=k, step=k)
+        fates[r] = result
     return fates, last_exc
 
 
@@ -457,9 +436,9 @@ def cycle_census(params: NetworkParams, sample_count: int, seed: int,
 
     Each sample owns the Philox stream (seed, 1 + index).  All samples step
     together as one lockstep batch, and each one's fate is what detect_cycle
-    gives for its start alone, so the census is deterministic.  When
-    refinement fails for some samples, the error of the lowest-index one is
-    raised.
+    gives for its start alone, so the census is deterministic.  Samples that
+    recur on the same piece word share one solve.  When a solve fails, the
+    error of the lowest-index sample that reached it is raised.
     """
     V0 = _census_starts(params, sample_count, seed)
     fates = [_checked(f) for f in _fates(params, V0, max_iter, eta, tol)[0]]

@@ -35,4 +35,4 @@ class NoFixedPoint(IfnetError):
 
 
 class NumericalStall(IfnetError):
-    """Fixed-point refinement failed to contract as the theory predicts."""
+    """A solved cycle has no dominant real eigenvector or fails its certificate."""

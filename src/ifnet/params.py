@@ -142,7 +142,7 @@ def network(n, gamma, beta, theta, alpha, H) -> NetworkParams:
     """Build a validated NetworkParams: diagonal of H zeroed, H frozen read-only.
 
     Raises RejectConfig if any well-posedness inequality fails or any entry
-    is non-finite.
+    or closed-form constant is non-finite.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise RejectConfig(f"n must be a positive integer, got {n!r}")
@@ -165,7 +165,11 @@ def network(n, gamma, beta, theta, alpha, H) -> NetworkParams:
         raise RejectConfig("H contains non-finite entries")
     np.fill_diagonal(H, 0.0)  # a neuron does not self-interact
     H.setflags(write=False)
-    return NetworkParams(n=int(n), gamma=gamma, beta=beta, theta=theta, alpha=alpha, H=H)
+    p = NetworkParams(n=int(n), gamma=gamma, beta=beta, theta=theta, alpha=alpha, H=H)
+    bad = [f"{k} = {v}" for k, v in vars(p.constants).items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise RejectConfig(f"closed-form constants are not finite: {', '.join(bad)}")
+    return p
 
 
 def _classify(params: NetworkParams, j: int) -> NeuronKind:

@@ -128,7 +128,7 @@ def test_criterion_07_certified_cycle_census(net_d):
         and certify_cycle(net_d, e.cycle)
         for e in first.entries
     )
-    thr = 1e-8  # independent refinements agree far below this
+    thr = 1e-8  # the solves of two seeds' censuses agree far below this
     def matched(entry, report_):
         return any(
             entry.cycle.period == e.cycle.period

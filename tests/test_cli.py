@@ -224,6 +224,17 @@ def test_cli_config_error_exit_code(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("beta", [1e200, 1e300])
+def test_cli_rejects_a_network_whose_constants_overflow(tmp_path, capsys, beta):
+    # beta * (beta - theta) overflows, so c_star and c_bar are -inf and epsilon is nan
+    cfg = write_config(tmp_path, dict(NET_C_DOC, beta=beta))
+    for command in ("analyze", "expansion"):
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert "c_star = -inf" in err
+
+
 def test_cli_expansion_net_b(tmp_path):
     doc = {"n": 2, "gamma": 1.0, "beta": 1.2, "theta": 1.0, "alpha": -1.0,
            "H": [[0.0, 0.2], [0.2, 0.0]]}

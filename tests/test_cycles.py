@@ -122,8 +122,9 @@ def test_detect_net_d_certified_cycle(net_d):
     assert fate.outcome == "cycle"
     cyc = fate.cycle
     assert cyc.certified and cyc.period == 2
+    # the solved cycle sits within 2 ulps of the closed-form anti-phase point
     assert sorted(float(p.max()) for p in cyc.points) == pytest.approx(
-        [NET_D_XSTAR, NET_D_XSTAR], abs=1e-11)
+        [NET_D_XSTAR, NET_D_XSTAR], abs=1.2e-16)
     assert cyc.certificate.residual <= 1e-10
     assert {p.kind for p in cyc.itinerary} == {"inhib"}
     # independent residual check via orbit composition
@@ -247,6 +248,66 @@ def test_census_raises_error_of_lowest_failing_sample(net_d, monkeypatch):
     with pytest.raises(NumericalStall) as err:
         cycle_census(net_d, 40, seed=5, max_iter=4, eta=3e-2)
     assert str(err.value) == first.cycle.points[0].tobytes().hex()
+
+
+def test_census_solves_each_cycle_once(monkeypatch):
+    params, calls = mixed8(), []
+    certified = cycles._certified_cycle
+
+    def spy(*args):
+        calls.append(args[2])
+        return certified(*args)
+
+    monkeypatch.setattr(cycles, "_certified_cycle", spy)
+    rep = cycle_census(params, 200, seed=0, eta=1e-4)
+    assert calls == [6] and len(rep.entries) == 1
+    fates, _ = cycles._fates(params, cycles._census_starts(params, 200, seed=0), 2000, 1e-4, 1e-12)
+    points = {f.cycle.points.tobytes() for f in fates if f.outcome == "cycle"}
+    assert points == {rep.entries[0].cycle.points.tobytes()}
+
+
+@pytest.mark.parametrize("name", ["mixed8", "net_d"])
+def test_census_points_do_not_depend_on_the_eigenvector_last_bits(name, request, monkeypatch):
+    # the solved point is stepped 2p times before its cycle is read off, so
+    # a few ulps of LAPACK noise in the eigenvector never reach the output
+    params = mixed8() if name == "mixed8" else request.getfixturevalue(name)
+    census = lambda: cycle_census(params, 100, seed=3, eta=1e-4)
+    want = [e.cycle.points.tobytes() for e in census().entries]
+    assert want
+    eig = np.linalg.eig
+    for seed in range(4):
+        toward = np.random.default_rng(seed).choice([-np.inf, np.inf], size=params.n + 1)
+
+        def nudged(a):
+            w, vecs = eig(a)
+            parts = [vecs.real, vecs.imag] if np.iscomplexobj(vecs) else [vecs]
+            for _ in range(3):  # 3 ulps up or down, per coordinate
+                parts = [np.nextafter(x, toward[:, None]) for x in parts]
+            return w, parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0]
+
+        monkeypatch.setattr(np.linalg, "eig", nudged)
+        assert [e.cycle.points.tobytes() for e in census().entries] == want, seed
+
+
+@pytest.mark.parametrize("spoil", ["tied", "complex", "at_infinity"])
+def test_solve_needs_a_strictly_dominant_real_eigenvector(net_d, monkeypatch, spoil):
+    eig = np.linalg.eig
+
+    def spoiled(a):
+        w, vecs = eig(a)
+        w, vecs = w.astype(complex), vecs.astype(complex)
+        lead = np.argmax(np.abs(w))
+        if spoil == "tied":
+            w[:] = w[lead]
+        elif spoil == "complex":
+            w[lead] += 1e-3j
+        else:
+            vecs[-1] = 0.0
+        return w, vecs
+
+    monkeypatch.setattr(np.linalg, "eig", spoiled)
+    with pytest.raises(NumericalStall, match="no strictly dominant real eigenvector"):
+        cycle_census(net_d, 40, seed=5, eta=1e-4)
 
 
 def test_census_eta_trend(net_d):

@@ -9,6 +9,8 @@ all-inhibitory network; the states include the zero vector, exact ties of
 the maximum and near-ties inside the tie tolerance.  `run_orbit`, which
 copies a recurring orbit's tail instead of stepping it, must give what a
 loop that steps every return gives, on net_b, net_c and mixed8.
+`piece_matrix` applied to (v, 1) must give the step within a few ulps of
+each row's scale, on net_b, net_c, net_d and mixed8.
 """
 
 from pathlib import Path
@@ -242,3 +244,38 @@ def test_run_orbit_matches_plain_step_loop(case):
     event(f"{name}: {'repeats' if repeats else 'no repeat'} within n_steps")
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+PIECE_NETWORKS = dict(ORBIT_NETWORKS, net_d=network(2, 1.0, 1.2, 1.0, -1.0, [[0.0, -0.6], [-0.6, 0.0]]))
+
+
+@st.composite
+def piece_states(draw):
+    """(network name, (m, n) section states); coordinates may tie exactly or sit at alpha."""
+    name = draw(st.sampled_from(sorted(PIECE_NETWORKS)))
+    p = PIECE_NETWORKS[name]
+    tie = draw(st.floats(p.alpha, p.theta))
+    coords = st.one_of(st.floats(p.alpha, p.theta), st.sampled_from([p.alpha, 0.5, tie]))
+    rows = draw(st.lists(st.lists(coords, min_size=p.n, max_size=p.n), min_size=1, max_size=6))
+    V = np.array(rows)
+    V[np.arange(len(rows)), draw(st.lists(st.integers(0, p.n - 1), min_size=len(rows),
+                                          max_size=len(rows)))] = 0.0
+    return name, V
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=piece_states())
+def test_piece_matrix_reproduces_step(case):
+    name, V = case
+    p = PIECE_NETWORKS[name]
+    out, fired, _ = _kernels.step_batch(p, V)
+    M = _kernels.piece_matrix(p, V)
+    assert M.shape == V.shape[:1] + (p.n + 1, p.n + 1)
+    h = np.concatenate([V, np.ones((V.shape[0], 1))], axis=1)
+    y = np.einsum("mij,mj->mi", M, h)
+    # a few ulps of the row's own scale: the terms of M @ (v, 1) over its last coordinate
+    scale = np.einsum("mij,mj->mi", np.abs(M), np.abs(h))[:, :-1] / y[:, -1:]
+    err = np.abs(y[:, :-1] / y[:, -1:] - out)
+    assert (err <= 4 * np.finfo(float).eps * np.maximum(scale, 1.0)).all()
+    event(f"{name}: {'floored' if (out[~fired] == p.alpha).any() else 'no floor'}")
+    event(f"{name}: {'tie' if (fired.sum(axis=1) > 1).any() else 'one winner'}")
