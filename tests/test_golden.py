@@ -41,6 +41,8 @@ CASES = {
     "simulate_net_c_edges": ["simulate", "--config", "net_c_edges.json", "--max-iter", "7",
                              "--dt", "0.05", "--t-total", "3"],
     "cycles_dale4": ["cycles", "--config", "dale4.json", "--samples", "30"],
+    # lambda = 0.99982 makes n0 about 3e4 returns: pins the bytes of a long adapted-metric check
+    "contract_net_c_slow": ["contract", "--config", "net_c_slow.json", "--samples", "300"],
 }
 
 # Test ids.  The first cases keep the "-<n>" suffix of the thread count they
