@@ -155,6 +155,7 @@ class LimitCycle:
     certificate: Optional[CycleCertificate]
     certified: bool
     time_period: float
+    contraction: Optional[float] = None  # |l2/l1| of the piece-matrix product, per period
 
 
 @dataclass
@@ -210,7 +211,8 @@ def _solve(params: NetworkParams, window: np.ndarray, eta: float):
     """Cycle on the pieces of a window of p states: the dominant eigenvector of
     the product of their piece matrices (the p-step map there is projective),
     stepped 2p times to settle its last bits.  The next 2p + 1 states go to
-    `_certified_cycle`, whose residual gate rejects a solve off the pieces."""
+    `_certified_cycle`, whose residual gate rejects a solve off the pieces.
+    The eigenvalue ratio |l2/l1| is the cycle's measured contraction per period."""
     p = window.shape[0]
     prod = np.eye(params.n + 1)
     for M in _kernels.piece_matrix(params, window):
@@ -223,7 +225,10 @@ def _solve(params: NetworkParams, window: np.ndarray, eta: float):
     seq = [(x[:-1] / x[-1]).real]
     for _ in range(4 * p):
         seq.append(_kernels.step_batch(params, seq[-1])[0])
-    return _certified_cycle(params, np.array(seq[2 * p:]), p, eta)
+    cycle = _certified_cycle(params, np.array(seq[2 * p:]), p, eta)
+    if isinstance(cycle, LimitCycle):
+        cycle.contraction = float(abs(w[second] / w[lead]))
+    return cycle
 
 
 # longest period detection looks for

@@ -266,6 +266,13 @@ def test_census_solves_each_cycle_once(monkeypatch):
     assert points == {rep.entries[0].cycle.points.tobytes()}
 
 
+def test_census_cycle_reports_its_measured_contraction():
+    # |l2/l1| of the period-6 piece-matrix product, far below the zone bound lambda^6 = 0.65
+    cycle = cycle_census(mixed8(), 30, seed=0, eta=1e-4).entries[0].cycle
+    assert cycle.period == 6 and cycle.contraction == pytest.approx(3.1e-4, rel=0.05)
+    assert cycle.contraction < cycle.certificate.lam ** cycle.period
+
+
 @pytest.mark.parametrize("name", ["mixed8", "net_d"])
 def test_census_points_do_not_depend_on_the_eigenvector_last_bits(name, request, monkeypatch):
     # the solved point is stepped 2p times before its cycle is read off, so

@@ -11,6 +11,11 @@ copies a recurring orbit's tail instead of stepping it, must give what a
 loop that steps every return gives, on net_b, net_c and mixed8.
 `piece_matrix` applied to (v, 1) must give the step within a few ulps of
 each row's scale, on net_b, net_c, net_d and mixed8.
+
+`track_pair` and `absorb_run` stop stepping a row whose future is known (a
+merged pair, a failed start, a start on a fixed point); long-horizon runs
+(k_max 40, horizon 30) must still match loops that step every return, and on
+net_c the contract checks must make only a handful of `step_batch` calls.
 """
 
 from pathlib import Path
@@ -20,7 +25,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from ifnet import _kernels, load_config, network, return_map
+from ifnet import _kernels, contraction, load_config, network, return_map
 from ifnet._sampling import sample_on_section
 
 
@@ -125,9 +130,8 @@ def test_return_map_spontaneous_set_and_avalanche(net):
         assert np.array_equal(step.fired, np.flatnonzero(fired[row])), row
 
 
-def test_absorb_run_matches_scalar_loop(net):
-    V = _states(net, 10)
-    c_enter, post_bound, max_steps, horizon = 0.3, 0.35, 3, 4
+def _check_absorb_run(net, V, c_enter, post_bound, max_steps, horizon):
+    """absorb_run against a loop that steps every entered start for all `horizon` returns."""
     enter, stayed = _kernels.absorb_run(net, V, c_enter, post_bound, max_steps, horizon)
     for row in range(V.shape[0]):
         v = V[row]
@@ -143,6 +147,17 @@ def test_absorb_run_matches_scalar_loop(net):
                 v = scalar_step(net, v)[0]
                 want_stayed = want_stayed and not np.any(v > post_bound)
         assert (enter[row], stayed[row]) == (want_enter, want_stayed), row
+    return enter, stayed
+
+
+def test_absorb_run_matches_scalar_loop(net):
+    _check_absorb_run(net, _states(net, 10), 0.3, 0.35, 3, 4)
+
+
+def test_absorb_run_matches_scalar_loop_over_a_long_horizon(net):
+    # the zero vector (row 0) is a fixed point; failed rows and fixed points leave early
+    enter, stayed = _check_absorb_run(net, _states(net, 15, count=100), 0.3, 0.35, 3, 30)
+    assert enter[0] == 0 and stayed[0]
 
 
 def test_sync_run_matches_scalar_loop(net):
@@ -162,9 +177,8 @@ def test_sync_run_matches_scalar_loop(net):
         assert _bits(total[row]) == _bits(want_total), row
 
 
-def test_track_pair_matches_scalar_loop(net):
-    V, W = _pairs(net, 12)
-    k_max = 6
+def _check_track_pair(net, V, W, k_max):
+    """track_pair against a loop that steps both orbits until their firing sets differ."""
     dists, n_common = _kernels.track_pair(net, V, W, k_max)
     assert dists.shape == (V.shape[0], k_max + 1)
     for row in range(V.shape[0]):
@@ -181,6 +195,20 @@ def test_track_pair_matches_scalar_loop(net):
             common = k
         assert n_common[row] == common, row
         assert _bits(dists[row]) == _bits(want), row
+    return dists, n_common
+
+
+def test_track_pair_matches_scalar_loop(net):
+    _check_track_pair(net, *_pairs(net, 12), 6)
+
+
+def test_track_pair_matches_scalar_loop_over_a_long_horizon(net):
+    k_max = 40
+    dists, n_common = _check_track_pair(net, *_pairs(net, 14, count=100), k_max)
+    # pairs 0..9 are equal from the start; many others merge into one orbit later
+    assert (dists[:10] == 0.0).all() and (n_common[:10] == k_max).all()
+    merged = (dists[:, 0] != 0.0) & (dists[:, -1] == 0.0) & (n_common == k_max)
+    assert merged.sum() >= 10
 
 
 def test_drivers_take_one_state(net):
@@ -279,3 +307,20 @@ def test_piece_matrix_reproduces_step(case):
     assert (err <= 4 * np.finfo(float).eps * np.maximum(scale, 1.0)).all()
     event(f"{name}: {'floored' if (out[~fired] == p.alpha).any() else 'no floor'}")
     event(f"{name}: {'tie' if (fired.sum(axis=1) > 1).any() else 'one winner'}")
+
+
+def test_batch_drivers_stop_stepping_rows_with_a_known_future(monkeypatch):
+    # on net_c every tracked pair merges and every absorbed start reaches the
+    # fixed point 0;0;0 within a few returns, long before the n0 + 1 = 92
+    # returns of the adapted-metric check or the 20-return absorption horizon
+    p, calls = ORBIT_NETWORKS["net_c"], []
+    step_batch = _kernels.step_batch
+    monkeypatch.setattr(_kernels, "step_batch", lambda *a: calls.append(1) or step_batch(*a))
+    est = contraction.estimate_lipschitz_c(p, 100, 1)
+    assert est.n0 == 91
+    calls.clear()
+    assert contraction.adapted_metric_check(p, est, 100, 2).ok
+    assert len(calls) <= 12
+    calls.clear()
+    assert contraction.absorption_check(p, 300, 0).ok
+    assert len(calls) <= p.constants.p0 + 3
