@@ -12,6 +12,7 @@ from .contraction import (
     in_zone,
     jvac_check,
     lambda_for_zone,
+    o_pairs,
     repeller,
     verify_contraction,
 )

@@ -11,7 +11,7 @@ Exit codes: 0 ok, 2 config error, 3 hypothesis violated, 4 numerical stall,
 --out included.  Exit 2 also covers option values no command can use:
 --samples or --max-iter below 1, a --tol, --eta, --dt or --t-total that is
 not a finite positive number, --dt or --t-total without the other, and a
---t-total/--dt pair whose trajectory grid has more than 10**6 rows.
+--t-total/--dt pair whose trajectory (grid rows plus two per firing) passes 10**6 rows.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from . import _kernels
 from . import contraction as contr
 from . import cycles as cyc
 from . import dynamics as dyn
-from .config import (Records, RunConfig, dump_json, json_strings, load_config, params_to_doc,
-                     parse_config, row_texts)
+from .config import Records, RunConfig, dump_json, json_strings, load_config, params_to_doc, row_texts
 from .errors import (
     HypothesisViolated,
     IfnetError,
@@ -40,9 +39,9 @@ from .errors import (
     PreconditionFailed,
     RejectConfig,
 )
+from .params import network
 
 DEFAULTS = dict(seed=0, samples=1000, eta=1e-6, tol=1e-12, max_iter=2000)
-MAX_GRID_ROWS = 10**6  # trajectory grid rows one simulate may ask for
 
 
 def _check_options(opts) -> None:
@@ -58,12 +57,7 @@ def _check_options(opts) -> None:
     if (opts.dt is None) != (opts.t_total is None):
         raise RejectConfig("--dt and --t-total must be given together")
     if opts.dt is not None:
-        try:
-            too_many = dyn.grid_rows(opts.dt, opts.t_total) > MAX_GRID_ROWS
-        except OverflowError:  # t_total/dt is inf
-            too_many = True
-        if too_many:
-            raise RejectConfig(f"--t-total/--dt asks for more than {MAX_GRID_ROWS} trajectory rows")
+        dyn.grid_rows(opts.dt, opts.t_total)  # before anything is run or allocated
 
 
 def _write_csv(opts, name: str, header: list, rows) -> str:
@@ -99,7 +93,7 @@ def cmd_analyze(cfg: RunConfig, opts) -> dict:
         "constants": dataclasses.asdict(params.constants),
         "hypotheses": {
             "H3": rep.h3, "H4": rep.h4, "sync_size": rep.sync_size,
-            "O_pairs": [[i + 1, j + 1] for i, j in rep.o_pairs],
+            "O_pairs": [[i + 1, j + 1] for i, j in contr.o_pairs(params)],
         },
         "neuron_classes": [k.value for k in params.kinds],
     }
@@ -280,18 +274,17 @@ def cmd_sweep(cfg: RunConfig, opts) -> dict:
     if len(set(names)) < len(names):
         raise RejectConfig("two --grid axes must name different parameters")
     base = params_to_doc(cfg.params)
-    n = base["n"]
     cells = []
     for index, cell in enumerate(itertools.product(*values)):
         overrides = dict(zip(names, cell))
         entry = {"index": index, "overrides": overrides}
         doc = {**base, **overrides}
         if "H" in overrides:
-            doc["H"] = [[0.0 if r == c else overrides["H"] for c in range(n)] for r in range(n)]
+            doc["H"] = np.full((cfg.params.n, cfg.params.n), overrides["H"])  # `network` zeroes the diagonal
         # cells report through the sweep document only
         cell_opts = argparse.Namespace(**{**vars(opts), "seed": _cell_seed(opts.seed, index), "out": None})
         try:
-            entry["result"] = COMMANDS[opts.cell](RunConfig(parse_config(doc).params, cfg.v0), cell_opts)
+            entry["result"] = COMMANDS[opts.cell](RunConfig(network(**doc), cfg.v0), cell_opts)
             entry["status"] = "ok"
         except IfnetError as exc:
             entry["status"] = "error"

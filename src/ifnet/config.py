@@ -7,8 +7,10 @@ Network config schema (JSON):
      "K": num,                        # optional, accepted instead of beta
      "V0": [num, ...]}                # optional initial state for `simulate`
 
-Either "beta" or "K" must be present; with "K", beta = K/gamma.  Outputs are
-reproducible byte for byte: floats serialize through repr (shortest
+Either "beta" or "K" must be present; with "K", beta = K/gamma.  `params.network`
+checks every value, and "V0" with its check for "H" (n numbers, all finite).
+
+Outputs are reproducible byte for byte: floats serialize through repr (shortest
 round-trip, at most 17 significant digits), JSON keys are sorted, CSV rows use
 LF terminators.
 
@@ -35,9 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParseError
-from .params import NetworkParams, network
-
-_SCALARS = {"gamma": float, "theta": float, "alpha": float}
+from .params import NetworkParams, network, number, number_array
 
 
 @dataclass
@@ -46,62 +46,30 @@ class RunConfig:
     v0: Optional[np.ndarray] = None
 
 
-def parse_config(doc: dict) -> RunConfig:
+def parse_config(doc) -> RunConfig:
+    """Read a config document; `network` checks every value it holds."""
     if not isinstance(doc, dict):
         raise ParseError("config root must be a JSON object")
-    if "n" not in doc:
-        raise ParseError("missing field 'n'")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParseError(f"field 'n' must be an integer, got {n!r}")
-    vals = {}
-    for name, cast in _SCALARS.items():
+    if "beta" not in doc and "K" in doc:
+        try:
+            doc = {**doc, "beta": number("K", doc["K"]) / doc["gamma"]}
+        except (KeyError, TypeError, ArithmeticError):  # no gamma, or one `network` rejects before beta
+            doc = {**doc, "beta": math.nan}
+    for name in ("n", "gamma", "beta", "theta", "alpha", "H"):
         if name not in doc:
-            raise ParseError(f"missing field '{name}'")
-        if not isinstance(doc[name], (int, float)) or isinstance(doc[name], bool):
-            raise ParseError(f"field '{name}' must be a number, got {doc[name]!r}")
-        vals[name] = cast(doc[name])
-    if "beta" in doc:
-        if not isinstance(doc["beta"], (int, float)) or isinstance(doc["beta"], bool):
-            raise ParseError(f"field 'beta' must be a number, got {doc['beta']!r}")
-        beta = float(doc["beta"])
-    elif "K" in doc:
-        if not isinstance(doc["K"], (int, float)) or isinstance(doc["K"], bool):
-            raise ParseError(f"field 'K' must be a number, got {doc['K']!r}")
-        if vals["gamma"] == 0:
-            raise ParseError("field 'K' requires nonzero 'gamma'")
-        beta = float(doc["K"]) / vals["gamma"]
-    else:
-        raise ParseError("missing field 'beta' (or 'K')")
-    if "H" not in doc:
-        raise ParseError("missing field 'H'")
-    H = doc["H"]
-    if (not isinstance(H, list) or len(H) != n
-            or any(not isinstance(r, list) or len(r) != n for r in H)):
-        raise ParseError(f"field 'H' must be an {n}x{n} array of numbers")
-    try:
-        H_arr = np.array(H, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"field 'H' contains a non-numeric entry: {exc}") from exc
-    params = network(n=n, gamma=vals["gamma"], beta=beta,
-                     theta=vals["theta"], alpha=vals["alpha"], H=H_arr)
-    v0 = None
-    if "V0" in doc:
-        if not isinstance(doc["V0"], list) or len(doc["V0"]) != n:
-            raise ParseError(f"field 'V0' must be a list of {n} numbers")
-        v0 = np.array(doc["V0"], dtype=np.float64)
+            raise ParseError(f"missing field '{name}'" + (" (or 'K')" if name == "beta" else ""))
+    params = network(doc["n"], doc["gamma"], doc["beta"], doc["theta"], doc["alpha"], doc["H"])
+    v0 = number_array("V0", doc["V0"], (params.n,)) if "V0" in doc else None
     return RunConfig(params=params, v0=v0)
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse and validate a network config file."""
+    """Read, parse and validate a network config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, not UTF-8, an int over 4300 digits
         raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path} at line {exc.lineno}: {exc.msg}") from exc
     return parse_config(doc)
 
 

@@ -47,7 +47,7 @@ from .params import NetworkParams
 
 __all__ = [
     "lambda_for_zone", "in_zone", "verify_contraction", "expansion_witness",
-    "check_O_conditions", "repeller", "absorption_check", "jvac_check",
+    "check_O_conditions", "o_pairs", "repeller", "absorption_check", "jvac_check",
     "adapted_distance", "estimate_lipschitz_c", "adapted_metric_check",
     "ContractionReport", "ExpansionWitness", "RepellerReport",
     "AbsorptionReport", "MetricEstimate", "MetricCheck",
@@ -228,6 +228,12 @@ def check_O_conditions(params: NetworkParams, i: int, j: int) -> tuple[bool, boo
         if k not in (i, j)
     )
     return bool(o1), bool(o2), bool(o3)
+
+
+def o_pairs(params: NetworkParams) -> list[tuple[int, int]]:
+    """The unordered pairs (i, j), i < j, that satisfy all of (O1)-(O3)."""
+    return [(i, j) for i in range(params.n) for j in range(i + 1, params.n)
+            if all(check_O_conditions(params, i, j))]
 
 
 def _transfer(params: NetworkParams, j: int):

@@ -25,13 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import PreconditionFailed
+from .errors import PreconditionFailed, RejectConfig
 from .params import NetworkParams
 
 __all__ = [
     "flow", "state_at_threshold", "return_map", "orbit", "grid_rows",
-    "sample_trajectory", "antiphase_state", "ReturnStep", "OrbitStep", "as_state",
+    "sample_trajectory", "antiphase_state", "ReturnStep", "OrbitStep", "as_state", "MAX_TRAJECTORY_ROWS",
 ]
+
+MAX_TRAJECTORY_ROWS = 10**6  # rows one trajectory may have: grid rows plus two per firing
 
 
 def as_state(params: NetworkParams, v) -> np.ndarray:
@@ -124,9 +126,12 @@ def grid_rows(dt: float, t_total: float) -> int:
     """Rows of the dt grid on [0, t_total]: floor(t_total/dt + 1e-9) + 1.
 
     The slack keeps a last grid point that k*dt overshoots by rounding, such
-    as 3*0.1 for t_total 0.3.  Raises OverflowError when t_total/dt overflows.
+    as 3*0.1 for t_total 0.3.  Raises RejectConfig above MAX_TRAJECTORY_ROWS.
     """
-    return math.floor(t_total / dt + 1e-9) + 1
+    ratio = t_total / dt + 1e-9
+    if not ratio < MAX_TRAJECTORY_ROWS:  # inf and nan included
+        raise RejectConfig(f"t_total/dt asks for more than {MAX_TRAJECTORY_ROWS} trajectory rows")
+    return math.floor(ratio) + 1
 
 
 def sample_trajectory(params: NetworkParams, v0, dt: float, t_total: float):
@@ -138,12 +143,14 @@ def sample_trajectory(params: NetworkParams, v0, dt: float, t_total: float):
     contributes two rows, the left limit (post_spike=0, firing coordinates at
     theta) followed by the right limit (post_spike=1, the reset state), so
     the discontinuity is explicit in the output, and replaces any grid row
-    within 1e-15 of it.
+    within 1e-15 of it.  Raises RejectConfig once the rows are bound to exceed
+    MAX_TRAJECTORY_ROWS.
     """
     if dt <= 0:
         raise PreconditionFailed("dt must be positive")
     cur = as_state(params, v0)
-    grid = np.arange(grid_rows(dt, t_total)) * dt
+    n_rows = grid_rows(dt, t_total)
+    grid = np.arange(n_rows) * dt
     times, rows, post = [grid[:1]], [cur[None]], [[0]]
     t_event = 0.0
     k = 1  # next grid row
@@ -165,6 +172,11 @@ def sample_trajectory(params: NetworkParams, v0, dt: float, t_total: float):
         times.append([t_fire, t_fire])
         rows.append([left, step.state])
         post.append([0, 1])
+        n_rows += 2
+        # a firing resets a neuron to 0, so each later wait is at most T_max: the rows
+        # are bound to exceed when n_rows + 2*floor((t_total - t_fire)/T_max) does
+        if t_total - t_fire >= ((MAX_TRAJECTORY_ROWS - n_rows) // 2 + 1) * params.constants.T_max:
+            raise RejectConfig(f"the trajectory has more than {MAX_TRAJECTORY_ROWS} rows with two per firing")
         k = max(end, int(np.searchsorted(grid, t_fire + 1e-15, side="right")))
         cur = step.state
         t_event = t_fire

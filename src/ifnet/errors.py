@@ -15,7 +15,7 @@ class RejectConfig(IfnetError):
 
 
 class ParseError(RejectConfig):
-    """Configuration file is malformed; message names the offending field."""
+    """Config document or params.network value malformed; message names the field."""
 
 
 class PreconditionFailed(IfnetError):

@@ -22,14 +22,14 @@ All analysis constants have closed forms in (beta, theta, alpha, gamma, H):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .errors import RejectConfig
+from .errors import ParseError, RejectConfig
 
 # Relative tolerance deciding when two potentials (hence two firing times) tie.
 TIE_REL = 1e-12
@@ -85,7 +85,8 @@ class NetworkParams:
         m_min_pos = float(pos.min()) if pos.size else None
         nz = off[off != 0]
         min_abs_H = float(np.min(np.abs(nz))) if nz.size else None
-        p0 = math.ceil((theta - alpha) / min_abs_H) if min_abs_H is not None else None
+        p0 = (theta - alpha) / min_abs_H if min_abs_H is not None else None
+        p0 = math.ceil(p0) if p0 is not None and p0 < math.inf else p0  # `network` rejects an inf p0
         T_max = math.log(beta / bt) / gamma
         return DerivedConstants(
             c_star=c_star, beta_plus=beta_plus, c_bar=c_bar, epsilon=epsilon,
@@ -120,8 +121,6 @@ class NetworkParams:
         h4: Dale's principle, no mixed neuron.
         sync_size: every off-diagonal entry strictly positive and
             n >= ceil(theta/m)^2 with m the minimum interaction.
-        o_pairs: unordered pairs (i, j) satisfying the repeller conditions
-            (O1)-(O3); see contraction.check_O_conditions.
         """
         dc = self.constants
         h3 = self.beta < dc.beta_plus and dc.min_abs_H is not None and dc.min_abs_H > dc.epsilon
@@ -130,39 +129,32 @@ class NetworkParams:
         sync_size = False
         if off.size > 0 and bool(np.all(off > 0)):
             sync_size = self.n >= math.ceil(self.theta / float(off.min())) ** 2
-
-        from .contraction import check_O_conditions  # deferred: contraction imports params
-
-        o_pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
-                   if all(check_O_conditions(self, i, j))]
-        return HypothesisReport(h3=bool(h3), h4=h4, sync_size=bool(sync_size), o_pairs=o_pairs)
+        return HypothesisReport(h3=bool(h3), h4=h4, sync_size=bool(sync_size))
 
 
 def network(n, gamma, beta, theta, alpha, H) -> NetworkParams:
     """Build a validated NetworkParams: diagonal of H zeroed, H frozen read-only.
 
-    Raises RejectConfig if any well-posedness inequality fails or any entry
-    or closed-form constant is non-finite.
+    Raises ParseError, naming the field, if a value is not a number or has the wrong
+    shape, and RejectConfig if one is not finite or breaks a well-posedness
+    inequality, or a closed-form constant is not finite.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise RejectConfig(f"n must be a positive integer, got {n!r}")
-    for name, val in (("gamma", gamma), ("beta", beta), ("theta", theta), ("alpha", alpha)):
-        if not isinstance(val, (int, float, np.floating)) or not math.isfinite(val):
-            raise RejectConfig(f"{name} must be a finite number, got {val!r}")
-    gamma, beta, theta, alpha = float(gamma), float(beta), float(theta), float(alpha)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParseError(f"field 'n' must be a positive integer, got {n!r}")
+    # gamma before beta: a config's beta = K/gamma means nothing without a valid gamma
+    gamma = number("gamma", gamma)
     if gamma <= 0:
         raise RejectConfig(f"gamma must be > 0, got {gamma}")
+    theta = number("theta", theta)
     if theta <= 0:
         raise RejectConfig(f"theta must be > 0, got {theta}")
+    alpha = number("alpha", alpha)
     if alpha >= 0:
         raise RejectConfig(f"alpha must be < 0, got {alpha}")
+    beta = number("beta", beta)
     if beta <= theta:
         raise RejectConfig(f"beta must exceed theta (perpetual firing), got beta={beta} theta={theta}")
-    H = np.array(H, dtype=np.float64)
-    if H.shape != (n, n):
-        raise RejectConfig(f"H must be an {n}x{n} matrix, got shape {H.shape}")
-    if not np.all(np.isfinite(H)):
-        raise RejectConfig("H contains non-finite entries")
+    H = number_array("H", H, (n, n))
     np.fill_diagonal(H, 0.0)  # a neuron does not self-interact
     H.setflags(write=False)
     p = NetworkParams(n=int(n), gamma=gamma, beta=beta, theta=theta, alpha=alpha, H=H)
@@ -170,6 +162,33 @@ def network(n, gamma, beta, theta, alpha, H) -> NetworkParams:
     if bad:
         raise RejectConfig(f"closed-form constants are not finite: {', '.join(bad)}")
     return p
+
+
+def number(name: str, value) -> float:
+    """value as a finite float; ParseError unless it is an int (not a bool) or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParseError(f"field '{name}' must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ParseError(f"field '{name}' is an integer too large for a float") from None
+    if not math.isfinite(value):
+        raise RejectConfig(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def number_array(name: str, value, shape: tuple) -> np.ndarray:
+    """value as a new float64 array of the given shape with finite entries, judged by the
+    dtype numpy infers, not entry by entry: a bool among numbers reads as 0 or 1."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        arr = np.array(None)
+    if arr.dtype.kind not in "iuf" or arr.shape != shape:
+        raise ParseError(f"field '{name}' must hold {'x'.join(map(str, shape))} numbers")
+    if not np.all(np.isfinite(arr)):
+        raise RejectConfig(f"{name} contains non-finite entries")
+    return arr.astype(np.float64, copy=False)
 
 
 def _classify(params: NetworkParams, j: int) -> NeuronKind:
@@ -208,4 +227,3 @@ class HypothesisReport:
     h3: bool
     h4: bool
     sync_size: bool
-    o_pairs: list = field(default_factory=list)

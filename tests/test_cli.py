@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifnet import ParseError, RejectConfig, _kernels
+from ifnet import ParseError, RejectConfig, _kernels, dynamics
 from ifnet.cli import main
 from ifnet.config import dump_json, load_config, params_to_doc, parse_config
 from ifnet.cycles import cycle_census
@@ -85,6 +85,15 @@ def test_config_parse_errors(tmp_path):
     del doc["gamma"]
     with pytest.raises(ParseError, match="gamma"):
         load_config(write_config(tmp_path, doc))
+    # with "K", network reports a gamma that cannot divide K
+    doc = dict(NET_A_DOC, K=2.4)
+    del doc["beta"]
+    with pytest.raises(ParseError, match="field 'K'"):
+        load_config(write_config(tmp_path, dict(doc, K="2.4")))
+    with pytest.raises(ParseError, match="field 'gamma'"):
+        load_config(write_config(tmp_path, dict(doc, gamma="2")))
+    with pytest.raises(RejectConfig, match="gamma must be > 0"):
+        load_config(write_config(tmp_path, dict(doc, gamma=0)))
 
 
 def test_config_rejects_bad_model(tmp_path):
@@ -371,6 +380,31 @@ def test_cli_rejects_unusable_options(tmp_path, capsys, args):
     assert main([args[0], "--config", str(cfg), *args[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [b"\xff{}", b'{"n": ' + b"1" * 5000 + b"}", b"[" * 10**5 + b"]" * 10**5],
+                         ids=["not-utf8", "5000-digit-integer", "deep-nesting"])
+def test_cli_unreadable_config_exits_2_in_one_line(tmp_path, capsys, text):
+    path = tmp_path / "net.json"
+    path.write_bytes(text)
+    assert main(["analyze", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+def test_cli_simulate_bounds_rows_of_a_firing_storm(tmp_path, capsys, monkeypatch):
+    # 11 grid rows, but with gamma = 1e5 every firing adds two more (111633 rows in all)
+    cfg = write_config(tmp_path, dict(NET_C_DOC, gamma=1e5))
+    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_ROWS", 1000)
+    assert main(["simulate", "--config", str(cfg), "--dt", "0.1", "--t-total", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    # with gamma = 1e300 the waits are ~1e-300: the run must stop at its first firing
+    cfg = write_config(tmp_path, dict(NET_C_DOC, gamma=1e300))
+    res = subprocess.run([sys.executable, "-m", "ifnet", "simulate", "--config", str(cfg),
+                          "--dt", "0.1", "--t-total", "1"], capture_output=True, text=True, timeout=10)
+    assert res.returncode == 2 and res.stderr.startswith("config error: ")
+    assert res.stderr.count("\n") == 1, res.stderr
 
 
 def test_cli_ends_a_failed_allocation_in_one_line(tmp_path, capsys):

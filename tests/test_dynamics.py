@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from ifnet import (
     PreconditionFailed,
+    RejectConfig,
     antiphase_state,
+    dynamics,
     flow,
     network,
     orbit,
@@ -299,6 +301,19 @@ def test_trajectory_grid_is_k_dt(net_c, dt, t_total, last_k):
     assert grid == [k * dt for k in ks]
     assert ks == sorted(set(ks)) and ks[0] == 0 and ks[-1] == last_k
     assert times[-1] == last_k * dt
+
+
+def test_trajectory_row_limit_counts_two_rows_per_firing(monkeypatch):
+    # gamma = 1e3 on net_c: 11 grid rows, and every firing adds two more
+    p = network(3, 1e3, 1.2, 1.0, -1.0, [[0.0, 0.6, 0.6], [-0.6, 0.0, -0.6], [-0.6, -0.6, 0.0]])
+    times, values, post = sample_trajectory(p, np.zeros(3), 0.1, 1.0)
+    assert len(times) > 100 * 11
+    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_ROWS", len(times))
+    again = sample_trajectory(p, np.zeros(3), 0.1, 1.0)
+    assert np.array_equal(again[0], times) and np.array_equal(again[1], values)
+    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_ROWS", len(times) - 1)
+    with pytest.raises(RejectConfig, match="two per firing"):
+        sample_trajectory(p, np.zeros(3), 0.1, 1.0)
 
 
 # ---------------------------------------------------------------- anti-phase family

@@ -5,8 +5,10 @@ import pytest
 
 from ifnet import (
     NeuronKind,
+    ParseError,
     RejectConfig,
     network,
+    o_pairs,
 )
 
 # Frozen oracle values, evaluated once with 40-digit arithmetic for
@@ -50,6 +52,26 @@ def test_validate_rejects_bad_matrix():
         network(2, 1.0, 1.2, 1.0, -1.0, [[0.0, 0.5]])
     with pytest.raises(RejectConfig):
         network(2, 1.0, 1.2, 1.0, -1.0, [[0.0, np.inf], [0.5, 0.0]])
+    # a subnormal entry makes p0 = ceil((theta - alpha)/5e-324) infinite
+    with pytest.raises(RejectConfig, match="p0 = inf"):
+        network(2, 1.0, 1.2, 1.0, -1.0, [[0.0, 5e-324], [0.5, 0.0]])
+
+
+NOT_NUMBERS = {
+    "n-bool": ("n", True), "n-float": ("n", 2.0), "gamma-bool": ("gamma", True),
+    "gamma-str": ("gamma", "1"), "theta-null": ("theta", None), "alpha-list": ("alpha", [-1.0]),
+    "beta-401-digits": ("beta", 10**400), "H-str": ("H", [["a", 0], [0, 0]]),
+    "H-null": ("H", [[0.0, None], [0.5, 0.0]]), "H-nested": ("H", [[0.0, [0.5]], [0.5, 0.0]]),
+    "H-bools": ("H", [[False, True], [True, False]]), "H-401-digits": ("H", [[0.0, 10**400], [0.5, 0.0]]),
+    "H-text": ("H", "0.5"),
+}
+
+
+@pytest.mark.parametrize("field, value", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+def test_network_raises_parse_error_naming_the_field(field, value):
+    args = dict(n=2, gamma=1.0, beta=1.2, theta=1.0, alpha=-1.0, H=[[0.0, 0.5], [0.5, 0.0]])
+    with pytest.raises(ParseError, match=f"field '{field}'"):
+        network(**{**args, field: value})
 
 
 def test_validate_zeroes_diagonal():
@@ -159,8 +181,8 @@ def test_check_hypotheses_mixed_neuron_fails_h4():
 
 
 def test_o_pairs_listed_for_net_b(net_b, net_a):
-    assert net_b.hypotheses.o_pairs == [(0, 1)]
-    assert net_a.hypotheses.o_pairs == []  # 0.5 > theta - c_star
+    assert o_pairs(net_b) == [(0, 1)]
+    assert o_pairs(net_a) == []  # 0.5 > theta - c_star
 
 
 def test_validated_params_are_frozen_and_cache_invariants(net_c):
