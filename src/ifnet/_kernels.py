@@ -19,23 +19,26 @@ Every function here takes the validated `NetworkParams` as its first
 argument and reads the map's constants (H, beta, theta, alpha, gamma and the
 tie tolerance) from it; no caller passes them one by one.
 
-The step exists twice.  `step` is a scalar loop over one state and serves
-sequential orbits (`run_orbit`, and through it simulation), where each
-state depends on the previous one; it writes into caller-owned rows
-(`out_v`, `fired`), so `run_orbit` fills its result arrays in place.
-`step_batch` applies the same step to a (..., n) batch of independent
-states with NumPy operations and serves the multi-start drivers
-(`absorb_run`, `sync_run`, `track_pair`; one return of `track_pair` gives
-the zone contraction ratios) and the cycle census, whose detection steps
-every live sample in lockstep.  On one net_c state the scalar step takes
-about 6 us and the batched one about 27 us (timeit, 2-vCPU Xeon VM), which is
-why sequential orbits keep the scalar step; on thousands of states the
-batched step is far cheaper per state.  `step_batch` returns each row's
-maximum rather than its waiting time, because most callers never read the
-time; `wait_times` turns the maxima into times where they are needed.
-Both steps add the jumps in presynaptic order j = 0..n-1 and take the
-logarithm with `math.log`, so they agree bit for bit; the differential test
-in tests/test_kernels.py holds them to that.
+`step_batch` is the one implementation of this step.  It applies it to a
+(..., n) batch of independent states with NumPy operations, adding the jumps
+in presynaptic order j = 0..n-1, and it takes a single (n,) state as well.  The
+multi-start drivers (`absorb_run`, `sync_run`, `track_pair`; one return of
+`track_pair` gives the zone contraction ratios) and the cycle census, whose
+detection steps every live sample in lockstep, step whole batches; sequential
+orbits (`run_orbit`, and through it simulation, and `dynamics.return_map`)
+step one state at a time, as each state depends on the previous one.  One
+state costs about 36 us on net_c and 63 us on mixed8, three to four times the
+9 and 22 us of a scalar loop over one state (timeit, mean over 50 random
+section states, 2-vCPU VM), so an orbit that never repeats steps that much
+slower per return; on thousands of states the batched step is far cheaper per
+state.  No workload here holds such an orbit: on 30 random starts over six
+weakly coupled networks (n = 2..7, |H| <= 0.05) `run_orbit(..., 50000)`
+stepped at most 2049 returns before its recurrence tail took over.
+`step_batch` returns each row's maximum rather than its waiting time, because
+most callers never read the time; `wait_times` turns the maxima into times
+where they are needed, taking the logarithm with `math.log` per row.
+tests/test_kernels.py holds `step_batch`, `run_orbit` and every batch driver
+bit for bit to a plain scalar loop over one state.
 
 Recurrence tail.  Where the map contracts, orbits land on limit cycles byte
 for byte: every bench `simulate` start on net_c (seeds 1-29) reaches 0;0;0 by
@@ -44,8 +47,8 @@ the fourth return, the mixed8 golden start enters its period-6 cycle at step
 state's bytes with one mark, `lag` steps back and moved on whenever `lag`
 reaches a doubling power (Brent's cycle detection, BIT 20, 1980); on a match
 after step s it copies rows s+1.. from rows s+1-lag..s.  That is exact, as
-`step` is a pure function of the network and its input state's bytes.  The
-check costs 0.13 us a step against 8.3 us for a net_c step (timeit, 2-vCPU VM).
+the step is a pure function of the network and its input state's bytes.  The
+check costs 0.13 us a step against about 36 us for a net_c step (timeit, 2-vCPU VM).
 The batch drivers drop a row once its future is known, for the same reason:
 `sync_run` at the zero vector, `track_pair` once the pair's two states are
 equal (one orbit from there: distances 0, firing sets shared), `absorb_run`
@@ -62,85 +65,37 @@ import numpy as np
 from .params import NetworkParams
 
 
-def step(params: NetworkParams, v, out_v, fired):
-    """One return-map application; fills out_v/fired, returns (t_bar, rounds)."""
-    H = params.H
-    beta, theta, alpha = params.beta, params.theta, params.alpha
-    n = v.shape[0]
-    vmax = v[0]
-    for i in range(1, n):
-        if v[i] > vmax:
-            vmax = v[i]
-    tied = vmax - params.tie_tol()
-    for i in range(n):
-        fired[i] = v[i] >= tied
-    scale = (beta - theta) / (beta - vmax)
-    for i in range(n):
-        if fired[i]:
-            out_v[i] = theta
-        else:
-            out_v[i] = beta - (beta - v[i]) * scale
-    rounds = 0
-    while True:
-        recruits = []
-        for k in range(n):
-            if not fired[k]:
-                s = out_v[k]
-                for j in range(n):
-                    if fired[j] and H[j, k] > 0.0:
-                        s += H[j, k]
-                if s >= theta:
-                    recruits.append(k)
-        if not recruits:
-            break
-        rounds += 1
-        for k in recruits:
-            fired[k] = True
-    for i in range(n):
-        if fired[i]:
-            out_v[i] = 0.0
-        else:
-            s = out_v[i]
-            for j in range(n):
-                if fired[j]:
-                    s += H[j, i]
-            if s < alpha:
-                s = alpha
-            out_v[i] = s
-    t_bar = math.log((beta - vmax) / (beta - theta)) / params.gamma
-    if t_bar < 0.0:
-        t_bar = 0.0
-    return t_bar, rounds
-
-
 def run_orbit(params: NetworkParams, v0, n_steps):
     """Iterate the return map n_steps times; returns (states, fired, t_bars).
 
     Rows after a byte-exact repeat are copied (module docstring, "Recurrence tail")."""
     states = np.empty((n_steps, params.n), np.float64)
-    fired = np.zeros((n_steps, params.n), np.bool_)
-    t_bars = np.empty(n_steps, np.float64)
-    v = v0
+    fired = np.empty((n_steps, params.n), np.bool_)
+    t_bars = np.empty(n_steps, np.float64)  # each input's maximum until it is turned into a time
+    v, stepped = v0, n_steps
     mark, power, lag = None, 1, 1  # Brent: mark is the state `lag` steps back
     for s in range(n_steps):
-        t_bars[s] = step(params, v, states[s], fired[s])[0]
+        states[s], fired[s], t_bars[s], _ = step_batch(params, v)
         v = states[s]
         if (key := v.tobytes()) == mark:
-            idx = s + 1 - lag + np.arange(n_steps - s - 1) % lag
-            states[s + 1:], fired[s + 1:], t_bars[s + 1:] = states[idx], fired[idx], t_bars[idx]
+            stepped = s + 1
             break
         if lag == power:
             mark, power, lag = key, 2 * power, 0
         lag += 1
+    t_bars[:stepped] = wait_times(params, t_bars[:stepped])
+    idx = stepped - lag + np.arange(n_steps - stepped) % lag
+    states[stepped:], fired[stepped:], t_bars[stepped:] = states[idx], fired[idx], t_bars[idx]
     return states, fired, t_bars
 
 
 def step_batch(params: NetworkParams, V):
     """One return-map application to every state of a (..., n) batch.
 
-    Returns (out, fired, vmax) with shapes (..., n), (..., n) and (...);
-    out and fired equal what `step` gives for that state, bit for bit, and
-    `wait_times(params, vmax)` equals its t_bar.
+    Returns (out, fired, vmax, rounds): the post-firing states and firing
+    sets, shapes (..., n), each input's maximum, shape (...), from which
+    `wait_times` gives the waiting times, and the avalanche depth, the number
+    of recruiting rounds (for a batch, that of its deepest row).
     """
     H = params.H
     beta, theta = params.beta, params.theta
@@ -149,6 +104,7 @@ def step_batch(params: NetworkParams, V):
     pre = beta - (beta - V) * ((beta - theta) / (beta - vmax))
     pre[fired] = theta
     excites = H > 0.0
+    rounds = 0
     while True:
         s = pre.copy()
         for j in range(params.n):
@@ -157,35 +113,40 @@ def step_batch(params: NetworkParams, V):
         if not recruited.any():
             break
         fired |= recruited
+        rounds += 1
     out = pre
     for j in range(params.n):
         np.add(out, H[j], out=out, where=fired[..., j, None])
     np.maximum(out, params.alpha, out=out)
     out[fired] = 0.0
-    return out, fired, vmax[..., 0]
+    return out, fired, vmax[..., 0], rounds
 
 
 def piece_matrix(params: NetworkParams, V):
     """Homogeneous matrix M of the map on the piece (winner m, firing set J, floored
     set F, as `step_batch` finds them) that holds each state of a (..., n) batch:
-    M @ (v, 1) is proportional to (step(v), 1).  The last row is the denominator
-    (-e_m, beta); row k is zero on J, alpha times it on F (a coordinate left at
-    alpha counts as floored), else beta + S_k - (beta - v_k)(beta - theta)/(beta - v_m)."""
+    M @ (v, 1) is proportional to (rho(v), 1), rho the return map.  The last
+    row is the denominator (-e_m, beta); row k is zero on J, alpha times it on F
+    (a coordinate left at alpha counts as floored), else
+    beta + S_k - (beta - v_k)(beta - theta)/(beta - v_m)."""
     n, beta = params.n, params.beta
-    out, fired, _ = step_batch(params, V)
+    out, fired, _, _ = step_batch(params, V)
     den = np.where(np.arange(n + 1) == V.argmax(axis=-1)[..., None, None], -1.0, 0.0)
     den[..., n] = beta
-    rows = (beta + fired @ params.H)[..., None] * den  # (fired @ H)[k] = S_k = sum_J H[j, k]
+    # S_k = (fired @ H)[k] = sum_J H[j, k], taken only on the rows neither zeroed nor
+    # floored: it is bounded there, while a jump near the float maximum lands elsewhere
+    free = ~fired & (out != params.alpha)
+    rows = (beta + np.where(free, fired @ params.H, 0.0))[..., None] * den
     rows += (beta - params.theta) * np.hstack((np.eye(n), np.full((n, 1), -beta)))
-    rows = np.where((out == params.alpha)[..., None], params.alpha * den, rows)
+    rows = np.where(free[..., None], rows, params.alpha * den)
     rows[fired] = 0.0
     return np.concatenate((rows, den), axis=-2)
 
 
 def wait_times(params: NetworkParams, vmax):
-    """Waiting time before the firing of each state with maximum vmax, as `step` gives it."""
+    """Waiting time before the firing of each state with maximum vmax."""
     ratio = (params.beta - np.asarray(vmax, np.float64)) / (params.beta - params.theta)
-    # math.log per row: np.log need not match libm, and `step` uses math.log
+    # math.log per row: np.log need not match libm, so results would depend on the NumPy build
     logs = np.fromiter(map(math.log, ratio.ravel().tolist()), np.float64, ratio.size)
     return np.maximum(logs.reshape(ratio.shape) / params.gamma, 0.0)
 
@@ -238,7 +199,7 @@ def sync_run(params: NetworkParams, v0, max_steps):
     total = np.zeros(v.shape[0], np.float64)
     live = np.arange(v.shape[0])
     for k in range(1, max_steps + 1):
-        v, _, vmax = step_batch(params, v)
+        v, _, vmax, _ = step_batch(params, v)
         total[live] += wait_times(params, vmax)
         zero = ~v.any(axis=-1)
         steps[live[zero]] = k
@@ -266,7 +227,7 @@ def track_pair(params: NetworkParams, v0, w0, k_max):
     live = np.arange(x.shape[1])
     for k in range(k_max + 1):
         if k:
-            x, fired, _ = step_batch(params, x)
+            x, fired, _, _ = step_batch(params, x)
             same = (fired[0] == fired[1]).all(axis=-1)
             live, x = live[same], x[:, same]
             n_common[live] = k

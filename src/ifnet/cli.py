@@ -8,10 +8,12 @@ blake2b(seed, cell-index) and run one after another in cell order.  The
 
 Exit codes: 0 ok, 2 config error, 3 hypothesis violated, 4 numerical stall,
 1 any other operation error, a failed allocation or a failed write under
---out included.  Exit 2 also covers option values no command can use:
---samples or --max-iter below 1, a --tol, --eta, --dt or --t-total that is
-not a finite positive number, --dt or --t-total without the other, and a
---t-total/--dt pair whose trajectory (grid rows plus two per firing) passes 10**6 rows.
+--out included.  Exit 2 also covers a command line argparse cannot read (no
+command, an unknown one or option, a missing --config, --samples abc) and
+option values no command can use: --samples or --max-iter below 1, a --tol,
+--eta, --dt or --t-total that is not a finite positive number, --dt or
+--t-total without the other, and a --t-total/--dt pair whose trajectory (grid
+rows plus two per firing) passes 10**6 rows.
 """
 
 from __future__ import annotations
@@ -304,8 +306,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises RejectConfig on a bad command line (`main` turns it into exit 2 and
+    one stderr line) where argparse would print its usage block and exit."""
+
+    def error(self, message):
+        raise RejectConfig(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ifnet", description=__doc__)
+    ap = _Parser(prog="ifnet", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
@@ -327,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    opts = build_parser().parse_args(argv)
     try:
+        opts = build_parser().parse_args(argv)
         _check_options(opts)
         cfg = load_config(opts.config)
         if opts.out is not None:

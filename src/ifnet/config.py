@@ -8,7 +8,8 @@ Network config schema (JSON):
      "V0": [num, ...]}                # optional initial state for `simulate`
 
 Either "beta" or "K" must be present; with "K", beta = K/gamma.  `params.network`
-checks every value, and "V0" with its check for "H" (n numbers, all finite).
+checks every value, and "V0" with its check for "H" (n numbers, all finite),
+each coordinate then in [alpha, theta].
 
 Outputs are reproducible byte for byte: floats serialize through repr (shortest
 round-trip, at most 17 significant digits), JSON keys are sorted, CSV rows use
@@ -36,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, RejectConfig
 from .params import NetworkParams, network, number, number_array
 
 
@@ -60,6 +61,8 @@ def parse_config(doc) -> RunConfig:
             raise ParseError(f"missing field '{name}'" + (" (or 'K')" if name == "beta" else ""))
     params = network(doc["n"], doc["gamma"], doc["beta"], doc["theta"], doc["alpha"], doc["H"])
     v0 = number_array("V0", doc["V0"], (params.n,)) if "V0" in doc else None
+    if v0 is not None and not ((v0 >= params.alpha) & (v0 <= params.theta)).all():
+        raise RejectConfig(f"V0 has a coordinate outside [alpha, theta] = [{params.alpha}, {params.theta}]")
     return RunConfig(params=params, v0=v0)
 
 

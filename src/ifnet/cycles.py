@@ -222,10 +222,9 @@ def _solve(params: NetworkParams, window: np.ndarray, eta: float):
     x = vecs[:, lead]
     if w[lead].imag != 0.0 or not abs(w[lead]) > abs(w[second]) or x[-1] == 0.0:
         raise NumericalStall(f"period-{p} piece product has no strictly dominant real eigenvector")
-    seq = [(x[:-1] / x[-1]).real]
-    for _ in range(4 * p):
-        seq.append(_kernels.step_batch(params, seq[-1])[0])
-    cycle = _certified_cycle(params, np.array(seq[2 * p:]), p, eta)
+    x = (x[:-1] / x[-1]).real
+    seq = np.vstack((x, _kernels.run_orbit(params, x, 4 * p)[0]))
+    cycle = _certified_cycle(params, seq[2 * p:], p, eta)
     if isinstance(cycle, LimitCycle):
         cycle.contraction = float(abs(w[second] / w[lead]))
     return cycle
@@ -278,7 +277,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol
         live, V = live[~zero], V[~zero]
         if not live.size:
             break
-        image, fired, _ = _kernels.step_batch(params, V)
+        image, fired, _, _ = _kernels.step_batch(params, V)
         last_exc[live[fired[:, excit].any(axis=1)]] = k
         if certified_mode:
             zone = _in_zone_rows(V, params.constants.c_bar).tolist()

@@ -95,12 +95,10 @@ def return_map(params: NetworkParams, v) -> ReturnStep:
     nobody beyond J0 fires.
     """
     arr = as_state(params, v)
-    out = np.empty(params.n, np.float64)
-    fired = np.empty(params.n, np.bool_)
-    t_bar, rounds = _kernels.step(params, arr, out, fired)
+    out, fired, vmax, rounds = _kernels.step_batch(params, arr)
     return ReturnStep(
-        state=out, fired=np.flatnonzero(fired), t_bar=t_bar,
-        spontaneous=np.flatnonzero(arr >= arr.max() - params.tie_tol()), rounds=rounds,
+        state=out, fired=np.flatnonzero(fired), t_bar=float(_kernels.wait_times(params, vmax)),
+        spontaneous=np.flatnonzero(arr >= vmax - params.tie_tol()), rounds=rounds,
     )
 
 

@@ -178,13 +178,15 @@ def number(name: str, value) -> float:
 
 
 def number_array(name: str, value, shape: tuple) -> np.ndarray:
-    """value as a new float64 array of the given shape with finite entries, judged by the
-    dtype numpy infers, not entry by entry: a bool among numbers reads as 0 or 1."""
+    """value as a new float64 array of the given shape with finite entries; ParseError
+    unless every entry is an int (not a bool) or a float."""
     try:
         arr = np.array(value)
     except ValueError:  # ragged nesting
         arr = np.array(None)
-    if arr.dtype.kind not in "iuf" or arr.shape != shape:
+    # numpy reads a bool among numbers as 0 or 1, so the entries themselves are looked at
+    if arr.dtype.kind not in "iuf" or arr.shape != shape or any(
+            isinstance(x, (bool, np.bool_)) for x in np.array(value, object).flat):
         raise ParseError(f"field '{name}' must hold {'x'.join(map(str, shape))} numbers")
     if not np.all(np.isfinite(arr)):
         raise RejectConfig(f"{name} contains non-finite entries")

@@ -382,6 +382,21 @@ def test_cli_rejects_unusable_options(tmp_path, capsys, args):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--config", "CFG", "--samples", "abc"], ["bogus"], []],
+                         ids=["missing-config", "samples-abc", "unknown-command", "empty-argv"])
+def test_cli_bad_command_line_exits_2_in_one_line(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, NET_C_DOC)
+    assert main([str(cfg) if a == "CFG" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+def test_cli_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ifnet analyze")
+
+
 @pytest.mark.parametrize("text", [b"\xff{}", b'{"n": ' + b"1" * 5000 + b"}", b"[" * 10**5 + b"]" * 10**5],
                          ids=["not-utf8", "5000-digit-integer", "deep-nesting"])
 def test_cli_unreadable_config_exits_2_in_one_line(tmp_path, capsys, text):

@@ -1,6 +1,7 @@
 """The CLI input contract over mutated configs: every input ends in a result or
 in a documented exit code (0-4), with exactly one stderr line when it is not 0,
-and a value that is not a JSON number, or is not finite, ends in exit 2.
+and a value that is not a JSON number, or is not finite, or a V0 coordinate
+outside [alpha, theta], ends in exit 2.
 
 Each example mutates one or two scalar fields, H entries or V0 entries of a
 golden config with an edge value, then runs every command in-process with
@@ -39,8 +40,7 @@ def apply(doc: dict, mutations) -> bool:
     """Apply (target, value) mutations in place; True when the result must end in exit 2.
 
     A target is a scalar field name, ("H", j, i) or ("V0", i); a later
-    mutation of the same target replaces an earlier one.  A bool among the
-    numbers of H or V0 reads as 0 or 1, so it does not oblige exit 2."""
+    mutation of the same target replaces an earlier one."""
     final = {}
     for target, value in mutations:
         if isinstance(target, str):
@@ -51,15 +51,21 @@ def apply(doc: dict, mutations) -> bool:
             row = doc["V0"] if target[0] == "V0" else doc["H"][target[1]]
             row[target[-1]] = value
         final[target] = value
-    return any(must_reject(target, value) for target, value in final.items())
+    return any(must_reject(target, value) for target, value in final.items()) or v0_outside(doc)
 
 
 def must_reject(target, value) -> bool:
     if target == "n":
         return isinstance(value, bool) or not isinstance(value, int)
-    if isinstance(target, str):
-        return not finite_number(value)
-    return not (finite_number(value) or isinstance(value, bool))
+    return not finite_number(value)
+
+
+def v0_outside(doc: dict) -> bool:
+    """A V0 of numbers with a coordinate outside [alpha, theta], both numbers too."""
+    v0, lo, hi = doc.get("V0", []), doc["alpha"], doc["theta"]
+    if not all(map(finite_number, [*v0, lo, hi])):
+        return False
+    return any(not lo <= x <= hi for x in v0)
 
 
 @st.composite
@@ -91,6 +97,9 @@ def run_command(argv):
 @example(case=("net_c_v0", [(("V0", 2), None)]))
 @example(case=("net_c_v0", [(("V0", 2), math.inf)]))  # written as the literal 1e400
 @example(case=("net_c", [(("H", 1, 2), 5e-324)]))
+@example(case=("net_c", [(("V0", 0), 2.0)]))
+@example(case=("net_c_v0", [(("V0", 1), True)]))
+@example(case=("mixed8_v0", [(("H", 1, 0), -1.7976931348623157e308)]))
 def test_every_input_ends_in_a_documented_exit(tmp_path_factory, case):
     name, mutations = case
     doc = copy.deepcopy(CONFIGS[name])

@@ -1,14 +1,17 @@
-"""Differential tests: the batched step and drivers against the scalar step.
+"""Differential tests: the NumPy step and its drivers against a scalar step.
 
-`_kernels.step` is the reference.  `step_batch` must give the same post-firing
-state and firing set for every row, and `wait_times` of its row maxima the
-same waiting time, bit for bit; each batched driver must give, row by row,
-what a plain loop over the scalar step gives.  The networks cover n = 2, 3,
-8, 9 and 12 with mixed-sign couplings, an all-excitatory and an
-all-inhibitory network; the states include the zero vector, exact ties of
-the maximum and near-ties inside the tie tolerance.  `run_orbit`, which
-copies a recurring orbit's tail instead of stepping it, must give what a
-loop that steps every return gives, on net_b, net_c and mixed8.
+`reference_step` below, a plain loop over one state, is the reference.
+`step_batch` must give the same post-firing state and firing set for every
+row, and `wait_times` of its row maxima the same waiting time, bit for bit;
+on a single state it must also give the same avalanche depth (`rounds`), as
+must `return_map`.  Each batched driver must give, row by row, what a plain
+loop over the scalar step gives.  The networks cover n = 2, 3, 8, 9 and 12
+with mixed-sign couplings, an all-excitatory and an all-inhibitory network;
+the states include the zero vector, exact ties of the maximum and near-ties
+inside the tie tolerance.  `run_orbit`, which steps one state at a time
+through `step_batch` and copies a recurring orbit's tail instead of stepping
+it, must give what a scalar loop that steps every return gives, on net_b,
+net_c and mixed8.
 `piece_matrix` applied to (v, 1) must give the step within a few ulps of
 each row's scale, on net_b, net_c, net_d and mixed8.
 
@@ -18,6 +21,7 @@ merged pair, a failed start, a start on a fixed point); long-horizon runs
 net_c the contract checks must make only a handful of `step_batch` calls.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -85,44 +89,103 @@ def _bits(x):
     return np.asarray(x, np.float64).tobytes()
 
 
+def reference_step(params, v, out_v, fired):
+    """One return-map application; fills out_v/fired, returns (t_bar, rounds).
+
+    A plain scalar loop over one state, kept as the reference the NumPy step is held to."""
+    H = params.H
+    beta, theta, alpha = params.beta, params.theta, params.alpha
+    n = v.shape[0]
+    vmax = v[0]
+    for i in range(1, n):
+        if v[i] > vmax:
+            vmax = v[i]
+    tied = vmax - params.tie_tol()
+    for i in range(n):
+        fired[i] = v[i] >= tied
+    scale = (beta - theta) / (beta - vmax)
+    for i in range(n):
+        if fired[i]:
+            out_v[i] = theta
+        else:
+            out_v[i] = beta - (beta - v[i]) * scale
+    rounds = 0
+    while True:
+        recruits = []
+        for k in range(n):
+            if not fired[k]:
+                s = out_v[k]
+                for j in range(n):
+                    if fired[j] and H[j, k] > 0.0:
+                        s += H[j, k]
+                if s >= theta:
+                    recruits.append(k)
+        if not recruits:
+            break
+        rounds += 1
+        for k in recruits:
+            fired[k] = True
+    for i in range(n):
+        if fired[i]:
+            out_v[i] = 0.0
+        else:
+            s = out_v[i]
+            for j in range(n):
+                if fired[j]:
+                    s += H[j, i]
+            if s < alpha:
+                s = alpha
+            out_v[i] = s
+    t_bar = math.log((beta - vmax) / (beta - theta)) / params.gamma
+    if t_bar < 0.0:
+        t_bar = 0.0
+    return t_bar, rounds
+
+
 def scalar_step(p, v):
     out = np.empty(p.n)
     fired = np.zeros(p.n, np.bool_)
-    t_bar, _ = _kernels.step(p, v, out, fired)
-    return out, fired, t_bar
+    t_bar, rounds = reference_step(p, v, out, fired)
+    return out, fired, t_bar, rounds
 
 
 def test_step_batch_matches_scalar_step(net):
     V = _states(net, 7)
-    out, fired, vmax = _kernels.step_batch(net, V)
+    out, fired, vmax, rounds = _kernels.step_batch(net, V)
     assert out.shape == V.shape and fired.shape == V.shape and vmax.shape == V.shape[:1]
     assert _bits(vmax) == _bits(V.max(axis=1))
     t_bar = _kernels.wait_times(net, vmax)
+    deepest = 0
     for row in range(V.shape[0]):
-        o, f, t = scalar_step(net, V[row])
+        o, f, t, r = scalar_step(net, V[row])
         assert _bits(out[row]) == _bits(o), row
         assert np.array_equal(fired[row], f), row
         assert _bits(t_bar[row]) == _bits(t), row
+        deepest = max(deepest, r)
+    assert rounds == deepest  # a batch counts the rounds of its deepest row
 
 
 def test_step_batch_takes_one_state(net):
     V = _states(net, 8, count=80)
-    out, fired, vmax = _kernels.step_batch(net, V)
+    out, fired, vmax, _ = _kernels.step_batch(net, V)
     t_bar = _kernels.wait_times(net, vmax)
-    for row in (0, 1, 45, 65, 79):
-        o, f, m = _kernels.step_batch(net, V[row])
+    for row in range(V.shape[0]):
+        o, f, m, r = _kernels.step_batch(net, V[row])
         t = _kernels.wait_times(net, m)
         assert o.shape == (net.n,) and np.shape(t) == ()
         assert _bits(o) == _bits(out[row]) and np.array_equal(f, fired[row])
         assert _bits(t) == _bits(t_bar[row])
+        assert r == scalar_step(net, V[row])[3], row
 
 
 def test_return_map_spontaneous_set_and_avalanche(net):
     V = _states(net, 9, count=70)
-    _, fired, _ = _kernels.step_batch(net, V)
+    _, fired, _, _ = _kernels.step_batch(net, V)
     for row in range(70):
         v = V[row]
         step = return_map(net, v)
+        o, _, t, r = scalar_step(net, v)
+        assert _bits(step.state) == _bits(o) and _bits(step.t_bar) == _bits(t) and step.rounds == r, row
         assert np.array_equal(step.spontaneous, np.flatnonzero(v >= v.max() - net.tie_tol())), row
         if 1 <= row < 60:  # an exact tie or a tie inside the tolerance
             assert step.spontaneous.size >= 2, row
@@ -168,7 +231,7 @@ def test_sync_run_matches_scalar_loop(net):
         v = V[row]
         want_steps, want_total = -1, 0.0
         for k in range(1, max_steps + 1):
-            v, _, t = scalar_step(net, v)
+            v, _, t, _ = scalar_step(net, v)
             want_total += t
             if not np.any(v != 0.0):
                 want_steps = k
@@ -187,8 +250,8 @@ def _check_track_pair(net, V, W, k_max):
         want[0] = np.max(np.abs(v - w))
         common = 0
         for k in range(1, k_max + 1):
-            v, fv, _ = scalar_step(net, v)
-            w, fw, _ = scalar_step(net, w)
+            v, fv, _, _ = scalar_step(net, v)
+            w, fw, _, _ = scalar_step(net, w)
             if not np.array_equal(fv, fw):
                 break
             want[k] = np.max(np.abs(v - w))
@@ -240,7 +303,7 @@ def plain_orbit(p, v0, n_steps):
     t_bars = np.empty(n_steps)
     v = v0
     for s in range(n_steps):
-        t_bars[s] = _kernels.step(p, v, states[s], fired[s])[0]
+        t_bars[s] = reference_step(p, v, states[s], fired[s])[0]
         v = states[s]
     return states, fired, t_bars
 
@@ -296,7 +359,7 @@ def piece_states(draw):
 def test_piece_matrix_reproduces_step(case):
     name, V = case
     p = PIECE_NETWORKS[name]
-    out, fired, _ = _kernels.step_batch(p, V)
+    out, fired, _, _ = _kernels.step_batch(p, V)
     M = _kernels.piece_matrix(p, V)
     assert M.shape == V.shape[:1] + (p.n + 1, p.n + 1)
     h = np.concatenate([V, np.ones((V.shape[0], 1))], axis=1)

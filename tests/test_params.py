@@ -63,7 +63,7 @@ NOT_NUMBERS = {
     "beta-401-digits": ("beta", 10**400), "H-str": ("H", [["a", 0], [0, 0]]),
     "H-null": ("H", [[0.0, None], [0.5, 0.0]]), "H-nested": ("H", [[0.0, [0.5]], [0.5, 0.0]]),
     "H-bools": ("H", [[False, True], [True, False]]), "H-401-digits": ("H", [[0.0, 10**400], [0.5, 0.0]]),
-    "H-text": ("H", "0.5"),
+    "H-text": ("H", "0.5"), "H-bool-among-numbers": ("H", [[0.0, True], [0.5, 0.0]]),
 }
 
 
