@@ -69,7 +69,10 @@ def run_orbit(params: NetworkParams, v0, n_steps):
     """Iterate the return map n_steps times; returns (states, fired, t_bars).
 
     Rows after a byte-exact repeat are copied (module docstring, "Recurrence tail")."""
-    states = np.empty((n_steps, params.n), np.float64)
+    try:
+        states = np.empty((n_steps, params.n), np.float64)
+    except ValueError as exc:  # numpy refuses a size past its index range without trying
+        raise MemoryError(str(exc)) from None
     fired = np.empty((n_steps, params.n), np.bool_)
     t_bars = np.empty(n_steps, np.float64)  # each input's maximum until it is turned into a time
     v, stepped = v0, n_steps

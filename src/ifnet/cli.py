@@ -9,11 +9,12 @@ blake2b(seed, cell-index) and run one after another in cell order.  The
 Exit codes: 0 ok, 2 config error, 3 hypothesis violated, 4 numerical stall,
 1 any other operation error, a failed allocation or a failed write under
 --out included.  Exit 2 also covers a command line argparse cannot read (no
-command, an unknown one or option, a missing --config, --samples abc) and
-option values no command can use: --samples or --max-iter below 1, a --tol,
---eta, --dt or --t-total that is not a finite positive number, --dt or
---t-total without the other, and a --t-total/--dt pair whose trajectory (grid
-rows plus two per firing) passes 10**6 rows.
+command, an unknown one or option, a missing --config, --samples abc), an
+option the command does not read (for sweep, one its --cell does not read,
+--seed aside) and option values no command can use: --samples or --max-iter
+below 1, an --eta, --dt or --t-total that is not a finite positive number,
+--dt or --t-total without the other, and a --t-total/--dt pair whose
+trajectory (grid rows plus two per firing) passes 10**6 rows.
 """
 
 from __future__ import annotations
@@ -43,23 +44,33 @@ from .errors import (
 )
 from .params import network
 
-DEFAULTS = dict(seed=0, samples=1000, eta=1e-6, tol=1e-12, max_iter=2000)
+# option -> (type, default)
+OPTIONS = {"seed": (int, 0), "samples": (int, 1000), "eta": (float, 1e-6), "max_iter": (int, 2000),
+           "dt": (float, None), "t_total": (float, None)}
 
 
-def _check_options(opts) -> None:
-    """Reject option values no command can use."""
-    for flag in ("samples", "max_iter"):
-        value = getattr(opts, flag)
-        if value < 1:
-            raise RejectConfig(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
-    for flag in ("tol", "eta", "dt", "t_total"):
-        value = getattr(opts, flag)
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise RejectConfig(f"--{flag.replace('_', '-')} must be a finite positive number, got {value}")
-    if (opts.dt is None) != (opts.t_total is None):
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _check_options(given: dict) -> None:
+    """Reject the given option values no command can use, and an option a sweep's
+    --cell does not read (--seed aside: sweep derives the cell seeds from it)."""
+    if given["command"] == "sweep":
+        unread = [name for name in OPTIONS if name in given and name != "seed"
+                  and name not in READS.get(given["cell"], OPTIONS)]
+        if unread:
+            raise RejectConfig(f"sweep --cell {given['cell']} does not read {_flag(unread[0])}")
+    for name in ("samples", "max_iter"):
+        if name in given and given[name] < 1:
+            raise RejectConfig(f"{_flag(name)} must be at least 1, got {given[name]}")
+    for name in ("eta", "dt", "t_total"):
+        if name in given and not (math.isfinite(given[name]) and given[name] > 0):
+            raise RejectConfig(f"{_flag(name)} must be a finite positive number, got {given[name]}")
+    if ("dt" in given) != ("t_total" in given):
         raise RejectConfig("--dt and --t-total must be given together")
-    if opts.dt is not None:
-        dyn.grid_rows(opts.dt, opts.t_total)  # before anything is run or allocated
+    if "dt" in given:
+        dyn.grid_rows(given["dt"], given["t_total"])  # before anything is run or allocated
 
 
 def _write_csv(opts, name: str, header: list, rows) -> str:
@@ -142,7 +153,7 @@ def cmd_simulate(cfg: RunConfig, opts) -> dict:
 def cmd_cycles(cfg: RunConfig, opts) -> dict:
     report = cyc.cycle_census(
         cfg.params, sample_count=opts.samples, seed=opts.seed,
-        max_iter=opts.max_iter, eta=opts.eta, tol=opts.tol,
+        max_iter=opts.max_iter, eta=opts.eta,
     )
     doc = {
         "samples": report.samples,
@@ -304,6 +315,10 @@ COMMANDS = {
     "contract": cmd_contract,
     "sweep": cmd_sweep,
 }
+# the OPTIONS each command reads; sweep hands them all to its cells
+READS = {"analyze": (), "simulate": ("max_iter", "dt", "t_total"),
+         "cycles": ("seed", "samples", "eta", "max_iter"), "synchro": ("seed", "samples"),
+         "expansion": ("samples",), "contract": ("seed", "samples"), "sweep": tuple(OPTIONS)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -321,13 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-        p.add_argument("--samples", type=int, default=DEFAULTS["samples"])
-        p.add_argument("--eta", type=float, default=DEFAULTS["eta"])
-        p.add_argument("--tol", type=float, default=DEFAULTS["tol"])
-        p.add_argument("--max-iter", type=int, default=DEFAULTS["max_iter"])
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--t-total", type=float, default=None)
+        for opt in READS[name]:  # absent unless given, so _check_options sees what was given
+            p.add_argument(_flag(opt), type=OPTIONS[opt][0], default=argparse.SUPPRESS)
         if name == "sweep":
             p.add_argument("--grid", action="append", default=[],
                            help="PARAM:LO:HI:STEPS, repeat for a 2-D sweep")
@@ -338,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        opts = build_parser().parse_args(argv)
-        _check_options(opts)
+        given = vars(build_parser().parse_args(argv))
+        _check_options(given)
+        opts = argparse.Namespace(**{k: OPTIONS[k][1] for k in READS[given["command"]]} | given)
         cfg = load_config(opts.config)
         if opts.out is not None:
             Path(opts.out).mkdir(parents=True, exist_ok=True)

@@ -75,12 +75,12 @@ def _require_pieces(params: NetworkParams) -> None:
 _SYNC, _BOUNDARY = -1, -2
 
 
-def _classify(params: NetworkParams, V: np.ndarray, tol: float):
+def _classify(params: NetworkParams, V: np.ndarray):
     """Piece codes and gaps of the rows of an (m, n) batch of section states.
 
     A code is the winning inhibitory index, _SYNC or _BOUNDARY, and a gap the
-    exact winner/runner-up difference (0 on the boundary).  The first maximal
-    inhibitory index wins a tie.
+    exact winner/runner-up difference (0 on the boundary, where the gap is
+    within the tie tolerance).  The first maximal inhibitory index wins a tie.
     """
     inhib = np.array(params.inhibitory)
     inh = V[:, inhib]
@@ -92,7 +92,7 @@ def _classify(params: NetworkParams, V: np.ndarray, tol: float):
     sync = m_plus >= m_minus
     gap = np.where(sync, m_plus - m_minus, m_minus - others.max(axis=1))
     code = np.where(sync, _SYNC, winner)
-    edge = ~(gap > tol)
+    edge = ~(gap > params.tie_tol())
     code[edge] = _BOUNDARY
     gap[edge] = 0.0
     return code, gap
@@ -106,25 +106,24 @@ def _piece_id(code: int) -> PieceId:
     return PieceId("inhib", index=code)
 
 
-def _piece(params: NetworkParams, arr: np.ndarray, tol: float):
+def _piece(params: NetworkParams, arr: np.ndarray):
     """(PieceId, gap) of a section state of a network with pieces, which must
     lie in C_{c_bar}."""
     if not _in_zone_rows(arr[None], params.constants.c_bar)[0]:
         raise PreconditionFailed("state is outside C_{c_bar}")
-    code, gap = _classify(params, arr[None], tol)
+    code, gap = _classify(params, arr[None])
     return _piece_id(int(code[0])), float(gap[0])
 
 
-def classify_piece(params: NetworkParams, v, tol: Optional[float] = None) -> PieceId:
+def classify_piece(params: NetworkParams, v) -> PieceId:
     """Continuity piece of a state in the absorbed zone.
 
     Sync when the excitatory maximum dominates the inhibitory one by more than
-    tol; Inhib(i) when inhibitory neuron i strictly dominates everyone by more
-    than tol; Boundary otherwise.  tol defaults to the dynamics tie tolerance.
+    the tie tolerance; Inhib(i) when inhibitory neuron i strictly dominates
+    everyone by more than it; Boundary otherwise.
     """
     _require_pieces(params)
-    arr = as_state(params, v)
-    piece, _ = _piece(params, arr, params.tie_tol() if tol is None else tol)
+    piece, _ = _piece(params, as_state(params, v))
     return piece
 
 
@@ -134,8 +133,7 @@ def margin(params: NetworkParams, v) -> float:
     coordinate by less than the margin cannot change the strict ordering that
     determines the piece."""
     _require_pieces(params)
-    arr = as_state(params, v)
-    _, gap = _piece(params, arr, params.tie_tol())
+    _, gap = _piece(params, as_state(params, v))
     return 0.5 * gap  # the gap of a boundary state is 0
 
 
@@ -187,7 +185,7 @@ def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float)
     pts = seq[:p]
     if not _in_zone_rows(pts, params.constants.c_bar).all():
         raise PreconditionFailed("state is outside C_{c_bar}")
-    code, gap = _classify(params, pts, params.tie_tol())
+    code, gap = _classify(params, pts)
     min_marg = min((0.5 * gap).tolist())
     if min_marg < eta:
         return FateReport("grazing", transient_steps=0, step=0, margin=min_marg)
@@ -246,15 +244,16 @@ class _Track:
         self.seen = {}
 
 
-def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol: float):
+def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
     """Fates of the rows of an (m, n) batch of starts, stepped in lockstep.
 
     Each return steps every live row with one `step_batch` call; only the
     recurrence bookkeeping runs per row, and a row leaves the batch once its
     fate is known.  Candidates whose piece words share a least rotation share
-    one `_solve`.  Returns (fates, last_exc): fates[r] is row r's FateReport
-    or the error its solve raised, last_exc[r] the last return at which an
-    excitatory neuron fired (-1 for none).
+    one `_solve`.  Outside certified mode a state recurs when every potential
+    ties its earlier value.  Returns (fates, last_exc): fates[r] is row r's
+    FateReport or the error its solve raised, last_exc[r] the last return at
+    which an excitatory neuron fired (-1 for none).
     """
     rep = params.hypotheses
     certified_mode = rep.h3 and rep.h4 and bool(params.inhibitory)
@@ -281,7 +280,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol
         last_exc[live[fired[:, excit].any(axis=1)]] = k
         if certified_mode:
             zone = _in_zone_rows(V, params.constants.c_bar).tolist()
-            code, gap = _classify(params, V, tie)
+            code, gap = _classify(params, V)
             code, marg = code.tolist(), (0.5 * gap).tolist()  # margin 0 on the boundary
         leave = np.zeros(live.size, np.bool_)
         for i, r in enumerate(live.tolist()):
@@ -311,7 +310,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float, tol
                     if denom <= 0.0 or dist / denom > min(window):
                         continue
                     candidates.append((r, prev, k))
-                elif dist <= tol:
+                elif dist <= tie:
                     pts = np.array(track.states[prev:k])
                     fates[r] = FateReport("cycle", transient_steps=k, cycle=LimitCycle(
                         period=p, points=pts, itinerary=tuple(track.pieces[prev:k]),
@@ -354,8 +353,7 @@ def _checked(fate):
     return fate
 
 
-def detect_cycle(params: NetworkParams, v0, max_iter: int = 2000,
-                 eta: float = 1e-6, tol: float = 1e-12) -> FateReport:
+def detect_cycle(params: NetworkParams, v0, max_iter: int = 2000, eta: float = 1e-6) -> FateReport:
     """Iterate the return map from v0 and classify the orbit's fate.
 
     Outcomes: synchronized (the exact zero vector is reached), grazing (some
@@ -364,7 +362,7 @@ def detect_cycle(params: NetworkParams, v0, max_iter: int = 2000,
     certification hypotheses, an exact state recurrence was found and is
     reported uncertified), or unresolved after max_iter returns.
     """
-    fates, _ = _fates(params, as_state(params, v0)[None], max_iter, eta, tol)
+    fates, _ = _fates(params, as_state(params, v0)[None], max_iter, eta)
     return _checked(fates[0])
 
 
@@ -433,10 +431,10 @@ def _census_starts(params: NetworkParams, sample_count: int, seed: int) -> np.nd
 
 
 def cycle_census(params: NetworkParams, sample_count: int, seed: int,
-                 max_iter: int = 2000, eta: float = 1e-6, tol: float = 1e-12) -> CensusReport:
+                 max_iter: int = 2000, eta: float = 1e-6) -> CensusReport:
     """Detect fates from uniform starts on the section inside C_{c_bar},
     deduplicate the found cycles (minimal sup-norm distance over cyclic
-    alignments, threshold 10*tol) and report basin fractions.
+    alignments, threshold ten times the tie tolerance) and report basin fractions.
 
     Each sample owns the Philox stream (seed, 1 + index).  All samples step
     together as one lockstep batch, and each one's fate is what detect_cycle
@@ -445,11 +443,11 @@ def cycle_census(params: NetworkParams, sample_count: int, seed: int,
     error of the lowest-index sample that reached it is raised.
     """
     V0 = _census_starts(params, sample_count, seed)
-    fates = [_checked(f) for f in _fates(params, V0, max_iter, eta, tol)[0]]
+    fates = [_checked(f) for f in _fates(params, V0, max_iter, eta)[0]]
 
     entries: list[CensusEntry] = []
     n_sync = n_graze = n_unres = 0
-    thr = 10.0 * tol
+    thr = 10.0 * params.tie_tol()
     for fate in fates:
         if fate.outcome == "synchronized":
             n_sync += 1
@@ -475,15 +473,14 @@ def cycle_census(params: NetworkParams, sample_count: int, seed: int,
     )
 
 
-def classify_fate(params: NetworkParams, v0, max_iter: int = 2000,
-                  eta: float = 1e-6, tol: float = 1e-12) -> FateReport:
+def classify_fate(params: NetworkParams, v0, max_iter: int = 2000, eta: float = 1e-6) -> FateReport:
     """detect_cycle plus the synchronization-or-excitatory-death dichotomy.
 
     Flags eventual death of the excitatory population when a certified cycle
     is reached whose itinerary contains no synchronization piece and whose
     firing sets contain no excitatory neuron.
     """
-    fates, last_exc = _fates(params, as_state(params, v0)[None], max_iter, eta, tol)
+    fates, last_exc = _fates(params, as_state(params, v0)[None], max_iter, eta)
     fate = _checked(fates[0])
     fate.last_excitatory_spike = int(last_exc[0]) if last_exc[0] >= 0 else None
     if fate.outcome == "synchronized":

@@ -137,7 +137,8 @@ def network(n, gamma, beta, theta, alpha, H) -> NetworkParams:
 
     Raises ParseError, naming the field, if a value is not a number or has the wrong
     shape, and RejectConfig if one is not finite or breaks a well-posedness
-    inequality, or a closed-form constant is not finite.
+    inequality, if the jumps into a neuron can sum past the float range, or if a
+    closed-form constant is not finite.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ParseError(f"field 'n' must be a positive integer, got {n!r}")
@@ -156,6 +157,14 @@ def network(n, gamma, beta, theta, alpha, H) -> NetworkParams:
         raise RejectConfig(f"beta must exceed theta (perpetual firing), got beta={beta} theta={theta}")
     H = number_array("H", H, (n, n))
     np.fill_diagonal(H, 0.0)  # a neuron does not self-interact
+    # a pre-firing potential lies in [alpha, theta], so this bounds every partial sum
+    # of jumps into neuron i: in a step, in its piece matrix and in the O-condition sums
+    with np.errstate(over="ignore"):
+        reach = max(-alpha, theta) + np.abs(H).sum(axis=0)
+    bad = np.flatnonzero(~np.isfinite(reach))
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise RejectConfig(f"jumps into neuron {i} overflow: max(|alpha|, theta) + sum_j |H[j, {i}]| is not finite")
     H.setflags(write=False)
     p = NetworkParams(n=int(n), gamma=gamma, beta=beta, theta=theta, alpha=alpha, H=H)
     bad = [f"{k} = {v}" for k, v in vars(p.constants).items() if isinstance(v, float) and not math.isfinite(v)]

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ifnet import network
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so a CI
+# run fails only on a change; local runs keep drawing new ones
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

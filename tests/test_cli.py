@@ -353,9 +353,9 @@ UNUSABLE_OPTIONS = [
     ["contract", "--samples", "0"],
     ["simulate", "--max-iter", "-1"],
     ["simulate", "--max-iter", "0"],
-    ["cycles", "--tol", "nan"],
-    ["cycles", "--tol", "0"],
-    ["cycles", "--tol=-1e-12"],
+    ["analyze", "--samples", "5"],  # an option the command does not read
+    ["synchro", "--max-iter", "3"],
+    ["sweep", "--grid", "beta:1.2:1.3:2", "--eta", "1e-4"],  # one the default cell, analyze, does not read
     ["cycles", "--eta", "inf"],
     ["cycles", "--eta=-1e-4"],
     ["simulate", "--dt", "nan", "--t-total", "1.0"],
@@ -382,7 +382,7 @@ def test_cli_rejects_unusable_options(tmp_path, capsys, args):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--config", "CFG", "--samples", "abc"], ["bogus"], []],
+@pytest.mark.parametrize("argv", [["analyze"], ["cycles", "--config", "CFG", "--samples", "abc"], ["bogus"], []],
                          ids=["missing-config", "samples-abc", "unknown-command", "empty-argv"])
 def test_cli_bad_command_line_exits_2_in_one_line(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, NET_C_DOC)
@@ -395,6 +395,25 @@ def test_cli_help_still_prints_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "-h"])
     assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ifnet analyze")
+
+
+def test_readme_command_lines_parse_and_list_what_each_command_reads():
+    """Every `ifnet` line of README's CLI block, its [...] markers stripped, parses and passes
+    the option checks, and names exactly the options its command reads (for sweep, --seed
+    and those of its cell)."""
+    from ifnet.cli import COMMANDS, READS, _check_options, build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line.replace("[", "").replace("]", "").split()[1:] for line in block.splitlines()
+             if line.startswith("ifnet ")]
+    assert sorted(argv[0] for argv in lines) == sorted(COMMANDS)
+    for argv in lines:
+        given = vars(build_parser().parse_args(argv))
+        _check_options(given)
+        reads = ("seed", *READS[given["cell"]], "grid", "cell") if argv[0] == "sweep" else READS[argv[0]]
+        flags = {"--config", "--out", *("--" + name.replace("_", "-") for name in reads)}
+        assert {arg for arg in argv if arg.startswith("--")} == flags, argv
 
 
 @pytest.mark.parametrize("text", [b"\xff{}", b'{"n": ' + b"1" * 5000 + b"}", b"[" * 10**5 + b"]" * 10**5],
@@ -442,7 +461,8 @@ def test_cli_ends_a_failed_output_write_in_one_line(tmp_path, capsys, command):
     blocked = tmp_path / "blocked"
     for name in ("analyze.json", "spikes.csv"):
         (blocked / name).mkdir(parents=True)
+    options = ["--max-iter", "3"] if command == "simulate" else []
     for out in (taken, taken / "below", blocked):
-        assert main([command, "--config", str(cfg), "--out", str(out), "--max-iter", "3"]) == 1
+        assert main([command, "--config", str(cfg), "--out", str(out), *options]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err

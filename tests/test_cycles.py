@@ -222,7 +222,7 @@ def test_census_fate_equals_single_start(name, request):
     V0 = cycles._census_starts(params, 40, seed=5)
     if extra:
         V0 = np.concatenate([V0, extra])
-    fates, _ = cycles._fates(params, V0, max_iter, eta, 1e-12)
+    fates, _ = cycles._fates(params, V0, max_iter, eta)
     alone = [detect_cycle(params, v0, max_iter=max_iter, eta=eta) for v0 in V0]
     for batched, single in zip(fates, alone):
         _same_fate(batched, single)
@@ -261,7 +261,7 @@ def test_census_solves_each_cycle_once(monkeypatch):
     monkeypatch.setattr(cycles, "_certified_cycle", spy)
     rep = cycle_census(params, 200, seed=0, eta=1e-4)
     assert calls == [6] and len(rep.entries) == 1
-    fates, _ = cycles._fates(params, cycles._census_starts(params, 200, seed=0), 2000, 1e-4, 1e-12)
+    fates, _ = cycles._fates(params, cycles._census_starts(params, 200, seed=0), 2000, 1e-4)
     points = {f.cycle.points.tobytes() for f in fates if f.outcome == "cycle"}
     assert points == {rep.entries[0].cycle.points.tobytes()}
 

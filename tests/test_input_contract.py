@@ -1,11 +1,14 @@
-"""The CLI input contract over mutated configs: every input ends in a result or
-in a documented exit code (0-4), with exactly one stderr line when it is not 0,
-and a value that is not a JSON number, or is not finite, or a V0 coordinate
-outside [alpha, theta], ends in exit 2.
+"""The CLI input contract over mutated configs and option values: every input
+ends in a result or in a documented exit code (0-4), with exactly one stderr
+line when it is not 0.  A config value that is not a JSON number, or is not
+finite, a V0 coordinate outside [alpha, theta] or jumps into one neuron that
+sum past the float range end in exit 2, and so do an option the command does
+not read and an option value no command can use.
 
-Each example mutates one or two scalar fields, H entries or V0 entries of a
-golden config with an edge value, then runs every command in-process with
-cheap options.
+Each config example mutates one or two scalar fields, H entries or V0 entries
+of a golden config with an edge value, then runs every command in-process
+with each option it reads at a cheap value.  Each option example gives one
+command one or two options with edge values.
 """
 
 import contextlib
@@ -19,16 +22,27 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ifnet.cli import COMMANDS, main
+from ifnet.cli import COMMANDS, READS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # left out: mixed8 is mixed8_v0 without V0, and contract alone takes 0.25 s on net_c_slow
 CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*.json"))
            if p.stem not in ("net_c_slow", "mixed8")}
-OPTIONS = ["--samples", "20", "--max-iter", "50", "--dt", "0.1", "--t-total", "1"]
+# a cheap value of each option, given to each command that reads it
+CHEAP = {"seed": "0", "samples": "20", "eta": "1e-6", "max_iter": "50", "dt": "0.1", "t_total": "1"}
+GRID = ["--grid", "beta:1.3:1.3:1"]  # sweep runs its default cell, analyze
 EDGES = [0.0, -0.0, 1e300, -1e300, 5e-324, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
          True, None, "x", "0.5", []]
 SCALARS = ("n", "gamma", "beta", "theta", "alpha")
+
+
+def flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def reads(command: str) -> tuple:
+    """The options a command line of `command` may give: for sweep, --seed and its cell's."""
+    return ("seed", *READS["analyze"]) if command == "sweep" else READS[command]
 
 
 def finite_number(value) -> bool:
@@ -51,7 +65,8 @@ def apply(doc: dict, mutations) -> bool:
             row = doc["V0"] if target[0] == "V0" else doc["H"][target[1]]
             row[target[-1]] = value
         final[target] = value
-    return any(must_reject(target, value) for target, value in final.items()) or v0_outside(doc)
+    return (any(must_reject(target, value) for target, value in final.items()) or v0_outside(doc)
+            or jumps_overflow(doc))
 
 
 def must_reject(target, value) -> bool:
@@ -66,6 +81,16 @@ def v0_outside(doc: dict) -> bool:
     if not all(map(finite_number, [*v0, lo, hi])):
         return False
     return any(not lo <= x <= hi for x in v0)
+
+
+def jumps_overflow(doc: dict) -> bool:
+    """alpha, theta and H all numbers, and max(|alpha|, theta) plus the |H[j][i]|, j != i,
+    past the float range for some neuron i."""
+    H, lo, hi = doc["H"], doc["alpha"], doc["theta"]
+    if not all(finite_number(x) for x in [lo, hi, *(x for row in H for x in row)]):
+        return False
+    return any(max(abs(lo), hi) + sum(abs(row[i]) for j, row in enumerate(H) if j != i) == math.inf
+               for i in range(len(H)))
 
 
 @st.composite
@@ -100,6 +125,7 @@ def run_command(argv):
 @example(case=("net_c", [(("V0", 0), 2.0)]))
 @example(case=("net_c_v0", [(("V0", 1), True)]))
 @example(case=("mixed8_v0", [(("H", 1, 0), -1.7976931348623157e308)]))
+@example(case=("mixed8_v0", [(("H", 1, 0), -1.7976931348623157e308), (("H", 2, 0), -1.7976931348623157e308)]))
 def test_every_input_ends_in_a_documented_exit(tmp_path_factory, case):
     name, mutations = case
     doc = copy.deepcopy(CONFIGS[name])
@@ -107,10 +133,64 @@ def test_every_input_ends_in_a_documented_exit(tmp_path_factory, case):
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
     for command in COMMANDS:
-        grid = ["--grid", "beta:1.3:1.3:1"] if command == "sweep" else []
-        code, err = run_command([command, "--config", str(path), *OPTIONS, *grid])
+        options = [arg for opt in reads(command) for arg in (flag(opt), CHEAP[opt])]
+        code, err = run_command([command, "--config", str(path), *options, *(GRID if command == "sweep" else [])])
         assert code in (0, 1, 2, 3, 4), (command, code, err)
         if code:
             assert err.count("\n") == 1 and err.endswith("\n"), (command, code, err)
         if malformed:
             assert code == 2 and err.startswith("config error: "), (command, code, err)
+
+
+OPTION_EDGES = ["0", "-1", "-0.0", "5e-324", "1e300", "nan", "inf", "abc"]
+HUGE = str(10**30)  # not for --samples, which stays at most 50 so that every run is short
+COUNTS = ("seed", "samples", "max_iter")  # the options argparse reads as int
+
+
+def refused(given: dict) -> bool:
+    """Option values that end in exit 2 whatever the command and config: text its
+    option cannot read, a count below 1, a real that is not a finite positive
+    number, --dt or --t-total without the other, or more than 10**6 grid rows."""
+    values = {}
+    for name, text in given.items():
+        try:
+            values[name] = (int if name in COUNTS else float)(text)
+        except ValueError:
+            return True
+    if any(values[name] < 1 for name in ("samples", "max_iter") if name in values):
+        return True
+    if any(not (math.isfinite(values[name]) and values[name] > 0) for name in ("eta", "dt", "t_total")
+           if name in values):
+        return True
+    if ("dt" in values) != ("t_total" in values):
+        return True
+    return "dt" in values and values["t_total"] / values["dt"] > 10**6
+
+
+@st.composite
+def option_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    # an option is drawn from those the command reads or from all six, so that some values reach the run
+    read = st.sampled_from(reads(command)) if reads(command) else st.nothing()
+    names = draw(st.lists(st.one_of(read, st.sampled_from(sorted(CHEAP))), min_size=1, max_size=2, unique=True))
+    # besides the edge values, a cheap one, for the same reason
+    return command, {name: draw(st.sampled_from([CHEAP[name], *OPTION_EDGES, *([] if name == "samples" else [HUGE])]))
+                     for name in names}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(case=option_lines())
+@example(case=("analyze", {"samples": "5"}))
+@example(case=("synchro", {"max_iter": "1", "eta": "1"}))
+@example(case=("sweep", {"samples": "5"}))
+@example(case=("simulate", {"max_iter": HUGE}))
+def test_every_option_value_ends_in_a_documented_exit(case):
+    command, given = case
+    options = [arg for name, value in given.items() for arg in (flag(name), value)]
+    code, err = run_command([command, "--config", str(GOLDEN / "net_c.json"), *options,
+                             *(GRID if command == "sweep" else [])])
+    assert code in (0, 1, 2, 3, 4), (case, code, err)
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), (case, code, err)
+    if not set(given) <= set(reads(command)) or refused(given):
+        assert code == 2 and err.startswith("config error: "), (case, code, err)
