@@ -21,17 +21,27 @@ tie tolerance) from it; no caller passes them one by one.
 
 `step_batch` is the one implementation of this step.  It applies it to a
 (..., n) batch of independent states with NumPy operations, adding the jumps
-in presynaptic order j = 0..n-1, and it takes a single (n,) state as well.  The
+in presynaptic order j = 0..n-1, and it takes a single (n,) state as well.
+Both sums read per-network tables cached on the params (`jump_tables`).  A
+round adds row j of `up`, which is H with every entry <= 0 replaced by -0.0,
+to each row where j has fired: adding -0.0 leaves every float as it is, so
+this is the sum of the positive jumps alone, bit for bit.  When no fired
+neuron of the batch has a negative outgoing entry, every jump the image adds
+beyond that sum is +0.0 or -0.0, and those change an accumulator only if it
+is -0.0.  It never is: it starts at theta or at beta - x, which is +0.0 when
+x = beta, and adding a positive jump or a zero to a float that is not -0.0
+cannot give -0.0.  So the last round's sum is the image, bit for bit, and
+the image's own loop runs only when a neuron with a negative jump fired.  The
 multi-start drivers (`absorb_run`, `sync_run`, `track_pair`; one return of
 `track_pair` gives the zone contraction ratios) and the cycle census, whose
 detection steps every live sample in lockstep, step whole batches; sequential
 orbits (`run_orbit`, and through it simulation, and `dynamics.return_map`)
 step one state at a time, as each state depends on the previous one.  One
-state costs about 36 us on net_c and 63 us on mixed8, three to four times the
-9 and 22 us of a scalar loop over one state (timeit, mean over 50 random
-section states, 2-vCPU VM), so an orbit that never repeats steps that much
-slower per return; on thousands of states the batched step is far cheaper per
-state.  No workload here holds such an orbit: on 30 random starts over six
+state costs about 23 us on net_c and 36 us on mixed8, two to four times the
+6.5 and 17 us of a scalar loop over one state (timeit, best of five means
+over 50 random section states, 2-vCPU VM), so an orbit that never repeats
+steps that much slower per return; on thousands of states the batched step
+is far cheaper per state.  No workload here holds such an orbit: on 30 random starts over six
 weakly coupled networks (n = 2..7, |H| <= 0.05) `run_orbit(..., 50000)`
 stepped at most 2049 returns before its recurrence tail took over.
 `step_batch` returns each row's maximum rather than its waiting time, because
@@ -48,7 +58,7 @@ state's bytes with one mark, `lag` steps back and moved on whenever `lag`
 reaches a doubling power (Brent's cycle detection, BIT 20, 1980); on a match
 after step s it copies rows s+1.. from rows s+1-lag..s.  That is exact, as
 the step is a pure function of the network and its input state's bytes.  The
-check costs 0.13 us a step against about 36 us for a net_c step (timeit, 2-vCPU VM).
+check costs 0.13 us a step against about 23 us for a net_c step (timeit, 2-vCPU VM).
 The batch drivers drop a row once its future is known, for the same reason:
 `sync_run` at the zero vector, `track_pair` once the pair's two states are
 equal (one orbit from there: distances 0, firing sets shared), `absorb_run`
@@ -100,26 +110,26 @@ def step_batch(params: NetworkParams, V):
     `wait_times` gives the waiting times, and the avalanche depth, the number
     of recruiting rounds (for a batch, that of its deepest row).
     """
-    H = params.H
     beta, theta = params.beta, params.theta
+    up, inhibits = params.jump_tables
     vmax = V.max(axis=-1, keepdims=True)
     fired = V >= vmax - params.tie_tol()
     pre = beta - (beta - V) * ((beta - theta) / (beta - vmax))
     pre[fired] = theta
-    excites = H > 0.0
     rounds = 0
     while True:
-        s = pre.copy()
+        out = pre.copy()
         for j in range(params.n):
-            np.add(s, H[j], out=s, where=fired[..., j, None] & excites[j])
-        recruited = ~fired & (s >= theta)
+            np.add(out, up[j], out=out, where=fired[..., j, None])
+        recruited = ~fired & (out >= theta)
         if not recruited.any():
             break
         fired |= recruited
         rounds += 1
-    out = pre
-    for j in range(params.n):
-        np.add(out, H[j], out=out, where=fired[..., j, None])
+    if (fired & inhibits).any():  # else the last round's sum is the image (module docstring)
+        out = pre
+        for j in range(params.n):
+            np.add(out, params.H[j], out=out, where=fired[..., j, None])
     np.maximum(out, params.alpha, out=out)
     out[fired] = 0.0
     return out, fired, vmax[..., 0], rounds

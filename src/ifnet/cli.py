@@ -47,6 +47,16 @@ from .params import network
 # option -> (type, default)
 OPTIONS = {"seed": (int, 0), "samples": (int, 1000), "eta": (float, 1e-6), "max_iter": (int, 2000),
            "dt": (float, None), "t_total": (float, None)}
+# floors under --samples: `expansion` samples at least MIN_WITNESSES witness points, and
+# `contract` checks at least MIN_METRIC_PAIRS pairs in its Lipschitz and adapted-metric steps
+MIN_WITNESSES = 8
+MIN_METRIC_PAIRS = 100
+SAMPLES_HELP = {
+    "expansion": f"witness points between c_star and theta, at least {MIN_WITNESSES}: a smaller value runs {MIN_WITNESSES}",
+    "contract": (f"pairs per zone and absorption starts; the Lipschitz estimate and the adapted-metric "
+                 f"check draw max({MIN_METRIC_PAIRS}, SAMPLES // 10) pairs"),
+    "sweep": "handed to each cell; an expansion or contract cell raises it to that command's floor",
+}
 
 
 def _flag(name: str) -> str:
@@ -198,7 +208,7 @@ def cmd_expansion(cfg: RunConfig, opts) -> dict:
                 except (NoFixedPoint, PreconditionFailed) as exc:
                     entry["repeller_error"] = str(exc)
                 if witness_doc is None:
-                    witness_doc = _witness_sweep(params, i, max(8, opts.samples))
+                    witness_doc = _witness_sweep(params, i, max(MIN_WITNESSES, opts.samples))
                     witness_doc["pair"] = [i + 1, j + 1]
             pairs.append(entry)
     return {"c_star": params.constants.c_star, "pairs": pairs, "witnesses": witness_doc}
@@ -234,8 +244,9 @@ def cmd_contract(cfg: RunConfig, opts) -> dict:
             "pairs": rep.pairs, "violations": len(rep.violations),
         })
     absorb = contr.absorption_check(params, opts.samples, opts.seed)
-    est = contr.estimate_lipschitz_c(params, max(100, opts.samples // 10), opts.seed + 1)
-    metric = contr.adapted_metric_check(params, est, max(100, opts.samples // 10), opts.seed + 2)
+    pairs = max(MIN_METRIC_PAIRS, opts.samples // 10)
+    est = contr.estimate_lipschitz_c(params, pairs, opts.seed + 1)
+    metric = contr.adapted_metric_check(params, est, pairs, opts.seed + 2)
     return {
         "zones": zones,
         "absorption": {
@@ -337,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         for opt in READS[name]:  # absent unless given, so _check_options sees what was given
-            p.add_argument(_flag(opt), type=OPTIONS[opt][0], default=argparse.SUPPRESS)
+            p.add_argument(_flag(opt), type=OPTIONS[opt][0], default=argparse.SUPPRESS,
+                           help=SAMPLES_HELP.get(name) if opt == "samples" else None)
         if name == "sweep":
             p.add_argument("--grid", action="append", default=[],
                            help="PARAM:LO:HI:STEPS, repeat for a 2-D sweep")

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from ._sampling import rng_stream, sample_on_section
+from ._sampling import restart, rng_stream, sample_on_section
 from .contraction import _in_zone_rows, _zone_after_return, lambda_for_zone
 from .dynamics import as_state, orbit
 from .errors import HypothesisViolated, NumericalStall, PreconditionFailed
@@ -421,11 +421,13 @@ class CensusReport:
 
 def _census_starts(params: NetworkParams, sample_count: int, seed: int) -> np.ndarray:
     """(sample_count, n) uniform section starts inside C_{c_bar}; sample idx
-    draws from the Philox stream (seed, 1 + idx)."""
+    draws from the Philox stream (seed, 1 + idx), through one generator re-keyed
+    per sample."""
     hi = min(params.constants.c_bar, params.theta)
     if hi <= 0:
         raise HypothesisViolated("C_{c_bar} is empty (beta >= beta_plus)")
-    starts = [sample_on_section(rng_stream(seed, 1 + idx), params.n, params.alpha, hi, 1)[0]
+    rng = rng_stream(seed, 1)
+    starts = [sample_on_section(restart(rng, seed, 1 + idx), params.n, params.alpha, hi, 1)[0]
               for idx in range(sample_count)]
     return np.array(starts).reshape(sample_count, params.n)
 

@@ -105,6 +105,16 @@ class NetworkParams:
         return tuple(_classify(self, j) for j in range(self.n))
 
     @cached_property
+    def jump_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(up, inhibits), read-only: H with every entry <= 0 replaced by -0.0, the
+        jumps a recruiting round adds, and per presynaptic row whether it has a
+        negative entry (the return map's use of both: `_kernels` docstring)."""
+        up, inhibits = np.where(self.H > 0.0, self.H, -0.0), (self.H < 0.0).any(axis=1)
+        up.setflags(write=False)
+        inhibits.setflags(write=False)
+        return up, inhibits
+
+    @cached_property
     def excitatory(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.kinds) if k is NeuronKind.EXCITATORY)
 
@@ -193,8 +203,9 @@ def number_array(name: str, value, shape: tuple) -> np.ndarray:
         arr = np.array(value)
     except ValueError:  # ragged nesting
         arr = np.array(None)
-    # numpy reads a bool among numbers as 0 or 1, so the entries themselves are looked at
-    if arr.dtype.kind not in "iuf" or arr.shape != shape or any(
+    # numpy reads a bool among numbers as 0 or 1, so the entries themselves are looked at;
+    # a numeric ndarray cannot hold one (a bool or object ndarray fails the dtype check)
+    if arr.dtype.kind not in "iuf" or arr.shape != shape or not isinstance(value, np.ndarray) and any(
             isinstance(x, (bool, np.bool_)) for x in np.array(value, object).flat):
         raise ParseError(f"field '{name}' must hold {'x'.join(map(str, shape))} numbers")
     if not np.all(np.isfinite(arr)):

@@ -416,6 +416,28 @@ def test_readme_command_lines_parse_and_list_what_each_command_reads():
         assert {arg for arg in argv if arg.startswith("--")} == flags, argv
 
 
+def test_samples_floors_are_stated_in_help_and_readme(tmp_path, capsys):
+    # expansion runs at least 8 witness points and contract at least 100 metric pairs;
+    # both floors are documented, and expansion's is the one the command applies
+    helps = {}
+    for command in ("expansion", "contract", "sweep"):
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        helps[command] = " ".join(capsys.readouterr().out.split())
+    assert "at least 8: a smaller value runs 8" in helps["expansion"]
+    assert "max(100, SAMPLES // 10) pairs" in helps["contract"]
+    assert "an expansion or contract cell raises it to that command's floor" in helps["sweep"]
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    assert "`expansion` samples at least 8 witness points" in readme
+    assert "`max(100, samples // 10)` pairs" in readme
+    cfg = write_config(tmp_path, {**NET_A_DOC, "H": [[0.0, 0.2], [0.2, 0.0]]})
+    outs = []
+    for samples in ("1", "8"):
+        assert main(["expansion", "--config", str(cfg), "--samples", samples]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and len(json.loads(outs[0])["witnesses"]["rows"]) == 7
+
+
 @pytest.mark.parametrize("text", [b"\xff{}", b'{"n": ' + b"1" * 5000 + b"}", b"[" * 10**5 + b"]" * 10**5],
                          ids=["not-utf8", "5000-digit-integer", "deep-nesting"])
 def test_cli_unreadable_config_exits_2_in_one_line(tmp_path, capsys, text):

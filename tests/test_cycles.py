@@ -237,6 +237,20 @@ def test_census_fate_equals_single_start(name, request):
     assert sum(e.count for e in rep.entries) == sum(f.outcome == "cycle" for f in alone[:40])
 
 
+@pytest.mark.parametrize("count", [1, 30, 1000])
+@pytest.mark.parametrize("n", [2, 8, 12])
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_census_starts_are_the_draws_of_each_samples_own_stream(seed, n, count):
+    # one generator re-keyed per sample draws what a fresh rng_stream(seed, 1 + idx) draws
+    H = np.full((n, n), -0.7)
+    params = network(n, 1.0, 1.2, 1.0, -1.0, H)
+    hi = params.constants.c_bar
+    want = np.array([sample_on_section(rng_stream(seed, 1 + idx), n, params.alpha, hi, 1)[0]
+                     for idx in range(count)])
+    got = cycles._census_starts(params, count, seed)
+    assert got.shape == (count, n) and got.tobytes() == want.tobytes()
+
+
 def test_census_raises_error_of_lowest_failing_sample(net_d, monkeypatch):
     def fail(params, seq, p, eta):
         raise NumericalStall(seq[0].tobytes().hex())

@@ -6,12 +6,15 @@ row, and `wait_times` of its row maxima the same waiting time, bit for bit;
 on a single state it must also give the same avalanche depth (`rounds`), as
 must `return_map`.  Each batched driver must give, row by row, what a plain
 loop over the scalar step gives.  The networks cover n = 2, 3, 8, 9 and 12
-with mixed-sign couplings, an all-excitatory and an all-inhibitory network;
-the states include the zero vector, exact ties of the maximum and near-ties
-inside the tie tolerance.  `run_orbit`, which steps one state at a time
-through `step_batch` and copies a recurring orbit's tail instead of stepping
-it, must give what a scalar loop that steps every return gives, on net_b,
-net_c and mixed8.
+with mixed-sign couplings, an all-excitatory and an all-inhibitory network,
+a sparse excitatory one with exact 0.0 and -0.0 jumps, one whose inhibitory
+neurons fire in only some rows of a batch, and one whose images floor at
+alpha; the states include the zero vector, exact ties of the maximum and
+near-ties inside the tie tolerance.  A row's image must not depend on the
+other rows of its batch, which decide whether the step sums the image again.
+`run_orbit`, which steps one state at a time through `step_batch` and copies
+a recurring orbit's tail instead of stepping it, must give what a scalar loop
+that steps every return gives, on net_b, net_c and mixed8.
 `piece_matrix` applied to (v, 1) must give the step within a few ulps of
 each row's scale, on net_b, net_c, net_d and mixed8.
 
@@ -45,6 +48,24 @@ def _uniform(n, w):
     return H
 
 
+def _sparse_excitatory(n, seed):
+    """Positive jumps on about a third of the pairs; the rest exact 0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    H = np.where(rng.random((n, n)) < 0.35, rng.uniform(0.1, 0.9, (n, n)), 0.0)
+    H[(H == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
+    np.fill_diagonal(H, 0.0)
+    return H
+
+
+def _partly_inhibitory(n, seed):
+    """Weakly coupled excitatory neurons 0..n/2-1, strongly inhibitory ones after them:
+    an avalanche seldom reaches the inhibitory neurons, so they fire only where one wins."""
+    rng = np.random.default_rng(seed)
+    H = np.vstack((rng.uniform(0.0, 0.3, (n // 2, n)), rng.uniform(-0.9, -0.4, (n - n // 2, n))))
+    np.fill_diagonal(H, 0.0)
+    return H
+
+
 NETWORKS = {
     "n2_mixed": (2, [[0.0, 0.5], [-0.6, 0.0]]),
     "n3_net_c": (3, [[0.0, 0.6, 0.6], [-0.6, 0.0, -0.6], [-0.6, -0.6, 0.0]]),
@@ -53,6 +74,9 @@ NETWORKS = {
     "n9_excitatory": (9, _uniform(9, 0.4)),
     "n12_inhibitory": (12, _uniform(12, -0.7)),
     "n12_mixed": (12, _random_mixed(12, 3)),
+    "n10_sparse_excitatory": (10, _sparse_excitatory(10, 4)),
+    "n7_partly_inhibitory": (7, _partly_inhibitory(7, 5)),
+    "n5_floored": (5, _uniform(5, -2.5)),  # every neuron that does not fire floors at alpha
 }
 
 
@@ -163,6 +187,49 @@ def test_step_batch_matches_scalar_step(net):
         assert _bits(t_bar[row]) == _bits(t), row
         deepest = max(deepest, r)
     assert rounds == deepest  # a batch counts the rounds of its deepest row
+
+
+def test_jump_tables_are_cached_and_read_only(net):
+    up, inhibits = net.jump_tables
+    assert net.jump_tables is net.jump_tables
+    assert not up.flags.writeable and not inhibits.flags.writeable
+    with pytest.raises(ValueError):
+        up[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        inhibits[0] = True
+    excites = net.H > 0.0
+    assert _bits(up[excites]) == _bits(net.H[excites])
+    assert (up[~excites] == 0.0).all() and np.signbit(up[~excites]).all()
+    assert np.array_equal(inhibits, (net.H < 0.0).any(axis=1))
+
+
+def test_networks_hold_signed_zero_jumps_and_floored_images():
+    # the cases the step's +-0 argument turns on: exact 0.0 and -0.0 jumps from
+    # neurons with no negative one, and images cut at alpha
+    p = network(10, 1.0, 1.2, 1.0, -1.0, NETWORKS["n10_sparse_excitatory"][1])
+    off = p.H[~np.eye(10, dtype=bool)]
+    assert (off >= 0.0).all() and (off > 0.0).any() and not p.jump_tables[1].any()
+    assert (np.signbit(off) & (off == 0.0)).any() and (~np.signbit(off) & (off == 0.0)).any()
+    p = network(5, 1.0, 1.2, 1.0, -1.0, NETWORKS["n5_floored"][1])
+    out, fired, _, _ = _kernels.step_batch(p, _states(p, 7))
+    assert (out[~fired] == p.alpha).all()
+
+
+def test_image_of_a_row_does_not_depend_on_its_batch_companions():
+    # a batch where some rows fire an inhibitory neuron sums every image with both signs;
+    # a batch where none does takes the positive sums as images: each row's bytes agree
+    p = network(7, 1.0, 1.2, 1.0, -1.0, NETWORKS["n7_partly_inhibitory"][1])
+    V = _states(p, 16)
+    out, fired, _, _ = _kernels.step_batch(p, V)
+    inhib = (fired & p.jump_tables[1]).any(axis=1)
+    assert 10 <= inhib.sum() <= V.shape[0] - 10  # the batch mixes both kinds of row
+    quiet, _, _, _ = _kernels.step_batch(p, V[~inhib])
+    assert _bits(quiet) == _bits(out[~inhib])
+    loud, _, _, _ = _kernels.step_batch(p, V[inhib])
+    assert _bits(loud) == _bits(out[inhib])
+    for row in range(V.shape[0]):
+        assert _bits(_kernels.step_batch(p, V[row])[0]) == _bits(out[row]), row
+        assert _bits(_kernels.step_batch(p, V[row:row + 1])[0]) == _bits(out[row]), row
 
 
 def test_step_batch_takes_one_state(net):

@@ -64,6 +64,8 @@ NOT_NUMBERS = {
     "H-null": ("H", [[0.0, None], [0.5, 0.0]]), "H-nested": ("H", [[0.0, [0.5]], [0.5, 0.0]]),
     "H-bools": ("H", [[False, True], [True, False]]), "H-401-digits": ("H", [[0.0, 10**400], [0.5, 0.0]]),
     "H-text": ("H", "0.5"), "H-bool-among-numbers": ("H", [[0.0, True], [0.5, 0.0]]),
+    "H-bool-ndarray": ("H", np.array([[False, True], [True, False]])),
+    "H-object-ndarray-with-bool": ("H", np.array([[0.0, True], [0.5, 0.0]], object)),
 }
 
 
@@ -72,6 +74,16 @@ def test_network_raises_parse_error_naming_the_field(field, value):
     args = dict(n=2, gamma=1.0, beta=1.2, theta=1.0, alpha=-1.0, H=[[0.0, 0.5], [0.5, 0.0]])
     with pytest.raises(ParseError, match=f"field '{field}'"):
         network(**{**args, field: value})
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+def test_network_takes_a_numeric_ndarray_as_it_takes_the_same_list(dtype):
+    values = [[0.25, 0.5], [-0.75, 2.0]]
+    H = np.array(values, dtype)
+    p = network(2, 1.0, 1.2, 1.0, -1.0, H)
+    assert p.H.dtype == np.float64
+    assert p.H.tobytes() == network(2, 1.0, 1.2, 1.0, -1.0, H.tolist()).H.tobytes()
+    assert H.tolist() == np.array(values, dtype).tolist()  # the caller's array keeps its diagonal
 
 
 def test_validate_zeroes_diagonal():
@@ -196,4 +208,5 @@ def test_validated_params_are_frozen_and_cache_invariants(net_c):
     assert net_c.constants is net_c.constants
     assert net_c.hypotheses is net_c.hypotheses
     assert net_c.kinds is net_c.kinds
+    assert net_c.jump_tables is net_c.jump_tables
     assert net_c.excitatory == (0,) and net_c.inhibitory == (1, 2)
