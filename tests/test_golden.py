@@ -4,11 +4,12 @@ Each case runs `ifnet.cli.main` in-process on a config kept in tests/golden/
 and compares every file the run writes to its --out directory with the
 recorded copy in tests/golden/<case>/.  The recorded bytes fix the JSON and
 CSV output for a fixed (config, seed), so a refactor that moves any of them
-shows up here.  A change that means to move them records them again with
+shows up here.  A change that means to move them records the cases it moves
+again with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py CASE...
 
-and says so.
+(every case when none is named) and says so.
 """
 
 import contextlib
@@ -43,6 +44,9 @@ CASES = {
     "cycles_dale4": ["cycles", "--config", "dale4.json", "--samples", "30"],
     # lambda = 0.99982 makes n0 about 3e4 returns: pins the bytes of a long adapted-metric check
     "contract_net_c_slow": ["contract", "--config", "net_c_slow.json", "--samples", "300"],
+    # the census at the CLI defaults (1000 samples, eta 1e-6, seed 0), certified and whole-section mode
+    "cycles_mixed8_default": ["cycles", "--config", "mixed8.json"],
+    "cycles_dale4_default": ["cycles", "--config", "dale4.json"],
 }
 
 # Test ids.  The first cases keep the "-<n>" suffix of the thread count they
@@ -72,15 +76,18 @@ def test_golden_output(name, tmp_path):
         assert got[fname] == data, f"{name}/{fname} differs from the recorded bytes"
 
 
-def record() -> None:
-    """Rewrite every case's recorded outputs from the current code."""
+def record(names) -> None:
+    """Rewrite the recorded outputs of the named cases from the current code."""
     import shutil
 
-    for name in CASES:
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
+    for name in names:
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
         if run_case(name, GOLDEN / name) != 0:
             sys.exit(f"case {name} failed")
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:] or list(CASES))
