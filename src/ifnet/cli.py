@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -340,6 +341,7 @@ class _Parser(argparse.ArgumentParser):
         raise RejectConfig(message)
 
 
+@functools.cache  # built on first use, then kept: each parse gets a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="ifnet", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

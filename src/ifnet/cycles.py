@@ -19,7 +19,11 @@ point stays inside it (lambda * r + residual <= r for the contraction factor
 lambda of a zone containing the balls), then a unique attracting periodic
 orbit lives in the ball.  Detection watches the orbit's piece itinerary for a
 recurrence whose contraction budget admits such an r, then solves the cycle of
-that piece word once, for every orbit that recurs on it.
+that piece word once, for every orbit that recurs on it.  The census steps
+all its samples as one batch and keeps their itineraries in arrays: each
+return tests every live sample's look-back candidates (the last 8 earlier
+returns on its piece) with array operations, so its cost follows the returns
+stepped, not the number of Python objects per sample.
 
 Networks that do not satisfy the certification hypotheses (e.g. purely
 excitatory ones) are still handled in a whole-section mode that codes the
@@ -30,6 +34,7 @@ periodic orbits.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -99,11 +104,7 @@ def _classify(params: NetworkParams, V: np.ndarray):
 
 
 def _piece_id(code: int) -> PieceId:
-    if code == _SYNC:
-        return PieceId("sync")
-    if code == _BOUNDARY:
-        return PieceId("boundary")
-    return PieceId("inhib", index=code)
+    return PieceId("inhib", index=code) if code >= 0 else PieceId("sync" if code == _SYNC else "boundary")
 
 
 def _piece(params: NetworkParams, arr: np.ndarray):
@@ -228,121 +229,137 @@ def _solve(params: NetworkParams, window: np.ndarray, eta: float):
     return cycle
 
 
-# longest period detection looks for
-_MAX_PERIOD = 256
+# longest period detection looks for, and how many occurrences of a piece it looks back over
+_MAX_PERIOD, _LOOK_BACK = 256, 8
 
 
-class _Track:
-    """Detection's record of one sample's orbit: per return its state, piece
-    (a firing set outside the zone) and margin (None outside the zone), and
-    the returns at which each piece occurred."""
+def _set_codes(fired: np.ndarray, sets: dict, n: int) -> np.ndarray:
+    """Piece code n + i of each row's firing set, i the set's index in `sets`
+    (packed firing set -> code, extended with the sets seen first here)."""
+    packed = np.packbits(fired, axis=1)
+    order = np.lexsort(packed.T)
+    new = np.concatenate(([True], (packed[order[1:]] != packed[order[:-1]]).any(axis=1)))
+    ids = np.array([sets.setdefault(packed[i].tobytes(), n + len(sets)) for i in order[new]])
+    return ids[np.cumsum(new) - 1][np.argsort(order)]
 
-    __slots__ = ("states", "pieces", "margins", "seen")
 
-    def __init__(self):
-        self.states, self.pieces, self.margins = [], [], []
-        self.seen = {}
+def _walk(back: np.ndarray, f: np.ndarray, steps: int) -> np.ndarray:
+    """(len(f), steps) records, steps >= 1: column j holds the record j returns before f's, in its row."""
+    out = [f]
+    for _ in range(steps - 1):
+        out.append(back[out[-1]])
+    return np.stack(out, axis=1)
 
 
 def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
     """Fates of the rows of an (m, n) batch of starts, stepped in lockstep.
 
-    Each return steps every live row with one `step_batch` call; only the
-    recurrence bookkeeping runs per row, and a row leaves the batch once its
-    fate is known.  Candidates whose piece words share a least rotation share
-    one `_solve`.  Outside certified mode a state recurs when every potential
-    ties its earlier value.  Returns (fates, last_exc): fates[r] is row r's
-    FateReport or the error its solve raised, last_exc[r] the last return at
-    which an excitatory neuron fired (-1 for none).
+    Each return steps every live row with one `step_batch` call and tests the
+    recurrences of all live rows with array operations; a row leaves the batch
+    once its fate is known.  Each return of a live row is a record in a flat
+    history, which grows with the live rows: its state, its piece code (the
+    inhibitory winner, _SYNC, _BOUNDARY, or n + i for the i-th firing set
+    seen, which codes a return outside certified mode or outside the zone)
+    and its margin (-inf for none).  The look-back candidates of a return are
+    the last _LOOK_BACK earlier records of its row with its code, kept in a
+    ring, at most _MAX_PERIOD returns back; the newest one that passes the
+    test is taken.  In certified mode the test compares the distance over
+    1 - lam_det ** p with the least margin of the window; outside it a state
+    recurs when every potential ties its earlier value.  Windows with the
+    same piece word share one least-rotation key, and candidates whose keys
+    agree share one `_solve`, made in (return, row) order.  Returns (fates,
+    last_exc): fates[r] is row r's FateReport or the error its solve raised,
+    last_exc[r] the last return at which an excitatory neuron fired (-1 for none).
     """
     rep = params.hypotheses
-    certified_mode = rep.h3 and rep.h4 and bool(params.inhibitory)
-    lam_det = lambda_for_zone(params, _zone_after_return(params)) if certified_mode else None
-    if certified_mode and lam_det >= 1.0:
-        certified_mode = False
+    lam_det = lambda_for_zone(params, _zone_after_return(params)) if rep.h3 and rep.h4 and params.inhibitory else 1.0
+    certified_mode = lam_det < 1.0
+    # by lag p, each with the Python expression of one candidate; positive for p >= 1, as 0 < lam_det < 1
+    denom = np.array([1.0 - lam_det ** p for p in range(_MAX_PERIOD + 1)])
     tie = params.tie_tol()
     excit = list(params.excitatory)
 
-    m = V0.shape[0]
+    m, n = V0.shape
     fates = [None] * m
     last_exc = np.full(m, -1, np.int64)
-    tracks = [_Track() for _ in range(m)]
-    candidates = []  # (row, first return of the recurring window, return)
-    live, V = np.arange(m), V0
+    sets, solved, keys = {}, {}, {}  # packed firing set -> code; least rotation -> its solve; word -> (shift, least rotation)
+    # the flat history: per record its state, code, margin, return, and its row's record one return earlier
+    states, codes, margs, rets, back = (np.zeros((4 * m, n)), *(np.zeros(4 * m, t) for t in (np.int64, np.float64, np.int64, np.int64)))
+    occ = np.full((m, n + 2, _LOOK_BACK), -1)  # the ring: by row and code + 2, its last records with that code, newest first
+    top, live, V, before = 0, np.arange(m), V0, np.full(m, -1)  # before: each live row's latest record
     for k in range(max_iter + 1):
         zero = ~V.any(axis=1)
         for r in live[zero].tolist():
             fates[r] = FateReport("synchronized", transient_steps=k, step=k)
-        live, V = live[~zero], V[~zero]
+        live, V, before = live[~zero], V[~zero], before[~zero]
         if not live.size:
             break
         image, fired, _, _ = _kernels.step_batch(params, V)
         last_exc[live[fired[:, excit].any(axis=1)]] = k
+        code, marg = np.empty(live.size, np.int64), np.full(live.size, -math.inf)
+        zone = _in_zone_rows(V, params.constants.c_bar) if certified_mode else np.zeros(live.size, np.bool_)
         if certified_mode:
-            zone = _in_zone_rows(V, params.constants.c_bar).tolist()
-            code, gap = _classify(params, V)
-            code, marg = code.tolist(), (0.5 * gap).tolist()  # margin 0 on the boundary
-        leave = np.zeros(live.size, np.bool_)
-        for i, r in enumerate(live.tolist()):
-            if certified_mode and zone[i]:
-                if marg[i] < eta:
-                    fates[r] = FateReport("grazing", transient_steps=k, step=k, margin=marg[i])
-                    leave[i] = True
-                    continue
-                piece, m_k = _piece_id(code[i]), marg[i]
-            else:
-                piece, m_k = PieceId("fires", fired=tuple(np.flatnonzero(fired[i]).tolist())), None
-            track, state = tracks[r], V[i]
-            track.states.append(state)
-            track.pieces.append(piece)
-            track.margins.append(m_k)
-            history = track.seen.setdefault(piece, [])
-            for prev in reversed(history[-8:]):
-                p = k - prev
-                if p > _MAX_PERIOD:
-                    break
-                dist = _sup(state, track.states[prev])
-                if certified_mode:
-                    window = track.margins[prev:]
-                    if any(w is None for w in window):
-                        continue
-                    denom = 1.0 - lam_det ** p
-                    if denom <= 0.0 or dist / denom > min(window):
-                        continue
-                    candidates.append((r, prev, k))
-                elif dist <= tie:
-                    pts = np.array(track.states[prev:k])
+            piece, gap = _classify(params, V)
+            code[zone], marg[zone] = piece[zone], 0.5 * gap[zone]  # margin 0 on the boundary
+        if not zone.all():
+            code[~zone] = _set_codes(fired[~zone], sets, n)
+        if code.max() + 2 >= occ.shape[1]:
+            occ = np.concatenate((occ, np.full((m, code.max() + 3, _LOOK_BACK), -1)), axis=1)
+        graze = zone & (marg < eta)
+
+        f = np.arange(top, top + live.size)
+        top += live.size
+        if top > len(rets):  # double the history's capacity
+            states, codes, margs, rets, back = (np.concatenate((a, np.zeros_like(a))) for a in (states, codes, margs, rets, back))
+        states[f], codes[f], margs[f], rets[f], back[f] = V, code, marg, k, before
+
+        prev = occ[live, code + 2]
+        i, j = np.nonzero((prev >= 0) & ~graze[:, None])  # the candidates, by row and then newest first
+        p = k - rets[prev[i, j]]
+        i, cand, p = i[p <= _MAX_PERIOD], prev[i, j][p <= _MAX_PERIOD], p[p <= _MAX_PERIOD]
+        dist = np.abs(V[i] - states[cand]).max(axis=1)
+        if certified_mode:
+            ratio = dist / denom[p]
+            ok = (ratio <= marg[i]) & (ratio <= margs[cand])  # the margins at both ends
+            if ok.any():  # the window's least margin, from a suffix-min back from return k
+                low = np.minimum.accumulate(margs[_walk(back, f[i[ok]], p[ok].max() + 1)], axis=1)
+                ok[ok] = ratio[ok] <= low[np.arange(len(low)), p[ok]]
+        else:
+            ok = dist <= tie
+        stay = ~graze
+        if ok.any():
+            i, first = np.unique(i[ok], return_index=True)
+            lag = p[ok][first]
+            named = [] if certified_mode else [tuple(np.flatnonzero(np.unpackbits(np.frombuffer(b, np.uint8))).tolist()) for b in sets]
+            stay[i] = False
+            for r, w, q in zip(live[i].tolist(), _walk(back, back[f[i]], lag.max()), lag.tolist()):
+                w = w[q - 1::-1]  # the records of returns k - q .. k - 1
+                if not certified_mode:
+                    pts = states[w]
                     fates[r] = FateReport("cycle", transient_steps=k, cycle=LimitCycle(
-                        period=p, points=pts, itinerary=tuple(track.pieces[prev:k]),
-                        min_margin=None, certificate=None, certified=False,
-                        time_period=_period_time(params, pts),
-                    ))
-                else:
+                        period=q, points=pts, itinerary=tuple(PieceId("fires", fired=named[c - n]) for c in codes[w].tolist()),
+                        min_margin=None, certificate=None, certified=False, time_period=_period_time(params, pts)))
                     continue
-                leave[i] = True
-                break
-            if not leave[i]:
-                history.append(k)
-        live, V = live[~leave], image[~leave]
+                word = tuple(codes[w].tolist())
+                if word not in keys:
+                    s = min(range(q), key=lambda i: word[i:] + word[:i])
+                    keys[word] = s, word[s:] + word[:s]
+                s, key = keys[word]
+                if key not in solved:
+                    try:
+                        solved[key] = _solve(params, np.roll(states[w], -s, axis=0), eta)
+                    except (NumericalStall, PreconditionFailed) as exc:
+                        solved[key] = exc
+                result = solved[key]
+                fates[r] = (FateReport("cycle", transient_steps=k, cycle=result) if isinstance(result, LimitCycle)
+                            else replace(result, transient_steps=k, step=k) if isinstance(result, FateReport) else result)
+        for r, g in zip(live[graze].tolist(), marg[graze].tolist()):
+            fates[r] = FateReport("grazing", transient_steps=k, step=k, margin=g)
+        r, c = live[stay], code[stay] + 2
+        occ[r, c] = np.concatenate((f[stay, None], occ[r, c, :-1]), axis=1)
+        live, V, before = live[stay], image[stay], f[stay]
     for r in live.tolist():
         fates[r] = FateReport("unresolved", transient_steps=max_iter)
-
-    solved = {}  # least rotation of a piece word -> its solve
-    for r, prev, k in candidates:
-        word = [piece.index for piece in tracks[r].pieces[prev:k]]
-        s = min(range(k - prev), key=lambda i: word[i:] + word[:i])
-        key = tuple(word[s:] + word[:s])
-        if key not in solved:
-            try:
-                solved[key] = _solve(params, np.roll(tracks[r].states[prev:k], -s, axis=0), eta)
-            except (NumericalStall, PreconditionFailed) as exc:
-                solved[key] = exc
-        result = solved[key]
-        if isinstance(result, LimitCycle):
-            result = FateReport("cycle", transient_steps=k, cycle=result)
-        elif isinstance(result, FateReport):
-            result = replace(result, transient_steps=k, step=k)
-        fates[r] = result
     return fates, last_exc
 
 
@@ -427,9 +444,12 @@ def _census_starts(params: NetworkParams, sample_count: int, seed: int) -> np.nd
     if hi <= 0:
         raise HypothesisViolated("C_{c_bar} is empty (beta >= beta_plus)")
     rng = rng_stream(seed, 1)
-    starts = [sample_on_section(restart(rng, seed, 1 + idx), params.n, params.alpha, hi, 1)[0]
-              for idx in range(sample_count)]
-    return np.array(starts).reshape(sample_count, params.n)
+    starts = np.empty((sample_count, params.n))
+    for idx, row in enumerate(starts):  # the draws of sample_on_section(..., 1), in its order
+        restart(rng, seed, 1 + idx)
+        row[:] = rng.uniform(params.alpha, hi, params.n)
+        row[rng.integers(params.n)] = 0.0
+    return starts
 
 
 def cycle_census(params: NetworkParams, sample_count: int, seed: int,
@@ -439,38 +459,35 @@ def cycle_census(params: NetworkParams, sample_count: int, seed: int,
     alignments, threshold ten times the tie tolerance) and report basin fractions.
 
     Each sample owns the Philox stream (seed, 1 + index).  All samples step
-    together as one lockstep batch, and each one's fate is what detect_cycle
-    gives for its start alone, so the census is deterministic.  Samples that
-    recur on the same piece word share one solve.  When a solve fails, the
-    error of the lowest-index sample that reached it is raised.
+    together as one lockstep batch, whose recurrence tests run as array
+    operations over the live samples, and each one's fate is what
+    detect_cycle gives for its start alone, so the census is deterministic.
+    Samples that recur on the same piece word share one solve, and a fate
+    whose cycle is an entry's own solved object counts for that entry without
+    an alignment search (the entry matched no earlier one when it was made).
+    When a solve fails, the error of the lowest-index sample that reached it
+    is raised.
     """
     V0 = _census_starts(params, sample_count, seed)
     fates = [_checked(f) for f in _fates(params, V0, max_iter, eta)[0]]
+    outcomes = Counter(fate.outcome for fate in fates)
 
     entries: list[CensusEntry] = []
-    n_sync = n_graze = n_unres = 0
+    owners = {}  # id of an entry's own cycle -> the entry, which matched no earlier entry
     thr = 10.0 * params.tie_tol()
-    for fate in fates:
-        if fate.outcome == "synchronized":
-            n_sync += 1
-        elif fate.outcome == "grazing":
-            n_graze += 1
-        elif fate.outcome == "unresolved":
-            n_unres += 1
-        else:
-            for entry in entries:
-                if _cycles_match(entry.cycle, fate.cycle, thr):
-                    entry.count += 1
-                    break
-            else:
-                entries.append(CensusEntry(cycle=fate.cycle, count=1))
+    for cycle in (fate.cycle for fate in fates if fate.outcome == "cycle"):
+        entry = owners.get(id(cycle)) or next((e for e in entries if _cycles_match(e.cycle, cycle, thr)), None)
+        if entry is None:
+            entry = owners[id(cycle)] = CensusEntry(cycle=cycle, count=0)
+            entries.append(entry)
+        entry.count += 1
     for entry in entries:
         entry.basin_fraction = entry.count / sample_count
     return CensusReport(
         entries=entries,
-        synchronized_fraction=n_sync / sample_count,
-        grazing_fraction=n_graze / sample_count,
-        unresolved_fraction=n_unres / sample_count,
+        synchronized_fraction=outcomes["synchronized"] / sample_count,
+        grazing_fraction=outcomes["grazing"] / sample_count,
+        unresolved_fraction=outcomes["unresolved"] / sample_count,
         samples=sample_count,
     )
 

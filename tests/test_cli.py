@@ -397,6 +397,35 @@ def test_cli_help_still_prints_usage(capsys):
     assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ifnet analyze")
 
 
+def test_cli_parser_is_built_once_and_keeps_no_state_between_runs(tmp_path, capsys):
+    # runs in turn on the one cached parser print what each prints on a freshly
+    # built one: a --grid list starts empty in every run (argparse's `append`
+    # default is one shared list), and a run that ends in a parse error leaves
+    # nothing behind for the next
+    from ifnet import cli
+
+    cfg = str(write_config(tmp_path, NET_D_DOC))
+    runs = [["sweep", "--config", cfg, "--grid", "H:-0.8:-0.6:2"],
+            ["sweep", "--config", cfg, "--grid", "beta:1.2:1.3:2", "--grid", "H:-0.7:-0.6:2"],
+            ["cycles", "--config", cfg, "--max-iter", "50", "--dt", "0.1"],  # --dt: not read by cycles
+            ["analyze", "--config", cfg],
+            ["cycles", "--config", cfg, "--samples", "40", "--eta", "1e-4"]]
+
+    def run(argv):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli.build_parser.cache_clear()
+    in_turn = [run(argv) for argv in runs]
+    assert cli.build_parser.cache_info().misses == 1 and cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in in_turn] == [0, 0, 2, 0, 0]
+    assert "unrecognized arguments: --dt 0.1" in in_turn[2][2]
+    for argv, got in zip(runs, in_turn):
+        cli.build_parser.cache_clear()
+        assert run(argv) == got, argv
+
+
 def test_readme_command_lines_parse_and_list_what_each_command_reads():
     """Every `ifnet` line of README's CLI block, its [...] markers stripped, parses and passes
     the option checks, and names exactly the options its command reads (for sweep, --seed

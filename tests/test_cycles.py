@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ifnet import (
     HypothesisViolated,
@@ -23,11 +26,13 @@ from ifnet import (
     return_map,
     sync_test,
 )
-from ifnet._kernels import track_pair
+from ifnet._kernels import step_batch, track_pair
 from ifnet._sampling import rng_stream, sample_on_section
+from ifnet.contraction import _in_zone_rows, _zone_after_return
 
 NET_D_XSTAR = 0.32554373534619713401  # anti-phase coordinate for H = -0.6
-MIXED8 = Path(__file__).resolve().parent / "golden" / "mixed8.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MIXED8 = GOLDEN / "mixed8.json"
 
 
 def mixed8():
@@ -199,6 +204,7 @@ def _same_fate(a, b):
         assert repr(ca.min_margin) == repr(cb.min_margin)
         assert repr(ca.certificate) == repr(cb.certificate)
         assert repr(ca.time_period) == repr(cb.time_period)
+        assert repr(ca.contraction) == repr(cb.contraction)
 
 
 # network, max_iter, eta, extra starts, outcomes the batch must contain; the
@@ -235,6 +241,242 @@ def test_census_fate_equals_single_start(name, request):
         count = sum(f.outcome == outcome for f in alone[:40])
         assert getattr(rep, f"{outcome}_fraction") == count / 40
     assert sum(e.count for e in rep.entries) == sum(f.outcome == "cycle" for f in alone[:40])
+
+
+class _Track:
+    """Detection's record of one sample's orbit: per return its state, piece
+    (a firing set outside the zone) and margin (None outside the zone), and
+    the returns at which each piece occurred."""
+
+    __slots__ = ("states", "pieces", "margins", "seen")
+
+    def __init__(self):
+        self.states, self.pieces, self.margins = [], [], []
+        self.seen = {}
+
+
+def reference_fates(params, V0, max_iter, eta):
+    """Fates of the rows of an (m, n) batch of starts, stepped in lockstep.
+
+    The census detection written as a per-row loop over Python lists, kept
+    as the reference `cycles._fates` is held to, field by field.  It reads
+    `cycles._MAX_PERIOD` when it runs, so a test that patches it patches both.
+
+    Each return steps every live row with one `step_batch` call; only the
+    recurrence bookkeeping runs per row, and a row leaves the batch once its
+    fate is known.  Candidates whose piece words share a least rotation share
+    one `_solve`.  Outside certified mode a state recurs when every potential
+    ties its earlier value.  Returns (fates, last_exc): fates[r] is row r's
+    FateReport or the error its solve raised, last_exc[r] the last return at
+    which an excitatory neuron fired (-1 for none).
+    """
+    rep = params.hypotheses
+    certified_mode = rep.h3 and rep.h4 and bool(params.inhibitory)
+    lam_det = lambda_for_zone(params, _zone_after_return(params)) if certified_mode else None
+    if certified_mode and lam_det >= 1.0:
+        certified_mode = False
+    tie = params.tie_tol()
+    excit = list(params.excitatory)
+
+    m = V0.shape[0]
+    fates = [None] * m
+    last_exc = np.full(m, -1, np.int64)
+    tracks = [_Track() for _ in range(m)]
+    candidates = []  # (row, first return of the recurring window, return)
+    live, V = np.arange(m), V0
+    for k in range(max_iter + 1):
+        zero = ~V.any(axis=1)
+        for r in live[zero].tolist():
+            fates[r] = cycles.FateReport("synchronized", transient_steps=k, step=k)
+        live, V = live[~zero], V[~zero]
+        if not live.size:
+            break
+        image, fired, _, _ = step_batch(params, V)
+        last_exc[live[fired[:, excit].any(axis=1)]] = k
+        if certified_mode:
+            zone = _in_zone_rows(V, params.constants.c_bar).tolist()
+            code, gap = cycles._classify(params, V)
+            code, marg = code.tolist(), (0.5 * gap).tolist()  # margin 0 on the boundary
+        leave = np.zeros(live.size, np.bool_)
+        for i, r in enumerate(live.tolist()):
+            if certified_mode and zone[i]:
+                if marg[i] < eta:
+                    fates[r] = cycles.FateReport("grazing", transient_steps=k, step=k, margin=marg[i])
+                    leave[i] = True
+                    continue
+                piece, m_k = cycles._piece_id(code[i]), marg[i]
+            else:
+                piece, m_k = cycles.PieceId("fires", fired=tuple(np.flatnonzero(fired[i]).tolist())), None
+            track, state = tracks[r], V[i]
+            track.states.append(state)
+            track.pieces.append(piece)
+            track.margins.append(m_k)
+            history = track.seen.setdefault(piece, [])
+            for prev in reversed(history[-8:]):
+                p = k - prev
+                if p > cycles._MAX_PERIOD:
+                    break
+                dist = cycles._sup(state, track.states[prev])
+                if certified_mode:
+                    window = track.margins[prev:]
+                    if any(w is None for w in window):
+                        continue
+                    denom = 1.0 - lam_det ** p
+                    if denom <= 0.0 or dist / denom > min(window):
+                        continue
+                    candidates.append((r, prev, k))
+                elif dist <= tie:
+                    pts = np.array(track.states[prev:k])
+                    fates[r] = cycles.FateReport("cycle", transient_steps=k, cycle=cycles.LimitCycle(
+                        period=p, points=pts, itinerary=tuple(track.pieces[prev:k]),
+                        min_margin=None, certificate=None, certified=False,
+                        time_period=cycles._period_time(params, pts),
+                    ))
+                else:
+                    continue
+                leave[i] = True
+                break
+            if not leave[i]:
+                history.append(k)
+        live, V = live[~leave], image[~leave]
+    for r in live.tolist():
+        fates[r] = cycles.FateReport("unresolved", transient_steps=max_iter)
+
+    solved = {}  # least rotation of a piece word -> its solve
+    for r, prev, k in candidates:
+        word = [piece.index for piece in tracks[r].pieces[prev:k]]
+        s = min(range(k - prev), key=lambda i: word[i:] + word[:i])
+        key = tuple(word[s:] + word[:s])
+        if key not in solved:
+            try:
+                solved[key] = cycles._solve(params, np.roll(tracks[r].states[prev:k], -s, axis=0), eta)
+            except (NumericalStall, PreconditionFailed) as exc:
+                solved[key] = exc
+        result = solved[key]
+        if isinstance(result, cycles.LimitCycle):
+            result = cycles.FateReport("cycle", transient_steps=k, cycle=result)
+        elif isinstance(result, cycles.FateReport):
+            result = replace(result, transient_steps=k, step=k)
+        fates[r] = result
+    return fates, last_exc
+
+
+def _same_fates(got, want):
+    """Field-by-field equality of two (fates, last_exc) results of _fates; an error
+    must have the same type and message."""
+    (fates, last_exc), (ref_fates, ref_last_exc) = got, want
+    assert last_exc.tobytes() == ref_last_exc.tobytes() and len(fates) == len(ref_fates)
+    for a, b in zip(fates, ref_fates):
+        if isinstance(b, Exception):
+            assert (type(a), str(a)) == (type(b), str(b))
+        else:
+            _same_fate(a, b)
+
+
+# Whole-section networks, all-inhibitory with beta = 1.5, whose orbits close
+# cycles of period 12 to 21 after about 100 returns: within a period one
+# firing set recurs more than 8 times, so the look-back depth decides at
+# which return (and on which window) a row's recurrence is found.
+LONG_WORDS = {
+    "inhib4_p19": [[0.0, -0.133, -0.59, -0.706], [-0.219, 0.0, -0.297, -0.642],
+                   [-0.556, -0.185, 0.0, -0.652], [-0.431, -0.62, -0.921, 0.0]],
+    "inhib4_p21": [[0.0, -0.709, -0.508, -0.36], [-0.658, 0.0, -0.103, -0.084],
+                   [-0.134, -0.498, 0.0, -0.62], [-0.196, -0.289, -0.06, 0.0]],
+}
+# starts beside the census starts: a tie (grazing in certified mode) and the
+# anti-phase start of net_a with its nudged copy
+EDGE_STARTS = {"net_c": [[0.0, 0.3, 0.3]], "net_d": [[0.0, 0.3]],
+               "net_a": [[0.9, 0.0], [0.9 - 1e-9, 0.0]]}
+
+
+def _diff_network(name, request):
+    if name in LONG_WORDS:
+        return network(4, 1.0, 1.5, 1.0, -1.0, LONG_WORDS[name])
+    if name in ("mixed8", "dale4"):
+        return load_config(str(GOLDEN / f"{name}.json")).params
+    return request.getfixturevalue(name)
+
+
+def _diff_starts(params, name, seed, count, wide):
+    """`count` census starts, `wide` draws on the whole section (in certified mode
+    such a start's first return lies outside C_{c_bar}) and the network's edge starts."""
+    whole = sample_on_section(rng_stream(seed, 0), params.n, params.alpha, params.theta, wide)
+    return np.concatenate([cycles._census_starts(params, count, seed), whole,
+                           np.reshape(EDGE_STARTS.get(name, []), (-1, params.n))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["net_a", "net_c", "net_d", "mixed8", "dale4", *LONG_WORDS]),
+       seed=st.integers(0, 2**64 - 1), count=st.integers(1, 24), wide=st.integers(0, 8),
+       max_iter=st.sampled_from([0, 1, 3, 9, 40, 300]), eta=st.sampled_from([1e-6, 1e-4, 1e-2, 3e-2]))
+@example(name="mixed8", seed=0, count=24, wide=8, max_iter=300, eta=1e-6)
+@example(name="net_d", seed=5, count=24, wide=8, max_iter=4, eta=3e-2)
+@example(name="net_c", seed=3, count=24, wide=8, max_iter=300, eta=1e-5)
+@example(name="dale4", seed=0, count=24, wide=8, max_iter=300, eta=1e-6)
+@example(name="inhib4_p19", seed=5, count=24, wide=8, max_iter=300, eta=1e-6)
+@example(name="inhib4_p21", seed=5, count=24, wide=36, max_iter=300, eta=1e-6)
+def test_fates_equal_reference_fates(name, seed, count, wide, max_iter, eta, request):
+    # every field of every row's fate, solve errors and last_exc included, bit for bit
+    params = _diff_network(name, request)
+    V0 = _diff_starts(params, name, seed, count, wide)
+    _same_fates(cycles._fates(params, V0, max_iter, eta), reference_fates(params, V0, max_iter, eta))
+
+
+@pytest.mark.parametrize("name, look_back", [("inhib4_p21", 7), ("inhib4_p19", 9)])
+def test_long_words_see_the_look_back_depth(name, look_back, request, monkeypatch):
+    # these starts tell a look-back of 8 occurrences from one of 7 (inhib4_p21)
+    # or of 9 (inhib4_p19), and the examples above hold them
+    params = _diff_network(name, request)
+    V0 = _diff_starts(params, name, 5, 24, 36)
+    want = reference_fates(params, V0, 300, 1e-6)
+    _same_fates(cycles._fates(params, V0, 300, 1e-6), want)
+    monkeypatch.setattr(cycles, "_LOOK_BACK", look_back)
+    with pytest.raises(AssertionError):
+        _same_fates(cycles._fates(params, V0, 300, 1e-6), want)
+
+
+@pytest.mark.parametrize("name, period", [("net_d", 2), ("net_a", 2), ("mixed8", 6), ("dale4", 2)])
+@pytest.mark.parametrize("shorter", [0, 1])
+def test_fates_equal_reference_fates_at_the_period_cutoff(name, period, shorter, request, monkeypatch):
+    # with _MAX_PERIOD at a cycle's period its recurrence is found at lag
+    # _MAX_PERIOD exactly; one below, it is not found at all
+    params = _diff_network(name, request)
+    monkeypatch.setattr(cycles, "_MAX_PERIOD", period - shorter)
+    V0 = _diff_starts(params, name, 0, 40, 4)
+    fates, last_exc = cycles._fates(params, V0, 60, 1e-4)
+    _same_fates((fates, last_exc), reference_fates(params, V0, 60, 1e-4))
+    periods = {f.cycle.period for f in fates if f.outcome == "cycle"}
+    assert periods == (set() if shorter else {period})
+
+
+def test_fates_history_grows_with_the_live_rows(net_a, monkeypatch):
+    # the census starts of net_a synchronize within a return; the exact anti-phase
+    # start recurs with period 2, past the longest period looked for here, so it
+    # stays live to max_iter.  The history it keeps must stay far below a dense
+    # (samples, max_iter, n) buffer of states.
+    monkeypatch.setattr(cycles, "_MAX_PERIOD", 1)
+    V0 = np.concatenate([cycles._census_starts(net_a, 1000, seed=5), [[0.9, 0.0]]])
+    max_iter = 2000
+    tracemalloc.start()
+    try:
+        fates, _ = cycles._fates(net_a, V0, max_iter, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [f.outcome for f in fates[-1:]] == ["unresolved"]
+    assert max(f.transient_steps for f in fates[:-1]) <= 1
+    dense = V0.size * max_iter * 8  # samples x max_iter x n float64
+    assert peak < dense / 16, (peak, dense)
+
+
+def test_census_counts_fates_that_share_a_solve_without_matching(monkeypatch):
+    # every cycle fate of a mixed8 census carries the one solved LimitCycle,
+    # so no alignment search runs
+    calls = []
+    match = cycles._cycles_match
+    monkeypatch.setattr(cycles, "_cycles_match", lambda *a: calls.append(a) or match(*a))
+    rep = cycle_census(mixed8(), 300, seed=0, eta=1e-4)
+    assert len(rep.entries) == 1 and rep.entries[0].count > 100 and calls == []
 
 
 @pytest.mark.parametrize("count", [1, 30, 1000])
