@@ -274,7 +274,8 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
     rep = params.hypotheses
     lam_det = lambda_for_zone(params, _zone_after_return(params)) if rep.h3 and rep.h4 and params.inhibitory else 1.0
     certified_mode = lam_det < 1.0
-    # by lag p, each with the Python expression of one candidate; positive for p >= 1, as 0 < lam_det < 1
+    # 1 - lam_det ** p by lag p, each from the Python expression; certified mode divides by it,
+    # and there it is positive for every lag p >= 1, as 0 < lam_det < 1
     denom = np.array([1.0 - lam_det ** p for p in range(_MAX_PERIOD + 1)])
     tie = params.tie_tol()
     excit = list(params.excitatory)
@@ -315,8 +316,10 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
 
         prev = occ[live, code + 2]
         i, j = np.nonzero((prev >= 0) & ~graze[:, None])  # the candidates, by row and then newest first
-        p = k - rets[prev[i, j]]
-        i, cand, p = i[p <= _MAX_PERIOD], prev[i, j][p <= _MAX_PERIOD], p[p <= _MAX_PERIOD]
+        cand = prev[i, j]
+        p = k - rets[cand]
+        keep = p <= _MAX_PERIOD
+        i, cand, p = i[keep], cand[keep], p[keep]
         dist = np.abs(V[i] - states[cand]).max(axis=1)
         if certified_mode:
             ratio = dist / denom[p]
