@@ -35,8 +35,8 @@ the image's own loop runs only when a neuron with a negative jump fired.  The
 multi-start drivers (`absorb_run`, `sync_run`, `track_pair`; one return of
 `track_pair` gives the zone contraction ratios) and the cycle census, whose
 detection steps every live sample in lockstep, step whole batches; sequential
-orbits (`run_orbit`, and through it simulation, and `dynamics.return_map`)
-step one state at a time, as each state depends on the previous one.  One
+orbits (`run_orbit`, which serves both outputs of `simulate`, and
+`dynamics.return_map`) step one state at a time, as each state depends on the previous one.  One
 state costs about 23 us on net_c and 36 us on mixed8, two to four times the
 6.5 and 17 us of a scalar loop over one state (timeit, best of five means
 over 50 random section states, 2-vCPU VM), so an orbit that never repeats

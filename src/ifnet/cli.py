@@ -34,7 +34,7 @@ from . import _kernels
 from . import contraction as contr
 from . import cycles as cyc
 from . import dynamics as dyn
-from .config import Records, RunConfig, dump_json, json_strings, load_config, params_to_doc, row_texts
+from .config import Records, RunConfig, dump_json, json_strings, load_config, params_to_doc, row_texts, text_grid
 from .errors import (
     HypothesisViolated,
     IfnetError,
@@ -84,11 +84,22 @@ def _check_options(given: dict) -> None:
         dyn.grid_rows(given["dt"], given["t_total"])  # before anything is run or allocated
 
 
-def _write_csv(opts, name: str, header: list, rows) -> str:
-    """Write a header and text rows, fields joined by "," (none needs quoting), as `name` in --out."""
+def _write_csv(opts, name: str, header: list, columns: list) -> str:
+    """Write a header and text columns, one text per row each, fields joined by ","
+    (none needs quoting), as `name` in --out."""
+    parts = [part for column in columns for part in (column, ",")]
+    parts[-1] = "\n"
     with open(Path(opts.out) / name, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(map(",".join, itertools.chain([header], rows))) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.write("".join(text_grid(len(columns[0]), parts)))
     return name
+
+
+def _value_columns(values: np.ndarray) -> list:
+    """The repr of each entry of a 2-D float array, column by column; each distinct
+    value is formatted once."""
+    texts = row_texts(values.ravel())
+    return [texts[i::values.shape[1]] for i in range(values.shape[1])]
 
 
 def _cycle_doc(entry: cyc.CensusEntry) -> dict:
@@ -149,15 +160,16 @@ def cmd_simulate(cfg: RunConfig, opts) -> dict:
         **columns, "firing_set": json_strings(columns["firing_set"]),
         "V_after": json_strings(columns["V_after"])})}
     if opts.out is not None:
-        doc["spikes_csv"] = _write_csv(opts, "spikes.csv", list(columns), zip(*columns.values()))
+        doc["spikes_csv"] = _write_csv(opts, "spikes.csv", list(columns), list(columns.values()))
     if opts.dt is not None:
-        times, values, post = dyn.sample_trajectory(params, v0, opts.dt, opts.t_total)
+        times, values, post = dyn.sample_trajectory(params, v0, opts.dt, opts.t_total, (states, fired, t_bars))
         doc["trajectory_rows"] = len(times)
         if opts.out is not None:
+            # most rows repeat their coordinates (an orbit that reaches 0;0;0 stays
+            # there), so each distinct value is formatted once
             header = ["t"] + [f"V{i + 1}" for i in range(params.n)] + ["post_spike"]
-            grid_rows = zip(map(repr, times.tolist()), (",".join(map(repr, r)) for r in values.tolist()),
-                            map(str, post.tolist()))
-            doc["trajectory_csv"] = _write_csv(opts, "trajectory.csv", header, grid_rows)
+            doc["trajectory_csv"] = _write_csv(opts, "trajectory.csv", header, [
+                list(map(repr, times.tolist())), *_value_columns(values), np.array(["0", "1"])[post].tolist()])
     return doc
 
 
@@ -176,8 +188,9 @@ def cmd_cycles(cfg: RunConfig, opts) -> dict:
     if opts.out is not None:
         header = ["index"] + [f"V{i + 1}" for i in range(cfg.params.n)]
         for idx, entry in enumerate(report.entries):
+            points = entry.cycle.points
             _write_csv(opts, f"cycle_{idx:02d}.csv", header,
-                       ([str(j), *map(repr, pt)] for j, pt in enumerate(entry.cycle.points.tolist())))
+                       [list(map(str, range(len(points)))), *_value_columns(points)])
     return doc
 
 

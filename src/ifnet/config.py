@@ -20,11 +20,13 @@ indenting encoder is pure Python and slow per value, so simulate hands its
 spike rows over as a `Records`: columns that already hold each row's JSON
 text (`row_texts` formats each distinct array row once, `json_strings`
 quotes each distinct string once).  The encoder writes a placeholder for the
-table, replaced afterwards by one `%` row template per row; the text equals
-json.dumps of the rows, as both write numbers as repr and escape strings
-with json.dumps.  A cell spelling a non-finite float raises ValueError; a
-document string spelling a placeholder makes the encoder run again with
-another one.
+table, replaced afterwards by the table's text: one `text_grid` list that
+holds, row by row, each cell after the separator and key before it, so the
+whole document is joined once.  The text equals json.dumps of the rows, as
+both write numbers as repr and escape strings with json.dumps.  A cell
+spelling a non-finite float raises ValueError; a document string spelling a
+placeholder makes the encoder run again with another one.  The CSV files
+are laid out the same way, with "," and a newline between the cells.
 """
 
 from __future__ import annotations
@@ -90,9 +92,19 @@ def row_texts(arr, fmt=repr) -> list:
     row, keyed by the row's bytes (0.0 == -0.0, but they print differently)."""
     arr = np.ascontiguousarray(arr)
     width = math.prod(arr.shape[1:])
-    keys = arr.reshape(len(arr), width).view(np.dtype((np.void, arr.itemsize * width)))
+    size = arr.itemsize * width  # a row of 8 bytes or fewer sorts fastest as one unsigned integer
+    keys = arr.reshape(len(arr), width).view(f"u{size}" if size in (1, 2, 4, 8) else np.dtype((np.void, size)))
     _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
     return np.array([fmt(row) for row in arr[first].tolist()], object)[inverse].tolist()
+
+
+def text_grid(rows: int, parts: list) -> list:
+    """The pieces of a text table, row by row: each part is a str that every row
+    repeats or a column of one text per row."""
+    pieces = [None] * (rows * len(parts))
+    for k, part in enumerate(parts):
+        pieces[k::len(parts)] = [part] * rows if isinstance(part, str) else part
+    return pieces
 
 
 def json_strings(texts: list) -> list:
@@ -120,18 +132,15 @@ def _plain(obj):
 _NON_FINITE = frozenset(("nan", "inf", "-inf", "NaN", "Infinity", "-Infinity"))
 
 
-def _encode_records(columns: dict, indent: int) -> str:
-    """The indent=2 text of a `Records` whose "]" sits at column `indent`."""
-    keys = sorted(columns)
-    if any(not _NON_FINITE.isdisjoint(columns[k]) for k in keys):
+def _encode_records(columns: dict, indent: int) -> list:
+    """The indent=2 text of a `Records` whose "]" sits at column `indent`, in pieces."""
+    if any(not _NON_FINITE.isdisjoint(cells) for cells in columns.values()):
         raise ValueError("Out of range float values are not JSON compliant")
-    if not keys or not len(columns[keys[0]]):
-        return "[]"
-    pad, field_pad = " " * (indent + 2), " " * (indent + 4)
-    fields = ",\n".join(f"{field_pad}{json.dumps(k).replace('%', '%%')}: %s" for k in keys)
-    row = f"{pad}{{\n{fields}\n{pad}}}"
-    body = ",\n".join(map(row.__mod__, zip(*(columns[k] for k in keys))))
-    return "[\n" + body + "\n" + " " * indent + "]"
+    pad, rows = "\n" + " " * (indent + 2), len(next(iter(columns.values()), ()))
+    parts = [f"{pad}}},{pad}{{"]  # a record per row, after the record before it ends
+    for k, key in enumerate(sorted(columns)):  # each cell after its key
+        parts += [f"{',' if k else ''}{pad}  {json.dumps(key)}: ", columns[key]]
+    return [f"[{pad}{{", *text_grid(rows, parts)[1:], f"{pad}}}\n{' ' * indent}]"] if rows else ["[]"]
 
 
 _MARK = "\x00records"
@@ -162,7 +171,7 @@ def dump_json(obj) -> str:
     for columns, token in zip(tables, tokens):  # markers appear in encoding order
         at = text.index(token, end)
         head = text[text.rfind("\n", 0, at) + 1:at]
-        parts += [text[end:at], _encode_records(columns, len(head) - len(head.lstrip(" ")))]
+        parts += [text[end:at], *_encode_records(columns, len(head) - len(head.lstrip(" ")))]
         end = at + len(token)
-    parts.append(text[end:])
-    return "".join(parts) + "\n"
+    parts += [text[end:], "\n"]
+    return "".join(parts)

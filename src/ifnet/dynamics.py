@@ -132,7 +132,7 @@ def grid_rows(dt: float, t_total: float) -> int:
     return math.floor(ratio) + 1
 
 
-def sample_trajectory(params: NetworkParams, v0, dt: float, t_total: float):
+def sample_trajectory(params: NetworkParams, v0, dt: float, t_total: float, orbit=None):
     """Piecewise reconstruction of the continuous trajectory on a dt grid.
 
     Returns (times, values, post_spike).  Grid row k sits at exactly k*dt,
@@ -143,42 +143,92 @@ def sample_trajectory(params: NetworkParams, v0, dt: float, t_total: float):
     the discontinuity is explicit in the output, and replaces any grid row
     within 1e-15 of it.  Raises RejectConfig once the rows are bound to exceed
     MAX_TRAJECTORY_ROWS.
+
+    The firings are the returns of `_kernels.run_orbit` from v0.  A caller
+    that holds them passes `orbit`, the (states, fired, t_bars) of
+    `run_orbit(params, as_state(params, v0), m)`; `run_orbit` extends an orbit
+    that ends before t_total from its last state.
     """
-    if dt <= 0:
-        raise PreconditionFailed("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise PreconditionFailed("dt must be a finite positive number")
+    if not (math.isfinite(t_total) and t_total >= 0):
+        raise PreconditionFailed("t_total must be a finite number, at least 0")
     cur = as_state(params, v0)
-    n_rows = grid_rows(dt, t_total)
-    grid = np.arange(n_rows) * dt
-    times, rows, post = [grid[:1]], [cur[None]], [[0]]
-    t_event = 0.0
-    k = 1  # next grid row
-    while t_event < t_total:
-        step = return_map(params, cur)
-        t_fire = t_event + step.t_bar
-        end = max(k, int(np.searchsorted(grid, t_fire - 1e-15)))
-        # the same operations as `flow`, one interval at a time
-        e = np.array([math.exp(-params.gamma * (t - t_event)) for t in grid[k:end].tolist()])
-        times.append(grid[k:end])
-        rows.append((cur - params.beta) * e[:, None] + params.beta)
-        post.append([0] * (end - k))
-        if t_fire > t_total:
-            break
-        # left limit: spontaneous firers sit exactly at theta, recruited
-        # neurons are still at their flowed value just before the jumps
-        left = state_at_threshold(params, cur, int(step.spontaneous[0]))
-        left[step.spontaneous] = params.theta
-        times.append([t_fire, t_fire])
-        rows.append([left, step.state])
-        post.append([0, 1])
-        n_rows += 2
-        # a firing resets a neuron to 0, so each later wait is at most T_max: the rows
-        # are bound to exceed when n_rows + 2*floor((t_total - t_fire)/T_max) does
-        if t_total - t_fire >= ((MAX_TRAJECTORY_ROWS - n_rows) // 2 + 1) * params.constants.T_max:
-            raise RejectConfig(f"the trajectory has more than {MAX_TRAJECTORY_ROWS} rows with two per firing")
-        k = max(end, int(np.searchsorted(grid, t_fire + 1e-15, side="right")))
-        cur = step.state
-        t_event = t_fire
-    return np.concatenate(times), np.concatenate(rows), np.concatenate(post).astype(np.int8)
+    n_grid = grid_rows(dt, t_total)
+    grid = np.arange(n_grid) * dt
+    states, t_fire = _firings(params, cur, t_total, n_grid, orbit)
+    # the firings before t_total happen, and so does a first one at exactly t_total,
+    # which ends the trajectory; else it ends with the interval that the first
+    # firing after t_total cuts (t_total 0: row 0 alone)
+    below = int(np.searchsorted(t_fire, t_total))
+    fires = min(int(np.searchsorted(t_fire, t_total, side="right")), below + 1) if t_total > 0 else 0
+    intervals = fires + (t_total > 0 and fires == below)
+    _check_rows(params, t_fire[:fires], t_total, n_grid)
+    t_fire = t_fire[:intervals]
+    pre = np.concatenate((cur[None], states[:intervals]))[:intervals]  # the state each interval flows from
+    t_start = np.concatenate(([0.0], t_fire))[:intervals]
+    # interval j holds grid rows start[j]..end[j]-1: past 1e-15 after firing j-1,
+    # and short of 1e-15 before firing j
+    start = np.maximum(1, np.searchsorted(grid, np.concatenate(([0.0], t_fire + 1e-15))[:intervals], side="right"))
+    end = np.maximum(start, np.searchsorted(grid, t_fire - 1e-15))
+    counts = end - start
+    interval = np.repeat(np.arange(intervals), counts)
+    k = np.arange(len(interval)) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+    # the same operations as `flow`, one row at a time
+    e = np.fromiter(map(math.exp, (-params.gamma * (grid[k] - t_start[interval])).tolist()), np.float64, len(k))
+    # row 0 holds v0; interval j's rows come next, then the two rows of firing j
+    rows = 1 + np.arange(len(k)) + 2 * interval
+    at = 1 + np.cumsum(counts)[:fires] + 2 * np.arange(fires)
+    times = np.empty(1 + len(k) + 2 * fires)
+    values = np.empty((len(times), params.n))
+    post = np.zeros(len(times), np.int8)
+    times[0], values[0] = grid[0], cur
+    times[rows] = grid[k]
+    values[rows] = (pre[interval] - params.beta) * e[:, None] + params.beta
+    times[at] = times[at + 1] = t_fire[:fires]
+    values[at] = _left_limits(params, pre[:fires])
+    values[at + 1] = states[:fires]
+    post[at + 1] = 1
+    return times, values, post
+
+
+def _left_limits(params: NetworkParams, pre: np.ndarray) -> np.ndarray:
+    """Each state of a (m, n) batch at its firing instant, before the jumps: the
+    spontaneous firers (the potentials within the tie tolerance of the maximum)
+    at theta, every other coordinate as `state_at_threshold` gives it."""
+    spontaneous = pre >= pre.max(axis=1, keepdims=True) - params.tie_tol()
+    first = pre[np.arange(len(pre)), spontaneous.argmax(axis=1)]
+    left = params.beta - (params.beta - pre) * ((params.beta - params.theta) / (params.beta - first))[:, None]
+    left[spontaneous] = params.theta
+    return left
+
+
+def _firings(params: NetworkParams, v, t_total: float, n_grid: int, orbit):
+    """(states, t_fire): the post-firing states and running firing times of the
+    returns from v, read from `orbit` and extended by `run_orbit` until one fires
+    at or after t_total (not at all for t_total 0)."""
+    states, t_bars = (orbit[0], orbit[2]) if orbit is not None else (np.empty((0, params.n)), np.empty(0))
+    t_fire = np.cumsum(t_bars)
+    # past this many firings before t_total, _check_rows rejects
+    most = (MAX_TRAJECTORY_ROWS - n_grid) // 2 + 1
+    while t_total > 0 and not (len(t_fire) and t_fire[-1] >= t_total):
+        _check_rows(params, t_fire, t_total, n_grid)  # each of these firings happens
+        more, _, bars = _kernels.run_orbit(params, states[-1] if len(states) else v,
+                                           min(max(len(t_fire), 16), most - len(t_fire)))
+        last = t_fire[-1:]  # the running sum goes on from the last firing, in order
+        states = np.concatenate((states, more))
+        t_fire = np.concatenate((t_fire, np.cumsum(np.concatenate((last, bars)))[len(last):]))
+    return states, t_fire
+
+
+def _check_rows(params: NetworkParams, t_fire: np.ndarray, t_total: float, n_grid: int) -> None:
+    """Raise RejectConfig if, after some of these firings, the trajectory's rows are
+    bound to exceed MAX_TRAJECTORY_ROWS.  A firing resets a neuron to 0, so each
+    later wait is at most T_max: after firing c, with n_grid + 2*c rows, the rows
+    are bound to exceed when n_grid + 2*c + 2*floor((t_total - t_fire)/T_max) does."""
+    rows = n_grid + 2 * np.arange(1, len(t_fire) + 1)
+    if np.any(t_total - t_fire >= ((MAX_TRAJECTORY_ROWS - rows) // 2 + 1) * params.constants.T_max):
+        raise RejectConfig(f"the trajectory has more than {MAX_TRAJECTORY_ROWS} rows with two per firing")
 
 
 def antiphase_state(params: NetworkParams) -> tuple[np.ndarray, float]:

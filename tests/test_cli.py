@@ -154,6 +154,33 @@ def test_cli_simulate_trajectory(tmp_path):
     assert "1" in flags  # at least one post-spike row
 
 
+def test_cli_simulate_steps_one_orbit_for_both_outputs(tmp_path, monkeypatch):
+    """trajectory.csv reads its firings off the orbit spikes.csv holds: no return_map
+    call, and run_orbit runs again only for the firings past --max-iter."""
+    cfg = write_config(tmp_path, NET_A_DOC)
+    calls = {"return_map": 0, "run_orbit": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    counted(dynamics, "return_map")
+    counted(_kernels, "run_orbit")
+    texts = []
+    for max_iter, runs in (("40", 1), ("2", 3)):  # net_a fires 24 times in 10 time units
+        calls.update(return_map=0, run_orbit=0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / max_iter),
+                         "--max-iter", max_iter, "--dt", "0.05", "--t-total", "10"]) == 0
+        assert calls == {"return_map": 0, "run_orbit": runs}
+        texts.append((tmp_path / max_iter / "trajectory.csv").read_text())
+    assert texts[0] == texts[1]
+
+
 def test_cli_cycles_net_d(tmp_path):
     cfg = write_config(tmp_path, NET_D_DOC)
     out = tmp_path / "cyc"

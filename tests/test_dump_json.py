@@ -1,12 +1,13 @@
 """dump_json writes a `Records` table exactly as json.dumps(indent=2) writes its rows.
 
 A `Records` holds one JSON text per row and key; `dump_json` splices each
-table into the document's text with one row template.  These tests build
-tables from plain rows (strings through `json_strings`, floats as their
-repr) and compare the text with the indenting encoder's text for the same
-rows: at several depths, with strings that hold escapes, non-ASCII text,
-template percent signs and the splice marker, and for empty tables.  They
-also check `row_texts` against formatting every row.
+table into the document's text, laid out as one list of separators and
+cells.  These tests build tables from plain rows (strings through
+`json_strings`, floats as their repr) and compare the text with the
+indenting encoder's text for the same rows: at several depths, with strings
+that hold escapes, non-ASCII text, percent signs and the splice marker, for
+empty tables and for one of 2500 rows.  They also check `row_texts` against
+formatting every row.
 """
 
 import json
@@ -98,6 +99,26 @@ def test_dump_json_record_placements(doc):
     assert dump_json(doc) == reference(doc)
 
 
+def test_dump_json_large_table_of_tricky_keys_and_cells():
+    rng = np.random.default_rng(0)
+    keys = sorted(set(TRICKY))
+    values = [*TRICKY, None, True, False, 0, -7, 2**70, 0.0, -0.0, 1e-300, 1.5e300, 0.1]
+    # a str column, a float column and mixed columns
+    kinds = {k: ("str", "float", "mixed")[i % 3] for i, k in enumerate(keys)}
+    rows = []
+    for _ in range(2500):
+        rows.append({k: (TRICKY[rng.integers(len(TRICKY))] if kind == "str" else
+                         float(rng.standard_normal()) if kind == "float" else values[rng.integers(len(values))])
+                     for k, kind in kinds.items()})
+    doc = {"note": MARKERS[0], "spikes": Table(rows), "more": [Table(rows[:3]), {"deep": Table(rows[-2000:])}]}
+    assert dump_json(doc) == reference(doc)
+
+
+def test_dump_json_single_row_table_at_depth_3():
+    doc = {"a": {"b": {"c": Table([{"t": 0.5, "%s": "},\n", "k": None}])}}, "z": 1}
+    assert dump_json(doc) == reference(doc)
+
+
 def test_dump_json_document_spelling_the_marker():
     for note in (*MARKERS, 'x"' + MARKERS[0], [MARKERS[0]], {MARKERS[0]: MARKERS[1]}):
         doc = {"note": note, "spikes": Table([{"a": 1.5, "b": "c"}, {"a": 2.0, "b": "d"}]),
@@ -132,5 +153,7 @@ def test_row_texts_formats_every_row_by_its_bytes():
     assert len(calls) == 3  # one call per distinct row
     fired = np.array([[True, False, True], [False, True, False], [True, False, True]])
     assert row_texts(fired, str) == list(map(str, fired.tolist()))
+    for rows in (fired[:, :1], fired[:, :2], np.hstack((fired, fired[:, :1])), v.astype(np.float32)):
+        assert row_texts(rows, str) == list(map(str, rows.tolist()))  # rows of 1, 2 and 4 bytes
     assert row_texts(states[:, ::-1]) == list(map(repr, states[:, ::-1].tolist()))
     assert row_texts(np.empty((0, 3))) == []

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +10,17 @@ from ifnet import (
     PreconditionFailed,
     RejectConfig,
     antiphase_state,
+    _kernels,
     dynamics,
     flow,
+    load_config,
     network,
     orbit,
     return_map,
     sample_trajectory,
     state_at_threshold,
 )
+from ifnet.dynamics import MAX_TRAJECTORY_ROWS, as_state, grid_rows
 
 
 def bisect_firing_time(p, vi, t_hi=50.0):
@@ -314,6 +318,112 @@ def test_trajectory_row_limit_counts_two_rows_per_firing(monkeypatch):
     monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_ROWS", len(times) - 1)
     with pytest.raises(RejectConfig, match="two per firing"):
         sample_trajectory(p, np.zeros(3), 0.1, 1.0)
+
+
+# ---------------------------------------------------------------- trajectory oracle
+
+# mixed8: the n=8 Dale network of the golden cases
+MIXED8 = load_config(str(Path(__file__).resolve().parent / "golden" / "mixed8.json")).params
+
+
+# The former `sample_trajectory`, one `return_map` call per firing, kept as the
+# oracle of the one that reads the firings off a `run_orbit` orbit.
+def reference_trajectory(params, v0, dt: float, t_total: float):
+    if dt <= 0:
+        raise PreconditionFailed("dt must be positive")
+    cur = as_state(params, v0)
+    n_rows = grid_rows(dt, t_total)
+    grid = np.arange(n_rows) * dt
+    times, rows, post = [grid[:1]], [cur[None]], [[0]]
+    t_event = 0.0
+    k = 1  # next grid row
+    while t_event < t_total:
+        step = return_map(params, cur)
+        t_fire = t_event + step.t_bar
+        end = max(k, int(np.searchsorted(grid, t_fire - 1e-15)))
+        # the same operations as `flow`, one interval at a time
+        e = np.array([math.exp(-params.gamma * (t - t_event)) for t in grid[k:end].tolist()])
+        times.append(grid[k:end])
+        rows.append((cur - params.beta) * e[:, None] + params.beta)
+        post.append([0] * (end - k))
+        if t_fire > t_total:
+            break
+        # left limit: spontaneous firers sit exactly at theta, recruited
+        # neurons are still at their flowed value just before the jumps
+        left = state_at_threshold(params, cur, int(step.spontaneous[0]))
+        left[step.spontaneous] = params.theta
+        times.append([t_fire, t_fire])
+        rows.append([left, step.state])
+        post.append([0, 1])
+        n_rows += 2
+        # a firing resets a neuron to 0, so each later wait is at most T_max: the rows
+        # are bound to exceed when n_rows + 2*floor((t_total - t_fire)/T_max) does
+        if t_total - t_fire >= ((MAX_TRAJECTORY_ROWS - n_rows) // 2 + 1) * params.constants.T_max:
+            raise RejectConfig(f"the trajectory has more than {MAX_TRAJECTORY_ROWS} rows with two per firing")
+        k = max(end, int(np.searchsorted(grid, t_fire + 1e-15, side="right")))
+        cur = step.state
+        t_event = t_fire
+    return np.concatenate(times), np.concatenate(rows), np.concatenate(post).astype(np.int8)
+
+
+def outcome(fn, *args):
+    """The dtype, shape and bytes of each array fn returns, or the type and message
+    of the error it raises."""
+    try:
+        return [(a.dtype, a.shape, a.tobytes()) for a in fn(*args)]
+    except (PreconditionFailed, RejectConfig) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def trajectory_cases(draw):
+    p = draw(st.sampled_from(["net_a", "net_c", "mixed8"]))
+    n = {"net_a": 2, "net_c": 3, "mixed8": 8}[p]
+    coordinate = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.9]))
+    v0 = draw(st.lists(coordinate, min_size=n, max_size=n))
+    dt = draw(st.one_of(st.floats(0.003, 3.0), st.sampled_from([0.01, 0.05, 0.1, 1.0])))
+    max_iter = draw(st.one_of(st.none(), st.integers(1, 3), st.integers(4, 200)))
+    return p, v0, dt, max_iter
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=trajectory_cases(), data=st.data())
+def test_trajectory_equals_the_return_map_loop(net_a, net_c, case, data):
+    """Byte for byte, with or without an orbit, shorter or longer than the firings
+    t_total needs, with t_total at a firing instant and grid rows within 1e-15 of one."""
+    name, v0, dt, max_iter = case
+    p = {"net_a": net_a, "net_c": net_c, "mixed8": MIXED8}[name]
+    firings = np.cumsum(_kernels.run_orbit(p, as_state(p, v0), 40)[2])[:6].tolist()
+    t_total = data.draw(st.one_of(st.floats(0.0, 25.0), st.sampled_from([0.0, *firings])))
+    if data.draw(st.booleans()):  # k*dt at a firing instant, or an ulp or two off it
+        dt = data.draw(st.sampled_from([t for t in firings if t > 0] or [dt])) / data.draw(st.integers(1, 50))
+    orbit = None if max_iter is None else _kernels.run_orbit(p, as_state(p, v0), max_iter)
+    assert outcome(sample_trajectory, p, v0, dt, t_total, orbit) == outcome(reference_trajectory, p, v0, dt, t_total)
+
+
+def test_trajectory_equals_the_return_map_loop_on_the_edges_case():
+    """The `simulate_net_c_edges` golden arguments: V0 at theta and -0.0, seven returns."""
+    cfg = load_config(str(Path(__file__).resolve().parent / "golden" / "net_c_edges.json"))
+    want = outcome(reference_trajectory, cfg.params, cfg.v0, 0.05, 3.0)
+    for max_iter in (1, 7, 40):
+        orbit = _kernels.run_orbit(cfg.params, cfg.v0, max_iter)
+        assert outcome(sample_trajectory, cfg.params, cfg.v0, 0.05, 3.0, orbit) == want
+
+
+def test_trajectory_rejects_a_negative_t_total(net_c):
+    with pytest.raises(PreconditionFailed, match="t_total"):
+        sample_trajectory(net_c, np.zeros(3), 0.1, -5.0)
+
+
+def test_trajectory_rejects_an_infinite_dt(net_c):
+    with pytest.raises(PreconditionFailed, match="dt"):
+        sample_trajectory(net_c, np.zeros(3), math.inf, 1.0)
+
+
+@pytest.mark.parametrize("dt, t_total", [(math.nan, 1.0), (0.1, math.nan)], ids=["dt", "t_total"])
+def test_trajectory_rejects_nan(net_c, dt, t_total):
+    with pytest.raises(PreconditionFailed, match="dt" if math.isnan(dt) else "t_total"):
+        sample_trajectory(net_c, np.zeros(3), dt, t_total)
 
 
 # ---------------------------------------------------------------- anti-phase family
