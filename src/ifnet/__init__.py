@@ -22,18 +22,14 @@ from .cycles import (
     PieceId,
     certify_cycle,
     classify_fate,
-    classify_piece,
     cycle_census,
     detect_cycle,
-    margin,
     sync_test,
 )
 from .dynamics import (
-    OrbitStep,
     ReturnStep,
     antiphase_state,
     flow,
-    orbit,
     return_map,
     sample_trajectory,
     state_at_threshold,

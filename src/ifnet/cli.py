@@ -195,12 +195,7 @@ def cmd_cycles(cfg: RunConfig, opts) -> dict:
 
 
 def cmd_synchro(cfg: RunConfig, opts) -> dict:
-    rep = cyc.sync_test(cfg.params, sample_count=opts.samples, seed=opts.seed)
-    return {
-        "ok": rep.ok, "max_returns": rep.max_returns, "bound_p": rep.bound_p,
-        "max_time": rep.max_time, "bound_t_trans": rep.bound_t_trans,
-        "samples": rep.samples,
-    }
+    return dataclasses.asdict(cyc.sync_test(cfg.params, sample_count=opts.samples, seed=opts.seed))
 
 
 def cmd_expansion(cfg: RunConfig, opts) -> dict:
@@ -263,12 +258,7 @@ def cmd_contract(cfg: RunConfig, opts) -> dict:
     metric = contr.adapted_metric_check(params, est, pairs, opts.seed + 2)
     return {
         "zones": zones,
-        "absorption": {
-            "max_steps_outside": absorb.max_steps_outside,
-            "bound_p0_plus_1": absorb.bound_p0_plus_1,
-            "post_entry_bound": absorb.post_entry_bound,
-            "ok": absorb.ok,
-        },
+        "absorption": dataclasses.asdict(absorb),
         "adapted_metric": {
             "c_hat": est.c_hat, "n0": est.n0, "mu_tilde": est.mu_tilde,
             "lambda": est.lam, "pairs_checked": metric.pairs_checked,

@@ -27,8 +27,13 @@ stepped, not the number of Python objects per sample.
 
 Networks that do not satisfy the certification hypotheses (e.g. purely
 excitatory ones) are still handled in a whole-section mode that codes the
-itinerary by firing sets and reports exact recurrences as uncertified
-periodic orbits.
+itinerary by firing sets.  Its recurrence test is the same inequality, with
+margins as wide as the tie tolerance and no contraction: a recurrence within
+the tie tolerance, reported as an uncertified periodic orbit.
+
+Pieces and margins are computed for batches of states only (`_classify`).
+`certify_cycle` re-checks a certificate from the cycle's points alone, with
+all of them classified and stepped as one batch.
 """
 
 from __future__ import annotations
@@ -43,13 +48,13 @@ import numpy as np
 from . import _kernels
 from ._sampling import restart, rng_stream, sample_on_section
 from .contraction import _in_zone_rows, _zone_after_return, lambda_for_zone
-from .dynamics import as_state, orbit
+from .dynamics import as_state
 from .errors import HypothesisViolated, NumericalStall, PreconditionFailed
 from .params import NetworkParams, NeuronKind
 
 __all__ = [
     "PieceId", "CycleCertificate", "LimitCycle", "FateReport",
-    "classify_piece", "margin", "detect_cycle", "certify_cycle",
+    "detect_cycle", "certify_cycle",
     "cycle_census", "classify_fate", "sync_test",
     "CensusEntry", "CensusReport", "SyncReport",
 ]
@@ -67,13 +72,6 @@ class PieceId:
         if self.kind == "fires":
             return "J:" + ";".join(str(i + 1) for i in self.fired)
         return self.kind
-
-
-def _require_pieces(params: NetworkParams) -> None:
-    if NeuronKind.MIXED in params.kinds:
-        raise PreconditionFailed("piece classification requires Dale networks (no mixed neuron)")
-    if not params.inhibitory:
-        raise PreconditionFailed("piece classification requires at least one inhibitory neuron")
 
 
 # piece codes beside the inhibitory indices 0..n-1
@@ -107,37 +105,6 @@ def _piece_id(code: int) -> PieceId:
     return PieceId("inhib", index=code) if code >= 0 else PieceId("sync" if code == _SYNC else "boundary")
 
 
-def _piece(params: NetworkParams, arr: np.ndarray):
-    """(PieceId, gap) of a section state of a network with pieces, which must
-    lie in C_{c_bar}."""
-    if not _in_zone_rows(arr[None], params.constants.c_bar)[0]:
-        raise PreconditionFailed("state is outside C_{c_bar}")
-    code, gap = _classify(params, arr[None])
-    return _piece_id(int(code[0])), float(gap[0])
-
-
-def classify_piece(params: NetworkParams, v) -> PieceId:
-    """Continuity piece of a state in the absorbed zone.
-
-    Sync when the excitatory maximum dominates the inhibitory one by more than
-    the tie tolerance; Inhib(i) when inhibitory neuron i strictly dominates
-    everyone by more than it; Boundary otherwise.
-    """
-    _require_pieces(params)
-    piece, _ = _piece(params, as_state(params, v))
-    return piece
-
-
-def margin(params: NetworkParams, v) -> float:
-    """Lower bound on the sup-norm distance to the piece boundary: half the
-    exact winner/runner-up gap (0 on the boundary itself).  Perturbing every
-    coordinate by less than the margin cannot change the strict ordering that
-    determines the piece."""
-    _require_pieces(params)
-    _, gap = _piece(params, as_state(params, v))
-    return 0.5 * gap  # the gap of a boundary state is 0
-
-
 @dataclass(frozen=True)
 class CycleCertificate:
     lam: float
@@ -166,10 +133,6 @@ class FateReport:
     cycle: Optional[LimitCycle] = None
     excitatory_death: Optional[bool] = None
     last_excitatory_spike: Optional[int] = None
-
-
-def _sup(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b)))
 
 
 def _period_time(params: NetworkParams, points: np.ndarray) -> float:
@@ -260,23 +223,27 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
     history, which grows with the live rows: its state, its piece code (the
     inhibitory winner, _SYNC, _BOUNDARY, or n + i for the i-th firing set
     seen, which codes a return outside certified mode or outside the zone)
-    and its margin (-inf for none).  The look-back candidates of a return are
-    the last _LOOK_BACK earlier records of its row with its code, kept in a
-    ring, at most _MAX_PERIOD returns back; the newest one that passes the
-    test is taken.  In certified mode the test compares the distance over
-    1 - lam_det ** p with the least margin of the window; outside it a state
-    recurs when every potential ties its earlier value.  Windows with the
-    same piece word share one least-rotation key, and candidates whose keys
-    agree share one `_solve`, made in (return, row) order.  Returns (fates,
-    last_exc): fates[r] is row r's FateReport or the error its solve raised,
-    last_exc[r] the last return at which an excitatory neuron fired (-1 for none).
+    and its margin (-inf outside the zone).  The look-back candidates of a
+    return are the last _LOOK_BACK earlier records of its row with its code,
+    kept in a ring, at most _MAX_PERIOD returns back; the newest one that
+    passes the test is taken.  The one test compares the distance over
+    1 - lam ** p with the least margin of the window.  In certified mode lam
+    is the zone factor lam_det; outside it every margin is the tie tolerance
+    and lam is 0, so a state recurs when every potential ties its earlier
+    value.  Windows with the same piece word share one least-rotation key,
+    and candidates whose keys agree share one `_solve`, made in (return, row)
+    order.  Returns (fates, last_exc): fates[r] is row r's FateReport or the
+    error its solve raised, last_exc[r] the last return at which an
+    excitatory neuron fired (-1 for none).
     """
+    if max_iter < 0:
+        raise PreconditionFailed("max_iter must be at least 0")
     rep = params.hypotheses
     lam_det = lambda_for_zone(params, _zone_after_return(params)) if rep.h3 and rep.h4 and params.inhibitory else 1.0
     certified_mode = lam_det < 1.0
-    # 1 - lam_det ** p by lag p, each from the Python expression; certified mode divides by it,
-    # and there it is positive for every lag p >= 1, as 0 < lam_det < 1
-    denom = np.array([1.0 - lam_det ** p for p in range(_MAX_PERIOD + 1)])
+    # 1 - lam ** p by lag p, each from the Python expression: positive for every lag p >= 1,
+    # as 0 <= lam < 1, and 1.0 outside certified mode
+    denom = np.array([1.0 - (lam_det if certified_mode else 0.0) ** p for p in range(_MAX_PERIOD + 1)])
     tie = params.tie_tol()
     excit = list(params.excitatory)
 
@@ -297,7 +264,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
             break
         image, fired, _, _ = _kernels.step_batch(params, V)
         last_exc[live[fired[:, excit].any(axis=1)]] = k
-        code, marg = np.empty(live.size, np.int64), np.full(live.size, -math.inf)
+        code, marg = np.empty(live.size, np.int64), np.full(live.size, -math.inf if certified_mode else tie)
         zone = _in_zone_rows(V, params.constants.c_bar) if certified_mode else np.zeros(live.size, np.bool_)
         if certified_mode:
             piece, gap = _classify(params, V)
@@ -320,15 +287,11 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
         p = k - rets[cand]
         keep = p <= _MAX_PERIOD
         i, cand, p = i[keep], cand[keep], p[keep]
-        dist = np.abs(V[i] - states[cand]).max(axis=1)
-        if certified_mode:
-            ratio = dist / denom[p]
-            ok = (ratio <= marg[i]) & (ratio <= margs[cand])  # the margins at both ends
-            if ok.any():  # the window's least margin, from a suffix-min back from return k
-                low = np.minimum.accumulate(margs[_walk(back, f[i[ok]], p[ok].max() + 1)], axis=1)
-                ok[ok] = ratio[ok] <= low[np.arange(len(low)), p[ok]]
-        else:
-            ok = dist <= tie
+        ratio = np.abs(V[i] - states[cand]).max(axis=1) / denom[p]
+        ok = (ratio <= marg[i]) & (ratio <= margs[cand])  # the margins at both ends
+        if ok.any():  # the window's least margin, from a suffix-min back from return k
+            low = np.minimum.accumulate(margs[_walk(back, f[i[ok]], p[ok].max() + 1)], axis=1)
+            ok[ok] = ratio[ok] <= low[np.arange(len(low)), p[ok]]
         stay = ~graze
         if ok.any():
             i, first = np.unique(i[ok], return_index=True)
@@ -389,26 +352,30 @@ def detect_cycle(params: NetworkParams, v0, max_iter: int = 2000, eta: float = 1
 def certify_cycle(params: NetworkParams, candidate: LimitCycle) -> bool:
     """Independent re-verification of a cycle certificate.
 
-    Checks that every point's margin exceeds the ball radius, that the
-    Banach inequality lambda*r + residual <= r holds, and that the p-step
-    return of every cycle point lands within residual of it (re-evaluated
-    through the orbit composition).
+    Recomputes everything from the candidate's points: a Dale network with an
+    inhibitory neuron, exactly `period >= 1` points, each a section state in
+    C_{c_bar} whose margin exceeds the ball radius, 0 <= lambda < 1 with the
+    Banach inequality lambda*r + residual <= r, and the p-step return of every
+    cycle point within residual of it (all points stepped as one batch).
+    Every comparison fails on NaN.
     """
-    if not candidate.certified or candidate.certificate is None:
-        return False
     cert = candidate.certificate
-    if cert.lam >= 1.0 or cert.lam * cert.ball_radius + cert.residual > cert.ball_radius:
+    if (not candidate.certified or cert is None or NeuronKind.MIXED in params.kinds
+            or not params.inhibitory or not len(candidate.points) == candidate.period >= 1):
         return False
-    for pt in candidate.points:
-        try:
-            if not margin(params, pt) > cert.ball_radius:
-                return False
-        except PreconditionFailed:
-            return False
-        steps = orbit(params, pt, candidate.period)
-        if _sup(steps[-1].state, np.asarray(pt)) > cert.residual:
-            return False
-    return True
+    if not (0.0 <= cert.lam < 1.0 and cert.lam * cert.ball_radius + cert.residual <= cert.ball_radius):
+        return False
+    try:
+        pts = np.array([as_state(params, pt) for pt in candidate.points])
+    except PreconditionFailed:
+        return False
+    if not (_in_zone_rows(pts, params.constants.c_bar).all()
+            and (0.5 * _classify(params, pts)[1] > cert.ball_radius).all()):
+        return False
+    image = pts
+    for _ in range(len(pts)):
+        image = _kernels.step_batch(params, image)[0]
+    return bool((np.abs(image - pts).max(axis=1) <= cert.residual).all())
 
 
 def _cycles_match(a: LimitCycle, b: LimitCycle, thr: float) -> bool:
@@ -471,6 +438,8 @@ def cycle_census(params: NetworkParams, sample_count: int, seed: int,
     When a solve fails, the error of the lowest-index sample that reached it
     is raised.
     """
+    if sample_count < 1:
+        raise PreconditionFailed("sample_count must be at least 1")
     V0 = _census_starts(params, sample_count, seed)
     fates = [_checked(f) for f in _fates(params, V0, max_iter, eta)[0]]
     outcomes = Counter(fate.outcome for fate in fates)
@@ -534,6 +503,8 @@ def sync_test(params: NetworkParams, sample_count: int, seed: int) -> SyncReport
     exact zero vector within p = ceil(theta/m) returns and within the
     transient-time bound (ln((beta-alpha)/(beta-theta)) + p ln(beta/(beta-theta)))/gamma.
     """
+    if sample_count < 1:
+        raise PreconditionFailed("sample_count must be at least 1")
     n = params.n
     off = params.H[~np.eye(n, dtype=bool)]
     if off.size == 0 or not np.all(off > 0):

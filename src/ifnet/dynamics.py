@@ -29,8 +29,8 @@ from .errors import PreconditionFailed, RejectConfig
 from .params import NetworkParams
 
 __all__ = [
-    "flow", "state_at_threshold", "return_map", "orbit", "grid_rows",
-    "sample_trajectory", "antiphase_state", "ReturnStep", "OrbitStep", "as_state", "MAX_TRAJECTORY_ROWS",
+    "flow", "state_at_threshold", "return_map", "grid_rows",
+    "sample_trajectory", "antiphase_state", "ReturnStep", "as_state", "MAX_TRAJECTORY_ROWS",
 ]
 
 MAX_TRAJECTORY_ROWS = 10**6  # rows one trajectory may have: grid rows plus two per firing
@@ -100,24 +100,6 @@ def return_map(params: NetworkParams, v) -> ReturnStep:
         state=out, fired=np.flatnonzero(fired), t_bar=float(_kernels.wait_times(params, vmax)),
         spontaneous=np.flatnonzero(arr >= vmax - params.tie_tol()), rounds=rounds,
     )
-
-
-@dataclass
-class OrbitStep:
-    state: np.ndarray
-    fired: np.ndarray
-    t_bar: float
-    cum_time: float
-
-
-def orbit(params: NetworkParams, v0, n_steps: int) -> list[OrbitStep]:
-    """n_steps successive return-map applications with running spike times."""
-    states, fired, t_bars = _kernels.run_orbit(params, as_state(params, v0), int(n_steps))
-    cum = np.cumsum(t_bars)
-    return [
-        OrbitStep(state=states[k], fired=np.flatnonzero(fired[k]), t_bar=float(t_bars[k]), cum_time=float(cum[k]))
-        for k in range(int(n_steps))
-    ]
 
 
 def grid_rows(dt: float, t_total: float) -> int:

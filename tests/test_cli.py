@@ -142,6 +142,18 @@ def test_cli_simulate_spike_rows(tmp_path):
         assert fields[3] in ("1", "2")
 
 
+def test_cli_simulate_cumulative_time(tmp_path):
+    cfg = write_config(tmp_path, {**NET_C_DOC, "V0": [0.0, 0.4, 0.2]})
+    res = run_cli(["simulate", "--config", str(cfg), "--max-iter", "5"])
+    assert res.returncode == 0, res.stderr
+    spikes = json.loads(res.stdout)["spikes"]
+    assert len(spikes) == 5
+    total = 0.0
+    for row in spikes:
+        total += row["t_bar"]
+        assert row["cum_time"] == pytest.approx(total, rel=1e-15)
+
+
 def test_cli_simulate_trajectory(tmp_path):
     cfg = write_config(tmp_path, NET_A_DOC)
     out = tmp_path / "sim"

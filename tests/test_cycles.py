@@ -14,19 +14,16 @@ from ifnet import (
     PreconditionFailed,
     certify_cycle,
     classify_fate,
-    classify_piece,
     cycle_census,
     cycles,
     detect_cycle,
     lambda_for_zone,
     load_config,
-    margin,
     network,
-    orbit,
     return_map,
     sync_test,
 )
-from ifnet._kernels import step_batch, track_pair
+from ifnet._kernels import run_orbit, step_batch, track_pair
 from ifnet._sampling import rng_stream, sample_on_section
 from ifnet.contraction import _in_zone_rows, _zone_after_return
 
@@ -53,45 +50,64 @@ def net_death():
 # ---------------------------------------------------------------- pieces & margins
 
 
-def test_classify_piece_fixtures(net_c):
-    assert classify_piece(net_c, [0.4, 0.0, 0.2]).kind == "sync"
-    piece = classify_piece(net_c, [0.0, 0.4, 0.2])
-    assert piece.kind == "inhib" and piece.index == 1
-    assert classify_piece(net_c, [0.0, 0.3, 0.3]).kind == "boundary"
+def pieces_and_margins(params, V):
+    """PieceIds and margins of the rows of a batch of states in C_{c_bar}."""
+    V = np.atleast_2d(np.asarray(V, np.float64))
+    assert _in_zone_rows(V, params.constants.c_bar).all()
+    code, gap = cycles._classify(params, V)
+    return [cycles._piece_id(c) for c in code.tolist()], (0.5 * gap).tolist()
 
 
-def test_classify_piece_requires_zone(net_c):
-    with pytest.raises(PreconditionFailed):
-        classify_piece(net_c, [0.9, 0.0, 0.2])
+def test_classify_fixtures(net_c):
+    pieces, _ = pieces_and_margins(net_c, [[0.4, 0.0, 0.2], [0.0, 0.4, 0.2], [0.0, 0.3, 0.3]])
+    assert pieces[0].kind == "sync"
+    assert pieces[1].kind == "inhib" and pieces[1].index == 1
+    assert pieces[2].kind == "boundary"
 
 
-def test_classify_piece_requires_inhibitory(net_a):
-    with pytest.raises(PreconditionFailed):
-        classify_piece(net_a, [0.0, 0.0])
+def test_in_zone_rows_flags_a_state_outside_the_zone(net_c):
+    assert _in_zone_rows(np.array([[0.9, 0.0, 0.2], [0.0, 0.4, 0.2]]), net_c.constants.c_bar).tolist() == [False, True]
 
 
-def test_margin_fixtures(net_c):
-    assert margin(net_c, [0.0, 0.4, 0.2]) == pytest.approx(0.1, abs=1e-15)
-    assert margin(net_c, [0.4, 0.0, 0.2]) == pytest.approx(0.1, abs=1e-15)
-    assert margin(net_c, [0.0, 0.3, 0.3]) == 0.0
+def test_certify_cycle_requires_zone_and_inhibitory(net_d, net_a):
+    cyc = detect_cycle(net_d, [0.6, 0.0]).cycle
+    assert certify_cycle(net_d, cyc)
+    # the same cycle claimed for the all-excitatory net_a, which has no pieces
+    assert not certify_cycle(net_a, cyc)
+    # with weaker inhibition the anti-phase cycle (x = 0.436) lies above c_bar = 0.429;
+    # its margins, Banach inequality and residual all pass, its zone does not
+    weak = network(2, 1.0, 1.2, 1.0, -1.0, [[0.0, -0.45], [-0.45, 0.0]])
+    states, _, _ = run_orbit(weak, np.array([0.6, 0.0]), 400)
+    points = states[-2:]
+    residual = float(np.abs(run_orbit(weak, points[0], 2)[0][-1] - points[0]).max())
+    outside = replace(cyc, points=points, certificate=cycles.CycleCertificate(lam=0.5, ball_radius=0.01, residual=residual))
+    assert points.max() > weak.constants.c_bar and residual <= 1e-12
+    assert not certify_cycle(weak, outside)
 
 
-def test_margin_perturbation_stability(net_c):
+def test_classify_margin_fixtures(net_c):
+    _, margins = pieces_and_margins(net_c, [[0.0, 0.4, 0.2], [0.4, 0.0, 0.2], [0.0, 0.3, 0.3]])
+    assert margins[0] == pytest.approx(0.1, abs=1e-15)
+    assert margins[1] == pytest.approx(0.1, abs=1e-15)
+    assert margins[2] == 0.0
+
+
+def test_classify_margin_perturbation_stability(net_c):
     dc = net_c.constants
     rng = rng_stream(99, 0)
     checked = 0
     while checked < 200:
         v = sample_on_section(rng, 3, net_c.alpha, dc.c_bar, 1)[0]
-        g = margin(net_c, v)
+        [piece], [g] = pieces_and_margins(net_c, v)
         if g < 1e-3:
             continue
-        piece = classify_piece(net_c, v)
         zero = int(np.argmax(v == 0.0))
+        W = []
         for _ in range(5):
             w = v + rng.uniform(-1.0, 1.0, 3) * (7 * g / 8)
             w[zero] = 0.0
-            w = np.clip(w, net_c.alpha, dc.c_bar)
-            assert classify_piece(net_c, w) == piece
+            W.append(np.clip(w, net_c.alpha, dc.c_bar))
+        assert pieces_and_margins(net_c, W)[0] == [piece] * 5
         checked += 1
 
 
@@ -133,8 +149,8 @@ def test_detect_net_d_certified_cycle(net_d):
     assert cyc.certificate.residual <= 1e-10
     assert {p.kind for p in cyc.itinerary} == {"inhib"}
     # independent residual check via orbit composition
-    steps = orbit(net_d, cyc.points[0], cyc.period)
-    assert np.max(np.abs(steps[-1].state - cyc.points[0])) <= cyc.certificate.residual
+    states, _, _ = run_orbit(net_d, cyc.points[0], cyc.period)
+    assert np.max(np.abs(states[-1] - cyc.points[0])) <= cyc.certificate.residual
 
 
 def test_detect_grazing_on_tie_start(net_c):
@@ -151,6 +167,42 @@ def test_certify_detected_cycles_and_reject_tampered(net_d):
     bad2 = replace(cyc, certificate=replace(cyc.certificate, lam=0.9, ball_radius=1e-4, residual=1e-3))
     assert not certify_cycle(net_d, bad2)
     assert not certify_cycle(net_d, replace(cyc, certified=False))
+
+
+VACUOUS = {
+    "no_points": lambda cyc, cert: replace(cyc, points=cyc.points[:0]),
+    "fewer_points_than_period": lambda cyc, cert: replace(cyc, points=cyc.points[:1]),
+    "period_0": lambda cyc, cert: replace(cyc, period=0),
+    "period_-1": lambda cyc, cert: replace(cyc, period=-1),
+    "nan_lam": lambda cyc, cert: replace(cyc, certificate=replace(cert, lam=math.nan)),
+    "negative_lam": lambda cyc, cert: replace(cyc, certificate=replace(cert, lam=-0.5)),
+    "nan_residual": lambda cyc, cert: replace(cyc, certificate=replace(cert, residual=math.nan)),
+    "nan_ball_radius": lambda cyc, cert: replace(cyc, certificate=replace(cert, ball_radius=math.nan)),
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(VACUOUS))
+def test_certify_cycle_rejects_vacuous_candidates(net_d, spoil):
+    cyc = detect_cycle(net_d, [0.6, 0.0]).cycle
+    assert certify_cycle(net_d, cyc)
+    assert not certify_cycle(net_d, VACUOUS[spoil](cyc, cyc.certificate))
+
+
+# entry point -> (network it runs on, a call with no samples or a negative max_iter)
+EMPTY_WORK = {
+    "census_0_samples": ("net_d", lambda p: cycle_census(p, 0, seed=5)),
+    "census_-1_samples": ("net_d", lambda p: cycle_census(p, -1, seed=5)),
+    "detect_max_iter_-1": ("net_d", lambda p: detect_cycle(p, [0.6, 0.0], max_iter=-1)),
+    "classify_max_iter_-1": ("net_d", lambda p: classify_fate(p, [0.6, 0.0], max_iter=-1)),
+    "sync_test_0_samples": ("net_sync9", lambda p: sync_test(p, 0, seed=13)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(EMPTY_WORK))
+def test_cycle_entry_points_reject_empty_work(call, request):
+    name, run = EMPTY_WORK[call]
+    with pytest.raises(PreconditionFailed, match="must be at least"):
+        run(request.getfixturevalue(name))
 
 
 def test_cycle_banach_inequality_uses_enclosing_zone(net_d):
@@ -316,7 +368,7 @@ def reference_fates(params, V0, max_iter, eta):
                 p = k - prev
                 if p > cycles._MAX_PERIOD:
                     break
-                dist = cycles._sup(state, track.states[prev])
+                dist = float(np.max(np.abs(state - track.states[prev])))
                 if certified_mode:
                     window = track.margins[prev:]
                     if any(w is None for w in window):
@@ -718,8 +770,8 @@ def test_stable_window_margin_persists(net_d):
     fate = detect_cycle(net_d, [0.6, 0.0])
     cyc = fate.cycle
     ball = cyc.certificate.ball_radius
-    steps = orbit(net_d, cyc.points[0] + np.array([0.0, ball / 2]), 50)
-    for st in steps:
-        dist_to_cycle = min(float(np.max(np.abs(st.state - p))) for p in cyc.points)
+    states, _, _ = run_orbit(net_d, cyc.points[0] + np.array([0.0, ball / 2]), 50)
+    for state in states:
+        dist_to_cycle = min(float(np.max(np.abs(state - p))) for p in cyc.points)
         if dist_to_cycle < ball:
-            assert margin(net_d, st.state) >= cyc.min_margin - ball
+            assert pieces_and_margins(net_d, state)[1][0] >= cyc.min_margin - ball

@@ -15,7 +15,6 @@ from ifnet import (
     flow,
     load_config,
     network,
-    orbit,
     return_map,
     sample_trajectory,
     state_at_threshold,
@@ -240,27 +239,33 @@ def test_return_map_range_invariants(net_c):
 # ---------------------------------------------------------------- orbit
 
 
-def test_orbit_alternates(net_a):
-    steps = orbit(net_a, [0.9, 0.0], 4)
-    assert steps[0].state == pytest.approx([0.0, 0.9], abs=1e-13)
-    assert steps[1].state == pytest.approx([0.9, 0.0], abs=1e-13)
-    assert steps[3].state == pytest.approx([0.9, 0.0], abs=1e-12)
-    for s in steps:
-        assert s.t_bar == pytest.approx(math.log(1.5), rel=1e-12)
+def test_run_orbit_alternates(net_a):
+    states, _, t_bars = _kernels.run_orbit(net_a, as_state(net_a, [0.9, 0.0]), 4)
+    assert states[0] == pytest.approx([0.0, 0.9], abs=1e-13)
+    assert states[1] == pytest.approx([0.9, 0.0], abs=1e-13)
+    assert states[3] == pytest.approx([0.9, 0.0], abs=1e-12)
+    for t_bar in t_bars:
+        assert t_bar == pytest.approx(math.log(1.5), rel=1e-12)
 
 
-def test_orbit_zero_vector_fixed_point(net_a):
-    steps = orbit(net_a, np.zeros(2), 1)
-    assert np.array_equal(steps[0].state, np.zeros(2))
-    assert list(steps[0].fired) == [0, 1]
+def test_run_orbit_zero_vector_fixed_point(net_a):
+    states, fired, _ = _kernels.run_orbit(net_a, np.zeros(2), 1)
+    assert np.array_equal(states[0], np.zeros(2))
+    assert list(np.flatnonzero(fired[0])) == [0, 1]
 
 
-def test_orbit_cumulative_time(net_c):
-    steps = orbit(net_c, [0.0, 0.4, 0.2], 5)
-    total = 0.0
-    for s in steps:
-        total += s.t_bar
-        assert s.cum_time == pytest.approx(total, rel=1e-15)
+# ---------------------------------------------------------------- README
+
+
+def test_readme_quick_start_runs():
+    # the README's library example, with the results its comments state
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    assert scope["step"].state == pytest.approx([0.0, 0.9], abs=1e-13)
+    assert list(scope["step"].fired) == [0]
+    assert scope["fate"].outcome == "cycle" and scope["fate"].cycle.period == 2
 
 
 # ---------------------------------------------------------------- trajectory
