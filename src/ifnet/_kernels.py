@@ -19,34 +19,34 @@ Every function here takes the validated `NetworkParams` as its first
 argument and reads the map's constants (H, beta, theta, alpha, gamma and the
 tie tolerance) from it; no caller passes them one by one.
 
-`step_batch` is the one implementation of this step.  It applies it to a
-(..., n) batch of independent states with NumPy operations, adding the jumps
-in presynaptic order j = 0..n-1, and it takes a single (n,) state as well.
-Both sums read per-network tables cached on the params (`jump_tables`).  A
-round adds row j of `up`, which is H with every entry <= 0 replaced by -0.0,
-to each row where j has fired: adding -0.0 leaves every float as it is, so
-this is the sum of the positive jumps alone, bit for bit.  When no fired
-neuron of the batch has a negative outgoing entry, every jump the image adds
-beyond that sum is +0.0 or -0.0, and those change an accumulator only if it
-is -0.0.  It never is: it starts at theta or at beta - x, which is +0.0 when
-x = beta, and adding a positive jump or a zero to a float that is not -0.0
-cannot give -0.0.  So the last round's sum is the image, bit for bit, and
-the image's own loop runs only when a neuron with a negative jump fired.  The
-multi-start drivers (`absorb_run`, `sync_run`, `track_pair`; one return of
-`track_pair` gives the zone contraction ratios) and the cycle census, whose
-detection steps every live sample in lockstep, step whole batches; sequential
-orbits (`run_orbit`, which serves both outputs of `simulate`, and
-`dynamics.return_map`) step one state at a time, as each state depends on the previous one.  One
-state costs about 23 us on net_c and 36 us on mixed8, two to four times the
-6.5 and 17 us of a scalar loop over one state (timeit, best of five means
-over 50 random section states, 2-vCPU VM), so an orbit that never repeats
-steps that much slower per return; on thousands of states the batched step
-is far cheaper per state.  No workload here holds such an orbit: on 30 random starts over six
-weakly coupled networks (n = 2..7, |H| <= 0.05) `run_orbit(..., 50000)`
-stepped at most 2049 returns before its recurrence tail took over.
-`step_batch` returns each row's maximum rather than its waiting time, because
-most callers never read the time; `wait_times` turns the maxima into times
-where they are needed, taking the logarithm with `math.log` per row.
+Layout.  `_step_columns` is the one implementation of this step.  It steps a
+C-contiguous (n, M) batch, one state per column, so each per-state reduction
+(maximum, any, all, sup distance) and each broadcast runs along the long
+axis; `step_batch` wraps it for a (..., n) batch or one (n,) state.  The
+batch drivers keep their states in columns across returns and select the
+live ones with `np.compress(mask, X, axis=1)`: `X[:, mask]` is F-ordered, and
+the next step on it would run along the short axis again.  A zero maximum
+may differ in sign from a row-wise one, which gives the same wait time.
+
+Jump sums.  `params.step_table` holds per presynaptic j the row of `up` that
+a recruiting round adds (H with every entry <= 0 replaced by -0.0, which
+leaves a sum as it is) and, when H has a negative entry, the row of H that
+the image adds; with none, the last round's sum is the image.  `_jump_sums`
+adds the rows of the fired j in order j = 0..n-1, as a scalar loop does, and
+a round re-sums only the columns that recruited in the last one.  Up to
+`_DENSE_MAX` terms it adds the products table[j] * fired[j] for every j: a
+term is +-0.0 where j did not fire, which leaves a sum as it is unless the
+sum is -0.0, and none is, as each starts at a difference from beta > 0 and a
+finite jump added to a float that is not -0.0 cannot give -0.0.  Past that
+size the product, L*n times the batch, would outgrow memory (268 MB on 4096
+states of n = 64), and it adds table[j] to the columns where j fired, for each
+fired j: the scalar loop's own terms, at a cost that follows the fired entries.
+
+The batch drivers and the cycle census step whole batches; `run_orbit` and
+`dynamics.return_map` step one state at a time, about 21 us on net_c and
+mixed8 against 6.2 and 17 us for a scalar loop, while 2048 net_c states
+cost 0.08 us each (timeit, 2-vCPU VM).  `step_batch` returns each row's
+maximum; `wait_times` turns it into a time, with `math.log` per row.
 tests/test_kernels.py holds `step_batch`, `run_orbit` and every batch driver
 bit for bit to a plain scalar loop over one state.
 
@@ -57,13 +57,12 @@ the fourth return, the mixed8 golden start enters its period-6 cycle at step
 state's bytes with one mark, `lag` steps back and moved on whenever `lag`
 reaches a doubling power (Brent's cycle detection, BIT 20, 1980); on a match
 after step s it copies rows s+1.. from rows s+1-lag..s.  That is exact, as
-the step is a pure function of the network and its input state's bytes.  The
-check costs 0.13 us a step against about 23 us for a net_c step (timeit, 2-vCPU VM).
-The batch drivers drop a row once its future is known, for the same reason:
-`sync_run` at the zero vector, `track_pair` once the pair's two states are
-equal (one orbit from there: distances 0, firing sets shared), `absorb_run`
-once a start has failed its post-entry bound or its image equals its state.
-On net_c the adapted-metric check calls `step_batch` 10 times, not 2 x 92 (n0 + 1).
+the step is a pure function of the network and its input state's bytes; the
+check costs 0.13 us a step.  The batch drivers drop a state once its future is
+known: `sync_run` at the zero vector, `track_pair` once the pair's two states
+are equal (one orbit from there), `absorb_run` once a start has failed its
+post-entry bound or its image equals its state.  On net_c the adapted-metric
+check steps 10 times, not 2 x 92 (n0 + 1).
 """
 
 from __future__ import annotations
@@ -73,6 +72,8 @@ import math
 import numpy as np
 
 from .params import NetworkParams
+
+_DENSE_MAX = 1 << 17  # `_jump_sums` forms one product up to this many terms (module docstring)
 
 
 def run_orbit(params: NetworkParams, v0, n_steps):
@@ -110,29 +111,50 @@ def step_batch(params: NetworkParams, V):
     `wait_times` gives the waiting times, and the avalanche depth, the number
     of recruiting rounds (for a batch, that of its deepest row).
     """
-    beta, theta = params.beta, params.theta
-    up, inhibits = params.jump_tables
-    vmax = V.max(axis=-1, keepdims=True)
-    fired = V >= vmax - params.tie_tol()
-    pre = beta - (beta - V) * ((beta - theta) / (beta - vmax))
-    pre[fired] = theta
-    rounds = 0
-    while True:
-        out = pre.copy()
-        for j in range(params.n):
-            np.add(out, up[j], out=out, where=fired[..., j, None])
-        recruited = ~fired & (out >= theta)
-        if not recruited.any():
-            break
-        fired |= recruited
-        rounds += 1
-    if (fired & inhibits).any():  # else the last round's sum is the image (module docstring)
-        out = pre
-        for j in range(params.n):
-            np.add(out, params.H[j], out=out, where=fired[..., j, None])
+    shape = V.shape
+    out, fired, vmax, rounds = _step_columns(params, _columns(V))
+    return (np.ascontiguousarray(out.T).reshape(shape), np.ascontiguousarray(fired.T).reshape(shape),
+            vmax.reshape(shape[:-1]), rounds)
+
+
+def _columns(V):
+    """A (..., n) batch as a C-contiguous (n, M) one, one state per column."""
+    return np.ascontiguousarray(V.reshape(-1, V.shape[-1]).T)
+
+
+def _step_columns(params: NetworkParams, X):
+    """`step_batch` on a C-contiguous (n, M) batch, one state per column."""
+    beta, theta, table = params.beta, params.theta, params.step_table
+    vmax = X.max(axis=0)
+    fired = X >= vmax - params.tie_tol()
+    pre = beta - (beta - X) * ((beta - theta) / (beta - vmax))  # read only where not fired
+    sums, rounds = _jump_sums(pre, table, fired), 0
+    while (recruited := ~fired & (sums[0] >= theta)).any():
+        fired, rounds = fired | recruited, rounds + 1
+        go = recruited.any(axis=0)
+        if go.all():  # one state, or every column recruited: no columns to gather
+            sums = _jump_sums(pre, table, fired)
+        else:
+            cols = np.flatnonzero(go)
+            sums[..., cols] = _jump_sums(np.take(pre, cols, axis=1), table, np.take(fired, cols, axis=1))
+    out = sums[-1]
     np.maximum(out, params.alpha, out=out)
     out[fired] = 0.0
-    return out, fired, vmax[..., 0], rounds
+    return out, fired, vmax, rounds
+
+
+def _jump_sums(acc, table, fired):
+    """acc plus, in each column, the rows j of table whose neuron fired there, added in order j = 0..n-1."""
+    if table.size * fired.shape[1] <= _DENSE_MAX:
+        terms = table * fired[:, None, None, :]
+        out = acc + terms[0]
+        for term in terms[1:]:
+            out += term
+        return out
+    out = np.repeat(acc[None], table.shape[1], axis=0)
+    for j in np.flatnonzero(fired.any(axis=1)):
+        out[..., fired[j]] += table[j]
+    return out
 
 
 def piece_matrix(params: NetworkParams, V):
@@ -173,30 +195,28 @@ def absorb_run(params: NetworkParams, v0, c_enter, post_bound, max_steps, horizo
     a coordinate above post_bound, and False for a start that never entered.
     A start leaves the horizon loop once it has failed or sits on a fixed point.
     """
-    shape, n = v0.shape[:-1], v0.shape[-1]
-    v = v0.reshape(-1, n)
-    enter = np.full(v.shape[0], -1, np.int64)
-    entry = np.empty_like(v)
-    live = np.arange(v.shape[0])
+    shape, X = v0.shape[:-1], _columns(v0)
+    enter = np.full(X.shape[1], -1, np.int64)
+    entry = np.empty_like(X)
+    live = np.arange(X.shape[1])
     for k in range(max_steps + 1):
-        inside = ((v <= c_enter) & (v >= params.alpha)).all(axis=-1)
+        inside = ((X <= c_enter) & (X >= params.alpha)).all(axis=0)
         enter[live[inside]] = k
-        entry[live[inside]] = v[inside]
-        live, v = live[~inside], v[~inside]
+        entry[:, live[inside]] = X[:, inside]
+        live, X = live[~inside], np.compress(~inside, X, axis=1)
         if k == max_steps or not live.size:
             break
-        v = step_batch(params, v)[0]
+        X = _step_columns(params, X)[0]
     stayed = enter >= 0
-    live = np.flatnonzero(stayed)
-    v = entry[live]
+    live, X = np.flatnonzero(stayed), np.compress(stayed, entry, axis=1)
     for _ in range(horizon):
         if not live.size:
             break
-        image = step_batch(params, v)[0]
-        stayed[live] &= ~(image > post_bound).any(axis=-1)
+        image = _step_columns(params, X)[0]
+        stayed[live] &= ~(image > post_bound).any(axis=0)
         # a failed row's answer is fixed, and a fixed point's images repeat it
-        go = stayed[live] & (image != v).any(axis=-1)
-        live, v = live[go], image[go]
+        go = stayed[live] & (image != X).any(axis=0)
+        live, X = live[go], np.compress(go, image, axis=1)
     return enter.reshape(shape), stayed.reshape(shape)
 
 
@@ -206,17 +226,16 @@ def sync_run(params: NetworkParams, v0, max_steps):
     Returns (returns_taken, time): returns_taken is -1 for a start that did
     not reach it within max_steps, and its time sums all max_steps waits.
     """
-    shape, n = v0.shape[:-1], v0.shape[-1]
-    v = v0.reshape(-1, n)
-    steps = np.full(v.shape[0], -1, np.int64)
-    total = np.zeros(v.shape[0], np.float64)
-    live = np.arange(v.shape[0])
+    shape, X = v0.shape[:-1], _columns(v0)
+    steps = np.full(X.shape[1], -1, np.int64)
+    total = np.zeros(X.shape[1], np.float64)
+    live = np.arange(X.shape[1])
     for k in range(1, max_steps + 1):
-        v, _, vmax, _ = step_batch(params, v)
+        X, _, vmax, _ = _step_columns(params, X)
         total[live] += wait_times(params, vmax)
-        zero = ~v.any(axis=-1)
+        zero = ~X.any(axis=0)
         steps[live[zero]] = k
-        live, v = live[~zero], v[~zero]
+        live, X = live[~zero], np.compress(~zero, X, axis=1)
         if not live.size:
             break
     return steps.reshape(shape), total.reshape(shape)
@@ -234,19 +253,19 @@ def track_pair(params: NetworkParams, v0, w0, k_max):
     n_common is k_max.
     """
     shape, n = v0.shape[:-1], v0.shape[-1]
-    x = np.stack((v0, w0)).reshape(2, -1, n)
-    dists = np.zeros((x.shape[1], k_max + 1), np.float64)
-    n_common = np.zeros(x.shape[1], np.int64)
-    live = np.arange(x.shape[1])
+    X = np.ascontiguousarray(np.stack((v0, w0)).reshape(2, -1, n).transpose(2, 0, 1))  # (n, 2, pairs)
+    dists = np.zeros((X.shape[2], k_max + 1), np.float64)
+    n_common = np.zeros(X.shape[2], np.int64)
+    live, keep = np.arange(X.shape[2]), np.ones(X.shape[2], np.bool_)
     for k in range(k_max + 1):
         if k:
-            x, fired, _, _ = step_batch(params, x)
-            same = (fired[0] == fired[1]).all(axis=-1)
-            live, x = live[same], x[:, same]
-            n_common[live] = k
-        dists[live, k] = d = np.abs(x[0] - x[1]).max(axis=-1)
+            X, fired = (a.reshape(n, 2, -1) for a in _step_columns(params, X.reshape(n, -1))[:2])
+            keep = (fired[:, 0] == fired[:, 1]).all(axis=0)
+        live, d = live[keep], np.abs(X[:, 0] - X[:, 1]).max(axis=0)[keep]
+        n_common[live], dists[live, k] = k, d
         n_common[live[d == 0.0]] = k_max  # merged: one orbit from here on
-        live, x = live[d != 0.0], x[:, d != 0.0]
+        keep[keep] = d != 0.0
+        live, X = live[d != 0.0], np.compress(keep, X, axis=2)
         if not live.size:
             break
     return dists.reshape(shape + (k_max + 1,)), n_common.reshape(shape)

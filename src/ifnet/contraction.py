@@ -124,6 +124,8 @@ def verify_contraction(params: NetworkParams, c: float, sample_count: int, seed:
     members produce the same firing set (membership in a common atom); rejected
     pairs are resampled up to a fixed budget.
     """
+    if sample_count < 1:
+        raise PreconditionFailed("sample_count must be at least 1")
     dc = params.constants
     if not (0.0 <= c < dc.c_bar):
         raise PreconditionFailed(f"need 0 <= c < c_bar = {dc.c_bar}, got {c}")
@@ -331,6 +333,8 @@ def absorption_check(params: NetworkParams, sample_count: int, seed: int, horizo
     """Check that every sampled orbit enters C_{c_bar} within p0 + 1 returns
     and that each later image keeps all coordinates below
     max(0, theta - min|H|) < c_bar."""
+    if sample_count < 1:
+        raise PreconditionFailed("sample_count must be at least 1")
     _require_h3_h4_inhibitory(params)
     dc = params.constants
     post_bound = _zone_after_return(params)

@@ -115,6 +115,17 @@ class NetworkParams:
         return up, inhibits
 
     @cached_property
+    def step_table(self) -> np.ndarray:
+        """(n, L, n, 1), read-only: entry j holds what neuron j's firing adds, up[j]
+        for the recruiting rounds and, when some row has a negative entry, H[j] for
+        the image (L = 2; else the last round's sum is the image and L = 1), with a
+        trailing axis that broadcasts over a batch of states (`_kernels` docstring)."""
+        up, inhibits = self.jump_tables
+        table = np.stack((up, self.H) if inhibits.any() else (up,), axis=1)[..., None]
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def excitatory(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.kinds) if k is NeuronKind.EXCITATORY)
 

@@ -70,6 +70,13 @@ def test_contraction_rejects_level_at_or_above_c_bar(net_c):
         verify_contraction(net_c, dc.c_bar, 100, seed=1)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_contraction_rejects_fewer_than_one_sample(net_c, samples):
+    # no pair drawn is no evidence: an empty report would pass with no violations
+    with pytest.raises(PreconditionFailed, match="sample_count"):
+        verify_contraction(net_c, 0.0, samples, seed=1)
+
+
 def test_contraction_quarter_level_bulk(net_c):
     dc = net_c.constants
     rep = verify_contraction(net_c, dc.c_bar / 4, 100_000, seed=13)
@@ -196,6 +203,13 @@ def test_absorption_net_c(net_c):
     assert rep.bound_p0_plus_1 == 5
     assert rep.max_steps_outside <= 5
     assert rep.post_entry_bound == pytest.approx(0.4, abs=1e-15)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_absorption_rejects_fewer_than_one_sample(net_c, samples):
+    # no start drawn is no evidence: an empty run would report ok with 0 steps outside
+    with pytest.raises(PreconditionFailed, match="sample_count"):
+        absorption_check(net_c, samples, seed=1)
 
 
 def test_absorption_requires_inhibitory(net_sync9):

@@ -157,3 +157,29 @@ def test_row_texts_formats_every_row_by_its_bytes():
         assert row_texts(rows, str) == list(map(str, rows.tolist()))  # rows of 1, 2 and 4 bytes
     assert row_texts(states[:, ::-1]) == list(map(repr, states[:, ::-1].tolist()))
     assert row_texts(np.empty((0, 3))) == []
+
+
+def test_row_texts_tells_apart_wide_rows_that_differ_in_one_word():
+    # rows of 24 bytes (three uint64 words), each differing from the base row in one
+    # word only, or only in the sign of a zero; and rows of 12 and 9 bytes, which
+    # are zero-padded to whole words
+    base = [0.0, 0.5, -0.25]
+    rows = [base, [-0.0, 0.5, -0.25], [0.0, -0.0, -0.25], [0.0, 0.5, 0.0], [0.0, 0.5, -0.0],
+            [1.0, 0.5, -0.25], [0.0, 0.5000000000000001, -0.25], base, [-0.0, 0.5, -0.25]]
+    states = np.array(rows)
+    calls = []
+
+    def fmt(row):
+        calls.append(row)
+        return ";".join(map(repr, row))
+
+    assert row_texts(states, fmt) == [";".join(map(repr, r)) for r in rows]
+    assert len(calls) == 7  # one call per distinct row of bytes
+    for wide in (states.astype(np.float32), states[:, :2].astype(np.float32), states != 0.0):
+        distinct = {r.tobytes() for r in wide}
+        calls.clear()
+        assert row_texts(wide, fmt) == [";".join(map(repr, r)) for r in wide.tolist()]
+        assert len(calls) == len(distinct)
+    flags = np.zeros((4, 9), np.bool_)
+    flags[1, 8] = flags[2, 0] = flags[3, 8] = True  # the ninth byte alone sits in the padded word
+    assert row_texts(flags, str) == list(map(str, flags.tolist()))

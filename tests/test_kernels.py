@@ -11,20 +11,26 @@ a sparse excitatory one with exact 0.0 and -0.0 jumps, one whose inhibitory
 neurons fire in only some rows of a batch, and one whose images floor at
 alpha; the states include the zero vector, exact ties of the maximum and
 near-ties inside the tie tolerance.  A row's image must not depend on the
-other rows of its batch, which decide whether the step sums the image again.
+other rows of its batch, which decide how many columns a round re-sums.
 `run_orbit`, which steps one state at a time through `step_batch` and copies
 a recurring orbit's tail instead of stepping it, must give what a scalar loop
 that steps every return gives, on net_b, net_c and mixed8.
 `piece_matrix` applied to (v, 1) must give the step within a few ulps of
 each row's scale, on net_b, net_c, net_d and mixed8.
+The jump sums take one dense product up to `_kernels._DENSE_MAX` terms and
+add column by column past it: a batch on each side of that rule, and one
+with every round summed column by column, must match the scalar step; one
+step on 4096 states of a 64-neuron network must stay within 8 times the
+batch's bytes; empty batches and single states keep their result shapes.
 
 `track_pair` and `absorb_run` stop stepping a row whose future is known (a
 merged pair, a failed start, a start on a fixed point); long-horizon runs
 (k_max 40, horizon 30) must still match loops that step every return, and on
-net_c the contract checks must make only a handful of `step_batch` calls.
+net_c the contract checks must make only a handful of steps.
 """
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -173,20 +179,24 @@ def scalar_step(p, v):
     return out, fired, t_bar, rounds
 
 
-def test_step_batch_matches_scalar_step(net):
-    V = _states(net, 7)
-    out, fired, vmax, rounds = _kernels.step_batch(net, V)
-    assert out.shape == V.shape and fired.shape == V.shape and vmax.shape == V.shape[:1]
-    assert _bits(vmax) == _bits(V.max(axis=1))
-    t_bar = _kernels.wait_times(net, vmax)
+def _check_against_scalar_step(p, V):
+    out, fired, vmax, rounds = _kernels.step_batch(p, V)
+    t_bar = _kernels.wait_times(p, vmax)
     deepest = 0
     for row in range(V.shape[0]):
-        o, f, t, r = scalar_step(net, V[row])
-        assert _bits(out[row]) == _bits(o), row
-        assert np.array_equal(fired[row], f), row
+        o, f, t, r = scalar_step(p, V[row])
+        assert _bits(out[row]) == _bits(o) and np.array_equal(fired[row], f), row
         assert _bits(t_bar[row]) == _bits(t), row
         deepest = max(deepest, r)
     assert rounds == deepest  # a batch counts the rounds of its deepest row
+
+
+def test_step_batch_matches_scalar_step(net):
+    V = _states(net, 7)
+    out, fired, vmax, _ = _kernels.step_batch(net, V)
+    assert out.shape == V.shape and fired.shape == V.shape and vmax.shape == V.shape[:1]
+    assert _bits(vmax) == _bits(V.max(axis=1))
+    _check_against_scalar_step(net, V)
 
 
 def test_jump_tables_are_cached_and_read_only(net):
@@ -216,8 +226,8 @@ def test_networks_hold_signed_zero_jumps_and_floored_images():
 
 
 def test_image_of_a_row_does_not_depend_on_its_batch_companions():
-    # a batch where some rows fire an inhibitory neuron sums every image with both signs;
-    # a batch where none does takes the positive sums as images: each row's bytes agree
+    # rows that fire an inhibitory neuron and rows that do not, stepped together, in
+    # groups and one at a time (a batch of one re-sums every round in full): bytes agree
     p = network(7, 1.0, 1.2, 1.0, -1.0, NETWORKS["n7_partly_inhibitory"][1])
     V = _states(p, 16)
     out, fired, _, _ = _kernels.step_batch(p, V)
@@ -230,6 +240,64 @@ def test_image_of_a_row_does_not_depend_on_its_batch_companions():
     for row in range(V.shape[0]):
         assert _bits(_kernels.step_batch(p, V[row])[0]) == _bits(out[row]), row
         assert _bits(_kernels.step_batch(p, V[row:row + 1])[0]) == _bits(out[row]), row
+
+
+@pytest.mark.parametrize("side", ["dense", "columns"])
+def test_step_batch_matches_scalar_step_on_each_side_of_the_size_rule(net, side):
+    # the largest batch whose jump sums form one product, and one state more, which
+    # sums column by column; both hold every row to the scalar step bit for bit
+    rows = _kernels._DENSE_MAX // net.step_table.size + (side == "columns")
+    assert (net.step_table.size * rows <= _kernels._DENSE_MAX) == (side == "dense")
+    _check_against_scalar_step(net, _states(net, 17, count=rows))
+
+
+def test_column_sums_match_scalar_step_in_every_round(net, monkeypatch):
+    # with the rule at 0, the re-sums of later rounds sum column by column as well
+    monkeypatch.setattr(_kernels, "_DENSE_MAX", 0)
+    _check_against_scalar_step(net, _states(net, 18))
+
+
+def test_empty_batches_keep_their_shapes(net):
+    V = np.empty((0, net.n))
+    out, fired, vmax, rounds = _kernels.step_batch(net, V)
+    assert (out.shape, fired.shape, vmax.shape, rounds) == ((0, net.n), (0, net.n), (0,), 0)
+    assert [a.shape for a in _kernels.absorb_run(net, V, 0.3, 0.35, 3, 4)] == [(0,), (0,)]
+    assert [a.shape for a in _kernels.sync_run(net, V, 4)] == [(0,), (0,)]
+    assert [a.shape for a in _kernels.track_pair(net, V, V, 5)] == [(0, 6), (0,)]
+
+
+def test_one_state_gives_results_without_a_batch_axis(net):
+    v, w = _pairs(net, 19, count=20)
+    out, fired, vmax, rounds = _kernels.step_batch(net, v[15])
+    assert (out.shape, fired.shape, np.shape(vmax), type(rounds)) == ((net.n,), (net.n,), (), int)
+    assert [np.shape(a) for a in _kernels.absorb_run(net, v[15], 0.3, 0.35, 3, 4)] == [(), ()]
+    assert [np.shape(a) for a in _kernels.sync_run(net, v[15], 4)] == [(), ()]
+    assert [np.shape(a) for a in _kernels.track_pair(net, v[15], w[15], 5)] == [(6,), ()]
+
+
+def _random_dale(n, seed):
+    """About four in five rows excitatory, the rest inhibitory, |H| < 2/n."""
+    rng = np.random.default_rng(seed)
+    sign = np.where(rng.random(n) < 0.8, 1.0, -1.0)
+    H = sign[:, None] * rng.uniform(0.0, 2.0 / n, (n, n))
+    np.fill_diagonal(H, 0.0)
+    return network(n, 1.0, 1.2, 1.0, -1.0, H)
+
+
+def test_step_batch_memory_stays_within_a_few_batches():
+    # past the size rule the sums add column by column: one product of every term
+    # would take n = 64 times the batch's bytes
+    p = _random_dale(64, 64)
+    V = sample_on_section(np.random.default_rng(1), p.n, p.alpha, p.theta, 4096)
+    p.step_table  # cached per network, not part of the step
+    tracemalloc.start()
+    try:
+        _, fired, _, rounds = _kernels.step_batch(p, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rounds >= 1 and fired.any(axis=0).all() and (fired & p.jump_tables[1][None]).any()
+    assert peak <= 8 * V.nbytes
 
 
 def test_step_batch_takes_one_state(net):
@@ -444,8 +512,8 @@ def test_batch_drivers_stop_stepping_rows_with_a_known_future(monkeypatch):
     # fixed point 0;0;0 within a few returns, long before the n0 + 1 = 92
     # returns of the adapted-metric check or the 20-return absorption horizon
     p, calls = ORBIT_NETWORKS["net_c"], []
-    step_batch = _kernels.step_batch
-    monkeypatch.setattr(_kernels, "step_batch", lambda *a: calls.append(1) or step_batch(*a))
+    step = _kernels._step_columns  # the drivers step their column batches through it directly
+    monkeypatch.setattr(_kernels, "_step_columns", lambda *a: calls.append(1) or step(*a))
     est = contraction.estimate_lipschitz_c(p, 100, 1)
     assert est.n0 == 91
     calls.clear()
