@@ -47,6 +47,11 @@ CASES = {
     # the census at the CLI defaults (1000 samples, eta 1e-6, seed 0), certified and whole-section mode
     "cycles_mixed8_default": ["cycles", "--config", "mixed8.json"],
     "cycles_dale4_default": ["cycles", "--config", "dale4.json"],
+    # net_b has an anti-phase block, so this pins its two-step residual
+    "analyze_net_b": ["analyze", "--config", "net_b.json"],
+    "expansion_net_b_200": ["expansion", "--config", "net_b.json", "--samples", "200"],
+    # pair (1, 2) meets O1 to O3 and neuron 3 fires on every witness
+    "expansion_net_o3": ["expansion", "--config", "net_o3.json", "--samples", "20"],
 }
 
 # Test ids.  The first cases keep the "-<n>" suffix of the thread count they
