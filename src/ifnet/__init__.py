@@ -9,7 +9,6 @@ from .contraction import (
     check_O_conditions,
     estimate_lipschitz_c,
     expansion_witness,
-    in_zone,
     jvac_check,
     lambda_for_zone,
     o_pairs,

@@ -42,11 +42,13 @@ size the product, L*n times the batch, would outgrow memory (268 MB on 4096
 states of n = 64), and it adds table[j] to the columns where j fired, for each
 fired j: the scalar loop's own terms, at a cost that follows the fired entries.
 
-The batch drivers and the cycle census step whole batches; `run_orbit` and
-`dynamics.return_map` step one state at a time, about 21 us on net_c and
-mixed8 against 6.2 and 17 us for a scalar loop, while 2048 net_c states
-cost 0.08 us each (timeit, 2-vCPU VM).  `step_batch` returns each row's
-maximum; `wait_times` turns it into a time, with `math.log` per row.
+The batch drivers, the cycle census and the expansion witnesses step whole
+batches; only `run_orbit` steps one state at a time, as each return depends
+on the last, about 21 us on net_c and mixed8 against 6.2 and 17 us for a
+scalar loop, while 2048 net_c states cost 0.08 us each (timeit, 2-vCPU VM).
+`dynamics.return_map`, the library's one-state entry point, wraps one
+`step_batch` call; no package module calls it.  `step_batch` returns each
+row's maximum; `wait_times` turns it into a time, with `math.log` per row.
 tests/test_kernels.py holds `step_batch`, `run_orbit` and every batch driver
 bit for bit to a plain scalar loop over one state.
 

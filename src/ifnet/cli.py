@@ -14,7 +14,10 @@ option the command does not read (for sweep, one its --cell does not read,
 --seed aside) and option values no command can use: --samples or --max-iter
 below 1, an --eta, --dt or --t-total that is not a finite positive number,
 --dt or --t-total without the other, and a --t-total/--dt pair whose
-trajectory (grid rows plus two per firing) passes 10**6 rows.
+trajectory (grid rows plus two per firing) passes 10**6 rows.  So does a sweep
+--grid axis that is not PARAM:LO:HI:STEPS, names an unknown or repeated
+parameter, has fewer than one step, or has a LO, HI or HI - LO that is not
+finite, and a sweep of more than 10**6 cells.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ def cmd_analyze(cfg: RunConfig, opts) -> dict:
     }
     try:
         v0, x = dyn.antiphase_state(params)
-        two = dyn.return_map(params, dyn.return_map(params, v0).state).state
+        two = _kernels.run_orbit(params, dyn.as_state(params, v0), 2)[0][1]
         doc["antiphase"] = {
             "x": x, "point": v0,
             "residual": float(np.max(np.abs(two - v0))),
@@ -224,21 +227,16 @@ def cmd_expansion(cfg: RunConfig, opts) -> dict:
 
 
 def _witness_sweep(params, i, grid_points):
-    xs = np.linspace(params.constants.c_star, params.theta, grid_points + 2)[1:-1].tolist()
-    rows = []
-    for a, b in zip(xs, xs[1:]):
-        v = np.zeros(params.n)
-        w = np.zeros(params.n)
-        v[i], w[i] = a, b
-        try:
-            wit = contr.expansion_witness(params, i, v, w)
-        except PreconditionFailed as exc:
-            rows.append({"v_i": a, "w_i": b, "error": str(exc)})
-            continue
-        rows.append({
-            "v_i": a, "w_i": b, "ratio": wit.ratio,
-            "lower_bound": wit.lower_bound, "expanded": wit.expanded,
-        })
+    """The expansion witness of each pair of neighbouring points of an even grid
+    strictly inside (c_star, theta) on Gamma_i, all pairs in one batch."""
+    xs = np.linspace(params.constants.c_star, params.theta, grid_points + 2)[1:-1]
+    V = np.zeros((grid_points, params.n))
+    V[:, i] = xs
+    wit = contr.expansion_witness(params, i, V[:-1], V[1:])
+    rows = [{"v_i": a, "w_i": b, "error": e} if e else
+            {"v_i": a, "w_i": b, "ratio": r, "lower_bound": bound, "expanded": x}
+            for a, b, e, r, bound, x in zip(xs[:-1].tolist(), xs[1:].tolist(), wit.error.tolist(),
+                                            wit.ratio.tolist(), wit.lower_bound.tolist(), wit.expanded.tolist())]
     return {"gamma_index": i + 1, "rows": rows}
 
 
@@ -268,6 +266,7 @@ def cmd_contract(cfg: RunConfig, opts) -> dict:
 
 
 _GRID_PARAMS = ("beta", "gamma", "theta", "alpha", "H")
+MAX_SWEEP_CELLS = 10**6  # cells one sweep may have: the product of its axes' steps
 
 
 def _cell_seed(seed: int, index: int) -> int:
@@ -286,7 +285,9 @@ def _parse_grid(axis: str):
         raise RejectConfig(f"unknown grid parameter {name!r}, choose from {_GRID_PARAMS}")
     if steps < 1:
         raise RejectConfig("grid needs at least one step")
-    return name, np.linspace(lo, hi, steps).tolist()
+    if not math.isfinite(hi - lo):  # nan, inf, or bounds the float range cannot span: linspace gives nan
+        raise RejectConfig(f"grid axis {axis!r} needs finite bounds less than the float range apart")
+    return name, lo, hi, steps
 
 
 def cmd_sweep(cfg: RunConfig, opts) -> dict:
@@ -298,9 +299,12 @@ def cmd_sweep(cfg: RunConfig, opts) -> dict:
         raise RejectConfig("sweep supports at most two --grid axes")
     if opts.cell not in COMMANDS or opts.cell == "sweep":
         raise RejectConfig(f"unknown cell command {opts.cell!r}")
-    names, values = zip(*(_parse_grid(g) for g in opts.grid))
+    names, los, his, steps = zip(*(_parse_grid(g) for g in opts.grid))
     if len(set(names)) < len(names):
         raise RejectConfig("two --grid axes must name different parameters")
+    if math.prod(steps) > MAX_SWEEP_CELLS:  # before linspace allocates the axes
+        raise RejectConfig(f"the grid has more than {MAX_SWEEP_CELLS} cells")
+    values = [np.linspace(*axis).tolist() for axis in zip(los, his, steps)]
     base = params_to_doc(cfg.params)
     cells = []
     for index, cell in enumerate(itertools.product(*values)):

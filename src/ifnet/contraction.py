@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from ._sampling import rng_stream, sample_on_section
-from .dynamics import as_state, return_map
+from .dynamics import _state_faults, as_state
 from .errors import (
     HypothesisViolated,
     InsufficientSamples,
@@ -46,7 +46,7 @@ from .errors import (
 from .params import NetworkParams
 
 __all__ = [
-    "lambda_for_zone", "in_zone", "verify_contraction", "expansion_witness",
+    "lambda_for_zone", "verify_contraction", "expansion_witness",
     "check_O_conditions", "o_pairs", "repeller", "absorption_check", "jvac_check",
     "adapted_distance", "estimate_lipschitz_c", "adapted_metric_check",
     "ContractionReport", "ExpansionWitness", "RepellerReport",
@@ -62,13 +62,6 @@ def lambda_for_zone(params: NetworkParams, c: float) -> float:
     if c == 0.0:
         return (beta - theta) / beta
     return (beta - theta) / (beta - c) * (1.0 + (beta - alpha) / (beta - c))
-
-
-def in_zone(params: NetworkParams, v, c: float) -> bool:
-    """True iff every coordinate lies in [alpha, c] and v is on the section."""
-    if c < 0 or c > params.theta:
-        raise PreconditionFailed(f"zone level must lie in [0, theta], got {c}")
-    return bool(_in_zone_rows(as_state(params, v)[None], c)[0])
 
 
 def _in_zone_rows(V: np.ndarray, c: float) -> np.ndarray:
@@ -149,58 +142,69 @@ def verify_contraction(params: NetworkParams, c: float, sample_count: int, seed:
                              violations=list(zip(V[bad], W[bad], r[bad].tolist())))
 
 
-def _gamma_coordinate(params: NetworkParams, v: np.ndarray, i: int) -> float:
-    dc = params.constants
-    arr = as_state(params, v)
-    for k in range(params.n):
-        if k != i and arr[k] != 0.0:
-            raise PreconditionFailed(f"state is not on Gamma_{i}: coordinate {k} nonzero")
-    if not (dc.c_star < arr[i] < params.theta):
-        raise PreconditionFailed(
-            f"coordinate {i} must lie in (c_star, theta) = ({dc.c_star}, {params.theta})"
-        )
-    return float(arr[i])
+def _gamma_faults(params: NetworkParams, X: np.ndarray, i: int) -> list:
+    """(mask, message) of each check a Gamma_i state must pass, in order, with one
+    mask entry per state of a (..., n) batch: `as_state`'s range checks, then the
+    ray (every coordinate but the i-th 0) and the open interval (c_star, theta)."""
+    off = X != 0.0
+    off[..., i] = False
+    lo, hi = params.constants.c_star, params.theta
+    return _state_faults(params, X) + [
+        (off.any(axis=-1), np.char.mod(f"state is not on Gamma_{i}: coordinate %d nonzero", off.argmax(axis=-1))),
+        (~((lo < X[..., i]) & (X[..., i] < hi)), f"coordinate {i} must lie in (c_star, theta) = ({lo}, {hi})"),
+    ]
 
 
 @dataclass(frozen=True)
 class ExpansionWitness:
-    ratios: np.ndarray   # per-coordinate stretch for non-fired, non-clamped k
-    ratio: float         # the smallest of them
-    expanded: bool       # all ratios > 1
-    lower_bound: float   # beta(beta-theta)/((beta-v_i)(beta-w_i))
+    """The witness of one pair, or of each pair of a batch; a batch's rejected
+    pairs carry their message in `error` ("" for a compared pair), ratio and
+    lower_bound nan and expanded False."""
+
+    ratio: float | np.ndarray        # smallest stretch over the non-fired, unfloored coordinates
+    expanded: bool | np.ndarray      # every such stretch > 1
+    lower_bound: float | np.ndarray  # beta(beta-theta)/((beta-v_i)(beta-w_i))
+    error: str | np.ndarray = ""
 
 
 def expansion_witness(params: NetworkParams, i: int, v, w) -> ExpansionWitness:
-    """Measured stretch of the return map between two Gamma_i states.
+    """Measured stretch of the return map between paired Gamma_i states.
 
-    Both states must share their firing set, and coordinates clamped at alpha
-    are excluded from the comparison (the expansion statement assumes images
-    above the floor).
+    v and w are one state each or (..., n) batches of pairs, broadcast against
+    each other, and all 2m states are stepped in one batch.  A pair is compared only when both states lie on
+    Gamma_i, their i-th coordinates differ and they share their firing set;
+    coordinates that fired or that either image holds at the floor alpha are
+    excluded (the expansion statement assumes images above the floor), and a
+    pair with none left is rejected.  A batch reports each pair's first failed
+    check in `error`; one pair raises PreconditionFailed with it.
     """
-    vi = _gamma_coordinate(params, v, i)
-    wi = _gamma_coordinate(params, w, i)
-    if vi == wi:
-        raise PreconditionFailed("degenerate pair: identical Gamma_i coordinates")
-    sv = return_map(params, v)
-    sw = return_map(params, w)
-    if not np.array_equal(sv.fired, sw.fired):
-        raise PreconditionFailed("states fall in different atoms (firing sets differ)")
-    beta, theta, alpha = params.beta, params.theta, params.alpha
-    ratios = []
-    for k in range(params.n):
-        if k in sv.fired:
-            continue
-        if sv.state[k] == alpha or sw.state[k] == alpha:
-            continue  # floor clamp active; excluded from the expansion claim
-        ratios.append(abs(sv.state[k] - sw.state[k]) / abs(vi - wi))
-    if not ratios:
-        raise PreconditionFailed("no unclamped non-firing coordinate to compare")
-    ratios = np.array(ratios)
-    bound = beta * (beta - theta) / ((beta - vi) * (beta - wi))
-    return ExpansionWitness(
-        ratios=ratios, ratio=float(ratios.min()),
-        expanded=bool(np.all(ratios > 1.0)), lower_bound=bound,
-    )
+    V, W = (np.asarray(x, np.float64) for x in (v, w))
+    for A in (V, W):
+        if A.shape[-1:] != (params.n,):
+            raise PreconditionFailed(f"state must have length {params.n}, got {A.shape}")
+    X = np.stack(np.broadcast_arrays(V, W))
+    checks = [check for side in X for check in _gamma_faults(params, side, i)]
+    # a pair that failed so far keeps that message; stepping zeros in its place keeps the step in range
+    X = np.where(np.any([bad for bad, _ in checks], axis=0)[..., None], 0.0, X)
+    out, fired, _, _ = _kernels.step_batch(params, X)
+    vi, wi = X[..., i]
+    keep = ~fired[0] & (out != params.alpha).all(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(keep, np.abs(out[0] - out[1]) / np.abs(vi - wi)[..., None], np.inf).min(axis=-1)
+    checks += [(vi == wi, "degenerate pair: identical Gamma_i coordinates"),
+               ((fired[0] != fired[1]).any(axis=-1), "states fall in different atoms (firing sets differ)"),
+               (~keep.any(axis=-1), "no unclamped non-firing coordinate to compare")]
+    error = np.full(np.shape(vi), "", object)
+    for bad, message in reversed(checks):  # the first failed check names the pair's fault
+        error = np.where(bad, message, error)
+    ok = error == ""
+    beta, theta = params.beta, params.theta
+    bound = np.where(ok, beta * (beta - theta) / ((beta - vi) * (beta - wi)), np.nan)
+    if error.ndim:
+        return ExpansionWitness(np.where(ok, ratio, np.nan), ok & (ratio > 1.0), bound, error)
+    if not ok:
+        raise PreconditionFailed(error[()])
+    return ExpansionWitness(float(ratio), bool(ratio > 1.0), float(bound))
 
 
 def check_O_conditions(params: NetworkParams, i: int, j: int) -> tuple[bool, bool, bool]:
@@ -356,12 +360,11 @@ def jvac_check(params: NetworkParams, v) -> bool:
     network to fire together (the implication is vacuous otherwise)."""
     _require_h3_h4_inhibitory(params)
     arr = as_state(params, v)
-    if not in_zone(params, arr, params.constants.c_bar):
+    if not _in_zone_rows(arr[None], params.constants.c_bar)[0]:
         raise PreconditionFailed("state is outside C_{c_bar}")
-    step = return_map(params, arr)
-    if not np.isin(step.spontaneous, params.excitatory).any():
-        return True
-    return step.fired.size == params.n
+    _, fired, vmax, _ = _kernels.step_batch(params, arr)
+    spontaneous = arr >= vmax - params.tie_tol()
+    return not spontaneous[list(params.excitatory)].any() or bool(fired.all())
 
 
 def _check_metric(n0: int, mu_tilde: float) -> None:

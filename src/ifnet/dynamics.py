@@ -41,13 +41,18 @@ def as_state(params: NetworkParams, v) -> np.ndarray:
     arr = np.array(v, dtype=np.float64, copy=True).reshape(-1)
     if arr.shape != (params.n,):
         raise PreconditionFailed(f"state must have length {params.n}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise PreconditionFailed("state contains non-finite entries")
-    if np.any(arr > params.theta):
-        raise PreconditionFailed("state has a coordinate above threshold")
-    if np.any(arr < params.alpha):
-        raise PreconditionFailed("state has a coordinate below the floor alpha")
+    for bad, message in _state_faults(params, arr):
+        if bad:
+            raise PreconditionFailed(message)
     return arr
+
+
+def _state_faults(params: NetworkParams, X: np.ndarray) -> list:
+    """(mask, message) of each range check `as_state` makes, in its order, with
+    one mask entry per state of a (..., n) batch."""
+    return [(~np.isfinite(X).all(axis=-1), "state contains non-finite entries"),
+            ((X > params.theta).any(axis=-1), "state has a coordinate above threshold"),
+            ((X < params.alpha).any(axis=-1), "state has a coordinate below the floor alpha")]
 
 
 def flow(params: NetworkParams, v, t: float) -> np.ndarray:
@@ -93,6 +98,9 @@ def return_map(params: NetworkParams, v) -> ReturnStep:
     full firing set J adds the neurons the avalanche recruits; only positive
     interactions count toward the firing decision, and rounds is 0 when
     nobody beyond J0 fires.
+
+    This is the library's one-state convenience entry point; the package's
+    commands step whole batches through `_kernels` and do not call it.
     """
     arr = as_state(params, v)
     out, fired, vmax, rounds = _kernels.step_batch(params, arr)

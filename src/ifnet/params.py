@@ -105,23 +105,14 @@ class NetworkParams:
         return tuple(_classify(self, j) for j in range(self.n))
 
     @cached_property
-    def jump_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(up, inhibits), read-only: H with every entry <= 0 replaced by -0.0, the
-        jumps a recruiting round adds, and per presynaptic row whether it has a
-        negative entry (the return map's use of both: `_kernels` docstring)."""
-        up, inhibits = np.where(self.H > 0.0, self.H, -0.0), (self.H < 0.0).any(axis=1)
-        up.setflags(write=False)
-        inhibits.setflags(write=False)
-        return up, inhibits
-
-    @cached_property
     def step_table(self) -> np.ndarray:
         """(n, L, n, 1), read-only: entry j holds what neuron j's firing adds, up[j]
-        for the recruiting rounds and, when some row has a negative entry, H[j] for
-        the image (L = 2; else the last round's sum is the image and L = 1), with a
-        trailing axis that broadcasts over a batch of states (`_kernels` docstring)."""
-        up, inhibits = self.jump_tables
-        table = np.stack((up, self.H) if inhibits.any() else (up,), axis=1)[..., None]
+        for the recruiting rounds (H with every entry <= 0 replaced by -0.0) and, when
+        some row has a negative entry, H[j] for the image (L = 2; else the last
+        round's sum is the image and L = 1), with a trailing axis that broadcasts
+        over a batch of states (`_kernels` docstring)."""
+        up = np.where(self.H > 0.0, self.H, -0.0)
+        table = np.stack((up, self.H) if (self.H < 0.0).any() else (up,), axis=1)[..., None]
         table.setflags(write=False)
         return table
 

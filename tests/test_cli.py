@@ -193,6 +193,22 @@ def test_cli_simulate_steps_one_orbit_for_both_outputs(tmp_path, monkeypatch):
     assert texts[0] == texts[1]
 
 
+def test_cli_expansion_steps_every_witness_in_one_batch(tmp_path, monkeypatch):
+    """The 999 witness pairs of --samples 1000 take one step of all 1998 states."""
+    cfg = write_config(tmp_path, {**NET_A_DOC, "H": [[0.0, 0.2], [0.2, 0.0]]})
+    columns = []
+    original = _kernels._step_columns
+
+    def step(params, X):
+        columns.append(X.shape[1])
+        return original(params, X)
+    monkeypatch.setattr(_kernels, "_step_columns", step)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["expansion", "--config", str(cfg), "--samples", "1000"]) == 0
+    assert columns == [2 * 999]
+    assert len(json.loads(out.getvalue())["witnesses"]["rows"]) == 999
+
+
 def test_cli_cycles_net_d(tmp_path):
     cfg = write_config(tmp_path, NET_D_DOC)
     out = tmp_path / "cyc"

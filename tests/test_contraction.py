@@ -1,7 +1,10 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from ifnet import (
     HypothesisViolated,
@@ -12,7 +15,6 @@ from ifnet import (
     check_O_conditions,
     estimate_lipschitz_c,
     expansion_witness,
-    in_zone,
     jvac_check,
     lambda_for_zone,
     network,
@@ -20,6 +22,8 @@ from ifnet import (
     return_map,
     verify_contraction,
 )
+from ifnet.dynamics import as_state
+from ifnet.params import NetworkParams
 
 # Frozen two-route oracle for the repeller of the coupling-0.2 pair
 # (g-composition fixed point vs the closed-form anti-phase seed).
@@ -35,13 +39,6 @@ def gamma_state(n, i, x):
 
 
 # ---------------------------------------------------------------- zones
-
-
-def test_in_zone_basics(net_c):
-    dc = net_c.constants
-    assert in_zone(net_c, np.zeros(3), 0.0)
-    assert in_zone(net_c, [0.0, 0.4, 0.2], dc.c_bar)
-    assert not in_zone(net_c, [0.0, 0.5, 0.2], dc.c_bar)
 
 
 def test_lambda_zone_values(net_c):
@@ -131,6 +128,167 @@ def test_expansion_witness_rejections(net_b):
         expansion_witness(net_b, 0, gamma_state(2, 0, 0.5), v)  # below c_star
     with pytest.raises(PreconditionFailed):
         expansion_witness(net_b, 0, np.array([0.75, 0.1]), v)  # off the ray
+
+
+# The per-pair witness as it stood before `expansion_witness` took batches: two
+# `return_map` calls and a loop over the coordinates.  The batch version must
+# give each pair what this gives it, bit for bit, and the same message when
+# this raises.
+
+
+def _reference_gamma_coordinate(params: NetworkParams, v: np.ndarray, i: int) -> float:
+    dc = params.constants
+    arr = as_state(params, v)
+    for k in range(params.n):
+        if k != i and arr[k] != 0.0:
+            raise PreconditionFailed(f"state is not on Gamma_{i}: coordinate {k} nonzero")
+    if not (dc.c_star < arr[i] < params.theta):
+        raise PreconditionFailed(
+            f"coordinate {i} must lie in (c_star, theta) = ({dc.c_star}, {params.theta})"
+        )
+    return float(arr[i])
+
+
+@dataclass(frozen=True)
+class _ReferenceWitness:
+    ratios: np.ndarray   # per-coordinate stretch for non-fired, non-clamped k
+    ratio: float         # the smallest of them
+    expanded: bool       # all ratios > 1
+    lower_bound: float   # beta(beta-theta)/((beta-v_i)(beta-w_i))
+
+
+def reference_witness(params: NetworkParams, i: int, v, w) -> _ReferenceWitness:
+    """Measured stretch of the return map between two Gamma_i states.
+
+    Both states must share their firing set, and coordinates clamped at alpha
+    are excluded from the comparison (the expansion statement assumes images
+    above the floor).
+    """
+    vi = _reference_gamma_coordinate(params, v, i)
+    wi = _reference_gamma_coordinate(params, w, i)
+    if vi == wi:
+        raise PreconditionFailed("degenerate pair: identical Gamma_i coordinates")
+    sv = return_map(params, v)
+    sw = return_map(params, w)
+    if not np.array_equal(sv.fired, sw.fired):
+        raise PreconditionFailed("states fall in different atoms (firing sets differ)")
+    beta, theta, alpha = params.beta, params.theta, params.alpha
+    ratios = []
+    for k in range(params.n):
+        if k in sv.fired:
+            continue
+        if sv.state[k] == alpha or sw.state[k] == alpha:
+            continue  # floor clamp active; excluded from the expansion claim
+        ratios.append(abs(sv.state[k] - sw.state[k]) / abs(vi - wi))
+    if not ratios:
+        raise PreconditionFailed("no unclamped non-firing coordinate to compare")
+    ratios = np.array(ratios)
+    bound = beta * (beta - theta) / ((beta - vi) * (beta - wi))
+    return _ReferenceWitness(
+        ratios=ratios, ratio=float(ratios.min()),
+        expanded=bool(np.all(ratios > 1.0)), lower_bound=bound,
+    )
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def check_witness_batch(params, i, V, W) -> list:
+    """Hold the batch witness of (V, W), and each pair's one-pair witness, to
+    reference_witness; returns each pair's message, "" for a compared pair."""
+    wit = expansion_witness(params, i, V, W)
+    assert wit.ratio.shape == wit.expanded.shape == wit.lower_bound.shape == wit.error.shape == V.shape[:-1]
+    for r in range(V.shape[0]):
+        try:
+            want = reference_witness(params, i, V[r], W[r])
+        except PreconditionFailed as exc:
+            assert wit.error[r] == str(exc), r
+            assert math.isnan(wit.ratio[r]) and math.isnan(wit.lower_bound[r]) and not wit.expanded[r]
+            with pytest.raises(PreconditionFailed) as one:
+                expansion_witness(params, i, V[r], W[r])
+            assert str(one.value) == str(exc)
+            continue
+        assert wit.error[r] == "", r
+        one = expansion_witness(params, i, V[r], W[r])
+        assert (type(one.ratio), type(one.expanded), type(one.lower_bound)) == (float, bool, float)
+        for got in (wit.ratio[r], one.ratio):
+            assert _bits(got) == _bits(want.ratio), r
+        for got in (wit.lower_bound[r], one.lower_bound):
+            assert _bits(got) == _bits(want.lower_bound), r
+        assert wit.expanded[r] == one.expanded == want.expanded, r
+    return wit.error.tolist()
+
+
+WITNESS_NETWORKS = {
+    "net_b": [[0.0, 0.2], [0.2, 0.0]],
+    "net_o3": [[0.0, 0.2, 1.5], [0.2, 0.0, 1.5], [-0.1, -0.1, 0.0]],
+    # neuron 1 recruits neuron 2 for v_1 up to 0.9 only: pairs across 0.9 differ in atoms
+    "atoms": [[0.0, 0.6], [0.2, 0.0]],
+    # neuron 1's spikes floor every neuron that does not fire
+    "floored": [[0.0, -2.5, -2.5], [0.3, 0.0, 0.3], [0.3, 0.3, 0.0]],
+    # neuron 1's spike floors neuron 2 for v_1 from 0.9 on: neuron 3 is compared alone
+    "half_floored": [[0.0, -1.4, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+}
+
+
+def test_witness_batch_gives_each_rejection_as_the_reference_raises_it():
+    p = network(2, 1.0, 1.2, 1.0, -1.0, WITNESS_NETWORKS["atoms"])
+    rows = [(0.92, 0.95), (0.8, 0.8), (0.85, 0.95), (0.75, 0.8), (0.5, 0.8), (0.8, 1.0), (0.8, math.nan),
+            (0.8, 1.5)]
+    V, W = (np.array([[x, 0.0] for x in side]) for side in zip(*rows))
+    W[1, 1], V[2, 1] = 0.1, -0.0  # off the ray, and on it at -0.0
+    errors = check_witness_batch(p, 0, V, W)
+    assert errors[:4] == ["", "state is not on Gamma_0: coordinate 1 nonzero",
+                          "states fall in different atoms (firing sets differ)",
+                          "no unclamped non-firing coordinate to compare"]  # both neurons fire
+    assert errors[4].startswith("coordinate 0 must lie in") and errors[5].startswith("coordinate 0 must lie in")
+    assert errors[6:] == ["state contains non-finite entries", "state has a coordinate above threshold"]
+    W[1, 1] = 0.0
+    assert check_witness_batch(p, 0, V[1:2], W[1:2]) == ["degenerate pair: identical Gamma_i coordinates"]
+    p = network(3, 1.0, 1.2, 1.0, -1.0, WITNESS_NETWORKS["floored"])
+    V, W = np.zeros((2, 3)), np.zeros((2, 3))
+    V[:, 0], W[:, 0] = [0.75, 0.8], [0.8, 0.9]
+    assert check_witness_batch(p, 0, V, W) == ["no unclamped non-firing coordinate to compare"] * 2
+    p = network(3, 1.0, 1.2, 1.0, -1.0, WITNESS_NETWORKS["half_floored"])
+    V[:, 0], W[:, 0] = [0.85, 0.95], [0.95, 0.85]  # one image of each pair floors coordinate 2
+    assert check_witness_batch(p, 0, V, W) == ["", ""]
+    p = network(2, 1.0, 1.2, 1.0, -1.0, [[0.0, 0.6], [0.0, 0.0]])
+    V, W = np.array([[0.85, 0.0]]), np.array([[0.95, 0.0]])  # different atoms, and no coordinate left
+    assert check_witness_batch(p, 0, V, W) == ["states fall in different atoms (firing sets differ)"]
+
+
+@st.composite
+def witness_cases(draw):
+    """A network (one of WITNESS_NETWORKS or a random one, n = 2 to 4), a ray
+    index and up to 8 pairs: on the ray in (c_star, theta), at its ends or off
+    it, degenerate, or with a non-finite or out-of-range coordinate."""
+    random_H = st.integers(2, 4).flatmap(lambda n: st.lists(
+        st.lists(st.floats(-2.5, 1.6).map(lambda x: round(x, 2)), min_size=n, max_size=n),
+        min_size=n, max_size=n))  # rounded: a subnormal jump gives p0 = inf, which `network` rejects
+    H = draw(st.sampled_from(sorted(WITNESS_NETWORKS)).map(WITNESS_NETWORKS.get) | random_H)
+    p = network(len(H), 1.0, 1.2, 1.0, -1.0, H)
+    i = draw(st.integers(0, p.n - 1))
+    lo, hi = p.constants.c_star, p.theta
+    inside = st.floats(lo, hi, exclude_min=True, exclude_max=True)
+    coordinate = inside | inside | st.sampled_from([lo, hi, 0.0, 0.5, -1.0, 1.5, math.nan, math.inf])
+    m = draw(st.integers(1, 8))
+    V, W = np.zeros((m, p.n)), np.zeros((m, p.n))
+    for r in range(m):
+        V[r, i] = draw(coordinate)
+        W[r, i] = draw(coordinate | st.just(V[r, i]))
+        if draw(st.integers(0, 4)) == 0:  # move one coordinate of one state, maybe off the ray
+            side = draw(st.sampled_from([V, W]))
+            side[r, draw(st.integers(0, p.n - 1))] = draw(st.sampled_from([-0.0, 0.1, -0.3, 1.5, math.nan]))
+    return p, i, V, W
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=witness_cases())
+def test_witness_batch_matches_the_per_pair_reference(case):
+    p, i, V, W = case
+    for error in check_witness_batch(p, i, V, W):
+        event(error.split(" = ")[0] or "compared")
 
 
 # ---------------------------------------------------------------- O conditions & repeller

@@ -66,7 +66,10 @@ def test_classify_fixtures(net_c):
 
 
 def test_in_zone_rows_flags_a_state_outside_the_zone(net_c):
-    assert _in_zone_rows(np.array([[0.9, 0.0, 0.2], [0.0, 0.4, 0.2]]), net_c.constants.c_bar).tolist() == [False, True]
+    # a coordinate past c_bar (about 0.429), and a state off the section (no coordinate 0)
+    V = np.array([[0.9, 0.0, 0.2], [0.0, 0.4, 0.2], [0.0, 0.5, 0.2], [0.1, 0.2, 0.3]])
+    assert _in_zone_rows(V, net_c.constants.c_bar).tolist() == [False, True, False, False]
+    assert _in_zone_rows(np.zeros((1, 3)), 0.0).tolist() == [True]
 
 
 def test_certify_cycle_requires_zone_and_inhibitory(net_d, net_a):

@@ -1,6 +1,7 @@
 """Every name a package module imports is used by that module, every
 name in a module's `__all__` is defined there, and every private top-level
-name of a package module is referenced somewhere in the package.
+name of a package module is referenced somewhere in the package.  No
+package module calls `return_map`, the library's one-state entry point.
 
 Names listed in `__all__`, the re-exports of `__init__.py` and `from
 __future__` imports count as used.  Tests do not count as a reference to a
@@ -99,3 +100,11 @@ def test_scanner_flags_an_orphaned_private():
 def test_package_has_no_orphaned_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert orphaned_privates(sources) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_does_not_call_the_one_state_return_map(path):
+    # `return_map` is the library's one-state entry point; the package steps batches
+    calls = [node.func for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    assert "return_map" not in {getattr(f, "attr", getattr(f, "id", None)) for f in calls}

@@ -8,7 +8,11 @@ not read and an option value no command can use.
 Each config example mutates one or two scalar fields, H entries or V0 entries
 of a golden config with an edge value, then runs every command in-process
 with each option it reads at a cheap value.  Each option example gives one
-command one or two options with edge values.
+command one or two options with edge values.  Each grid example gives sweep,
+under one --cell, up to three --grid axes: well-formed ones of one or two
+steps, and ones that are malformed or empty, repeat or do not name a
+parameter, have no steps or more than a sweep may run, or have bounds that
+are not finite numbers.
 """
 
 import contextlib
@@ -19,10 +23,11 @@ import math
 import sys
 from pathlib import Path
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from ifnet.cli import COMMANDS, READS, main
+from ifnet.cli import _GRID_PARAMS, COMMANDS, READS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # left out: mixed8 is mixed8_v0 without V0, and contract alone takes 0.25 s on net_c_slow
@@ -194,3 +199,88 @@ def test_every_option_value_ends_in_a_documented_exit(case):
         assert err.count("\n") == 1 and err.endswith("\n"), (case, code, err)
     if not set(given) <= set(reads(command)) or refused(given):
         assert code == 2 and err.startswith("config error: "), (case, code, err)
+
+
+@pytest.mark.parametrize("axis", ["beta:nan:2:2", "beta:1.1:inf:2", "beta:-1e308:1e308:1"])
+def test_sweep_rejects_a_grid_axis_without_finite_bounds(axis):
+    # np.linspace gives nan for each: the cells' overrides could not be written as JSON
+    code, err = run_command(["sweep", "--config", str(GOLDEN / "net_b.json"), "--grid", axis])
+    assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1, (code, err)
+
+
+GRID_BOUNDS = ["1.1", "1.3", "0.5", "-0.5", "0", "-0.0", "5e-324", "1e308", "-1e308"]
+GRID_STEPS = ["1", "2"]  # a valid axis runs one cell per step
+# per part of PARAM:LO:HI:STEPS, texts that break it
+GRID_BREAKS = [[" beta ", "K", "n", ""], ["nan", "inf", "-inf", "1e400", "x", ""],
+               ["nan", "inf", "-inf", "1e400", "x", ""], ["0", "-1", "2.0", "x", "", HUGE, "1000001"]]
+MALFORMED_AXES = ["", ":", ":::", "beta:1.1:1.3", "beta:1.1:1.3:2:2", "beta 1.1 1.3 2"]
+
+
+def grid_refused(cell: str, axes: list) -> bool:
+    """The grids sweep refuses with exit 2 whatever the config: no axis or more
+    than two, an unknown cell, an axis that is not PARAM:LO:HI:STEPS with a
+    known parameter, an integer STEPS of at least 1 and finite LO, HI and
+    HI - LO, two axes naming one parameter, or more than 10**6 cells."""
+    if not 1 <= len(axes) <= 2 or cell not in COMMANDS or cell == "sweep":
+        return True
+    names, cells = [], 1
+    for axis in axes:
+        try:
+            name, lo, hi, steps = axis.split(":")
+            lo, hi, steps = float(lo), float(hi), int(steps)
+        except ValueError:
+            return True
+        if name.strip() not in _GRID_PARAMS or steps < 1 or not math.isfinite(hi - lo):
+            return True
+        names.append(name.strip())
+        cells *= steps
+    return len(set(names)) < len(names) or cells > 10**6
+
+
+@st.composite
+def grid_axes(draw):
+    """A --grid axis: well-formed, broken in one part, or malformed."""
+    parts = [draw(st.sampled_from(choices)) for choices in (_GRID_PARAMS, GRID_BOUNDS, GRID_BOUNDS, GRID_STEPS)]
+    broken = draw(st.sampled_from([None] * 4 + [0, 1, 2, 3, "shape"]))
+    if broken == "shape":
+        return draw(st.sampled_from(MALFORMED_AXES))
+    if broken is not None:
+        parts[broken] = draw(st.sampled_from(GRID_BREAKS[broken]))
+    return ":".join(parts)
+
+
+@st.composite
+def grid_lines(draw):
+    cell = draw(st.sampled_from(sorted(COMMANDS)))
+    axes = [draw(grid_axes()) for _ in range(draw(st.sampled_from([1, 1, 1, 2, 2, 2, 0, 3])))]
+    if axes and draw(st.sampled_from([False] * 3 + [True])):  # the same parameter twice, other bounds
+        axes[1:] = [axes[0].split(":")[0] + ":0.5:1.1:1"]
+    return cell, axes
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=grid_lines())
+@example(case=("analyze", ["beta:nan:2:2"]))
+@example(case=("synchro", ["H:0.34:0.9:2", " H :0.5:1.1:1"]))
+@example(case=("contract", ["beta:1.1:1.3:0"]))
+@example(case=("expansion", ["K:1:2:1"]))
+@example(case=("cycles", []))
+@example(case=("analyze", ["beta:1.1:1.3:1001", "H:0.1:0.2:1000"]))  # refused before any cell runs
+@example(case=("simulate", ["beta:1.1:1.3:2", "H:-0.5:0.5:2"]))
+@example(case=("cycles", ["theta:0.5:1.1:2"]))
+@example(case=("contract", ["alpha:-0.5:-0.0:2"]))
+@example(case=("expansion", ["H:-0.5:1.3:2", "beta:1.1:1e308:2"]))
+@example(case=("synchro", ["gamma:5e-324:1e308:2"]))
+def test_every_sweep_grid_ends_in_a_documented_exit(case):
+    cell, axes = case
+    options = [arg for name in ("seed", *READS.get(cell, ())) for arg in (flag(name), CHEAP[name])]
+    code, err = run_command(["sweep", "--config", str(GOLDEN / "net_c.json"), "--cell", cell, *options,
+                             *(arg for axis in axes for arg in ("--grid", axis))])
+    assert code in (0, 1, 2, 3, 4), (case, code, err)
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), (case, code, err)
+    event(f"exit {code}")
+    if grid_refused(cell, axes):
+        assert code == 2 and err.startswith("config error: "), (case, code, err)
+    else:  # a cell that fails is reported in the document: exit 1
+        assert code in (0, 1), (case, code, err)

@@ -199,18 +199,20 @@ def test_step_batch_matches_scalar_step(net):
     _check_against_scalar_step(net, V)
 
 
-def test_jump_tables_are_cached_and_read_only(net):
-    up, inhibits = net.jump_tables
-    assert net.jump_tables is net.jump_tables
-    assert not up.flags.writeable and not inhibits.flags.writeable
+def test_step_table_is_cached_and_read_only(net):
+    table = net.step_table
+    assert net.step_table is table
+    assert not table.flags.writeable
     with pytest.raises(ValueError):
-        up[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        inhibits[0] = True
-    excites = net.H > 0.0
+        table[0, 0, 0, 0] = 1.0
+    # up[j] for the recruiting rounds, and H[j] for the image when H has a negative entry
+    inhibits = (net.H < 0.0).any()
+    assert table.shape == (net.n, 1 + inhibits, net.n, 1)
+    up, excites = table[:, 0, :, 0], net.H > 0.0
     assert _bits(up[excites]) == _bits(net.H[excites])
     assert (up[~excites] == 0.0).all() and np.signbit(up[~excites]).all()
-    assert np.array_equal(inhibits, (net.H < 0.0).any(axis=1))
+    if inhibits:
+        assert _bits(table[:, 1, :, 0]) == _bits(net.H)
 
 
 def test_networks_hold_signed_zero_jumps_and_floored_images():
@@ -218,7 +220,7 @@ def test_networks_hold_signed_zero_jumps_and_floored_images():
     # neurons with no negative one, and images cut at alpha
     p = network(10, 1.0, 1.2, 1.0, -1.0, NETWORKS["n10_sparse_excitatory"][1])
     off = p.H[~np.eye(10, dtype=bool)]
-    assert (off >= 0.0).all() and (off > 0.0).any() and not p.jump_tables[1].any()
+    assert (off >= 0.0).all() and (off > 0.0).any() and not (p.H < 0).any()
     assert (np.signbit(off) & (off == 0.0)).any() and (~np.signbit(off) & (off == 0.0)).any()
     p = network(5, 1.0, 1.2, 1.0, -1.0, NETWORKS["n5_floored"][1])
     out, fired, _, _ = _kernels.step_batch(p, _states(p, 7))
@@ -231,7 +233,7 @@ def test_image_of_a_row_does_not_depend_on_its_batch_companions():
     p = network(7, 1.0, 1.2, 1.0, -1.0, NETWORKS["n7_partly_inhibitory"][1])
     V = _states(p, 16)
     out, fired, _, _ = _kernels.step_batch(p, V)
-    inhib = (fired & p.jump_tables[1]).any(axis=1)
+    inhib = (fired & (p.H < 0).any(axis=1)).any(axis=1)
     assert 10 <= inhib.sum() <= V.shape[0] - 10  # the batch mixes both kinds of row
     quiet, _, _, _ = _kernels.step_batch(p, V[~inhib])
     assert _bits(quiet) == _bits(out[~inhib])
@@ -296,7 +298,7 @@ def test_step_batch_memory_stays_within_a_few_batches():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rounds >= 1 and fired.any(axis=0).all() and (fired & p.jump_tables[1][None]).any()
+    assert rounds >= 1 and fired.any(axis=0).all() and (fired & (p.H < 0).any(axis=1)[None]).any()
     assert peak <= 8 * V.nbytes
 
 

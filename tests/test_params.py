@@ -208,5 +208,5 @@ def test_validated_params_are_frozen_and_cache_invariants(net_c):
     assert net_c.constants is net_c.constants
     assert net_c.hypotheses is net_c.hypotheses
     assert net_c.kinds is net_c.kinds
-    assert net_c.jump_tables is net_c.jump_tables
+    assert net_c.step_table is net_c.step_table
     assert net_c.excitatory == (0,) and net_c.inhibitory == (1, 2)
