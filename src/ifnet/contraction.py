@@ -150,7 +150,8 @@ def _gamma_faults(params: NetworkParams, X: np.ndarray, i: int) -> list:
     off[..., i] = False
     lo, hi = params.constants.c_star, params.theta
     return _state_faults(params, X) + [
-        (off.any(axis=-1), np.char.mod(f"state is not on Gamma_{i}: coordinate %d nonzero", off.argmax(axis=-1))),
+        (off.any(axis=-1),
+         np.char.mod(f"state is not on Gamma_{i}: coordinate %d nonzero", np.arange(params.n))[off.argmax(axis=-1)]),
         (~((lo < X[..., i]) & (X[..., i] < hi)), f"coordinate {i} must lie in (c_star, theta) = ({lo}, {hi})"),
     ]
 
