@@ -17,7 +17,8 @@ below 1, an --eta, --dt or --t-total that is not a finite positive number,
 trajectory (grid rows plus two per firing) passes 10**6 rows.  So does a sweep
 --grid axis that is not PARAM:LO:HI:STEPS, names an unknown or repeated
 parameter, has fewer than one step, or has a LO, HI or HI - LO that is not
-finite, and a sweep of more than 10**6 cells.
+finite, a sweep of more than 10**6 cells, and a simulate whose cum_time
+passes the float range, named with its step before any output is written.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from . import _kernels
 from . import contraction as contr
 from . import cycles as cyc
 from . import dynamics as dyn
-from .config import Records, RunConfig, dump_json, json_strings, load_config, params_to_doc, row_texts, text_grid
+from .config import Records, RunConfig, json_blocks, load_config, params_to_doc, row_texts, write_csv
 from .errors import (
     HypothesisViolated,
     IfnetError,
@@ -87,14 +88,10 @@ def _check_options(given: dict) -> None:
         dyn.grid_rows(given["dt"], given["t_total"])  # before anything is run or allocated
 
 
-def _write_csv(opts, name: str, header: list, columns: list) -> str:
-    """Write a header and text columns, one text per row each, fields joined by ","
-    (none needs quoting), as `name` in --out."""
-    parts = [part for column in columns for part in (column, ",")]
-    parts[-1] = "\n"
-    with open(Path(opts.out) / name, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write("".join(text_grid(len(columns[0]), parts)))
+def _write_csv(opts, name: str, rows: int, header: list, columns) -> str:
+    """Write `name` in --out, a chunk of rows at a time: columns(lo, hi) gives the
+    text columns of rows lo..hi-1, one per header field."""
+    write_csv(Path(opts.out) / name, Records(rows, lambda lo, hi: dict(zip(header, columns(lo, hi)))))
     return name
 
 
@@ -152,27 +149,35 @@ def cmd_simulate(cfg: RunConfig, opts) -> dict:
     v0 = cfg.v0 if cfg.v0 is not None else np.zeros(params.n)
     steps = opts.max_iter
     states, fired, t_bars = _kernels.run_orbit(params, dyn.as_state(params, v0), steps)
-    # One text column per field, shared by spikes.csv and the JSON rows (with
-    # the strings quoted); each distinct t_bar, firing set and state is formatted once.
+    with np.errstate(over="ignore"):
+        cum_time = np.cumsum(t_bars)
+    if not np.isfinite(cum_time[-1]):  # every t_bar is at most T_max; an overflow stays in each later sum
+        raise RejectConfig(f"cum_time overflows the float range at step {int(np.argmin(np.isfinite(cum_time)))}"
+                           f" (gamma = {params.gamma!r})")
     names = [str(i + 1) for i in range(params.n)]
-    columns = {"step": list(map(str, range(steps))), "t_bar": row_texts(t_bars),
-               "cum_time": list(map(repr, np.cumsum(t_bars).tolist())),
-               "firing_set": row_texts(fired, lambda row: ";".join(itertools.compress(names, row))),
-               "V_after": row_texts(states, lambda row: ";".join(map(repr, row)))}
-    doc = {"steps": steps, "v0": v0, "spikes": Records({
-        **columns, "firing_set": json_strings(columns["firing_set"]),
-        "V_after": json_strings(columns["V_after"])})}
-    if opts.out is not None:
-        doc["spikes_csv"] = _write_csv(opts, "spikes.csv", list(columns), list(columns.values()))
+
+    def spike_cells(lo, hi):
+        # shared by spikes.csv and the JSON rows; each distinct t_bar, firing set
+        # and state of the chunk is formatted once
+        return {"step": list(map(str, range(lo, hi))), "t_bar": row_texts(t_bars[lo:hi]),
+                "cum_time": list(map(repr, cum_time[lo:hi].tolist())),
+                "firing_set": row_texts(fired[lo:hi], lambda row: ";".join(itertools.compress(names, row))),
+                "V_after": row_texts(states[lo:hi], lambda row: ";".join(map(repr, row)))}
+
+    csv = None if opts.out is None else str(Path(opts.out) / "spikes.csv")
+    doc = {"steps": steps, "v0": v0, "spikes": Records(steps, spike_cells, frozenset(("firing_set", "V_after")), csv)}
+    if csv is not None:
+        doc["spikes_csv"] = "spikes.csv"  # written with the JSON rows, by `main`
     if opts.dt is not None:
         times, values, post = dyn.sample_trajectory(params, v0, opts.dt, opts.t_total, (states, fired, t_bars))
         doc["trajectory_rows"] = len(times)
         if opts.out is not None:
             # most rows repeat their coordinates (an orbit that reaches 0;0;0 stays
-            # there), so each distinct value is formatted once
+            # there), so each distinct value of a chunk is formatted once
             header = ["t"] + [f"V{i + 1}" for i in range(params.n)] + ["post_spike"]
-            doc["trajectory_csv"] = _write_csv(opts, "trajectory.csv", header, [
-                list(map(repr, times.tolist())), *_value_columns(values), np.array(["0", "1"])[post].tolist()])
+            doc["trajectory_csv"] = _write_csv(opts, "trajectory.csv", len(times), header, lambda lo, hi: [
+                list(map(repr, times[lo:hi].tolist())), *_value_columns(values[lo:hi]),
+                np.array(["0", "1"])[post[lo:hi]].tolist()])
     return doc
 
 
@@ -192,8 +197,8 @@ def cmd_cycles(cfg: RunConfig, opts) -> dict:
         header = ["index"] + [f"V{i + 1}" for i in range(cfg.params.n)]
         for idx, entry in enumerate(report.entries):
             points = entry.cycle.points
-            _write_csv(opts, f"cycle_{idx:02d}.csv", header,
-                       [list(map(str, range(len(points)))), *_value_columns(points)])
+            _write_csv(opts, f"cycle_{idx:02d}.csv", len(points), header,
+                       lambda lo, hi: [list(map(str, range(lo, hi))), *_value_columns(points[lo:hi])])
     return doc
 
 
@@ -205,24 +210,23 @@ def cmd_expansion(cfg: RunConfig, opts) -> dict:
     params = cfg.params
     pairs = []
     witness_doc = None
-    for i in range(params.n):
-        for j in range(i + 1, params.n):
-            conds = contr.check_O_conditions(params, i, j)
-            entry = {"pair": [i + 1, j + 1], "O1": conds[0], "O2": conds[1], "O3": conds[2]}
-            if all(conds):
-                try:
-                    rep = contr.repeller(params, i, j)
-                    entry["repeller"] = {
-                        "interval": list(rep.interval),
-                        "fixed_point": rep.fixed_point,
-                        "multiplier": rep.multiplier,
-                    }
-                except (NoFixedPoint, PreconditionFailed) as exc:
-                    entry["repeller_error"] = str(exc)
-                if witness_doc is None:
-                    witness_doc = _witness_sweep(params, i, max(MIN_WITNESSES, opts.samples))
-                    witness_doc["pair"] = [i + 1, j + 1]
-            pairs.append(entry)
+    upper = np.triu_indices(params.n, 1)
+    for i, j, o1, o2, o3 in zip(*(a.tolist() for a in (*upper, *params.o_conditions[:, upper[0], upper[1]]))):
+        entry = {"pair": [i + 1, j + 1], "O1": o1, "O2": o2, "O3": o3}
+        if o1 and o2 and o3:
+            try:
+                rep = contr.repeller(params, i, j)
+                entry["repeller"] = {
+                    "interval": list(rep.interval),
+                    "fixed_point": rep.fixed_point,
+                    "multiplier": rep.multiplier,
+                }
+            except (NoFixedPoint, PreconditionFailed) as exc:
+                entry["repeller_error"] = str(exc)
+            if witness_doc is None:
+                witness_doc = _witness_sweep(params, i, max(MIN_WITNESSES, opts.samples))
+                witness_doc["pair"] = [i + 1, j + 1]
+        pairs.append(entry)
     return {"c_star": params.constants.c_star, "pairs": pairs, "witnesses": witness_doc}
 
 
@@ -376,10 +380,15 @@ def main(argv=None) -> int:
         if opts.out is not None:
             Path(opts.out).mkdir(parents=True, exist_ok=True)
         doc = COMMANDS[opts.command](cfg, opts)
-        text = dump_json(doc)
-        if opts.out is not None:
-            (Path(opts.out) / f"{opts.command}.json").write_text(text, encoding="utf-8")
-        sys.stdout.write(text)
+        if opts.out is None:
+            sys.stdout.writelines(json_blocks(doc))
+        else:  # stdout once every --out file is whole
+            path = Path(opts.out) / f"{opts.command}.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(json_blocks(doc))
+            with open(path, encoding="utf-8") as fh:
+                while block := fh.read(1 << 20):
+                    sys.stdout.write(block)
         if opts.command == "sweep":
             failed = sum(1 for c in doc["cells"] if c["status"] != "ok")
             if failed:

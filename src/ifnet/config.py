@@ -15,18 +15,22 @@ Outputs are reproducible byte for byte: floats serialize through repr (shortest
 round-trip, at most 17 significant digits), JSON keys are sorted, CSV rows use
 LF terminators.
 
-`dump_json` writes `json.dumps(obj, sort_keys=True, indent=2)` text.  The
-indenting encoder is pure Python and slow per value, so simulate hands its
-spike rows over as a `Records`: columns that already hold each row's JSON
-text (`row_texts` formats each distinct array row once, `json_strings`
-quotes each distinct string once).  The encoder writes a placeholder for the
-table, replaced afterwards by the table's text: one `text_grid` list that
-holds, row by row, each cell after the separator and key before it, so the
-whole document is joined once.  The text equals json.dumps of the rows, as
-both write numbers as repr and escape strings with json.dumps.  A cell
-spelling a non-finite float raises ValueError; a document string spelling a
-placeholder makes the encoder run again with another one.  The CSV files
-are laid out the same way, with "," and a newline between the cells.
+`json_blocks` writes `json.dumps(obj, sort_keys=True, indent=2)` text in blocks
+(`dump_json` joins them).  The indenting encoder is pure Python and slow per
+value, so simulate hands its spike rows over as a `Records`: a table that
+formats its cells a chunk of CHUNK_ROWS rows at a time (`row_texts` formats
+each distinct array row of a chunk once, `json_strings` quotes each distinct
+string once).  `default` turns a table into None, and the encoder (pure
+Python with an indent, making its chunks one at a time) yields the "null" of
+that None next; `json_blocks` yields the text so far and then the table's
+rows in its place, each chunk laid out as one `text_grid` list that holds, row by row,
+each cell after the separator and key before it.  The text equals json.dumps
+of the rows, as both write numbers as repr and escape strings with
+json.dumps.  A table's cells are text its maker vouches for: simulate checks
+its arrays are finite before it makes any.  A table with a `csv` path is
+written there as CSV from the same chunks, in the same pass; `write_csv`
+writes a table as CSV alone.  So the text in memory at a time is one chunk,
+however many rows a table has.
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import count
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -126,12 +129,28 @@ def json_strings(texts: list) -> list:
     return list(map(quoted.__getitem__, texts))
 
 
+CHUNK_ROWS = 4096  # table rows each writer formats and writes at a time
+
+
 @dataclass
 class Records:
-    """A table `dump_json` writes as a list of objects: `columns` maps each key
-    to one JSON text per row (a float's repr, a `json_strings` entry, ...)."""
+    """A table of `rows` rows that the writers read a chunk of at most CHUNK_ROWS
+    rows at a time: `cells(lo, hi)` maps each key to the text of its cells in rows
+    lo..hi-1 (a float's repr, an int's str, ...).  JSON writes it as a list of
+    objects, the cells of the keys in `strings` quoted (`json_strings`) and the
+    others as they are; CSV writes a column per key, in the order `cells` gives
+    them.  `json_blocks` also writes a table with a `csv` path there, from the
+    same chunks."""
 
-    columns: dict
+    rows: int
+    cells: Callable
+    strings: frozenset = frozenset()
+    csv: Optional[str] = None
+
+    def chunks(self):
+        """(lo, cells) of each chunk of rows in order; one empty chunk for no rows."""
+        for lo in range(0, max(self.rows, 1), CHUNK_ROWS):
+            yield lo, self.cells(lo, min(lo + CHUNK_ROWS, self.rows))
 
 
 def _plain(obj):
@@ -141,50 +160,69 @@ def _plain(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-# a non-finite float as repr and as json.dumps(allow_nan=True) spell it
-_NON_FINITE = frozenset(("nan", "inf", "-inf", "NaN", "Infinity", "-Infinity"))
+def _csv_rows(path, chunks):
+    """Pass on each (lo, cells) chunk of a table after writing it to `path` as CSV
+    lines: the header first, fields joined by "," (none needs quoting)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for lo, cells in chunks:
+            parts = [part for column in cells.values() for part in (column, ",")]
+            parts[-1] = "\n"
+            fh.write((",".join(cells) + "\n" if lo == 0 else "") + "".join(text_grid(len(parts[0]), parts)))
+            yield lo, cells
 
 
-def _encode_records(columns: dict, indent: int) -> list:
-    """The indent=2 text of a `Records` whose "]" sits at column `indent`, in pieces."""
-    if any(not _NON_FINITE.isdisjoint(cells) for cells in columns.values()):
-        raise ValueError("Out of range float values are not JSON compliant")
-    pad, rows = "\n" + " " * (indent + 2), len(next(iter(columns.values()), ()))
-    parts = [f"{pad}}},{pad}{{"]  # a record per row, after the record before it ends
-    for k, key in enumerate(sorted(columns)):  # each cell after its key
-        parts += [f"{',' if k else ''}{pad}  {json.dumps(key)}: ", columns[key]]
-    return [f"[{pad}{{", *text_grid(rows, parts)[1:], f"{pad}}}\n{' ' * indent}]"] if rows else ["[]"]
+def write_csv(path, table: Records) -> None:
+    """Write `table` as a CSV file, a chunk of rows at a time."""
+    for _ in _csv_rows(path, table.chunks()):
+        pass
 
 
-_MARK = "\x00records"
+def _table_text(table: Records, indent: int):
+    """The indent=2 text of a `Records` whose "]" sits at column `indent`, a chunk of
+    rows at a time; each chunk also goes to `table.csv` when that is set."""
+    pad = "\n" + " " * (indent + 2)
+    for lo, cells in table.chunks() if table.csv is None else _csv_rows(table.csv, table.chunks()):
+        if table.rows:
+            parts = [f"{pad}}},{pad}{{"]  # a record per row, after the record before it ends
+            for k, key in enumerate(sorted(cells)):  # each cell after its key
+                column = cells[key]
+                parts += [f"{',' if k else ''}{pad}  {json.dumps(key)}: ",
+                          json_strings(column) if key in table.strings else column]
+            pieces = text_grid(len(column), parts)
+            if lo == 0:
+                pieces[0] = f"[{pad}{{"
+            yield "".join(pieces)
+    yield f"{pad}}}\n{' ' * indent}]" if table.rows else "[]"
 
 
-def dump_json(obj) -> str:
-    """Canonical JSON text: sorted keys, repr floats, trailing newline.
+def json_blocks(obj):
+    """Canonical JSON text in blocks: sorted keys, repr floats, trailing newline.
 
     NumPy arrays and scalars are written as the matching lists and Python
-    numbers and booleans, a `Records` as the list of its rows."""
-    tables = []
+    numbers and booleans, a `Records` as the list of its rows, a chunk of rows
+    per block; the text between tables is one block."""
+    table = []
 
     def default(o):
         if isinstance(o, Records):
-            tables.append(o.columns)
-            return f"{mark}{len(tables) - 1}"
+            table.append(o)
+            return None
         return _plain(o)
 
-    for salt in count():
-        mark = f"{_MARK}{salt}:"
-        tables.clear()
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=default)
-        tokens = [json.dumps(f"{mark}{i}") for i in range(len(tables))]
-        if all(text.count(token) == 1 for token in tokens):
-            break
-        # a string in the document spells a marker: encode again with another one
-    parts, end = [], 0
-    for columns, token in zip(tables, tokens):  # markers appear in encoding order
-        at = text.index(token, end)
-        head = text[text.rfind("\n", 0, at) + 1:at]
-        parts += [text[end:at], *_encode_records(columns, len(head) - len(head.lstrip(" ")))]
-        end = at + len(token)
-    parts += [text[end:], "\n"]
-    return "".join(parts)
+    text = []  # the document since the last table
+    for chunk in json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False, default=default).iterencode(obj):
+        if table:  # chunk is the "null" of the table `default` was just asked for
+            head = "".join(text)
+            line = head[head.rfind("\n") + 1:]
+            yield head
+            yield from _table_text(table.pop(), len(line) - len(line.lstrip(" ")))
+            text = []
+        else:
+            text.append(chunk)
+    text.append("\n")
+    yield "".join(text)
+
+
+def dump_json(obj) -> str:
+    """The whole text of `json_blocks`."""
+    return "".join(json_blocks(obj))

@@ -216,31 +216,17 @@ def check_O_conditions(params: NetworkParams, i: int, j: int) -> tuple[bool, boo
     O2: a spike from i or j strongly excites every third neuron (jump > theta;
         vacuously true when n = 2);
     O3: the net incoming interaction of i and of j is positive.
+
+    A lookup in `params.o_conditions`, which holds them for every pair.
     """
     if i == j:
         raise PreconditionFailed("repeller pair needs two distinct neurons")
-    H = params.H
-    n = params.n
-    gap = params.theta - params.constants.c_star
-    o1 = True
-    o3 = True
-    for s in (i, j):
-        col = np.delete(H[:, s], s)
-        o1 = o1 and float(col[col > 0].sum()) < gap
-        o3 = o3 and float(col.sum()) > 0
-    o2 = all(
-        H[s, k] > params.theta
-        for s in (i, j)
-        for k in range(n)
-        if k not in (i, j)
-    )
-    return bool(o1), bool(o2), bool(o3)
+    return tuple(params.o_conditions[:, i, j].tolist())
 
 
 def o_pairs(params: NetworkParams) -> list[tuple[int, int]]:
     """The unordered pairs (i, j), i < j, that satisfy all of (O1)-(O3)."""
-    return [(i, j) for i in range(params.n) for j in range(i + 1, params.n)
-            if all(check_O_conditions(params, i, j))]
+    return list(zip(*(k.tolist() for k in np.nonzero(np.triu(params.o_conditions.all(axis=0))))))
 
 
 def _transfer(params: NetworkParams, j: int):

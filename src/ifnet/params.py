@@ -125,6 +125,33 @@ class NetworkParams:
         return tuple(i for i, k in enumerate(self.kinds) if k is NeuronKind.INHIBITORY)
 
     @cached_property
+    def o_conditions(self) -> np.ndarray:
+        """(3, n, n) read-only bools, symmetric: [k, i, j] tells whether the pair of
+        neurons i != j meets (O{k+1}) of `contraction.check_O_conditions`; the
+        diagonal is False.
+
+        (O1) and (O3) hold for a pair when they hold for each of its neurons: the
+        positive jumps into it sum below theta - c_star, and all jumps into it sum
+        above 0.  Each neuron's sums add the same terms in the same order as a sum
+        over its column without the diagonal (pairwise summation rounds by position).
+        (O2) holds for (i, j) when i and j each send a jump above theta to every
+        neuron but the two.
+        """
+        n = self.n
+        into = self.H.T[~np.eye(n, dtype=bool)].reshape(n, n - 1)  # row i: the jumps into i, in order
+        gap = self.theta - self.constants.c_star
+        o1 = np.array([row[row > 0].sum() for row in into]) < gap
+        o3 = into.sum(axis=1) > 0
+        weak = self.H <= self.theta
+        np.fill_diagonal(weak, False)
+        missed = weak.sum(axis=1)[:, None] - weak  # [i, j]: the neurons but i and j that i does not excite past theta
+        o2 = (missed == 0) & (missed.T == 0)
+        conds = np.stack((o1[:, None] & o1, o2, o3[:, None] & o3))
+        conds[:, np.arange(n), np.arange(n)] = False
+        conds.setflags(write=False)
+        return conds
+
+    @cached_property
     def hypotheses(self) -> HypothesisReport:
         """The standing hypotheses and the synchronization size bound.
 

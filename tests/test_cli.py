@@ -3,14 +3,16 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ifnet import ParseError, RejectConfig, _kernels, dynamics
+from ifnet import ParseError, RejectConfig, _kernels, config, dynamics
 from ifnet.cli import main
 from ifnet.config import dump_json, load_config, params_to_doc, parse_config
 from ifnet.cycles import cycle_census
@@ -265,6 +267,55 @@ def test_cli_csv_text_equals_csv_writer(tmp_path):
         assert (out / f"cycle_{idx:02d}.csv").read_text() == _csv_writer_text(
             ["index"] + [f"V{i + 1}" for i in range(8)],
             ([j, *pt] for j, pt in enumerate(entry.cycle.points.tolist())))
+
+
+def test_cli_simulate_past_one_chunk_equals_the_reference_encoders(tmp_path):
+    """An orbit and a trajectory of more rows than a chunk: simulate.json and stdout
+    hold what json.dumps(indent=2, sort_keys=True) writes for typed rows, spikes.csv
+    and trajectory.csv what csv.writer writes."""
+    golden = Path(__file__).resolve().parent / "golden"
+    cfg = load_config(str(golden / "mixed8_v0.json"))
+    steps, dt, t_total = 2 * config.CHUNK_ROWS + 3, 0.005, 25.0
+    out = tmp_path / "sim"
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(["simulate", "--config", str(golden / "mixed8_v0.json"), "--out", str(out),
+                     "--max-iter", str(steps), "--dt", str(dt), "--t-total", str(t_total)]) == 0
+    states, fired, t_bars = _kernels.run_orbit(cfg.params, cfg.v0, steps)
+    fields = ["step", "t_bar", "cum_time", "firing_set", "V_after"]
+    spikes = [dict(zip(fields, (k, t, c, ";".join(str(i + 1) for i in np.flatnonzero(f)), ";".join(map(repr, v)))))
+              for k, (t, c, f, v) in enumerate(zip(t_bars.tolist(), np.cumsum(t_bars).tolist(),
+                                                   fired, states.tolist()))]
+    times, values, post = sample_trajectory(cfg.params, cfg.v0, dt, t_total)
+    assert len(times) > config.CHUNK_ROWS
+    text = json.dumps({"steps": steps, "v0": cfg.v0.tolist(), "spikes": spikes, "spikes_csv": "spikes.csv",
+                       "trajectory_csv": "trajectory.csv", "trajectory_rows": len(times)},
+                      sort_keys=True, indent=2) + "\n"
+    assert (out / "simulate.json").read_text() == text
+    assert stdout.getvalue() == text
+    assert (out / "spikes.csv").read_text() == _csv_writer_text(fields, (list(r.values()) for r in spikes))
+    assert (out / "trajectory.csv").read_text() == _csv_writer_text(
+        ["t"] + [f"V{i + 1}" for i in range(8)] + ["post_spike"],
+        ([t, *row, flag] for t, row, flag in zip(times.tolist(), values.tolist(), post.tolist())))
+
+
+def test_cli_simulate_text_memory_does_not_grow_with_max_iter(tmp_path):
+    """simulate formats and writes its rows a chunk at a time, so its traced peak
+    grows with --max-iter by the orbit arrays alone (about 51 bytes a step) plus
+    2 MB.  stdout goes to a file: a StringIO would hold the whole text."""
+    golden = Path(__file__).resolve().parent / "golden"
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for steps in (20000, 80000):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+                assert main(["simulate", "--config", str(golden / "net_c_v0.json"), "--out", str(tmp_path / str(steps)),
+                             "--max-iter", str(steps), "--dt", "0.01", "--t-total", "20"]) == 0
+            peaks[steps] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peaks[80000] - peaks[20000] <= 51 * 60000 + 2_000_000, peaks
 
 
 def test_cli_synchro_exit_codes(tmp_path):

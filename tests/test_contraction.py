@@ -18,6 +18,7 @@ from ifnet import (
     jvac_check,
     lambda_for_zone,
     network,
+    o_pairs,
     repeller,
     return_map,
     verify_contraction,
@@ -302,6 +303,59 @@ def test_o_conditions_net_a(net_a):
     o1, o2, o3 = check_O_conditions(net_a, 0, 1)
     assert not o1  # 0.5 > theta - c_star ~ 0.2899
     assert o2 and o3
+
+
+def per_pair_o_conditions(params, i, j):
+    """(O1)-(O3) for one pair, as check_O_conditions once computed them pair by pair."""
+    H, n = params.H, params.n
+    gap = params.theta - params.constants.c_star
+    o1 = o3 = True
+    for s in (i, j):
+        col = np.delete(H[:, s], s)
+        o1 = o1 and float(col[col > 0].sum()) < gap
+        o3 = o3 and float(col.sum()) > 0
+    o2 = all(H[s, k] > params.theta for s in (i, j) for k in range(n) if k not in (i, j))
+    return bool(o1), bool(o2), bool(o3)
+
+
+@st.composite
+def o_networks(draw):
+    """Networks of 2 to 40 neurons, up to three of them "strong": a strong neuron
+    sends a jump above theta (or exactly theta, now and then) to each neuron but the
+    other strong ones, which get small jumps from every neuron.  Entries come from
+    a pool of edge values (0, -0, theta, the O1 gap and their neighbours) or uniformly."""
+    n = draw(st.integers(2, 40))
+    beta = draw(st.floats(1.01, 3.0))
+    gap = 1.0 - network(n, 1.0, beta, 1.0, -1.0, np.zeros((n, n))).constants.c_star
+    pool = np.array([0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), gap, math.nextafter(gap, 0.0),
+                     gap / 2, gap / (n - 1) if n > 2 else gap, -gap, 0.5, -0.5, 2.0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.3, 0.8]))  # of entries from the pool
+    H = np.where(rng.random((n, n)) < share, rng.choice(pool, (n, n)), rng.uniform(-1.0, 2.0, (n, n)))
+    strong = rng.choice(n, min(n, draw(st.sampled_from([0, 1, 2, 2, 2, 3]))), replace=False)
+    at_theta = draw(st.sampled_from([0.0, 0.01, 0.3]))  # share of strong jumps of exactly theta
+    H[strong] = np.where(rng.random((len(strong), n)) < at_theta, 1.0,
+                         rng.uniform(math.nextafter(1.0, 2.0), 2.0, (len(strong), n)))
+    small = [0.0, -0.0, gap / (2 * n), math.nextafter(gap, 0.0), -gap]
+    H[:, strong] = rng.choice(small, (n, len(strong)), p=[0.1, 0.1, 0.74, 0.03, 0.03])
+    return network(n, 1.0, beta, 1.0, -1.0, H)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=o_networks())
+def test_o_conditions_of_all_pairs_equal_the_per_pair_formulas(p):
+    pairs = [(i, j) for i in range(p.n) for j in range(i + 1, p.n)]
+    want = {pair: per_pair_o_conditions(p, *pair) for pair in pairs}
+    for (i, j), conds in want.items():
+        assert check_O_conditions(p, i, j) == conds
+        assert check_O_conditions(p, j, i) == conds
+        assert tuple(p.o_conditions[:, i, j].tolist()) == conds
+    assert o_pairs(p) == [pair for pair in pairs if all(want[pair])]
+    assert not p.o_conditions[:, range(p.n), range(p.n)].any()
+    assert not p.o_conditions.flags.writeable
+    event(f"O pairs: {'some' if o_pairs(p) else 'none'}")
+    if p.n == 2:
+        assert check_O_conditions(p, 0, 1)[1] is True  # (O2) is vacuous
 
 
 def test_o2_fails_with_weak_third_party():

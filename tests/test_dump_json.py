@@ -1,15 +1,18 @@
 """dump_json writes a `Records` table exactly as json.dumps(indent=2) writes its rows.
 
-A `Records` holds one JSON text per row and key; `dump_json` splices each
-table into the document's text, laid out as one list of separators and
-cells.  These tests build tables from plain rows (strings through
-`json_strings`, floats as their repr) and compare the text with the
-indenting encoder's text for the same rows: at several depths, with strings
-that hold escapes, non-ASCII text, percent signs and the splice marker, for
-empty tables and for one of 2500 rows.  They also check `row_texts` against
-formatting every row.
+A `Records` gives the JSON text of its cells a chunk of rows at a time;
+`json_blocks` writes each table in the document's text, a chunk per block.
+These tests build tables from plain rows (strings through `json_strings`,
+floats as their repr) and compare the text with the indenting encoder's text
+for the same rows: at several depths, beside null values (the encoder's
+stand-in for a table), with strings that hold escapes, non-ASCII text,
+percent signs and the spellings of an older splice marker, for empty tables
+and for one of 2500 rows, with the chunk size as set and at 1 and 7 rows.
+They also check `row_texts` against formatting every row.
 """
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -17,10 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifnet.config import _MARK, Records, _plain, dump_json, json_strings, row_texts
+from ifnet import config
+from ifnet.config import Records, _plain, dump_json, json_strings, row_texts
 
-MARKERS = [_MARK + "0:0", _MARK + "0:1", _MARK + "1:0", _MARK + "0:"]
-TRICKY = ["},", "},\n", "}, {", "\n", '"', "\\", "\x00", "é", "日本", " ", "\U0001f600",
+# the placeholders dump_json once wrote for a table and spliced its text over
+MARKERS = ["\x00records0:0", "\x00records0:1", "\x00records1:0", "\x00records0:"]
+TRICKY = ["},", "},\n", "null", "}, {", "\n", '"', "\\", "\x00", "é", "日本", " ", "\U0001f600",
           "%s", "%", "%%(x)s", "[\n  {", "\n    }\n  ]", json.dumps(MARKERS[0])] + MARKERS
 
 texts = st.one_of(st.text(max_size=8), st.sampled_from(TRICKY),
@@ -29,15 +34,19 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 scalars = st.one_of(st.none(), st.booleans(), st.integers(), finite, texts)
 
 
+def records(columns: dict) -> Records:
+    """A `Records` of text columns of equal length."""
+    return Records(len(next(iter(columns.values()), [])), lambda lo, hi: {k: v[lo:hi] for k, v in columns.items()})
+
+
 class Table(Records):
     """A `Records` that keeps its rows, for the reference encoder."""
 
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: list):
-        keys = rows[0] if rows else {}
-        super().__init__({k: cell_texts([r[k] for r in rows]) for k in keys})
-        self.rows = rows
+    def __init__(self, data: list):
+        keys = data[0] if data else {}
+        table = records({k: cell_texts([r[k] for r in data]) for k in keys})
+        super().__init__(table.rows, table.cells)
+        self.data = data
 
 
 def cell_texts(values: list) -> list:
@@ -54,9 +63,10 @@ tables = st.lists(texts, min_size=1, max_size=5, unique=True).flatmap(
 def plain(obj):
     """The document with every table replaced by its list of rows."""
     if isinstance(obj, Table):
-        return obj.rows
+        return obj.data
     if isinstance(obj, Records):  # a bare table: its cells read back
-        return [dict(zip(obj.columns, map(json.loads, cells))) for cells in zip(*obj.columns.values())]
+        columns = obj.cells(0, obj.rows)
+        return [dict(zip(columns, map(json.loads, cells))) for cells in zip(*columns.values())]
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -70,7 +80,7 @@ def reference(doc) -> str:
 
 def sweep_like(cells):
     return {"cell_command": "simulate", "grid": ["beta:1:2:2"],
-            "cells": [{"index": i, "status": "ok", "result": {"spikes": rec, "steps": len(rec.rows)}}
+            "cells": [{"index": i, "status": "ok", "result": {"spikes": rec, "steps": rec.rows}}
                       for i, rec in enumerate(cells)]}
 
 
@@ -92,11 +102,50 @@ def test_dump_json_equals_indented_encoder(doc):
 @pytest.mark.parametrize("doc", [
     Table([]),
     {"spikes": Table([]), "steps": 0},
-    {"a": Table([{"x": 1}]), "b": [Table([{"y": "\n"}, {"y": "},"}]), Records({"z": []})]},
+    {"a": Table([{"x": 1}]), "b": [Table([{"y": "\n"}, {"y": "},"}]), records({"z": []})]},
     sweep_like([Table([{"step": 0, "t_bar": 0.5}]), Table([]), Table([{"step": 0}] * 3)]),
 ])
 def test_dump_json_record_placements(doc):
     assert dump_json(doc) == reference(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=documents, chunk=st.integers(1, 8))
+def test_dump_json_in_chunks_of_any_size(doc, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(config, "CHUNK_ROWS", chunk)
+        assert dump_json(doc) == reference(doc)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_a_table_with_a_csv_path_writes_both_files_from_one_pass(tmp_path, monkeypatch, chunk):
+    """The JSON rows quote the cells of `strings` and the CSV rows hold them as they
+    are; each chunk of cells is made once, for both."""
+    if chunk is not None:
+        monkeypatch.setattr(config, "CHUNK_ROWS", chunk)
+    size = config.CHUNK_ROWS
+    rows = 2 * size + 3
+    rng = np.random.default_rng(1)
+    t = rng.standard_normal(rows).tolist()
+    names = [["1;2", "é", "\\", "日本", ""][k] for k in rng.integers(5, size=rows)]
+    calls = []
+
+    def cells(lo, hi):
+        calls.append((lo, hi))
+        return {"step": list(map(str, range(lo, hi))), "t": list(map(repr, t[lo:hi])), "name": names[lo:hi]}
+
+    for count in (rows, 0):
+        calls.clear()
+        path = tmp_path / f"table_{count}.csv"
+        doc = {"a": [None, {"spikes": Records(count, cells, frozenset({"name"}), str(path))}], "z": None}
+        want = [{"step": k, "t": t[k], "name": names[k]} for k in range(count)]
+        assert dump_json(doc) == json.dumps({"a": [None, {"spikes": want}], "z": None}, sort_keys=True, indent=2) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["step", "t", "name"])
+        writer.writerows([k, t[k], names[k]] for k in range(count))
+        assert path.read_text(encoding="utf-8") == buf.getvalue()
+        assert calls == [(lo, min(lo + size, count)) for lo in range(0, max(count, 1), size)]
 
 
 def test_dump_json_large_table_of_tricky_keys_and_cells():
@@ -128,13 +177,13 @@ def test_dump_json_document_spelling_the_marker():
 
 @pytest.mark.parametrize("bad", [float("nan"), np.float64("nan"), float("inf"), np.float32("-inf")])
 def test_dump_json_rejects_non_finite_rows(bad):
-    doc = {"spikes": Table([{"t": 1.0}, {"t": float(bad)}])}
+    # a `Records` holds text its maker vouches for (simulate checks its arrays
+    # before it makes any), so rows of values are what the encoder checks
+    doc = {"spikes": [{"t": 1.0}, {"t": float(bad)}], "table": Table([{"t": 1.0}])}
     with pytest.raises(ValueError):
         reference(doc)
     with pytest.raises(ValueError):
         dump_json(doc)
-    with pytest.raises(ValueError):  # the spelling of json.dumps(allow_nan=True)
-        dump_json({"spikes": Records({"t": ["1.0", json.dumps(float(bad))]})})
     with pytest.raises(ValueError):
         dump_json({"t": bad})
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from ifnet import config
 from ifnet.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -61,9 +62,9 @@ IDS = {name: f"{name}-{suffix}" for name, suffix in (
     ("simulate_mixed8", 1), ("sweep_synchro_net_sync9", 1))}
 
 
-def run_case(name: str, out: Path) -> int:
+def run_case(name: str, out: Path, stdout=None) -> int:
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in CASES[name]]
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(stdout or io.StringIO()):
         return main(argv + ["--out", str(out)])
 
 
@@ -71,14 +72,30 @@ def outputs(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
-@pytest.mark.parametrize("name", CASES, ids=[IDS.get(name, name) for name in CASES])
-def test_golden_output(name, tmp_path):
-    assert run_case(name, tmp_path / "out") == 0
-    got = outputs(tmp_path / "out")
+def check_case(name: str, out: Path) -> None:
+    """Run the case: every --out file holds the recorded bytes, and stdout the
+    recorded <command>.json."""
+    stdout = io.StringIO()
+    assert run_case(name, out, stdout) == 0
+    got = outputs(out)
     want = outputs(GOLDEN / name)
     assert sorted(got) == sorted(want)
     for fname, data in want.items():
         assert got[fname] == data, f"{name}/{fname} differs from the recorded bytes"
+    assert stdout.getvalue().encode("utf-8") == want[f"{CASES[name][0]}.json"]
+
+
+@pytest.mark.parametrize("name", CASES, ids=[IDS.get(name, name) for name in CASES])
+def test_golden_output(name, tmp_path):
+    check_case(name, tmp_path / "out")
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("name", [name for name in CASES if name.startswith("simulate_")])
+def test_golden_simulate_in_chunks_of_any_size(name, chunk, tmp_path, monkeypatch):
+    # simulate.json, spikes.csv and trajectory.csv are written a chunk of rows at a time
+    monkeypatch.setattr(config, "CHUNK_ROWS", chunk)
+    check_case(name, tmp_path / "out")
 
 
 def record(names) -> None:

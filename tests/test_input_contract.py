@@ -2,8 +2,9 @@
 ends in a result or in a documented exit code (0-4), with exactly one stderr
 line when it is not 0.  A config value that is not a JSON number, or is not
 finite, a V0 coordinate outside [alpha, theta] or jumps into one neuron that
-sum past the float range end in exit 2, and so do an option the command does
-not read and an option value no command can use.
+sum past the float range end in exit 2, and so do a simulate whose cum_time
+passes the float range, an option the command does not read and an option
+value no command can use.
 
 Each config example mutates one or two scalar fields, H entries or V0 entries
 of a golden config with an edge value, then runs every command in-process
@@ -131,6 +132,7 @@ def run_command(argv):
 @example(case=("net_c_v0", [(("V0", 1), True)]))
 @example(case=("mixed8_v0", [(("H", 1, 0), -1.7976931348623157e308)]))
 @example(case=("mixed8_v0", [(("H", 1, 0), -1.7976931348623157e308), (("H", 2, 0), -1.7976931348623157e308)]))
+@example(case=("net_c_v0", [("gamma", 1e-307)]))  # cum_time overflows at step 11
 def test_every_input_ends_in_a_documented_exit(tmp_path_factory, case):
     name, mutations = case
     doc = copy.deepcopy(CONFIGS[name])
@@ -145,6 +147,26 @@ def test_every_input_ends_in_a_documented_exit(tmp_path_factory, case):
             assert err.count("\n") == 1 and err.endswith("\n"), (command, code, err)
         if malformed:
             assert code == 2 and err.startswith("config error: "), (command, code, err)
+
+
+def test_simulate_ends_a_cumulative_time_overflow_in_one_line(tmp_path):
+    """gamma = 1e-305 makes net_c_v0's cum_time overflow at step 1004: exit 2 with one
+    config error line, before any --out file is opened or stdout written, and a
+    sweep cell it happens in fails."""
+    doc = {**CONFIGS["net_c_v0"], "gamma": 1e-305}
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(doc))
+    out, stdout, err = tmp_path / "out", io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(path), "--max-iter", "2000", "--dt", "0.1", "--t-total", "5",
+                     "--out", str(out)])
+    assert (code, err.getvalue()) == (2, "config error: cum_time overflows the float range at step 1004 (gamma = 1e-305)\n")
+    assert stdout.getvalue() == "" and list(out.iterdir()) == []
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = main(["sweep", "--config", str(path), "--cell", "simulate", "--grid", "beta:1.2:1.2:1", "--max-iter", "2000"])
+    assert code == 1 and err.getvalue().endswith("\n1 sweep cell(s) failed\n")
+    cell = json.loads(stdout.getvalue())["cells"][0]
+    assert cell["status"] == "error" and cell["error"].startswith("RejectConfig: cum_time overflows the float range at step ")
 
 
 OPTION_EDGES = ["0", "-1", "-0.0", "5e-324", "1e300", "nan", "inf", "abc"]
