@@ -18,7 +18,6 @@ from .contraction import (
 from .cycles import (
     FateReport,
     LimitCycle,
-    PieceId,
     certify_cycle,
     classify_fate,
     cycle_census,

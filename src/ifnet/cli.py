@@ -112,7 +112,7 @@ def _cycle_doc(entry: cyc.CensusEntry) -> dict:
         "period": c.period,
         "time_period": c.time_period,
         "points": c.points,
-        "itinerary": [str(p) for p in c.itinerary],
+        "itinerary": c.itinerary,
         "min_margin": c.min_margin,
         "certificate": cert,
         "certified": c.certified,

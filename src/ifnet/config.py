@@ -95,22 +95,17 @@ def row_texts(arr, fmt=repr) -> list:
     row, keyed by the row's bytes (0.0 == -0.0, but they print differently)."""
     arr = np.ascontiguousarray(arr)
     raw = arr.reshape(len(arr), math.prod(arr.shape[1:])).view(np.uint8)
-    size = raw.shape[1]
-    if size <= 8:  # one key per row, fastest as an unsigned integer
-        keys = raw.view(f"u{size}" if size in (1, 2, 4, 8) else np.dtype((np.void, size)))
-        _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
-    else:  # zero-padded uint64 words, one sort key each: a void key sorts about ten times slower
-        if size % 8:
-            raw = np.hstack((raw, np.zeros((len(raw), -size % 8), np.uint8)))
-        words = raw.view(np.uint64)
-        order = np.lexsort(words.T)  # stable: each group of equal rows starts at its first row
-        new = np.zeros(len(raw), np.bool_)
-        new[:1] = True
-        for word in words.T:
-            w = word[order]
-            new[1:] |= w[1:] != w[:-1]
-        first, inverse = order[new], np.empty(len(raw), np.intp)
-        inverse[order] = np.cumsum(new) - 1
+    if raw.shape[1] % 8:
+        raw = np.hstack((raw, np.zeros((len(raw), -raw.shape[1] % 8), np.uint8)))
+    words = raw.view(np.uint64)  # zero-padded uint64 words, one sort key each: a void key sorts slower
+    order = np.lexsort(words.T)  # stable: each group of equal rows starts at its first row
+    new = np.zeros(len(raw), np.bool_)
+    new[:1] = True
+    for word in words.T:
+        w = word[order]
+        new[1:] |= w[1:] != w[:-1]
+    first, inverse = order[new], np.empty(len(raw), np.intp)
+    inverse[order] = np.cumsum(new) - 1
     return np.array([fmt(row) for row in arr[first].tolist()], object)[inverse].tolist()
 
 

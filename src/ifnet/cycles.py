@@ -31,6 +31,13 @@ itinerary by firing sets.  Its recurrence test is the same inequality, with
 margins as wide as the tie tolerance and no contraction: a recurrence within
 the tie tolerance, reported as an uncertified periodic orbit.
 
+A cycle's itinerary is the tuple of its pieces' printed names, as
+`cycles.json` writes them: "inhib:i" (neuron i, from 1), "sync" or
+"boundary" in certified mode, and the firing set, "J:1;3", in whole-section
+mode.  Detection works on integer piece codes; certified mode gives every
+return outside C_{c_bar} the one code _OUTSIDE, as such a return never
+recurs.
+
 Pieces and margins are computed for batches of states only (`_classify`).
 `certify_cycle` re-checks a certificate from the cycle's points alone, with
 all of them classified and stepped as one batch.
@@ -53,29 +60,15 @@ from .errors import HypothesisViolated, NumericalStall, PreconditionFailed
 from .params import NetworkParams, NeuronKind
 
 __all__ = [
-    "PieceId", "CycleCertificate", "LimitCycle", "FateReport",
+    "CycleCertificate", "LimitCycle", "FateReport",
     "detect_cycle", "certify_cycle",
     "cycle_census", "classify_fate", "sync_test",
     "CensusEntry", "CensusReport", "SyncReport",
 ]
 
 
-@dataclass(frozen=True)
-class PieceId:
-    kind: str                          # "sync" | "inhib" | "boundary" | "fires"
-    index: Optional[int] = None        # inhibitory neuron for "inhib"
-    fired: Optional[tuple] = None      # firing set for whole-section coding
-
-    def __str__(self) -> str:
-        if self.kind == "inhib":
-            return f"inhib:{self.index + 1}"
-        if self.kind == "fires":
-            return "J:" + ";".join(str(i + 1) for i in self.fired)
-        return self.kind
-
-
-# piece codes beside the inhibitory indices 0..n-1
-_SYNC, _BOUNDARY = -1, -2
+# piece codes beside the inhibitory indices 0..n-1; _OUTSIDE codes a return outside C_{c_bar}
+_SYNC, _BOUNDARY, _OUTSIDE = -1, -2, -3
 
 
 def _classify(params: NetworkParams, V: np.ndarray):
@@ -101,10 +94,6 @@ def _classify(params: NetworkParams, V: np.ndarray):
     return code, gap
 
 
-def _piece_id(code: int) -> PieceId:
-    return PieceId("inhib", index=code) if code >= 0 else PieceId("sync" if code == _SYNC else "boundary")
-
-
 @dataclass(frozen=True)
 class CycleCertificate:
     lam: float
@@ -116,7 +105,7 @@ class CycleCertificate:
 class LimitCycle:
     period: int
     points: np.ndarray                  # (period, n)
-    itinerary: tuple
+    itinerary: tuple                    # printed piece names: "inhib:2", "sync", "J:1;3", ...
     min_margin: Optional[float]
     certificate: Optional[CycleCertificate]
     certified: bool
@@ -128,7 +117,6 @@ class LimitCycle:
 class FateReport:
     outcome: str                        # synchronized | cycle | grazing | unresolved
     transient_steps: int
-    step: Optional[int] = None
     margin: Optional[float] = None
     cycle: Optional[LimitCycle] = None
     excitatory_death: Optional[bool] = None
@@ -152,7 +140,7 @@ def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float)
     code, gap = _classify(params, pts)
     min_marg = min((0.5 * gap).tolist())
     if min_marg < eta:
-        return FateReport("grazing", transient_steps=0, step=0, margin=min_marg)
+        return FateReport("grazing", transient_steps=0, margin=min_marg)
     c_enc = max(0.0, float(pts.max()))
     head = params.constants.c_bar * (1.0 - 1e-9) - c_enc
     if head <= 0:
@@ -162,8 +150,8 @@ def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float)
     if lam >= 1.0 or lam * ball + residual > ball or residual > 1e-10:
         raise NumericalStall("Banach ball inequality failed at the solved cycle")
     return LimitCycle(
-        period=p, points=pts, itinerary=tuple(map(_piece_id, code.tolist())),
-        min_margin=min_marg,
+        period=p, points=pts, min_margin=min_marg,
+        itinerary=tuple(f"inhib:{c + 1}" if c >= 0 else "sync" if c == _SYNC else "boundary" for c in code.tolist()),
         certificate=CycleCertificate(lam=lam, ball_radius=ball, residual=residual),
         certified=True, time_period=_period_time(params, pts),
     )
@@ -196,14 +184,19 @@ def _solve(params: NetworkParams, window: np.ndarray, eta: float):
 _MAX_PERIOD, _LOOK_BACK = 256, 8
 
 
-def _set_codes(fired: np.ndarray, sets: dict, n: int) -> np.ndarray:
-    """Piece code n + i of each row's firing set, i the set's index in `sets`
-    (packed firing set -> code, extended with the sets seen first here)."""
+def _set_codes(fired: np.ndarray, sets: dict, names: list) -> np.ndarray:
+    """Code of each row's firing set: its index in `names`, the printed names
+    ("J:1;3") of the sets seen so far.  `sets` maps a packed firing set to its
+    code; a set seen first here gets the next code and its name."""
     packed = np.packbits(fired, axis=1)
     order = np.lexsort(packed.T)
     new = np.concatenate(([True], (packed[order[1:]] != packed[order[:-1]]).any(axis=1)))
-    ids = np.array([sets.setdefault(packed[i].tobytes(), n + len(sets)) for i in order[new]])
-    return ids[np.cumsum(new) - 1][np.argsort(order)]
+    ids = []
+    for i in order[new].tolist():
+        ids.append(sets.setdefault(packed[i].tobytes(), len(names)))
+        if ids[-1] == len(names):
+            names.append("J:" + ";".join(str(j + 1) for j in np.flatnonzero(fired[i]).tolist()))
+    return np.array(ids)[np.cumsum(new) - 1][np.argsort(order)]
 
 
 def _walk(back: np.ndarray, f: np.ndarray, steps: int) -> np.ndarray:
@@ -220,21 +213,22 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
     Each return steps every live row with one `step_batch` call and tests the
     recurrences of all live rows with array operations; a row leaves the batch
     once its fate is known.  Each return of a live row is a record in a flat
-    history, which grows with the live rows: its state, its piece code (the
-    inhibitory winner, _SYNC, _BOUNDARY, or n + i for the i-th firing set
-    seen, which codes a return outside certified mode or outside the zone)
-    and its margin (-inf outside the zone).  The look-back candidates of a
-    return are the last _LOOK_BACK earlier records of its row with its code,
-    kept in a ring, at most _MAX_PERIOD returns back; the newest one that
-    passes the test is taken.  The one test compares the distance over
-    1 - lam ** p with the least margin of the window.  In certified mode lam
-    is the zone factor lam_det; outside it every margin is the tie tolerance
-    and lam is 0, so a state recurs when every potential ties its earlier
-    value.  Windows with the same piece word share one least-rotation key,
-    and candidates whose keys agree share one `_solve`, made in (return, row)
-    order.  Returns (fates, last_exc): fates[r] is row r's FateReport or the
-    error its solve raised, last_exc[r] the last return at which an
-    excitatory neuron fired (-1 for none).
+    history, which grows with the live rows: its state, its piece code and
+    its margin.  In certified mode the code is the inhibitory winner, _SYNC,
+    _BOUNDARY, or _OUTSIDE for a return outside C_{c_bar}, whose margin -inf
+    keeps it out of every recurrence; outside certified mode it is the
+    firing set's code from `_set_codes`, which only indexes the ring, and
+    every margin is the tie tolerance.  The look-back candidates of a return
+    are the last _LOOK_BACK earlier records of its row with its code, kept
+    in a ring, at most _MAX_PERIOD returns back; the newest one that passes
+    the test is taken.  The one test compares the distance over 1 - lam ** p
+    with the least margin of the window.  In certified mode lam is the zone
+    factor lam_det; outside it lam is 0, so a state recurs when every
+    potential ties its earlier value.  Windows with the same piece word share
+    one least-rotation key, and candidates whose keys agree share one
+    `_solve`, made in (return, row) order.  Returns (fates, last_exc):
+    fates[r] is row r's FateReport or the error its solve raised, last_exc[r]
+    the last return at which an excitatory neuron fired (-1 for none).
     """
     if max_iter < 0:
         raise PreconditionFailed("max_iter must be at least 0")
@@ -250,29 +244,29 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
     m, n = V0.shape
     fates = [None] * m
     last_exc = np.full(m, -1, np.int64)
-    sets, solved, keys = {}, {}, {}  # packed firing set -> code; least rotation -> its solve; word -> (shift, least rotation)
+    # packed firing set -> code; code -> printed name; least rotation -> its solve; word -> (shift, least rotation)
+    sets, names, solved, keys = {}, [], {}, {}
     # the flat history: per record its state, code, margin, return, and its row's record one return earlier
     states, codes, margs, rets, back = (np.zeros((4 * m, n)), *(np.zeros(4 * m, t) for t in (np.int64, np.float64, np.int64, np.int64)))
-    occ = np.full((m, n + 2, _LOOK_BACK), -1)  # the ring: by row and code + 2, its last records with that code, newest first
+    occ = np.full((m, n - _OUTSIDE, _LOOK_BACK), -1)  # the ring: by row and code - _OUTSIDE, its last records with that code, newest first
     top, live, V, before = 0, np.arange(m), V0, np.full(m, -1)  # before: each live row's latest record
     for k in range(max_iter + 1):
         zero = ~V.any(axis=1)
         for r in live[zero].tolist():
-            fates[r] = FateReport("synchronized", transient_steps=k, step=k)
+            fates[r] = FateReport("synchronized", transient_steps=k)
         live, V, before = live[~zero], V[~zero], before[~zero]
         if not live.size:
             break
         image, fired, _, _ = _kernels.step_batch(params, V)
         last_exc[live[fired[:, excit].any(axis=1)]] = k
-        code, marg = np.empty(live.size, np.int64), np.full(live.size, -math.inf if certified_mode else tie)
-        zone = _in_zone_rows(V, params.constants.c_bar) if certified_mode else np.zeros(live.size, np.bool_)
         if certified_mode:
+            zone = _in_zone_rows(V, params.constants.c_bar)
             piece, gap = _classify(params, V)
-            code[zone], marg[zone] = piece[zone], 0.5 * gap[zone]  # margin 0 on the boundary
-        if not zone.all():
-            code[~zone] = _set_codes(fired[~zone], sets, n)
-        if code.max() + 2 >= occ.shape[1]:
-            occ = np.concatenate((occ, np.full((m, code.max() + 3, _LOOK_BACK), -1)), axis=1)
+            code, marg = np.where(zone, piece, _OUTSIDE), np.where(zone, 0.5 * gap, -math.inf)  # margin 0 on the boundary
+        else:
+            zone, code, marg = np.zeros(live.size, np.bool_), _set_codes(fired, sets, names), np.full(live.size, tie)
+        if code.max() - _OUTSIDE >= occ.shape[1]:
+            occ = np.concatenate((occ, np.full((m, code.max() + 1, _LOOK_BACK), -1)), axis=1)
         graze = zone & (marg < eta)
 
         f = np.arange(top, top + live.size)
@@ -281,7 +275,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
             states, codes, margs, rets, back = (np.concatenate((a, np.zeros_like(a))) for a in (states, codes, margs, rets, back))
         states[f], codes[f], margs[f], rets[f], back[f] = V, code, marg, k, before
 
-        prev = occ[live, code + 2]
+        prev = occ[live, code - _OUTSIDE]
         i, j = np.nonzero((prev >= 0) & ~graze[:, None])  # the candidates, by row and then newest first
         cand = prev[i, j]
         p = k - rets[cand]
@@ -296,14 +290,13 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
         if ok.any():
             i, first = np.unique(i[ok], return_index=True)
             lag = p[ok][first]
-            named = [] if certified_mode else [tuple(np.flatnonzero(np.unpackbits(np.frombuffer(b, np.uint8))).tolist()) for b in sets]
             stay[i] = False
             for r, w, q in zip(live[i].tolist(), _walk(back, back[f[i]], lag.max()), lag.tolist()):
                 w = w[q - 1::-1]  # the records of returns k - q .. k - 1
                 if not certified_mode:
                     pts = states[w]
                     fates[r] = FateReport("cycle", transient_steps=k, cycle=LimitCycle(
-                        period=q, points=pts, itinerary=tuple(PieceId("fires", fired=named[c - n]) for c in codes[w].tolist()),
+                        period=q, points=pts, itinerary=tuple(names[c] for c in codes[w].tolist()),
                         min_margin=None, certificate=None, certified=False, time_period=_period_time(params, pts)))
                     continue
                 word = tuple(codes[w].tolist())
@@ -318,10 +311,10 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
                         solved[key] = exc
                 result = solved[key]
                 fates[r] = (FateReport("cycle", transient_steps=k, cycle=result) if isinstance(result, LimitCycle)
-                            else replace(result, transient_steps=k, step=k) if isinstance(result, FateReport) else result)
+                            else replace(result, transient_steps=k) if isinstance(result, FateReport) else result)
         for r, g in zip(live[graze].tolist(), marg[graze].tolist()):
-            fates[r] = FateReport("grazing", transient_steps=k, step=k, margin=g)
-        r, c = live[stay], code[stay] + 2
+            fates[r] = FateReport("grazing", transient_steps=k, margin=g)
+        r, c = live[stay], code[stay] - _OUTSIDE
         occ[r, c] = np.concatenate((f[stay, None], occ[r, c, :-1]), axis=1)
         live, V, before = live[stay], image[stay], f[stay]
     for r in live.tolist():
@@ -478,7 +471,7 @@ def classify_fate(params: NetworkParams, v0, max_iter: int = 2000, eta: float = 
         fate.excitatory_death = False
     elif fate.outcome == "cycle":
         cyc = fate.cycle
-        no_sync_piece = all(p.kind != "sync" for p in cyc.itinerary)
+        no_sync_piece = "sync" not in cyc.itinerary
         fired = _kernels.step_batch(params, cyc.points)[1]
         fate.excitatory_death = no_sync_piece and not fired[:, list(params.excitatory)].any()
     return fate

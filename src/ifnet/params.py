@@ -102,7 +102,8 @@ class NetworkParams:
         both non-strict sign conditions and this choice keeps Dale's principle
         satisfiable for unconnected networks.
         """
-        return tuple(_classify(self, j) for j in range(self.n))
+        off = _off_diagonal(self.H).reshape(self.n, self.n - 1)
+        return tuple(_KINDS[k] for k in ((off > 0).any(axis=1) + 2 * (off < 0).any(axis=1)).tolist())
 
     @cached_property
     def step_table(self) -> np.ndarray:
@@ -242,15 +243,8 @@ def number_array(name: str, value, shape: tuple) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
-def _classify(params: NetworkParams, j: int) -> NeuronKind:
-    row = np.delete(params.H[j], j)
-    has_pos = bool(np.any(row > 0))
-    has_neg = bool(np.any(row < 0))
-    if has_pos and has_neg:
-        return NeuronKind.MIXED
-    if has_pos:
-        return NeuronKind.EXCITATORY
-    return NeuronKind.INHIBITORY
+# the kind of a neuron by (a positive off-diagonal entry in its row) + 2 (a negative one)
+_KINDS = (NeuronKind.INHIBITORY, NeuronKind.EXCITATORY, NeuronKind.INHIBITORY, NeuronKind.MIXED)
 
 
 def _off_diagonal(H: np.ndarray) -> np.ndarray:

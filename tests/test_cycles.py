@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -50,19 +51,27 @@ def net_death():
 # ---------------------------------------------------------------- pieces & margins
 
 
+def piece_name(code):
+    """The printed name of a certified piece code."""
+    return {cycles._SYNC: "sync", cycles._BOUNDARY: "boundary"}.get(code, f"inhib:{code + 1}")
+
+
+def set_name(fired):
+    """The printed name of a firing set, given as one row of booleans."""
+    return "J:" + ";".join(str(j + 1) for j in np.flatnonzero(fired).tolist())
+
+
 def pieces_and_margins(params, V):
-    """PieceIds and margins of the rows of a batch of states in C_{c_bar}."""
+    """Piece names and margins of the rows of a batch of states in C_{c_bar}."""
     V = np.atleast_2d(np.asarray(V, np.float64))
     assert _in_zone_rows(V, params.constants.c_bar).all()
     code, gap = cycles._classify(params, V)
-    return [cycles._piece_id(c) for c in code.tolist()], (0.5 * gap).tolist()
+    return [piece_name(c) for c in code.tolist()], (0.5 * gap).tolist()
 
 
 def test_classify_fixtures(net_c):
     pieces, _ = pieces_and_margins(net_c, [[0.4, 0.0, 0.2], [0.0, 0.4, 0.2], [0.0, 0.3, 0.3]])
-    assert pieces[0].kind == "sync"
-    assert pieces[1].kind == "inhib" and pieces[1].index == 1
-    assert pieces[2].kind == "boundary"
+    assert pieces == ["sync", "inhib:2", "boundary"]
 
 
 def test_in_zone_rows_flags_a_state_outside_the_zone(net_c):
@@ -125,7 +134,7 @@ def test_detect_synchronization_net_c(net_c):
 
 def test_detect_zero_vector_immediate(net_c):
     fate = detect_cycle(net_c, np.zeros(3))
-    assert fate.outcome == "synchronized" and fate.step == 0
+    assert fate.outcome == "synchronized" and fate.transient_steps == 0
 
 
 def test_detect_repeller_orbit_whole_section(net_a):
@@ -150,7 +159,7 @@ def test_detect_net_d_certified_cycle(net_d):
     assert sorted(float(p.max()) for p in cyc.points) == pytest.approx(
         [NET_D_XSTAR, NET_D_XSTAR], abs=1.2e-16)
     assert cyc.certificate.residual <= 1e-10
-    assert {p.kind for p in cyc.itinerary} == {"inhib"}
+    assert sorted(cyc.itinerary) == ["inhib:1", "inhib:2"]
     # independent residual check via orbit composition
     states, _, _ = run_orbit(net_d, cyc.points[0], cyc.period)
     assert np.max(np.abs(states[-1] - cyc.points[0])) <= cyc.certificate.residual
@@ -159,7 +168,7 @@ def test_detect_net_d_certified_cycle(net_d):
 def test_detect_grazing_on_tie_start(net_c):
     fate = detect_cycle(net_c, [0.0, 0.3, 0.3], eta=1e-6)
     assert fate.outcome == "grazing"
-    assert fate.margin == 0.0 and fate.step == 0
+    assert fate.margin == 0.0 and fate.transient_steps == 0
 
 
 def test_certify_detected_cycles_and_reject_tampered(net_d):
@@ -248,7 +257,7 @@ def test_census_seed_stable(net_d):
 
 def _same_fate(a, b):
     """Field-by-field equality of two FateReports, floats and points bit for bit."""
-    assert (a.outcome, a.transient_steps, a.step) == (b.outcome, b.transient_steps, b.step)
+    assert (a.outcome, a.transient_steps) == (b.outcome, b.transient_steps)
     assert repr(a.margin) == repr(b.margin)
     assert (a.excitatory_death, a.last_excitatory_spike) == (b.excitatory_death, b.last_excitatory_spike)
     assert (a.cycle is None) == (b.cycle is None)
@@ -300,13 +309,14 @@ def test_census_fate_equals_single_start(name, request):
 
 class _Track:
     """Detection's record of one sample's orbit: per return its state, piece
-    (a firing set outside the zone) and margin (None outside the zone), and
-    the returns at which each piece occurred."""
+    name (a firing set's outside the zone), piece code (None outside the
+    zone) and margin (None outside the zone), and the returns at which each
+    piece occurred."""
 
-    __slots__ = ("states", "pieces", "margins", "seen")
+    __slots__ = ("states", "pieces", "codes", "margins", "seen")
 
     def __init__(self):
-        self.states, self.pieces, self.margins = [], [], []
+        self.states, self.pieces, self.codes, self.margins = [], [], [], []
         self.seen = {}
 
 
@@ -342,7 +352,7 @@ def reference_fates(params, V0, max_iter, eta):
     for k in range(max_iter + 1):
         zero = ~V.any(axis=1)
         for r in live[zero].tolist():
-            fates[r] = cycles.FateReport("synchronized", transient_steps=k, step=k)
+            fates[r] = cycles.FateReport("synchronized", transient_steps=k)
         live, V = live[~zero], V[~zero]
         if not live.size:
             break
@@ -356,15 +366,16 @@ def reference_fates(params, V0, max_iter, eta):
         for i, r in enumerate(live.tolist()):
             if certified_mode and zone[i]:
                 if marg[i] < eta:
-                    fates[r] = cycles.FateReport("grazing", transient_steps=k, step=k, margin=marg[i])
+                    fates[r] = cycles.FateReport("grazing", transient_steps=k, margin=marg[i])
                     leave[i] = True
                     continue
-                piece, m_k = cycles._piece_id(code[i]), marg[i]
+                piece, c_k, m_k = piece_name(code[i]), code[i], marg[i]
             else:
-                piece, m_k = cycles.PieceId("fires", fired=tuple(np.flatnonzero(fired[i]).tolist())), None
+                piece, c_k, m_k = set_name(fired[i]), None, None
             track, state = tracks[r], V[i]
             track.states.append(state)
             track.pieces.append(piece)
+            track.codes.append(c_k)
             track.margins.append(m_k)
             history = track.seen.setdefault(piece, [])
             for prev in reversed(history[-8:]):
@@ -399,7 +410,8 @@ def reference_fates(params, V0, max_iter, eta):
 
     solved = {}  # least rotation of a piece word -> its solve
     for r, prev, k in candidates:
-        word = [piece.index for piece in tracks[r].pieces[prev:k]]
+        # keyed by inhibitory index, not by name: "inhib:10" sorts before "inhib:2"
+        word = tracks[r].codes[prev:k]
         s = min(range(k - prev), key=lambda i: word[i:] + word[:i])
         key = tuple(word[s:] + word[:s])
         if key not in solved:
@@ -411,7 +423,7 @@ def reference_fates(params, V0, max_iter, eta):
         if isinstance(result, cycles.LimitCycle):
             result = cycles.FateReport("cycle", transient_steps=k, cycle=result)
         elif isinstance(result, cycles.FateReport):
-            result = replace(result, transient_steps=k, step=k)
+            result = replace(result, transient_steps=k)
         fates[r] = result
     return fates, last_exc
 
@@ -522,6 +534,55 @@ def test_fates_history_grows_with_the_live_rows(net_a, monkeypatch):
     assert max(f.transient_steps for f in fates[:-1]) <= 1
     dense = V0.size * max_iter * 8  # samples x max_iter x n float64
     assert peak < dense / 16, (peak, dense)
+
+
+def test_certified_mode_codes_no_firing_set(monkeypatch):
+    # returns outside C_{c_bar} share one code, so certified mode never codes a firing set
+    params = mixed8()
+    V0 = _diff_starts(params, "mixed8", 0, 40, 40)
+    outside = ~_in_zone_rows(V0, params.constants.c_bar)
+    calls = []
+    monkeypatch.setattr(cycles, "_set_codes", lambda *a: calls.append(a))
+    fates, _ = cycles._fates(params, V0, 300, 1e-6)
+    assert outside.sum() >= 30 and calls == []
+    assert {f.outcome for f in fates} >= {"cycle", "synchronized"}
+
+
+def test_whole_section_mode_names_each_firing_set_once(monkeypatch):
+    # the names of the firing sets seen are made once, when each set is first
+    # seen, and every itinerary holds those very strings
+    params, made = load_config(str(GOLDEN / "dale4.json")).params, []
+    set_codes = cycles._set_codes
+
+    def spy(fired, sets, names):
+        before = list(names)
+        codes = set_codes(fired, sets, names)
+        assert all(a is b for a, b in zip(before, names))  # earlier names are kept, not made again
+        made.extend(names[len(before):])
+        assert sorted(names[c] for c in set(codes.tolist())) == sorted({set_name(f) for f in fired})
+        return codes
+
+    monkeypatch.setattr(cycles, "_set_codes", spy)
+    fates, _ = cycles._fates(params, _diff_starts(params, "dale4", 0, 200, 20), 2000, 1e-6)
+    cyc = [f.cycle for f in fates if f.outcome == "cycle"]
+    assert len(cyc) > 50 and len(made) == len(set(made)) > 2
+    assert all(any(p is m for m in made) for c in cyc for p in c.itinerary)
+
+
+@pytest.mark.parametrize("name, eta", [("mixed8", 1e-4), ("dale4", 1e-6)])
+def test_itineraries_are_the_printed_piece_names(name, eta):
+    # certified (mixed8) and whole-section (dale4) mode: every function hands back
+    # the itinerary cycles.json prints, as a tuple of str
+    params = load_config(str(GOLDEN / f"{name}.json")).params
+    recorded = json.loads((GOLDEN / f"cycles_{name}" / "cycles.json").read_text())["cycles"]
+    census = cycle_census(params, 30, seed=0, eta=eta)
+    got = [e.cycle.itinerary for e in census.entries]
+    assert [list(it) for it in got] == [c["itinerary"] for c in recorded] and len(got) == 1
+    start = next(v0 for v0 in cycles._census_starts(params, 30, seed=0)
+                 if detect_cycle(params, v0, eta=eta).outcome == "cycle")
+    for fate in (detect_cycle(params, start, eta=eta), classify_fate(params, start, eta=eta)):
+        it = fate.cycle.itinerary
+        assert type(it) is tuple and all(type(p) is str for p in it) and it == got[0]
 
 
 def test_census_counts_fates_that_share_a_solve_without_matching(monkeypatch):
@@ -664,7 +725,7 @@ def test_classify_fate_death_branch(net_death):
     fate = classify_fate(net_death, [-0.8, 0.4, 0.2])
     assert fate.outcome == "cycle"
     assert fate.excitatory_death is True
-    assert all(p.kind == "inhib" for p in fate.cycle.itinerary)
+    assert all(p.startswith("inhib:") for p in fate.cycle.itinerary)
 
 
 def test_classify_fate_sync_branch(net_death):
@@ -694,7 +755,7 @@ def test_classify_fate_excitatory_record(net_death):
             fired = set()
             for pt in fate.cycle.points:
                 fired.update(return_map(net_death, pt).fired.tolist())
-            no_sync = all(p.kind != "sync" for p in fate.cycle.itinerary)
+            no_sync = "sync" not in fate.cycle.itinerary
             assert fate.excitatory_death == (no_sync and not fired & excit)
     assert outcomes == {"synchronized", "cycle"}
 

@@ -202,8 +202,11 @@ def test_row_texts_formats_every_row_by_its_bytes():
     assert len(calls) == 3  # one call per distinct row
     fired = np.array([[True, False, True], [False, True, False], [True, False, True]])
     assert row_texts(fired, str) == list(map(str, fired.tolist()))
-    for rows in (fired[:, :1], fired[:, :2], np.hstack((fired, fired[:, :1])), v.astype(np.float32)):
-        assert row_texts(rows, str) == list(map(str, rows.tolist()))  # rows of 1, 2 and 4 bytes
+    # rows of 1 to 8 bytes, each zero-padded to one uint64 word
+    for width in range(1, 9):
+        rows = np.hstack((fired, ~fired, fired[::-1]))[:, :width]
+        assert row_texts(rows, str) == list(map(str, rows.tolist())), width
+    assert row_texts(v.astype(np.float32), str) == list(map(str, v.astype(np.float32).tolist()))
     assert row_texts(states[:, ::-1]) == list(map(repr, states[:, ::-1].tolist()))
     assert row_texts(np.empty((0, 3))) == []
 

@@ -474,6 +474,20 @@ def test_run_orbit_matches_plain_step_loop(case):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_run_orbit_copies_its_tail_without_temporaries():
+    # net_c_v0 reaches the fixed point 0;0;0 within a few returns, so nearly
+    # every row is copied; the copies add at most a tenth to what is returned
+    p, v0 = ORBIT_NETWORKS["net_c"], load_config(str(GOLDEN / "net_c_v0.json")).v0
+    tracemalloc.start()
+    try:
+        out = _kernels.run_orbit(p, v0, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in out)
+    assert (out[0][-1] == 0.0).all() and peak <= 1.1 * held, (peak, held)
+
+
 PIECE_NETWORKS = dict(ORBIT_NETWORKS, net_d=network(2, 1.0, 1.2, 1.0, -1.0, [[0.0, -0.6], [-0.6, 0.0]]))
 
 

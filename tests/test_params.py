@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ifnet import (
+    NetworkParams,
     NeuronKind,
     ParseError,
     RejectConfig,
@@ -98,6 +99,31 @@ def test_classify_neurons():
          [0.5, -0.2, 0.0]]
     p = network(3, 1.0, 1.2, 1.0, -1.0, H)
     assert p.kinds == (NeuronKind.EXCITATORY, NeuronKind.INHIBITORY, NeuronKind.MIXED)
+
+
+def reference_kinds(H):
+    """Each neuron's kind from the signs of its own row, diagonal left out."""
+    kinds = []
+    for j, row in enumerate(H):
+        row = np.delete(row, j)
+        pos, neg = bool((row > 0).any()), bool((row < 0).any())
+        kinds.append(NeuronKind.MIXED if pos and neg else NeuronKind.EXCITATORY if pos else NeuronKind.INHIBITORY)
+    return tuple(kinds)
+
+
+def test_kinds_equal_the_per_neuron_reference():
+    # NetworkParams keeps the drawn diagonal, which the kinds must not read;
+    # zeros and -0.0 count as neither sign
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(600):
+        n = int(rng.integers(1, 12))
+        H = rng.choice([-0.5, -0.0, 0.0, 0.3], size=(n, n), p=[0.15, 0.1, 0.5, 0.25])
+        H *= rng.uniform(0.5, 1.5, (n, n))
+        p = NetworkParams(n, 1.0, 1.2, 1.0, -1.0, H)
+        assert p.kinds == reference_kinds(H)
+        seen.update(p.kinds)
+    assert seen == set(NeuronKind)
 
 
 def test_isolated_neuron_counts_as_inhibitory():
