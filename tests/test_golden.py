@@ -53,6 +53,9 @@ CASES = {
     "expansion_net_b_200": ["expansion", "--config", "net_b.json", "--samples", "200"],
     # pair (1, 2) meets O1 to O3 and neuron 3 fires on every witness
     "expansion_net_o3": ["expansion", "--config", "net_o3.json", "--samples", "20"],
+    # n = 64 Dale network (rows 1-8 excitatory, |H| in [0.2, 0.5], default_rng(5)): cycles of
+    # periods 16 and 6 above c_bar, and step batches past _kernels._DENSE_MAX terms
+    "cycles_dale64": ["cycles", "--config", "dale64.json", "--samples", "200"],
 }
 
 # Test ids.  The first cases keep the "-<n>" suffix of the thread count they
