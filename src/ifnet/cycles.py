@@ -14,29 +14,33 @@ runner-up potentials) bounds how far the state can be perturbed without
 changing its piece.
 
 Cycle certification is a Banach ball argument: if every point of a candidate
-period-p orbit has margin above r, the p-step image of the r-ball around a
-point stays inside it (lambda * r + residual <= r for the contraction factor
-lambda of a zone containing the balls), then a unique attracting periodic
-orbit lives in the ball.  Detection watches the orbit's piece itinerary for a
-recurrence whose contraction budget admits such an r, then solves the cycle of
-that piece word once, for every orbit that recurs on it.  The census steps
-all its samples as one batch and keeps their itineraries in arrays: each
-return tests every live sample's look-back candidates (the last 8 earlier
-returns on its piece) with array operations, so its cost follows the returns
-stepped, not the number of Python objects per sample.
+period-p orbit has an inhibitory winner whose margin exceeds r, the balls of
+radius r lie in C_{c_bar}, and the p-step image of the r-ball around a point
+stays inside it (lambda * r + residual <= r for the contraction factor lambda
+of the zone at level max coordinate + r), then a unique attracting periodic
+orbit lives in the ball.  It needs a Dale network with an inhibitory neuron,
+not the interaction strength H3: H3 only makes every orbit reach the zone.
 
-Networks that do not satisfy the certification hypotheses (e.g. purely
-excitatory ones) are still handled in a whole-section mode that codes the
-itinerary by firing sets.  Its recurrence test is the same inequality, with
-margins as wide as the tie tolerance and no contraction: a recurrence within
-the tie tolerance, reported as an uncertified periodic orbit.
+Detection codes each return by its winner (the neuron of largest potential)
+and watches each orbit for a recurrence: a return within the tie tolerance of
+an earlier one with the same winner, or, when the image of C_{c_bar} lies in
+a strictly smaller zone of factor lambda < 1, a return close enough that the
+contraction budget admits a ball inside every margin of the window between
+them.  A return inside C_{c_bar} of a certifiable network has its winner
+margin, and grazes when that is below eta; every other return has the tie
+tolerance as its margin.  A recurring window inside C_{c_bar} of a
+certifiable network is solved once per piece word, for every orbit that
+recurs on it; any other window, and one whose solve fails on a recurrence
+within the tie tolerance, is reported as an uncertified cycle of its
+recurrent states.  The census steps all its samples as one batch and keeps
+their itineraries in arrays: each return tests every live sample's
+look-back candidates (the last 8 earlier returns with its winner) with array
+operations, so its cost follows the returns stepped, not the number of
+Python objects per sample.
 
 A cycle's itinerary is the tuple of its pieces' printed names, as
-`cycles.json` writes them: "inhib:i" (neuron i, from 1), "sync" or
-"boundary" in certified mode, and the firing set, "J:1;3", in whole-section
-mode.  Detection works on integer piece codes; certified mode gives every
-return outside C_{c_bar} the one code _OUTSIDE, as such a return never
-recurs.
+`cycles.json` writes them: "inhib:i" (neuron i, from 1) for a certified
+cycle, and the firing set, "J:1;3", for an uncertified one.
 
 Pieces and margins are computed for batches of states only (`_classify`).
 `certify_cycle` re-checks a certificate from the cycle's points alone, with
@@ -48,6 +52,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -57,7 +62,7 @@ from ._sampling import restart, rng_stream, sample_on_section
 from .contraction import _in_zone_rows, _zone_after_return, lambda_for_zone
 from .dynamics import as_state
 from .errors import HypothesisViolated, NumericalStall, PreconditionFailed
-from .params import NetworkParams, NeuronKind
+from .params import NetworkParams
 
 __all__ = [
     "CycleCertificate", "LimitCycle", "FateReport",
@@ -67,8 +72,13 @@ __all__ = [
 ]
 
 
-# piece codes beside the inhibitory indices 0..n-1; _OUTSIDE codes a return outside C_{c_bar}
-_SYNC, _BOUNDARY, _OUTSIDE = -1, -2, -3
+# piece codes beside the inhibitory indices 0..n-1
+_SYNC, _BOUNDARY = -1, -2
+
+
+def _certifiable(params: NetworkParams) -> bool:
+    """A Dale network with an inhibitory neuron: one whose cycles a certificate can cover."""
+    return params.hypotheses.h4 and bool(params.inhibitory)
 
 
 def _classify(params: NetworkParams, V: np.ndarray):
@@ -105,7 +115,7 @@ class CycleCertificate:
 class LimitCycle:
     period: int
     points: np.ndarray                  # (period, n)
-    itinerary: tuple                    # printed piece names: "inhib:2", "sync", "J:1;3", ...
+    itinerary: tuple                    # printed piece names: "inhib:2", "J:1;3", ...
     min_margin: Optional[float]
     certificate: Optional[CycleCertificate]
     certified: bool
@@ -129,9 +139,23 @@ def _period_time(params: NetworkParams, points: np.ndarray) -> float:
     return float(sum(t.tolist()))
 
 
+def _ball_factor(params: NetworkParams, pts: np.ndarray, code: np.ndarray, r: float) -> float:
+    """The least contraction factor a certificate of ball radius r may claim
+    for cycle points of piece codes `code`: lambda of the zone at level
+    max(0, largest coordinate) + r, which holds the r-balls.  Raises
+    PreconditionFailed unless every point has an inhibitory winner and that
+    level lies in [0, c_bar)."""
+    level = max(0.0, float(pts.max())) + r
+    if not ((code >= 0).all() and level < params.constants.c_bar):
+        raise PreconditionFailed("a cycle point has no inhibitory winner, or its ball leaves C_{c_bar}")
+    return lambda_for_zone(params, level)  # which raises below level 0
+
+
 def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float):
     """LimitCycle with its Banach certificate from 2p + 1 settled iterates,
-    or a grazing FateReport when the cycle hugs the boundary below eta."""
+    or a grazing FateReport when the cycle hugs the boundary below eta.  A
+    cycle point without an inhibitory winner is refused: without H3 the
+    synchronization piece need not map to the origin."""
     # the residual is measured at every cycle point
     residual = float(np.abs(seq[p:] - seq[:p + 1]).max())
     pts = seq[:p]
@@ -146,12 +170,12 @@ def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float)
     if head <= 0:
         raise NumericalStall("cycle points leave the certifiable zone")
     ball = 0.5 * min(min_marg, head)
-    lam = lambda_for_zone(params, c_enc + ball)
+    lam = _ball_factor(params, pts, code, ball)
     if lam >= 1.0 or lam * ball + residual > ball or residual > 1e-10:
         raise NumericalStall("Banach ball inequality failed at the solved cycle")
     return LimitCycle(
         period=p, points=pts, min_margin=min_marg,
-        itinerary=tuple(f"inhib:{c + 1}" if c >= 0 else "sync" if c == _SYNC else "boundary" for c in code.tolist()),
+        itinerary=tuple(f"inhib:{c + 1}" for c in code.tolist()),
         certificate=CycleCertificate(lam=lam, ball_radius=ball, residual=residual),
         certified=True, time_period=_period_time(params, pts),
     )
@@ -184,19 +208,10 @@ def _solve(params: NetworkParams, window: np.ndarray, eta: float):
 _MAX_PERIOD, _LOOK_BACK = 256, 8
 
 
-def _set_codes(fired: np.ndarray, sets: dict, names: list) -> np.ndarray:
-    """Code of each row's firing set: its index in `names`, the printed names
-    ("J:1;3") of the sets seen so far.  `sets` maps a packed firing set to its
-    code; a set seen first here gets the next code and its name."""
-    packed = np.packbits(fired, axis=1)
-    order = np.lexsort(packed.T)
-    new = np.concatenate(([True], (packed[order[1:]] != packed[order[:-1]]).any(axis=1)))
-    ids = []
-    for i in order[new].tolist():
-        ids.append(sets.setdefault(packed[i].tobytes(), len(names)))
-        if ids[-1] == len(names):
-            names.append("J:" + ";".join(str(j + 1) for j in np.flatnonzero(fired[i]).tolist()))
-    return np.array(ids)[np.cumsum(new) - 1][np.argsort(order)]
+@lru_cache(maxsize=1 << 12)
+def _set_name(fired: bytes) -> str:
+    """Printed name of a firing set, given as the bytes of one row of bools: "J:1;3"."""
+    return "J:" + ";".join(str(j + 1) for j in np.flatnonzero(np.frombuffer(fired, np.bool_)).tolist())
 
 
 def _walk(back: np.ndarray, f: np.ndarray, steps: int) -> np.ndarray:
@@ -213,42 +228,46 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
     Each return steps every live row with one `step_batch` call and tests the
     recurrences of all live rows with array operations; a row leaves the batch
     once its fate is known.  Each return of a live row is a record in a flat
-    history, which grows with the live rows: its state, its piece code and
-    its margin.  In certified mode the code is the inhibitory winner, _SYNC,
-    _BOUNDARY, or _OUTSIDE for a return outside C_{c_bar}, whose margin -inf
-    keeps it out of every recurrence; outside certified mode it is the
-    firing set's code from `_set_codes`, which only indexes the ring, and
-    every margin is the tie tolerance.  The look-back candidates of a return
-    are the last _LOOK_BACK earlier records of its row with its code, kept
-    in a ring, at most _MAX_PERIOD returns back; the newest one that passes
-    the test is taken.  The one test compares the distance over 1 - lam ** p
-    with the least margin of the window.  In certified mode lam is the zone
-    factor lam_det; outside it lam is 0, so a state recurs when every
-    potential ties its earlier value.  Windows with the same piece word share
-    one least-rotation key, and candidates whose keys agree share one
-    `_solve`, made in (return, row) order.  Returns (fates, last_exc):
-    fates[r] is row r's FateReport or the error its solve raised, last_exc[r]
-    the last return at which an excitatory neuron fired (-1 for none).
+    history, which grows with the live rows: its state, its firing set, its
+    code (the winner, the first neuron of largest potential), its margin and
+    whether it lies in C_{c_bar} of a certifiable network.  A return inside
+    C_{c_bar} of a certifiable network has half its winner gap as margin (0
+    on the boundary) and grazes when that is below eta; every other return
+    has the tie tolerance.  The look-back candidates of a return are the last
+    _LOOK_BACK earlier records of its row with its code, kept in a ring, at
+    most _MAX_PERIOD returns back; the newest one that passes the test is
+    taken.  A candidate passes when its sup distance is within the tie
+    tolerance, or when the contraction budget admits it: the distance over
+    1 - lam ** p is at most the least margin of the window.  There is a
+    budget only when lam, the factor of the zone that holds the image of
+    C_{c_bar} in a certifiable network, is that of a level in [0, c_bar)
+    (which H3 gives).  A window wholly inside C_{c_bar} of a certifiable
+    network is solved: windows with the same piece word share one
+    least-rotation key, and candidates whose keys agree share one `_solve`,
+    made in (return, row) order.  Any other window is an uncertified cycle of
+    its states, and so is one whose solve fails on a recurrence within the
+    tie tolerance.  Returns (fates, last_exc): fates[r] is row r's FateReport
+    or the error its solve raised, last_exc[r] the last return at which an
+    excitatory neuron fired (-1 for none).
     """
     if max_iter < 0:
         raise PreconditionFailed("max_iter must be at least 0")
-    rep = params.hypotheses
-    lam_det = lambda_for_zone(params, _zone_after_return(params)) if rep.h3 and rep.h4 and params.inhibitory else 1.0
-    certified_mode = lam_det < 1.0
-    # 1 - lam ** p by lag p, each from the Python expression: positive for every lag p >= 1,
-    # as 0 <= lam < 1, and 1.0 outside certified mode
-    denom = np.array([1.0 - (lam_det if certified_mode else 0.0) ** p for p in range(_MAX_PERIOD + 1)])
-    tie = params.tie_tol()
+    certifiable, c_bar, tie = _certifiable(params), params.constants.c_bar, params.tie_tol()
+    level = _zone_after_return(params)
+    lam = lambda_for_zone(params, level) if certifiable and 0.0 <= level < c_bar else 1.0
+    # 1 - lam ** p by lag p, each from the Python expression: positive for every lag p >= 1 when
+    # lam < 1, the contraction budget; without one nothing but a tie passes
+    denom = np.array([1.0 - lam ** p for p in range(_MAX_PERIOD + 1)])
     excit = list(params.excitatory)
 
     m, n = V0.shape
     fates = [None] * m
     last_exc = np.full(m, -1, np.int64)
-    # packed firing set -> code; code -> printed name; least rotation -> its solve; word -> (shift, least rotation)
-    sets, names, solved, keys = {}, [], {}, {}
-    # the flat history: per record its state, code, margin, return, and its row's record one return earlier
-    states, codes, margs, rets, back = (np.zeros((4 * m, n)), *(np.zeros(4 * m, t) for t in (np.int64, np.float64, np.int64, np.int64)))
-    occ = np.full((m, n - _OUTSIDE, _LOOK_BACK), -1)  # the ring: by row and code - _OUTSIDE, its last records with that code, newest first
+    solved, keys = {}, {}  # least rotation -> its solve; word -> (shift, least rotation)
+    # the flat history: per record its state, firing set, code, margin, zone flag, return, and its row's record one return earlier
+    states, sets = np.zeros((4 * m, n)), np.zeros((4 * m, n), np.bool_)
+    codes, margs, zones, rets, back = (np.zeros(4 * m, t) for t in (np.int64, np.float64, np.bool_, np.int64, np.int64))
+    occ = np.full((m, n, _LOOK_BACK), -1)  # the ring: by row and code, its last records with that code, newest first
     top, live, V, before = 0, np.arange(m), V0, np.full(m, -1)  # before: each live row's latest record
     for k in range(max_iter + 1):
         zero = ~V.any(axis=1)
@@ -259,29 +278,26 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
             break
         image, fired, _, _ = _kernels.step_batch(params, V)
         last_exc[live[fired[:, excit].any(axis=1)]] = k
-        if certified_mode:
-            zone = _in_zone_rows(V, params.constants.c_bar)
-            piece, gap = _classify(params, V)
-            code, marg = np.where(zone, piece, _OUTSIDE), np.where(zone, 0.5 * gap, -math.inf)  # margin 0 on the boundary
-        else:
-            zone, code, marg = np.zeros(live.size, np.bool_), _set_codes(fired, sets, names), np.full(live.size, tie)
-        if code.max() - _OUTSIDE >= occ.shape[1]:
-            occ = np.concatenate((occ, np.full((m, code.max() + 1, _LOOK_BACK), -1)), axis=1)
+        code = V.argmax(axis=1)
+        zone = _in_zone_rows(V, c_bar) & certifiable
+        marg = np.where(zone, 0.5 * _classify(params, V)[1], tie) if certifiable else np.full(live.size, tie)
         graze = zone & (marg < eta)
 
-        f = np.arange(top, top + live.size)
-        top += live.size
+        h = slice(top, top + live.size)  # this return's records
+        f, top = np.arange(h.start, h.stop), h.stop
         if top > len(rets):  # double the history's capacity
-            states, codes, margs, rets, back = (np.concatenate((a, np.zeros_like(a))) for a in (states, codes, margs, rets, back))
-        states[f], codes[f], margs[f], rets[f], back[f] = V, code, marg, k, before
+            states, sets, codes, margs, zones, rets, back = (
+                np.concatenate((a, np.zeros_like(a))) for a in (states, sets, codes, margs, zones, rets, back))
+        states[h], sets[h], codes[h], margs[h], zones[h], rets[h], back[h] = V, fired, code, marg, zone, k, before
 
-        prev = occ[live, code - _OUTSIDE]
+        prev = occ[live, code]
         i, j = np.nonzero((prev >= 0) & ~graze[:, None])  # the candidates, by row and then newest first
         cand = prev[i, j]
         p = k - rets[cand]
         keep = p <= _MAX_PERIOD
         i, cand, p = i[keep], cand[keep], p[keep]
-        ratio = np.abs(V[i] - states[cand]).max(axis=1) / denom[p]
+        dist = np.abs(V[i] - states[cand]).max(axis=1)
+        ratio = np.where(dist <= tie, 0.0, dist / denom[p] if lam < 1.0 else math.inf)  # 0: every margin admits a tie
         ok = (ratio <= marg[i]) & (ratio <= margs[cand])  # the margins at both ends
         if ok.any():  # the window's least margin, from a suffix-min back from return k
             low = np.minimum.accumulate(margs[_walk(back, f[i[ok]], p[ok].max() + 1)], axis=1)
@@ -289,32 +305,33 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
         stay = ~graze
         if ok.any():
             i, first = np.unique(i[ok], return_index=True)
-            lag = p[ok][first]
+            lag, exact = p[ok][first], ratio[ok][first] == 0.0
             stay[i] = False
-            for r, w, q in zip(live[i].tolist(), _walk(back, back[f[i]], lag.max()), lag.tolist()):
+            walk = _walk(back, back[f[i]], lag.max())  # by row, its records of returns k - 1, k - 2, ...
+            inside = np.logical_and.accumulate(zones[walk], axis=1)[np.arange(len(i)), lag - 1]  # window in the zone
+            for r, w, q, e, z in zip(live[i].tolist(), walk, lag.tolist(), exact.tolist(), inside.tolist()):
                 w = w[q - 1::-1]  # the records of returns k - q .. k - 1
-                if not certified_mode:
-                    pts = states[w]
-                    fates[r] = FateReport("cycle", transient_steps=k, cycle=LimitCycle(
-                        period=q, points=pts, itinerary=tuple(names[c] for c in codes[w].tolist()),
-                        min_margin=None, certificate=None, certified=False, time_period=_period_time(params, pts)))
-                    continue
-                word = tuple(codes[w].tolist())
-                if word not in keys:
-                    s = min(range(q), key=lambda i: word[i:] + word[:i])
-                    keys[word] = s, word[s:] + word[:s]
-                s, key = keys[word]
-                if key not in solved:
-                    try:
-                        solved[key] = _solve(params, np.roll(states[w], -s, axis=0), eta)
-                    except (NumericalStall, PreconditionFailed) as exc:
-                        solved[key] = exc
-                result = solved[key]
+                pts, result = states[w], None
+                if z:
+                    word = tuple(codes[w].tolist())
+                    if word not in keys:
+                        s = min(range(q), key=lambda i: word[i:] + word[:i])
+                        keys[word] = s, word[s:] + word[:s]
+                    s, key = keys[word]
+                    if key not in solved:
+                        try:
+                            solved[key] = _solve(params, np.roll(pts, -s, axis=0), eta)
+                        except (NumericalStall, PreconditionFailed) as exc:
+                            solved[key] = exc
+                    result = solved[key]
+                if result is None or e and isinstance(result, Exception):
+                    result = LimitCycle(period=q, points=pts, itinerary=tuple(_set_name(b.tobytes()) for b in sets[w]),
+                                        min_margin=None, certificate=None, certified=False, time_period=_period_time(params, pts))
                 fates[r] = (FateReport("cycle", transient_steps=k, cycle=result) if isinstance(result, LimitCycle)
                             else replace(result, transient_steps=k) if isinstance(result, FateReport) else result)
         for r, g in zip(live[graze].tolist(), marg[graze].tolist()):
             fates[r] = FateReport("grazing", transient_steps=k, margin=g)
-        r, c = live[stay], code[stay] - _OUTSIDE
+        r, c = live[stay], code[stay]
         occ[r, c] = np.concatenate((f[stay, None], occ[r, c, :-1]), axis=1)
         live, V, before = live[stay], image[stay], f[stay]
     for r in live.tolist():
@@ -333,10 +350,11 @@ def detect_cycle(params: NetworkParams, v0, max_iter: int = 2000, eta: float = 1
     """Iterate the return map from v0 and classify the orbit's fate.
 
     Outcomes: synchronized (the exact zero vector is reached), grazing (some
-    visited state has margin below eta, a candidate sensitive orbit), cycle
-    (an itinerary recurrence admitted a Banach certificate, or, outside the
-    certification hypotheses, an exact state recurrence was found and is
-    reported uncertified), or unresolved after max_iter returns.
+    visited state in C_{c_bar} has margin below eta, a candidate sensitive
+    orbit), cycle (a recurrence was found: certified when its window lies in
+    C_{c_bar} of a certifiable network and its solve admits a Banach
+    certificate, else reported uncertified), or unresolved after max_iter
+    returns.
     """
     fates, _ = _fates(params, as_state(params, v0)[None], max_iter, eta)
     return _checked(fates[0])
@@ -347,23 +365,25 @@ def certify_cycle(params: NetworkParams, candidate: LimitCycle) -> bool:
 
     Recomputes everything from the candidate's points: a Dale network with an
     inhibitory neuron, exactly `period >= 1` points, each a section state in
-    C_{c_bar} whose margin exceeds the ball radius, 0 <= lambda < 1 with the
-    Banach inequality lambda*r + residual <= r, and the p-step return of every
-    cycle point within residual of it (all points stepped as one batch).
-    Every comparison fails on NaN.
+    C_{c_bar} with an inhibitory winner whose margin exceeds the ball radius
+    r, the balls below c_bar, a claimed lambda below 1 and at least the zone
+    factor `_certified_cycle` takes for them, the Banach inequality
+    lambda*r + residual <= r, and the p-step return of every cycle point
+    within residual of it (all points stepped as one batch).  Every
+    comparison fails on NaN.
     """
     cert = candidate.certificate
-    if (not candidate.certified or cert is None or NeuronKind.MIXED in params.kinds
-            or not params.inhibitory or not len(candidate.points) == candidate.period >= 1):
-        return False
-    if not (0.0 <= cert.lam < 1.0 and cert.lam * cert.ball_radius + cert.residual <= cert.ball_radius):
+    if (not candidate.certified or cert is None or not _certifiable(params)
+            or not len(candidate.points) == candidate.period >= 1):
         return False
     try:
         pts = np.array([as_state(params, pt) for pt in candidate.points])
+        code, gap = _classify(params, pts)
+        lam = _ball_factor(params, pts, code, cert.ball_radius)
     except PreconditionFailed:
         return False
-    if not (_in_zone_rows(pts, params.constants.c_bar).all()
-            and (0.5 * _classify(params, pts)[1] > cert.ball_radius).all()):
+    if not (lam <= cert.lam < 1.0 and cert.lam * cert.ball_radius + cert.residual <= cert.ball_radius
+            and _in_zone_rows(pts, params.constants.c_bar).all() and (0.5 * gap > cert.ball_radius).all()):
         return False
     image = pts
     for _ in range(len(pts)):
@@ -460,9 +480,8 @@ def cycle_census(params: NetworkParams, sample_count: int, seed: int,
 def classify_fate(params: NetworkParams, v0, max_iter: int = 2000, eta: float = 1e-6) -> FateReport:
     """detect_cycle plus the synchronization-or-excitatory-death dichotomy.
 
-    Flags eventual death of the excitatory population when a certified cycle
-    is reached whose itinerary contains no synchronization piece and whose
-    firing sets contain no excitatory neuron.
+    Flags eventual death of the excitatory population when a cycle is
+    reached whose firing sets contain no excitatory neuron.
     """
     fates, last_exc = _fates(params, as_state(params, v0)[None], max_iter, eta)
     fate = _checked(fates[0])
@@ -470,10 +489,8 @@ def classify_fate(params: NetworkParams, v0, max_iter: int = 2000, eta: float = 
     if fate.outcome == "synchronized":
         fate.excitatory_death = False
     elif fate.outcome == "cycle":
-        cyc = fate.cycle
-        no_sync_piece = "sync" not in cyc.itinerary
-        fired = _kernels.step_batch(params, cyc.points)[1]
-        fate.excitatory_death = no_sync_piece and not fired[:, list(params.excitatory)].any()
+        fired = _kernels.step_batch(params, fate.cycle.points)[1]
+        fate.excitatory_death = not fired[:, list(params.excitatory)].any()
     return fate
 
 

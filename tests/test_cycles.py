@@ -277,7 +277,7 @@ BATCH_CASES = {
     "mixed8": (9, 1e-2, [], {"synchronized", "cycle", "grazing", "unresolved"}),
     "net_c": (2, 1e-2, [], {"synchronized", "grazing", "unresolved"}),
     "net_d": (4, 3e-2, [], {"cycle", "grazing", "unresolved"}),
-    # all-excitatory: whole-section mode; the anti-phase starts close an
+    # all-excitatory, so no certificate: the anti-phase starts close an
     # exact uncertified period-2 cycle, the nudged one drifts off it slowly
     "net_a": (9, 1e-2, [[0.9, 0.0], [0.0, 0.9], [0.9 - 1e-9, 0.0]],
               {"synchronized", "cycle", "unresolved"}),
@@ -308,15 +308,14 @@ def test_census_fate_equals_single_start(name, request):
 
 
 class _Track:
-    """Detection's record of one sample's orbit: per return its state, piece
-    name (a firing set's outside the zone), piece code (None outside the
-    zone) and margin (None outside the zone), and the returns at which each
-    piece occurred."""
+    """Detection's record of one sample's orbit: per return its state, code
+    (the winner), margin and firing set's name, and the returns at which each
+    code occurred."""
 
-    __slots__ = ("states", "pieces", "codes", "margins", "seen")
+    __slots__ = ("states", "codes", "margins", "sets", "seen")
 
     def __init__(self):
-        self.states, self.pieces, self.codes, self.margins = [], [], [], []
+        self.states, self.codes, self.margins, self.sets = [], [], [], []
         self.seen = {}
 
 
@@ -329,25 +328,32 @@ def reference_fates(params, V0, max_iter, eta):
 
     Each return steps every live row with one `step_batch` call; only the
     recurrence bookkeeping runs per row, and a row leaves the batch once its
-    fate is known.  Candidates whose piece words share a least rotation share
-    one `_solve`.  Outside certified mode a state recurs when every potential
-    ties its earlier value.  Returns (fates, last_exc): fates[r] is row r's
-    FateReport or the error its solve raised, last_exc[r] the last return at
-    which an excitatory neuron fired (-1 for none).
+    fate is known.  A return is coded by its winner; inside C_{c_bar} of a
+    Dale network with an inhibitory neuron its margin is half its winner gap
+    (below eta it grazes), elsewhere the tie tolerance.  A candidate recurs
+    within the tie tolerance, or by the contraction budget when the image of
+    C_{c_bar} lies in a zone of level in [0, c_bar).  A window inside
+    C_{c_bar} of such a network is solved, candidates whose piece words share
+    a least rotation sharing one `_solve`; any other window, and one whose
+    solve fails on a recurrence within the tie tolerance, is an uncertified
+    cycle named by the firing sets seen when it was stepped.  Returns
+    (fates, last_exc): fates[r] is row r's FateReport or the error its solve
+    raised, last_exc[r] the last return at which an excitatory neuron fired
+    (-1 for none).
     """
-    rep = params.hypotheses
-    certified_mode = rep.h3 and rep.h4 and bool(params.inhibitory)
-    lam_det = lambda_for_zone(params, _zone_after_return(params)) if certified_mode else None
-    if certified_mode and lam_det >= 1.0:
-        certified_mode = False
-    tie = params.tie_tol()
+    certifiable = params.hypotheses.h4 and bool(params.inhibitory)
+    c_bar, tie = params.constants.c_bar, params.tie_tol()
+    level = _zone_after_return(params)
+    lam = lambda_for_zone(params, level) if certifiable and 0.0 <= level < c_bar else None
+    if lam is not None and lam >= 1.0:
+        lam = None
     excit = list(params.excitatory)
 
     m = V0.shape[0]
     fates = [None] * m
     last_exc = np.full(m, -1, np.int64)
     tracks = [_Track() for _ in range(m)]
-    candidates = []  # (row, first return of the recurring window, return)
+    candidates = []  # (row, first return of the recurring window, return, within the tie tolerance)
     live, V = np.arange(m), V0
     for k in range(max_iter + 1):
         zero = ~V.any(axis=1)
@@ -358,48 +364,32 @@ def reference_fates(params, V0, max_iter, eta):
             break
         image, fired, _, _ = step_batch(params, V)
         last_exc[live[fired[:, excit].any(axis=1)]] = k
-        if certified_mode:
-            zone = _in_zone_rows(V, params.constants.c_bar).tolist()
-            code, gap = cycles._classify(params, V)
-            code, marg = code.tolist(), (0.5 * gap).tolist()  # margin 0 on the boundary
+        if certifiable:
+            zone = _in_zone_rows(V, c_bar).tolist()
+            gap = cycles._classify(params, V)[1].tolist()  # 0 on the boundary
         leave = np.zeros(live.size, np.bool_)
         for i, r in enumerate(live.tolist()):
-            if certified_mode and zone[i]:
-                if marg[i] < eta:
-                    fates[r] = cycles.FateReport("grazing", transient_steps=k, margin=marg[i])
-                    leave[i] = True
-                    continue
-                piece, c_k, m_k = piece_name(code[i]), code[i], marg[i]
-            else:
-                piece, c_k, m_k = set_name(fired[i]), None, None
             track, state = tracks[r], V[i]
+            m_k = 0.5 * gap[i] if certifiable and zone[i] else tie
+            if certifiable and zone[i] and m_k < eta:
+                fates[r] = cycles.FateReport("grazing", transient_steps=k, margin=m_k)
+                leave[i] = True
+                continue
+            c_k = int(np.argmax(state))
             track.states.append(state)
-            track.pieces.append(piece)
             track.codes.append(c_k)
             track.margins.append(m_k)
-            history = track.seen.setdefault(piece, [])
+            track.sets.append(set_name(fired[i]))
+            history = track.seen.setdefault(c_k, [])
             for prev in reversed(history[-8:]):
                 p = k - prev
                 if p > cycles._MAX_PERIOD:
                     break
                 dist = float(np.max(np.abs(state - track.states[prev])))
-                if certified_mode:
-                    window = track.margins[prev:]
-                    if any(w is None for w in window):
-                        continue
-                    denom = 1.0 - lam_det ** p
-                    if denom <= 0.0 or dist / denom > min(window):
-                        continue
-                    candidates.append((r, prev, k))
-                elif dist <= tie:
-                    pts = np.array(track.states[prev:k])
-                    fates[r] = cycles.FateReport("cycle", transient_steps=k, cycle=cycles.LimitCycle(
-                        period=p, points=pts, itinerary=tuple(track.pieces[prev:k]),
-                        min_margin=None, certificate=None, certified=False,
-                        time_period=cycles._period_time(params, pts),
-                    ))
-                else:
+                exact = dist <= tie
+                if not exact and (lam is None or dist / (1.0 - lam ** p) > min(track.margins[prev:])):
                     continue
+                candidates.append((r, prev, k, exact))
                 leave[i] = True
                 break
             if not leave[i]:
@@ -409,17 +399,24 @@ def reference_fates(params, V0, max_iter, eta):
         fates[r] = cycles.FateReport("unresolved", transient_steps=max_iter)
 
     solved = {}  # least rotation of a piece word -> its solve
-    for r, prev, k in candidates:
-        # keyed by inhibitory index, not by name: "inhib:10" sorts before "inhib:2"
-        word = tracks[r].codes[prev:k]
-        s = min(range(k - prev), key=lambda i: word[i:] + word[:i])
-        key = tuple(word[s:] + word[:s])
-        if key not in solved:
-            try:
-                solved[key] = cycles._solve(params, np.roll(tracks[r].states[prev:k], -s, axis=0), eta)
-            except (NumericalStall, PreconditionFailed) as exc:
-                solved[key] = exc
-        result = solved[key]
+    for r, prev, k, exact in candidates:
+        track, result = tracks[r], None
+        pts = np.array(track.states[prev:k])
+        if certifiable and _in_zone_rows(pts, c_bar).all():
+            word = track.codes[prev:k]
+            s = min(range(k - prev), key=lambda i: word[i:] + word[:i])
+            key = tuple(word[s:] + word[:s])
+            if key not in solved:
+                try:
+                    solved[key] = cycles._solve(params, np.roll(pts, -s, axis=0), eta)
+                except (NumericalStall, PreconditionFailed) as exc:
+                    solved[key] = exc
+            result = solved[key]
+        if result is None or exact and isinstance(result, Exception):
+            result = cycles.LimitCycle(
+                period=k - prev, points=pts, itinerary=tuple(track.sets[prev:k]),
+                min_margin=None, certificate=None, certified=False,
+                time_period=cycles._period_time(params, pts))
         if isinstance(result, cycles.LimitCycle):
             result = cycles.FateReport("cycle", transient_steps=k, cycle=result)
         elif isinstance(result, cycles.FateReport):
@@ -440,17 +437,17 @@ def _same_fates(got, want):
             _same_fate(a, b)
 
 
-# Whole-section networks, all-inhibitory with beta = 1.5, whose orbits close
-# cycles of period 12 to 21 after about 100 returns: within a period one
-# firing set recurs more than 8 times, so the look-back depth decides at
-# which return (and on which window) a row's recurrence is found.
+# All-inhibitory networks with beta = 1.5 whose orbits close uncertified
+# cycles (above c_bar) of period 12 to 21 after about 100 returns: within a
+# period one winner recurs more than 8 times, so the look-back depth decides
+# at which return (and on which window) a row's recurrence is found.
 LONG_WORDS = {
     "inhib4_p19": [[0.0, -0.133, -0.59, -0.706], [-0.219, 0.0, -0.297, -0.642],
                    [-0.556, -0.185, 0.0, -0.652], [-0.431, -0.62, -0.921, 0.0]],
     "inhib4_p21": [[0.0, -0.709, -0.508, -0.36], [-0.658, 0.0, -0.103, -0.084],
                    [-0.134, -0.498, 0.0, -0.62], [-0.196, -0.289, -0.06, 0.0]],
 }
-# starts beside the census starts: a tie (grazing in certified mode) and the
+# starts beside the census starts: a tie (grazing inside C_{c_bar}) and the
 # anti-phase start of net_a with its nudged copy
 EDGE_STARTS = {"net_c": [[0.0, 0.3, 0.3]], "net_d": [[0.0, 0.3]],
                "net_a": [[0.9, 0.0], [0.9 - 1e-9, 0.0]]}
@@ -459,27 +456,31 @@ EDGE_STARTS = {"net_c": [[0.0, 0.3, 0.3]], "net_d": [[0.0, 0.3]],
 def _diff_network(name, request):
     if name in LONG_WORDS:
         return network(4, 1.0, 1.5, 1.0, -1.0, LONG_WORDS[name])
+    if name == "mixed6":  # random signs: every neuron mixed, so no certificate
+        return network(6, 1.0, 1.2, 1.0, -1.0, np.random.default_rng(6).uniform(-0.9, 0.9, (6, 6)))
     if name in ("mixed8", "dale4"):
         return load_config(str(GOLDEN / f"{name}.json")).params
     return request.getfixturevalue(name)
 
 
 def _diff_starts(params, name, seed, count, wide):
-    """`count` census starts, `wide` draws on the whole section (in certified mode
-    such a start's first return lies outside C_{c_bar}) and the network's edge starts."""
+    """`count` census starts, `wide` draws on the whole section (mostly outside
+    C_{c_bar}) and the network's edge starts."""
     whole = sample_on_section(rng_stream(seed, 0), params.n, params.alpha, params.theta, wide)
     return np.concatenate([cycles._census_starts(params, count, seed), whole,
                            np.reshape(EDGE_STARTS.get(name, []), (-1, params.n))])
 
 
 @settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(["net_a", "net_c", "net_d", "mixed8", "dale4", *LONG_WORDS]),
+@given(name=st.sampled_from(["net_a", "net_c", "net_d", "net_sync9", "mixed8", "dale4", "mixed6", *LONG_WORDS]),
        seed=st.integers(0, 2**64 - 1), count=st.integers(1, 24), wide=st.integers(0, 8),
        max_iter=st.sampled_from([0, 1, 3, 9, 40, 300]), eta=st.sampled_from([1e-6, 1e-4, 1e-2, 3e-2]))
 @example(name="mixed8", seed=0, count=24, wide=8, max_iter=300, eta=1e-6)
 @example(name="net_d", seed=5, count=24, wide=8, max_iter=4, eta=3e-2)
 @example(name="net_c", seed=3, count=24, wide=8, max_iter=300, eta=1e-5)
 @example(name="dale4", seed=0, count=24, wide=8, max_iter=300, eta=1e-6)
+@example(name="net_sync9", seed=0, count=24, wide=8, max_iter=300, eta=1e-6)
+@example(name="mixed6", seed=0, count=24, wide=8, max_iter=300, eta=1e-6)
 @example(name="inhib4_p19", seed=5, count=24, wide=8, max_iter=300, eta=1e-6)
 @example(name="inhib4_p21", seed=5, count=24, wide=36, max_iter=300, eta=1e-6)
 def test_fates_equal_reference_fates(name, seed, count, wide, max_iter, eta, request):
@@ -536,43 +537,10 @@ def test_fates_history_grows_with_the_live_rows(net_a, monkeypatch):
     assert peak < dense / 16, (peak, dense)
 
 
-def test_certified_mode_codes_no_firing_set(monkeypatch):
-    # returns outside C_{c_bar} share one code, so certified mode never codes a firing set
-    params = mixed8()
-    V0 = _diff_starts(params, "mixed8", 0, 40, 40)
-    outside = ~_in_zone_rows(V0, params.constants.c_bar)
-    calls = []
-    monkeypatch.setattr(cycles, "_set_codes", lambda *a: calls.append(a))
-    fates, _ = cycles._fates(params, V0, 300, 1e-6)
-    assert outside.sum() >= 30 and calls == []
-    assert {f.outcome for f in fates} >= {"cycle", "synchronized"}
-
-
-def test_whole_section_mode_names_each_firing_set_once(monkeypatch):
-    # the names of the firing sets seen are made once, when each set is first
-    # seen, and every itinerary holds those very strings
-    params, made = load_config(str(GOLDEN / "dale4.json")).params, []
-    set_codes = cycles._set_codes
-
-    def spy(fired, sets, names):
-        before = list(names)
-        codes = set_codes(fired, sets, names)
-        assert all(a is b for a, b in zip(before, names))  # earlier names are kept, not made again
-        made.extend(names[len(before):])
-        assert sorted(names[c] for c in set(codes.tolist())) == sorted({set_name(f) for f in fired})
-        return codes
-
-    monkeypatch.setattr(cycles, "_set_codes", spy)
-    fates, _ = cycles._fates(params, _diff_starts(params, "dale4", 0, 200, 20), 2000, 1e-6)
-    cyc = [f.cycle for f in fates if f.outcome == "cycle"]
-    assert len(cyc) > 50 and len(made) == len(set(made)) > 2
-    assert all(any(p is m for m in made) for c in cyc for p in c.itinerary)
-
-
 @pytest.mark.parametrize("name, eta", [("mixed8", 1e-4), ("dale4", 1e-6)])
 def test_itineraries_are_the_printed_piece_names(name, eta):
-    # certified (mixed8) and whole-section (dale4) mode: every function hands back
-    # the itinerary cycles.json prints, as a tuple of str
+    # mixed8 (H3 holds) and dale4 (H3 fails), both certified: every function hands
+    # back the itinerary cycles.json prints, as a tuple of str
     params = load_config(str(GOLDEN / f"{name}.json")).params
     recorded = json.loads((GOLDEN / f"cycles_{name}" / "cycles.json").read_text())["cycles"]
     census = cycle_census(params, 30, seed=0, eta=eta)
@@ -593,6 +561,91 @@ def test_census_counts_fates_that_share_a_solve_without_matching(monkeypatch):
     monkeypatch.setattr(cycles, "_cycles_match", lambda *a: calls.append(a) or match(*a))
     rep = cycle_census(mixed8(), 300, seed=0, eta=1e-4)
     assert len(rep.entries) == 1 and rep.entries[0].count > 100 and calls == []
+
+
+def test_dale4_census_cycles_are_certified():
+    # H3 fails on dale4, yet its cycle lies in C_{c_bar} and certify_cycle accepts its certificate
+    params = load_config(str(GOLDEN / "dale4.json")).params
+    assert not params.hypotheses.h3
+    rep = cycle_census(params, 300, seed=0)
+    assert len(rep.entries) == 1 and rep.entries[0].count > 100
+    for entry in rep.entries:
+        assert entry.cycle.certified and certify_cycle(params, entry.cycle)
+        assert entry.cycle.itinerary == ("inhib:2", "inhib:4")
+
+
+def test_empty_zone_network_still_ends_in_a_cycle():
+    # all-zero H makes every neuron inhibitory, a certifiable network, but beta = 10
+    # puts c_bar below 0: C_{c_bar} is empty, so no zone factor is asked for and the
+    # exact recurrence is reported uncertified
+    params = network(3, 1.0, 10.0, 1.0, -1.0, np.zeros((3, 3)))
+    assert params.constants.c_bar < 0 and cycles._certifiable(params)
+    fate = detect_cycle(params, [0.5, 0.25, 0.0])
+    assert fate.outcome == "cycle" and not fate.cycle.certified
+    assert fate.cycle.period == 3 and fate.cycle.itinerary == ("J:1", "J:2", "J:3")
+
+
+@pytest.mark.parametrize("name", ["mixed8", "dale4", "net_d", "net_death", "inhib4_p19"])
+def test_no_certified_cycle_holds_sync(name, request):
+    # a certified cycle runs on inhibitory pieces only; an uncertified one is named by firing sets
+    params = _diff_network(name, request)
+    fates, _ = cycles._fates(params, _diff_starts(params, name, 0, 100, 20), 2000, 1e-6)
+    found = [f.cycle for f in fates if f.outcome == "cycle"]
+    assert found
+    for cyc in found:
+        prefix = "inhib:" if cyc.certified else "J:"
+        assert all(p.startswith(prefix) for p in cyc.itinerary)
+
+
+def test_a_failed_solve_on_a_tie_recurrence_is_reported_uncertified(monkeypatch):
+    # dale4 has no contraction budget, so every recurrence there is a tie: when its
+    # solve fails, the cycle is reported uncertified, named by its firing sets
+    params = load_config(str(GOLDEN / "dale4.json")).params
+    certified = cycle_census(params, 30, seed=0).entries
+
+    def fail(*args):
+        raise NumericalStall("no certificate")
+
+    monkeypatch.setattr(cycles, "_certified_cycle", fail)
+    rep = cycle_census(params, 30, seed=0)
+    assert [(e.count, e.cycle.period) for e in rep.entries] == [(e.count, e.cycle.period) for e in certified]
+    assert [(e.cycle.certified, e.cycle.itinerary) for e in rep.entries] == [(False, ("J:4", "J:2"))]
+
+
+def test_windows_outside_the_zone_are_not_solved(monkeypatch):
+    # dale64's cycles lie above c_bar: they are reported uncertified without a solve
+    params, calls = load_config(str(GOLDEN / "dale64.json")).params, []
+    monkeypatch.setattr(cycles, "_solve", lambda *args: calls.append(args))
+    rep = cycle_census(params, 100, seed=0)
+    assert rep.entries and calls == []
+    assert not any(e.cycle.certified for e in rep.entries)
+
+
+def test_certified_cycle_refuses_a_point_on_the_sync_piece(net_c):
+    # an excitatory maximum with a wide gap, inside C_{c_bar}: without H3 the sync
+    # piece need not map to the origin, so no certificate is made for it
+    seq = np.array([[0.4, 0.0, 0.2]] * 3)
+    with pytest.raises(PreconditionFailed, match="no inhibitory winner"):
+        cycles._certified_cycle(net_c, seq, 1, 1e-6)
+
+
+def test_certify_cycle_recomputes_lambda(net_d):
+    params = mixed8()
+    cyc = cycle_census(params, 30, seed=0, eta=1e-4).entries[0].cycle
+    dale4 = load_config(str(GOLDEN / "dale4.json")).params
+    assert certify_cycle(params, cyc) and certify_cycle(dale4, cycle_census(dale4, 30, seed=0).entries[0].cycle)
+    # a claimed lambda of 0 where the zone factor is 0.930
+    assert cyc.certificate.lam == pytest.approx(0.930, abs=1e-3)
+    assert not certify_cycle(params, replace(cyc, certificate=replace(cyc.certificate, lam=0.0)))
+    # lambda 0.5 with a ball nearly as wide as the least margin: the zone at level 0.408 has factor 0.955
+    r = 0.999 * cyc.min_margin
+    assert lambda_for_zone(params, float(cyc.points.max()) + r) == pytest.approx(0.955, abs=1e-3)
+    assert not certify_cycle(params, replace(cyc, certificate=replace(cyc.certificate, lam=0.5, ball_radius=r)))
+    # net_d's anti-phase cycle with balls reaching past c_bar, where no zone factor is below 1
+    cyc = detect_cycle(net_d, [0.6, 0.0]).cycle
+    r = 0.999 * cyc.min_margin
+    assert float(cyc.points.max()) + r > net_d.constants.c_bar
+    assert not certify_cycle(net_d, replace(cyc, certificate=replace(cyc.certificate, lam=0.99, ball_radius=r)))
 
 
 @pytest.mark.parametrize("count", [1, 30, 1000])
@@ -755,8 +808,7 @@ def test_classify_fate_excitatory_record(net_death):
             fired = set()
             for pt in fate.cycle.points:
                 fired.update(return_map(net_death, pt).fired.tolist())
-            no_sync = "sync" not in fate.cycle.itinerary
-            assert fate.excitatory_death == (no_sync and not fired & excit)
+            assert fate.excitatory_death == (not fired & excit)
     assert outcomes == {"synchronized", "cycle"}
 
 

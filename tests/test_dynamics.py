@@ -266,6 +266,8 @@ def test_readme_quick_start_runs():
     assert scope["step"].state == pytest.approx([0.0, 0.9], abs=1e-13)
     assert list(scope["step"].fired) == [0]
     assert scope["fate"].outcome == "cycle" and scope["fate"].cycle.period == 2
+    # the all-excitatory net_a has no certificate: its period-2 orbit stays uncertified
+    assert not scope["fate"].cycle.certified and scope["fate"].cycle.itinerary == ("J:1", "J:2")
 
 
 # ---------------------------------------------------------------- trajectory

@@ -45,7 +45,7 @@ CASES = {
     "cycles_dale4": ["cycles", "--config", "dale4.json", "--samples", "30"],
     # lambda = 0.99982 makes n0 about 3e4 returns: pins the bytes of a long adapted-metric check
     "contract_net_c_slow": ["contract", "--config", "net_c_slow.json", "--samples", "300"],
-    # the census at the CLI defaults (1000 samples, eta 1e-6, seed 0), certified and whole-section mode
+    # the census at the CLI defaults (1000 samples, eta 1e-6, seed 0), with H3 (mixed8) and without (dale4)
     "cycles_mixed8_default": ["cycles", "--config", "mixed8.json"],
     "cycles_dale4_default": ["cycles", "--config", "dale4.json"],
     # net_b has an anti-phase block, so this pins its two-step residual
