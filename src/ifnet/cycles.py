@@ -38,6 +38,17 @@ look-back candidates (the last 8 earlier returns with its winner) with array
 operations, so its cost follows the returns stepped, not the number of
 Python objects per sample.
 
+Every fate reader works from one record, the `FateTable` that `_fates`
+returns: per row its outcome code, transient, margin, cycle index and last
+excitatory spike, and per distinct cycle its LimitCycle (or the error its
+solve raised), its key (the least rotation of its piece word) and whether an
+excitatory neuron fires on it.  `detect_cycle` reads row 0 through
+`FateTable.report`, and `classify_fate` adds the excitatory flag.  The census
+counts outcome codes and makes one entry per distinct cycle in the order of
+the first sample that reaches it; rows that share a solve share its index,
+and an uncertified cycle joins an earlier one only when their keys are equal
+and their points lie within ten times the tie tolerance.
+
 A cycle's itinerary is the tuple of its pieces' printed names, as
 `cycles.json` writes them: "inhib:i" (neuron i, from 1) for a certified
 cycle, and the firing set, "J:1;3", for an uncertified one.
@@ -50,8 +61,7 @@ all of them classified and stepped as one batch.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -133,10 +143,49 @@ class FateReport:
     last_excitatory_spike: Optional[int] = None
 
 
+# a FateTable row's outcome code indexes the FateReport outcome it names
+_OUTCOMES = ("synchronized", "cycle", "grazing", "unresolved")
+_SYNCHRONIZED, _CYCLE, _GRAZING, _UNRESOLVED = range(4)
+
+
+@dataclass
+class FateTable:
+    """Fates of the rows of a batch of starts, as per-row arrays over the distinct cycles they reach.
+
+    Per row: its outcome code, transient, margin (NaN for none), cycle (an
+    index into `cycles`, -1 for none) and last_exc, the last return at which
+    an excitatory neuron fired (-1 for none).  Per distinct cycle: the
+    LimitCycle or the error its solve raised, its key (the least rotation of
+    its word: the winners of a solved window, the firing-set names of an
+    uncertified one) and whether an excitatory neuron fires on it.
+    """
+    outcome: np.ndarray
+    transient: np.ndarray
+    margin: np.ndarray
+    cycle: np.ndarray
+    last_exc: np.ndarray
+    cycles: list = field(default_factory=list)
+    keys: list = field(default_factory=list)
+    excit_fires: list = field(default_factory=list)
+
+    def add(self, cycle, key: tuple, excit_fires: bool) -> int:
+        """The index of a new distinct cycle."""
+        self.cycles.append(cycle)
+        self.keys.append(key)
+        self.excit_fires.append(excit_fires)
+        return len(self.cycles) - 1
+
+    def report(self, r: int) -> FateReport:
+        """Row r's FateReport; raises instead the error its cycle's solve raised, if it has one."""
+        cycle, margin = self.cycles[self.cycle[r]] if self.cycle[r] >= 0 else None, float(self.margin[r])
+        if isinstance(cycle, Exception):
+            raise cycle
+        return FateReport(_OUTCOMES[self.outcome[r]], int(self.transient[r]), None if math.isnan(margin) else margin, cycle)
+
+
 def _period_time(params: NetworkParams, points: np.ndarray) -> float:
     """Sum of the waiting times of the points of one period, in orbit order."""
-    t = _kernels.wait_times(params, points.max(axis=1))
-    return float(sum(t.tolist()))
+    return float(sum(_kernels.wait_times(params, points.max(axis=1)).tolist()))
 
 
 def _ball_factor(params: NetworkParams, pts: np.ndarray, code: np.ndarray, r: float) -> float:
@@ -214,6 +263,13 @@ def _set_name(fired: bytes) -> str:
     return "J:" + ";".join(str(j + 1) for j in np.flatnonzero(np.frombuffer(fired, np.bool_)).tolist())
 
 
+@lru_cache(maxsize=1 << 12)
+def _least_rotation(word: tuple):
+    """(s, word[s:] + word[:s]) for the first shift s that gives the least rotation of word."""
+    s = min(range(len(word)), key=lambda i: word[i:] + word[:i])
+    return s, word[s:] + word[:s]
+
+
 def _walk(back: np.ndarray, f: np.ndarray, steps: int) -> np.ndarray:
     """(len(f), steps) records, steps >= 1: column j holds the record j returns before f's, in its row."""
     out = [f]
@@ -222,12 +278,13 @@ def _walk(back: np.ndarray, f: np.ndarray, steps: int) -> np.ndarray:
     return np.stack(out, axis=1)
 
 
-def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
+def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> FateTable:
     """Fates of the rows of an (m, n) batch of starts, stepped in lockstep.
 
     Each return steps every live row with one `step_batch` call and tests the
     recurrences of all live rows with array operations; a row leaves the batch
-    once its fate is known.  Each return of a live row is a record in a flat
+    once its fate is known, and its outcome, transient and margin are written
+    into the table's arrays.  Each return of a live row is a record in a flat
     history, which grows with the live rows: its state, its firing set, its
     code (the winner, the first neuron of largest potential), its margin and
     whether it lies in C_{c_bar} of a certifiable network.  A return inside
@@ -242,16 +299,17 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
     budget only when lam, the factor of the zone that holds the image of
     C_{c_bar} in a certifiable network, is that of a level in [0, c_bar)
     (which H3 gives).  A window wholly inside C_{c_bar} of a certifiable
-    network is solved: windows with the same piece word share one
-    least-rotation key, and candidates whose keys agree share one `_solve`,
-    made in (return, row) order.  Any other window is an uncertified cycle of
-    its states, and so is one whose solve fails on a recurrence within the
-    tie tolerance.  Returns (fates, last_exc): fates[r] is row r's FateReport
-    or the error its solve raised, last_exc[r] the last return at which an
-    excitatory neuron fired (-1 for none).
+    network is solved: windows whose piece words share a least rotation share
+    one `_solve`, made in (return, row) order, and one cycle index of the
+    table.  Any other window is an uncertified cycle of its states, and so is
+    one whose solve fails on a recurrence within the tie tolerance; each such
+    window has an index of its own.  Raises PreconditionFailed unless
+    max_iter >= 0 and eta is finite and positive.
     """
     if max_iter < 0:
         raise PreconditionFailed("max_iter must be at least 0")
+    if not (math.isfinite(eta) and eta > 0):
+        raise PreconditionFailed(f"eta must be a finite positive number, got {eta}")
     certifiable, c_bar, tie = _certifiable(params), params.constants.c_bar, params.tie_tol()
     level = _zone_after_return(params)
     lam = lambda_for_zone(params, level) if certifiable and 0.0 <= level < c_bar else 1.0
@@ -261,9 +319,8 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
     excit = list(params.excitatory)
 
     m, n = V0.shape
-    fates = [None] * m
-    last_exc = np.full(m, -1, np.int64)
-    solved, keys = {}, {}  # least rotation -> its solve; word -> (shift, least rotation)
+    table = FateTable(np.full(m, _UNRESOLVED, np.int8), np.full(m, max_iter), np.full(m, np.nan), np.full(m, -1), np.full(m, -1))
+    solved = {}  # least rotation of a winner word -> the table index of its solve, or its grazing FateReport
     # the flat history: per record its state, firing set, code, margin, zone flag, return, and its row's record one return earlier
     states, sets = np.zeros((4 * m, n)), np.zeros((4 * m, n), np.bool_)
     codes, margs, zones, rets, back = (np.zeros(4 * m, t) for t in (np.int64, np.float64, np.bool_, np.int64, np.int64))
@@ -271,13 +328,12 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
     top, live, V, before = 0, np.arange(m), V0, np.full(m, -1)  # before: each live row's latest record
     for k in range(max_iter + 1):
         zero = ~V.any(axis=1)
-        for r in live[zero].tolist():
-            fates[r] = FateReport("synchronized", transient_steps=k)
+        table.outcome[live[zero]], table.transient[live[zero]] = _SYNCHRONIZED, k
         live, V, before = live[~zero], V[~zero], before[~zero]
         if not live.size:
             break
         image, fired, _, _ = _kernels.step_batch(params, V)
-        last_exc[live[fired[:, excit].any(axis=1)]] = k
+        table.last_exc[live[fired[:, excit].any(axis=1)]] = k
         code = V.argmax(axis=1)
         zone = _in_zone_rows(V, c_bar) & certifiable
         marg = np.where(zone, 0.5 * _classify(params, V)[1], tie) if certifiable else np.full(live.size, tie)
@@ -307,43 +363,36 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float):
             i, first = np.unique(i[ok], return_index=True)
             lag, exact = p[ok][first], ratio[ok][first] == 0.0
             stay[i] = False
+            table.outcome[live[i]] = _CYCLE
             walk = _walk(back, back[f[i]], lag.max())  # by row, its records of returns k - 1, k - 2, ...
             inside = np.logical_and.accumulate(zones[walk], axis=1)[np.arange(len(i)), lag - 1]  # window in the zone
             for r, w, q, e, z in zip(live[i].tolist(), walk, lag.tolist(), exact.tolist(), inside.tolist()):
                 w = w[q - 1::-1]  # the records of returns k - q .. k - 1
-                pts, result = states[w], None
+                pts, c = states[w], None
                 if z:
-                    word = tuple(codes[w].tolist())
-                    if word not in keys:
-                        s = min(range(q), key=lambda i: word[i:] + word[:i])
-                        keys[word] = s, word[s:] + word[:s]
-                    s, key = keys[word]
+                    s, key = _least_rotation(tuple(codes[w].tolist()))
                     if key not in solved:
                         try:
-                            solved[key] = _solve(params, np.roll(pts, -s, axis=0), eta)
+                            found = _solve(params, np.roll(pts, -s, axis=0), eta)
                         except (NumericalStall, PreconditionFailed) as exc:
-                            solved[key] = exc
-                    result = solved[key]
-                if result is None or e and isinstance(result, Exception):
-                    result = LimitCycle(period=q, points=pts, itinerary=tuple(_set_name(b.tobytes()) for b in sets[w]),
-                                        min_margin=None, certificate=None, certified=False, time_period=_period_time(params, pts))
-                fates[r] = (FateReport("cycle", transient_steps=k, cycle=result) if isinstance(result, LimitCycle)
-                            else replace(result, transient_steps=k) if isinstance(result, FateReport) else result)
-        for r, g in zip(live[graze].tolist(), marg[graze].tolist()):
-            fates[r] = FateReport("grazing", transient_steps=k, margin=g)
+                            found = exc
+                        # no excitatory neuron fires on a certified cycle: every point fires its inhibitory winner alone
+                        solved[key] = found if isinstance(found, FateReport) else table.add(found, key, False)
+                    c = solved[key]
+                if isinstance(c, FateReport):  # the solved cycle grazes below eta
+                    table.outcome[r], table.margin[r], c = _GRAZING, c.margin, -1
+                elif c is None or e and isinstance(table.cycles[c], Exception):
+                    names = tuple(_set_name(b.tobytes()) for b in sets[w])
+                    c = table.add(LimitCycle(period=q, points=pts, itinerary=names, min_margin=None, certificate=None,
+                                             certified=False, time_period=_period_time(params, pts)),
+                                  _least_rotation(names)[1], bool(sets[w][:, excit].any()))
+                table.cycle[r] = c
+        # the grazing rows, and the transient of every row that leaves at this return
+        table.outcome[live[graze]], table.margin[live[graze]], table.transient[live[~stay]] = _GRAZING, marg[graze], k
         r, c = live[stay], code[stay]
         occ[r, c] = np.concatenate((f[stay, None], occ[r, c, :-1]), axis=1)
         live, V, before = live[stay], image[stay], f[stay]
-    for r in live.tolist():
-        fates[r] = FateReport("unresolved", transient_steps=max_iter)
-    return fates, last_exc
-
-
-def _checked(fate):
-    """A fate from _fates, raising it when it is an error."""
-    if isinstance(fate, Exception):
-        raise fate
-    return fate
+    return table
 
 
 def detect_cycle(params: NetworkParams, v0, max_iter: int = 2000, eta: float = 1e-6) -> FateReport:
@@ -356,8 +405,7 @@ def detect_cycle(params: NetworkParams, v0, max_iter: int = 2000, eta: float = 1
     certificate, else reported uncertified), or unresolved after max_iter
     returns.
     """
-    fates, _ = _fates(params, as_state(params, v0)[None], max_iter, eta)
-    return _checked(fates[0])
+    return _fates(params, as_state(params, v0)[None], max_iter, eta).report(0)
 
 
 def certify_cycle(params: NetworkParams, candidate: LimitCycle) -> bool:
@@ -391,16 +439,15 @@ def certify_cycle(params: NetworkParams, candidate: LimitCycle) -> bool:
     return bool((np.abs(image - pts).max(axis=1) <= cert.residual).all())
 
 
-def _cycles_match(a: LimitCycle, b: LimitCycle, thr: float) -> bool:
-    if a.period == b.period:
-        p = a.period
-        twice = np.concatenate((b.points, b.points))  # twice[s:s + p] is b shifted by s
-        return any(np.abs(a.points - twice[s:s + p]).max() <= thr for s in range(p))
-    if max(a.period, b.period) % min(a.period, b.period) != 0:
-        return False
-    # one period divides the other: compare as point sets (Hausdorff)
-    d = np.abs(a.points[:, None, :] - b.points[None, :, :]).max(axis=2)
-    return bool(max(d.min(axis=1).max(), d.min(axis=0).max()) <= thr)
+def _one_entry(table: FateTable, a: int, b: int, thr: float) -> bool:
+    """Whether cycles a and b of a census table count as one entry: their
+    keys are equal, and their points lie within thr in sup distance over the
+    shifts of b that give that key (those that turn b's itinerary into a's).
+    Two distinct indices have equal keys only when both cycles are
+    uncertified: a solved key has one index."""
+    ca, cb = table.cycles[a], table.cycles[b]
+    shifts = (s for s in range(ca.period) if cb.itinerary[s:] + cb.itinerary[:s] == ca.itinerary)
+    return table.keys[a] == table.keys[b] and any(np.abs(ca.points - np.roll(cb.points, -s, axis=0)).max() <= thr for s in shifts)
 
 
 @dataclass
@@ -438,59 +485,50 @@ def _census_starts(params: NetworkParams, sample_count: int, seed: int) -> np.nd
 def cycle_census(params: NetworkParams, sample_count: int, seed: int,
                  max_iter: int = 2000, eta: float = 1e-6) -> CensusReport:
     """Detect fates from uniform starts on the section inside C_{c_bar},
-    deduplicate the found cycles (minimal sup-norm distance over cyclic
-    alignments, threshold ten times the tie tolerance) and report basin fractions.
+    deduplicate the found cycles and report basin fractions.
 
     Each sample owns the Philox stream (seed, 1 + index).  All samples step
     together as one lockstep batch, whose recurrence tests run as array
     operations over the live samples, and each one's fate is what
     detect_cycle gives for its start alone, so the census is deterministic.
-    Samples that recur on the same piece word share one solve, and a fate
-    whose cycle is an entry's own solved object counts for that entry without
-    an alignment search (the entry matched no earlier one when it was made).
+    The fractions count the fate table's outcome codes.  Samples that recur
+    on the same piece word share one solve and so one cycle of the table;
+    the distinct cycles make the entries in the order of the first sample
+    that reaches each, an uncertified one joining the first entry whose key
+    it shares with points within ten times the tie tolerance (`_one_entry`).
     When a solve fails, the error of the lowest-index sample that reached it
     is raised.
     """
     if sample_count < 1:
         raise PreconditionFailed("sample_count must be at least 1")
-    V0 = _census_starts(params, sample_count, seed)
-    fates = [_checked(f) for f in _fates(params, V0, max_iter, eta)[0]]
-    outcomes = Counter(fate.outcome for fate in fates)
-
-    entries: list[CensusEntry] = []
-    owners = {}  # id of an entry's own cycle -> the entry, which matched no earlier entry
-    thr = 10.0 * params.tie_tol()
-    for cycle in (fate.cycle for fate in fates if fate.outcome == "cycle"):
-        entry = owners.get(id(cycle)) or next((e for e in entries if _cycles_match(e.cycle, cycle, thr)), None)
-        if entry is None:
-            entry = owners[id(cycle)] = CensusEntry(cycle=cycle, count=0)
-            entries.append(entry)
-        entry.count += 1
-    for entry in entries:
-        entry.basin_fraction = entry.count / sample_count
-    return CensusReport(
-        entries=entries,
-        synchronized_fraction=outcomes["synchronized"] / sample_count,
-        grazing_fraction=outcomes["grazing"] / sample_count,
-        unresolved_fraction=outcomes["unresolved"] / sample_count,
-        samples=sample_count,
-    )
+    table = _fates(params, _census_starts(params, sample_count, seed), max_iter, eta)
+    outcomes, cyc = np.bincount(table.outcome, minlength=len(_OUTCOMES)).tolist(), table.cycle[table.cycle >= 0]
+    # heads: the cycle that opened each entry; entry: each distinct cycle's entry
+    heads, entry, thr = [], np.zeros(len(table.cycles), np.int64), 10.0 * params.tie_tol()
+    for c in dict.fromkeys(cyc.tolist()):  # the distinct cycles, in first-sample order
+        if isinstance(table.cycles[c], Exception):
+            raise table.cycles[c]
+        entry[c] = next((j for j, h in enumerate(heads) if _one_entry(table, h, c, thr)), len(heads))
+        if entry[c] == len(heads):
+            heads.append(c)
+    entries = [CensusEntry(table.cycles[h], k, k / sample_count) for h, k in zip(heads, np.bincount(entry[cyc]).tolist())]
+    # the fractions of synchronized, grazing and unresolved samples
+    return CensusReport(entries, *(outcomes[o] / sample_count for o in (_SYNCHRONIZED, _GRAZING, _UNRESOLVED)), sample_count)
 
 
 def classify_fate(params: NetworkParams, v0, max_iter: int = 2000, eta: float = 1e-6) -> FateReport:
     """detect_cycle plus the synchronization-or-excitatory-death dichotomy.
 
     Flags eventual death of the excitatory population when a cycle is
-    reached whose firing sets contain no excitatory neuron.
+    reached on which no excitatory neuron fires, as the fate table records
+    it: read from the firing sets of an uncertified cycle, and never for a
+    certified one, each of whose points fires its inhibitory winner alone.
     """
-    fates, last_exc = _fates(params, as_state(params, v0)[None], max_iter, eta)
-    fate = _checked(fates[0])
-    fate.last_excitatory_spike = int(last_exc[0]) if last_exc[0] >= 0 else None
-    if fate.outcome == "synchronized":
-        fate.excitatory_death = False
-    elif fate.outcome == "cycle":
-        fired = _kernels.step_batch(params, fate.cycle.points)[1]
-        fate.excitatory_death = not fired[:, list(params.excitatory)].any()
+    table = _fates(params, as_state(params, v0)[None], max_iter, eta)
+    fate, last = table.report(0), int(table.last_exc[0])
+    fate.last_excitatory_spike = last if last >= 0 else None
+    if fate.outcome in ("synchronized", "cycle"):
+        fate.excitatory_death = fate.outcome == "cycle" and not table.excit_fires[table.cycle[0]]
     return fate
 
 

@@ -217,6 +217,22 @@ def test_cycle_entry_points_reject_empty_work(call, request):
         run(request.getfixturevalue(name))
 
 
+# entry point -> a call on mixed8 with a given eta; NaN, -1 and 0 would turn the
+# grazing check off, and inf would report every sample as grazing
+BAD_ETA = {
+    "census": lambda p, eta: cycle_census(p, 30, seed=0, eta=eta),
+    "detect": lambda p, eta: detect_cycle(p, cycles._census_starts(p, 1, seed=0)[0], eta=eta),
+    "classify": lambda p, eta: classify_fate(p, cycles._census_starts(p, 1, seed=0)[0], eta=eta),
+}
+
+
+@pytest.mark.parametrize("eta", [math.nan, -1.0, 0.0, math.inf])
+@pytest.mark.parametrize("call", sorted(BAD_ETA))
+def test_cycle_entry_points_reject_a_bad_eta(call, eta):
+    with pytest.raises(PreconditionFailed, match="eta must be a finite positive number"):
+        BAD_ETA[call](mixed8(), eta)
+
+
 def test_cycle_banach_inequality_uses_enclosing_zone(net_d):
     cyc = detect_cycle(net_d, [0.6, 0.0]).cycle
     cert = cyc.certificate
@@ -292,7 +308,7 @@ def test_census_fate_equals_single_start(name, request):
     V0 = cycles._census_starts(params, 40, seed=5)
     if extra:
         V0 = np.concatenate([V0, extra])
-    fates, _ = cycles._fates(params, V0, max_iter, eta)
+    fates = _row_fates(cycles._fates(params, V0, max_iter, eta))
     alone = [detect_cycle(params, v0, max_iter=max_iter, eta=eta) for v0 in V0]
     for batched, single in zip(fates, alone):
         _same_fate(batched, single)
@@ -323,7 +339,8 @@ def reference_fates(params, V0, max_iter, eta):
     """Fates of the rows of an (m, n) batch of starts, stepped in lockstep.
 
     The census detection written as a per-row loop over Python lists, kept
-    as the reference `cycles._fates` is held to, field by field.  It reads
+    as the reference `cycles._fates` is held to, field by field, with each row of
+    its FateTable read through `report`.  It reads
     `cycles._MAX_PERIOD` when it runs, so a test that patches it patches both.
 
     Each return steps every live row with one `step_batch` call; only the
@@ -425,11 +442,24 @@ def reference_fates(params, V0, max_iter, eta):
     return fates, last_exc
 
 
-def _same_fates(got, want):
-    """Field-by-field equality of two (fates, last_exc) results of _fates; an error
-    must have the same type and message."""
-    (fates, last_exc), (ref_fates, ref_last_exc) = got, want
-    assert last_exc.tobytes() == ref_last_exc.tobytes() and len(fates) == len(ref_fates)
+def _row_fates(table):
+    """Each row's fate read from a FateTable through `report`: its FateReport, or
+    the error its cycle's solve raised."""
+    fates = []
+    for r in range(len(table.outcome)):
+        try:
+            fates.append(table.report(r))
+        except (NumericalStall, PreconditionFailed) as exc:
+            fates.append(exc)
+    return fates
+
+
+def _same_fates(table, want):
+    """Field-by-field equality of the rows of a FateTable and reference_fates'
+    (fates, last_exc); an error must have the same type and message."""
+    ref_fates, ref_last_exc = want
+    fates = _row_fates(table)
+    assert table.last_exc.tobytes() == ref_last_exc.tobytes() and len(fates) == len(ref_fates)
     for a, b in zip(fates, ref_fates):
         if isinstance(b, Exception):
             assert (type(a), str(a)) == (type(b), str(b))
@@ -511,9 +541,9 @@ def test_fates_equal_reference_fates_at_the_period_cutoff(name, period, shorter,
     params = _diff_network(name, request)
     monkeypatch.setattr(cycles, "_MAX_PERIOD", period - shorter)
     V0 = _diff_starts(params, name, 0, 40, 4)
-    fates, last_exc = cycles._fates(params, V0, 60, 1e-4)
-    _same_fates((fates, last_exc), reference_fates(params, V0, 60, 1e-4))
-    periods = {f.cycle.period for f in fates if f.outcome == "cycle"}
+    table = cycles._fates(params, V0, 60, 1e-4)
+    _same_fates(table, reference_fates(params, V0, 60, 1e-4))
+    periods = {f.cycle.period for f in _row_fates(table) if f.outcome == "cycle"}
     assert periods == (set() if shorter else {period})
 
 
@@ -527,10 +557,11 @@ def test_fates_history_grows_with_the_live_rows(net_a, monkeypatch):
     max_iter = 2000
     tracemalloc.start()
     try:
-        fates, _ = cycles._fates(net_a, V0, max_iter, 1e-6)
+        table = cycles._fates(net_a, V0, max_iter, 1e-6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    fates = _row_fates(table)
     assert [f.outcome for f in fates[-1:]] == ["unresolved"]
     assert max(f.transient_steps for f in fates[:-1]) <= 1
     dense = V0.size * max_iter * 8  # samples x max_iter x n float64
@@ -551,16 +582,6 @@ def test_itineraries_are_the_printed_piece_names(name, eta):
     for fate in (detect_cycle(params, start, eta=eta), classify_fate(params, start, eta=eta)):
         it = fate.cycle.itinerary
         assert type(it) is tuple and all(type(p) is str for p in it) and it == got[0]
-
-
-def test_census_counts_fates_that_share_a_solve_without_matching(monkeypatch):
-    # every cycle fate of a mixed8 census carries the one solved LimitCycle,
-    # so no alignment search runs
-    calls = []
-    match = cycles._cycles_match
-    monkeypatch.setattr(cycles, "_cycles_match", lambda *a: calls.append(a) or match(*a))
-    rep = cycle_census(mixed8(), 300, seed=0, eta=1e-4)
-    assert len(rep.entries) == 1 and rep.entries[0].count > 100 and calls == []
 
 
 def test_dale4_census_cycles_are_certified():
@@ -589,7 +610,7 @@ def test_empty_zone_network_still_ends_in_a_cycle():
 def test_no_certified_cycle_holds_sync(name, request):
     # a certified cycle runs on inhibitory pieces only; an uncertified one is named by firing sets
     params = _diff_network(name, request)
-    fates, _ = cycles._fates(params, _diff_starts(params, name, 0, 100, 20), 2000, 1e-6)
+    fates = _row_fates(cycles._fates(params, _diff_starts(params, name, 0, 100, 20), 2000, 1e-6))
     found = [f.cycle for f in fates if f.outcome == "cycle"]
     assert found
     for cyc in found:
@@ -686,9 +707,92 @@ def test_census_solves_each_cycle_once(monkeypatch):
     monkeypatch.setattr(cycles, "_certified_cycle", spy)
     rep = cycle_census(params, 200, seed=0, eta=1e-4)
     assert calls == [6] and len(rep.entries) == 1
-    fates, _ = cycles._fates(params, cycles._census_starts(params, 200, seed=0), 2000, 1e-4)
-    points = {f.cycle.points.tobytes() for f in fates if f.outcome == "cycle"}
+    table = cycles._fates(params, cycles._census_starts(params, 200, seed=0), 2000, 1e-4)
+    points = {f.cycle.points.tobytes() for f in _row_fates(table) if f.outcome == "cycle"}
     assert points == {rep.entries[0].cycle.points.tobytes()}
+    # every sample that recurs on the solved word holds the one index of its solve
+    assert len(table.cycles) == 1 and set(table.cycle.tolist()) == {-1, 0}
+
+
+def _cycles_match(a, b, thr):
+    """Whether two cycles match by the pairwise alignment search: the least sup
+    distance over cyclic alignments of equal periods, or the Hausdorff distance
+    of the point sets when one period divides the other, is at most thr."""
+    if a.period == b.period:
+        p = a.period
+        twice = np.concatenate((b.points, b.points))  # twice[s:s + p] is b shifted by s
+        return any(np.abs(a.points - twice[s:s + p]).max() <= thr for s in range(p))
+    if max(a.period, b.period) % min(a.period, b.period) != 0:
+        return False
+    d = np.abs(a.points[:, None, :] - b.points[None, :, :]).max(axis=2)
+    return bool(max(d.min(axis=1).max(), d.min(axis=0).max()) <= thr)
+
+
+def reference_entries(fates, thr):
+    """[cycle, count] census entries by the alignment search: each cycle fate, in
+    sample order, counts for the first entry whose cycle it matches, or opens one."""
+    entries = []
+    for fate in fates:
+        if fate.outcome == "cycle":
+            entry = next((e for e in entries if _cycles_match(e[0], fate.cycle, thr)), None)
+            if entry is None:
+                entry = [fate.cycle, 0]
+                entries.append(entry)
+            entry[1] += 1
+    return entries
+
+
+# census -> network, samples, eta: the cycles goldens, and an all-inhibitory network
+# whose 300 uncertified windows all close one period-19 cycle
+ORACLE_CENSUSES = {"mixed8": ("mixed8", 1000, 1e-6), "dale4": ("dale4", 1000, 1e-6),
+                   "dale64": ("dale64", 200, 1e-6), "inhib4_p19": ("inhib4_p19", 300, 1e-6)}
+
+
+@pytest.mark.parametrize("census", sorted(ORACLE_CENSUSES))
+def test_census_entries_equal_the_alignment_search(census, request):
+    # dedup by key, with points within ten tie tolerances over the shifts that
+    # give it, makes the entries the alignment search makes; and the table's
+    # excitatory flag of every cycle fate is what a re-step of its points says
+    name, samples, eta = ORACLE_CENSUSES[census]
+    params = (load_config(str(GOLDEN / "dale64.json")).params if name == "dale64"
+              else _diff_network(name, request))
+    rep = cycle_census(params, samples, seed=0, eta=eta)
+    table = cycles._fates(params, cycles._census_starts(params, samples, seed=0), 2000, eta)
+    want = reference_entries(_row_fates(table), 10.0 * params.tie_tol())
+    assert [(e.cycle.points.tobytes(), e.count) for e in rep.entries] == [(c.points.tobytes(), k) for c, k in want]
+    assert [e.basin_fraction for e in rep.entries] == [k / samples for _, k in want]
+    rows = np.flatnonzero(table.cycle >= 0)
+    assert rows.size
+    for r in rows.tolist():
+        points = table.cycles[table.cycle[r]].points
+        assert table.excit_fires[table.cycle[r]] == step_batch(params, points)[1][:, list(params.excitatory)].any()
+    if census in ("dale64", "inhib4_p19"):  # uncertified windows, merged into fewer entries
+        assert len(rep.entries) < len(set(table.cycle[rows].tolist()))
+
+
+def test_census_joins_uncertified_cycles_by_key_and_aligned_distance():
+    # entries join on equal keys, with points close over the shifts that give
+    # the key: a rotated copy joins, a far one and a misaligned one do not
+    pts, it, thr = np.array([[0.1, 0.0], [0.0, 0.2]]), ("J:1", "J:2"), 1e-9
+    table = cycles.FateTable(*[np.zeros(0)] * 5)
+
+    def add(points, itinerary):
+        cycle = cycles.LimitCycle(period=len(points), points=points, itinerary=itinerary, min_margin=None,
+                                  certificate=None, certified=False, time_period=1.0)
+        return table.add(cycle, cycles._least_rotation(itinerary)[1], False)
+
+    a = add(pts, it)
+    assert cycles._one_entry(table, a, add(pts[::-1] + thr / 2, it[::-1]), thr)
+    assert not cycles._one_entry(table, a, add(pts + 0.5, it), thr)
+    assert not cycles._one_entry(table, a, add(pts, ("J:1", "J:1;2")), thr)
+    # a word of period 2 on a cycle of period 4: two shifts give its key, one aligns the points
+    four = np.concatenate((pts, pts + 0.1))
+    assert cycles._one_entry(table, add(four, it * 2), add(np.roll(four, 2, axis=0), it * 2), thr)
+    # the same points under a shift that does not give the key: the alignment search
+    # would join them, the key rule does not
+    misaligned = add(pts[::-1], it)
+    assert _cycles_match(table.cycles[a], table.cycles[misaligned], thr)
+    assert not cycles._one_entry(table, a, misaligned, thr)
 
 
 def test_census_cycle_reports_its_measured_contraction():
@@ -785,6 +889,15 @@ def test_classify_fate_sync_branch(net_death):
     fate = classify_fate(net_death, [0.4, 0.0, 0.2])
     assert fate.outcome == "synchronized"
     assert fate.excitatory_death is False
+
+
+def test_classify_fate_reads_excitatory_firing_from_an_uncertified_cycle(net_a):
+    # the anti-phase cycle of an all-excitatory network is uncertified, and each
+    # of its points fires an excitatory neuron: no death
+    fate = classify_fate(net_a, [0.9, 0.0])
+    assert fate.outcome == "cycle" and not fate.cycle.certified
+    assert step_batch(net_a, fate.cycle.points)[1].any(axis=1).all()
+    assert fate.excitatory_death is False and fate.cycle.itinerary == ("J:1", "J:2")
 
 
 def test_classify_fate_excitatory_record(net_death):

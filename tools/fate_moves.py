@@ -12,7 +12,8 @@ A fate is synchronized, grazing, unresolved, a certified or an uncertified
 cycle, or the name of the error its solve raised.  The networks are mixed8 and
 dale4 (tests/golden), net_c, net_d, net_death (the test fixtures) and a
 12-neuron all-inhibitory network with |H| uniform in [0.6, 0.9]
-(default_rng(12)).  The exit status is 0 whatever moved.
+(default_rng(12)).  Either tree's `cycles._fates` may return a
+(fates, last_exc) pair or a FateTable.  The exit status is 0 whatever moved.
 """
 
 import json
@@ -40,6 +41,21 @@ def build(name):
     return network(len(H), 1.0, 1.2, 1.0, -1.0, H)
 
 
+def row_fates(got) -> list:
+    """Each row's FateReport, or the error its solve raised, from either shape
+    `cycles._fates` has returned: a (fates, last_exc) pair, or a FateTable
+    read row by row through its `report`."""
+    if isinstance(got, tuple):
+        return got[0]
+    fates = []
+    for r in range(len(got.outcome)):
+        try:
+            fates.append(got.report(r))
+        except Exception as exc:  # the solve's error, whatever its type
+            fates.append(exc)
+    return fates
+
+
 def dump() -> None:
     """Print, as JSON, [fate, transient, period] of every sample of every census
     of the ifnet on sys.path."""
@@ -50,9 +66,8 @@ def dump() -> None:
         params = build(name)
         for seed in SEEDS:
             for eta in ETAS:
-                fates, _ = cycles._fates(params, cycles._census_starts(params, SAMPLES, seed), 2000, eta)
                 rows = []
-                for fate in fates:
+                for fate in row_fates(cycles._fates(params, cycles._census_starts(params, SAMPLES, seed), 2000, eta)):
                     if isinstance(fate, Exception):
                         rows.append([type(fate).__name__, None, None])
                     elif fate.outcome == "cycle":
