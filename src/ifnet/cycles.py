@@ -4,8 +4,12 @@ Inside the absorbed zone of a Dale network with inhibitory neurons, the
 section decomposes into one open piece per inhibitory neuron i (that neuron's
 potential strictly dominates every other), the synchronization piece (an
 excitatory potential is maximal, so the whole network fires together and the
-image is the origin), and the boundary set where competing maxima tie.  The
-return map is continuous on each piece and jumps by at least
+image is the origin), and the boundary set where competing maxima tie.  One
+piece code serves detection and certification alike: a state's winner, the
+first neuron of largest potential.  Off the boundary the maximum is unique,
+so an inhibitory winner k names the piece "inhib:k" and an excitatory one the
+synchronization piece.  The return map is continuous on each piece and jumps
+by at least
 
     mu = min(|alpha|, min_{i!=j} |H[i,j] + theta|)
 
@@ -21,22 +25,21 @@ of the zone at level max coordinate + r), then a unique attracting periodic
 orbit lives in the ball.  It needs a Dale network with an inhibitory neuron,
 not the interaction strength H3: H3 only makes every orbit reach the zone.
 
-Detection codes each return by its winner (the neuron of largest potential)
-and watches each orbit for a recurrence: a return within the tie tolerance of
-an earlier one with the same winner, or, when the image of C_{c_bar} lies in
-a strictly smaller zone of factor lambda < 1, a return close enough that the
-contraction budget admits a ball inside every margin of the window between
-them.  A return inside C_{c_bar} of a certifiable network has its winner
-margin, and grazes when that is below eta; every other return has the tie
-tolerance as its margin.  A recurring window inside C_{c_bar} of a
-certifiable network is solved once per piece word, for every orbit that
-recurs on it; any other window, and one whose solve fails on a recurrence
-within the tie tolerance, is reported as an uncertified cycle of its
-recurrent states.  The census steps all its samples as one batch and keeps
-their itineraries in arrays: each return tests every live sample's
-look-back candidates (the last 8 earlier returns with its winner) with array
-operations, so its cost follows the returns stepped, not the number of
-Python objects per sample.
+Detection codes each return by its winner and watches each orbit for a
+recurrence: a return within the tie tolerance of an earlier one with the
+same winner, or, when the image of C_{c_bar} lies in a strictly smaller zone
+of factor lambda < 1, a return close enough that the contraction budget
+admits a ball inside every margin of the window between them.  A return
+inside C_{c_bar} of a certifiable network has its winner margin, and grazes
+when that is below eta; every other return has the tie tolerance as its
+margin.  A recurring window inside C_{c_bar} of a certifiable network is
+solved once per piece word, for every orbit that recurs on it; any other
+window, and one whose solve fails on a recurrence within the tie tolerance,
+is reported as an uncertified cycle of its recurrent states.  The census
+steps all its samples as one batch and keeps their itineraries in arrays:
+each return tests every live sample's look-back candidates (the last 8
+earlier returns with its winner) with array operations, so its cost follows
+the returns stepped, not the number of Python objects per sample.
 
 Every fate reader works from one record, the `FateTable` that `_fates`
 returns: per row its outcome code, transient, margin, cycle index and last
@@ -53,9 +56,10 @@ A cycle's itinerary is the tuple of its pieces' printed names, as
 `cycles.json` writes them: "inhib:i" (neuron i, from 1) for a certified
 cycle, and the firing set, "J:1;3", for an uncertified one.
 
-Pieces and margins are computed for batches of states only (`_classify`).
-`certify_cycle` re-checks a certificate from the cycle's points alone, with
-all of them classified and stepped as one batch.
+Winners and gaps are computed for batches of states only (`_classify`); a
+state's margin is half its gap.  `certify_cycle` re-checks a certificate
+from the cycle's points alone, with all of them classified and stepped as
+one batch.
 """
 
 from __future__ import annotations
@@ -82,36 +86,30 @@ __all__ = [
 ]
 
 
-# piece codes beside the inhibitory indices 0..n-1
-_SYNC, _BOUNDARY = -1, -2
-
-
 def _certifiable(params: NetworkParams) -> bool:
     """A Dale network with an inhibitory neuron: one whose cycles a certificate can cover."""
     return params.hypotheses.h4 and bool(params.inhibitory)
 
 
 def _classify(params: NetworkParams, V: np.ndarray):
-    """Piece codes and gaps of the rows of an (m, n) batch of section states.
+    """Winners and gaps of the rows of an (m, n) batch of section states.
 
-    A code is the winning inhibitory index, _SYNC or _BOUNDARY, and a gap the
-    exact winner/runner-up difference (0 on the boundary, where the gap is
-    within the tie tolerance).  The first maximal inhibitory index wins a tie.
+    A winner is the first neuron of largest potential, the piece code detection
+    and certification share.  A gap is the winner's lead over the runner-up
+    when an inhibitory neuron wins, and the largest excitatory over the largest
+    inhibitory potential on the synchronization piece; it is 0 on the boundary,
+    where it is within the tie tolerance.  A row of positive gap has a unique
+    maximum, so its piece is its winner's: "inhib:k" or, for an excitatory
+    winner, the synchronization piece.
     """
-    inhib = np.array(params.inhibitory)
-    inh = V[:, inhib]
-    m_minus = inh.max(axis=1)
+    m_minus = V[:, list(params.inhibitory)].max(axis=1)
     m_plus = V[:, list(params.excitatory)].max(axis=1, initial=-math.inf)
-    winner = inhib[inh.argmax(axis=1)]
+    winner = V.argmax(axis=1)
     others = V.copy()
     others[np.arange(V.shape[0]), winner] = -math.inf
-    sync = m_plus >= m_minus
-    gap = np.where(sync, m_plus - m_minus, m_minus - others.max(axis=1))
-    code = np.where(sync, _SYNC, winner)
-    edge = ~(gap > params.tie_tol())
-    code[edge] = _BOUNDARY
-    gap[edge] = 0.0
-    return code, gap
+    gap = np.where(m_plus >= m_minus, m_plus - m_minus, m_minus - others.max(axis=1))
+    gap[~(gap > params.tie_tol())] = 0.0
+    return winner, gap
 
 
 @dataclass(frozen=True)
@@ -188,29 +186,31 @@ def _period_time(params: NetworkParams, points: np.ndarray) -> float:
     return float(sum(_kernels.wait_times(params, points.max(axis=1)).tolist()))
 
 
-def _ball_factor(params: NetworkParams, pts: np.ndarray, code: np.ndarray, r: float) -> float:
+def _ball_factor(params: NetworkParams, pts: np.ndarray, winner: np.ndarray, r: float) -> float:
     """The least contraction factor a certificate of ball radius r may claim
-    for cycle points of piece codes `code`: lambda of the zone at level
+    for cycle points of winners `winner`: lambda of the zone at level
     max(0, largest coordinate) + r, which holds the r-balls.  Raises
-    PreconditionFailed unless every point has an inhibitory winner and that
-    level lies in [0, c_bar)."""
+    PreconditionFailed unless every winner is inhibitory and that level lies
+    in [0, c_bar)."""
     level = max(0.0, float(pts.max())) + r
-    if not ((code >= 0).all() and level < params.constants.c_bar):
+    if np.isin(winner, params.excitatory).any() or not level < params.constants.c_bar:
         raise PreconditionFailed("a cycle point has no inhibitory winner, or its ball leaves C_{c_bar}")
     return lambda_for_zone(params, level)  # which raises below level 0
 
 
-def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float):
-    """LimitCycle with its Banach certificate from 2p + 1 settled iterates,
-    or a grazing FateReport when the cycle hugs the boundary below eta.  A
-    cycle point without an inhibitory winner is refused: without H3 the
-    synchronization piece need not map to the origin."""
+def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float, contraction: float):
+    """LimitCycle with its Banach certificate from 2p + 1 settled iterates
+    and the contraction its solve measured, or a grazing FateReport when the
+    cycle hugs the boundary below eta.  Every point that passes the eta test
+    has a positive gap, so a unique maximum, and its winner names its piece,
+    "inhib:k".  A cycle point with an excitatory winner is refused: without
+    H3 the synchronization piece need not map to the origin."""
     # the residual is measured at every cycle point
     residual = float(np.abs(seq[p:] - seq[:p + 1]).max())
     pts = seq[:p]
     if not _in_zone_rows(pts, params.constants.c_bar).all():
         raise PreconditionFailed("state is outside C_{c_bar}")
-    code, gap = _classify(params, pts)
+    winner, gap = _classify(params, pts)
     min_marg = min((0.5 * gap).tolist())
     if min_marg < eta:
         return FateReport("grazing", transient_steps=0, margin=min_marg)
@@ -219,14 +219,14 @@ def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float)
     if head <= 0:
         raise NumericalStall("cycle points leave the certifiable zone")
     ball = 0.5 * min(min_marg, head)
-    lam = _ball_factor(params, pts, code, ball)
+    lam = _ball_factor(params, pts, winner, ball)
     if lam >= 1.0 or lam * ball + residual > ball or residual > 1e-10:
         raise NumericalStall("Banach ball inequality failed at the solved cycle")
     return LimitCycle(
         period=p, points=pts, min_margin=min_marg,
-        itinerary=tuple(f"inhib:{c + 1}" for c in code.tolist()),
+        itinerary=tuple(f"inhib:{c + 1}" for c in winner.tolist()),
         certificate=CycleCertificate(lam=lam, ball_radius=ball, residual=residual),
-        certified=True, time_period=_period_time(params, pts),
+        certified=True, time_period=_period_time(params, pts), contraction=contraction,
     )
 
 
@@ -247,10 +247,7 @@ def _solve(params: NetworkParams, window: np.ndarray, eta: float):
         raise NumericalStall(f"period-{p} piece product has no strictly dominant real eigenvector")
     x = (x[:-1] / x[-1]).real
     seq = np.vstack((x, _kernels.run_orbit(params, x, 4 * p)[0]))
-    cycle = _certified_cycle(params, seq[2 * p:], p, eta)
-    if isinstance(cycle, LimitCycle):
-        cycle.contraction = float(abs(w[second] / w[lead]))
-    return cycle
+    return _certified_cycle(params, seq[2 * p:], p, eta, float(abs(w[second] / w[lead])))
 
 
 # longest period detection looks for, and how many occurrences of a piece it looks back over
@@ -286,25 +283,26 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
     once its fate is known, and its outcome, transient and margin are written
     into the table's arrays.  Each return of a live row is a record in a flat
     history, which grows with the live rows: its state, its firing set, its
-    code (the winner, the first neuron of largest potential), its margin and
-    whether it lies in C_{c_bar} of a certifiable network.  A return inside
-    C_{c_bar} of a certifiable network has half its winner gap as margin (0
-    on the boundary) and grazes when that is below eta; every other return
-    has the tie tolerance.  The look-back candidates of a return are the last
-    _LOOK_BACK earlier records of its row with its code, kept in a ring, at
-    most _MAX_PERIOD returns back; the newest one that passes the test is
-    taken.  A candidate passes when its sup distance is within the tie
-    tolerance, or when the contraction budget admits it: the distance over
-    1 - lam ** p is at most the least margin of the window.  There is a
-    budget only when lam, the factor of the zone that holds the image of
-    C_{c_bar} in a certifiable network, is that of a level in [0, c_bar)
-    (which H3 gives).  A window wholly inside C_{c_bar} of a certifiable
-    network is solved: windows whose piece words share a least rotation share
-    one `_solve`, made in (return, row) order, and one cycle index of the
-    table.  Any other window is an uncertified cycle of its states, and so is
-    one whose solve fails on a recurrence within the tie tolerance; each such
-    window has an index of its own.  Raises PreconditionFailed unless
-    max_iter >= 0 and eta is finite and positive.
+    margin, its return and its row's record one return earlier.  A return's
+    code is its winner (`_classify`), which its state gives back, as it gives
+    back whether the return lies in C_{c_bar}.  A return inside C_{c_bar} of a
+    certifiable network has half its winner gap as margin (0 on the boundary)
+    and grazes when that is below eta; every other return has the tie
+    tolerance.  The look-back candidates of a return are the last _LOOK_BACK
+    earlier records of its row with its code, kept in a ring, at most
+    _MAX_PERIOD returns back; the newest one that passes the test is taken.  A
+    candidate passes when its sup distance is within the tie tolerance, or
+    when the contraction budget admits it: the distance over 1 - lam ** p is
+    at most the least margin of the window.  There is a budget only when lam,
+    the factor of the zone that holds the image of C_{c_bar} in a certifiable
+    network, is that of a level in [0, c_bar) (which H3 gives).  A window
+    wholly inside C_{c_bar} of a certifiable network, as its states show, is
+    solved: windows whose piece words (the winners of their states) share a
+    least rotation share one `_solve`, made in (return, row) order, and one
+    cycle index of the table.  Any other window is an uncertified cycle of its
+    states, and so is one whose solve fails on a recurrence within the tie
+    tolerance; each such window has an index of its own.  Raises
+    PreconditionFailed unless max_iter >= 0 and eta is finite and positive.
     """
     if max_iter < 0:
         raise PreconditionFailed("max_iter must be at least 0")
@@ -321,9 +319,9 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
     m, n = V0.shape
     table = FateTable(np.full(m, _UNRESOLVED, np.int8), np.full(m, max_iter), np.full(m, np.nan), np.full(m, -1), np.full(m, -1))
     solved = {}  # least rotation of a winner word -> the table index of its solve, or its grazing FateReport
-    # the flat history: per record its state, firing set, code, margin, zone flag, return, and its row's record one return earlier
+    # the flat history: per record its state, firing set, margin, return, and its row's record one return earlier
     states, sets = np.zeros((4 * m, n)), np.zeros((4 * m, n), np.bool_)
-    codes, margs, zones, rets, back = (np.zeros(4 * m, t) for t in (np.int64, np.float64, np.bool_, np.int64, np.int64))
+    margs, rets, back = np.zeros(4 * m), np.zeros(4 * m, np.int64), np.zeros(4 * m, np.int64)
     occ = np.full((m, n, _LOOK_BACK), -1)  # the ring: by row and code, its last records with that code, newest first
     top, live, V, before = 0, np.arange(m), V0, np.full(m, -1)  # before: each live row's latest record
     for k in range(max_iter + 1):
@@ -342,9 +340,8 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
         h = slice(top, top + live.size)  # this return's records
         f, top = np.arange(h.start, h.stop), h.stop
         if top > len(rets):  # double the history's capacity
-            states, sets, codes, margs, zones, rets, back = (
-                np.concatenate((a, np.zeros_like(a))) for a in (states, sets, codes, margs, zones, rets, back))
-        states[h], sets[h], codes[h], margs[h], zones[h], rets[h], back[h] = V, fired, code, marg, zone, k, before
+            states, sets, margs, rets, back = (np.concatenate((a, np.zeros_like(a))) for a in (states, sets, margs, rets, back))
+        states[h], sets[h], margs[h], rets[h], back[h] = V, fired, marg, k, before
 
         prev = occ[live, code]
         i, j = np.nonzero((prev >= 0) & ~graze[:, None])  # the candidates, by row and then newest first
@@ -365,12 +362,16 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
             stay[i] = False
             table.outcome[live[i]] = _CYCLE
             walk = _walk(back, back[f[i]], lag.max())  # by row, its records of returns k - 1, k - 2, ...
-            inside = np.logical_and.accumulate(zones[walk], axis=1)[np.arange(len(i)), lag - 1]  # window in the zone
-            for r, w, q, e, z in zip(live[i].tolist(), walk, lag.tolist(), exact.tolist(), inside.tolist()):
-                w = w[q - 1::-1]  # the records of returns k - q .. k - 1
+            # their states, no more than the history holds (a row found at return k has k records back):
+            # their winners make a window's word, and it is solved when all of them lie in the zone
+            seen = states[walk]
+            held = np.logical_and.accumulate(_in_zone_rows(seen.reshape(-1, n), c_bar).reshape(walk.shape), axis=1)
+            inside = (certifiable & held[np.arange(len(i)), lag - 1]).tolist()
+            for r, w, word, q, e, z in zip(live[i].tolist(), walk, seen.argmax(axis=2), lag.tolist(), exact.tolist(), inside):
+                w, word = w[q - 1::-1], word[q - 1::-1]  # the records of returns k - q .. k - 1, and their winners
                 pts, c = states[w], None
                 if z:
-                    s, key = _least_rotation(tuple(codes[w].tolist()))
+                    s, key = _least_rotation(tuple(word.tolist()))
                     if key not in solved:
                         try:
                             found = _solve(params, np.roll(pts, -s, axis=0), eta)
@@ -414,7 +415,7 @@ def certify_cycle(params: NetworkParams, candidate: LimitCycle) -> bool:
     Recomputes everything from the candidate's points: a Dale network with an
     inhibitory neuron, exactly `period >= 1` points, each a section state in
     C_{c_bar} with an inhibitory winner whose margin exceeds the ball radius
-    r, the balls below c_bar, a claimed lambda below 1 and at least the zone
+    r > 0, the balls below c_bar, a claimed lambda below 1 and at least the zone
     factor `_certified_cycle` takes for them, the Banach inequality
     lambda*r + residual <= r, and the p-step return of every cycle point
     within residual of it (all points stepped as one batch).  Every
@@ -426,11 +427,11 @@ def certify_cycle(params: NetworkParams, candidate: LimitCycle) -> bool:
         return False
     try:
         pts = np.array([as_state(params, pt) for pt in candidate.points])
-        code, gap = _classify(params, pts)
-        lam = _ball_factor(params, pts, code, cert.ball_radius)
+        winner, gap = _classify(params, pts)
+        lam = _ball_factor(params, pts, winner, cert.ball_radius)
     except PreconditionFailed:
         return False
-    if not (lam <= cert.lam < 1.0 and cert.lam * cert.ball_radius + cert.residual <= cert.ball_radius
+    if not (0.0 < cert.ball_radius and lam <= cert.lam < 1.0 and cert.lam * cert.ball_radius + cert.residual <= cert.ball_radius
             and _in_zone_rows(pts, params.constants.c_bar).all() and (0.5 * gap > cert.ball_radius).all()):
         return False
     image = pts

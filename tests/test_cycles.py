@@ -51,9 +51,11 @@ def net_death():
 # ---------------------------------------------------------------- pieces & margins
 
 
-def piece_name(code):
-    """The printed name of a certified piece code."""
-    return {cycles._SYNC: "sync", cycles._BOUNDARY: "boundary"}.get(code, f"inhib:{code + 1}")
+def piece_name(winner, gap, params):
+    """The name of the piece of a state of winner `winner` and gap `gap`."""
+    if gap == 0.0:
+        return "boundary"
+    return "sync" if winner in params.excitatory else f"inhib:{winner + 1}"
 
 
 def set_name(fired):
@@ -65,8 +67,8 @@ def pieces_and_margins(params, V):
     """Piece names and margins of the rows of a batch of states in C_{c_bar}."""
     V = np.atleast_2d(np.asarray(V, np.float64))
     assert _in_zone_rows(V, params.constants.c_bar).all()
-    code, gap = cycles._classify(params, V)
-    return [piece_name(c) for c in code.tolist()], (0.5 * gap).tolist()
+    winner, gap = cycles._classify(params, V)
+    return [piece_name(w, g, params) for w, g in zip(winner.tolist(), gap.tolist())], (0.5 * gap).tolist()
 
 
 def test_classify_fixtures(net_c):
@@ -190,6 +192,9 @@ VACUOUS = {
     "negative_lam": lambda cyc, cert: replace(cyc, certificate=replace(cert, lam=-0.5)),
     "nan_residual": lambda cyc, cert: replace(cyc, certificate=replace(cert, residual=math.nan)),
     "nan_ball_radius": lambda cyc, cert: replace(cyc, certificate=replace(cert, ball_radius=math.nan)),
+    # a ball of radius 0 certifies nothing, even on a cycle that returns exactly
+    "zero_ball_radius": lambda cyc, cert: replace(cyc, certificate=replace(cert, ball_radius=0.0, residual=0.0)),
+    "negative_zero_ball_radius": lambda cyc, cert: replace(cyc, certificate=replace(cert, ball_radius=-0.0, residual=0.0)),
 }
 
 
@@ -647,7 +652,7 @@ def test_certified_cycle_refuses_a_point_on_the_sync_piece(net_c):
     # piece need not map to the origin, so no certificate is made for it
     seq = np.array([[0.4, 0.0, 0.2]] * 3)
     with pytest.raises(PreconditionFailed, match="no inhibitory winner"):
-        cycles._certified_cycle(net_c, seq, 1, 1e-6)
+        cycles._certified_cycle(net_c, seq, 1, 1e-6, 0.5)
 
 
 def test_certify_cycle_recomputes_lambda(net_d):
@@ -684,7 +689,7 @@ def test_census_starts_are_the_draws_of_each_samples_own_stream(seed, n, count):
 
 
 def test_census_raises_error_of_lowest_failing_sample(net_d, monkeypatch):
-    def fail(params, seq, p, eta):
+    def fail(params, seq, p, eta, contraction):
         raise NumericalStall(seq[0].tobytes().hex())
 
     first = next(f for f in (detect_cycle(net_d, v0, max_iter=4, eta=3e-2)
@@ -694,6 +699,30 @@ def test_census_raises_error_of_lowest_failing_sample(net_d, monkeypatch):
     with pytest.raises(NumericalStall) as err:
         cycle_census(net_d, 40, seed=5, max_iter=4, eta=3e-2)
     assert str(err.value) == first.cycle.points[0].tobytes().hex()
+
+
+def test_a_solved_cycle_that_grazes_reports_the_row_grazing(monkeypatch):
+    # eta just above the least margin of mixed8's cycle (its golden min_margin): start 2
+    # of the 300-sample census grazes on none of its own returns, but recurs on the
+    # cycle's word, and the solved cycle's least margin is below eta
+    params = mixed8()
+    margin = json.loads((GOLDEN / "cycles_mixed8" / "cycles.json").read_text())["cycles"][0]["min_margin"]
+    eta, V0 = margin * (1 + 1e-6), cycles._census_starts(params, 300, seed=0)[:3]
+    certified, reports = cycles._certified_cycle, []
+
+    def spy(*args):
+        reports.append(certified(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cycles, "_certified_cycle", spy)
+    fate = detect_cycle(params, V0[2], eta=eta)
+    assert (fate.outcome, fate.transient_steps, fate.margin) == ("grazing", 9, margin)
+    assert [(type(f), f.margin) for f in reports] == [(cycles.FateReport, margin)]
+    _same_fates(cycles._fates(params, V0[2:], 2000, eta), reference_fates(params, V0[2:], 2000, eta))
+    # the census counts the row as grazing; rows 0 and 1 graze at their starts
+    assert cycles._fates(params, V0, 2000, eta).outcome.tolist() == [cycles._GRAZING] * 3
+    rep = cycle_census(params, 3, seed=0, eta=eta)
+    assert (rep.grazing_fraction, rep.entries) == (1.0, [])
 
 
 def test_census_solves_each_cycle_once(monkeypatch):

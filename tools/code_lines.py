@@ -2,9 +2,12 @@
 
 A code line holds part of a Python token other than a comment; blank lines,
 comment lines and docstrings (module, class and function) are left out.
-Prints one line per module and the total:
+Prints one line per module and the total, of DIR (src/ifnet by default), or
+of OLD and NEW side by side with the difference (a module missing from one
+counts 0 there):
 
     python3 tools/code_lines.py [DIR]
+    python3 tools/code_lines.py OLD NEW
 """
 
 import ast
@@ -35,14 +38,21 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def counts(root: Path) -> dict:
+    """Code lines by module name, and their sum under "total"."""
+    got = {path.name: code_lines(path.read_text(encoding="utf-8")) for path in sorted(root.glob("*.py"))}
+    return {**got, "total": sum(got.values())}
+
+
 def main(argv) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "ifnet"
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    if len(argv) > 3:
+        sys.exit(__doc__.split("\n\n")[2])
+    tables = [counts(Path(d)) for d in argv[1:]] or [counts(Path(__file__).resolve().parent.parent / "src" / "ifnet")]
+    names = sorted(set().union(*tables) - {"total"}) + ["total"]
+    for name in names:
+        row = [t.get(name, 0) for t in tables]
+        diff = f"{row[1] - row[0]:+6d}  " if len(row) == 2 else ""
+        print("".join(f"{c:6d}  " for c in row) + diff + name)
     return 0
 
 
