@@ -19,7 +19,6 @@ from .cycles import (
     FateReport,
     LimitCycle,
     certify_cycle,
-    classify_fate,
     cycle_census,
     detect_cycle,
     sync_test,

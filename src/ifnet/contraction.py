@@ -320,9 +320,9 @@ class AbsorptionReport:
     ok: bool
 
 
-def absorption_check(params: NetworkParams, sample_count: int, seed: int, horizon: int = 20) -> AbsorptionReport:
+def absorption_check(params: NetworkParams, sample_count: int, seed: int) -> AbsorptionReport:
     """Check that every sampled orbit enters C_{c_bar} within p0 + 1 returns
-    and that each later image keeps all coordinates below
+    and that each of the 20 images after entry keeps all coordinates below
     max(0, theta - min|H|) < c_bar."""
     if sample_count < 1:
         raise PreconditionFailed("sample_count must be at least 1")
@@ -333,7 +333,7 @@ def absorption_check(params: NetworkParams, sample_count: int, seed: int, horizo
     assert p0 is not None  # H3 guarantees a nonzero interaction
     rng = rng_stream(seed, 0)
     starts = sample_on_section(rng, params.n, params.alpha, params.theta, sample_count)
-    enter, stayed = _kernels.absorb_run(params, starts, dc.c_bar, post_bound + 1e-12, p0 + 1, horizon)
+    enter, stayed = _kernels.absorb_run(params, starts, dc.c_bar, post_bound + 1e-12, p0 + 1, 20)
     ok = bool(np.all(stayed))  # a start that never entered has stayed False
     # entry takes at most p0 + 1 returns, so a failing start dominates at p0 + 2
     worst = int(enter.max(initial=0)) if ok else p0 + 2
@@ -429,10 +429,7 @@ def estimate_lipschitz_c(params: NetworkParams, sample_count: int, seed: int) ->
     stretch = dists[:, 1:] / (lam_pow * dists[:, :1])
     c_hat = 2.0 * max(1.0, float(stretch.max(initial=0.0)))
     mu_tilde = 0.5 * (lam + 1.0)
-    if c_hat <= 1.0:
-        n0 = 1
-    else:
-        n0 = max(1, math.floor(math.log(c_hat) / math.log(mu_tilde / lam)) + 1)
+    n0 = max(1, math.floor(math.log(c_hat) / math.log(mu_tilde / lam)) + 1)
     return MetricEstimate(c_hat=c_hat, n0=n0, mu_tilde=mu_tilde, lam=lam, pairs=used)
 
 

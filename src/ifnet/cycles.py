@@ -45,8 +45,9 @@ Every fate reader works from one record, the `FateTable` that `_fates`
 returns: per row its outcome code, transient, margin, cycle index and last
 excitatory spike, and per distinct cycle its LimitCycle (or the error its
 solve raised), its key (the least rotation of its piece word) and whether an
-excitatory neuron fires on it.  `detect_cycle` reads row 0 through
-`FateTable.report`, and `classify_fate` adds the excitatory flag.  The census
+excitatory neuron fires on it.  `FateTable.report` builds a row's whole
+FateReport, the synchronization-or-excitatory-death dichotomy included, and
+`detect_cycle` returns row 0's.  The census
 counts outcome codes and makes one entry per distinct cycle in the order of
 the first sample that reaches it; rows that share a solve share its index,
 and an uncertified cycle joins an earlier one only when their keys are equal
@@ -81,7 +82,7 @@ from .params import NetworkParams
 __all__ = [
     "CycleCertificate", "LimitCycle", "FateReport",
     "detect_cycle", "certify_cycle",
-    "cycle_census", "classify_fate", "sync_test",
+    "cycle_census", "sync_test",
     "CensusEntry", "CensusReport", "SyncReport",
 ]
 
@@ -137,8 +138,8 @@ class FateReport:
     transient_steps: int
     margin: Optional[float] = None
     cycle: Optional[LimitCycle] = None
-    excitatory_death: Optional[bool] = None
-    last_excitatory_spike: Optional[int] = None
+    excitatory_death: Optional[bool] = None       # None for grazing and unresolved
+    last_excitatory_spike: Optional[int] = None   # None when no excitatory neuron fired
 
 
 # a FateTable row's outcome code indexes the FateReport outcome it names
@@ -174,11 +175,17 @@ class FateTable:
         return len(self.cycles) - 1
 
     def report(self, r: int) -> FateReport:
-        """Row r's FateReport; raises instead the error its cycle's solve raised, if it has one."""
-        cycle, margin = self.cycles[self.cycle[r]] if self.cycle[r] >= 0 else None, float(self.margin[r])
+        """Row r's FateReport, every field set; raises instead the error its cycle's solve raised, if it has one.
+
+        Its excitatory death is False on a synchronized row and, on a cycle
+        row, whether no excitatory neuron fires on its cycle."""
+        o, c, margin, last = int(self.outcome[r]), int(self.cycle[r]), float(self.margin[r]), int(self.last_exc[r])
+        cycle = self.cycles[c] if c >= 0 else None
         if isinstance(cycle, Exception):
             raise cycle
-        return FateReport(_OUTCOMES[self.outcome[r]], int(self.transient[r]), None if math.isnan(margin) else margin, cycle)
+        death = False if o == _SYNCHRONIZED else not self.excit_fires[c] if o == _CYCLE else None
+        return FateReport(_OUTCOMES[o], int(self.transient[r]), None if math.isnan(margin) else margin, cycle,
+                          death, last if last >= 0 else None)
 
 
 def _period_time(params: NetworkParams, points: np.ndarray) -> float:
@@ -200,10 +207,10 @@ def _ball_factor(params: NetworkParams, pts: np.ndarray, winner: np.ndarray, r: 
 
 def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float, contraction: float):
     """LimitCycle with its Banach certificate from 2p + 1 settled iterates
-    and the contraction its solve measured, or a grazing FateReport when the
-    cycle hugs the boundary below eta.  Every point that passes the eta test
-    has a positive gap, so a unique maximum, and its winner names its piece,
-    "inhib:k".  A cycle point with an excitatory winner is refused: without
+    and the contraction its solve measured, or, when the cycle hugs the
+    boundary below eta, its least margin as a float.  Every point that
+    passes the eta test has a positive gap, so a unique maximum, and its
+    winner names its piece, "inhib:k".  A cycle point with an excitatory winner is refused: without
     H3 the synchronization piece need not map to the origin."""
     # the residual is measured at every cycle point
     residual = float(np.abs(seq[p:] - seq[:p + 1]).max())
@@ -213,7 +220,7 @@ def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float,
     winner, gap = _classify(params, pts)
     min_marg = min((0.5 * gap).tolist())
     if min_marg < eta:
-        return FateReport("grazing", transient_steps=0, margin=min_marg)
+        return min_marg
     c_enc = max(0.0, float(pts.max()))
     head = params.constants.c_bar * (1.0 - 1e-9) - c_enc
     if head <= 0:
@@ -235,7 +242,9 @@ def _solve(params: NetworkParams, window: np.ndarray, eta: float):
     the product of their piece matrices (the p-step map there is projective),
     stepped 2p times to settle its last bits.  The next 2p + 1 states go to
     `_certified_cycle`, whose residual gate rejects a solve off the pieces.
-    The eigenvalue ratio |l2/l1| is the cycle's measured contraction per period."""
+    The eigenvalue ratio |l2/l1| is the cycle's measured contraction per period.
+    Returns `_certified_cycle`'s LimitCycle, or the least margin of a cycle
+    that grazes."""
     p = window.shape[0]
     prod = np.eye(params.n + 1)
     for M in _kernels.piece_matrix(params, window):
@@ -318,7 +327,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
 
     m, n = V0.shape
     table = FateTable(np.full(m, _UNRESOLVED, np.int8), np.full(m, max_iter), np.full(m, np.nan), np.full(m, -1), np.full(m, -1))
-    solved = {}  # least rotation of a winner word -> the table index of its solve, or its grazing FateReport
+    solved = {}  # least rotation of a winner word -> the table index of its solve, or its grazing least margin
     # the flat history: per record its state, firing set, margin, return, and its row's record one return earlier
     states, sets = np.zeros((4 * m, n)), np.zeros((4 * m, n), np.bool_)
     margs, rets, back = np.zeros(4 * m), np.zeros(4 * m, np.int64), np.zeros(4 * m, np.int64)
@@ -378,10 +387,10 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
                         except (NumericalStall, PreconditionFailed) as exc:
                             found = exc
                         # no excitatory neuron fires on a certified cycle: every point fires its inhibitory winner alone
-                        solved[key] = found if isinstance(found, FateReport) else table.add(found, key, False)
+                        solved[key] = found if isinstance(found, float) else table.add(found, key, False)
                     c = solved[key]
-                if isinstance(c, FateReport):  # the solved cycle grazes below eta
-                    table.outcome[r], table.margin[r], c = _GRAZING, c.margin, -1
+                if isinstance(c, float):  # the solved cycle grazes below eta, by this least margin
+                    table.outcome[r], table.margin[r], c = _GRAZING, c, -1
                 elif c is None or e and isinstance(table.cycles[c], Exception):
                     names = tuple(_set_name(b.tobytes()) for b in sets[w])
                     c = table.add(LimitCycle(period=q, points=pts, itinerary=names, min_margin=None, certificate=None,
@@ -405,6 +414,15 @@ def detect_cycle(params: NetworkParams, v0, max_iter: int = 2000, eta: float = 1
     C_{c_bar} of a certifiable network and its solve admits a Banach
     certificate, else reported uncertified), or unresolved after max_iter
     returns.
+
+    The report carries the synchronization-or-excitatory-death dichotomy:
+    last_excitatory_spike is the last return at which an excitatory neuron
+    fired (None if none did), and excitatory_death flags eventual death of
+    the excitatory population when a cycle is reached on which no
+    excitatory neuron fires, as the fate table records it: read from the
+    firing sets of an uncertified cycle, and always for a certified one,
+    each of whose points fires its inhibitory winner alone.  It is False for
+    a synchronized orbit and None for a grazing or unresolved one.
     """
     return _fates(params, as_state(params, v0)[None], max_iter, eta).report(0)
 
@@ -515,22 +533,6 @@ def cycle_census(params: NetworkParams, sample_count: int, seed: int,
     entries = [CensusEntry(table.cycles[h], k, k / sample_count) for h, k in zip(heads, np.bincount(entry[cyc]).tolist())]
     # the fractions of synchronized, grazing and unresolved samples
     return CensusReport(entries, *(outcomes[o] / sample_count for o in (_SYNCHRONIZED, _GRAZING, _UNRESOLVED)), sample_count)
-
-
-def classify_fate(params: NetworkParams, v0, max_iter: int = 2000, eta: float = 1e-6) -> FateReport:
-    """detect_cycle plus the synchronization-or-excitatory-death dichotomy.
-
-    Flags eventual death of the excitatory population when a cycle is
-    reached on which no excitatory neuron fires, as the fate table records
-    it: read from the firing sets of an uncertified cycle, and never for a
-    certified one, each of whose points fires its inhibitory winner alone.
-    """
-    table = _fates(params, as_state(params, v0)[None], max_iter, eta)
-    fate, last = table.report(0), int(table.last_exc[0])
-    fate.last_excitatory_spike = last if last >= 0 else None
-    if fate.outcome in ("synchronized", "cycle"):
-        fate.excitatory_death = fate.outcome == "cycle" and not table.excit_fires[table.cycle[0]]
-    return fate
 
 
 @dataclass(frozen=True)

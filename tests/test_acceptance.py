@@ -25,7 +25,7 @@ from ifnet import (
     sync_test,
     verify_contraction,
 )
-from ifnet._kernels import track_pair
+from ifnet._kernels import absorb_run, track_pair
 from ifnet._sampling import rng_stream, sample_on_section
 
 from test_dynamics import brute_force_firing_set
@@ -111,8 +111,11 @@ def test_criterion_05_avalanche_oracle_equivalence():
 
 
 def test_criterion_06_absorption_and_invariance(net_c):
-    rep = absorption_check(net_c, 10_000, seed=31, horizon=25)
-    ok = rep.ok and rep.max_steps_outside <= rep.bound_p0_plus_1 == 5
+    rep = absorption_check(net_c, 10_000, seed=31)
+    # invariance past absorption_check's fixed 20 returns: its starts, 25 returns after entry
+    starts = sample_on_section(rng_stream(31, 0), net_c.n, net_c.alpha, net_c.theta, 10_000)
+    stayed = absorb_run(net_c, starts, net_c.constants.c_bar, rep.post_entry_bound + 1e-12, rep.bound_p0_plus_1, 25)[1]
+    ok = rep.ok and stayed.all() and rep.max_steps_outside <= rep.bound_p0_plus_1 == 5
     report(6, ok,
            f"10^4 orbits inside C_c-bar by return {rep.max_steps_outside} <= 5, "
            f"post-entry coordinates <= {rep.post_entry_bound}")

@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifnet import ParseError, RejectConfig, _kernels, config, dynamics
+from ifnet import NumericalStall, ParseError, RejectConfig, _kernels, config, cycles, dynamics
 from ifnet.cli import main
 from ifnet.config import dump_json, load_config, params_to_doc, parse_config
 from ifnet.cycles import cycle_census
 from ifnet.dynamics import sample_trajectory
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 NET_A_DOC = {
     "n": 2, "gamma": 1.0, "beta": 1.2, "theta": 1.0, "alpha": -1.0,
     "H": [[0.0, 0.5], [0.5, 0.0]], "V0": [0.9, 0.0],
@@ -228,6 +229,16 @@ def test_cli_cycles_net_d(tmp_path):
     assert fractions == pytest.approx(1.0, abs=1e-12)
 
 
+def test_cli_cycles_exits_4_on_a_numerical_stall(capsys, monkeypatch):
+    def stall(params, window, eta):
+        raise NumericalStall("solve stalled")
+
+    monkeypatch.setattr(cycles, "_solve", stall)
+    assert main(["cycles", "--config", str(GOLDEN / "mixed8.json"), "--samples", "30", "--eta", "1e-4"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical stall: ") and err.count("\n") == 1, err
+
+
 def _csv_writer_text(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -362,6 +373,19 @@ def test_cli_expansion_net_b(tmp_path):
     assert pair["repeller"]["fixed_point"] == pytest.approx(0.8, abs=1e-10)
     assert pair["repeller"]["multiplier"] == pytest.approx(2.25, abs=1e-9)
     assert all(r.get("expanded", True) for r in out["witnesses"]["rows"])
+
+
+def test_cli_expansion_reports_a_repeller_that_fails(tmp_path, capsys):
+    # pair [2, 3] meets O1 to O3, but its two-step map has no sign change on the interval
+    doc = {"n": 3, "gamma": 1.0, "beta": 2.37, "theta": 1.0, "alpha": -1.46,
+           "H": [[0.44, 0.42, -0.33], [1.03, 0.88, 0.35], [1.35, -0.01, -1.35]]}
+    cfg = write_config(tmp_path, doc)
+    assert main(["expansion", "--config", str(cfg), "--samples", "8"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    pair = next(p for p in out["pairs"] if p["pair"] == [2, 3])
+    assert pair["O1"] and pair["O2"] and pair["O3"] and "repeller" not in pair
+    assert pair["repeller_error"] == "no sign change of the two-step map on (0.5680843526957207, 0.5878648035631404)"
+    assert out["witnesses"]["pair"] == [2, 3]
 
 
 def test_cli_sweep_antiphase_matches_closed_form(tmp_path):
@@ -573,14 +597,17 @@ def test_samples_floors_are_stated_in_help_and_readme(tmp_path, capsys):
     assert outs[0] == outs[1] and len(json.loads(outs[0])["witnesses"]["rows"]) == 7
 
 
-@pytest.mark.parametrize("text", [b"\xff{}", b'{"n": ' + b"1" * 5000 + b"}", b"[" * 10**5 + b"]" * 10**5],
-                         ids=["not-utf8", "5000-digit-integer", "deep-nesting"])
-def test_cli_unreadable_config_exits_2_in_one_line(tmp_path, capsys, text):
+# config bytes -> the reason the error line must give, where one is pinned
+@pytest.mark.parametrize("text, reason", [(b"\xff{}", None), (b"[1, 2]", "config root must be a JSON object"),
+                                          (b'{"n": ' + b"1" * 5000 + b"}", None), (b"[" * 10**5 + b"]" * 10**5, None)],
+                         ids=["not-utf8", "root-not-an-object", "5000-digit-integer", "deep-nesting"])
+def test_cli_unreadable_config_exits_2_in_one_line(tmp_path, capsys, text, reason):
     path = tmp_path / "net.json"
     path.write_bytes(text)
     assert main(["analyze", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert reason is None or err == f"config error: {reason}\n", err
 
 
 def test_cli_simulate_bounds_rows_of_a_firing_storm(tmp_path, capsys, monkeypatch):

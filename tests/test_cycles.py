@@ -14,7 +14,6 @@ from ifnet import (
     NumericalStall,
     PreconditionFailed,
     certify_cycle,
-    classify_fate,
     cycle_census,
     cycles,
     detect_cycle,
@@ -210,7 +209,6 @@ EMPTY_WORK = {
     "census_0_samples": ("net_d", lambda p: cycle_census(p, 0, seed=5)),
     "census_-1_samples": ("net_d", lambda p: cycle_census(p, -1, seed=5)),
     "detect_max_iter_-1": ("net_d", lambda p: detect_cycle(p, [0.6, 0.0], max_iter=-1)),
-    "classify_max_iter_-1": ("net_d", lambda p: classify_fate(p, [0.6, 0.0], max_iter=-1)),
     "sync_test_0_samples": ("net_sync9", lambda p: sync_test(p, 0, seed=13)),
 }
 
@@ -227,7 +225,6 @@ def test_cycle_entry_points_reject_empty_work(call, request):
 BAD_ETA = {
     "census": lambda p, eta: cycle_census(p, 30, seed=0, eta=eta),
     "detect": lambda p, eta: detect_cycle(p, cycles._census_starts(p, 1, seed=0)[0], eta=eta),
-    "classify": lambda p, eta: classify_fate(p, cycles._census_starts(p, 1, seed=0)[0], eta=eta),
 }
 
 
@@ -361,7 +358,9 @@ def reference_fates(params, V0, max_iter, eta):
     cycle named by the firing sets seen when it was stepped.  Returns
     (fates, last_exc): fates[r] is row r's FateReport or the error its solve
     raised, last_exc[r] the last return at which an excitatory neuron fired
-    (-1 for none).
+    (-1 for none).  Each report carries that return as its last excitatory
+    spike, and its excitatory death: False when synchronized, and on a cycle
+    whether no excitatory neuron fires as the cycle's points are stepped.
     """
     certifiable = params.hypotheses.h4 and bool(params.inhibitory)
     c_bar, tie = params.constants.c_bar, params.tie_tol()
@@ -380,7 +379,7 @@ def reference_fates(params, V0, max_iter, eta):
     for k in range(max_iter + 1):
         zero = ~V.any(axis=1)
         for r in live[zero].tolist():
-            fates[r] = cycles.FateReport("synchronized", transient_steps=k)
+            fates[r] = cycles.FateReport("synchronized", transient_steps=k, excitatory_death=False)
         live, V = live[~zero], V[~zero]
         if not live.size:
             break
@@ -440,10 +439,15 @@ def reference_fates(params, V0, max_iter, eta):
                 min_margin=None, certificate=None, certified=False,
                 time_period=cycles._period_time(params, pts))
         if isinstance(result, cycles.LimitCycle):
-            result = cycles.FateReport("cycle", transient_steps=k, cycle=result)
-        elif isinstance(result, cycles.FateReport):
-            result = replace(result, transient_steps=k)
+            # excitatory death: no excitatory neuron fires as the cycle's points are stepped
+            death = not step_batch(params, result.points)[1][:, excit].any()
+            result = cycles.FateReport("cycle", transient_steps=k, cycle=result, excitatory_death=death)
+        elif isinstance(result, float):  # the solved cycle grazes, by this least margin
+            result = cycles.FateReport("grazing", transient_steps=k, margin=result)
         fates[r] = result
+    for r, fate in enumerate(fates):
+        if isinstance(fate, cycles.FateReport):
+            fate.last_excitatory_spike = int(last_exc[r]) if last_exc[r] >= 0 else None
     return fates, last_exc
 
 
@@ -584,9 +588,8 @@ def test_itineraries_are_the_printed_piece_names(name, eta):
     assert [list(it) for it in got] == [c["itinerary"] for c in recorded] and len(got) == 1
     start = next(v0 for v0 in cycles._census_starts(params, 30, seed=0)
                  if detect_cycle(params, v0, eta=eta).outcome == "cycle")
-    for fate in (detect_cycle(params, start, eta=eta), classify_fate(params, start, eta=eta)):
-        it = fate.cycle.itinerary
-        assert type(it) is tuple and all(type(p) is str for p in it) and it == got[0]
+    it = detect_cycle(params, start, eta=eta).cycle.itinerary
+    assert type(it) is tuple and all(type(p) is str for p in it) and it == got[0]
 
 
 def test_dale4_census_cycles_are_certified():
@@ -717,7 +720,7 @@ def test_a_solved_cycle_that_grazes_reports_the_row_grazing(monkeypatch):
     monkeypatch.setattr(cycles, "_certified_cycle", spy)
     fate = detect_cycle(params, V0[2], eta=eta)
     assert (fate.outcome, fate.transient_steps, fate.margin) == ("grazing", 9, margin)
-    assert [(type(f), f.margin) for f in reports] == [(cycles.FateReport, margin)]
+    assert [(type(f), f) for f in reports] == [(float, margin)]
     _same_fates(cycles._fates(params, V0[2:], 2000, eta), reference_fates(params, V0[2:], 2000, eta))
     # the census counts the row as grazing; rows 0 and 1 graze at their starts
     assert cycles._fates(params, V0, 2000, eta).outcome.tolist() == [cycles._GRAZING] * 3
@@ -907,35 +910,35 @@ def test_census_net_c_all_synchronize(net_c):
 # ---------------------------------------------------------------- fate dichotomy
 
 
-def test_classify_fate_death_branch(net_death):
-    fate = classify_fate(net_death, [-0.8, 0.4, 0.2])
+def test_detect_cycle_death_branch(net_death):
+    fate = detect_cycle(net_death, [-0.8, 0.4, 0.2])
     assert fate.outcome == "cycle"
     assert fate.excitatory_death is True
     assert all(p.startswith("inhib:") for p in fate.cycle.itinerary)
 
 
-def test_classify_fate_sync_branch(net_death):
-    fate = classify_fate(net_death, [0.4, 0.0, 0.2])
+def test_detect_cycle_sync_branch(net_death):
+    fate = detect_cycle(net_death, [0.4, 0.0, 0.2])
     assert fate.outcome == "synchronized"
     assert fate.excitatory_death is False
 
 
-def test_classify_fate_reads_excitatory_firing_from_an_uncertified_cycle(net_a):
+def test_detect_cycle_reads_excitatory_firing_from_an_uncertified_cycle(net_a):
     # the anti-phase cycle of an all-excitatory network is uncertified, and each
     # of its points fires an excitatory neuron: no death
-    fate = classify_fate(net_a, [0.9, 0.0])
+    fate = detect_cycle(net_a, [0.9, 0.0])
     assert fate.outcome == "cycle" and not fate.cycle.certified
     assert step_batch(net_a, fate.cycle.points)[1].any(axis=1).all()
     assert fate.excitatory_death is False and fate.cycle.itinerary == ("J:1", "J:2")
 
 
-def test_classify_fate_excitatory_record(net_death):
+def test_detect_cycle_excitatory_record(net_death):
     # last_excitatory_spike and excitatory_death against a plain return_map loop
     excit = set(net_death.excitatory)
     starts = [[-0.8, 0.4, 0.2], [0.4, 0.0, 0.2], *cycles._census_starts(net_death, 30, seed=2)]
     outcomes = set()
     for v0 in starts:
-        fate = classify_fate(net_death, v0)
+        fate = detect_cycle(net_death, v0)
         outcomes.add(fate.outcome)
         # every outcome but synchronization also steps the state it stops at
         steps = fate.transient_steps + (fate.outcome != "synchronized")
@@ -954,11 +957,33 @@ def test_classify_fate_excitatory_record(net_death):
     assert outcomes == {"synchronized", "cycle"}
 
 
+def test_report_sets_the_dichotomy_as_python_values():
+    # every outcome of a mixed8 batch: death and last spike are Python values, None where the rule says
+    params = mixed8()
+    table = cycles._fates(params, cycles._census_starts(params, 40, seed=5), 9, 1e-2)
+    fates = [table.report(r) for r in range(40)]
+    assert {f.outcome for f in fates} == {"synchronized", "cycle", "grazing", "unresolved"}
+    for f, last in zip(fates, table.last_exc.tolist()):
+        want = {"synchronized": False, "cycle": True}.get(f.outcome)  # no excitatory neuron fires on a certified cycle
+        assert f.excitatory_death is want and (f.cycle is None or f.cycle.certified)
+        assert f.last_excitatory_spike == (last if last >= 0 else None)
+        assert type(f.last_excitatory_spike) in (int, type(None))
+
+
+def test_detect_cycle_raises_the_error_of_its_solve(net_d, monkeypatch):
+    def fail(params, seq, p, eta, contraction):
+        raise NumericalStall("no certificate")
+
+    monkeypatch.setattr(cycles, "_certified_cycle", fail)
+    with pytest.raises(NumericalStall, match="no certificate"):
+        detect_cycle(net_d, [0.6, 0.0])
+
+
 def test_fate_dichotomy_over_samples(net_death):
     rng = rng_stream(123, 0)
     dc = net_death.constants
     for v0 in sample_on_section(rng, 3, net_death.alpha, dc.c_bar, 100):
-        fate = classify_fate(net_death, v0)
+        fate = detect_cycle(net_death, v0)
         if fate.outcome == "synchronized":
             assert fate.excitatory_death is False
         elif fate.outcome == "cycle":

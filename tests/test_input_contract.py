@@ -38,7 +38,7 @@ CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*.json
 CHEAP = {"seed": "0", "samples": "20", "eta": "1e-6", "max_iter": "50", "dt": "0.1", "t_total": "1"}
 GRID = ["--grid", "beta:1.3:1.3:1"]  # sweep runs its default cell, analyze
 EDGES = [0.0, -0.0, 1e300, -1e300, 5e-324, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
-         True, None, "x", "0.5", []]
+         math.nan, math.inf, True, None, "x", "0.5", []]
 SCALARS = ("n", "gamma", "beta", "theta", "alpha")
 
 
@@ -127,6 +127,8 @@ def run_command(argv):
 @example(case=("net_c_v0", [(("V0", 0), "0.5")]))
 @example(case=("net_c_v0", [(("V0", 2), None)]))
 @example(case=("net_c_v0", [(("V0", 2), math.inf)]))  # written as the literal 1e400
+@example(case=("net_c", [("gamma", math.nan)]))
+@example(case=("net_c", [("theta", math.inf)]))
 @example(case=("net_c", [(("H", 1, 2), 5e-324)]))
 @example(case=("net_c", [(("V0", 0), 2.0)]))
 @example(case=("net_c_v0", [(("V0", 1), True)]))
