@@ -305,11 +305,9 @@ def repeller(params: NetworkParams, i: int, j: int) -> RepellerReport:
 
 
 def _require_h3_h4_inhibitory(params: NetworkParams) -> None:
-    rep = params.hypotheses
-    if not (rep.h3 and rep.h4):
-        raise HypothesisViolated(f"operation requires H3 and H4 (h3={rep.h3}, h4={rep.h4})")
-    if not params.inhibitory:
-        raise HypothesisViolated("network has no inhibitory neuron")
+    rep, k = params.hypotheses, len(params.inhibitory)
+    if not (rep.h3 and rep.certifiable):
+        raise HypothesisViolated(f"operation requires H3, H4 and an inhibitory neuron (h3={rep.h3}, h4={rep.h4}, {k} inhibitory)")
 
 
 @dataclass(frozen=True)
@@ -416,7 +414,7 @@ def estimate_lipschitz_c(params: NetworkParams, sample_count: int, seed: int) ->
     lam = lambda_for_zone(params, _zone_after_return(params))
     if lam >= 1.0:
         raise PreconditionFailed("contraction factor of the absorbed zone is not below 1")
-    p0 = dc.p0 or 1
+    p0 = dc.p0
     rng = rng_stream(seed, 0)
     _, _, dists, attempts = _same_itinerary_pairs(
         params, lambda: _perturbed_pairs(rng, params, min(sample_count, 4096)),

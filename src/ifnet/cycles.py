@@ -22,8 +22,9 @@ period-p orbit has an inhibitory winner whose margin exceeds r, the balls of
 radius r lie in C_{c_bar}, and the p-step image of the r-ball around a point
 stays inside it (lambda * r + residual <= r for the contraction factor lambda
 of the zone at level max coordinate + r), then a unique attracting periodic
-orbit lives in the ball.  It needs a Dale network with an inhibitory neuron,
-not the interaction strength H3: H3 only makes every orbit reach the zone.
+orbit lives in the ball.  It needs a Dale network with an inhibitory neuron
+(`params.hypotheses.certifiable`), not the interaction strength H3: H3 only
+makes every orbit reach the zone.
 
 Detection codes each return by its winner and watches each orbit for a
 recurrence: a return within the tie tolerance of an earlier one with the
@@ -85,11 +86,6 @@ __all__ = [
     "cycle_census", "sync_test",
     "CensusEntry", "CensusReport", "SyncReport",
 ]
-
-
-def _certifiable(params: NetworkParams) -> bool:
-    """A Dale network with an inhibitory neuron: one whose cycles a certificate can cover."""
-    return params.hypotheses.h4 and bool(params.inhibitory)
 
 
 def _classify(params: NetworkParams, V: np.ndarray):
@@ -317,7 +313,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
         raise PreconditionFailed("max_iter must be at least 0")
     if not (math.isfinite(eta) and eta > 0):
         raise PreconditionFailed(f"eta must be a finite positive number, got {eta}")
-    certifiable, c_bar, tie = _certifiable(params), params.constants.c_bar, params.tie_tol()
+    certifiable, c_bar, tie = params.hypotheses.certifiable, params.constants.c_bar, params.tie_tol()
     level = _zone_after_return(params)
     lam = lambda_for_zone(params, level) if certifiable and 0.0 <= level < c_bar else 1.0
     # 1 - lam ** p by lag p, each from the Python expression: positive for every lag p >= 1 when
@@ -440,7 +436,7 @@ def certify_cycle(params: NetworkParams, candidate: LimitCycle) -> bool:
     comparison fails on NaN.
     """
     cert = candidate.certificate
-    if (not candidate.certified or cert is None or not _certifiable(params)
+    if (not candidate.certified or cert is None or not params.hypotheses.certifiable
             or not len(candidate.points) == candidate.period >= 1):
         return False
     try:
@@ -548,22 +544,18 @@ class SyncReport:
 def sync_test(params: NetworkParams, sample_count: int, seed: int) -> SyncReport:
     """Global synchronization check for fully excitatory networks.
 
-    Requires every off-diagonal interaction strictly positive and
-    n >= ceil(theta/m)^2 with m the smallest interaction; samples start states
-    on the non-negative part of the section and verifies that each reaches the
-    exact zero vector within p = ceil(theta/m) returns and within the
-    transient-time bound (ln((beta-alpha)/(beta-theta)) + p ln(beta/(beta-theta)))/gamma.
+    Requires the synchronization bound `params.sync_returns`, p = ceil(theta/m)
+    with m the smallest interaction, which exists when every off-diagonal
+    interaction is strictly positive and n >= p^2; raises HypothesisViolated
+    without it.  Samples start states on the non-negative part of the section
+    and verifies that each reaches the exact zero vector within p returns and
+    within the transient-time bound (ln((beta-alpha)/(beta-theta)) + p ln(beta/(beta-theta)))/gamma.
     """
     if sample_count < 1:
         raise PreconditionFailed("sample_count must be at least 1")
-    n = params.n
-    off = params.H[~np.eye(n, dtype=bool)]
-    if off.size == 0 or not np.all(off > 0):
-        raise HypothesisViolated("network is not fully excitatory (some interaction <= 0)")
-    m = float(off.min())
-    p = math.ceil(params.theta / m)
-    if n < p * p:
-        raise HypothesisViolated(f"need n >= ceil(theta/m)^2 = {p * p}, got n = {n}")
+    n, p = params.n, params.sync_returns
+    if p is None:
+        raise HypothesisViolated(f"synchronization needs every interaction > 0 and n >= ceil(theta/m)^2, got n = {n}")
     beta, theta, alpha, gamma = params.beta, params.theta, params.alpha, params.gamma
     bound_t = (math.log((beta - alpha) / (beta - theta)) + p * math.log(beta / (beta - theta))) / gamma
     rng = rng_stream(seed, 0)

@@ -154,22 +154,32 @@ class NetworkParams:
 
     @cached_property
     def hypotheses(self) -> HypothesisReport:
-        """The standing hypotheses and the synchronization size bound.
+        """Which of the standing hypotheses hold, and which results cover the network.
 
         h3: beta < beta_plus(alpha) and every nonzero interaction exceeds epsilon
             in magnitude.
         h4: Dale's principle, no mixed neuron.
-        sync_size: every off-diagonal entry strictly positive and
-            n >= ceil(theta/m)^2 with m the minimum interaction.
+        sync_size: the synchronization bound holds (`sync_returns` is not None).
+        certifiable: h4 and some inhibitory neuron, the networks whose limit
+            cycles a Banach certificate can cover (`cycles`).
         """
         dc = self.constants
         h3 = self.beta < dc.beta_plus and dc.min_abs_H is not None and dc.min_abs_H > dc.epsilon
         h4 = NeuronKind.MIXED not in self.kinds
+        return HypothesisReport(h3=bool(h3), h4=h4, sync_size=self.sync_returns is not None,
+                                certifiable=h4 and NeuronKind.INHIBITORY in self.kinds)
+
+    @cached_property
+    def sync_returns(self) -> Optional[int]:
+        """p = ceil(theta/m), m the least off-diagonal entry, when every off-diagonal
+        entry is > 0 and n >= p^2: every start on the non-negative part of the
+        section then reaches the origin within p returns (`cycles.sync_test`).
+        None when either condition fails."""
         off = _off_diagonal(self.H)
-        sync_size = False
-        if off.size > 0 and bool(np.all(off > 0)):
-            sync_size = self.n >= math.ceil(self.theta / float(off.min())) ** 2
-        return HypothesisReport(h3=bool(h3), h4=h4, sync_size=bool(sync_size))
+        if off.size == 0 or not np.all(off > 0):
+            return None
+        p = math.ceil(self.theta / float(off.min()))
+        return p if self.n >= p * p else None
 
 
 def network(n, gamma, beta, theta, alpha, H) -> NetworkParams:
@@ -272,3 +282,4 @@ class HypothesisReport:
     h3: bool
     h4: bool
     sync_size: bool
+    certifiable: bool

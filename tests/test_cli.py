@@ -342,6 +342,15 @@ def test_cli_synchro_exit_codes(tmp_path):
     assert res.returncode == 3
 
 
+def test_cli_contract_without_an_inhibitory_neuron_exits_3(tmp_path):
+    # H3 and H4 hold on three all-to-all excitatory neurons, but absorption needs an inhibitory one
+    exc3 = {"n": 3, "gamma": 1.0, "beta": 1.2, "theta": 1.0, "alpha": -1.0,
+            "H": [[0.0 if i == j else 0.6 for j in range(3)] for i in range(3)]}
+    res = run_cli(["contract", "--config", str(write_config(tmp_path, exc3)), "--samples", "10"])
+    assert res.returncode == 3 and res.stderr.startswith("hypothesis violated: ")
+    assert res.stderr.count("\n") == 1, res.stderr
+
+
 def test_cli_config_error_exit_code(tmp_path):
     doc = dict(NET_A_DOC)
     doc["beta"] = 0.5

@@ -23,6 +23,7 @@ from ifnet import (
     return_map,
     verify_contraction,
 )
+from ifnet.contraction import MetricEstimate, adapted_metric_check
 from ifnet.dynamics import as_state
 from ifnet.params import NetworkParams
 
@@ -31,6 +32,13 @@ from ifnet.params import NetworkParams
 NET_B_XSTAR = 0.8
 NET_B_BRACKET = (0.71010205144336438036, 0.85212246173203725643)
 NET_B_MULTIPLIER = 2.25
+
+
+def exc3():
+    """Three all-to-all excitatory neurons, coupling 0.6: H3 and H4 hold, but no neuron is inhibitory."""
+    H = np.full((3, 3), 0.6)
+    np.fill_diagonal(H, 0.0)
+    return network(3, 1.0, 1.2, 1.0, -1.0, H)
 
 
 def gamma_state(n, i, x):
@@ -47,6 +55,12 @@ def test_lambda_zone_values(net_c):
     assert lambda_for_zone(net_c, 0.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
     assert lambda_for_zone(net_c, dc.c_bar) == pytest.approx(1.0, rel=1e-12)
     assert lambda_for_zone(net_c, 0.4) == pytest.approx(0.9375, rel=1e-14)
+
+
+@pytest.mark.parametrize("c", [-0.1, 1.5])
+def test_lambda_zone_rejects_a_level_outside_0_theta(net_c, c):
+    with pytest.raises(PreconditionFailed, match=r"zone level must lie in \[0, theta\]"):
+        lambda_for_zone(net_c, c)
 
 
 def test_contraction_zone_c0(net_c):
@@ -295,6 +309,16 @@ def test_witness_batch_matches_the_per_pair_reference(case):
 # ---------------------------------------------------------------- O conditions & repeller
 
 
+def test_expansion_witness_rejects_a_state_of_the_wrong_length(net_c):
+    with pytest.raises(PreconditionFailed, match=r"state must have length 3, got \(2,\)"):
+        expansion_witness(net_c, 2, [0.0, 0.8], [0.0, 0.9])
+
+
+def test_o_conditions_reject_a_pair_of_one_neuron(net_c):
+    with pytest.raises(PreconditionFailed, match="repeller pair needs two distinct neurons"):
+        check_O_conditions(net_c, 1, 1)
+
+
 def test_o_conditions_net_b(net_b):
     assert check_O_conditions(net_b, 0, 1) == (True, True, True)
 
@@ -429,6 +453,19 @@ def test_absorption_requires_inhibitory(net_sync9):
         absorption_check(net_sync9, 100, seed=1)
 
 
+@pytest.mark.parametrize("check", [
+    lambda p: absorption_check(p, 100, seed=1),
+    lambda p: jvac_check(p, [0.4, 0.0, 0.2]),
+    lambda p: estimate_lipschitz_c(p, 100, seed=1),
+], ids=["absorption", "jvac", "lipschitz"])
+def test_h3_and_h4_without_an_inhibitory_neuron_are_refused(check):
+    params = exc3()
+    rep = params.hypotheses
+    assert rep.h3 and rep.h4 and not rep.certifiable
+    with pytest.raises(HypothesisViolated, match=r"\(h3=True, h4=True, 0 inhibitory\)"):
+        check(params)
+
+
 def test_jvac_excitatory_spontaneous_fires_all(net_c):
     assert jvac_check(net_c, [0.4, 0.0, 0.2])
 
@@ -471,6 +508,12 @@ def test_estimate_lipschitz_and_metric_contraction(net_c):
     assert est.lam < est.mu_tilde < 1.0
     assert est.n0 >= 1
     assert est.c_hat * (est.lam / est.mu_tilde) ** est.n0 < 1.0
+
+
+def test_adapted_metric_check_rejects_zero_pairs(net_c):
+    est = MetricEstimate(c_hat=2.0, n0=2, mu_tilde=0.9, lam=0.5, pairs=1)
+    with pytest.raises(PreconditionFailed, match="the adapted-metric check needs at least one pair"):
+        adapted_metric_check(net_c, est, 0, 1)
 
 
 def test_estimate_lipschitz_requires_hypotheses(net_sync9):

@@ -28,6 +28,7 @@ from ifnet._sampling import rng_stream, sample_on_section
 from ifnet.contraction import _in_zone_rows, _zone_after_return
 
 NET_D_XSTAR = 0.32554373534619713401  # anti-phase coordinate for H = -0.6
+NET_D_CBAR = 0.42917960675006306  # c_bar of net_d
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MIXED8 = GOLDEN / "mixed8.json"
 
@@ -608,7 +609,7 @@ def test_empty_zone_network_still_ends_in_a_cycle():
     # puts c_bar below 0: C_{c_bar} is empty, so no zone factor is asked for and the
     # exact recurrence is reported uncertified
     params = network(3, 1.0, 10.0, 1.0, -1.0, np.zeros((3, 3)))
-    assert params.constants.c_bar < 0 and cycles._certifiable(params)
+    assert params.constants.c_bar < 0 and params.hypotheses.certifiable
     fate = detect_cycle(params, [0.5, 0.25, 0.0])
     assert fate.outcome == "cycle" and not fate.cycle.certified
     assert fate.cycle.period == 3 and fate.cycle.itinerary == ("J:1", "J:2", "J:3")
@@ -656,6 +657,20 @@ def test_certified_cycle_refuses_a_point_on_the_sync_piece(net_c):
     seq = np.array([[0.4, 0.0, 0.2]] * 3)
     with pytest.raises(PreconditionFailed, match="no inhibitory winner"):
         cycles._certified_cycle(net_c, seq, 1, 1e-6, 0.5)
+
+
+@pytest.mark.parametrize("seq, error, message", [
+    # a point above c_bar is off the zone every certificate lives in
+    ([[NET_D_CBAR + 0.01, 0.0]] * 3, PreconditionFailed, r"state is outside C_\{c_bar\}"),
+    # inside C_{c_bar} but within a relative 1e-9 of c_bar: no room for a ball
+    ([[NET_D_CBAR * (1 - 1e-10), 0.0]] * 3, NumericalStall, "cycle points leave the certifiable zone"),
+    # a residual of 1e-6 past the solved point, far above the 1e-10 a solve may leave
+    ([[0.3, 0.0], [0.3 + 1e-6, 0.0], [0.3, 0.0]], NumericalStall, "Banach ball inequality failed at the solved cycle"),
+])
+def test_certified_cycle_refuses_what_no_ball_covers(net_d, seq, error, message):
+    assert net_d.constants.c_bar == NET_D_CBAR
+    with pytest.raises(error, match=message):
+        cycles._certified_cycle(net_d, np.array(seq), 1, 1e-6, 0.5)
 
 
 def test_certify_cycle_recomputes_lambda(net_d):

@@ -119,6 +119,11 @@ def test_spontaneous_tie(net_c):
     assert list(return_map(net_c, [0.5, 0.5, 0.2]).spontaneous) == [0, 1]
 
 
+def test_as_state_rejects_the_wrong_length(net_c):
+    with pytest.raises(PreconditionFailed, match=r"state must have length 3, got \(2,\)"):
+        as_state(net_c, [0.1, 0.0])
+
+
 def test_rejects_above_threshold(net_a):
     with pytest.raises(PreconditionFailed):
         return_map(net_a, [1.1, 0.0])
@@ -143,6 +148,11 @@ def test_state_at_threshold_t0(net_a):
 def test_state_at_threshold_three(net_c):
     out = state_at_threshold(net_c, [0.4, 0.0, 0.2], 0)
     assert out == pytest.approx([1.0, 0.9, 0.95], abs=1e-15)
+
+
+def test_state_at_threshold_rejects_a_neuron_that_fires_later(net_c):
+    with pytest.raises(PreconditionFailed, match="neuron 2 does not attain the minimal firing time"):
+        state_at_threshold(net_c, [0.9, 0.0, 0.2], 2)
 
 
 def test_state_at_threshold_matches_flow_oracle(net_c):
@@ -448,6 +458,12 @@ def test_antiphase_extended_family(k):
     assert x == pytest.approx(0.3, abs=1e-14)  # H=0.5 has the exact closed form
     two = return_map(p, return_map(p, v0).state).state
     assert np.max(np.abs(two - v0)) <= 1e-12
+
+
+def test_antiphase_rejects_coupling_past_theta():
+    p = network(2, 1.0, 1.2, 1.0, -1.0, [[0.0, 1.5], [1.5, 0.0]])
+    with pytest.raises(PreconditionFailed, match="aggregate coupling must stay below theta"):
+        antiphase_state(p)
 
 
 def test_antiphase_rejects_odd_or_nonuniform(net_c):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ifnet import (
     NetworkParams,
@@ -216,6 +218,51 @@ def test_check_hypotheses_mixed_neuron_fails_h4():
          [0.5, 0.5, 0.0]]
     p = network(3, 1.0, 1.2, 1.0, -1.0, H)
     assert not p.hypotheses.h4
+
+
+def plain_coverage(H, theta):
+    """(certifiable, p) by loops over the rows of H: certifiable when no row has both
+    signs and some row has no positive entry, and p = ceil(theta/m) of the least
+    off-diagonal entry m when every one is > 0 and n >= p^2, else None."""
+    n = len(H)
+    rows = [[H[j][i] for i in range(n) if i != j] for j in range(n)]
+    dale = not any(any(x > 0 for x in row) and any(x < 0 for x in row) for row in rows)
+    certifiable = dale and any(all(x <= 0 for x in row) for row in rows)
+    off = [x for row in rows for x in row]
+    p = math.ceil(theta / min(off)) if off and all(x > 0 for x in off) else None
+    return certifiable, p if p is not None and n >= p * p else None
+
+
+COUPLINGS = [-0.7, -0.3, 0.0, 0.3, 0.4, 0.7, 1.2]
+
+
+@st.composite
+def coupling_matrices(draw):
+    # entries from a small random pool of COUPLINGS, so all-positive and sign-pure rows come up often
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.sampled_from(COUPLINGS), min_size=1, max_size=3, unique=True))
+    return [[0.0 if i == j else draw(st.sampled_from(pool)) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(coupling_matrices())
+@example([[0.0 if i == j else 0.7 for j in range(4)] for i in range(4)])  # p = 2, n = 4
+@example([[0.0 if i == j else 0.7 for j in range(3)] for i in range(3)])  # p = 2, n = 3 < 4
+@example([[0.0, 1.2], [1.2, 0.0]])  # p = 1
+def test_certifiable_and_sync_returns_match_plain_loops(H):
+    p = network(len(H), 1.0, 1.2, 1.0, -1.0, H)
+    certifiable, returns = plain_coverage(H, p.theta)
+    assert p.hypotheses.certifiable == certifiable
+    assert p.sync_returns == returns
+    assert p.hypotheses.sync_size == (p.sync_returns is not None)
+
+
+def test_sync_returns_of_the_fixtures(net_sync9, net_a):
+    assert net_sync9.sync_returns == 3 and net_sync9.hypotheses.sync_size  # ceil(1/0.4) = 3, 9 >= 9
+    assert net_a.sync_returns is None and not net_a.hypotheses.sync_size  # ceil(1/0.5) = 2, 2 < 4
+    # one neuron: its all-zero row counts as inhibitory, and no interaction bounds p
+    one = network(1, 1.0, 1.2, 1.0, -1.0, [[0.0]])
+    assert one.sync_returns is None and one.hypotheses.certifiable
 
 
 def test_o_pairs_listed_for_net_b(net_b, net_a):
