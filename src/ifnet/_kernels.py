@@ -31,9 +31,8 @@ may differ in sign from a row-wise one, which gives the same wait time.
 Jump sums.  `params.step_table` holds per presynaptic j the row of `up` that
 a recruiting round adds (H with every entry <= 0 replaced by -0.0, which
 leaves a sum as it is) and, when H has a negative entry, the row of H that
-the image adds; with none, the last round's sum is the image.  `_jump_sums`
-adds the rows of the fired j in order j = 0..n-1, as a scalar loop does, and
-a round re-sums only the columns that recruited in the last one.  Up to
+the image adds; with none, the up sum is the image.  `_jump_sums` adds the
+rows of the fired j in order j = 0..n-1, as a scalar loop does.  Up to
 `_DENSE_MAX` terms it adds the products table[j] * fired[j] for every j: a
 term is +-0.0 where j did not fire, which leaves a sum as it is unless the
 sum is -0.0, and none is, as each starts at a difference from beta > 0 and a
@@ -42,10 +41,44 @@ size the product, L*n times the batch, would outgrow memory (268 MB on 4096
 states of n = 64), and it adds table[j] to the columns where j fired, for each
 fired j: the scalar loop's own terms, at a cost that follows the fired entries.
 
+Rounds.  Round 0 sums every column in order, both rows of the table at once:
+its up sum decides who round 0 recruits, and its last row is the image of
+every column that recruits nobody.  Each later round runs only on the
+columns that recruited in the round before and still hold an unfired
+neuron; a column whose whole network fired is 0 and needs no sum.  Such a
+round decides from one BLAS product, s = pre + up.T @ F (F the fired mask as
+floats, `params.up_t` the cached up.T), and trusts s >= theta only where
+|s - theta| exceeds the bound b = (n + 2) eps (|pre| + up.T @ F); a column
+with an unfired entry inside the bound re-decides from its ordered up sum
+(`_ordered_recruits`).  After the last round the image is summed once, in
+j order, over the columns that stopped recruiting with an unfired neuron.
+On 1000 census starts of the dale64 recipe at n = 256 no entry falls inside
+the bound, and a step costs 17 ms against 92 ms when every round re-sums in
+order (38 against 473 ms at n = 512; BENCH_step_filter.json).
+
+Reproducibility.  Every output value is an ordered sum in j order, the one
+the scalar loop makes.  BLAS only decides, and only outside its bound, so no
+result depends on BLAS's summation order, blocking or thread count.  The
+bound: with u = eps/2 and gamma_k = k u/(1 - k u), a sum of at most n + 1
+terms (pre and the fired jumps; each F[j] * up[j, k] is exact), added in any
+order, with or without FMA, lies within gamma_n A of the exact sum, where
+A = |pre| + sum over fired j of up[j, k] (N. J. Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., 2002, ch. 4).  That holds for s
+and for the ordered sum r alike, so |s - r| <= 2 gamma_n A = n eps A/(1 - n u).
+As up has no negative entry, the product t = up.T @ F that gives s also
+gives A, to within gamma_{n-1}, so the computed b = fl((n + 2) eps fl(|pre| + t))
+is at least (n + 2) eps A (1 - gamma_{n+1}), which exceeds n eps A/(1 - n u)
+by at least eps A while n^2 u <= 1/8 (n <= 2^25, past any H that fits in
+memory).  That eps A pays for the rounding of the product should it
+underflow (at most 2^-1075) once A >= 2^-1023; below 2^-1022 every partial
+sum is exact, so s = r.  As rounding is monotone and b a float,
+fl(|s - theta|) > b implies |s - theta| > b, so s and r then lie on the same
+side of theta.  A bound that is NaN or infinite trusts nothing.
+
 The batch drivers, the cycle census and the expansion witnesses step whole
 batches; only `run_orbit` steps one state at a time, as each return depends
-on the last, about 21 us on net_c and mixed8 against 6.2 and 17 us for a
-scalar loop, while 2048 net_c states cost 0.08 us each (timeit, 2-vCPU VM).
+on the last, about 23 us on net_c and 26 us on mixed8 against 6.9 and 19 us
+for a scalar loop, while 2048 net_c states cost 0.09 us each (timeit, 2-vCPU VM).
 `dynamics.return_map`, the library's one-state entry point, wraps one
 `step_batch` call; no package module calls it.  `step_batch` returns each
 row's maximum; `wait_times` turns it into a time, with `math.log` per row.
@@ -77,6 +110,8 @@ import numpy as np
 from .params import NetworkParams
 
 _DENSE_MAX = 1 << 17  # `_jump_sums` forms one product up to this many terms (module docstring)
+_SLACK = 2  # c in the bound (n + c) eps that a BLAS recruitment decision must clear (module docstring)
+_EPS = np.finfo(np.float64).eps
 
 
 def run_orbit(params: NetworkParams, v0, n_steps):
@@ -134,19 +169,55 @@ def _step_columns(params: NetworkParams, X):
     vmax = X.max(axis=0)
     fired = X >= vmax - params.tie_tol()
     pre = beta - (beta - X) * ((beta - theta) / (beta - vmax))  # read only where not fired
-    sums, rounds = _jump_sums(pre, table, fired), 0
-    while (recruited := ~fired & (sums[0] >= theta)).any():
-        fired, rounds = fired | recruited, rounds + 1
+    sums = _jump_sums(pre, table, fired)
+    out = sums[-1]  # the image of every column that recruits nobody in round 0
+    recruited = ~fired & (sums[0] >= theta)
+    fired |= recruited
+    live, rounds, settled = np.flatnonzero(recruited.any(axis=0)), 0, []
+    while live.size:
+        rounds += 1
+        f = np.take(fired, live, axis=1)
+        keep = ~f.all(axis=0)  # a column whose whole network fired is 0 and needs no sum
+        if not keep.any():
+            break
+        live, f = live[keep], np.compress(keep, f, axis=1)
+        recruited = _recruits(params, np.take(pre, live, axis=1), f)
+        f |= recruited
+        fired[:, live] = f
         go = recruited.any(axis=0)
-        if go.all():  # one state, or every column recruited: no columns to gather
-            sums = _jump_sums(pre, table, fired)
-        else:
-            cols = np.flatnonzero(go)
-            sums[..., cols] = _jump_sums(np.take(pre, cols, axis=1), table, np.take(fired, cols, axis=1))
-    out = sums[-1]
+        settled.append(live[~go])
+        live = live[go]
+    if settled and (cols := np.concatenate(settled)).size:
+        out[:, cols] = _jump_sums(np.take(pre, cols, axis=1), table[:, -1:], np.take(fired, cols, axis=1))[0]
     np.maximum(out, params.alpha, out=out)
     out[fired] = 0.0
     return out, fired, vmax, rounds
+
+
+def _recruits(params: NetworkParams, pre, fired):
+    """What `_ordered_recruits` gives on the same columns: one BLAS product decides
+    each entry that its error bound keeps clear of theta, and `_ordered_recruits`
+    each column with an entry inside the bound (module docstring, "Rounds")."""
+    F = fired.astype(np.float64)
+    d = params.up_t @ F
+    bound = np.abs(pre, out=F)
+    bound += d
+    bound *= (params.n + _SLACK) * _EPS
+    d += pre
+    d -= params.theta
+    recruited = d >= 0.0
+    recruited &= ~fired
+    sure = np.abs(d, out=d) > bound  # False where the bound is NaN
+    sure |= fired
+    if not sure.all():
+        cols = np.flatnonzero(~sure.all(axis=0))
+        recruited[:, cols] = _ordered_recruits(params, np.take(pre, cols, axis=1), np.take(fired, cols, axis=1))
+    return recruited
+
+
+def _ordered_recruits(params: NetworkParams, pre, fired):
+    """~fired where pre plus the up rows of the fired j, added in order j = 0..n-1, reaches theta."""
+    return ~fired & (_jump_sums(pre, params.step_table[:, :1], fired)[0] >= params.theta)
 
 
 def _jump_sums(acc, table, fired):

@@ -118,6 +118,15 @@ class NetworkParams:
         return table
 
     @cached_property
+    def up_t(self) -> np.ndarray:
+        """(n, n), read-only: row k holds the positive jumps into neuron k and -0.0
+        elsewhere, the transposed up rows of `step_table`, which decide a recruiting
+        round in one product (`_kernels` docstring)."""
+        up_t = np.ascontiguousarray(self.step_table[:, 0, :, 0].T)
+        up_t.setflags(write=False)
+        return up_t
+
+    @cached_property
     def excitatory(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.kinds) if k is NeuronKind.EXCITATORY)
 

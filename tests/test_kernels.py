@@ -11,7 +11,7 @@ a sparse excitatory one with exact 0.0 and -0.0 jumps, one whose inhibitory
 neurons fire in only some rows of a batch, and one whose images floor at
 alpha; the states include the zero vector, exact ties of the maximum and
 near-ties inside the tie tolerance.  A row's image must not depend on the
-other rows of its batch, which decide how many columns a round re-sums.
+other rows of its batch, which decide which columns a later round steps.
 `run_orbit`, which steps one state at a time through `step_batch` and copies
 a recurring orbit's tail instead of stepping it, must give what a scalar loop
 that steps every return gives, on net_b, net_c and mixed8.
@@ -22,6 +22,13 @@ add column by column past it: a batch on each side of that rule, and one
 with every round summed column by column, must match the scalar step; one
 step on 4096 states of a 64-neuron network must stay within 8 times the
 batch's bytes; empty batches and single states keep their result shapes.
+A later recruiting round decides from one BLAS product and falls back to the
+ordered up sums only inside the product's error bound: with the bound forced
+to infinity (and a product that would recruit every neuron) every later
+round falls back and the step is still the scalar one; on 1000 census starts
+of a 256-neuron Dale network no column falls back, and the step's bytes equal
+the forced fallback's; a row whose whole network fired is 0 with no image
+sum.  CI runs this file with one and with two BLAS threads.
 
 `track_pair` and `absorb_run` stop stepping a row whose future is known (a
 merged pair, a failed start, a start on a fixed point); long-horizon runs
@@ -38,7 +45,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from ifnet import _kernels, contraction, load_config, network, return_map
+from ifnet import _kernels, contraction, cycles, load_config, network, return_map
 from ifnet._sampling import sample_on_section
 
 
@@ -213,6 +220,10 @@ def test_step_table_is_cached_and_read_only(net):
     assert (up[~excites] == 0.0).all() and np.signbit(up[~excites]).all()
     if inhibits:
         assert _bits(table[:, 1, :, 0]) == _bits(net.H)
+    # up.T, row k the up jumps into k, for the product that decides a later round
+    up_t = net.up_t
+    assert net.up_t is up_t and not up_t.flags.writeable and up_t.flags.c_contiguous
+    assert _bits(up_t) == _bits(up.T)
 
 
 def test_networks_hold_signed_zero_jumps_and_floored_images():
@@ -229,7 +240,7 @@ def test_networks_hold_signed_zero_jumps_and_floored_images():
 
 def test_image_of_a_row_does_not_depend_on_its_batch_companions():
     # rows that fire an inhibitory neuron and rows that do not, stepped together, in
-    # groups and one at a time (a batch of one re-sums every round in full): bytes agree
+    # groups and one at a time (a batch of one steps every later round alone): bytes agree
     p = network(7, 1.0, 1.2, 1.0, -1.0, NETWORKS["n7_partly_inhibitory"][1])
     V = _states(p, 16)
     out, fired, _, _ = _kernels.step_batch(p, V)
@@ -254,9 +265,74 @@ def test_step_batch_matches_scalar_step_on_each_side_of_the_size_rule(net, side)
 
 
 def test_column_sums_match_scalar_step_in_every_round(net, monkeypatch):
-    # with the rule at 0, the re-sums of later rounds sum column by column as well
+    # with the rule at 0, the image sums after later rounds add column by column as well
     monkeypatch.setattr(_kernels, "_DENSE_MAX", 0)
     _check_against_scalar_step(net, _states(net, 18))
+
+
+def _spy(monkeypatch, name):
+    """Replace _kernels.<name> by a wrapper that records the column count of each call."""
+    calls, real = [], getattr(_kernels, name)
+
+    def spy(*args):
+        calls.append(args[-1].shape[1])
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, name, spy)
+    return calls
+
+
+def test_forced_fallback_matches_scalar_step(net, monkeypatch):
+    # an infinite bound trusts no BLAS decision, so every later round of every column
+    # re-decides from its ordered up sums, and the step is still the scalar one, even
+    # with a product that would recruit every neuron
+    monkeypatch.setattr(_kernels, "_SLACK", math.inf)
+    monkeypatch.setitem(vars(net), "up_t", np.full((net.n, net.n), 10.0))
+    calls = _spy(monkeypatch, "_ordered_recruits")
+    V = _states(net, 18)
+    _check_against_scalar_step(net, V)
+    # a row runs one later round per recruiting round, less one if its whole network fired
+    later = 0
+    for v in V:
+        _, fired, _, rounds = scalar_step(net, v)
+        later += rounds - fired.all() if rounds else 0
+    assert sum(calls) == later
+
+
+def _dale_recipe(n):
+    """The tests/golden dale64.json network at size n: default_rng(5), |H| in [0.2, 0.5],
+    rows 0..n/8-1 excitatory and the rest inhibitory."""
+    H = np.random.default_rng(5).uniform(0.2, 0.5, (n, n))
+    H[n // 8:] *= -1.0
+    np.fill_diagonal(H, 0.0)
+    return network(n, 1.0, 1.2, 1.0, -1.0, H)
+
+
+def test_blas_decides_every_later_round_on_large_census_starts(monkeypatch):
+    # at n = 256 no recruiting sum of 1000 census starts comes within the bound of
+    # theta, so no column falls back; forcing every column to fall back changes no byte
+    p = _dale_recipe(256)
+    V = cycles._census_starts(p, 1000, 0)
+    calls = _spy(monkeypatch, "_ordered_recruits")
+    filtered = _kernels.step_batch(p, V)
+    assert filtered[3] >= 2 and calls == []
+    monkeypatch.setattr(_kernels, "_SLACK", math.inf)
+    forced = _kernels.step_batch(p, V)
+    assert sum(calls) > 0
+    assert all(_bits(a) == _bits(b) for a, b in zip(filtered[:3], forced[:3])) and filtered[3] == forced[3]
+
+
+def test_columns_whose_whole_network_fired_take_no_image_sum(monkeypatch):
+    # on the uniform excitatory network every row that recruits fires whole: its image
+    # is 0 with no sum, so round 0's sum is the only one the step makes
+    p = network(9, 1.0, 1.2, 1.0, -1.0, NETWORKS["n9_excitatory"][1])
+    V = _states(p, 20)
+    calls = _spy(monkeypatch, "_jump_sums")
+    out, fired, _, rounds = _kernels.step_batch(p, V)
+    whole = fired.all(axis=1)
+    assert rounds >= 2 and 10 <= whole.sum() < V.shape[0] and calls == [V.shape[0]]
+    assert _bits(out[whole]) == _bits(np.zeros((whole.sum(), p.n)))
+    _check_against_scalar_step(p, V)
 
 
 def test_empty_batches_keep_their_shapes(net):
