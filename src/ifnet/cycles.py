@@ -40,7 +40,11 @@ is reported as an uncertified cycle of its recurrent states.  The census
 steps all its samples as one batch and keeps their itineraries in arrays:
 each return tests every live sample's look-back candidates (the last 8
 earlier returns with its winner) with array operations, so its cost follows
-the returns stepped, not the number of Python objects per sample.
+the returns stepped, not the number of Python objects per sample.  No
+recurrence is looked for more than 256 returns back, so only a sample's last
+257 returns are kept, in rings indexed by the return mod 257: its states,
+firing sets and margins take at most 257 x samples x n x 9 bytes, however
+long the transients run.
 
 Every fate reader works from one record, the `FateTable` that `_fates`
 returns: per row its outcome code, transient, margin, cycle index and last
@@ -272,42 +276,38 @@ def _least_rotation(word: tuple):
     return s, word[s:] + word[:s]
 
 
-def _walk(back: np.ndarray, f: np.ndarray, steps: int) -> np.ndarray:
-    """(len(f), steps) records, steps >= 1: column j holds the record j returns before f's, in its row."""
-    out = [f]
-    for _ in range(steps - 1):
-        out.append(back[out[-1]])
-    return np.stack(out, axis=1)
-
-
 def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> FateTable:
     """Fates of the rows of an (m, n) batch of starts, stepped in lockstep.
 
     Each return steps every live row with one `step_batch` call and tests the
     recurrences of all live rows with array operations; a row leaves the batch
     once its fate is known, and its outcome, transient and margin are written
-    into the table's arrays.  Each return of a live row is a record in a flat
-    history, which grows with the live rows: its state, its firing set, its
-    margin, its return and its row's record one return earlier.  A return's
-    code is its winner (`_classify`), which its state gives back, as it gives
-    back whether the return lies in C_{c_bar}.  A return inside C_{c_bar} of a
-    certifiable network has half its winner gap as margin (0 on the boundary)
-    and grazes when that is below eta; every other return has the tie
-    tolerance.  The look-back candidates of a return are the last _LOOK_BACK
-    earlier records of its row with its code, kept in a ring, at most
-    _MAX_PERIOD returns back; the newest one that passes the test is taken.  A
+    into the table's arrays.  Only the last depth = min(_MAX_PERIOD, max_iter)
+    + 1 returns of a row are kept, in three slot-major rings: return k of row
+    r is slot k % depth of its state, its firing set and its margin.  So the
+    history is at most depth x m x n x 9 bytes, whatever max_iter and the
+    transients are.  A return's code is its winner (`_classify`), which its
+    state gives back, as it gives back whether the return lies in C_{c_bar}.
+    A return inside C_{c_bar} of a certifiable network has half its winner
+    gap as margin (0 on the boundary) and grazes when that is below eta;
+    every other return has the tie tolerance.  The look-back candidates of a
+    return are the last _LOOK_BACK earlier returns of its row with its code,
+    kept in a ring.  A candidate more than _MAX_PERIOD returns back is
+    dropped before its slot is read, so a reused slot is never read as an
+    older return.  The newest candidate that passes the test is taken.  A
     candidate passes when its sup distance is within the tie tolerance, or
     when the contraction budget admits it: the distance over 1 - lam ** p is
-    at most the least margin of the window.  There is a budget only when lam,
-    the factor of the zone that holds the image of C_{c_bar} in a certifiable
-    network, is that of a level in [0, c_bar) (which H3 gives).  A window
-    wholly inside C_{c_bar} of a certifiable network, as its states show, is
-    solved: windows whose piece words (the winners of their states) share a
-    least rotation share one `_solve`, made in (return, row) order, and one
-    cycle index of the table.  Any other window is an uncertified cycle of its
-    states, and so is one whose solve fails on a recurrence within the tie
-    tolerance; each such window has an index of its own.  Raises
-    PreconditionFailed unless max_iter >= 0 and eta is finite and positive.
+    at most the least margin of the window.  There is a budget only when
+    lam, the factor of the zone that holds the image of C_{c_bar} in a
+    certifiable network, is that of a level in [0, c_bar) (which H3 gives).
+    A window wholly inside C_{c_bar} of a certifiable network, as its states
+    show, is solved: windows whose piece words (the winners of their states)
+    share a least rotation share one `_solve`, made in (return, row) order,
+    and one cycle index of the table.  Any other window is an uncertified
+    cycle of its states, and so is one whose solve fails on a recurrence
+    within the tie tolerance; each such window has an index of its own.
+    Raises PreconditionFailed unless max_iter >= 0 and eta is finite and
+    positive.
     """
     if max_iter < 0:
         raise PreconditionFailed("max_iter must be at least 0")
@@ -324,15 +324,15 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
     m, n = V0.shape
     table = FateTable(np.full(m, _UNRESOLVED, np.int8), np.full(m, max_iter), np.full(m, np.nan), np.full(m, -1), np.full(m, -1))
     solved = {}  # least rotation of a winner word -> the table index of its solve, or its grazing least margin
-    # the flat history: per record its state, firing set, margin, return, and its row's record one return earlier
-    states, sets = np.zeros((4 * m, n)), np.zeros((4 * m, n), np.bool_)
-    margs, rets, back = np.zeros(4 * m), np.zeros(4 * m, np.int64), np.zeros(4 * m, np.int64)
-    occ = np.full((m, n, _LOOK_BACK), -1)  # the ring: by row and code, its last records with that code, newest first
-    top, live, V, before = 0, np.arange(m), V0, np.full(m, -1)  # before: each live row's latest record
+    # the rings, by slot and row: return k of row r is slot k % depth of its state, firing set and margin
+    depth = min(_MAX_PERIOD, max_iter) + 1
+    states, sets, margs = np.zeros((depth, m, n)), np.zeros((depth, m, n), np.bool_), np.zeros((depth, m))
+    occ = np.full((m, n, _LOOK_BACK), -1)  # by row and code, its last returns with that code, newest first
+    live, V = np.arange(m), V0
     for k in range(max_iter + 1):
         zero = ~V.any(axis=1)
         table.outcome[live[zero]], table.transient[live[zero]] = _SYNCHRONIZED, k
-        live, V, before = live[~zero], V[~zero], before[~zero]
+        live, V = live[~zero], V[~zero]
         if not live.size:
             break
         image, fired, _, _ = _kernels.step_batch(params, V)
@@ -341,24 +341,20 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
         zone = _in_zone_rows(V, c_bar) & certifiable
         marg = np.where(zone, 0.5 * _classify(params, V)[1], tie) if certifiable else np.full(live.size, tie)
         graze = zone & (marg < eta)
-
-        h = slice(top, top + live.size)  # this return's records
-        f, top = np.arange(h.start, h.stop), h.stop
-        if top > len(rets):  # double the history's capacity
-            states, sets, margs, rets, back = (np.concatenate((a, np.zeros_like(a))) for a in (states, sets, margs, rets, back))
-        states[h], sets[h], margs[h], rets[h], back[h] = V, fired, marg, k, before
+        states[k % depth, live], sets[k % depth, live], margs[k % depth, live] = V, fired, marg
 
         prev = occ[live, code]
         i, j = np.nonzero((prev >= 0) & ~graze[:, None])  # the candidates, by row and then newest first
-        cand = prev[i, j]
-        p = k - rets[cand]
+        p = k - prev[i, j]
         keep = p <= _MAX_PERIOD
-        i, cand, p = i[keep], cand[keep], p[keep]
-        dist = np.abs(V[i] - states[cand]).max(axis=1)
+        i, p = i[keep], p[keep]
+        at = (k - p) % depth, live[i]  # the candidates' slots and rows
+        dist = np.abs(V[i] - states[at]).max(axis=1)
         ratio = np.where(dist <= tie, 0.0, dist / denom[p] if lam < 1.0 else math.inf)  # 0: every margin admits a tie
-        ok = (ratio <= marg[i]) & (ratio <= margs[cand])  # the margins at both ends
-        if ok.any():  # the window's least margin, from a suffix-min back from return k
-            low = np.minimum.accumulate(margs[_walk(back, f[i[ok]], p[ok].max() + 1)], axis=1)
+        ok = (ratio <= marg[i]) & (ratio <= margs[at])  # the margins at both ends
+        if ok.any():  # the window's least margin, a suffix-min back from return k over one gather
+            back = (k - np.arange(p[ok].max() + 1)) % depth
+            low = np.minimum.accumulate(margs[back, live[i[ok], None]], axis=1)
             ok[ok] = ratio[ok] <= low[np.arange(len(low)), p[ok]]
         stay = ~graze
         if ok.any():
@@ -366,15 +362,14 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
             lag, exact = p[ok][first], ratio[ok][first] == 0.0
             stay[i] = False
             table.outcome[live[i]] = _CYCLE
-            walk = _walk(back, back[f[i]], lag.max())  # by row, its records of returns k - 1, k - 2, ...
-            # their states, no more than the history holds (a row found at return k has k records back):
-            # their winners make a window's word, and it is solved when all of them lie in the zone
-            seen = states[walk]
-            held = np.logical_and.accumulate(_in_zone_rows(seen.reshape(-1, n), c_bar).reshape(walk.shape), axis=1)
+            back = (k - 1 - np.arange(lag.max())) % depth  # the slots of returns k - 1, k - 2, ...
+            # by row, their states: their winners make a window's word, and it is solved when all of them lie in the zone
+            seen = states[back, live[i, None]]
+            held = np.logical_and.accumulate(_in_zone_rows(seen.reshape(-1, n), c_bar).reshape(seen.shape[:2]), axis=1)
             inside = (certifiable & held[np.arange(len(i)), lag - 1]).tolist()
-            for r, w, word, q, e, z in zip(live[i].tolist(), walk, seen.argmax(axis=2), lag.tolist(), exact.tolist(), inside):
-                w, word = w[q - 1::-1], word[q - 1::-1]  # the records of returns k - q .. k - 1, and their winners
-                pts, c = states[w], None
+            for r, pts, word, q, e, z in zip(live[i].tolist(), seen, seen.argmax(axis=2), lag.tolist(), exact.tolist(), inside):
+                # the slots of returns k - q .. k - 1, their states and their winners
+                w, pts, word, c = back[q - 1::-1], pts[q - 1::-1], word[q - 1::-1], None
                 if z:
                     s, key = _least_rotation(tuple(word.tolist()))
                     if key not in solved:
@@ -388,16 +383,16 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
                 if isinstance(c, float):  # the solved cycle grazes below eta, by this least margin
                     table.outcome[r], table.margin[r], c = _GRAZING, c, -1
                 elif c is None or e and isinstance(table.cycles[c], Exception):
-                    names = tuple(_set_name(b.tobytes()) for b in sets[w])
-                    c = table.add(LimitCycle(period=q, points=pts, itinerary=names, min_margin=None, certificate=None,
+                    names = tuple(_set_name(b.tobytes()) for b in sets[w, r])
+                    c = table.add(LimitCycle(period=q, points=pts.copy(), itinerary=names, min_margin=None, certificate=None,
                                              certified=False, time_period=_period_time(params, pts)),
-                                  _least_rotation(names)[1], bool(sets[w][:, excit].any()))
+                                  _least_rotation(names)[1], bool(sets[w, r][:, excit].any()))
                 table.cycle[r] = c
         # the grazing rows, and the transient of every row that leaves at this return
         table.outcome[live[graze]], table.margin[live[graze]], table.transient[live[~stay]] = _GRAZING, marg[graze], k
         r, c = live[stay], code[stay]
-        occ[r, c] = np.concatenate((f[stay, None], occ[r, c, :-1]), axis=1)
-        live, V, before = live[stay], image[stay], f[stay]
+        occ[r, c, 1:], occ[r, c, 0] = occ[r, c, :-1], k
+        live, V = live[stay], image[stay]
     return table
 
 

@@ -500,6 +500,10 @@ def _diff_network(name, request):
         return network(6, 1.0, 1.2, 1.0, -1.0, np.random.default_rng(6).uniform(-0.9, 0.9, (6, 6)))
     if name in ("mixed8", "dale4"):
         return load_config(str(GOLDEN / f"{name}.json")).params
+    if name == "dale256":  # the all-inhibitory dale64 recipe at n = 256 (tools/step_bench.py's dale(256, 0))
+        H = -np.random.default_rng(5).uniform(0.2, 0.5, (256, 256))
+        np.fill_diagonal(H, 0.0)
+        return network(256, 1.0, 1.2, 1.0, -1.0, H)
     return request.getfixturevalue(name)
 
 
@@ -523,6 +527,8 @@ def _diff_starts(params, name, seed, count, wide):
 @example(name="mixed6", seed=0, count=24, wide=8, max_iter=300, eta=1e-6)
 @example(name="inhib4_p19", seed=5, count=24, wide=8, max_iter=300, eta=1e-6)
 @example(name="inhib4_p21", seed=5, count=24, wide=36, max_iter=300, eta=1e-6)
+# half of these rows recur after return 257, so their rings reuse slots at the full depth
+@example(name="dale256", seed=0, count=8, wide=0, max_iter=2000, eta=1e-6)
 def test_fates_equal_reference_fates(name, seed, count, wide, max_iter, eta, request):
     # every field of every row's fate, solve errors and last_exc included, bit for bit
     params = _diff_network(name, request)
@@ -557,25 +563,23 @@ def test_fates_equal_reference_fates_at_the_period_cutoff(name, period, shorter,
     assert periods == (set() if shorter else {period})
 
 
-def test_fates_history_grows_with_the_live_rows(net_a, monkeypatch):
-    # the census starts of net_a synchronize within a return; the exact anti-phase
-    # start recurs with period 2, past the longest period looked for here, so it
-    # stays live to max_iter.  The history it keeps must stay far below a dense
-    # (samples, max_iter, n) buffer of states.
+def test_fates_memory_does_not_grow_with_max_iter(net_a, monkeypatch):
+    # copies of net_a's exact anti-phase start recur with period 2, past the longest
+    # period looked for here, so every row stays live to max_iter.  The rings keep
+    # only the last _MAX_PERIOD + 1 returns, so the peak is the same at 100 and at
+    # 400 returns.
     monkeypatch.setattr(cycles, "_MAX_PERIOD", 1)
-    V0 = np.concatenate([cycles._census_starts(net_a, 1000, seed=5), [[0.9, 0.0]]])
-    max_iter = 2000
-    tracemalloc.start()
-    try:
-        table = cycles._fates(net_a, V0, max_iter, 1e-6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    fates = _row_fates(table)
-    assert [f.outcome for f in fates[-1:]] == ["unresolved"]
-    assert max(f.transient_steps for f in fates[:-1]) <= 1
-    dense = V0.size * max_iter * 8  # samples x max_iter x n float64
-    assert peak < dense / 16, (peak, dense)
+    V0 = np.tile([0.9, 0.0], (64, 1))
+    peaks = {}
+    for max_iter in (100, 400):
+        tracemalloc.start()
+        try:
+            table = cycles._fates(net_a, V0, max_iter, 1e-6)
+            peaks[max_iter] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(f.outcome, f.transient_steps) for f in _row_fates(table)] == [("unresolved", max_iter)] * 64
+    assert abs(peaks[400] - peaks[100]) < 4096, peaks
 
 
 @pytest.mark.parametrize("name, eta", [("mixed8", 1e-4), ("dale4", 1e-6)])

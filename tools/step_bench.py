@@ -1,25 +1,31 @@
-"""Time the return-map step and a census on two trees, and pair their bench runs.
+"""Time the return-map step and censuses on two trees, and pair their bench runs.
 
     python3 tools/step_bench.py PARENT_ROOT CHANGE_ROOT [--out BENCH_step_filter.json]
+        [--cases CASE ...] [--workloads W ...]
 
 PARENT_ROOT and CHANGE_ROOT are checkouts of the repository (each with src/
-and bench/).  The network is the dale64 recipe at size n: `default_rng(5)`,
-|H| uniform in [0.2, 0.5], rows 0..n/8-1 excitatory and the rest
-inhibitory, gamma 1, beta 1.2, theta 1, alpha -1.  The cases are
+and bench/).  The network is the dale64 recipe at size n with k excitatory
+rows (n/8 unless a case names k): `default_rng(5)`, |H| uniform in
+[0.2, 0.5], rows 0..k-1 excitatory and the rest inhibitory, a zero
+diagonal, gamma 1, beta 1.2, theta 1, alpha -1.  A case is
 
-- step n: one `_kernels.step_batch` call on the 1000 census starts
-  `cycles._census_starts(p, 1000, 0)`, for n = 64, 256 and 512;
-- census 256: `cycles.cycle_census(p, 200, 0)` at n = 256.
+- "step n": one `_kernels.step_batch` call on the 1000 census starts
+  `cycles._census_starts(p, 1000, 0)`;
+- "census n [k [samples]]": `cycles.cycle_census(p, samples, 0)`, 200
+  samples unless it names them.
 
-Each case runs in --processes fresh interpreters per tree, the trees
+The default cases are step 64, step 256, step 512 and census 256.  Each case
+runs alone in --processes fresh interpreters per tree, the trees
 alternating, and records per process the best of --repeats timed calls
-after one untimed call, and the SHA-256 of (out, fired) or of the census
-report's repr; the two trees' hashes must agree.  Then `bench/run.py
---trace 0` runs from each root for every workload, --pairs pairs of runs
-(--sync-pairs for sweep_sync, whose work_per_s is the claim), the parent
-first in even-numbered pairs.  The record holds every run, the claim and
-per workload the quartiles of each end-to-end metric (the shape of the
-other BENCH_*.json records).  With --pairs 0 it only times the cases.
+after one untimed call (with --repeats 0, the time of that one call), the
+process's peak RSS (`ru_maxrss`) and the SHA-256 of (out, fired) or of the
+census report's repr; the two trees' hashes must agree.  Then `bench/run.py
+--trace 0` runs from each root for every workload of --workloads, --pairs
+pairs of runs (--sync-pairs for sweep_sync, whose work_per_s is the claim
+when it runs), the parent first in even-numbered pairs.  The record holds
+every run, the claim and per workload the quartiles of each end-to-end
+metric (the shape of the other BENCH_*.json records).  With --pairs 0 it
+only times the cases.
 """
 
 import argparse
@@ -27,6 +33,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -40,12 +47,13 @@ METRICS = {"work_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
 CLAIM = ("sweep_sync", "work_per_s", "about 1.04x")  # workload, metric, the gain expected
 
 
-def dale(n):
+def dale(n, k=None):
+    """The dale64 recipe at size n with k excitatory rows, n/8 by default."""
     import numpy as np
     from ifnet import network
 
     H = np.random.default_rng(5).uniform(0.2, 0.5, (n, n))
-    H[n // 8:] *= -1.0
+    H[n // 8 if k is None else k:] *= -1.0
     np.fill_diagonal(H, 0.0)
     return network(n, 1.0, 1.2, 1.0, -1.0, H)
 
@@ -60,44 +68,43 @@ def digest(result):
         return hashlib.sha256(repr(result).encode()).hexdigest()
 
 
-def child(repeats):
-    """Print {case: [best ms, sha256]} for the ifnet on sys.path."""
+def child(case, repeats):
+    """Print [best ms, sha256, peak RSS MB] of one case for the ifnet on sys.path."""
     from ifnet import _kernels, cycles
 
+    kind, n, *rest = case.split()
+    p = dale(int(n), *map(int, rest[:1]))
+    run = (partial(_kernels.step_batch, p, cycles._census_starts(p, 1000, 0)) if kind == "step"
+           else partial(cycles.cycle_census, p, int(rest[1]) if rest[1:] else 200, 0))
+    times = []
+    for _ in range(1 + repeats):
+        t0 = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - t0)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps([round(1e3 * min(times[1:] or times), 3), digest(result), round(rss, 1)]))
+
+
+def time_cases(roots, cases, processes, repeats):
     out = {}
-    for case in CASES:
-        kind, n = case.split()
-        p = dale(int(n))
-        run = (partial(_kernels.step_batch, p, cycles._census_starts(p, 1000, 0)) if kind == "step"
-               else partial(cycles.cycle_census, p, 200, 0))
-        result, best = run(), float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - t0)
-        out[case] = [round(1e3 * best, 3), digest(result)]
-    print(json.dumps(out))
-
-
-def time_cases(roots, processes, repeats):
-    per = {side: [] for side in roots}
-    for k in range(processes):
-        for side in (list(roots) if k % 2 == 0 else list(roots)[::-1]):
-            cmd = [sys.executable, __file__, "--child", str(repeats)]
-            proc = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": str(roots[side] / "src")},
-                                  capture_output=True, text=True, check=True)
-            per[side].append(json.loads(proc.stdout))
-    cases = {}
-    for case in CASES:
+    for case in cases:
+        per = {side: [] for side in roots}
+        for k in range(processes):
+            for side in (list(roots) if k % 2 == 0 else list(roots)[::-1]):
+                cmd = [sys.executable, __file__, "--child", case, "--repeats", str(repeats)]
+                proc = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": str(roots[side] / "src")},
+                                      capture_output=True, text=True, check=True)
+                per[side].append(json.loads(proc.stdout))
         rec = {}
         for side in roots:
-            ms = [r[case][0] for r in per[side]]
+            ms, rss = [r[0] for r in per[side]], [r[2] for r in per[side]]
             rec[f"{side}_ms"], rec[f"{side}_median_ms"] = ms, statistics.median(ms)
-            rec[f"{side}_sha256"] = sorted({r[case][1] for r in per[side]})
+            rec[f"{side}_peak_rss_mb"], rec[f"{side}_median_peak_rss_mb"] = rss, round(statistics.median(rss), 1)
+            rec[f"{side}_sha256"] = sorted({r[1] for r in per[side]})
         rec["speedup"] = round(rec["parent_median_ms"] / rec["change_median_ms"], 2)
         rec["sha256_equal"] = rec["parent_sha256"] == rec["change_sha256"] and len(rec["parent_sha256"]) == 1
-        cases[case] = rec
-    return cases
+        out[case] = rec
+    return out
 
 
 def bench_run(root, workload, seed):
@@ -133,10 +140,12 @@ def summarize(runs, workload):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--child", help=argparse.SUPPRESS)
     ap.add_argument("parent", nargs="?", type=Path)
     ap.add_argument("change", nargs="?", type=Path)
     ap.add_argument("--out", type=Path, default=Path("BENCH_step_filter.json"))
+    ap.add_argument("--cases", nargs="+", default=CASES)
+    ap.add_argument("--workloads", nargs="+", default=WORKLOADS, choices=WORKLOADS)
     ap.add_argument("--processes", type=int, default=5)
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--pairs", type=int, default=5)
@@ -144,40 +153,42 @@ def main():
     ap.add_argument("--seed", type=int, default=401, help="first bench seed")
     args = ap.parse_args()
     if args.child is not None:
-        return child(args.child)
+        return child(args.child, args.repeats)
     if args.parent is None or args.change is None:
         ap.error("PARENT_ROOT and CHANGE_ROOT are required")
     import numpy as np
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {"label": args.out.stem.removeprefix("BENCH_"),
-              "what": "the cases of tools/step_bench.py (one step_batch call on 1000 census starts of the dale64 "
-                      "recipe at n = 64, 256 and 512, and a 200-sample census at n = 256; best of "
-                      f"{args.repeats} calls in each of {args.processes} processes per tree, trees alternating), "
-                      "then bench/run.py end-to-end runs, of a parent tree and a change",
+              "what": f"the cases {', '.join(args.cases)} of tools/step_bench.py (each alone in "
+                      f"{args.processes} processes per tree, trees alternating; "
+                      + (f"best of {args.repeats} calls after one untimed call" if args.repeats else "one call")
+                      + ", and the process's peak RSS), then bench/run.py end-to-end runs, of a parent tree "
+                      "and a change",
               "machine": f"{os.cpu_count()} CPUs, CPython {platform.python_version()}, numpy {np.__version__}",
               "command": "python3 bench/run.py --workload W --seed S --seconds 20 --trace 0, from each root",
               "order": "pairs one after another, the parent first in even-numbered pairs; workloads in the order "
-                       + ", ".join(WORKLOADS),
-              "cases": time_cases(roots, args.processes, args.repeats)}
+                       + ", ".join(args.workloads),
+              "cases": time_cases(roots, args.cases, args.processes, args.repeats)}
     runs = []
-    for workload in WORKLOADS if args.pairs else []:
+    for workload in args.workloads if args.pairs else []:
         for k in range(args.sync_pairs if workload == CLAIM[0] else args.pairs):
             for which in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                 run = bench_run(roots[which], workload, args.seed + k)
                 runs.append({"workload": workload, "seed": args.seed + k, "pair": k, "which": which, **run})
                 print(json.dumps(runs[-1]), file=sys.stderr)
     if runs:
-        record["summary"] = {w: summarize(runs, w) for w in WORKLOADS}
-        m = record["summary"][CLAIM[0]][CLAIM[1]]
-        gain = m["change_q1_median_q3"][1] - m["parent_q1_median_q3"][1]
-        iqr = m["parent_q1_median_q3"][2] - m["parent_q1_median_q3"][0]
-        pairs = record["summary"][CLAIM[0]]["pairs"]
-        record["claim"] = {"workload": CLAIM[0], "metric": CLAIM[1], "better": "higher", "pairs": pairs,
-                           "expected": CLAIM[2],
-                           "change_better_pairs": m["change_better_pairs"], "median_ratio": m["median_ratio"],
-                           "median_gain": round(gain, 6), "parent_iqr": round(iqr, 6),
-                           "met": m["change_better_pairs"] >= 0.9 * pairs and gain > iqr}
+        record["summary"] = {w: summarize(runs, w) for w in args.workloads}
+        if CLAIM[0] in args.workloads:
+            m = record["summary"][CLAIM[0]][CLAIM[1]]
+            gain = m["change_q1_median_q3"][1] - m["parent_q1_median_q3"][1]
+            iqr = m["parent_q1_median_q3"][2] - m["parent_q1_median_q3"][0]
+            pairs = record["summary"][CLAIM[0]]["pairs"]
+            record["claim"] = {"workload": CLAIM[0], "metric": CLAIM[1], "better": "higher", "pairs": pairs,
+                               "expected": CLAIM[2],
+                               "change_better_pairs": m["change_better_pairs"], "median_ratio": m["median_ratio"],
+                               "median_gain": round(gain, 6), "parent_iqr": round(iqr, 6),
+                               "met": m["change_better_pairs"] >= 0.9 * pairs and gain > iqr}
         record["runs"] = runs
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 
