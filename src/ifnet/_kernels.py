@@ -23,10 +23,11 @@ Layout.  `_step_columns` is the one implementation of this step.  It steps a
 C-contiguous (n, M) batch, one state per column, so each per-state reduction
 (maximum, any, all, sup distance) and each broadcast runs along the long
 axis; `step_batch` wraps it for a (..., n) batch or one (n,) state.  The
-batch drivers keep their states in columns across returns and select the
-live ones with `np.compress(mask, X, axis=1)`: `X[:, mask]` is F-ordered, and
-the next step on it would run along the short axis again.  A zero maximum
-may differ in sign from a row-wise one, which gives the same wait time.
+batch drivers and the cycle census (`cycles._fates`) keep their states in
+columns across returns and select the live ones with
+`np.compress(mask, X, axis=1)`: `X[:, mask]` is F-ordered, and the next step
+on it would run along the short axis again.  A zero maximum may differ in
+sign from a row-wise one, which gives the same wait time.
 
 Jump sums.  `params.step_table` holds per presynaptic j the row of `up` that
 a recruiting round adds (H with every entry <= 0 replaced by -0.0, which
@@ -76,9 +77,11 @@ fl(|s - theta|) > b implies |s - theta| > b, so s and r then lie on the same
 side of theta.  A bound that is NaN or infinite trusts nothing.
 
 The batch drivers, the cycle census and the expansion witnesses step whole
-batches; only `run_orbit` steps one state at a time, as each return depends
-on the last, about 23 us on net_c and 26 us on mixed8 against 6.9 and 19 us
-for a scalar loop, while 2048 net_c states cost 0.09 us each (timeit, 2-vCPU VM).
+batches; `run_orbit` and the census's cycle solve (`cycles._solve`, which
+settles one orbit until it repeats) step one state at a time, as each return
+depends on the last, about 23 us on net_c and 26 us on mixed8 against 6.9 and
+19 us for a scalar loop, while 2048 net_c states cost 0.09 us each (timeit,
+2-vCPU VM).
 `dynamics.return_map`, the library's one-state entry point, wraps one
 `step_batch` call; no package module calls it.  `step_batch` returns each
 row's maximum; `wait_times` turns it into a time, with `math.log` per row.

@@ -37,14 +37,19 @@ margin.  A recurring window inside C_{c_bar} of a certifiable network is
 solved once per piece word, for every orbit that recurs on it; any other
 window, and one whose solve fails on a recurrence within the tie tolerance,
 is reported as an uncertified cycle of its recurrent states.  The census
-steps all its samples as one batch and keeps their itineraries in arrays:
-each return tests every live sample's look-back candidates (the last 8
-earlier returns with its winner) with array operations, so its cost follows
-the returns stepped, not the number of Python objects per sample.  No
-recurrence is looked for more than 256 returns back, so only a sample's last
-257 returns are kept, in rings indexed by the return mod 257: its states,
-firing sets and margins take at most 257 x samples x n x 9 bytes, however
-long the transients run.
+steps all its samples as one batch, held as the C-contiguous (n, M) column
+block the batch drivers of `_kernels` step, one live sample per column, so
+each return is one `_kernels._step_columns` call with no transposes.  Each
+return's winner, zone flag and margin come from what that step holds: the
+column argmax, the column maxima it returns, and the top two potentials
+and class maxima (`_pieces`).  Each return tests every live sample's
+look-back candidates (the last 8 earlier returns with its winner) with
+array operations, and skips what is empty on that return (no candidate,
+no sample leaving), so its cost follows the returns stepped, not the
+number of Python objects per sample.  No recurrence is looked for more
+than 256 returns back, so only a sample's last 257 returns are kept, in
+rings indexed by the return mod 257: its states, firing sets and margins
+take at most 257 x samples x n x 9 bytes, however long the transients run.
 
 Every fate reader works from one record, the `FateTable` that `_fates`
 returns: per row its outcome code, transient, margin, cycle index and last
@@ -62,10 +67,11 @@ A cycle's itinerary is the tuple of its pieces' printed names, as
 `cycles.json` writes them: "inhib:i" (neuron i, from 1) for a certified
 cycle, and the firing set, "J:1;3", for an uncertified one.
 
-Winners and gaps are computed for batches of states only (`_classify`); a
-state's margin is half its gap.  `certify_cycle` re-checks a certificate
-from the cycle's points alone, with all of them classified and stepped as
-one batch.
+Winners, gaps and zone flags are computed for column batches of states
+only, by one helper (`_pieces`) that detection, `_certified_cycle` and
+`certify_cycle` share, so the three read one gap formula; a state's margin
+is half its gap.  `certify_cycle` re-checks a certificate from the cycle's
+points alone, with all of them classified and stepped as one batch.
 """
 
 from __future__ import annotations
@@ -92,25 +98,29 @@ __all__ = [
 ]
 
 
-def _classify(params: NetworkParams, V: np.ndarray):
-    """Winners and gaps of the rows of an (m, n) batch of section states.
+def _pieces(params: NetworkParams, X: np.ndarray, vmax: np.ndarray):
+    """Winners, gaps and zone flags of the columns of an (n, M) batch of
+    section states of a network with an inhibitory neuron, vmax their maxima.
 
     A winner is the first neuron of largest potential, the piece code detection
     and certification share.  A gap is the winner's lead over the runner-up
-    when an inhibitory neuron wins, and the largest excitatory over the largest
+    (the second largest potential, ties counted; minus infinity at n = 1) when
+    an inhibitory neuron wins, and the largest excitatory over the largest
     inhibitory potential on the synchronization piece; it is 0 on the boundary,
-    where it is within the tie tolerance.  A row of positive gap has a unique
+    where it is within the tie tolerance.  A column of positive gap has a unique
     maximum, so its piece is its winner's: "inhib:k" or, for an excitatory
-    winner, the synchronization piece.
+    winner, the synchronization piece.  A zone flag tells whether the column
+    lies in C_{c_bar}: its maximum is at most c_bar and a coordinate is 0.
     """
-    m_minus = V[:, list(params.inhibitory)].max(axis=1)
-    m_plus = V[:, list(params.excitatory)].max(axis=1, initial=-math.inf)
-    winner = V.argmax(axis=1)
-    others = V.copy()
-    others[np.arange(V.shape[0]), winner] = -math.inf
-    gap = np.where(m_plus >= m_minus, m_plus - m_minus, m_minus - others.max(axis=1))
+    excit, inhib = params.class_rows
+    zone = (vmax <= params.constants.c_bar) & (X == 0.0).any(axis=0)
+    other = np.partition(X, -2, axis=0)[-2] if params.n > 1 else np.full(X.shape[1], -math.inf)
+    sync = X[excit].max(axis=0, initial=-math.inf) >= vmax
+    if sync.any():
+        other = np.where(sync, X[inhib].max(axis=0), other)
+    gap = vmax - other
     gap[~(gap > params.tie_tol())] = 0.0
-    return winner, gap
+    return X.argmax(axis=0), gap, zone
 
 
 @dataclass(frozen=True)
@@ -215,9 +225,9 @@ def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float,
     # the residual is measured at every cycle point
     residual = float(np.abs(seq[p:] - seq[:p + 1]).max())
     pts = seq[:p]
-    if not _in_zone_rows(pts, params.constants.c_bar).all():
+    winner, gap, zone = _pieces(params, pts.T, pts.max(axis=1))
+    if not zone.all():
         raise PreconditionFailed("state is outside C_{c_bar}")
-    winner, gap = _classify(params, pts)
     min_marg = min((0.5 * gap).tolist())
     if min_marg < eta:
         return min_marg
@@ -242,6 +252,12 @@ def _solve(params: NetworkParams, window: np.ndarray, eta: float):
     the product of their piece matrices (the p-step map there is projective),
     stepped 2p times to settle its last bits.  The next 2p + 1 states go to
     `_certified_cycle`, whose residual gate rejects a solve off the pieces.
+    The orbit is stepped one state at a time (`_kernels._step_columns` on one
+    column) until a state's bytes equal those of the state p returns back, at
+    most 4p returns.  The step is a pure function of a state's bytes, so the
+    orbit repeats with period p from there, and the remaining rows are
+    filled by period: the bytes `run_orbit`'s recurrence tail gives, in 9
+    steps rather than 13 on mixed8's period-6 cycle.
     The eigenvalue ratio |l2/l1| is the cycle's measured contraction per period.
     Returns `_certified_cycle`'s LimitCycle, or the least margin of a cycle
     that grazes."""
@@ -254,8 +270,13 @@ def _solve(params: NetworkParams, window: np.ndarray, eta: float):
     x = vecs[:, lead]
     if w[lead].imag != 0.0 or not abs(w[lead]) > abs(w[second]) or x[-1] == 0.0:
         raise NumericalStall(f"period-{p} piece product has no strictly dominant real eigenvector")
-    x = (x[:-1] / x[-1]).real
-    seq = np.vstack((x, _kernels.run_orbit(params, x, 4 * p)[0]))
+    seq = np.empty((4 * p + 1, params.n))
+    seq[0] = (x[:-1] / x[-1]).real
+    for t in range(1, 4 * p + 1):
+        seq[t] = _kernels._step_columns(params, seq[t - 1, :, None])[0][:, 0]
+        if t >= p and seq[t].tobytes() == seq[t - p].tobytes():  # periodic from here: fill by period
+            seq[t + 1:] = seq[t + 1 - p + np.arange(4 * p - t) % p]
+            break
     return _certified_cycle(params, seq[2 * p:], p, eta, float(abs(w[second] / w[lead])))
 
 
@@ -279,15 +300,20 @@ def _least_rotation(word: tuple):
 def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> FateTable:
     """Fates of the rows of an (m, n) batch of starts, stepped in lockstep.
 
-    Each return steps every live row with one `step_batch` call and tests the
-    recurrences of all live rows with array operations; a row leaves the batch
-    once its fate is known, and its outcome, transient and margin are written
-    into the table's arrays.  Only the last depth = min(_MAX_PERIOD, max_iter)
-    + 1 returns of a row are kept, in three slot-major rings: return k of row
-    r is slot k % depth of its state, its firing set and its margin.  So the
-    history is at most depth x m x n x 9 bytes, whatever max_iter and the
-    transients are.  A return's code is its winner (`_classify`), which its
-    state gives back, as it gives back whether the return lies in C_{c_bar}.
+    The live rows are held as a C-contiguous (n, live) block, one state per
+    column.  Each return steps it with one `_kernels._step_columns` call and
+    tests the recurrences of all live rows with array operations; a row
+    leaves the block (`np.compress` along the columns, which keeps it
+    C-contiguous) once its fate is known, and its outcome, transient and
+    margin are written into the table's arrays.  A write that would change
+    nothing on a return (no row synchronized, no excitatory firing, no
+    candidate, no row leaving) is skipped.  Only the last depth =
+    min(_MAX_PERIOD, max_iter) + 1 returns of a row are kept, in three
+    slot-major rings: return k of row r is slot k % depth of its state, its
+    firing set and its margin.  So the history is at most depth x m x n x 9
+    bytes, whatever max_iter and the transients are.  A return's code is its
+    winner, and whether it lies in C_{c_bar} and its gap come with it from
+    `_pieces`, which reads the column maxima the step returns.
     A return inside C_{c_bar} of a certifiable network has half its winner
     gap as margin (0 on the boundary) and grazes when that is below eta;
     every other return has the tie tolerance.  The look-back candidates of a
@@ -319,7 +345,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
     # 1 - lam ** p by lag p, each from the Python expression: positive for every lag p >= 1 when
     # lam < 1, the contraction budget; without one nothing but a tie passes
     denom = np.array([1.0 - lam ** p for p in range(_MAX_PERIOD + 1)])
-    excit = list(params.excitatory)
+    excit = params.class_rows[0]
 
     m, n = V0.shape
     table = FateTable(np.full(m, _UNRESOLVED, np.int8), np.full(m, max_iter), np.full(m, np.nan), np.full(m, -1), np.full(m, -1))
@@ -328,35 +354,39 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
     depth = min(_MAX_PERIOD, max_iter) + 1
     states, sets, margs = np.zeros((depth, m, n)), np.zeros((depth, m, n), np.bool_), np.zeros((depth, m))
     occ = np.full((m, n, _LOOK_BACK), -1)  # by row and code, its last returns with that code, newest first
-    live, V = np.arange(m), V0
+    live, X = np.arange(m), np.ascontiguousarray(V0.T)  # the live rows' states, one per column
     for k in range(max_iter + 1):
-        zero = ~V.any(axis=1)
-        table.outcome[live[zero]], table.transient[live[zero]] = _SYNCHRONIZED, k
-        live, V = live[~zero], V[~zero]
+        zero = ~X.any(axis=0)
+        if zero.any():
+            table.outcome[live[zero]], table.transient[live[zero]] = _SYNCHRONIZED, k
+            live, X = live[~zero], np.compress(~zero, X, axis=1)
         if not live.size:
             break
-        image, fired, _, _ = _kernels.step_batch(params, V)
-        table.last_exc[live[fired[:, excit].any(axis=1)]] = k
-        code = V.argmax(axis=1)
-        zone = _in_zone_rows(V, c_bar) & certifiable
-        marg = np.where(zone, 0.5 * _classify(params, V)[1], tie) if certifiable else np.full(live.size, tie)
+        image, fired, vmax, _ = _kernels._step_columns(params, X)
+        if (spiked := fired[excit].any(axis=0)).any():
+            table.last_exc[live[spiked]] = k
+        if certifiable:
+            code, gap, zone = _pieces(params, X, vmax)
+            marg = np.where(zone, 0.5 * gap, tie)
+        else:
+            code, zone, marg = X.argmax(axis=0), np.zeros(live.size, np.bool_), np.full(live.size, tie)
         graze = zone & (marg < eta)
-        states[k % depth, live], sets[k % depth, live], margs[k % depth, live] = V, fired, marg
+        states[k % depth, live], sets[k % depth, live], margs[k % depth, live] = X.T, fired.T, marg
 
         prev = occ[live, code]
-        i, j = np.nonzero((prev >= 0) & ~graze[:, None])  # the candidates, by row and then newest first
-        p = k - prev[i, j]
-        keep = p <= _MAX_PERIOD
-        i, p = i[keep], p[keep]
-        at = (k - p) % depth, live[i]  # the candidates' slots and rows
-        dist = np.abs(V[i] - states[at]).max(axis=1)
-        ratio = np.where(dist <= tie, 0.0, dist / denom[p] if lam < 1.0 else math.inf)  # 0: every margin admits a tie
-        ok = (ratio <= marg[i]) & (ratio <= margs[at])  # the margins at both ends
-        if ok.any():  # the window's least margin, a suffix-min back from return k over one gather
-            back = (k - np.arange(p[ok].max() + 1)) % depth
-            low = np.minimum.accumulate(margs[back, live[i[ok], None]], axis=1)
-            ok[ok] = ratio[ok] <= low[np.arange(len(low)), p[ok]]
-        stay = ~graze
+        # the candidates, by row and then newest first, none more than _MAX_PERIOD returns back
+        i, j = np.nonzero((prev >= max(0, k - _MAX_PERIOD)) & ~graze[:, None])
+        stay, ok = ~graze, np.zeros(0, np.bool_)
+        if i.size:
+            p = k - prev[i, j]
+            at = (k - p) % depth, live[i]  # the candidates' slots and rows
+            dist = np.abs(X.T[i] - states[at]).max(axis=1)
+            ratio = np.where(dist <= tie, 0.0, dist / denom[p] if lam < 1.0 else math.inf)  # 0: every margin admits a tie
+            ok = (ratio <= marg[i]) & (ratio <= margs[at])  # the margins at both ends
+            if ok.any():  # the window's least margin, a suffix-min back from return k over one gather
+                back = (k - np.arange(p[ok].max() + 1)) % depth
+                low = np.minimum.accumulate(margs[back, live[i[ok], None]], axis=1)
+                ok[ok] = ratio[ok] <= low[np.arange(len(low)), p[ok]]
         if ok.any():
             i, first = np.unique(i[ok], return_index=True)
             lag, exact = p[ok][first], ratio[ok][first] == 0.0
@@ -388,11 +418,12 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
                                              certified=False, time_period=_period_time(params, pts)),
                                   _least_rotation(names)[1], bool(sets[w, r][:, excit].any()))
                 table.cycle[r] = c
-        # the grazing rows, and the transient of every row that leaves at this return
-        table.outcome[live[graze]], table.margin[live[graze]], table.transient[live[~stay]] = _GRAZING, marg[graze], k
-        r, c = live[stay], code[stay]
-        occ[r, c, 1:], occ[r, c, 0] = occ[r, c, :-1], k
-        live, V = live[stay], image[stay]
+        if not stay.all():  # the grazing rows, and the transient of every row that leaves at this return
+            table.outcome[live[graze]], table.margin[live[graze]], table.transient[live[~stay]] = _GRAZING, marg[graze], k
+            live, code, prev, image = live[stay], code[stay], prev[stay], np.compress(stay, image, axis=1)
+        prev[:, 1:], prev[:, 0] = prev[:, :-1], k
+        occ[live, code] = prev
+        X = image
     return table
 
 
@@ -436,12 +467,12 @@ def certify_cycle(params: NetworkParams, candidate: LimitCycle) -> bool:
         return False
     try:
         pts = np.array([as_state(params, pt) for pt in candidate.points])
-        winner, gap = _classify(params, pts)
+        winner, gap, zone = _pieces(params, pts.T, pts.max(axis=1))
         lam = _ball_factor(params, pts, winner, cert.ball_radius)
     except PreconditionFailed:
         return False
     if not (0.0 < cert.ball_radius and lam <= cert.lam < 1.0 and cert.lam * cert.ball_radius + cert.residual <= cert.ball_radius
-            and _in_zone_rows(pts, params.constants.c_bar).all() and (0.5 * gap > cert.ball_radius).all()):
+            and zone.all() and (0.5 * gap > cert.ball_radius).all()):
         return False
     image = pts
     for _ in range(len(pts)):

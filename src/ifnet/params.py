@@ -135,6 +135,15 @@ class NetworkParams:
         return tuple(i for i, k in enumerate(self.kinds) if k is NeuronKind.INHIBITORY)
 
     @cached_property
+    def class_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The excitatory and the inhibitory neurons as read-only index arrays, which
+        gather a class's rows of an (n, M) batch in one call (`cycles._pieces`)."""
+        rows = tuple(np.array(c, np.intp) for c in (self.excitatory, self.inhibitory))
+        for r in rows:
+            r.setflags(write=False)
+        return rows
+
+    @cached_property
     def o_conditions(self) -> np.ndarray:
         """(3, n, n) read-only bools, symmetric: [k, i, j] tells whether the pair of
         neurons i != j meets (O{k+1}) of `contraction.check_O_conditions`; the

@@ -23,6 +23,7 @@ from ifnet import (
     return_map,
     verify_contraction,
 )
+from ifnet import contraction
 from ifnet.contraction import MetricEstimate, adapted_metric_check
 from ifnet.dynamics import as_state
 from ifnet.params import NetworkParams
@@ -428,6 +429,43 @@ def test_repeller_two_step_state_expansion(net_b):
         rb = return_map(net_b, return_map(net_b, gamma_state(2, 0, b)).state).state
         assert abs(ra[0] - rb[0]) > abs(a - b)
         assert np.max(np.abs(ra - rb)) > abs(a - b)
+
+
+def test_repeller_reports_an_empty_bracket(net_b, monkeypatch):
+    # an inverse that maps everything to theta closes the bracket (c_star, theta) to nothing
+    transfer = contraction._transfer
+    monkeypatch.setattr(contraction, "_transfer",
+                        lambda params, k: transfer(params, k)[:2] + (lambda y: params.theta,))
+    with pytest.raises(NoFixedPoint, match="empty admissible bracket"):
+        repeller(net_b, 0, 1)
+
+
+@pytest.mark.parametrize("end", ["a", "b", "mid"])
+def test_repeller_takes_an_exact_zero_of_the_two_step_map(net_b, monkeypatch, end):
+    # g_i(g_j(x)) - x is exactly 0 at a bracket end, or at the first bisection midpoint:
+    # that point is the fixed point, with no further bisection
+    a, b = repeller(net_b, 0, 1).interval
+    zero = {"a": a, "b": b, "mid": 0.5 * (a + b)}[end]
+    g_i = (lambda x: x) if end == "a" else (lambda x: zero)
+    transfer = contraction._transfer  # neuron k's derivative and inverse stay the real ones
+    monkeypatch.setattr(contraction, "_transfer",
+                        lambda params, k: (g_i if k == 0 else (lambda x: x),) + transfer(params, k)[1:])
+    rep = repeller(net_b, 0, 1)
+    assert rep.interval == (a, b) and rep.fixed_point == zero
+
+
+def test_estimate_lipschitz_needs_a_contracting_zone(net_c, monkeypatch):
+    monkeypatch.setattr(contraction, "lambda_for_zone", lambda params, c: 1.0)
+    with pytest.raises(PreconditionFailed, match="contraction factor of the absorbed zone is not below 1"):
+        estimate_lipschitz_c(net_c, 100, seed=1)
+
+
+def test_estimate_lipschitz_reports_too_few_same_itinerary_pairs(net_c, monkeypatch):
+    from ifnet import InsufficientSamples
+
+    monkeypatch.setattr(contraction, "_same_itinerary_pairs", lambda *args: (None, None, np.zeros((9, 3)), 7000))
+    with pytest.raises(InsufficientSamples, match="only 9 same-itinerary pairs out of 7000 draws"):
+        estimate_lipschitz_c(net_c, 100, seed=1)
 
 
 # ---------------------------------------------------------------- absorption & jvac

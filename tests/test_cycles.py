@@ -23,6 +23,7 @@ from ifnet import (
     return_map,
     sync_test,
 )
+from ifnet import _kernels
 from ifnet._kernels import run_orbit, step_batch, track_pair
 from ifnet._sampling import rng_stream, sample_on_section
 from ifnet.contraction import _in_zone_rows, _zone_after_return
@@ -63,11 +64,31 @@ def set_name(fired):
     return "J:" + ";".join(str(j + 1) for j in np.flatnonzero(fired).tolist())
 
 
+def reference_pieces(params, V):
+    """Winner, gap and zone flag of each row of an (m, n) batch of section states,
+    row by row in plain Python: the winner is the first index of the largest
+    potential; the gap is m_plus - m_minus when the largest excitatory potential
+    m_plus is at least the largest inhibitory one m_minus, else m_minus less the
+    largest potential off the winner, and 0 unless it exceeds the tie tolerance;
+    the zone flag is `_in_zone_rows`'."""
+    excit, inhib, tie = params.excitatory, params.inhibitory, params.tie_tol()
+    winners, gaps = [], []
+    for v in np.asarray(V, np.float64).tolist():
+        winner = v.index(max(v))
+        m_plus = max((v[i] for i in excit), default=-math.inf)
+        m_minus = max(v[i] for i in inhib)
+        runner_up = max((x for i, x in enumerate(v) if i != winner), default=-math.inf)
+        gap = m_plus - m_minus if m_plus >= m_minus else m_minus - runner_up
+        winners.append(winner)
+        gaps.append(gap if gap > tie else 0.0)
+    return winners, gaps, _in_zone_rows(V, params.constants.c_bar).tolist()
+
+
 def pieces_and_margins(params, V):
     """Piece names and margins of the rows of a batch of states in C_{c_bar}."""
     V = np.atleast_2d(np.asarray(V, np.float64))
-    assert _in_zone_rows(V, params.constants.c_bar).all()
-    winner, gap = cycles._classify(params, V)
+    winner, gap, zone = cycles._pieces(params, V.T, V.max(axis=1))
+    assert zone.all()
     return [piece_name(w, g, params) for w, g in zip(winner.tolist(), gap.tolist())], (0.5 * gap).tolist()
 
 
@@ -123,6 +144,43 @@ def test_classify_margin_perturbation_stability(net_c):
             W.append(np.clip(w, net_c.alpha, dc.c_bar))
         assert pieces_and_margins(net_c, W)[0] == [piece] * 5
         checked += 1
+
+
+@st.composite
+def piece_batches(draw):
+    """A network of 1 to 12 neurons with an inhibitory one (an excitatory one only
+    sometimes) and an (m, n) batch of potentials drawn from [alpha, theta] whose maxima
+    are tied exactly, or within the tie tolerance, by other entries, among them
+    +0.0 and -0.0."""
+    n = draw(st.integers(1, 12))
+    excit = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda e: not all(e)))
+    H = np.array([[0.3 if e else -0.3] * n for e in excit])
+    np.fill_diagonal(H, 0.0)
+    params = network(n, 1.0, 1.2, 1.0, -1.0, H)
+    tie = params.tie_tol()
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        v = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.3, params.constants.c_bar]), st.floats(-1.0, 1.0)),
+                          min_size=n, max_size=n))
+        top = max(v)
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+            v[i] = top - draw(st.sampled_from([0.0, 0.0, tie, 2 * tie, 0.5 * tie]) | st.floats(0.0, 2 * tie))
+        rows.append(v)
+    return params, np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=piece_batches())
+def test_pieces_equal_a_row_by_row_reference(case):
+    # winners, gaps (bit for bit, 0 on the boundary, infinite at n = 1) and zone flags
+    # of a column batch, read with the column maxima the step returns
+    params, V = case
+    X = np.ascontiguousarray(V.T)
+    winner, gap, zone = cycles._pieces(params, X, X.max(axis=0))
+    want_winner, want_gap, want_zone = reference_pieces(params, V)
+    assert winner.tolist() == want_winner
+    assert gap.tobytes() == np.array(want_gap).tobytes()
+    assert zone.tolist() == want_zone
 
 
 # ---------------------------------------------------------------- detection
@@ -387,8 +445,7 @@ def reference_fates(params, V0, max_iter, eta):
         image, fired, _, _ = step_batch(params, V)
         last_exc[live[fired[:, excit].any(axis=1)]] = k
         if certifiable:
-            zone = _in_zone_rows(V, c_bar).tolist()
-            gap = cycles._classify(params, V)[1].tolist()  # 0 on the boundary
+            _, gap, zone = reference_pieces(params, V)  # a gap is 0 on the boundary
         leave = np.zeros(live.size, np.bool_)
         for i, r in enumerate(live.tolist()):
             track, state = tracks[r], V[i]
@@ -895,6 +952,50 @@ def test_solve_needs_a_strictly_dominant_real_eigenvector(net_d, monkeypatch, sp
     monkeypatch.setattr(np.linalg, "eig", spoiled)
     with pytest.raises(NumericalStall, match="no strictly dominant real eigenvector"):
         cycle_census(net_d, 40, seed=5, eta=1e-4)
+
+
+@pytest.mark.parametrize("name, eta, samples", [("mixed8", 1e-4, 30), ("dale4", 1e-6, 30), ("dale64", 1e-6, 200)])
+def test_solve_settles_to_the_bytes_of_a_full_orbit(name, eta, samples, monkeypatch):
+    # the windows the golden census solves (mixed8, dale4), or, where it solves none
+    # (dale64: its cycles lie above c_bar), the points of its cycles; each solve
+    # hands `_certified_cycle` the bytes of the full orbit of its eigenvector, as
+    # run_orbit steps it, and stops stepping at its first byte-periodic state
+    params = load_config(str(GOLDEN / f"{name}.json")).params
+    solve, windows = cycles._solve, []
+    monkeypatch.setattr(cycles, "_solve", lambda p, w, e: windows.append(w.copy()) or solve(p, w, e))
+    report = cycle_census(params, samples, seed=0, eta=eta)
+    monkeypatch.undo()
+    windows = windows or [entry.cycle.points for entry in report.entries]
+    step, counts = _kernels._step_columns, {}
+
+    class Settled(Exception):
+        pass
+
+    for window in windows:
+        p, states, seqs = len(window), [], []
+
+        def spy(params, X):
+            if X.shape[1] == 1:  # a settling step, not the piece matrices' batch
+                states.append(X[:, 0].copy())
+            return step(params, X)
+
+        def caught(params, seq, p, eta, contraction):
+            seqs.append(seq.copy())
+            raise Settled
+
+        monkeypatch.setattr(_kernels, "_step_columns", spy)
+        monkeypatch.setattr(cycles, "_certified_cycle", caught)
+        with pytest.raises(Settled):
+            solve(params, window, eta)
+        monkeypatch.undo()
+        x = states[0]
+        want = np.vstack((x, run_orbit(params, x, 4 * p)[0]))
+        assert seqs[0].tobytes() == want[2 * p:].tobytes()
+        first = next((t for t in range(p, 4 * p + 1) if want[t].tobytes() == want[t - p].tobytes()), 4 * p)
+        assert len(states) == first
+        counts[p] = len(states)
+    if name == "mixed8":
+        assert counts == {6: 9}
 
 
 def test_census_eta_trend(net_d):

@@ -12,17 +12,24 @@ diagonal, gamma 1, beta 1.2, theta 1, alpha -1.  A case is
 - "step n": one `_kernels.step_batch` call on the 1000 census starts
   `cycles._census_starts(p, 1000, 0)`;
 - "census n [k [samples]]": `cycles.cycle_census(p, samples, 0)`, 200
-  samples unless it names them.
+  samples unless it names them;
+- "census mixed8": the eight censuses of one bench `census` run at seed 1,
+  on bench/fixtures/mixed8.json with 30 samples and eta 1e-4, at the seeds
+  `sub_seed(1, k)`, k = 0..7, of bench/workloads.py;
+- "live net_a": one start of net_a (two neurons, coupling 0.5; its exact
+  anti-phase start 0.9;0) held live for 2000 returns by `cycles._fates`,
+  with `cycles._MAX_PERIOD` set to 1, below the orbit's period 2.
 
 The default cases are step 64, step 256, step 512 and census 256.  Each case
 runs alone in --processes fresh interpreters per tree, the trees
 alternating, and records per process the best of --repeats timed calls
 after one untimed call (with --repeats 0, the time of that one call), the
 process's peak RSS (`ru_maxrss`) and the SHA-256 of (out, fired) or of the
-census report's repr; the two trees' hashes must agree.  Then `bench/run.py
---trace 0` runs from each root for every workload of --workloads, --pairs
-pairs of runs (--sync-pairs for sweep_sync, whose work_per_s is the claim
-when it runs), the parent first in even-numbered pairs.  The record holds
+census reports' or fate table's repr; the two trees' hashes must agree.
+Then `bench/run.py --trace 0` runs from each root for every workload of
+--workloads, --pairs pairs of runs (--claim-pairs for the --claim workload,
+sweep_sync unless named, whose work_per_s is the claim when it runs), the
+parent first in even-numbered pairs.  The record holds
 every run, the claim and per workload the quartiles of each end-to-end
 metric (the shape of the other BENCH_*.json records).  With --pairs 0 it
 only times the cases.
@@ -44,7 +51,6 @@ from pathlib import Path
 CASES = ["step 64", "step 256", "step 512", "census 256"]
 WORKLOADS = ["sweep_sync", "census", "contract", "simulate"]
 METRICS = {"work_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
-CLAIM = ("sweep_sync", "work_per_s", "about 1.04x")  # workload, metric, the gain expected
 
 
 def dale(n, k=None):
@@ -68,14 +74,29 @@ def digest(result):
         return hashlib.sha256(repr(result).encode()).hexdigest()
 
 
-def child(case, repeats):
-    """Print [best ms, sha256, peak RSS MB] of one case for the ifnet on sys.path."""
-    from ifnet import _kernels, cycles
+def runner(case):
+    """The call that one case times, for the ifnet (and bench/) on sys.path."""
+    import numpy as np
+    from ifnet import _kernels, cycles, load_config, network
 
     kind, n, *rest = case.split()
+    if case == "census mixed8":
+        from workloads import FIXTURES, sub_seed
+
+        p = load_config(str(FIXTURES / "mixed8.json")).params
+        return lambda: [cycles.cycle_census(p, 30, sub_seed(1, k), eta=1e-4) for k in range(8)]
+    if case == "live net_a":
+        cycles._MAX_PERIOD = 1
+        p = network(2, 1.0, 1.2, 1.0, -1.0, [[0.0, 0.5], [0.5, 0.0]])
+        return partial(cycles._fates, p, np.array([[0.9, 0.0]]), 2000, 1e-6)
     p = dale(int(n), *map(int, rest[:1]))
-    run = (partial(_kernels.step_batch, p, cycles._census_starts(p, 1000, 0)) if kind == "step"
-           else partial(cycles.cycle_census, p, int(rest[1]) if rest[1:] else 200, 0))
+    return (partial(_kernels.step_batch, p, cycles._census_starts(p, 1000, 0)) if kind == "step"
+            else partial(cycles.cycle_census, p, int(rest[1]) if rest[1:] else 200, 0))
+
+
+def child(case, repeats):
+    """Print [best ms, sha256, peak RSS MB] of one case for the ifnet on sys.path."""
+    run = runner(case)
     times = []
     for _ in range(1 + repeats):
         t0 = time.perf_counter()
@@ -92,7 +113,8 @@ def time_cases(roots, cases, processes, repeats):
         for k in range(processes):
             for side in (list(roots) if k % 2 == 0 else list(roots)[::-1]):
                 cmd = [sys.executable, __file__, "--child", case, "--repeats", str(repeats)]
-                proc = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": str(roots[side] / "src")},
+                path = os.pathsep.join(str(roots[side] / d) for d in ("src", "bench"))
+                proc = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": path},
                                       capture_output=True, text=True, check=True)
                 per[side].append(json.loads(proc.stdout))
         rec = {}
@@ -149,7 +171,9 @@ def main():
     ap.add_argument("--processes", type=int, default=5)
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--sync-pairs", type=int, default=10)
+    ap.add_argument("--claim", default="sweep_sync", choices=WORKLOADS, help="the workload whose work_per_s is claimed")
+    ap.add_argument("--expected", default="about 1.04x", help="the gain the claim expects")
+    ap.add_argument("--claim-pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=401, help="first bench seed")
     args = ap.parse_args()
     if args.child is not None:
@@ -172,20 +196,20 @@ def main():
               "cases": time_cases(roots, args.cases, args.processes, args.repeats)}
     runs = []
     for workload in args.workloads if args.pairs else []:
-        for k in range(args.sync_pairs if workload == CLAIM[0] else args.pairs):
+        for k in range(args.claim_pairs if workload == args.claim else args.pairs):
             for which in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                 run = bench_run(roots[which], workload, args.seed + k)
                 runs.append({"workload": workload, "seed": args.seed + k, "pair": k, "which": which, **run})
                 print(json.dumps(runs[-1]), file=sys.stderr)
     if runs:
         record["summary"] = {w: summarize(runs, w) for w in args.workloads}
-        if CLAIM[0] in args.workloads:
-            m = record["summary"][CLAIM[0]][CLAIM[1]]
+        if args.claim in args.workloads:
+            m = record["summary"][args.claim]["work_per_s"]
             gain = m["change_q1_median_q3"][1] - m["parent_q1_median_q3"][1]
             iqr = m["parent_q1_median_q3"][2] - m["parent_q1_median_q3"][0]
-            pairs = record["summary"][CLAIM[0]]["pairs"]
-            record["claim"] = {"workload": CLAIM[0], "metric": CLAIM[1], "better": "higher", "pairs": pairs,
-                               "expected": CLAIM[2],
+            pairs = record["summary"][args.claim]["pairs"]
+            record["claim"] = {"workload": args.claim, "metric": "work_per_s", "better": "higher", "pairs": pairs,
+                               "expected": args.expected,
                                "change_better_pairs": m["change_better_pairs"], "median_ratio": m["median_ratio"],
                                "median_gain": round(gain, 6), "parent_iqr": round(iqr, 6),
                                "met": m["change_better_pairs"] >= 0.9 * pairs and gain > iqr}
