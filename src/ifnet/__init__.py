@@ -51,5 +51,6 @@ from .params import (
 __version__ = "0.1.0"
 
 # Deprecated: the kernels are plain Python and there is no numba backend.
-# Kept, always False, for callers that still record it.
+# Kept, always False, for callers that still record it: `bench/run.py` writes
+# it into each run's environment record, so it stays until that stops.
 NUMBA_ENABLED = False

@@ -97,9 +97,9 @@ def _write_csv(opts, name: str, rows: int, header: list, columns) -> str:
 
 def _value_columns(values: np.ndarray) -> list:
     """The repr of each entry of a 2-D float array, column by column; each distinct
-    value is formatted once."""
+    value is formatted once, and an array of one value gives that one str per column."""
     texts = row_texts(values.ravel())
-    return [texts[i::values.shape[1]] for i in range(values.shape[1])]
+    return [texts if isinstance(texts, str) else texts[i::values.shape[1]] for i in range(values.shape[1])]
 
 
 def _cycle_doc(entry: cyc.CensusEntry) -> dict:
@@ -158,7 +158,8 @@ def cmd_simulate(cfg: RunConfig, opts) -> dict:
 
     def spike_cells(lo, hi):
         # shared by spikes.csv and the JSON rows; each distinct t_bar, firing set
-        # and state of the chunk is formatted once
+        # and state of the chunk is formatted once, and one that holds for the
+        # whole chunk (an orbit at its fixed point) is one str
         return {"step": list(map(str, range(lo, hi))), "t_bar": row_texts(t_bars[lo:hi]),
                 "cum_time": list(map(repr, cum_time[lo:hi].tolist())),
                 "firing_set": row_texts(fired[lo:hi], lambda row: ";".join(itertools.compress(names, row))),

@@ -24,17 +24,21 @@ string once).  `default` turns a table into None, and the encoder (pure
 Python with an indent, making its chunks one at a time) yields the "null" of
 that None next; `json_blocks` yields the text so far and then the table's
 rows in its place, each chunk laid out as one `text_grid` list that holds, row by row,
-each cell after the separator and key before it.  The text equals json.dumps
-of the rows, as both write numbers as repr and escape strings with
-json.dumps.  A table's cells are text its maker vouches for: simulate checks
-its arrays are finite before it makes any.  A table with a `csv` path is
-written there as CSV from the same chunks, in the same pass; `write_csv`
-writes a table as CSV alone.  So the text in memory at a time is one chunk,
-however many rows a table has.
+each cell after the separator and key before it.  A column whose cells in a
+chunk all have one text may give that one str (`row_texts` does when every
+row has the same bytes, and skips its sort): `text_grid` joins it with the
+separators and keys beside it, so every row of the chunk repeats one piece.
+The text equals json.dumps of the rows, as both write numbers as repr and
+escape strings with json.dumps.  A table's cells are text its maker vouches
+for: simulate checks its arrays are finite before it makes any.  A table with
+a `csv` path is written there as CSV from the same chunks, in the same pass;
+`write_csv` writes a table as CSV alone.  So the text in memory at a time is
+one chunk, however many rows a table has.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -90,14 +94,17 @@ def params_to_doc(params: NetworkParams) -> dict:
     }
 
 
-def row_texts(arr, fmt=repr) -> list:
+def row_texts(arr, fmt=repr):
     """fmt(row.tolist()) for each row of a 1-D or 2-D array, called once per distinct
-    row, keyed by the row's bytes (0.0 == -0.0, but they print differently)."""
+    row, keyed by the row's bytes (0.0 == -0.0, but they print differently); one str,
+    the text of every row, when all rows have the same bytes."""
     arr = np.ascontiguousarray(arr)
     raw = arr.reshape(len(arr), math.prod(arr.shape[1:])).view(np.uint8)
     if raw.shape[1] % 8:
         raw = np.hstack((raw, np.zeros((len(raw), -raw.shape[1] % 8), np.uint8)))
     words = raw.view(np.uint64)  # zero-padded uint64 words, one sort key each: a void key sorts slower
+    if len(words) and (words == words[0]).all():
+        return fmt(arr[0].tolist())
     order = np.lexsort(words.T)  # stable: each group of equal rows starts at its first row
     new = np.zeros(len(raw), np.bool_)
     new[:1] = True
@@ -111,15 +118,20 @@ def row_texts(arr, fmt=repr) -> list:
 
 def text_grid(rows: int, parts: list) -> list:
     """The pieces of a text table, row by row: each part is a str that every row
-    repeats or a column of one text per row."""
+    repeats or a column of one text per row.  A run of adjacent str parts is one
+    piece of each row."""
+    parts = [part for joined, run in itertools.groupby(parts, lambda part: isinstance(part, str))
+             for part in (["".join(run)] if joined else run)]
     pieces = [None] * (rows * len(parts))
     for k, part in enumerate(parts):
         pieces[k::len(parts)] = [part] * rows if isinstance(part, str) else part
     return pieces
 
 
-def json_strings(texts: list) -> list:
-    """The JSON text of each str, encoded once per distinct value."""
+def json_strings(texts):
+    """The JSON text of each str, encoded once per distinct value; of one str, its text."""
+    if isinstance(texts, str):
+        return json.dumps(texts)
     quoted = {t: json.dumps(t) for t in set(texts)}
     return list(map(quoted.__getitem__, texts))
 
@@ -131,7 +143,8 @@ CHUNK_ROWS = 4096  # table rows each writer formats and writes at a time
 class Records:
     """A table of `rows` rows that the writers read a chunk of at most CHUNK_ROWS
     rows at a time: `cells(lo, hi)` maps each key to the text of its cells in rows
-    lo..hi-1 (a float's repr, an int's str, ...).  JSON writes it as a list of
+    lo..hi-1 (a float's repr, an int's str, ...), a list of one text per row or
+    one str that every row of the chunk holds.  JSON writes it as a list of
     objects, the cells of the keys in `strings` quoted (`json_strings`) and the
     others as they are; CSV writes a column per key, in the order `cells` gives
     them.  `json_blocks` also writes a table with a `csv` path there, from the
@@ -143,9 +156,10 @@ class Records:
     csv: Optional[str] = None
 
     def chunks(self):
-        """(lo, cells) of each chunk of rows in order; one empty chunk for no rows."""
+        """(lo, hi, cells) of each chunk of rows in order; one empty chunk for no rows."""
         for lo in range(0, max(self.rows, 1), CHUNK_ROWS):
-            yield lo, self.cells(lo, min(lo + CHUNK_ROWS, self.rows))
+            hi = min(lo + CHUNK_ROWS, self.rows)
+            yield lo, hi, self.cells(lo, hi)
 
 
 def _plain(obj):
@@ -156,14 +170,14 @@ def _plain(obj):
 
 
 def _csv_rows(path, chunks):
-    """Pass on each (lo, cells) chunk of a table after writing it to `path` as CSV
+    """Pass on each (lo, hi, cells) chunk of a table after writing it to `path` as CSV
     lines: the header first, fields joined by "," (none needs quoting)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for lo, cells in chunks:
+        for lo, hi, cells in chunks:
             parts = [part for column in cells.values() for part in (column, ",")]
             parts[-1] = "\n"
-            fh.write((",".join(cells) + "\n" if lo == 0 else "") + "".join(text_grid(len(parts[0]), parts)))
-            yield lo, cells
+            fh.write((",".join(cells) + "\n" if lo == 0 else "") + "".join(text_grid(hi - lo, parts)))
+            yield lo, hi, cells
 
 
 def write_csv(path, table: Records) -> None:
@@ -176,16 +190,15 @@ def _table_text(table: Records, indent: int):
     """The indent=2 text of a `Records` whose "]" sits at column `indent`, a chunk of
     rows at a time; each chunk also goes to `table.csv` when that is set."""
     pad = "\n" + " " * (indent + 2)
-    for lo, cells in table.chunks() if table.csv is None else _csv_rows(table.csv, table.chunks()):
+    for lo, hi, cells in table.chunks() if table.csv is None else _csv_rows(table.csv, table.chunks()):
         if table.rows:
             parts = [f"{pad}}},{pad}{{"]  # a record per row, after the record before it ends
             for k, key in enumerate(sorted(cells)):  # each cell after its key
-                column = cells[key]
                 parts += [f"{',' if k else ''}{pad}  {json.dumps(key)}: ",
-                          json_strings(column) if key in table.strings else column]
-            pieces = text_grid(len(column), parts)
-            if lo == 0:
-                pieces[0] = f"[{pad}{{"
+                          json_strings(cells[key]) if key in table.strings else cells[key]]
+            pieces = text_grid(hi - lo, parts)
+            if lo == 0:  # the first record opens the list; str parts after the separator share its piece
+                pieces[0] = f"[{pad}{{" + pieces[0].removeprefix(parts[0])
             yield "".join(pieces)
     yield f"{pad}}}\n{' ' * indent}]" if table.rows else "[]"
 

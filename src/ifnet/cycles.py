@@ -297,6 +297,16 @@ def _least_rotation(word: tuple):
     return s, word[s:] + word[:s]
 
 
+@lru_cache(maxsize=64)
+def _denominators(lam: float, periods: int) -> np.ndarray:
+    """1 - lam ** p by lag p = 0..periods, each from the Python expression, read-only:
+    positive for every lag p >= 1 when lam < 1, the contraction budget; without one
+    nothing but a tie passes."""
+    denom = np.array([1.0 - lam ** p for p in range(periods + 1)])
+    denom.flags.writeable = False
+    return denom
+
+
 def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> FateTable:
     """Fates of the rows of an (m, n) batch of starts, stepped in lockstep.
 
@@ -342,9 +352,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
     certifiable, c_bar, tie = params.hypotheses.certifiable, params.constants.c_bar, params.tie_tol()
     level = _zone_after_return(params)
     lam = lambda_for_zone(params, level) if certifiable and 0.0 <= level < c_bar else 1.0
-    # 1 - lam ** p by lag p, each from the Python expression: positive for every lag p >= 1 when
-    # lam < 1, the contraction budget; without one nothing but a tie passes
-    denom = np.array([1.0 - lam ** p for p in range(_MAX_PERIOD + 1)])
+    denom = _denominators(lam, _MAX_PERIOD)
     excit = params.class_rows[0]
 
     m, n = V0.shape

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifnet import NumericalStall, ParseError, RejectConfig, _kernels, config, cycles, dynamics
+from ifnet import NumericalStall, ParseError, RejectConfig, _kernels, cli, config, cycles, dynamics
 from ifnet.cli import main
 from ifnet.config import dump_json, load_config, params_to_doc, parse_config
 from ifnet.cycles import cycle_census
@@ -280,6 +280,13 @@ def test_cli_csv_text_equals_csv_writer(tmp_path):
             ([j, *pt] for j, pt in enumerate(entry.cycle.points.tolist())))
 
 
+def test_value_columns_of_one_value_give_one_str_per_column():
+    columns = cli._value_columns(np.zeros((5, 3)))
+    assert columns == ["0.0"] * 3  # the str of each column whole, not sliced
+    assert [config.text_grid(5, [column]) for column in columns] == [["0.0"] * 5] * 3
+    assert cli._value_columns(np.array([[0.0, 1.5], [0.0, -0.0]])) == [["0.0", "0.0"], ["1.5", "-0.0"]]
+
+
 def test_cli_simulate_past_one_chunk_equals_the_reference_encoders(tmp_path):
     """An orbit and a trajectory of more rows than a chunk: simulate.json and stdout
     hold what json.dumps(indent=2, sort_keys=True) writes for typed rows, spikes.csv
@@ -541,8 +548,6 @@ def test_cli_parser_is_built_once_and_keeps_no_state_between_runs(tmp_path, caps
     # built one: a --grid list starts empty in every run (argparse's `append`
     # default is one shared list), and a run that ends in a parse error leaves
     # nothing behind for the next
-    from ifnet import cli
-
     cfg = str(write_config(tmp_path, NET_D_DOC))
     runs = [["sweep", "--config", cfg, "--grid", "H:-0.8:-0.6:2"],
             ["sweep", "--config", cfg, "--grid", "beta:1.2:1.3:2", "--grid", "H:-0.7:-0.6:2"],

@@ -7,8 +7,9 @@ floats as their repr) and compare the text with the indenting encoder's text
 for the same rows: at several depths, beside null values (the encoder's
 stand-in for a table), with strings that hold escapes, non-ASCII text,
 percent signs and the spellings of an older splice marker, for empty tables
-and for one of 2500 rows, with the chunk size as set and at 1 and 7 rows.
-They also check `row_texts` against formatting every row.
+and for one of 2500 rows, with the chunk size as set and at 1 to 8 rows.  A
+column may give a chunk whose cells all have one text as that one str, as
+`row_texts` does.  They also check `row_texts` against formatting every row.
 """
 
 import csv
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifnet import config
-from ifnet.config import Records, _plain, dump_json, json_strings, row_texts
+from ifnet.config import Records, _plain, dump_json, json_strings, row_texts, text_grid
 
 # the placeholders dump_json once wrote for a table and spliced its text over
 MARKERS = ["\x00records0:0", "\x00records0:1", "\x00records1:0", "\x00records0:"]
@@ -40,13 +41,18 @@ def records(columns: dict) -> Records:
 
 
 class Table(Records):
-    """A `Records` that keeps its rows, for the reference encoder."""
+    """A `Records` that keeps its rows, for the reference encoder.  A column gives
+    a chunk whose cells all have one text as that str, as `row_texts` does."""
 
     def __init__(self, data: list):
         keys = data[0] if data else {}
-        table = records({k: cell_texts([r[k] for r in data]) for k in keys})
-        super().__init__(table.rows, table.cells)
-        self.data = data
+        columns = {k: cell_texts([r[k] for r in data]) for k in keys}
+
+        def cells(lo, hi):
+            return {k: v[lo] if hi > lo and v[lo:hi] == [v[lo]] * (hi - lo) else v[lo:hi] for k, v in columns.items()}
+
+        super().__init__(len(data), cells)
+        self.data, self.texts = data, columns
 
 
 def cell_texts(values: list) -> list:
@@ -56,8 +62,15 @@ def cell_texts(values: list) -> list:
     return [repr(v) if type(v) is float else json.dumps(v) for v in values]
 
 
+def hold(rows: list) -> list:
+    """The rows with every second column (the second, the fourth) holding the first
+    row's value, so that each chunk of such a column has one text."""
+    return [{**r, **{k: rows[0][k] for k in list(r)[1::2]}} for r in rows]
+
+
 tables = st.lists(texts, min_size=1, max_size=5, unique=True).flatmap(
-    lambda keys: st.lists(st.fixed_dictionaries({k: scalars for k in keys}), max_size=6)).map(Table)
+    lambda keys: st.lists(st.fixed_dictionaries({k: scalars for k in keys}), max_size=6)).map(
+    lambda rows: Table(hold(rows)))
 
 
 def plain(obj):
@@ -109,12 +122,30 @@ def test_dump_json_record_placements(doc):
     assert dump_json(doc) == reference(doc)
 
 
+def tables_in(obj) -> list:
+    """The `Table`s of a document."""
+    if isinstance(obj, Table):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return [t for v in obj for t in tables_in(v)] if isinstance(obj, list) else []
+
+
 @settings(max_examples=200, deadline=None)
 @given(doc=documents, chunk=st.integers(1, 8))
-def test_dump_json_in_chunks_of_any_size(doc, chunk):
+def test_dump_json_in_chunks_of_any_size(tmp_path_factory, doc, chunk):
+    """Each table with rows also has a `csv` path, written in the same pass: each
+    CSV line is the row's cell texts joined by ","."""
+    written = [t for t in tables_in(doc) if t.rows]
+    for k, table in enumerate(written):
+        table.csv = str(tmp_path_factory.getbasetemp() / f"table_{k}.csv")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(config, "CHUNK_ROWS", chunk)
         assert dump_json(doc) == reference(doc)
+    for table in written:
+        with open(table.csv, encoding="utf-8", newline="") as fh:
+            lines = [list(table.texts), *zip(*table.texts.values())]
+            assert fh.read() == "".join(",".join(line) + "\n" for line in lines)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None])
@@ -132,18 +163,21 @@ def test_a_table_with_a_csv_path_writes_both_files_from_one_pass(tmp_path, monke
 
     def cells(lo, hi):
         calls.append((lo, hi))
-        return {"step": list(map(str, range(lo, hi))), "t": list(map(repr, t[lo:hi])), "name": names[lo:hi]}
+        # "kind" is one str, the text of every row of the chunk, and the first key
+        # of a JSON record
+        return {"step": list(map(str, range(lo, hi))), "t": list(map(repr, t[lo:hi])), "name": names[lo:hi],
+                "kind": "é;\\"}
 
     for count in (rows, 0):
         calls.clear()
         path = tmp_path / f"table_{count}.csv"
-        doc = {"a": [None, {"spikes": Records(count, cells, frozenset({"name"}), str(path))}], "z": None}
-        want = [{"step": k, "t": t[k], "name": names[k]} for k in range(count)]
+        doc = {"a": [None, {"spikes": Records(count, cells, frozenset({"name", "kind"}), str(path))}], "z": None}
+        want = [{"step": k, "t": t[k], "name": names[k], "kind": "é;\\"} for k in range(count)]
         assert dump_json(doc) == json.dumps({"a": [None, {"spikes": want}], "z": None}, sort_keys=True, indent=2) + "\n"
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["step", "t", "name"])
-        writer.writerows([k, t[k], names[k]] for k in range(count))
+        writer.writerow(["step", "t", "name", "kind"])
+        writer.writerows([k, t[k], names[k], "é;\\"] for k in range(count))
         assert path.read_text(encoding="utf-8") == buf.getvalue()
         assert calls == [(lo, min(lo + size, count)) for lo in range(0, max(count, 1), size)]
 
@@ -209,6 +243,29 @@ def test_row_texts_formats_every_row_by_its_bytes():
     assert row_texts(v.astype(np.float32), str) == list(map(str, v.astype(np.float32).tolist()))
     assert row_texts(states[:, ::-1]) == list(map(repr, states[:, ::-1].tolist()))
     assert row_texts(np.empty((0, 3))) == []
+
+
+def test_row_texts_gives_one_str_for_rows_of_the_same_bytes():
+    calls = []
+
+    def fmt(row):
+        calls.append(row)
+        return ";".join(map(repr, row))
+
+    assert row_texts(np.zeros((5, 3)), fmt) == "0.0;0.0;0.0"
+    assert len(calls) == 1  # one call for the chunk, before any sort
+    assert row_texts(np.full(4, -0.0)) == "-0.0"
+    assert row_texts(np.array([[0.5, 0.0, 0.5]] * 3) != 0.0, str) == "[True, False, True]"
+    assert row_texts(np.array([0.0, -0.0])) == ["0.0", "-0.0"]  # equal, but not the same bytes
+    assert row_texts(np.array([[0.0, 1.0], [-0.0, 1.0]]), fmt) == ["0.0;1.0", "-0.0;1.0"]
+    assert row_texts(np.array([])) == []
+    assert row_texts(np.array([[0.25, -0.0]]), fmt) == "0.25;-0.0"  # one row
+
+
+def test_text_grid_makes_a_run_of_str_parts_one_piece_of_each_row():
+    assert text_grid(2, ["{", "a", ["1", "2"], ",", "b", "}"]) == ["{a", "1", ",b}", "{a", "2", ",b}"]
+    assert text_grid(3, ["x", ",", "y"]) == ["x,y"] * 3
+    assert text_grid(0, ["x", []]) == []
 
 
 def test_row_texts_tells_apart_wide_rows_that_differ_in_one_word():
