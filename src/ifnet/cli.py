@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import itertools
 import math
 import sys
@@ -34,10 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
-from . import contraction as contr
-from . import cycles as cyc
-from . import dynamics as dyn
 from .config import Records, RunConfig, json_blocks, load_config, params_to_doc, row_texts, write_csv
 from .errors import (
     HypothesisViolated,
@@ -85,6 +80,8 @@ def _check_options(given: dict) -> None:
     if ("dt" in given) != ("t_total" in given):
         raise RejectConfig("--dt and --t-total must be given together")
     if "dt" in given:
+        from . import dynamics as dyn
+
         dyn.grid_rows(given["dt"], given["t_total"])  # before anything is run or allocated
 
 
@@ -102,7 +99,7 @@ def _value_columns(values: np.ndarray) -> list:
     return [texts if isinstance(texts, str) else texts[i::values.shape[1]] for i in range(values.shape[1])]
 
 
-def _cycle_doc(entry: cyc.CensusEntry) -> dict:
+def _cycle_doc(entry) -> dict:
     c = entry.cycle
     cert = None
     if c.certificate is not None:
@@ -121,6 +118,8 @@ def _cycle_doc(entry: cyc.CensusEntry) -> dict:
 
 
 def cmd_analyze(cfg: RunConfig, opts) -> dict:
+    from . import _kernels, contraction as contr, dynamics as dyn
+
     params = cfg.params
     rep = params.hypotheses
     doc = {
@@ -145,6 +144,8 @@ def cmd_analyze(cfg: RunConfig, opts) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, opts) -> dict:
+    from . import _kernels, dynamics as dyn
+
     params = cfg.params
     v0 = cfg.v0 if cfg.v0 is not None else np.zeros(params.n)
     steps = opts.max_iter
@@ -183,6 +184,8 @@ def cmd_simulate(cfg: RunConfig, opts) -> dict:
 
 
 def cmd_cycles(cfg: RunConfig, opts) -> dict:
+    from . import cycles as cyc
+
     report = cyc.cycle_census(
         cfg.params, sample_count=opts.samples, seed=opts.seed,
         max_iter=opts.max_iter, eta=opts.eta,
@@ -204,10 +207,14 @@ def cmd_cycles(cfg: RunConfig, opts) -> dict:
 
 
 def cmd_synchro(cfg: RunConfig, opts) -> dict:
+    from . import cycles as cyc
+
     return dataclasses.asdict(cyc.sync_test(cfg.params, sample_count=opts.samples, seed=opts.seed))
 
 
 def cmd_expansion(cfg: RunConfig, opts) -> dict:
+    from . import contraction as contr
+
     params = cfg.params
     pairs = []
     witness_doc = None
@@ -234,6 +241,8 @@ def cmd_expansion(cfg: RunConfig, opts) -> dict:
 def _witness_sweep(params, i, grid_points):
     """The expansion witness of each pair of neighbouring points of an even grid
     strictly inside (c_star, theta) on Gamma_i, all pairs in one batch."""
+    from . import contraction as contr
+
     xs = np.linspace(params.constants.c_star, params.theta, grid_points + 2)[1:-1]
     V = np.zeros((grid_points, params.n))
     V[:, i] = xs
@@ -246,6 +255,8 @@ def _witness_sweep(params, i, grid_points):
 
 
 def cmd_contract(cfg: RunConfig, opts) -> dict:
+    from . import contraction as contr
+
     params = cfg.params
     c_bar = params.constants.c_bar
     zones = []
@@ -274,11 +285,6 @@ _GRID_PARAMS = ("beta", "gamma", "theta", "alpha", "H")
 MAX_SWEEP_CELLS = 10**6  # cells one sweep may have: the product of its axes' steps
 
 
-def _cell_seed(seed: int, index: int) -> int:
-    digest = hashlib.blake2b(f"{seed}:{index}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
 def _parse_grid(axis: str):
     try:
         name, lo, hi, steps = axis.split(":")
@@ -298,6 +304,8 @@ def _parse_grid(axis: str):
 def cmd_sweep(cfg: RunConfig, opts) -> dict:
     """Run --cell once per grid cell: the resolved network (beta = K/gamma for a
     "K" config) with all the cell's axis values set, validated once."""
+    from hashlib import blake2b
+
     if not opts.grid:
         raise RejectConfig("sweep requires at least one --grid")
     if len(opts.grid) > 2:
@@ -319,7 +327,8 @@ def cmd_sweep(cfg: RunConfig, opts) -> dict:
         if "H" in overrides:
             doc["H"] = np.full((cfg.params.n, cfg.params.n), overrides["H"])  # `network` zeroes the diagonal
         # cells report through the sweep document only
-        cell_opts = argparse.Namespace(**{**vars(opts), "seed": _cell_seed(opts.seed, index), "out": None})
+        cell_seed = int.from_bytes(blake2b(f"{opts.seed}:{index}".encode(), digest_size=8).digest(), "big")
+        cell_opts = argparse.Namespace(**{**vars(opts), "seed": cell_seed, "out": None})
         try:
             entry["result"] = COMMANDS[opts.cell](RunConfig(network(**doc), cfg.v0), cell_opts)
             entry["status"] = "ok"

@@ -43,7 +43,7 @@ from .errors import (
     NoFixedPoint,
     PreconditionFailed,
 )
-from .params import NetworkParams
+from .params import NetworkParams, _in_zone_rows, _zone_after_return, lambda_for_zone
 
 __all__ = [
     "lambda_for_zone", "verify_contraction", "expansion_witness",
@@ -52,30 +52,6 @@ __all__ = [
     "ContractionReport", "ExpansionWitness", "RepellerReport",
     "AbsorptionReport", "MetricEstimate", "MetricCheck",
 ]
-
-
-def lambda_for_zone(params: NetworkParams, c: float) -> float:
-    """Lipschitz factor of the zone C_c (the c = 0 zone has its own sharper rate)."""
-    if c < 0 or c > params.theta:
-        raise PreconditionFailed(f"zone level must lie in [0, theta], got {c}")
-    beta, theta, alpha = params.beta, params.theta, params.alpha
-    if c == 0.0:
-        return (beta - theta) / beta
-    return (beta - theta) / (beta - c) * (1.0 + (beta - alpha) / (beta - c))
-
-
-def _in_zone_rows(V: np.ndarray, c: float) -> np.ndarray:
-    """Per row of a (m, n) batch of section-box states: inside C_c, that is
-    every coordinate at most c and one at 0 (on the section)."""
-    return (V <= c).all(axis=1) & (V == 0.0).any(axis=1)
-
-
-def _zone_after_return(params: NetworkParams) -> float:
-    """Level of the sharpest zone containing the image of C_{c_bar}."""
-    dc = params.constants
-    if dc.min_abs_H is None:
-        return dc.c_bar
-    return max(0.0, params.theta - dc.min_abs_H)
 
 
 @dataclass(frozen=True)

@@ -85,10 +85,9 @@ import numpy as np
 
 from . import _kernels
 from ._sampling import restart, rng_stream, sample_on_section
-from .contraction import _in_zone_rows, _zone_after_return, lambda_for_zone
 from .dynamics import as_state
 from .errors import HypothesisViolated, NumericalStall, PreconditionFailed
-from .params import NetworkParams
+from .params import NetworkParams, _in_zone_rows, _zone_after_return, lambda_for_zone
 
 __all__ = [
     "CycleCertificate", "LimitCycle", "FateReport",

@@ -17,6 +17,10 @@ All analysis constants have closed forms in (beta, theta, alpha, gamma, H):
     mu_jump   = min(|alpha|, min_{i!=j} |H[i,j] + theta|)
     T_max     = ln(beta/(beta-theta))/gamma      (upper bound on any waiting time)
     p0        = ceil((theta-alpha)/min_{j!=i}|H[j,i]|)  over nonzero entries
+
+The zone C_c = {v on the section : alpha <= v_i <= c} and its Lipschitz factor
+(`lambda_for_zone`, formula in `contraction`) live here too, beside the c_bar
+they read, so that `cycles` certifies a cycle without loading `contraction`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError, RejectConfig
+from .errors import ParseError, PreconditionFailed, RejectConfig
 
 # Relative tolerance deciding when two potentials (hence two firing times) tie.
 TIE_REL = 1e-12
@@ -239,6 +243,30 @@ def network(n, gamma, beta, theta, alpha, H) -> NetworkParams:
     if bad:
         raise RejectConfig(f"closed-form constants are not finite: {', '.join(bad)}")
     return p
+
+
+def lambda_for_zone(params: NetworkParams, c: float) -> float:
+    """Lipschitz factor of the zone C_c (the c = 0 zone has its own sharper rate)."""
+    if c < 0 or c > params.theta:
+        raise PreconditionFailed(f"zone level must lie in [0, theta], got {c}")
+    beta, theta, alpha = params.beta, params.theta, params.alpha
+    if c == 0.0:
+        return (beta - theta) / beta
+    return (beta - theta) / (beta - c) * (1.0 + (beta - alpha) / (beta - c))
+
+
+def _in_zone_rows(V: np.ndarray, c: float) -> np.ndarray:
+    """Per row of a (m, n) batch of section-box states: inside C_c, that is
+    every coordinate at most c and one at 0 (on the section)."""
+    return (V <= c).all(axis=1) & (V == 0.0).any(axis=1)
+
+
+def _zone_after_return(params: NetworkParams) -> float:
+    """Level of the sharpest zone containing the image of C_{c_bar}."""
+    dc = params.constants
+    if dc.min_abs_H is None:
+        return dc.c_bar
+    return max(0.0, params.theta - dc.min_abs_H)
 
 
 def number(name: str, value) -> float:
