@@ -237,24 +237,22 @@ def _jump_sums(acc, table, fired):
     return out
 
 
-def piece_matrix(params: NetworkParams, V):
-    """Homogeneous matrix M of the map on the piece (winner m, firing set J, floored
-    set F, as `step_batch` finds them) that holds each state of a (..., n) batch:
-    M @ (v, 1) is proportional to (rho(v), 1), rho the return map.  The last
-    row is the denominator (-e_m, beta); row k is zero on J, alpha times it on F
-    (a coordinate left at alpha counts as floored), else
-    beta + S_k - (beta - v_k)(beta - theta)/(beta - v_m)."""
+def piece_matrix(params: NetworkParams, winner, fired, floored):
+    """Homogeneous matrix M of the map on each piece of a word: winner m (shape
+    (...)), firing set J and floored set F (bool, shape (..., n)), the codes one
+    `step_batch` call gives a state (its argmax, its fired set and image == alpha).
+    M @ (v, 1) is proportional to (rho(v), 1), rho the return map on that piece.
+    The last row is the denominator (-e_m, beta); row k is zero on J, alpha times
+    it on F, else beta + S_k - (beta - v_k)(beta - theta)/(beta - v_m)."""
     n, beta = params.n, params.beta
-    out, fired, _, _ = step_batch(params, V)
-    den = np.where(np.arange(n + 1) == V.argmax(axis=-1)[..., None, None], -1.0, 0.0)
+    den = np.where(np.arange(n + 1) == winner[..., None, None], -1.0, 0.0)
     den[..., n] = beta
     # S_k = (fired @ H)[k] = sum_J H[j, k], taken only on the rows neither zeroed nor
     # floored: it is bounded there, while a jump near the float maximum lands elsewhere
-    free = ~fired & (out != params.alpha)
+    free = ~(fired | floored)
     rows = (beta + np.where(free, fired @ params.H, 0.0))[..., None] * den
     rows += (beta - params.theta) * np.hstack((np.eye(n), np.full((n, 1), -beta)))
-    rows = np.where(free[..., None], rows, params.alpha * den)
-    rows[fired] = 0.0
+    rows = np.where(free[..., None], rows, np.where(fired[..., None], 0.0, params.alpha * den))
     return np.concatenate((rows, den), axis=-2)
 
 

@@ -91,11 +91,15 @@ def verify_contraction(params: NetworkParams, c: float, sample_count: int, seed:
 
     Pairs are drawn uniformly on the section within C_c and kept only when both
     members produce the same firing set (membership in a common atom); rejected
-    pairs are resampled up to a fixed budget.
+    pairs are resampled up to a fixed budget.  Raises HypothesisViolated when
+    C_{c_bar} is empty (c_bar <= 0, beta >= beta_plus), before it checks that
+    0 <= c < c_bar.
     """
     if sample_count < 1:
         raise PreconditionFailed("sample_count must be at least 1")
     dc = params.constants
+    if dc.c_bar <= 0:
+        raise HypothesisViolated("C_{c_bar} is empty (beta >= beta_plus)")
     if not (0.0 <= c < dc.c_bar):
         raise PreconditionFailed(f"need 0 <= c < c_bar = {dc.c_bar}, got {c}")
     lam = lambda_for_zone(params, c)

@@ -36,7 +36,13 @@ when that is below eta; every other return has the tie tolerance as its
 margin.  A recurring window inside C_{c_bar} of a certifiable network is
 solved once per piece word, for every orbit that recurs on it; any other
 window, and one whose solve fails on a recurrence within the tie tolerance,
-is reported as an uncertified cycle of its recurrent states.  The census
+is reported as an uncertified cycle of its recurrent states.  The map is
+projective on each piece, so a cycle is fixed by its word: per return the
+winner m, the firing set J and the floored set F (the coordinates its image
+leaves at alpha).  The census reads each window's word from what its step
+already holds (the winners, the firing-set ring, and the next return's
+states at alpha) and `_solve` builds the piece matrices from those codes
+alone, stepping no window state again.  The census
 steps all its samples as one batch, held as the C-contiguous (n, M) column
 block the batch drivers of `_kernels` step, one live sample per column, so
 each return is one `_kernels._step_columns` call with no transposes.  Each
@@ -246,23 +252,24 @@ def _certified_cycle(params: NetworkParams, seq: np.ndarray, p: int, eta: float,
     )
 
 
-def _solve(params: NetworkParams, window: np.ndarray, eta: float):
-    """Cycle on the pieces of a window of p states: the dominant eigenvector of
-    the product of their piece matrices (the p-step map there is projective),
-    stepped 2p times to settle its last bits.  The next 2p + 1 states go to
-    `_certified_cycle`, whose residual gate rejects a solve off the pieces.
-    The orbit is stepped one state at a time (`_kernels._step_columns` on one
-    column) until a state's bytes equal those of the state p returns back, at
-    most 4p returns.  The step is a pure function of a state's bytes, so the
-    orbit repeats with period p from there, and the remaining rows are
+def _solve(params: NetworkParams, word: tuple, eta: float):
+    """Cycle on a word of p pieces, (winner, fired, floored) with shapes (p,),
+    (p, n) and (p, n) as `_kernels.piece_matrix` takes them: the dominant
+    eigenvector of the product of their piece matrices (the p-step map there
+    is projective), stepped 2p times to settle its last bits.  The next 2p + 1
+    states go to `_certified_cycle`, whose residual gate rejects a solve off
+    the pieces.  The orbit is stepped one state at a time (`_kernels._step_columns`
+    on one column) until a state's bytes equal those of the state p returns
+    back, at most 4p returns.  The step is a pure function of a state's bytes,
+    so the orbit repeats with period p from there, and the remaining rows are
     filled by period: the bytes `run_orbit`'s recurrence tail gives, in 9
     steps rather than 13 on mixed8's period-6 cycle.
     The eigenvalue ratio |l2/l1| is the cycle's measured contraction per period.
     Returns `_certified_cycle`'s LimitCycle, or the least margin of a cycle
     that grazes."""
-    p = window.shape[0]
+    p = len(word[0])
     prod = np.eye(params.n + 1)
-    for M in _kernels.piece_matrix(params, window):
+    for M in _kernels.piece_matrix(params, *word):
         prod = M @ prod
     w, vecs = np.linalg.eig(prod)
     lead, second = np.argsort(-np.abs(w))[:2]
@@ -336,11 +343,15 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
     lam, the factor of the zone that holds the image of C_{c_bar} in a
     certifiable network, is that of a level in [0, c_bar) (which H3 gives).
     A window wholly inside C_{c_bar} of a certifiable network, as its states
-    show, is solved: windows whose piece words (the winners of their states)
-    share a least rotation share one `_solve`, made in (return, row) order,
-    and one cycle index of the table.  Any other window is an uncertified
-    cycle of its states, and so is one whose solve fails on a recurrence
-    within the tie tolerance; each such window has an index of its own.
+    show, is solved: windows whose winners share a least rotation share one
+    `_solve`, made in (return, row) order, and one cycle index of the table.
+    The solve takes the window's word rolled to that rotation: its winners,
+    its firing sets from the ring, and as floored sets the coordinates of the
+    next slot's state at alpha (a fired coordinate resets to 0.0, never to
+    alpha), the codes one `step_batch` call on the window's states gives.
+    Any other window is an uncertified cycle of its states, and so is one
+    whose solve fails on a recurrence within the tie tolerance; each such
+    window has an index of its own.
     Raises PreconditionFailed unless max_iter >= 0 and eta is finite and
     positive.
     """
@@ -410,8 +421,11 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
                 if z:
                     s, key = _least_rotation(tuple(word.tolist()))
                     if key not in solved:
+                        # its word: the winners, the firing sets, and as floored the next states' coordinates
+                        # at alpha (a fired one resets to 0.0), each rolled to start at the least rotation
+                        piece = word, sets[w, r], states[(w + 1) % depth, r] == params.alpha
                         try:
-                            found = _solve(params, np.roll(pts, -s, axis=0), eta)
+                            found = _solve(params, tuple(np.roll(a, -s, axis=0) for a in piece), eta)
                         except (NumericalStall, PreconditionFailed) as exc:
                             found = exc
                         # no excitatory neuron fires on a certified cycle: every point fires its inhibitory winner alone

@@ -230,7 +230,7 @@ def test_cli_cycles_net_d(tmp_path):
 
 
 def test_cli_cycles_exits_4_on_a_numerical_stall(capsys, monkeypatch):
-    def stall(params, window, eta):
+    def stall(params, word, eta):
         raise NumericalStall("solve stalled")
 
     monkeypatch.setattr(cycles, "_solve", stall)
@@ -356,6 +356,18 @@ def test_cli_contract_without_an_inhibitory_neuron_exits_3(tmp_path):
     res = run_cli(["contract", "--config", str(write_config(tmp_path, exc3)), "--samples", "10"])
     assert res.returncode == 3 and res.stderr.startswith("hypothesis violated: ")
     assert res.stderr.count("\n") == 1, res.stderr
+
+
+def test_cli_contract_with_an_empty_zone_exits_3(tmp_path):
+    # beta 2.0 is past beta_plus, so c_bar = -0.30 and C_{c_bar} is empty: the
+    # hypothesis is named, not the zone level the command chose itself
+    cfg = write_config(tmp_path, dict(NET_C_DOC, beta=2.0))
+    res = run_cli(["contract", "--config", str(cfg), "--samples", "10"])
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr == "hypothesis violated: C_{c_bar} is empty (beta >= beta_plus)\n"
+    res = run_cli(["sweep", "--config", str(cfg), "--cell", "contract", "--grid", "beta:1.9:2.0:2", "--samples", "10"])
+    cells = json.loads(res.stdout)["cells"]
+    assert [c["error"] for c in cells] == ["HypothesisViolated: C_{c_bar} is empty (beta >= beta_plus)"] * 2
 
 
 def test_cli_config_error_exit_code(tmp_path):

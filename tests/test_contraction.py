@@ -83,6 +83,15 @@ def test_contraction_rejects_level_at_or_above_c_bar(net_c):
         verify_contraction(net_c, dc.c_bar, 100, seed=1)
 
 
+def test_contraction_names_an_empty_zone_before_the_level(net_c):
+    # beta 2.0 is past beta_plus, so c_bar < 0 and no level c >= 0 lies below it:
+    # the empty C_{c_bar} is the hypothesis that fails, whatever level is asked
+    params = network(3, 1.0, 2.0, 1.0, -1.0, net_c.H)
+    assert params.constants.c_bar < 0
+    with pytest.raises(HypothesisViolated, match=r"C_\{c_bar\} is empty"):
+        verify_contraction(params, 0.0, 100, seed=1)
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 def test_contraction_rejects_fewer_than_one_sample(net_c, samples):
     # no pair drawn is no evidence: an empty report would pass with no violations

@@ -396,7 +396,14 @@ class _Track:
         self.seen = {}
 
 
-def reference_fates(params, V0, max_iter, eta):
+def step_word(params, V):
+    """The piece word of a (p, n) window of states, from one `step_batch` call on
+    it: each state's winner (its argmax), firing set and floored set (image == alpha)."""
+    out, fired, _, _ = step_batch(params, V)
+    return V.argmax(axis=1), fired, out == params.alpha
+
+
+def reference_fates(params, V0, max_iter, eta, windows=None):
     """Fates of the rows of an (m, n) batch of starts, stepped in lockstep.
 
     The census detection written as a per-row loop over Python lists, kept
@@ -412,7 +419,9 @@ def reference_fates(params, V0, max_iter, eta):
     within the tie tolerance, or by the contraction budget when the image of
     C_{c_bar} lies in a zone of level in [0, c_bar).  A window inside
     C_{c_bar} of such a network is solved, candidates whose piece words share
-    a least rotation sharing one `_solve`; any other window, and one whose
+    a least rotation sharing one `_solve` of the word that one `step_batch`
+    call on the window's states gives (appended to `windows`, when given, in
+    the order they are solved); any other window, and one whose
     solve fails on a recurrence within the tie tolerance, is an uncertified
     cycle named by the firing sets seen when it was stepped.  Returns
     (fates, last_exc): fates[r] is row r's FateReport or the error its solve
@@ -486,8 +495,11 @@ def reference_fates(params, V0, max_iter, eta):
             s = min(range(k - prev), key=lambda i: word[i:] + word[:i])
             key = tuple(word[s:] + word[:s])
             if key not in solved:
+                window = np.roll(pts, -s, axis=0)
+                if windows is not None:
+                    windows.append(window)
                 try:
-                    solved[key] = cycles._solve(params, np.roll(pts, -s, axis=0), eta)
+                    solved[key] = cycles._solve(params, step_word(params, window), eta)
                 except (NumericalStall, PreconditionFailed) as exc:
                     solved[key] = exc
             result = solved[key]
@@ -954,29 +966,58 @@ def test_solve_needs_a_strictly_dominant_real_eigenvector(net_d, monkeypatch, sp
         cycle_census(net_d, 40, seed=5, eta=1e-4)
 
 
-@pytest.mark.parametrize("name, eta, samples", [("mixed8", 1e-4, 30), ("dale4", 1e-6, 30), ("dale64", 1e-6, 200)])
+def test_mixed8_cycle_solves_from_its_literal_word():
+    # the period-6 word of the golden census, written out with no sampled state and
+    # no census: each point fires its inhibitory winner alone, and nothing floors
+    params, winner = mixed8(), np.array([1, 3, 2, 6, 4, 5])
+    fired = np.zeros((6, params.n), np.bool_)
+    fired[np.arange(6), winner] = True
+    cyc = cycles._solve(params, (winner, fired, np.zeros_like(fired)), 1e-4)
+    golden = json.loads((GOLDEN / "cycles_mixed8" / "cycles.json").read_text())["cycles"][0]
+    assert cyc.points.tobytes() == np.array(golden["points"]).tobytes()
+    assert cyc.itinerary == tuple(golden["itinerary"]) and certify_cycle(params, cyc)
+
+
+# all inhibitory; its period-3 cycle floors neuron 2 on one return of the three,
+# so a floored set read from the wrong slot of the census ring shows in its word
+FLOOR3_H = [[0.0, -2.8, -0.7], [-0.6, 0.0, -1.7], [-0.9, -0.5, 0.0]]
+
+
+@pytest.mark.parametrize("name, eta, samples", [("mixed8", 1e-4, 30), ("dale4", 1e-6, 30), ("dale64", 1e-6, 200),
+                                                ("floor3", 1e-6, 30)])
 def test_solve_settles_to_the_bytes_of_a_full_orbit(name, eta, samples, monkeypatch):
-    # the windows the golden census solves (mixed8, dale4), or, where it solves none
-    # (dale64: its cycles lie above c_bar), the points of its cycles; each solve
-    # hands `_certified_cycle` the bytes of the full orbit of its eigenvector, as
-    # run_orbit steps it, and stops stepping at its first byte-periodic state
-    params = load_config(str(GOLDEN / f"{name}.json")).params
-    solve, windows = cycles._solve, []
-    monkeypatch.setattr(cycles, "_solve", lambda p, w, e: windows.append(w.copy()) or solve(p, w, e))
+    # the words the census solves (mixed8, dale4, floor3), each the codes of one
+    # step_batch call on its window's states, as the reference census finds them;
+    # or, where it solves none (dale64: its cycles lie above c_bar), the words of
+    # its cycles' points.  Each solve hands `_certified_cycle` the bytes of the full
+    # orbit of its eigenvector, as run_orbit steps it, and stops stepping at its
+    # first byte-periodic state: every step it takes is a settling step
+    if name == "floor3":
+        params = network(3, 1.0, 1.2, 1.0, -1.0, FLOOR3_H)
+    else:
+        params = load_config(str(GOLDEN / f"{name}.json")).params
+    solve, words = cycles._solve, []
+    monkeypatch.setattr(cycles, "_solve", lambda p, w, e: words.append(w) or solve(p, w, e))
     report = cycle_census(params, samples, seed=0, eta=eta)
     monkeypatch.undo()
-    windows = windows or [entry.cycle.points for entry in report.entries]
+    if words:
+        windows = []
+        reference_fates(params, cycles._census_starts(params, samples, seed=0), 2000, eta, windows)
+        assert len(windows) == len(words)
+        for window, word in zip(windows, words):
+            assert [(a.dtype, a.tobytes()) for a in word] == [(a.dtype, a.tobytes()) for a in step_word(params, window)]
+    else:
+        words = [step_word(params, entry.cycle.points) for entry in report.entries]
     step, counts = _kernels._step_columns, {}
 
     class Settled(Exception):
         pass
 
-    for window in windows:
-        p, states, seqs = len(window), [], []
+    for word in words:
+        p, states, seqs = len(word[0]), [], []
 
         def spy(params, X):
-            if X.shape[1] == 1:  # a settling step, not the piece matrices' batch
-                states.append(X[:, 0].copy())
+            states.append(X[:, 0].copy())
             return step(params, X)
 
         def caught(params, seq, p, eta, contraction):
@@ -986,7 +1027,7 @@ def test_solve_settles_to_the_bytes_of_a_full_orbit(name, eta, samples, monkeypa
         monkeypatch.setattr(_kernels, "_step_columns", spy)
         monkeypatch.setattr(cycles, "_certified_cycle", caught)
         with pytest.raises(Settled):
-            solve(params, window, eta)
+            solve(params, word, eta)
         monkeypatch.undo()
         x = states[0]
         want = np.vstack((x, run_orbit(params, x, 4 * p)[0]))
@@ -996,6 +1037,8 @@ def test_solve_settles_to_the_bytes_of_a_full_orbit(name, eta, samples, monkeypa
         counts[p] = len(states)
     if name == "mixed8":
         assert counts == {6: 9}
+    if name == "floor3":
+        assert any(word[2].any(axis=1).tolist() == [True, False, False] for word in words)
 
 
 def test_census_eta_trend(net_d):

@@ -15,8 +15,10 @@ other rows of its batch, which decide which columns a later round steps.
 `run_orbit`, which steps one state at a time through `step_batch` and copies
 a recurring orbit's tail instead of stepping it, must give what a scalar loop
 that steps every return gives, on net_b, net_c and mixed8.
-`piece_matrix` applied to (v, 1) must give the step within a few ulps of
-each row's scale, on net_b, net_c, net_d and mixed8.
+`piece_matrix`, built from the codes one `step_batch` call gives a state (its
+argmax, its firing set and its image == alpha), applied to (v, 1) must give
+that step within a few ulps of each row's scale, on net_b, net_c, net_d and
+mixed8.
 The jump sums take one dense product up to `_kernels._DENSE_MAX` terms and
 add column by column past it: a batch on each side of that rule, and one
 with every round summed column by column, must match the scalar step; one
@@ -587,7 +589,7 @@ def test_piece_matrix_reproduces_step(case):
     name, V = case
     p = PIECE_NETWORKS[name]
     out, fired, _, _ = _kernels.step_batch(p, V)
-    M = _kernels.piece_matrix(p, V)
+    M = _kernels.piece_matrix(p, V.argmax(axis=1), fired, out == p.alpha)  # the codes of that one step
     assert M.shape == V.shape[:1] + (p.n + 1, p.n + 1)
     h = np.concatenate([V, np.ones((V.shape[0], 1))], axis=1)
     y = np.einsum("mij,mj->mi", M, h)
