@@ -101,7 +101,7 @@ the check costs 0.13 us a step.  The batch drivers drop a state once its
 future is known: `sync_run` at the zero vector, `track_pair` once the pair's
 two states are equal (one orbit from there), `absorb_run` once a start has
 failed its post-entry bound or its image equals its state.  On net_c the adapted-metric
-check steps 10 times, not 2 x 92 (n0 + 1).
+check steps 5 times, not 92 (n0 + 1).
 """
 
 from __future__ import annotations

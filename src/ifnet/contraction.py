@@ -43,7 +43,7 @@ from .errors import (
     NoFixedPoint,
     PreconditionFailed,
 )
-from .params import NetworkParams, _in_zone_rows, _zone_after_return, lambda_for_zone
+from .params import NetworkParams, _in_zone_rows, _require_zone, _zone_after_return, lambda_for_zone
 
 __all__ = [
     "lambda_for_zone", "verify_contraction", "expansion_witness",
@@ -72,15 +72,31 @@ def _same_itinerary_pairs(params: NetworkParams, draw, k_max: int, common: int, 
     to the last pair taken from it.  Returns (V, W, dists, attempts): the
     kept pairs (fewer than `need` when the budget ran out), their
     track_pair distances over k_max returns and the draws consumed.
+
+    Each track_pair call steps as many batches as the acceptance so far
+    (used/attempts, 1 before the first call) says it needs: one more batch
+    is drawn while the rows in hand times that rate do not exceed the pairs
+    still needed, and only while attempts plus the rows in hand stay below
+    the budget, so no batch is drawn that a loop of one batch per call would
+    not draw.  At acceptance 0 a call steps one batch.  The kept pairs, dists
+    and attempts are those of that loop byte for byte: `draw` is called in
+    the same order, the pairs are taken in draw order, and track_pair gives
+    a pair the same bytes whatever else its batch holds.
     """
     kept = [(np.empty((0, params.n)), np.empty((0, params.n)), np.empty((0, k_max + 1)))]
     used = attempts = 0
     while used < need and attempts < budget:
-        V, W = draw()
+        rate = used / attempts if attempts else 1.0
+        batches = [draw()]
+        rows = len(batches[0][0])
+        while rate and rows * rate <= need - used and attempts + rows < budget:
+            batches.append(draw())
+            rows += len(batches[-1][0])
+        V, W = (np.concatenate(x) for x in zip(*batches))
         dists, n_common = _kernels.track_pair(params, V, W, k_max)
         idx = np.flatnonzero((dists[:, 0] != 0.0) & (n_common >= common))[:need - used]
         used += idx.size
-        attempts += int(idx[-1]) + 1 if used == need else V.shape[0]
+        attempts += int(idx[-1]) + 1 if used == need else rows
         kept.append((V[idx], W[idx], dists[idx]))
     V, W, dists = (np.concatenate(x) for x in zip(*kept))
     return V, W, dists, attempts
@@ -92,14 +108,12 @@ def verify_contraction(params: NetworkParams, c: float, sample_count: int, seed:
     Pairs are drawn uniformly on the section within C_c and kept only when both
     members produce the same firing set (membership in a common atom); rejected
     pairs are resampled up to a fixed budget.  Raises HypothesisViolated when
-    C_{c_bar} is empty (c_bar <= 0, beta >= beta_plus), before it checks that
-    0 <= c < c_bar.
+    C_{c_bar} is empty (`hypotheses.zone`), before it checks that 0 <= c < c_bar.
     """
     if sample_count < 1:
         raise PreconditionFailed("sample_count must be at least 1")
+    _require_zone(params)
     dc = params.constants
-    if dc.c_bar <= 0:
-        raise HypothesisViolated("C_{c_bar} is empty (beta >= beta_plus)")
     if not (0.0 <= c < dc.c_bar):
         raise PreconditionFailed(f"need 0 <= c < c_bar = {dc.c_bar}, got {c}")
     lam = lambda_for_zone(params, c)

@@ -93,7 +93,7 @@ from . import _kernels
 from ._sampling import restart, rng_stream, sample_on_section
 from .dynamics import as_state
 from .errors import HypothesisViolated, NumericalStall, PreconditionFailed
-from .params import NetworkParams, _in_zone_rows, _zone_after_return, lambda_for_zone
+from .params import NetworkParams, _in_zone_rows, _require_zone, _zone_after_return, lambda_for_zone
 
 __all__ = [
     "CycleCertificate", "LimitCycle", "FateReport",
@@ -532,9 +532,8 @@ def _census_starts(params: NetworkParams, sample_count: int, seed: int) -> np.nd
     """(sample_count, n) uniform section starts inside C_{c_bar}; sample idx
     draws from the Philox stream (seed, 1 + idx), through one generator re-keyed
     per sample."""
+    _require_zone(params)
     hi = min(params.constants.c_bar, params.theta)
-    if hi <= 0:
-        raise HypothesisViolated("C_{c_bar} is empty (beta >= beta_plus)")
     rng = rng_stream(seed, 1)
     starts = np.empty((sample_count, params.n))
     for idx, row in enumerate(starts):  # the draws of sample_on_section(..., 1), in its order

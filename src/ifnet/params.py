@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError, PreconditionFailed, RejectConfig
+from .errors import HypothesisViolated, ParseError, PreconditionFailed, RejectConfig
 
 # Relative tolerance deciding when two potentials (hence two firing times) tie.
 TIE_REL = 1e-12
@@ -184,12 +184,14 @@ class NetworkParams:
         sync_size: the synchronization bound holds (`sync_returns` is not None).
         certifiable: h4 and some inhibitory neuron, the networks whose limit
             cycles a Banach certificate can cover (`cycles`).
+        zone: C_{c_bar} is not empty, c_bar > 0 (beta < beta_plus); the
+            contraction zones and the census starts lie in it.
         """
         dc = self.constants
         h3 = self.beta < dc.beta_plus and dc.min_abs_H is not None and dc.min_abs_H > dc.epsilon
         h4 = NeuronKind.MIXED not in self.kinds
         return HypothesisReport(h3=bool(h3), h4=h4, sync_size=self.sync_returns is not None,
-                                certifiable=h4 and NeuronKind.INHIBITORY in self.kinds)
+                                certifiable=h4 and NeuronKind.INHIBITORY in self.kinds, zone=dc.c_bar > 0)
 
     @cached_property
     def sync_returns(self) -> Optional[int]:
@@ -269,6 +271,12 @@ def _zone_after_return(params: NetworkParams) -> float:
     return max(0.0, params.theta - dc.min_abs_H)
 
 
+def _require_zone(params: NetworkParams) -> None:
+    """Raise HypothesisViolated when C_{c_bar} is empty (`hypotheses.zone`)."""
+    if not params.hypotheses.zone:
+        raise HypothesisViolated("C_{c_bar} is empty (beta >= beta_plus)")
+
+
 def number(name: str, value) -> float:
     """value as a finite float; ParseError unless it is an int (not a bool) or a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -329,3 +337,4 @@ class HypothesisReport:
     h4: bool
     sync_size: bool
     certifiable: bool
+    zone: bool

@@ -360,11 +360,13 @@ def test_cli_contract_without_an_inhibitory_neuron_exits_3(tmp_path):
 
 def test_cli_contract_with_an_empty_zone_exits_3(tmp_path):
     # beta 2.0 is past beta_plus, so c_bar = -0.30 and C_{c_bar} is empty: the
-    # hypothesis is named, not the zone level the command chose itself
+    # hypothesis is named, not the zone level the command chose itself, and
+    # cycles, whose census starts lie in the same zone, says it alike
     cfg = write_config(tmp_path, dict(NET_C_DOC, beta=2.0))
-    res = run_cli(["contract", "--config", str(cfg), "--samples", "10"])
-    assert (res.returncode, res.stdout) == (3, "")
-    assert res.stderr == "hypothesis violated: C_{c_bar} is empty (beta >= beta_plus)\n"
+    for command in ("contract", "cycles"):
+        res = run_cli([command, "--config", str(cfg), "--samples", "10"])
+        assert (res.returncode, res.stdout) == (3, ""), command
+        assert res.stderr == "hypothesis violated: C_{c_bar} is empty (beta >= beta_plus)\n", command
     res = run_cli(["sweep", "--config", str(cfg), "--cell", "contract", "--grid", "beta:1.9:2.0:2", "--samples", "10"])
     cells = json.loads(res.stdout)["cells"]
     assert [c["error"] for c in cells] == ["HypothesisViolated: C_{c_bar} is empty (beta >= beta_plus)"] * 2

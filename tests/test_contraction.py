@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ifnet import (
     expansion_witness,
     jvac_check,
     lambda_for_zone,
+    load_config,
     network,
     o_pairs,
     repeller,
@@ -24,6 +26,7 @@ from ifnet import (
     verify_contraction,
 )
 from ifnet import contraction
+from ifnet._sampling import rng_stream, sample_on_section
 from ifnet.contraction import MetricEstimate, adapted_metric_check
 from ifnet.dynamics import as_state
 from ifnet.params import NetworkParams
@@ -33,6 +36,7 @@ from ifnet.params import NetworkParams
 NET_B_XSTAR = 0.8
 NET_B_BRACKET = (0.71010205144336438036, 0.85212246173203725643)
 NET_B_MULTIPLIER = 2.25
+MIXED8 = Path(__file__).resolve().parent / "golden" / "mixed8.json"
 
 
 def exc3():
@@ -566,3 +570,133 @@ def test_adapted_metric_check_rejects_zero_pairs(net_c):
 def test_estimate_lipschitz_requires_hypotheses(net_sync9):
     with pytest.raises(HypothesisViolated):
         estimate_lipschitz_c(net_sync9, 100, seed=1)
+
+
+# ---------------------------------------------------------------- same-itinerary pair draws
+
+
+def one_batch_per_call(params, draw, k_max, common, need, budget):
+    """The reference pair loop: one drawn batch per track_pair call."""
+    kept = [(np.empty((0, params.n)), np.empty((0, params.n)), np.empty((0, k_max + 1)))]
+    used = attempts = 0
+    while used < need and attempts < budget:
+        V, W = draw()
+        dists, n_common = contraction._kernels.track_pair(params, V, W, k_max)
+        idx = np.flatnonzero((dists[:, 0] != 0.0) & (n_common >= common))[:need - used]
+        used += idx.size
+        attempts += int(idx[-1]) + 1 if used == need else V.shape[0]
+        kept.append((V[idx], W[idx], dists[idx]))
+    V, W, dists = (np.concatenate(x) for x in zip(*kept))
+    return V, W, dists, attempts
+
+
+def perturbed_draw(params, batch, seed):
+    """A maker of fresh draws of `batch` perturbed pairs from stream (seed, 0), as the metric checks draw."""
+    def make():
+        rng = rng_stream(seed, 0)
+        return lambda: contraction._perturbed_pairs(rng, params, batch)
+    return make
+
+
+def zone_draw(params, c, batch, seed, same=False):
+    """A maker of fresh draws of `batch` pairs inside C_c, as verify_contraction draws;
+    with `same`, each pair is one state twice, which no loop keeps."""
+    def make():
+        rng = rng_stream(seed, 0)
+
+        def draw():
+            V = sample_on_section(rng, params.n, params.alpha, c, batch)
+            return V, V.copy() if same else sample_on_section(rng, params.n, params.alpha, c, batch)
+        return draw
+    return make
+
+
+def assert_draw_ahead_exact(params, make_draw, k_max, common, need, budget):
+    """The pair loop and the reference loop, each on a fresh draw, keep the same pairs
+    with the same bytes and count the same attempts; returns the pair loop's result
+    and the rows each loop drew, batch by batch."""
+    rows = ([], [])
+    out = []
+    for loop, seen in zip((contraction._same_itinerary_pairs, one_batch_per_call), rows):
+        draw = make_draw()
+
+        def counted(draw=draw, seen=seen):
+            V, W = draw()
+            seen.append(len(V))
+            return V, W
+        out.append(loop(params, counted, k_max, common, need, budget))
+    got, want = out
+    assert [(a.shape, a.tobytes()) for a in got[:3]] == [(a.shape, a.tobytes()) for a in want[:3]]
+    assert got[3] == want[3]
+    return got, rows
+
+
+def test_draw_ahead_keeps_the_lipschitz_pairs(net_c):
+    # batch = need = 100, and about 95% of a batch qualifies
+    p0 = net_c.constants.p0
+    got, _ = assert_draw_ahead_exact(net_c, perturbed_draw(net_c, 100, 2), p0, 1, 100, 2000)
+    assert len(got[2]) == 100
+
+
+def test_draw_ahead_keeps_the_adapted_metric_pairs(net_c):
+    n0 = estimate_lipschitz_c(net_c, 100, seed=2).n0
+    got, _ = assert_draw_ahead_exact(net_c, perturbed_draw(net_c, 100, 3), n0 + 1, n0 + 1, 100, 5000)
+    assert len(got[2]) == 100
+
+
+@pytest.mark.parametrize("quarter", range(4))
+@pytest.mark.parametrize("name", ["net_c", "mixed8"])
+def test_draw_ahead_keeps_the_zone_pairs(request, name, quarter):
+    # verify_contraction's draws at contract's four levels: about 35% of net_c's pairs
+    # qualify, and 12% of mixed8's, whose 300 pairs take several calls
+    params = request.getfixturevalue("net_c") if name == "net_c" else load_config(str(MIXED8)).params
+    c = quarter * params.constants.c_bar / 4
+    got, rows = assert_draw_ahead_exact(params, zone_draw(params, c, 1024, 1), 1, 1, 300, 3000)
+    assert len(got[2]) == 300 and len(rows[1]) >= 1 + (name == "mixed8")
+
+
+def test_draw_ahead_keeps_a_draw_whose_pairs_all_qualify(net_c):
+    # distinct states at k_max = 0 all qualify: 5 batches of 7 cover 30 pairs in one call
+    got, rows = assert_draw_ahead_exact(net_c, zone_draw(net_c, net_c.theta, 7, 4), 0, 0, 30, 300)
+    assert got[3] == 30 and rows == ([7] * 5, [7] * 5)
+
+
+@pytest.mark.parametrize("need, budget, calls", [(30, 100, [40] + [10] * 6), (100, 30, [30])],
+                         ids=["acceptance-0", "budget"])
+def test_draw_ahead_stops_at_the_budget_when_no_pair_qualifies(net_c, monkeypatch, need, budget, calls):
+    # (30, 100): the first call steps 4 batches of 10, and at acceptance 0 each later
+    # call steps one; (100, 30): the budget stops the first call at 3 batches.  Either
+    # way both loops draw the same rows, and no more than the budget
+    sizes = []
+    track_pair = contraction._kernels.track_pair
+    monkeypatch.setattr(contraction._kernels, "track_pair", lambda *args: sizes.append(len(args[1])) or track_pair(*args))
+    got, rows = assert_draw_ahead_exact(net_c, zone_draw(net_c, 0.5, 10, 6, same=True), 1, 1, need, budget)
+    assert len(got[2]) == 0 and got[3] == budget
+    assert rows[0] == rows[1] and sum(rows[0]) == budget
+    assert sizes == calls + [10] * (budget // 10)  # the pair loop's calls, then the reference's
+
+
+def test_draw_ahead_keeps_the_insufficient_samples_report(net_c, monkeypatch):
+    # every drawn pair is the zero state twice, so none qualifies and the budget runs out
+    from ifnet import InsufficientSamples
+
+    monkeypatch.setattr(contraction, "sample_on_section", lambda rng, n, lo, hi, count: np.zeros((count, n)))
+    messages = []
+    for loop in (contraction._same_itinerary_pairs, one_batch_per_call):
+        monkeypatch.setattr(contraction, "_same_itinerary_pairs", loop)
+        with pytest.raises(InsufficientSamples) as err:
+            verify_contraction(net_c, 0.0, 300, seed=1)
+        messages.append(str(err.value))
+    assert messages == ["only 0/300 pairs landed in a common atom after 3072 draws"] * 2
+
+
+def test_metric_checks_step_their_pairs_in_one_track_pair_call(net_c, monkeypatch):
+    # contract --samples 300 --seed 1 checks 100 metric pairs drawn from seeds 2 and 3;
+    # about 95% of a batch of 100 qualifies, so one batch per call would take two calls
+    calls = []
+    track_pair = contraction._kernels.track_pair
+    monkeypatch.setattr(contraction._kernels, "track_pair", lambda *args: calls.append(len(args[1])) or track_pair(*args))
+    est = estimate_lipschitz_c(net_c, 100, seed=2)
+    assert calls == [200]
+    adapted_metric_check(net_c, est, 100, seed=3)
+    assert calls == [200, 200]

@@ -612,7 +612,7 @@ def test_batch_drivers_stop_stepping_rows_with_a_known_future(monkeypatch):
     assert est.n0 == 91
     calls.clear()
     assert contraction.adapted_metric_check(p, est, 100, 2).ok
-    assert len(calls) <= 12
+    assert len(calls) <= 6  # one track_pair call of 5 steps
     calls.clear()
     assert contraction.absorption_check(p, 300, 0).ok
     assert len(calls) <= p.constants.p0 + 3

@@ -220,6 +220,13 @@ def test_check_hypotheses_mixed_neuron_fails_h4():
     assert not p.hypotheses.h4
 
 
+def test_check_hypotheses_zone_is_c_bar_above_0(net_c):
+    # beta 2.0 is past beta_plus, so c_bar = -0.30 and C_{c_bar} is empty
+    assert net_c.hypotheses.zone and net_c.constants.c_bar > 0
+    p = network(3, 1.0, 2.0, 1.0, -1.0, net_c.H)
+    assert not p.hypotheses.zone and p.constants.c_bar < 0
+
+
 def plain_coverage(H, theta):
     """(certifiable, p) by loops over the rows of H: certifiable when no row has both
     signs and some row has no positive entry, and p = ceil(theta/m) of the least
