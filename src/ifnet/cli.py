@@ -8,7 +8,10 @@ blake2b(seed, cell-index) and run one after another in cell order.  The
 
 Exit codes: 0 ok, 2 config error, 3 hypothesis violated, 4 numerical stall,
 1 any other operation error, a failed allocation or a failed write under
---out included.  Exit 2 also covers a command line argparse cannot read (no
+--out included; each error class carries its code and label (see `errors`),
+and `main` reports every failure as one stderr line, "label: message", with
+each line break inside the message (from a path or an argument) written as
+\\n.  Exit 2 also covers a command line argparse cannot read (no
 command, an unknown one or option, a missing --config, --samples abc), an
 option the command does not read (for sweep, one its --cell does not read,
 --seed aside) and option values no command can use: --samples or --max-iter
@@ -34,14 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import Records, RunConfig, json_blocks, load_config, params_to_doc, row_texts, write_csv
-from .errors import (
-    HypothesisViolated,
-    IfnetError,
-    NoFixedPoint,
-    NumericalStall,
-    PreconditionFailed,
-    RejectConfig,
-)
+from .errors import IfnetError, NoFixedPoint, PreconditionFailed, RejectConfig
 from .params import network
 
 # option -> (type, default)
@@ -381,6 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# each character str.splitlines splits on -> the two characters \n, so a message is one line
+_ONE_LINE = dict.fromkeys(map(ord, "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"), "\\n")
+
+
 def main(argv=None) -> int:
     try:
         given = vars(build_parser().parse_args(argv))
@@ -405,18 +405,10 @@ def main(argv=None) -> int:
                 print(f"{failed} sweep cell(s) failed", file=sys.stderr)
                 return 1
         return 0
-    except RejectConfig as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except HypothesisViolated as exc:
-        print(f"hypothesis violated: {exc}", file=sys.stderr)
-        return 3
-    except NumericalStall as exc:
-        print(f"numerical stall: {exc}", file=sys.stderr)
-        return 4
     except (IfnetError, MemoryError, OSError) as exc:  # OSError: --out cannot be written
-        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
-        return 1
+        kind = type(exc) if isinstance(exc, IfnetError) else IfnetError  # whose exit code and label apply
+        print(f"{kind.label}: {(str(exc) or type(exc).__name__).translate(_ONE_LINE)}", file=sys.stderr)
+        return kind.exit_code
 
 
 if __name__ == "__main__":

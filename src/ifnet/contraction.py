@@ -439,7 +439,11 @@ def adapted_metric_check(params: NetworkParams, est: MetricEstimate, sample_coun
     One track_pair pass over n0 + 1 returns serves both distances: a pair is
     kept when its two orbits share firing sets for all n0 + 1 returns, and
     then d(V, W) weighs the sup distances at returns 0..n0-1 while
-    d(rho V, rho W) weighs those at returns 1..n0.
+    d(rho V, rho W) weighs those at returns 1..n0.  Both sums stop at the
+    last return at which a kept pair has a nonzero distance: each later
+    return adds 0.0 times a finite weight, exactly 0.0 (the largest weight,
+    mu_tilde^-(n0-1), is below 2 c_hat for the estimate of
+    `estimate_lipschitz_c`, as lambda <= mu_tilde^2).
     """
     n0, mu_tilde = est.n0, est.mu_tilde
     _check_metric(n0, mu_tilde)
@@ -449,7 +453,8 @@ def adapted_metric_check(params: NetworkParams, est: MetricEstimate, sample_coun
     _, _, dists, _ = _same_itinerary_pairs(
         params, lambda: _perturbed_pairs(rng, params, min(sample_count, 2048)),
         n0 + 1, n0 + 1, sample_count, 50 * sample_count)
-    kept = dists.T
+    # cut the returns after the last nonzero distance, which add 0.0; returns 0 and 1 stay, so both sums are arrays
+    kept = dists.T[:np.flatnonzero(dists.any(axis=0)).max(initial=1) + 1]
     d0 = _weighted_sum(kept[:n0], mu_tilde)
     d1 = _weighted_sum(kept[1:n0 + 1], mu_tilde)
     pos = d0 > 0

@@ -32,11 +32,13 @@ same winner, or, when the image of C_{c_bar} lies in a strictly smaller zone
 of factor lambda < 1, a return close enough that the contraction budget
 admits a ball inside every margin of the window between them.  A return
 inside C_{c_bar} of a certifiable network has its winner margin, and grazes
-when that is below eta; every other return has the tie tolerance as its
-margin.  A recurring window inside C_{c_bar} of a certifiable network is
-solved once per piece word, for every orbit that recurs on it; any other
-window, and one whose solve fails on a recurrence within the tie tolerance,
-is reported as an uncertified cycle of its recurrent states.  The map is
+when that is below eta; every other return has margin 0.  So a margin kept
+for a later look-back is positive, at least eta, exactly on a return inside
+C_{c_bar}, and the margins of a window tell whether it lies there.  A
+recurring window inside C_{c_bar} of a certifiable network is solved once
+per piece word, for every orbit that recurs on it; any other window, and
+one whose solve fails on a recurrence within the tie tolerance, is reported
+as an uncertified cycle of its recurrent states.  The map is
 projective on each piece, so a cycle is fixed by its word: per return the
 winner m, the firing set J and the floored set F (the coordinates its image
 leaves at alpha).  The census reads each window's word from what its step
@@ -93,7 +95,7 @@ from . import _kernels
 from ._sampling import restart, rng_stream, sample_on_section
 from .dynamics import as_state
 from .errors import HypothesisViolated, NumericalStall, PreconditionFailed
-from .params import NetworkParams, _in_zone_rows, _require_zone, _zone_after_return, lambda_for_zone
+from .params import NetworkParams, _require_zone, _zone_after_return, lambda_for_zone
 
 __all__ = [
     "CycleCertificate", "LimitCycle", "FateReport",
@@ -331,8 +333,12 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
     winner, and whether it lies in C_{c_bar} and its gap come with it from
     `_pieces`, which reads the column maxima the step returns.
     A return inside C_{c_bar} of a certifiable network has half its winner
-    gap as margin (0 on the boundary) and grazes when that is below eta;
-    every other return has the tie tolerance.  The look-back candidates of a
+    gap as margin (0 on the boundary) and grazes when that is below eta,
+    which retires its row; every other return has margin 0.  So a margin in
+    the ring is positive (at least eta) exactly on a return inside C_{c_bar},
+    and no budget decision moves: a candidate that is not a tie has a ratio
+    above the tie tolerance, which fails against 0 as against that tolerance,
+    and a tie has ratio 0, which passes both.  The look-back candidates of a
     return are the last _LOOK_BACK earlier returns of its row with its code,
     kept in a ring.  A candidate more than _MAX_PERIOD returns back is
     dropped before its slot is read, so a reused slot is never read as an
@@ -342,9 +348,10 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
     at most the least margin of the window.  There is a budget only when
     lam, the factor of the zone that holds the image of C_{c_bar} in a
     certifiable network, is that of a level in [0, c_bar) (which H3 gives).
-    A window wholly inside C_{c_bar} of a certifiable network, as its states
-    show, is solved: windows whose winners share a least rotation share one
-    `_solve`, made in (return, row) order, and one cycle index of the table.
+    A window wholly inside C_{c_bar} of a certifiable network, as its
+    margins in the ring show (all positive), is solved: windows whose
+    winners share a least rotation share one `_solve`, made in (return, row)
+    order, and one cycle index of the table.
     The solve takes the window's word rolled to that rotation: its winners,
     its firing sets from the ring, and as floored sets the coordinates of the
     next slot's state at alpha (a fired coordinate resets to 0.0, never to
@@ -385,9 +392,9 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
             table.last_exc[live[spiked]] = k
         if certifiable:
             code, gap, zone = _pieces(params, X, vmax)
-            marg = np.where(zone, 0.5 * gap, tie)
+            marg = np.where(zone, 0.5 * gap, 0.0)
         else:
-            code, zone, marg = X.argmax(axis=0), np.zeros(live.size, np.bool_), np.full(live.size, tie)
+            code, zone, marg = X.argmax(axis=0), np.zeros(live.size, np.bool_), np.zeros(live.size)
         graze = zone & (marg < eta)
         states[k % depth, live], sets[k % depth, live], margs[k % depth, live] = X.T, fired.T, marg
 
@@ -411,10 +418,10 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
             stay[i] = False
             table.outcome[live[i]] = _CYCLE
             back = (k - 1 - np.arange(lag.max())) % depth  # the slots of returns k - 1, k - 2, ...
-            # by row, their states: their winners make a window's word, and it is solved when all of them lie in the zone
+            # by row, their states: their winners make a window's word, solved when all lie in the zone (margin > 0)
             seen = states[back, live[i, None]]
-            held = np.logical_and.accumulate(_in_zone_rows(seen.reshape(-1, n), c_bar).reshape(seen.shape[:2]), axis=1)
-            inside = (certifiable & held[np.arange(len(i)), lag - 1]).tolist()
+            held = np.logical_and.accumulate(margs[back, live[i, None]] > 0.0, axis=1)
+            inside = held[np.arange(len(i)), lag - 1].tolist()
             for r, pts, word, q, e, z in zip(live[i].tolist(), seen, seen.argmax(axis=2), lag.tolist(), exact.tolist(), inside):
                 # the slots of returns k - q .. k - 1, their states and their winners
                 w, pts, word, c = back[q - 1::-1], pts[q - 1::-1], word[q - 1::-1], None

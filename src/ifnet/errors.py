@@ -1,17 +1,31 @@
 """Exception types shared across the package.
 
-Exit-code mapping used by the CLI: configuration problems (RejectConfig,
-ParseError) exit 2, HypothesisViolated exits 3, NumericalStall exits 4,
-every other operation error exits 1.
+Each class carries the exit code and the label the CLI reports it with;
+`cli.main` reads them from the class, so this table is the one place they
+are decided:
+
+    class                                   exit  label
+    RejectConfig, ParseError                2     config error
+    HypothesisViolated                      3     hypothesis violated
+    NumericalStall                          4     numerical stall
+    IfnetError, PreconditionFailed,         1     error
+    InsufficientSamples, NoFixedPoint
+
+A MemoryError or an OSError (a failed write under --out) is reported with
+IfnetError's code and label.  Every failure is one stderr line, "label: message": the class name
+stands for an empty message, and each line break inside the message (one
+from a path or a command-line argument) is written as the two characters \\n.
 """
 
 
 class IfnetError(Exception):
     """Base class for all package errors."""
+    exit_code, label = 1, "error"
 
 
 class RejectConfig(IfnetError):
     """Network parameters violate a standing model assumption."""
+    exit_code, label = 2, "config error"
 
 
 class ParseError(RejectConfig):
@@ -24,6 +38,7 @@ class PreconditionFailed(IfnetError):
 
 class HypothesisViolated(IfnetError):
     """The network does not satisfy the hypotheses the operation requires."""
+    exit_code, label = 3, "hypothesis violated"
 
 
 class InsufficientSamples(IfnetError):
@@ -36,3 +51,4 @@ class NoFixedPoint(IfnetError):
 
 class NumericalStall(IfnetError):
     """A solved cycle has no dominant real eigenvector or fails its certificate."""
+    exit_code, label = 4, "numerical stall"

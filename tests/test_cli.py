@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifnet import NumericalStall, ParseError, RejectConfig, _kernels, cli, config, cycles, dynamics
+from ifnet import NumericalStall, ParseError, RejectConfig, _kernels, cli, config, cycles, dynamics, errors
 from ifnet.cli import main
 from ifnet.config import dump_json, load_config, params_to_doc, parse_config
 from ifnet.cycles import cycle_census
@@ -542,8 +542,9 @@ def test_cli_rejects_unusable_options(tmp_path, capsys, args):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["analyze"], ["cycles", "--config", "CFG", "--samples", "abc"], ["bogus"], []],
-                         ids=["missing-config", "samples-abc", "unknown-command", "empty-argv"])
+@pytest.mark.parametrize("argv", [["analyze"], ["cycles", "--config", "CFG", "--samples", "abc"], ["bogus"], [],
+                                  ["analyze", "--config", "CFG", "x\ny"]],
+                         ids=["missing-config", "samples-abc", "unknown-command", "empty-argv", "argument-with-a-newline"])
 def test_cli_bad_command_line_exits_2_in_one_line(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, NET_C_DOC)
     assert main([str(cfg) if a == "CFG" else a for a in argv]) == 2
@@ -625,17 +626,21 @@ def test_samples_floors_are_stated_in_help_and_readme(tmp_path, capsys):
     assert outs[0] == outs[1] and len(json.loads(outs[0])["witnesses"]["rows"]) == 7
 
 
-# config bytes -> the reason the error line must give, where one is pinned
-@pytest.mark.parametrize("text, reason", [(b"\xff{}", None), (b"[1, 2]", "config root must be a JSON object"),
-                                          (b'{"n": ' + b"1" * 5000 + b"}", None), (b"[" * 10**5 + b"]" * 10**5, None)],
-                         ids=["not-utf8", "root-not-an-object", "5000-digit-integer", "deep-nesting"])
-def test_cli_unreadable_config_exits_2_in_one_line(tmp_path, capsys, text, reason):
-    path = tmp_path / "net.json"
+# config bytes and file name -> the reason the error line must give, where one is
+# pinned; a config that cannot be read is named by its path, a newline in it as \n
+@pytest.mark.parametrize("text, reason, name", [
+    (b"\xff{}", None, "net.json"), (b"[1, 2]", "config root must be a JSON object", "net.json"),
+    (b'{"n": ' + b"1" * 5000 + b"}", None, "net.json"), (b"[" * 10**5 + b"]" * 10**5, None, "net.json"),
+    (b"\xff{}", None, "net\nwork.json")],
+    ids=["not-utf8", "root-not-an-object", "5000-digit-integer", "deep-nesting", "not-utf8-newline-in-name"])
+def test_cli_unreadable_config_exits_2_in_one_line(tmp_path, capsys, text, reason, name):
+    path = tmp_path / name
     path.write_bytes(text)
     assert main(["analyze", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
-    assert reason is None or err == f"config error: {reason}\n", err
+    escaped = str(path).replace("\n", "\\n")
+    assert err == f"config error: {reason}\n" if reason else err.startswith(f"config error: cannot read config {escaped}: "), err
 
 
 def test_cli_simulate_bounds_rows_of_a_firing_storm(tmp_path, capsys, monkeypatch):
@@ -662,6 +667,43 @@ def test_cli_ends_a_failed_allocation_in_one_line(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--max-iter", "1000000000000000"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# each error class -> the exit code and the label `main` reports it with
+ERROR_EXITS = {errors.IfnetError: (1, "error"), errors.RejectConfig: (2, "config error"),
+               errors.ParseError: (2, "config error"), errors.PreconditionFailed: (1, "error"),
+               errors.HypothesisViolated: (3, "hypothesis violated"), errors.InsufficientSamples: (1, "error"),
+               errors.NoFixedPoint: (1, "error"), errors.NumericalStall: (4, "numerical stall"),
+               MemoryError: (1, "error"), OSError: (1, "error")}
+
+
+@pytest.mark.parametrize("error", ERROR_EXITS, ids=lambda error: error.__name__)
+def test_cli_reports_each_error_class_with_its_code_and_label(tmp_path, capsys, monkeypatch, error):
+    # the table names every error class of the package
+    assert {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.IfnetError)} < set(ERROR_EXITS)
+
+    def fail(cfg, opts):
+        raise error("message")
+
+    monkeypatch.setitem(cli.COMMANDS, "analyze", fail)
+    code, label = ERROR_EXITS[error]
+    assert main(["analyze", "--config", str(write_config(tmp_path, NET_C_DOC))]) == code
+    assert capsys.readouterr().err == f"{label}: message\n"
+
+
+@pytest.mark.parametrize("message, line", [("", "NumericalStall"), ("a\r\nb\x85c\u2028", "a\\n\\nb\\nc\\n")],
+                         ids=["empty", "line-breaks"])
+def test_cli_error_line_names_an_empty_message_and_escapes_each_line_break(tmp_path, capsys, monkeypatch, message, line):
+    # every character str.splitlines splits on is written as the two characters \n
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(cli._ONE_LINE) == {ord(piece[-1]) for piece in text.splitlines(keepends=True)[:-1]}
+
+    def fail(cfg, opts):
+        raise errors.NumericalStall(message)
+
+    monkeypatch.setitem(cli.COMMANDS, "analyze", fail)
+    assert main(["analyze", "--config", str(write_config(tmp_path, NET_C_DOC))]) == 4
+    assert capsys.readouterr().err == f"numerical stall: {line}\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])

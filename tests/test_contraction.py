@@ -567,6 +567,33 @@ def test_adapted_metric_check_rejects_zero_pairs(net_c):
         adapted_metric_check(net_c, est, 0, 1)
 
 
+@pytest.mark.parametrize("case", ["drawn", "return-0-only", "no-pairs"])
+def test_adapted_metric_check_equals_its_sums_over_every_return(net_c, monkeypatch, case):
+    # the check sums only up to the last return with a nonzero distance; its ratio must be
+    # the bits of the sums over all n0 + 1 returns: on net_c's own draws (few nonzero
+    # returns), on pairs that merge after return 0, and on a draw that keeps no pair
+    est = estimate_lipschitz_c(net_c, 100, seed=8)
+    pairs, sums, got, rows = contraction._same_itinerary_pairs, contraction._weighted_sum, [], []
+
+    def kept_pairs(*args):
+        V, W, dists, attempts = pairs(*args)
+        if case == "return-0-only":
+            dists[:, 1:] = 0.0
+        elif case == "no-pairs":
+            V, W, dists = V[:0], W[:0], dists[:0]
+        got.append(dists)
+        return V, W, dists, attempts
+
+    monkeypatch.setattr(contraction, "_same_itinerary_pairs", kept_pairs)
+    monkeypatch.setattr(contraction, "_weighted_sum", lambda d, mu: rows.append(len(d)) or sums(d, mu))
+    check = adapted_metric_check(net_c, est, 100, seed=9)
+    (dists,) = got
+    d0, d1 = sums(dists.T[:est.n0], est.mu_tilde), sums(dists.T[1:est.n0 + 1], est.mu_tilde)
+    pos = d0 > 0
+    assert check.pairs_checked == len(dists) and check.max_d_ratio == float((d1[pos] / d0[pos]).max(initial=0.0))
+    assert est.n0 > 20 and sum(rows) < est.n0, rows
+
+
 def test_estimate_lipschitz_requires_hypotheses(net_sync9):
     with pytest.raises(HypothesisViolated):
         estimate_lipschitz_c(net_sync9, 100, seed=1)
