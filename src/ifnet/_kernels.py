@@ -101,7 +101,11 @@ the check costs 0.13 us a step.  The batch drivers drop a state once its
 future is known: `sync_run` at the zero vector, `track_pair` once the pair's
 two states are equal (one orbit from there), `absorb_run` once a start has
 failed its post-entry bound or its image equals its state.  On net_c the adapted-metric
-check steps 5 times, not 92 (n0 + 1).
+check steps 5 times, not 92 (n0 + 1).  `track_pair`'s distance table ends at
+the last return it stepped, not at k_max: every pair has left by then, so
+each later return would read 0, and a table of k_max + 1 returns would hold
+n0 + 2 floats per pair on a network of large n0 (29,325 on
+tests/golden/net_c_slow.json).
 """
 
 from __future__ import annotations
@@ -110,6 +114,7 @@ import math
 
 import numpy as np
 
+from .errors import sized
 from .params import NetworkParams
 
 _DENSE_MAX = 1 << 17  # `_jump_sums` forms one product up to this many terms (module docstring)
@@ -121,10 +126,7 @@ def run_orbit(params: NetworkParams, v0, n_steps):
     """Iterate the return map n_steps times; returns (states, fired, t_bars).
 
     Rows after a byte-exact repeat are copied (module docstring, "Recurrence tail")."""
-    try:
-        states = np.empty((n_steps, params.n), np.float64)
-    except ValueError as exc:  # numpy refuses a size past its index range without trying
-        raise MemoryError(str(exc)) from None
+    states = sized(np.empty, (n_steps, params.n), np.float64)
     fired = np.empty((n_steps, params.n), np.bool_)
     t_bars = np.empty(n_steps, np.float64)  # each input's maximum until it is turned into a time
     v, stepped = v0, n_steps
@@ -323,27 +325,30 @@ def track_pair(params: NetworkParams, v0, w0, k_max):
     """Sup-norm distances ||rho^k v - rho^k w|| while the two orbits share firing sets.
 
     v0 and w0 are (..., n) batches of paired starts.  Returns (dists,
-    n_common) with shapes (..., k_max + 1) and (...): dists[..., k] is valid
-    for k = 0..n_common and 0 beyond, where n_common is the number of steps
-    over which the itineraries agreed (so positions 0..n_common share atoms
+    n_common) with shapes (..., K + 1) and (...), K <= k_max the last return
+    the kernel stepped: dists[..., k] is valid for k = 0..min(n_common, K)
+    and 0 beyond, where n_common is the number of steps over which the
+    itineraries agreed (so positions 0..n_common share atoms
     J_0..J_{n_common-1}).  A pair whose two states are equal, at any return
-    including 0, is stepped no further: its later distances stay 0 and its
-    n_common is k_max.
+    including 0, is stepped no further: its later distances would read 0 and
+    its n_common is k_max.  The table ends at return K because every pair
+    has left by then (its itinerary split, or it merged), so every later
+    return would read 0 for all of them.
     """
     shape, n = v0.shape[:-1], v0.shape[-1]
     X = np.ascontiguousarray(np.stack((v0, w0)).reshape(2, -1, n).transpose(2, 0, 1))  # (n, 2, pairs)
-    dists = np.zeros((X.shape[2], k_max + 1), np.float64)
     n_common = np.zeros(X.shape[2], np.int64)
-    live, keep = np.arange(X.shape[2]), np.ones(X.shape[2], np.bool_)
+    live, keep, cols = np.arange(X.shape[2]), np.ones(X.shape[2], np.bool_), []  # cols: by return, every pair's distance
     for k in range(k_max + 1):
         if k:
             X, fired = (a.reshape(n, 2, -1) for a in _step_columns(params, X.reshape(n, -1))[:2])
             keep = (fired[:, 0] == fired[:, 1]).all(axis=0)
         live, d = live[keep], np.abs(X[:, 0] - X[:, 1]).max(axis=0)[keep]
-        n_common[live], dists[live, k] = k, d
+        cols.append(np.zeros(len(n_common)))
+        n_common[live], cols[k][live] = k, d
         n_common[live[d == 0.0]] = k_max  # merged: one orbit from here on
         keep[keep] = d != 0.0
         live, X = live[d != 0.0], np.compress(keep, X, axis=2)
         if not live.size:
             break
-    return dists.reshape(shape + (k_max + 1,)), n_common.reshape(shape)
+    return np.stack(cols, axis=-1).reshape(shape + (len(cols),)), n_common.reshape(shape)

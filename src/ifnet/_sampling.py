@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import sized
+
 _MASK = 0xFFFFFFFFFFFFFFFF
 _ZEROS = np.zeros(4, np.uint64)
 
@@ -35,7 +37,7 @@ def restart(rng: np.random.Generator, seed: int, stream: int) -> np.random.Gener
 def sample_on_section(rng: np.random.Generator, n: int, lo: float, hi: float, count: int) -> np.ndarray:
     """Uniform states on the section: one uniformly chosen coordinate is pinned
     to 0, the others are uniform in [lo, hi]."""
-    out = rng.uniform(lo, hi, size=(count, n))
+    out = sized(rng.uniform, lo, hi, size=(count, n))
     faces = rng.integers(0, n, size=count)
     out[np.arange(count), faces] = 0.0
     return out

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import Records, RunConfig, json_blocks, load_config, params_to_doc, row_texts, write_csv
-from .errors import IfnetError, NoFixedPoint, PreconditionFailed, RejectConfig
+from .errors import IfnetError, NoFixedPoint, PreconditionFailed, RejectConfig, sized
 from .params import network
 
 # option -> (type, default)
@@ -239,9 +239,8 @@ def _witness_sweep(params, i, grid_points):
     strictly inside (c_star, theta) on Gamma_i, all pairs in one batch."""
     from . import contraction as contr
 
-    xs = np.linspace(params.constants.c_star, params.theta, grid_points + 2)[1:-1]
-    V = np.zeros((grid_points, params.n))
-    V[:, i] = xs
+    V = sized(np.zeros, (grid_points, params.n))  # before linspace, which fails on a count past the index range
+    V[:, i] = xs = np.linspace(params.constants.c_star, params.theta, grid_points + 2)[1:-1]
     wit = contr.expansion_witness(params, i, V[:-1], V[1:])
     rows = [{"v_i": a, "w_i": b, "error": e} if e else
             {"v_i": a, "w_i": b, "ratio": r, "lower_bound": bound, "expanded": x}

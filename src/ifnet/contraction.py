@@ -71,7 +71,9 @@ def _same_itinerary_pairs(params: NetworkParams, draw, k_max: int, common: int, 
     `need` pairs qualify or `budget` draws are consumed, a batch counting up
     to the last pair taken from it.  Returns (V, W, dists, attempts): the
     kept pairs (fewer than `need` when the budget ran out), their
-    track_pair distances over k_max returns and the draws consumed.
+    track_pair distances and the draws consumed.  Each call's table ends at
+    the last return it stepped, so a table narrower than the widest is
+    padded with the zeros its pairs would read there.
 
     Each track_pair call steps as many batches as the acceptance so far
     (used/attempts, 1 before the first call) says it needs: one more batch
@@ -83,7 +85,7 @@ def _same_itinerary_pairs(params: NetworkParams, draw, k_max: int, common: int, 
     the same order, the pairs are taken in draw order, and track_pair gives
     a pair the same bytes whatever else its batch holds.
     """
-    kept = [(np.empty((0, params.n)), np.empty((0, params.n)), np.empty((0, k_max + 1)))]
+    kept = [(np.empty((0, params.n)), np.empty((0, params.n)), np.empty((0, 0)))]
     used = attempts = 0
     while used < need and attempts < budget:
         rate = used / attempts if attempts else 1.0
@@ -98,8 +100,11 @@ def _same_itinerary_pairs(params: NetworkParams, draw, k_max: int, common: int, 
         used += idx.size
         attempts += int(idx[-1]) + 1 if used == need else rows
         kept.append((V[idx], W[idx], dists[idx]))
-    V, W, dists = (np.concatenate(x) for x in zip(*kept))
-    return V, W, dists, attempts
+    V, W, tables = zip(*kept)
+    width = max(t.shape[1] for t in tables)
+    dists = np.concatenate([t if t.shape[1] == width else np.hstack((t, np.zeros((len(t), width - t.shape[1]))))
+                            for t in tables])
+    return np.concatenate(V), np.concatenate(W), dists, attempts
 
 
 def verify_contraction(params: NetworkParams, c: float, sample_count: int, seed: int) -> ContractionReport:
@@ -356,8 +361,9 @@ def _check_metric(n0: int, mu_tilde: float) -> None:
 def _weighted_sum(dists, mu_tilde: float):
     """sum_i dists[i] / mu_tilde^i, accumulated in index order with a running
     weight; every adapted distance goes through here so they agree bit for bit.
-    A (k, m) array gives the m column sums, each in the same order."""
-    total = 0.0
+    A (k, m) array gives the m column sums, each in the same order, and
+    zeros when k = 0."""
+    total = np.zeros(np.shape(dists)[1:])
     weight = 1.0
     for d in dists:
         total += d * weight
@@ -416,7 +422,7 @@ def estimate_lipschitz_c(params: NetworkParams, sample_count: int, seed: int) ->
     used = len(dists)
     if used < max(1, sample_count // 10):
         raise InsufficientSamples(f"only {used} same-itinerary pairs out of {attempts} draws")
-    lam_pow = np.array([lam ** k for k in range(1, p0 + 1)])
+    lam_pow = np.array([lam ** k for k in range(1, dists.shape[1])])
     # dists past n_common are 0, so they never lift the stretch above its floor of 1
     stretch = dists[:, 1:] / (lam_pow * dists[:, :1])
     c_hat = 2.0 * max(1.0, float(stretch.max(initial=0.0)))
@@ -439,11 +445,9 @@ def adapted_metric_check(params: NetworkParams, est: MetricEstimate, sample_coun
     One track_pair pass over n0 + 1 returns serves both distances: a pair is
     kept when its two orbits share firing sets for all n0 + 1 returns, and
     then d(V, W) weighs the sup distances at returns 0..n0-1 while
-    d(rho V, rho W) weighs those at returns 1..n0.  Both sums stop at the
-    last return at which a kept pair has a nonzero distance: each later
-    return adds 0.0 times a finite weight, exactly 0.0 (the largest weight,
-    mu_tilde^-(n0-1), is below 2 c_hat for the estimate of
-    `estimate_lipschitz_c`, as lambda <= mu_tilde^2).
+    d(rho V, rho W) weighs those at returns 1..n0.  Both sums run over the
+    table as track_pair returns it, which ends at the last return stepped:
+    every later distance is 0.
     """
     n0, mu_tilde = est.n0, est.mu_tilde
     _check_metric(n0, mu_tilde)
@@ -453,10 +457,8 @@ def adapted_metric_check(params: NetworkParams, est: MetricEstimate, sample_coun
     _, _, dists, _ = _same_itinerary_pairs(
         params, lambda: _perturbed_pairs(rng, params, min(sample_count, 2048)),
         n0 + 1, n0 + 1, sample_count, 50 * sample_count)
-    # cut the returns after the last nonzero distance, which add 0.0; returns 0 and 1 stay, so both sums are arrays
-    kept = dists.T[:np.flatnonzero(dists.any(axis=0)).max(initial=1) + 1]
-    d0 = _weighted_sum(kept[:n0], mu_tilde)
-    d1 = _weighted_sum(kept[1:n0 + 1], mu_tilde)
+    d0 = _weighted_sum(dists.T[:n0], mu_tilde)
+    d1 = _weighted_sum(dists.T[1:n0 + 1], mu_tilde)
     pos = d0 > 0
     worst = float((d1[pos] / d0[pos]).max(initial=0.0))
     return MetricCheck(pairs_checked=len(dists), max_d_ratio=worst, ok=worst <= mu_tilde + 1e-9)

@@ -32,9 +32,10 @@ same winner, or, when the image of C_{c_bar} lies in a strictly smaller zone
 of factor lambda < 1, a return close enough that the contraction budget
 admits a ball inside every margin of the window between them.  A return
 inside C_{c_bar} of a certifiable network has its winner margin, and grazes
-when that is below eta; every other return has margin 0.  So a margin kept
-for a later look-back is positive, at least eta, exactly on a return inside
-C_{c_bar}, and the margins of a window tell whether it lies there.  A
+when that is below eta; every other return has margin 0, and no gap is
+measured for it.  So a margin kept for a later look-back is positive, at
+least eta, exactly on a return inside C_{c_bar}, and the least margin of a
+window, which the budget gathers anyway, tells whether it lies there.  A
 recurring window inside C_{c_bar} of a certifiable network is solved once
 per piece word, for every orbit that recurs on it; any other window, and
 one whose solve fails on a recurrence within the tie tolerance, is reported
@@ -78,8 +79,11 @@ cycle, and the firing set, "J:1;3", for an uncertified one.
 Winners, gaps and zone flags are computed for column batches of states
 only, by one helper (`_pieces`) that detection, `_certified_cycle` and
 `certify_cycle` share, so the three read one gap formula; a state's margin
-is half its gap.  `certify_cycle` re-checks a certificate from the cycle's
-points alone, with all of them classified and stepped as one batch.
+is half its gap.  `_pieces` decides, for any network, which columns carry a
+margin (those inside C_{c_bar} of a certifiable network), and measures a
+gap for those columns alone.  `certify_cycle` re-checks a certificate from
+the cycle's points alone, with all of them classified and stepped as one
+batch.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ import numpy as np
 from . import _kernels
 from ._sampling import restart, rng_stream, sample_on_section
 from .dynamics import as_state
-from .errors import HypothesisViolated, NumericalStall, PreconditionFailed
+from .errors import HypothesisViolated, NumericalStall, PreconditionFailed, sized
 from .params import NetworkParams, _require_zone, _zone_after_return, lambda_for_zone
 
 __all__ = [
@@ -107,25 +111,29 @@ __all__ = [
 
 def _pieces(params: NetworkParams, X: np.ndarray, vmax: np.ndarray):
     """Winners, gaps and zone flags of the columns of an (n, M) batch of
-    section states of a network with an inhibitory neuron, vmax their maxima.
+    section states of any network, vmax their maxima.
 
     A winner is the first neuron of largest potential, the piece code detection
-    and certification share.  A gap is the winner's lead over the runner-up
-    (the second largest potential, ties counted; minus infinity at n = 1) when
-    an inhibitory neuron wins, and the largest excitatory over the largest
-    inhibitory potential on the synchronization piece; it is 0 on the boundary,
-    where it is within the tie tolerance.  A column of positive gap has a unique
-    maximum, so its piece is its winner's: "inhib:k" or, for an excitatory
-    winner, the synchronization piece.  A zone flag tells whether the column
-    lies in C_{c_bar}: its maximum is at most c_bar and a coordinate is 0.
+    and certification share.  A zone flag tells whether the column carries a
+    margin: the network is certifiable and the column lies in C_{c_bar} (its
+    maximum is at most c_bar and a coordinate is 0).  A gap is measured on those
+    columns only, and is 0 on every other one.  It is the winner's lead over the
+    runner-up (the second largest potential, ties counted; minus infinity at
+    n = 1) when an inhibitory neuron wins, and the largest excitatory over the
+    largest inhibitory potential on the synchronization piece; it is 0 on the
+    boundary, where it is within the tie tolerance.  A column of positive gap
+    has a unique maximum, so its piece is its winner's: "inhib:k" or, for an
+    excitatory winner, the synchronization piece.
     """
     excit, inhib = params.class_rows
-    zone = (vmax <= params.constants.c_bar) & (X == 0.0).any(axis=0)
-    other = np.partition(X, -2, axis=0)[-2] if params.n > 1 else np.full(X.shape[1], -math.inf)
-    sync = X[excit].max(axis=0, initial=-math.inf) >= vmax
+    zone = (vmax <= params.constants.c_bar) & (X == 0.0).any(axis=0) & params.hypotheses.certifiable
+    gap = np.zeros(X.shape[1])
+    Z, top = (X, vmax) if zone.all() else (np.compress(zone, X, axis=1), vmax[zone])
+    other = np.partition(Z, -2, axis=0)[-2] if params.n > 1 else np.full(Z.shape[1], -math.inf)
+    sync = Z[excit].max(axis=0, initial=-math.inf) >= top
     if sync.any():
-        other = np.where(sync, X[inhib].max(axis=0), other)
-    gap = vmax - other
+        other = np.where(sync, Z[inhib].max(axis=0), other)
+    gap[zone] = top - other
     gap[~(gap > params.tie_tol())] = 0.0
     return X.argmax(axis=0), gap, zone
 
@@ -330,26 +338,28 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
     slot-major rings: return k of row r is slot k % depth of its state, its
     firing set and its margin.  So the history is at most depth x m x n x 9
     bytes, whatever max_iter and the transients are.  A return's code is its
-    winner, and whether it lies in C_{c_bar} and its gap come with it from
-    `_pieces`, which reads the column maxima the step returns.
-    A return inside C_{c_bar} of a certifiable network has half its winner
-    gap as margin (0 on the boundary) and grazes when that is below eta,
-    which retires its row; every other return has margin 0.  So a margin in
-    the ring is positive (at least eta) exactly on a return inside C_{c_bar},
-    and no budget decision moves: a candidate that is not a tie has a ratio
-    above the tie tolerance, which fails against 0 as against that tolerance,
-    and a tie has ratio 0, which passes both.  The look-back candidates of a
-    return are the last _LOOK_BACK earlier returns of its row with its code,
-    kept in a ring.  A candidate more than _MAX_PERIOD returns back is
+    winner, and its zone flag and gap come with it from `_pieces`, which
+    reads the column maxima the step returns: the flag is set inside
+    C_{c_bar} of a certifiable network, and the gap is 0 wherever it is not.
+    Every return's margin is half its gap, so a return inside the zone has
+    half its winner gap (0 on the boundary) and grazes when that is below
+    eta, which retires its row; every other return has margin 0.  So a
+    margin in the ring is positive (at least eta) exactly on a return inside
+    C_{c_bar}: a candidate that is not a tie has a ratio above the tie
+    tolerance, which fails against 0, and a tie has ratio 0, which passes.
+    The look-back candidates of a return are the last _LOOK_BACK earlier
+    returns of its row with its code, kept in a ring.  A candidate more than _MAX_PERIOD returns back is
     dropped before its slot is read, so a reused slot is never read as an
     older return.  The newest candidate that passes the test is taken.  A
     candidate passes when its sup distance is within the tie tolerance, or
     when the contraction budget admits it: the distance over 1 - lam ** p is
-    at most the least margin of the window.  There is a budget only when
-    lam, the factor of the zone that holds the image of C_{c_bar} in a
-    certifiable network, is that of a level in [0, c_bar) (which H3 gives).
-    A window wholly inside C_{c_bar} of a certifiable network, as its
-    margins in the ring show (all positive), is solved: windows whose
+    at most the margin of return k and the least margin of the window,
+    returns k - 1 back to k - p, a suffix-min over one gather of the margin
+    ring.  There is a budget only when lam, the factor of the zone that
+    holds the image of C_{c_bar} in a certifiable network, is that of a
+    level in [0, c_bar) (which H3 gives).
+    A window wholly inside C_{c_bar} of a certifiable network, as the least
+    margin of that gather shows (positive), is solved: windows whose
     winners share a least rotation share one `_solve`, made in (return, row)
     order, and one cycle index of the table.
     The solve takes the window's word rolled to that rotation: its winners,
@@ -390,11 +400,8 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
         image, fired, vmax, _ = _kernels._step_columns(params, X)
         if (spiked := fired[excit].any(axis=0)).any():
             table.last_exc[live[spiked]] = k
-        if certifiable:
-            code, gap, zone = _pieces(params, X, vmax)
-            marg = np.where(zone, 0.5 * gap, 0.0)
-        else:
-            code, zone, marg = X.argmax(axis=0), np.zeros(live.size, np.bool_), np.zeros(live.size)
+        code, gap, zone = _pieces(params, X, vmax)
+        marg = 0.5 * gap
         graze = zone & (marg < eta)
         states[k % depth, live], sets[k % depth, live], margs[k % depth, live] = X.T, fired.T, marg
 
@@ -408,21 +415,20 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
             dist = np.abs(X.T[i] - states[at]).max(axis=1)
             ratio = np.where(dist <= tie, 0.0, dist / denom[p] if lam < 1.0 else math.inf)  # 0: every margin admits a tie
             ok = (ratio <= marg[i]) & (ratio <= margs[at])  # the margins at both ends
-            if ok.any():  # the window's least margin, a suffix-min back from return k over one gather
-                back = (k - np.arange(p[ok].max() + 1)) % depth
-                low = np.minimum.accumulate(margs[back, live[i[ok], None]], axis=1)
-                ok[ok] = ratio[ok] <= low[np.arange(len(low)), p[ok]]
+            if ok.any():  # the window's least margin, a suffix-min over one gather of returns k - 1, k - 2, ..., k - p
+                back = (k - 1 - np.arange(p[ok].max())) % depth
+                low = np.minimum.accumulate(margs[back, live[i[ok], None]], axis=1)[np.arange(ok.sum()), p[ok] - 1]
+                ok[ok], low = (admit := ratio[ok] <= low), low[admit]
         if ok.any():
             i, first = np.unique(i[ok], return_index=True)
             lag, exact = p[ok][first], ratio[ok][first] == 0.0
             stay[i] = False
             table.outcome[live[i]] = _CYCLE
-            back = (k - 1 - np.arange(lag.max())) % depth  # the slots of returns k - 1, k - 2, ...
-            # by row, their states: their winners make a window's word, solved when all lie in the zone (margin > 0)
+            # by row, the states of the budget's slots: their winners make a window's word, solved when
+            # the window lies in the zone, all its margins positive
             seen = states[back, live[i, None]]
-            held = np.logical_and.accumulate(margs[back, live[i, None]] > 0.0, axis=1)
-            inside = held[np.arange(len(i)), lag - 1].tolist()
-            for r, pts, word, q, e, z in zip(live[i].tolist(), seen, seen.argmax(axis=2), lag.tolist(), exact.tolist(), inside):
+            for r, pts, word, q, e, z in zip(live[i].tolist(), seen, seen.argmax(axis=2), lag.tolist(), exact.tolist(),
+                                             (low[first] > 0.0).tolist()):
                 # the slots of returns k - q .. k - 1, their states and their winners
                 w, pts, word, c = back[q - 1::-1], pts[q - 1::-1], word[q - 1::-1], None
                 if z:
@@ -542,7 +548,7 @@ def _census_starts(params: NetworkParams, sample_count: int, seed: int) -> np.nd
     _require_zone(params)
     hi = min(params.constants.c_bar, params.theta)
     rng = rng_stream(seed, 1)
-    starts = np.empty((sample_count, params.n))
+    starts = sized(np.empty, (sample_count, params.n))
     for idx, row in enumerate(starts):  # the draws of sample_on_section(..., 1), in its order
         restart(rng, seed, 1 + idx)
         row[:] = rng.uniform(params.alpha, hi, params.n)

@@ -12,9 +12,11 @@ are decided:
     InsufficientSamples, NoFixedPoint
 
 A MemoryError or an OSError (a failed write under --out) is reported with
-IfnetError's code and label.  Every failure is one stderr line, "label: message": the class name
-stands for an empty message, and each line break inside the message (one
-from a path or a command-line argument) is written as the two characters \\n.
+IfnetError's code and label; `sized` makes NumPy's refusal of an array size
+past its index range such a MemoryError.  Every failure is one stderr line,
+"label: message": the class name stands for an empty message, and each line
+break inside the message (one from a path or a command-line argument) is
+written as the two characters \\n.
 """
 
 
@@ -52,3 +54,15 @@ class NoFixedPoint(IfnetError):
 class NumericalStall(IfnetError):
     """A solved cycle has no dominant real eigenvector or fails its certificate."""
     exit_code, label = 4, "numerical stall"
+
+
+def sized(make, *args, **kwargs):
+    """make(*args, **kwargs) for an array maker, with NumPy's refusal of a size
+    past its index range (a ValueError, raised before anything is allocated)
+    raised as the MemoryError of an allocation too large to make.  Every
+    caller passes a size already checked to be positive, so that refusal is
+    the one ValueError left."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from None

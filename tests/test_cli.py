@@ -669,6 +669,20 @@ def test_cli_ends_a_failed_allocation_in_one_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, config", [(["cycles"], "net_c"), (["synchro"], "net_sync9"), (["expansion"], "net_b"),
+                                             (["sweep", "--cell", "cycles", "--grid", "beta:1.2:1.3:2"], "net_c"),
+                                             (["sweep", "--cell", "synchro", "--grid", "beta:1.2:1.3:2"], "net_sync9")],
+                         ids=["cycles", "synchro", "expansion", "sweep-cycles", "sweep-synchro"])
+def test_cli_ends_an_oversized_samples_count_in_one_line(capsys, command, config):
+    # NumPy refuses an array of 2**63 - 1 samples before allocating anything, as
+    # simulate's state array of 2**63 - 1 steps; each command reports it as the
+    # failed allocation it is
+    args = [*command, "--config", str(GOLDEN / f"{config}.json"), "--samples", str(2**63 - 1)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: array is too big") and err.count("\n") == 1, err
+
+
 # each error class -> the exit code and the label `main` reports it with
 ERROR_EXITS = {errors.IfnetError: (1, "error"), errors.RejectConfig: (2, "config error"),
                errors.ParseError: (2, "config error"), errors.PreconditionFailed: (1, "error"),

@@ -27,7 +27,7 @@ from ifnet import (
 )
 from ifnet import contraction
 from ifnet._sampling import rng_stream, sample_on_section
-from ifnet.contraction import MetricEstimate, adapted_metric_check
+from ifnet.contraction import MetricCheck, MetricEstimate, adapted_metric_check
 from ifnet.dynamics import as_state
 from ifnet.params import NetworkParams
 
@@ -567,13 +567,16 @@ def test_adapted_metric_check_rejects_zero_pairs(net_c):
         adapted_metric_check(net_c, est, 0, 1)
 
 
-@pytest.mark.parametrize("case", ["drawn", "return-0-only", "no-pairs"])
+@pytest.mark.parametrize("case", ["drawn", "return-0-only", "no-pairs", "none-qualify"])
 def test_adapted_metric_check_equals_its_sums_over_every_return(net_c, monkeypatch, case):
-    # the check sums only up to the last return with a nonzero distance; its ratio must be
-    # the bits of the sums over all n0 + 1 returns: on net_c's own draws (few nonzero
-    # returns), on pairs that merge after return 0, and on a draw that keeps no pair
+    # the check sums its table only up to the last return track_pair stepped; its ratio
+    # must be the bits of the sums over all n0 + 1 returns: on net_c's own draws (few
+    # nonzero returns), on pairs that merge after return 0, on a draw that keeps no pair,
+    # and on draws of one state twice, whose tables end at return 0
     est = estimate_lipschitz_c(net_c, 100, seed=8)
     pairs, sums, got, rows = contraction._same_itinerary_pairs, contraction._weighted_sum, [], []
+    if case == "none-qualify":
+        monkeypatch.setattr(contraction, "_perturbed_pairs", lambda rng, params, count: (np.zeros((count, 3)),) * 2)
 
     def kept_pairs(*args):
         V, W, dists, attempts = pairs(*args)
@@ -592,6 +595,8 @@ def test_adapted_metric_check_equals_its_sums_over_every_return(net_c, monkeypat
     pos = d0 > 0
     assert check.pairs_checked == len(dists) and check.max_d_ratio == float((d1[pos] / d0[pos]).max(initial=0.0))
     assert est.n0 > 20 and sum(rows) < est.n0, rows
+    if case in ("no-pairs", "none-qualify"):
+        assert check == MetricCheck(pairs_checked=0, max_d_ratio=0.0, ok=True)
 
 
 def test_estimate_lipschitz_requires_hypotheses(net_sync9):
@@ -603,8 +608,9 @@ def test_estimate_lipschitz_requires_hypotheses(net_sync9):
 
 
 def one_batch_per_call(params, draw, k_max, common, need, budget):
-    """The reference pair loop: one drawn batch per track_pair call."""
-    kept = [(np.empty((0, params.n)), np.empty((0, params.n)), np.empty((0, k_max + 1)))]
+    """The reference pair loop: one drawn batch per track_pair call, each call's
+    distances padded with zeros to the widest call's."""
+    kept = [(np.empty((0, params.n)), np.empty((0, params.n)), np.empty((0, 0)))]
     used = attempts = 0
     while used < need and attempts < budget:
         V, W = draw()
@@ -613,6 +619,8 @@ def one_batch_per_call(params, draw, k_max, common, need, budget):
         used += idx.size
         attempts += int(idx[-1]) + 1 if used == need else V.shape[0]
         kept.append((V[idx], W[idx], dists[idx]))
+    width = max(d.shape[1] for _, _, d in kept)
+    kept = [(V, W, np.pad(d, ((0, 0), (0, width - d.shape[1])))) for V, W, d in kept]
     V, W, dists = (np.concatenate(x) for x in zip(*kept))
     return V, W, dists, attempts
 

@@ -70,7 +70,7 @@ def reference_pieces(params, V):
     potential; the gap is m_plus - m_minus when the largest excitatory potential
     m_plus is at least the largest inhibitory one m_minus, else m_minus less the
     largest potential off the winner, and 0 unless it exceeds the tie tolerance;
-    the zone flag is `_in_zone_rows`'."""
+    the zone flag is `_in_zone_rows`' on a certifiable network, False on any other."""
     excit, inhib, tie = params.excitatory, params.inhibitory, params.tie_tol()
     winners, gaps = [], []
     for v in np.asarray(V, np.float64).tolist():
@@ -81,7 +81,7 @@ def reference_pieces(params, V):
         gap = m_plus - m_minus if m_plus >= m_minus else m_minus - runner_up
         winners.append(winner)
         gaps.append(gap if gap > tie else 0.0)
-    return winners, gaps, _in_zone_rows(V, params.constants.c_bar).tolist()
+    return winners, gaps, (_in_zone_rows(V, params.constants.c_bar) & params.hypotheses.certifiable).tolist()
 
 
 def pieces_and_margins(params, V):
@@ -172,15 +172,30 @@ def piece_batches(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=piece_batches())
 def test_pieces_equal_a_row_by_row_reference(case):
-    # winners, gaps (bit for bit, 0 on the boundary, infinite at n = 1) and zone flags
-    # of a column batch, read with the column maxima the step returns
+    # winners and zone flags of every column of a batch, read with the column maxima the
+    # step returns, and gaps bit for bit in the zone (0 on the boundary, infinite at
+    # n = 1); a column outside the zone is given gap 0 and no gap is measured there
     params, V = case
     X = np.ascontiguousarray(V.T)
     winner, gap, zone = cycles._pieces(params, X, X.max(axis=0))
     want_winner, want_gap, want_zone = reference_pieces(params, V)
     assert winner.tolist() == want_winner
-    assert gap.tobytes() == np.array(want_gap).tobytes()
     assert zone.tolist() == want_zone
+    assert gap[zone].tobytes() == np.array(want_gap)[zone].tobytes()
+    assert gap[~zone].tobytes() == np.zeros((~zone).sum()).tobytes()
+
+
+@pytest.mark.parametrize("name", ["net_sync9", "net_a"])
+def test_pieces_give_no_zone_on_a_network_that_is_not_certifiable(request, name):
+    # all-excitatory networks: states inside C_{c_bar} carry no margin, and their
+    # winners are still the first neuron of largest potential
+    params = request.getfixturevalue(name)
+    V = sample_on_section(rng_stream(5, 0), params.n, params.alpha, params.constants.c_bar, 50)
+    X = np.ascontiguousarray(V.T)
+    winner, gap, zone = cycles._pieces(params, X, X.max(axis=0))
+    assert not params.hypotheses.certifiable and _in_zone_rows(V, params.constants.c_bar).all()
+    assert winner.tolist() == V.argmax(axis=1).tolist()
+    assert not zone.any() and gap.tobytes() == np.zeros(len(V)).tobytes()
 
 
 # ---------------------------------------------------------------- detection
@@ -1206,8 +1221,8 @@ def test_atom_diameter_law(net_c):
         v, w = V[0], V[1].copy()
         w[np.argmax(v == 0.0)] = 0.0
         dists, n_common = track_pair(net_c, v, w, 8)
-        for k in range(1, n_common + 1):
-            assert dists[k] <= lam ** (k - 1) * diam + 1e-9
+        for k, d in enumerate(dists[1:n_common + 1], 1):  # the table ends at the last return stepped
+            assert d <= lam ** (k - 1) * diam + 1e-9
 
 
 def test_stable_window_margin_persists(net_d):

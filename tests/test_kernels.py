@@ -343,7 +343,7 @@ def test_empty_batches_keep_their_shapes(net):
     assert (out.shape, fired.shape, vmax.shape, rounds) == ((0, net.n), (0, net.n), (0,), 0)
     assert [a.shape for a in _kernels.absorb_run(net, V, 0.3, 0.35, 3, 4)] == [(0,), (0,)]
     assert [a.shape for a in _kernels.sync_run(net, V, 4)] == [(0,), (0,)]
-    assert [a.shape for a in _kernels.track_pair(net, V, V, 5)] == [(0, 6), (0,)]
+    assert [a.shape for a in _kernels.track_pair(net, V, V, 5)] == [(0, 1), (0,)]
 
 
 def test_one_state_gives_results_without_a_batch_axis(net):
@@ -352,7 +352,8 @@ def test_one_state_gives_results_without_a_batch_axis(net):
     assert (out.shape, fired.shape, np.shape(vmax), type(rounds)) == ((net.n,), (net.n,), (), int)
     assert [np.shape(a) for a in _kernels.absorb_run(net, v[15], 0.3, 0.35, 3, 4)] == [(), ()]
     assert [np.shape(a) for a in _kernels.sync_run(net, v[15], 4)] == [(), ()]
-    assert [np.shape(a) for a in _kernels.track_pair(net, v[15], w[15], 5)] == [(6,), ()]
+    dists, n_common = _kernels.track_pair(net, v[15], w[15], 5)
+    assert (dists.ndim, np.shape(n_common)) == (1, ())
 
 
 def _random_dale(n, seed):
@@ -456,15 +457,20 @@ def test_sync_run_matches_scalar_loop(net):
 
 
 def _check_track_pair(net, V, W, k_max):
-    """track_pair against a loop that steps both orbits until their firing sets differ."""
+    """track_pair against a loop that steps both orbits until their firing sets differ:
+    the table ends at the last return at which a pair was stepped (the one its firing
+    sets split at, the one its states merged at, or k_max), every entry up to there
+    has the loop's bits, and every later entry of the loop is 0."""
     dists, n_common = _kernels.track_pair(net, V, W, k_max)
-    assert dists.shape == (V.shape[0], k_max + 1)
+    wants, last = [], 0
     for row in range(V.shape[0]):
         v, w = V[row], W[row]
         want = np.zeros(k_max + 1)
         want[0] = np.max(np.abs(v - w))
-        common = 0
+        common = stepped = 0
         for k in range(1, k_max + 1):
+            if want[k - 1] != 0.0:
+                stepped = k  # a kernel that drops merged pairs steps this one to return k
             v, fv, _, _ = scalar_step(net, v)
             w, fw, _, _ = scalar_step(net, w)
             if not np.array_equal(fv, fw):
@@ -472,7 +478,12 @@ def _check_track_pair(net, V, W, k_max):
             want[k] = np.max(np.abs(v - w))
             common = k
         assert n_common[row] == common, row
-        assert _bits(dists[row]) == _bits(want), row
+        wants.append(want)
+        last = max(last, stepped)
+    assert dists.shape == (V.shape[0], last + 1)
+    for row, want in enumerate(wants):
+        assert _bits(dists[row]) == _bits(want[:last + 1]), row
+        assert not want[last + 1:].any(), row
     return dists, n_common
 
 
@@ -500,7 +511,8 @@ def test_drivers_take_one_state(net):
         s, t = _kernels.sync_run(net, v, 4)
         assert (s, _bits(t)) == (steps[row], _bits(total[row]))
         d, c = _kernels.track_pair(net, v, w, 5)
-        assert d.shape == (6,) and c == n_common[row] and _bits(d) == _bits(dists[row])
+        # one pair's table ends where that pair stops; the batch's row reads 0 past it
+        assert c == n_common[row] and _bits(d) == _bits(dists[row, :len(d)]) and not dists[row, len(d):].any()
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
