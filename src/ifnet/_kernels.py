@@ -100,8 +100,11 @@ as the step is a pure function of the network and its input state's bytes;
 the check costs 0.13 us a step.  The batch drivers drop a state once its
 future is known: `sync_run` at the zero vector, `track_pair` once the pair's
 two states are equal (one orbit from there), `absorb_run` once a start has
-failed its post-entry bound or its image equals its state.  On net_c the adapted-metric
-check steps 5 times, not 92 (n0 + 1).  `track_pair`'s distance table ends at
+failed its post-entry bound or its image equals its state.  `absorb_run`
+steps a start's entry returns and its post-entry images in one loop, so the
+calls it makes are those its longest start needs, not the latest entry plus
+the longest horizon run.  On net_c the adapted-metric check steps 5 times,
+not 92 (n0 + 1).  `track_pair`'s distance table ends at
 the last return it stepped, not at k_max: every pair has left by then, so
 each later return would read 0, and a table of k_max + 1 returns would hold
 n0 + 2 floats per pair on a network of large n0 (29,325 on
@@ -273,30 +276,30 @@ def absorb_run(params: NetworkParams, v0, c_enter, post_bound, max_steps, horizo
     rho^k(v0) inside the zone {all coordinates <= c_enter} (-1 if never within
     max_steps); stayed is False if any of the `horizon` images after entry has
     a coordinate above post_bound, and False for a start that never entered.
-    A start leaves the horizon loop once it has failed or sits on a fixed point.
+    Every start is stepped in one loop over one column block, each column
+    with the count of post-entry images it still has to check (-1 before
+    entry).  A column enters at its first return inside the zone, at or
+    before max_steps, and leaves at its first image above post_bound, at an
+    image equal to its state (a fixed point), at its last horizon image, or
+    at max_steps without entry; so an early entrant's horizon images are
+    stepped in the calls that step a later start's entry returns.
     """
     shape, X = v0.shape[:-1], _columns(v0)
-    enter = np.full(X.shape[1], -1, np.int64)
-    entry = np.empty_like(X)
-    live = np.arange(X.shape[1])
-    for k in range(max_steps + 1):
-        inside = ((X <= c_enter) & (X >= params.alpha)).all(axis=0)
-        enter[live[inside]] = k
-        entry[:, live[inside]] = X[:, inside]
-        live, X = live[~inside], np.compress(~inside, X, axis=1)
-        if k == max_steps or not live.size:
-            break
-        X = _step_columns(params, X)[0]
-    stayed = enter >= 0
-    live, X = np.flatnonzero(stayed), np.compress(stayed, entry, axis=1)
-    for _ in range(horizon):
+    enter, stayed = np.full(X.shape[1], -1, np.int64), np.zeros(X.shape[1], np.bool_)
+    live, left = np.arange(X.shape[1]), np.full(X.shape[1], -1)  # left: by live column
+    for k in range(max_steps + horizon + 1):
+        new = (left < 0) & ((X <= c_enter) & (X >= params.alpha)).all(axis=0)
+        enter[live[new]], stayed[live[new]], left[new] = k, True, horizon
+        go = (left > 0) | (left < 0) & (k < max_steps)
+        live, left, X = live[go], left[go], np.compress(go, X, axis=1)
         if not live.size:
             break
-        image = _step_columns(params, X)[0]
-        stayed[live] &= ~(image > post_bound).any(axis=0)
-        # a failed row's answer is fixed, and a fixed point's images repeat it
-        go = stayed[live] & (image != X).any(axis=0)
-        live, X = live[go], np.compress(go, image, axis=1)
+        image, post = _step_columns(params, X)[0], left > 0
+        fail = post & (image > post_bound).any(axis=0)
+        stayed[live[fail]] = False
+        # one image fewer to check; none once failed (its answer is fixed) or on a fixed point (its images repeat it)
+        left = np.where(fail | post & (image == X).all(axis=0), 0, left - post)
+        X = image
     return enter.reshape(shape), stayed.reshape(shape)
 
 

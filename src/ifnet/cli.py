@@ -22,6 +22,10 @@ trajectory (grid rows plus two per firing) passes 10**6 rows.  So does a sweep
 parameter, has fewer than one step, or has a LO, HI or HI - LO that is not
 finite, a sweep of more than 10**6 cells, and a simulate whose cum_time
 passes the float range, named with its step before any output is written.
+So does any other command whose document holds a value past the float range
+(a cycle's time_period, synchro's bound_t_trans), which JSON cannot write:
+`_in_range` names its key path before any output is written, and in a sweep
+it fails the cell.
 """
 
 from __future__ import annotations
@@ -93,6 +97,21 @@ def _value_columns(values: np.ndarray) -> list:
     value is formatted once, and an array of one value gives that one str per column."""
     texts = row_texts(values.ravel())
     return [texts if isinstance(texts, str) else texts[i::values.shape[1]] for i in range(values.shape[1])]
+
+
+def _in_range(doc, path: str = ""):
+    """doc, once no float in it lies past the float range, which JSON cannot write;
+    raises RejectConfig naming the first such value by its key path.  A Records
+    table is its command's to check (simulate's cum_time)."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            _in_range(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, (list, tuple)):
+        for i, value in enumerate(doc):
+            _in_range(value, f"{path}[{i}]")
+    elif isinstance(doc, float) and not math.isfinite(doc) or isinstance(doc, np.ndarray) and not np.isfinite(doc).all():
+        raise RejectConfig(f"{path} overflows the float range")
+    return doc
 
 
 def _cycle_doc(entry) -> dict:
@@ -194,6 +213,7 @@ def cmd_cycles(cfg: RunConfig, opts) -> dict:
         "cycles": [_cycle_doc(e) for e in report.entries],
     }
     if opts.out is not None:
+        _in_range(doc)  # before the cycle files are written
         header = ["index"] + [f"V{i + 1}" for i in range(cfg.params.n)]
         for idx, entry in enumerate(report.entries):
             points = entry.cycle.points
@@ -325,7 +345,7 @@ def cmd_sweep(cfg: RunConfig, opts) -> dict:
         cell_seed = int.from_bytes(blake2b(f"{opts.seed}:{index}".encode(), digest_size=8).digest(), "big")
         cell_opts = argparse.Namespace(**{**vars(opts), "seed": cell_seed, "out": None})
         try:
-            entry["result"] = COMMANDS[opts.cell](RunConfig(network(**doc), cfg.v0), cell_opts)
+            entry["result"] = _in_range(COMMANDS[opts.cell](RunConfig(network(**doc), cfg.v0), cell_opts))
             entry["status"] = "ok"
         except IfnetError as exc:
             entry["status"] = "error"
@@ -388,7 +408,7 @@ def main(argv=None) -> int:
         cfg = load_config(opts.config)
         if opts.out is not None:
             Path(opts.out).mkdir(parents=True, exist_ok=True)
-        doc = COMMANDS[opts.command](cfg, opts)
+        doc = _in_range(COMMANDS[opts.command](cfg, opts))  # before anything is written
         if opts.out is None:
             sys.stdout.writelines(json_blocks(doc))
         else:  # stdout once every --out file is whole

@@ -259,8 +259,10 @@ def repeller(params: NetworkParams, i: int, j: int) -> RepellerReport:
 
     The admissible bracket (a, b) is the closed-form preimage of
     (c_star, theta) under the strictly decreasing g_j, intersected with
-    (c_star, theta); the fixed point of g_i(g_j(.)) is then bisected to 1e-13
-    and its two-step multiplier |g_i'(g_j(x*)) g_j'(x*)| reported.
+    (c_star, theta); the fixed point of g_i(g_j(.)) is then bisected to 1e-13,
+    or until no float lies strictly between the bracket's ends (floats near a
+    large repeller lie wider apart), and its two-step multiplier
+    |g_i'(g_j(x*)) g_j'(x*)| reported.
     """
     conds = check_O_conditions(params, i, j)
     if not all(conds):
@@ -285,7 +287,7 @@ def repeller(params: NetworkParams, i: int, j: int) -> RepellerReport:
         raise NoFixedPoint(f"no sign change of the two-step map on ({a}, {b})")
     else:
         lo, hi = a, b
-        while hi - lo > 1e-13:
+        while hi - lo > 1e-13 and math.nextafter(lo, hi) < hi:  # stop at adjacent floats: no midpoint lies between
             mid = 0.5 * (lo + hi)
             fm = G(mid)
             if fm == 0.0:

@@ -63,14 +63,16 @@ take at most 257 x samples x n x 9 bytes, however long the transients run.
 Every fate reader works from one record, the `FateTable` that `_fates`
 returns: per row its outcome code, transient, margin, cycle index and last
 excitatory spike, and per distinct cycle its LimitCycle (or the error its
-solve raised), its key (the least rotation of its piece word) and whether an
-excitatory neuron fires on it.  `FateTable.report` builds a row's whole
-FateReport, the synchronization-or-excitatory-death dichotomy included, and
-`detect_cycle` returns row 0's.  The census
-counts outcome codes and makes one entry per distinct cycle in the order of
-the first sample that reaches it; rows that share a solve share its index,
-and an uncertified cycle joins an earlier one only when their keys are equal
-and their points lie within ten times the tie tolerance.
+solve raised) and whether an excitatory neuron fires on it.
+`FateTable.report` builds a row's whole FateReport, the
+synchronization-or-excitatory-death dichotomy included, and `detect_cycle`
+returns row 0's.  The census counts outcome codes and makes one entry per
+distinct cycle in the order of the first sample that reaches it; rows that
+share a solve share its index.  A cycle's identity is its itinerary: a cycle
+joins an earlier entry only when their itineraries are rotations of each
+other and their points lie within ten times the tie tolerance under a shift
+that aligns them (`_one_entry`).  Two certified cycles of distinct solves
+have distinct winner words, so only uncertified cycles join.
 
 A cycle's itinerary is the tuple of its pieces' printed names, as
 `cycles.json` writes them: "inhib:i" (neuron i, from 1) for a certified
@@ -179,9 +181,8 @@ class FateTable:
     Per row: its outcome code, transient, margin (NaN for none), cycle (an
     index into `cycles`, -1 for none) and last_exc, the last return at which
     an excitatory neuron fired (-1 for none).  Per distinct cycle: the
-    LimitCycle or the error its solve raised, its key (the least rotation of
-    its word: the winners of a solved window, the firing-set names of an
-    uncertified one) and whether an excitatory neuron fires on it.
+    LimitCycle or the error its solve raised, and whether an excitatory
+    neuron fires on it.
     """
     outcome: np.ndarray
     transient: np.ndarray
@@ -189,13 +190,11 @@ class FateTable:
     cycle: np.ndarray
     last_exc: np.ndarray
     cycles: list = field(default_factory=list)
-    keys: list = field(default_factory=list)
     excit_fires: list = field(default_factory=list)
 
-    def add(self, cycle, key: tuple, excit_fires: bool) -> int:
+    def add(self, cycle, excit_fires: bool) -> int:
         """The index of a new distinct cycle."""
         self.cycles.append(cycle)
-        self.keys.append(key)
         self.excit_fires.append(excit_fires)
         return len(self.cycles) - 1
 
@@ -442,7 +441,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
                         except (NumericalStall, PreconditionFailed) as exc:
                             found = exc
                         # no excitatory neuron fires on a certified cycle: every point fires its inhibitory winner alone
-                        solved[key] = found if isinstance(found, float) else table.add(found, key, False)
+                        solved[key] = found if isinstance(found, float) else table.add(found, False)
                     c = solved[key]
                 if isinstance(c, float):  # the solved cycle grazes below eta, by this least margin
                     table.outcome[r], table.margin[r], c = _GRAZING, c, -1
@@ -450,7 +449,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
                     names = tuple(_set_name(b.tobytes()) for b in sets[w, r])
                     c = table.add(LimitCycle(period=q, points=pts.copy(), itinerary=names, min_margin=None, certificate=None,
                                              certified=False, time_period=_period_time(params, pts)),
-                                  _least_rotation(names)[1], bool(sets[w, r][:, excit].any()))
+                                  bool(sets[w, r][:, excit].any()))
                 table.cycle[r] = c
         if not stay.all():  # the grazing rows, and the transient of every row that leaves at this return
             table.outcome[live[graze]], table.margin[live[graze]], table.transient[live[~stay]] = _GRAZING, marg[graze], k
@@ -514,15 +513,16 @@ def certify_cycle(params: NetworkParams, candidate: LimitCycle) -> bool:
     return bool((np.abs(image - pts).max(axis=1) <= cert.residual).all())
 
 
-def _one_entry(table: FateTable, a: int, b: int, thr: float) -> bool:
-    """Whether cycles a and b of a census table count as one entry: their
-    keys are equal, and their points lie within thr in sup distance over the
-    shifts of b that give that key (those that turn b's itinerary into a's).
-    Two distinct indices have equal keys only when both cycles are
-    uncertified: a solved key has one index."""
-    ca, cb = table.cycles[a], table.cycles[b]
-    shifts = (s for s in range(ca.period) if cb.itinerary[s:] + cb.itinerary[:s] == ca.itinerary)
-    return table.keys[a] == table.keys[b] and any(np.abs(ca.points - np.roll(cb.points, -s, axis=0)).max() <= thr for s in shifts)
+def _one_entry(a: LimitCycle, b: LimitCycle, thr: float) -> bool:
+    """Whether cycles a and b count as one census entry: their itineraries
+    are rotations of each other (the cheap first test: their least rotations,
+    cached per itinerary, agree), and their points lie within thr in sup
+    distance over the shifts of b that turn b's itinerary into a's.  Only two
+    uncertified cycles can join: two certified cycles of distinct solves have
+    distinct winner words, and an "inhib:" itinerary never matches a "J:" one."""
+    shifts = (s for s in range(a.period) if b.itinerary[s:] + b.itinerary[:s] == a.itinerary)
+    return (_least_rotation(a.itinerary)[1] == _least_rotation(b.itinerary)[1]
+            and any(np.abs(a.points - np.roll(b.points, -s, axis=0)).max() <= thr for s in shifts))
 
 
 @dataclass
@@ -568,8 +568,9 @@ def cycle_census(params: NetworkParams, sample_count: int, seed: int,
     The fractions count the fate table's outcome codes.  Samples that recur
     on the same piece word share one solve and so one cycle of the table;
     the distinct cycles make the entries in the order of the first sample
-    that reaches each, an uncertified one joining the first entry whose key
-    it shares with points within ten times the tie tolerance (`_one_entry`).
+    that reaches each, a cycle joining the first entry whose itinerary is a
+    rotation of its own with points within ten times the tie tolerance under
+    an aligning shift (`_one_entry`).
     When a solve fails, the error of the lowest-index sample that reached it
     is raised.
     """
@@ -580,12 +581,12 @@ def cycle_census(params: NetworkParams, sample_count: int, seed: int,
     # heads: the cycle that opened each entry; entry: each distinct cycle's entry
     heads, entry, thr = [], np.zeros(len(table.cycles), np.int64), 10.0 * params.tie_tol()
     for c in dict.fromkeys(cyc.tolist()):  # the distinct cycles, in first-sample order
-        if isinstance(table.cycles[c], Exception):
-            raise table.cycles[c]
-        entry[c] = next((j for j, h in enumerate(heads) if _one_entry(table, h, c, thr)), len(heads))
+        if isinstance(cycle := table.cycles[c], Exception):
+            raise cycle
+        entry[c] = next((j for j, h in enumerate(heads) if _one_entry(h, cycle, thr)), len(heads))
         if entry[c] == len(heads):
-            heads.append(c)
-    entries = [CensusEntry(table.cycles[h], k, k / sample_count) for h, k in zip(heads, np.bincount(entry[cyc]).tolist())]
+            heads.append(cycle)
+    entries = [CensusEntry(h, k, k / sample_count) for h, k in zip(heads, np.bincount(entry[cyc]).tolist())]
     # the fractions of synchronized, grazing and unresolved samples
     return CensusReport(entries, *(outcomes[o] / sample_count for o in (_SYNCHRONIZED, _GRAZING, _UNRESOLVED)), sample_count)
 

@@ -418,6 +418,22 @@ def test_cli_expansion_reports_a_repeller_that_fails(tmp_path, capsys):
     assert out["witnesses"]["pair"] == [2, 3]
 
 
+def test_cli_expansion_ends_where_floats_near_the_repeller_lie_wider_apart(tmp_path):
+    # floats near this repeller (about 980) lie 1.1e-13 apart, wider than the
+    # bisection's 1e-13 tolerance: the bisection stops at two adjacent floats,
+    # in the command and in a sweep cell of it, each run in a subprocess with a timeout
+    doc = {"n": 2, "gamma": 1.0, "beta": 1001.0, "theta": 1000.0, "alpha": -1000.0,
+           "H": [[0, 27.57472563520147], [27.57472563520147, 0]]}
+    cfg = str(write_config(tmp_path, doc))
+    for args in (["expansion"], ["sweep", "--cell", "expansion", "--grid", "beta:1001:1001:1"]):
+        res = subprocess.run([sys.executable, "-m", "ifnet", *args, "--config", cfg, "--samples", "8"],
+                             capture_output=True, text=True, timeout=30)
+        assert (res.returncode, res.stderr) == (0, ""), res.stderr
+        out = json.loads(res.stdout)
+        pair = (out["cells"][0]["result"] if args[0] == "sweep" else out)["pairs"][0]
+        assert pair["repeller"]["fixed_point"] == pytest.approx(980.2751711534343, abs=2e-13)
+
+
 def test_cli_sweep_antiphase_matches_closed_form(tmp_path):
     cfg = write_config(tmp_path, NET_A_DOC)
     res = run_cli(["sweep", "--config", str(cfg), "--grid", "H:0.1:0.9:9",

@@ -906,28 +906,28 @@ def test_census_entries_equal_the_alignment_search(census, request):
 
 
 def test_census_joins_uncertified_cycles_by_key_and_aligned_distance():
-    # entries join on equal keys, with points close over the shifts that give
-    # the key: a rotated copy joins, a far one and a misaligned one do not
+    # entries join on itineraries that are rotations of each other, with points
+    # close over the shifts that align them: a rotated copy joins, a far one and
+    # a misaligned one do not
     pts, it, thr = np.array([[0.1, 0.0], [0.0, 0.2]]), ("J:1", "J:2"), 1e-9
-    table = cycles.FateTable(*[np.zeros(0)] * 5)
 
-    def add(points, itinerary):
-        cycle = cycles.LimitCycle(period=len(points), points=points, itinerary=itinerary, min_margin=None,
-                                  certificate=None, certified=False, time_period=1.0)
-        return table.add(cycle, cycles._least_rotation(itinerary)[1], False)
+    def cycle(points, itinerary):
+        return cycles.LimitCycle(period=len(points), points=points, itinerary=itinerary, min_margin=None,
+                                 certificate=None, certified=False, time_period=1.0)
 
-    a = add(pts, it)
-    assert cycles._one_entry(table, a, add(pts[::-1] + thr / 2, it[::-1]), thr)
-    assert not cycles._one_entry(table, a, add(pts + 0.5, it), thr)
-    assert not cycles._one_entry(table, a, add(pts, ("J:1", "J:1;2")), thr)
-    # a word of period 2 on a cycle of period 4: two shifts give its key, one aligns the points
+    a = cycle(pts, it)
+    assert cycles._one_entry(a, cycle(pts[::-1] + thr / 2, it[::-1]), thr)
+    assert not cycles._one_entry(a, cycle(pts + 0.5, it), thr)
+    assert not cycles._one_entry(a, cycle(pts, ("J:1", "J:1;2")), thr)
+    assert not cycles._one_entry(a, cycle(pts, ("inhib:1", "inhib:2")), thr)  # a solved cycle's names
+    # a word of period 2 on a cycle of period 4: two shifts align the itineraries, one the points
     four = np.concatenate((pts, pts + 0.1))
-    assert cycles._one_entry(table, add(four, it * 2), add(np.roll(four, 2, axis=0), it * 2), thr)
-    # the same points under a shift that does not give the key: the alignment search
-    # would join them, the key rule does not
-    misaligned = add(pts[::-1], it)
-    assert _cycles_match(table.cycles[a], table.cycles[misaligned], thr)
-    assert not cycles._one_entry(table, a, misaligned, thr)
+    assert cycles._one_entry(cycle(four, it * 2), cycle(np.roll(four, 2, axis=0), it * 2), thr)
+    # the same points under a shift that does not align the itineraries: the
+    # alignment search alone would join them, the itinerary rule does not
+    misaligned = cycle(pts[::-1], it)
+    assert _cycles_match(a, misaligned, thr)
+    assert not cycles._one_entry(a, misaligned, thr)
 
 
 def test_census_cycle_reports_its_measured_contraction():

@@ -3,8 +3,10 @@ ends in a result or in a documented exit code (0-4), with exactly one stderr
 line when it is not 0.  A config value that is not a JSON number, or is not
 finite, a V0 coordinate outside [alpha, theta] or jumps into one neuron that
 sum past the float range end in exit 2, and so do a simulate whose cum_time
-passes the float range, an option the command does not read and an option
-value no command can use.
+passes the float range, a command whose document holds another value past
+the float range (gamma = 1e-308: a cycle's time_period, synchro's
+bound_t_trans), an option the command does not read and an option value no
+command can use.
 
 Each config example mutates one or two scalar fields, H entries or V0 entries
 of a golden config with an edge value, then runs every command in-process
@@ -135,6 +137,8 @@ def run_command(argv):
 @example(case=("mixed8_v0", [(("H", 1, 0), -1.7976931348623157e308)]))
 @example(case=("mixed8_v0", [(("H", 1, 0), -1.7976931348623157e308), (("H", 2, 0), -1.7976931348623157e308)]))
 @example(case=("net_c_v0", [("gamma", 1e-307)]))  # cum_time overflows at step 11
+@example(case=("mixed8_v0", [("gamma", 1e-308)]))  # a cycle's time_period overflows
+@example(case=("net_sync9", [("gamma", 1e-308)]))  # synchro's bound_t_trans overflows
 def test_every_input_ends_in_a_documented_exit(tmp_path_factory, case):
     name, mutations = case
     doc = copy.deepcopy(CONFIGS[name])
@@ -169,6 +173,29 @@ def test_simulate_ends_a_cumulative_time_overflow_in_one_line(tmp_path):
     assert code == 1 and err.getvalue().endswith("\n1 sweep cell(s) failed\n")
     cell = json.loads(stdout.getvalue())["cells"][0]
     assert cell["status"] == "error" and cell["error"].startswith("RejectConfig: cum_time overflows the float range at step ")
+
+
+@pytest.mark.parametrize("name, command, path", [
+    ("mixed8", ["cycles", "--samples", "30", "--eta", "1e-4"], "cycles[0].time_period"),
+    ("net_sync9", ["synchro", "--samples", "10"], "bound_t_trans"),
+])
+def test_a_value_past_the_float_range_ends_in_one_line(tmp_path, name, command, path):
+    """gamma = 1e-308 makes a wait, and so a cycle's period time or the synchronization
+    time bound, overflow: exit 2 with one config error line naming the value's key path,
+    before any --out file is opened or stdout written, and a sweep cell it happens in fails."""
+    doc = {**json.loads((GOLDEN / f"{name}.json").read_text()), "gamma": 1e-308}
+    cfg = tmp_path / "slow.json"
+    cfg.write_text(json.dumps(doc))
+    out, stdout, err = tmp_path / "out", io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = main([*command, "--config", str(cfg), "--out", str(out)])
+    assert (code, err.getvalue()) == (2, f"config error: {path} overflows the float range\n")
+    assert stdout.getvalue() == "" and list(out.iterdir()) == []
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = main(["sweep", "--config", str(cfg), "--cell", command[0], "--grid", "beta:1.2:1.2:1", *command[1:]])
+    assert code == 1 and err.getvalue().endswith("\n1 sweep cell(s) failed\n")
+    cell = json.loads(stdout.getvalue())["cells"][0]
+    assert (cell["status"], cell["error"]) == ("error", f"RejectConfig: {path} overflows the float range")
 
 
 OPTION_EDGES = ["0", "-1", "-0.0", "5e-324", "1e300", "nan", "inf", "abc"]

@@ -628,3 +628,37 @@ def test_batch_drivers_stop_stepping_rows_with_a_known_future(monkeypatch):
     calls.clear()
     assert contraction.absorption_check(p, 300, 0).ok
     assert len(calls) <= p.constants.p0 + 3
+
+
+def test_absorb_run_steps_horizons_beside_later_entries(monkeypatch):
+    # mixed8 starts that enter at once and run the whole horizon, beside starts
+    # that enter at return 4 on a fixed point and leave at their first image:
+    # one loop steps the early horizons in the calls that step the late entry
+    # returns, so it makes the calls its longest start needs, fewer than the
+    # latest entry plus the longest horizon run
+    p, (c_enter, post_bound, max_steps, horizon) = ORBIT_NETWORKS["mixed8"], (0.2, 1.0, 6, 30)
+
+    def entry_and_run(v):
+        """A start's entry return and the images a scalar loop steps after it, (-1, 0) if it never enters."""
+        for enter in range(max_steps + 1):
+            if np.all((v <= c_enter) & (v >= p.alpha)):
+                break
+            v = scalar_step(p, v)[0]
+        else:
+            return -1, 0
+        for run in range(1, horizon + 1):
+            w = scalar_step(p, v)[0]
+            if np.any(w > post_bound) or np.array_equal(w, v):
+                break
+            v = w
+        return enter, run
+
+    V = sample_on_section(np.random.default_rng(0), p.n, p.alpha, p.theta, 200)
+    runs = [entry_and_run(v) for v in V]
+    rows = [r for r, er in enumerate(runs) if er in ((0, horizon), (4, 1))]
+    assert {runs[r] for r in rows} == {(0, horizon), (4, 1)}
+    calls, step = [], _kernels._step_columns
+    monkeypatch.setattr(_kernels, "_step_columns", lambda *a: calls.append(1) or step(*a))
+    enter, stayed = _check_absorb_run(p, V[rows], c_enter, post_bound, max_steps, horizon)
+    assert stayed.all() and sorted(set(enter.tolist())) == [0, 4]
+    assert len(calls) == horizon < 4 + horizon

@@ -1,6 +1,6 @@
 """Compare the census fates and entries of two source trees.
 
-Runs 42 censuses (seven networks, seeds 0-2, eta 1e-4 and 1e-6, 300 samples
+Runs 48 censuses (eight networks, seeds 0-2, eta 1e-4 and 1e-6, 300 samples
 each, the CLI's default of 2000 returns) on the `src` directory of each tree,
 each tree in a subprocess of its own, and prints per census how many samples
 moved from each old fate to each new one, whether the transient and the
@@ -13,9 +13,14 @@ cycle, or the name of the error its solve raised.  An entry is the count,
 period, certified flag, itinerary and a SHA-256 of the point bytes of one
 `cycle_census` entry; a census that raises has the error's name in place of
 its entries.  The networks are mixed8, dale4 and dale64 (tests/golden; dale64
-has uncertified cycles), net_c, net_d, net_death (the test fixtures) and a
+has uncertified cycles), net_c, net_d, net_death (the test fixtures), a
 12-neuron all-inhibitory network with |H| uniform in [0.6, 0.9]
-(default_rng(12)).  The exit status is 0 whatever moved.
+(default_rng(12)) and inhib64: the dale64 recipe of tools/step_bench.py
+(`dale`) at n = 64 with no excitatory row, |H| uniform in [0.2, 0.5] from
+default_rng(5), every row inhibitory and a zero diagonal.  Each inhib64
+census merges the uncertified cycles of 296 to 300 of its samples into 5
+entries, so a change to how entries join shows there.  The exit status is 0 whatever
+moved.
 """
 
 import hashlib
@@ -27,7 +32,7 @@ from collections import Counter
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
-NETWORKS = ["mixed8", "dale4", "dale64", "net_c", "net_d", "net_death", "inhib12"]
+NETWORKS = ["mixed8", "dale4", "dale64", "net_c", "net_d", "net_death", "inhib12", "inhib64"]
 SEEDS, ETAS, SAMPLES = (0, 1, 2), (1e-4, 1e-6), 300
 
 
@@ -37,6 +42,10 @@ def build(name):
 
     if name in ("mixed8", "dale4", "dale64"):
         return load_config(str(GOLDEN / f"{name}.json")).params
+    if name == "inhib64":
+        from step_bench import dale  # tools/ is this script's directory, first on sys.path
+
+        return dale(64, 0)
     H = {"net_c": [[0.0, 0.6, 0.6], [-0.6, 0.0, -0.6], [-0.6, -0.6, 0.0]],
          "net_d": [[0.0, -0.6], [-0.6, 0.0]],
          "net_death": [[0.0, 0.6, 0.6], [-0.9, 0.0, -0.6], [-0.9, -0.6, 0.0]],
