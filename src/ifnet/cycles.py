@@ -60,13 +60,21 @@ than 256 returns back, so only a sample's last 257 returns are kept, in
 rings indexed by the return mod 257: its states, firing sets and margins
 take at most 257 x samples x n x 9 bytes, however long the transients run.
 
+A certified cycle attracts what enters its balls: the map carries the
+ball of radius r' = min(ball radius, least margin - eta) around each point
+into the ball around the next one, whenever lambda * r' + residual <= r'.
+Every state in such a ball has its centre's winner and a margin of at least
+eta, so it never grazes and converges to that cycle.  Once a solve returns
+a certified cycle, these retirement balls take a live row as a row of that
+cycle at its first return inside one, with no further step or look-back.
+
 Every fate reader works from one record, the `FateTable` that `_fates`
-returns: per row its outcome code, transient, margin, cycle index and last
-excitatory spike, and per distinct cycle its LimitCycle (or the error its
-solve raised) and whether an excitatory neuron fires on it.
-`FateTable.report` builds a row's whole FateReport, the
-synchronization-or-excitatory-death dichotomy included, and `detect_cycle`
-returns row 0's.  The census counts outcome codes and makes one entry per
+returns: per row its outcome code, the return it left, margin, cycle index
+and last excitatory spike, and per distinct cycle its LimitCycle (or the
+error its solve raised), whether an excitatory neuron fires on it and its
+retirement radius.  `FateTable.report` builds a row's whole FateReport, the
+synchronization-or-excitatory-death dichotomy and the transient included,
+and `detect_cycle` returns row 0's.  The census counts outcome codes and makes one entry per
 distinct cycle in the order of the first sample that reaches it; rows that
 share a solve share its index.  A cycle's identity is its itinerary: a cycle
 joins an earlier entry only when their itineraries are rotations of each
@@ -162,7 +170,7 @@ class LimitCycle:
 @dataclass
 class FateReport:
     outcome: str                        # synchronized | cycle | grazing | unresolved
-    transient_steps: int
+    transient_steps: int                # the return its fate is known at, or its ball entry (FateTable.report)
     margin: Optional[float] = None
     cycle: Optional[LimitCycle] = None
     excitatory_death: Optional[bool] = None       # None for grazing and unresolved
@@ -178,37 +186,54 @@ _SYNCHRONIZED, _CYCLE, _GRAZING, _UNRESOLVED = range(4)
 class FateTable:
     """Fates of the rows of a batch of starts, as per-row arrays over the distinct cycles they reach.
 
-    Per row: its outcome code, transient, margin (NaN for none), cycle (an
-    index into `cycles`, -1 for none) and last_exc, the last return at which
-    an excitatory neuron fired (-1 for none).  Per distinct cycle: the
-    LimitCycle or the error its solve raised, and whether an excitatory
-    neuron fires on it.
+    Per row: its outcome code, left (the return at which it left the batch,
+    max_iter for an unresolved row), margin (NaN for none), cycle (an index
+    into `cycles`, -1 for none) and last_exc, the last return at which an
+    excitatory neuron fired (-1 for none).  Per distinct cycle: the
+    LimitCycle or the error its solve raised, whether an excitatory neuron
+    fires on it, and its retirement radius r' (NaN for none).  The params
+    and the (m, n) starts let `report` re-step a row.
     """
     outcome: np.ndarray
-    transient: np.ndarray
+    left: np.ndarray
     margin: np.ndarray
     cycle: np.ndarray
     last_exc: np.ndarray
+    params: NetworkParams
+    starts: np.ndarray
     cycles: list = field(default_factory=list)
     excit_fires: list = field(default_factory=list)
+    radius: list = field(default_factory=list)
 
-    def add(self, cycle, excit_fires: bool) -> int:
+    def add(self, cycle, excit_fires: bool, radius: float = math.nan) -> int:
         """The index of a new distinct cycle."""
         self.cycles.append(cycle)
         self.excit_fires.append(excit_fires)
+        self.radius.append(radius)
         return len(self.cycles) - 1
 
     def report(self, r: int) -> FateReport:
         """Row r's FateReport, every field set; raises instead the error its cycle's solve raised, if it has one.
 
-        Its excitatory death is False on a synchronized row and, on a cycle
-        row, whether no excitatory neuron fires on its cycle."""
+        Its transient is the return it left, except on a row of a cycle with
+        a retirement radius r': there the row's start is re-stepped with
+        `_kernels.run_orbit` up to the return it left, and its transient is
+        the first return of the run of returns within r' of a point of its
+        cycle that ends there (the return it left when that one is not
+        within r').  Its excitatory death is False on a synchronized row
+        and, on a cycle row, whether no excitatory neuron fires on its
+        cycle."""
         o, c, margin, last = int(self.outcome[r]), int(self.cycle[r]), float(self.margin[r]), int(self.last_exc[r])
-        cycle = self.cycles[c] if c >= 0 else None
+        cycle, left = self.cycles[c] if c >= 0 else None, int(self.left[r])
         if isinstance(cycle, Exception):
             raise cycle
+        transient = left
+        if o == _CYCLE and not math.isnan(rad := self.radius[c]):
+            V = np.vstack((self.starts[r], _kernels.run_orbit(self.params, self.starts[r], left)[0]))
+            inside = np.any([np.abs(V - x).max(axis=1) <= rad for x in cycle.points], axis=0)  # by return
+            transient -= max(int(np.cumprod(inside[::-1]).sum()) - 1, 0)  # the run of in-ball returns up to left
         death = False if o == _SYNCHRONIZED else not self.excit_fires[c] if o == _CYCLE else None
-        return FateReport(_OUTCOMES[o], int(self.transient[r]), None if math.isnan(margin) else margin, cycle,
+        return FateReport(_OUTCOMES[o], transient, None if math.isnan(margin) else margin, cycle,
                           death, last if last >= 0 else None)
 
 
@@ -322,6 +347,30 @@ def _denominators(lam: float, periods: int) -> np.ndarray:
     return denom
 
 
+def _retirement_radius(cycle: LimitCycle, eta: float) -> float:
+    """The radius r' = min(ball radius, least margin - eta) of a certified
+    cycle's retirement balls, or NaN when lam * r' + residual > r'.  Every
+    state within r' of a cycle point x has a margin of at least eta and x's
+    winner, and the map carries it within r' of the next point."""
+    cert = cycle.certificate
+    rad = min(cert.ball_radius, cycle.min_margin - eta)
+    return rad if cert.lam * rad + cert.residual <= rad else math.nan
+
+
+def _retire(table: FateTable, balls: tuple, live: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
+    """Make each live row whose state (a column of X) lies within a
+    retirement ball a row of that ball's cycle, which leaves at return k.
+    balls holds the centres (points, n), radii and cycle indices; the sup
+    distances take rows x points, the neuron axis leading.  Returns the mask
+    of the rows that stay."""
+    centres, radii, owner = balls
+    hit = np.abs(X[:, :, None] - centres.T[:, None, :]).max(axis=0) <= radii
+    inside = hit.any(axis=1)
+    rows = live[inside]
+    table.outcome[rows], table.cycle[rows], table.left[rows] = _CYCLE, owner[hit[inside].argmax(axis=1)], k
+    return ~inside
+
+
 def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> FateTable:
     """Fates of the rows of an (m, n) batch of starts, stepped in lockstep.
 
@@ -368,6 +417,12 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
     Any other window is an uncertified cycle of its states, and so is one
     whose solve fails on a recurrence within the tie tolerance; each such
     window has an index of its own.
+    A certified solve registers its retirement balls (`_retirement_radius`).
+    From the next return on, `_retire` tests every live row against them
+    before the step, and a row inside one leaves at that return as a row of
+    its cycle; at the registering return it tests the rows still live after
+    the look-back.  The table records the return each row left, and
+    `FateTable.report` derives transients from it.
     Raises PreconditionFailed unless max_iter >= 0 and eta is finite and
     positive.
     """
@@ -382,8 +437,10 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
     excit = params.class_rows[0]
 
     m, n = V0.shape
-    table = FateTable(np.full(m, _UNRESOLVED, np.int8), np.full(m, max_iter), np.full(m, np.nan), np.full(m, -1), np.full(m, -1))
+    table = FateTable(np.full(m, _UNRESOLVED, np.int8), np.full(m, max_iter), np.full(m, np.nan), np.full(m, -1),
+                      np.full(m, -1), params, V0)
     solved = {}  # least rotation of a winner word -> the table index of its solve, or its grazing least margin
+    balls = np.zeros((0, n)), np.zeros(0), np.zeros(0, np.int64)  # the retirement balls' centres, radii and cycles
     # the rings, by slot and row: return k of row r is slot k % depth of its state, firing set and margin
     depth = min(_MAX_PERIOD, max_iter) + 1
     states, sets, margs = np.zeros((depth, m, n)), np.zeros((depth, m, n), np.bool_), np.zeros((depth, m))
@@ -392,8 +449,10 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
     for k in range(max_iter + 1):
         zero = ~X.any(axis=0)
         if zero.any():
-            table.outcome[live[zero]], table.transient[live[zero]] = _SYNCHRONIZED, k
+            table.outcome[live[zero]], table.left[live[zero]] = _SYNCHRONIZED, k
             live, X = live[~zero], np.compress(~zero, X, axis=1)
+        if balls[1].size and not (stay := _retire(table, balls, live, X, k)).all():
+            live, X = live[stay], np.compress(stay, X, axis=1)
         if not live.size:
             break
         image, fired, vmax, _ = _kernels._step_columns(params, X)
@@ -418,6 +477,7 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
                 back = (k - 1 - np.arange(p[ok].max())) % depth
                 low = np.minimum.accumulate(margs[back, live[i[ok], None]], axis=1)[np.arange(ok.sum()), p[ok] - 1]
                 ok[ok], low = (admit := ratio[ok] <= low), low[admit]
+        held = balls[1].size
         if ok.any():
             i, first = np.unique(i[ok], return_index=True)
             lag, exact = p[ok][first], ratio[ok][first] == 0.0
@@ -440,8 +500,11 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
                             found = _solve(params, tuple(np.roll(a, -s, axis=0) for a in piece), eta)
                         except (NumericalStall, PreconditionFailed) as exc:
                             found = exc
+                        rad = _retirement_radius(found, eta) if isinstance(found, LimitCycle) else math.nan
                         # no excitatory neuron fires on a certified cycle: every point fires its inhibitory winner alone
-                        solved[key] = found if isinstance(found, float) else table.add(found, False)
+                        solved[key] = found if isinstance(found, float) else table.add(found, False, rad)
+                        if not math.isnan(rad):  # a ball around each point retires the rows that enter it
+                            balls = tuple(np.concatenate(b) for b in zip(balls, (found.points, [rad] * q, [solved[key]] * q)))
                     c = solved[key]
                 if isinstance(c, float):  # the solved cycle grazes below eta, by this least margin
                     table.outcome[r], table.margin[r], c = _GRAZING, c, -1
@@ -451,8 +514,10 @@ def _fates(params: NetworkParams, V0: np.ndarray, max_iter: int, eta: float) -> 
                                              certified=False, time_period=_period_time(params, pts)),
                                   bool(sets[w, r][:, excit].any()))
                 table.cycle[r] = c
-        if not stay.all():  # the grazing rows, and the transient of every row that leaves at this return
-            table.outcome[live[graze]], table.margin[live[graze]], table.transient[live[~stay]] = _GRAZING, marg[graze], k
+        if balls[1].size > held:  # a ball registered here: the rows still live take its test after the look-back
+            stay[stay] = _retire(table, balls, live[stay], X[:, stay], k)
+        if not stay.all():  # the grazing rows, and the return at which every row that leaves here leaves
+            table.outcome[live[graze]], table.margin[live[graze]], table.left[live[~stay]] = _GRAZING, marg[graze], k
             live, code, prev, image = live[stay], code[stay], prev[stay], np.compress(stay, image, axis=1)
         prev[:, 1:], prev[:, 0] = prev[:, :-1], k
         occ[live, code] = prev
@@ -468,7 +533,9 @@ def detect_cycle(params: NetworkParams, v0, max_iter: int = 2000, eta: float = 1
     orbit), cycle (a recurrence was found: certified when its window lies in
     C_{c_bar} of a certifiable network and its solve admits a Banach
     certificate, else reported uncertified), or unresolved after max_iter
-    returns.
+    returns.  The transient is the return the fate is known at, but on a
+    certified cycle with retirement balls it is the first return of the
+    orbit's run inside those balls that ends there: its ball entry.
 
     The report carries the synchronization-or-excitatory-death dichotomy:
     last_excitatory_spike is the last return at which an excitatory neuron
@@ -563,8 +630,13 @@ def cycle_census(params: NetworkParams, sample_count: int, seed: int,
 
     Each sample owns the Philox stream (seed, 1 + index).  All samples step
     together as one lockstep batch, whose recurrence tests run as array
-    operations over the live samples, and each one's fate is what
-    detect_cycle gives for its start alone, so the census is deterministic.
+    operations over the live samples, so the census is deterministic.  Each
+    one's fate is what detect_cycle gives for its start alone, with one
+    exception: once a cycle is solved, a sample that enters its retirement
+    balls at or before max_iter is a row of that cycle, even when its own
+    recurrence would come after max_iter, where detect_cycle alone reports
+    it unresolved.  Its fate is then what detect_cycle gives with a larger
+    max_iter.
     The fractions count the fate table's outcome codes.  Samples that recur
     on the same piece word share one solve and so one cycle of the table;
     the distinct cycles make the entries in the order of the first sample
